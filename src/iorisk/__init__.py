@@ -8,10 +8,8 @@ breakdown tables. A deterministic synthetic workload generator provides
 ground-truth fixtures.
 """
 
-from ._kernels import NUMBA_ENABLED, backend_name
 from .ops import OpClass, OpKind
 
 __version__ = "0.1.0"
 
-__all__ = ["OpClass", "OpKind", "NUMBA_ENABLED", "backend_name",
-           "__version__"]
+__all__ = ["OpClass", "OpKind", "__version__"]

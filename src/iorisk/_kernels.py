@@ -1,526 +1,149 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Numeric kernels: deltify, attribute and risk, vectorized with numpy.
 
-Three loop-heavy stages dominate pipeline runtime: turning cumulative
-counter snapshots into per-bin deltas, splitting node-bin deltas between
-job claimants, and evaluating per-counter risk contributions. Each has a
-numba ``@njit`` build and a vectorized numpy fallback; the active backend
-is chosen at import time.
+Apportioning rule. Deltify and attribute both split a non-negative
+integer counter delta d between K claimants in proportion to integer
+overlaps ov_0 .. ov_{K-1} out of a span (the pair's duration for deltify,
+the bin width for attribute; the overlaps sum to the span):
 
-Set ``IORISK_NUMBA=0`` to force the numpy fallback (the default is numba
-when importable). Both implementations are kept numerically identical:
-no fastmath, shared rounding rules, same share/residue arithmetic.
+1. claimant k gets round_half_even((d * ov_k) / span), evaluated in float64
+   in exactly that order;
+2. the residue d - sum(shares) goes to the last claimant, k = K-1;
+3. if that leaves the last share negative, the negative amount is carried
+   back to claimant K-2, and so on, until no share is negative.
+
+The shares therefore sum to d exactly and none is negative. With K = 1
+the single claimant gets d. ``apportion`` is the only implementation of
+the rule; the kernels group their rows by K and call it once per group.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .ops import N_COUNTERS, N_OSS
 
-_flag = os.environ.get("IORISK_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "off", "no")
 
-try:
-    from numba import njit
+def apportion(deltas, overlap, span):
+    """Split each row of deltas (n, 21) between K claimants.
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-NUMBA_ENABLED = _want_numba and HAVE_NUMBA
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def _round_half_even(x):
-    """Round a non-negative float to the nearest integer, ties to even."""
-    f = int(x)  # x >= 0, so truncation == floor
-    rem = x - f
-    if rem > 0.5:
-        return f + 1
-    if rem < 0.5:
-        return f
-    return f if f % 2 == 0 else f + 1
+    overlap is (n, K) and span is (n,); returns shares of shape (n, K, 21)
+    under the apportioning rule of this module, summing to deltas along
+    axis 1. With K = 1 the result is a view of deltas.
+    """
+    n, k_count = overlap.shape
+    if k_count == 1:
+        return deltas[:, None, :]
+    d = deltas.astype(np.float64)
+    span = span.astype(np.float64)[:, None]
+    shares = np.empty((n, k_count, deltas.shape[1]), dtype=np.int64)
+    for k in range(k_count):
+        # non-negative operands, so rint's ties-to-even is the rule's rounding
+        shares[:, k] = np.rint(d * overlap[:, k, None].astype(np.float64)
+                               / span)
+    shares[:, -1] += deltas - shares.sum(axis=1)
+    for k in range(k_count - 1, 0, -1):
+        carry = np.minimum(shares[:, k], 0)
+        shares[:, k] -= carry
+        shares[:, k - 1] += carry
+    return shares
 
 
-if NUMBA_ENABLED:
-    # jitted loops resolve this global lazily at first call; it must stay
-    # bound to the dispatcher, and it is equally usable from plain python
-    _round_half_even = njit(cache=True)(_round_half_even)
+def deltify_pairs(stream, ts, values, bin_width, max_gap_s):
+    """Cumulative snapshots sorted by (stream, ts) -> per-bin delta rows.
 
-
-# ---------------------------------------------------------------------------
-# deltify: cumulative snapshot pairs -> per-bin deltas
-#
-# A sample at time t covers activity (t_prev, t]; a bin labelled b covers
-# (b, b+w]. First covered bin is w*floor(t0/w), last is w*floor((t1-1)/w).
-# Counter decreases are treated as resets: the new value is the delta.
-# Shares are rounded half-to-even with the residue pushed into the last
-# covered bin (negative carry walks backwards so no share goes below zero).
-# ---------------------------------------------------------------------------
-
-
-def _deltify_loop(stream, ts, values, bin_width, max_gap_s,
-                  out_stream, out_bin, out_deltas):
-    n = ts.shape[0]
+    A sample at time t covers activity (t_prev, t] of its stream; a bin
+    labelled b covers (b, b+w]. A counter decrease is a reset: the new
+    value is the delta. Pairs further apart than max_gap_s, and pairs with
+    no counter change, are dropped. A pair is apportioned over the bins it
+    covers by time overlap out of its duration (see the module docstring);
+    a pair with no duration (duplicate timestamps) lands whole in the bin
+    its timestamp closes. Returns (stream, bin_start, deltas) with one row
+    per covered bin, unaggregated and in no particular order.
+    """
     w = bin_width
-    written = 0
-    delta = np.empty(N_COUNTERS, dtype=np.int64)
-    for i in range(1, n):
-        if stream[i] != stream[i - 1]:
-            continue
-        t0 = ts[i - 1]
-        t1 = ts[i]
-        dt = t1 - t0
-        if dt > max_gap_s:
-            continue
-        any_nonzero = False
-        for c in range(N_COUNTERS):
-            v0 = values[i - 1, c]
-            v1 = values[i, c]
-            d = v1 - v0 if v1 >= v0 else v1
-            delta[c] = d
-            if d != 0:
-                any_nonzero = True
-        if not any_nonzero:
-            continue
-        b_last = w * ((t1 - 1) // w)
-        b_first = w * (t0 // w)
-        if dt <= 0 or b_first >= b_last:
-            out_stream[written] = stream[i]
-            out_bin[written] = b_last
-            for c in range(N_COUNTERS):
-                out_deltas[written, c] = delta[c]
-            written += 1
-            continue
-        nbins = (b_last - b_first) // w + 1
-        base = written
-        for k in range(nbins):
-            out_stream[base + k] = stream[i]
-            out_bin[base + k] = b_first + k * w
-        for c in range(N_COUNTERS):
-            d = delta[c]
-            if d == 0:
-                for k in range(nbins):
-                    out_deltas[base + k, c] = 0
-                continue
-            acc = 0
-            for k in range(nbins):
-                b = b_first + k * w
-                lo = t0 if t0 > b else b
-                hi = t1 if t1 < b + w else b + w
-                share = _round_half_even(d * float(hi - lo) / float(dt))
-                out_deltas[base + k, c] = share
-                acc += share
-            res = d - acc
-            k = nbins - 1
-            out_deltas[base + k, c] += res
-            while out_deltas[base + k, c] < 0:
-                carry = out_deltas[base + k, c]
-                out_deltas[base + k, c] = 0
-                k -= 1
-                out_deltas[base + k, c] += carry
-        written = base + nbins
-    return written
-
-
-def _deltify_count(stream, ts, bin_width, max_gap_s):
-    n = ts.shape[0]
-    w = bin_width
-    total = 0
-    for i in range(1, n):
-        if stream[i] != stream[i - 1]:
-            continue
-        t0 = ts[i - 1]
-        t1 = ts[i]
-        dt = t1 - t0
-        if dt > max_gap_s:
-            continue
-        b_last = w * ((t1 - 1) // w)
-        b_first = w * (t0 // w)
-        if dt <= 0 or b_first >= b_last:
-            total += 1
-        else:
-            total += (b_last - b_first) // w + 1
-    return total
-
-
-def deltify_pairs_numpy(stream, ts, values, bin_width, max_gap_s):
-    """Numpy fallback: vectorized single-bin fast path, loop for spans."""
-    n = ts.shape[0]
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty((0, N_COUNTERS), dtype=np.int64)
-    w = bin_width
-    same = stream[1:] == stream[:-1]
-    t0 = ts[:-1]
-    t1 = ts[1:]
-    dt = t1 - t0
-    keep = same & (dt <= max_gap_s)
-    v0 = values[:-1]
-    v1 = values[1:]
+    t0, t1 = ts[:-1], ts[1:]
+    v0, v1 = values[:-1], values[1:]
     delta = np.where(v1 >= v0, v1 - v0, v1)
-    keep &= delta.any(axis=1)
+    keep = np.flatnonzero((stream[1:] == stream[:-1])
+                          & (t1 - t0 <= max_gap_s) & delta.any(axis=1))
+    pair_stream, t0, t1, delta = (stream[1:][keep], t0[keep], t1[keep],
+                                  delta[keep])
+    dt = t1 - t0
     b_last = w * ((t1 - 1) // w)
-    b_first = w * (t0 // w)
-    single = keep & ((dt <= 0) | (b_first >= b_last))
-    spanning = keep & ~single
-    two = spanning & (b_last - b_first == w)
-    multi = spanning & ~two
+    nbins = np.where(dt > 0, (b_last - w * (t0 // w)) // w + 1, 1)
 
-    out_stream = [stream[1:][single]]
-    out_bin = [b_last[single]]
-    out_deltas = [delta[single]]
-
-    if two.any():
-        # two-bin spans vectorize: the first share rounds half-to-even
-        # ((d * ov) / dt, matching the loop's expression order) and the
-        # second takes the exact remainder, which equals the loop's
-        # rounded-share-plus-residue value and can never go negative
-        ov0 = (b_first[two] + w - t0[two]).astype(np.float64)
-        span = dt[two].astype(np.float64)
-        d2 = delta[two]
-        s0 = np.rint(d2 * ov0[:, None] / span[:, None]).astype(np.int64)
-        out_stream.append(stream[1:][two])
-        out_bin.append(b_first[two])
-        out_deltas.append(s0)
-        out_stream.append(stream[1:][two])
-        out_bin.append(b_last[two])
-        out_deltas.append(d2 - s0)
-
-    for i in np.nonzero(multi)[0]:
-        p0 = int(t0[i])
-        p1 = int(t1[i])
-        span = p1 - p0
-        bf = int(b_first[i])
-        nbins = (int(b_last[i]) - bf) // w + 1
-        shares = np.zeros((nbins, N_COUNTERS), dtype=np.int64)
-        for c in range(N_COUNTERS):
-            d = int(delta[i, c])
-            if d == 0:
-                continue
-            acc = 0
-            for k in range(nbins):
-                b = bf + k * w
-                lo = p0 if p0 > b else b
-                hi = p1 if p1 < b + w else b + w
-                s = _round_half_even(d * float(hi - lo) / float(span))
-                shares[k, c] = s
-                acc += s
-            res = d - acc
-            k = nbins - 1
-            shares[k, c] += res
-            while shares[k, c] < 0:
-                carry = shares[k, c]
-                shares[k, c] = 0
-                k -= 1
-                shares[k, c] += carry
-        out_stream.append(np.full(nbins, stream[i + 1], dtype=np.int64))
-        out_bin.append(bf + w * np.arange(nbins, dtype=np.int64))
-        out_deltas.append(shares)
-
-    return (np.concatenate(out_stream),
-            np.concatenate(out_bin),
-            np.concatenate(out_deltas))
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64),
+              np.empty((0, N_COUNTERS), np.int64))]
+    for k_count in np.unique(nbins):
+        rows = np.flatnonzero(nbins == k_count)
+        bins = b_last[rows, None] - w * np.arange(k_count - 1, -1, -1)
+        overlap = (np.minimum(t1[rows, None], bins + w)
+                   - np.maximum(t0[rows, None], bins))
+        shares = apportion(delta[rows], overlap, dt[rows])
+        parts.append((np.repeat(pair_stream[rows], k_count), bins.ravel(),
+                      shares.reshape(-1, N_COUNTERS)))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-if NUMBA_ENABLED:
-    _deltify_loop_jit = njit(cache=True)(_deltify_loop)
-    _deltify_count_jit = njit(cache=True)(_deltify_count)
+def attribute_shares(node_idx, fs_idx, bin_start, deltas, bin_width,
+                     node_ptr, job_start, job_end, job_of):
+    """Node-bin delta rows -> per-claimant share rows.
 
-    def deltify_pairs_numba(stream, ts, values, bin_width, max_gap_s):
-        bound = _deltify_count_jit(stream, ts, bin_width, max_gap_s)
-        out_stream = np.empty(bound, dtype=np.int64)
-        out_bin = np.empty(bound, dtype=np.int64)
-        out_deltas = np.empty((bound, N_COUNTERS), dtype=np.int64)
-        n = _deltify_loop_jit(stream, ts, values, bin_width, max_gap_s,
-                              out_stream, out_bin, out_deltas)
-        return out_stream[:n], out_bin[:n], out_deltas[:n]
-else:
-    deltify_pairs_numba = None
-
-
-# ---------------------------------------------------------------------------
-# attribute: node-bin deltas -> per-claimant shares
-#
-# Jobs on a node are non-overlapping intervals sorted by start, so both the
-# start and end arrays are sorted within a node's CSR segment and the
-# claimants of one bin form a contiguous index range. The unattributed
-# remainder, when present, is the last claimant (job id -1) and receives
-# the rounding residue.
-# ---------------------------------------------------------------------------
-
-
-def _claim_range(starts, ends, lo, hi, b, b_end):
-    """Index range [j0, j1) of jobs overlapping [b, b_end) in one segment."""
-    a, z = lo, hi
-    while a < z:  # first job with end > b
-        mid = (a + z) // 2
-        if ends[mid] <= b:
-            a = mid + 1
-        else:
-            z = mid
-    j0 = a
-    a, z = j0, hi
-    while a < z:  # first job with start >= b_end
-        mid = (a + z) // 2
-        if starts[mid] < b_end:
-            a = mid + 1
-        else:
-            z = mid
-    return j0, a
-
-
-if NUMBA_ENABLED:
-    _claim_range = njit(cache=True)(_claim_range)
-
-
-def _attribute_loop(node_idx, fs_idx, bin_start, deltas, bin_width,
-                    node_ptr, job_start, job_end, job_of,
-                    out_job, out_fs, out_bin, out_deltas):
-    m = bin_start.shape[0]
+    Jobs on a node are non-overlapping intervals sorted by start and
+    stored as CSR segments (node_ptr), so the jobs overlapping the bin
+    [b, b+w) form a contiguous index range. Their claimants are those jobs
+    in start order, followed by the unattributed remainder (job -1) when
+    the jobs leave part of the bin uncovered. Shares follow the
+    apportioning rule with the bin width as the span. Returns (job, fs,
+    bin_start, deltas), one row per claimant, in no particular order.
+    """
     w = bin_width
-    written = 0
-    for i in range(m):
-        b = bin_start[i]
-        b_end = b + w
-        lo = node_ptr[node_idx[i]]
-        hi = node_ptr[node_idx[i] + 1]
-        j0, j1 = _claim_range(job_start, job_end, lo, hi, b, b_end)
-        njobs = j1 - j0
-        if njobs == 0:
-            out_job[written] = -1
-            out_fs[written] = fs_idx[i]
-            out_bin[written] = b
-            for c in range(N_COUNTERS):
-                out_deltas[written, c] = deltas[i, c]
-            written += 1
-            continue
-        covered = 0
-        for j in range(j0, j1):
-            s = job_start[j] if job_start[j] > b else b
-            e = job_end[j] if job_end[j] < b_end else b_end
-            covered += e - s
-        if njobs == 1 and covered == w:
-            out_job[written] = job_of[j0]
-            out_fs[written] = fs_idx[i]
-            out_bin[written] = b
-            for c in range(N_COUNTERS):
-                out_deltas[written, c] = deltas[i, c]
-            written += 1
-            continue
-        un_ov = w - covered
-        nclaims = njobs + (1 if un_ov > 0 else 0)
-        base = written
-        for k in range(njobs):
-            out_job[base + k] = job_of[j0 + k]
-            out_fs[base + k] = fs_idx[i]
-            out_bin[base + k] = b
-        if un_ov > 0:
-            out_job[base + njobs] = -1
-            out_fs[base + njobs] = fs_idx[i]
-            out_bin[base + njobs] = b
-        for c in range(N_COUNTERS):
-            d = deltas[i, c]
-            if d == 0:
-                for k in range(nclaims):
-                    out_deltas[base + k, c] = 0
-                continue
-            acc = 0
-            for k in range(njobs):
-                j = j0 + k
-                s = job_start[j] if job_start[j] > b else b
-                e = job_end[j] if job_end[j] < b_end else b_end
-                share = _round_half_even(d * float(e - s) / float(w))
-                out_deltas[base + k, c] = share
-                acc += share
-            if un_ov > 0:
-                share = _round_half_even(d * float(un_ov) / float(w))
-                out_deltas[base + njobs, c] = share
-                acc += share
-            res = d - acc
-            k = nclaims - 1
-            out_deltas[base + k, c] += res
-            while out_deltas[base + k, c] < 0:
-                carry = out_deltas[base + k, c]
-                out_deltas[base + k, c] = 0
-                k -= 1
-                out_deltas[base + k, c] += carry
-        written = base + nclaims
-    return written
-
-
-def _attribute_count(node_idx, bin_start, bin_width,
-                     node_ptr, job_start, job_end):
-    m = bin_start.shape[0]
-    w = bin_width
-    total = 0
-    for i in range(m):
-        b = bin_start[i]
-        lo = node_ptr[node_idx[i]]
-        hi = node_ptr[node_idx[i] + 1]
-        j0, j1 = _claim_range(job_start, job_end, lo, hi, b, b + w)
-        total += (j1 - j0) + 1
-    return total
-
-
-def attribute_shares_numpy(node_idx, fs_idx, bin_start, deltas, bin_width,
-                           node_ptr, job_start, job_end, job_of):
-    """Numpy fallback: per-node vectorized range search, loop for splits."""
-    m = bin_start.shape[0]
-    w = bin_width
-    if m == 0:
-        e32 = np.empty(0, dtype=np.int32)
-        e64 = np.empty(0, dtype=np.int64)
-        return e32, e32.copy(), e64, np.empty((0, N_COUNTERS), dtype=np.int64)
-
-    j0 = np.empty(m, dtype=np.int64)
-    j1 = np.empty(m, dtype=np.int64)
-    order = np.argsort(node_idx, kind="stable")
-    sorted_nodes = node_idx[order]
-    group_starts = np.flatnonzero(
-        np.concatenate(([True], sorted_nodes[1:] != sorted_nodes[:-1])))
-    group_ends = np.concatenate((group_starts[1:], [m]))
-    for gs, ge in zip(group_starts, group_ends):
-        rows = order[gs:ge]
-        node = sorted_nodes[gs]
-        lo = int(node_ptr[node])
-        hi = int(node_ptr[node + 1])
+    j0 = np.empty(len(bin_start), dtype=np.int64)
+    j1 = np.empty(len(bin_start), dtype=np.int64)
+    for node in np.unique(node_idx):
+        rows = np.flatnonzero(node_idx == node)
+        lo, hi = int(node_ptr[node]), int(node_ptr[node + 1])
         bins = bin_start[rows]
         j0[rows] = lo + np.searchsorted(job_end[lo:hi], bins, side="right")
         j1[rows] = lo + np.searchsorted(job_start[lo:hi], bins + w,
                                         side="left")
     njobs = j1 - j0
 
-    ov_full = np.zeros(m, dtype=np.int64)
-    one = njobs == 1
-    if one.any():
-        idx = j0[one]
-        s = np.maximum(job_start[idx], bin_start[one])
-        e = np.minimum(job_end[idx], bin_start[one] + w)
-        ov_full[one] = e - s
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int32),
+              np.empty(0, np.int64), np.empty((0, N_COUNTERS), np.int64))]
 
-    unowned = njobs == 0
-    whole = one & (ov_full == w)
-    rest = ~(unowned | whole)
+    def emit(rows, overlap, claim):
+        if len(rows) == 0:
+            return
+        k_count = claim.shape[1]
+        shares = apportion(deltas[rows], overlap, np.full(len(rows), w))
+        parts.append((claim.ravel(), np.repeat(fs_idx[rows], k_count),
+                      np.repeat(bin_start[rows], k_count),
+                      shares.reshape(-1, N_COUNTERS)))
 
-    out_job = [np.full(int(unowned.sum()), -1, dtype=np.int32),
-               job_of[j0[whole]].astype(np.int32)]
-    out_fs = [fs_idx[unowned], fs_idx[whole]]
-    out_bin = [bin_start[unowned], bin_start[whole]]
-    out_deltas = [deltas[unowned], deltas[whole]]
-
-    for i in np.nonzero(rest)[0]:
-        b = int(bin_start[i])
-        a0, a1 = int(j0[i]), int(j1[i])
-        ovs = []
-        for j in range(a0, a1):
-            s = max(int(job_start[j]), b)
-            e = min(int(job_end[j]), b + w)
-            ovs.append(e - s)
-        un_ov = w - sum(ovs)
-        claim_jobs = [int(job_of[j]) for j in range(a0, a1)]
-        if un_ov > 0:
-            claim_jobs.append(-1)
-            ovs.append(un_ov)
-        k = len(claim_jobs)
-        shares = np.zeros((k, N_COUNTERS), dtype=np.int64)
-        for c in range(N_COUNTERS):
-            d = int(deltas[i, c])
-            if d == 0:
-                continue
-            acc = 0
-            for t in range(k):
-                s = _round_half_even(d * float(ovs[t]) / float(w))
-                shares[t, c] = s
-                acc += s
-            res = d - acc
-            t = k - 1
-            shares[t, c] += res
-            while shares[t, c] < 0:
-                carry = shares[t, c]
-                shares[t, c] = 0
-                t -= 1
-                shares[t, c] += carry
-        out_job.append(np.asarray(claim_jobs, dtype=np.int32))
-        out_fs.append(np.full(k, fs_idx[i], dtype=fs_idx.dtype))
-        out_bin.append(np.full(k, b, dtype=np.int64))
-        out_deltas.append(shares)
-
-    return (np.concatenate(out_job).astype(np.int32),
-            np.concatenate(out_fs).astype(np.int32),
-            np.concatenate(out_bin),
-            np.concatenate(out_deltas))
+    for n_j in np.unique(njobs):
+        rows = np.flatnonzero(njobs == n_j)
+        jobs = j0[rows, None] + np.arange(n_j)
+        b = bin_start[rows, None]
+        overlap = (np.minimum(job_end[jobs], b + w)
+                   - np.maximum(job_start[jobs], b))
+        claim = job_of[jobs].astype(np.int32)
+        free = w - overlap.sum(axis=1)
+        part = free > 0
+        emit(rows[~part], overlap[~part], claim[~part])
+        emit(rows[part], np.column_stack((overlap[part], free[part])),
+             np.column_stack((claim[part], np.full(part.sum(), -1, np.int32))))
+    job, fs, bins, shares = (np.concatenate(p) for p in zip(*parts))
+    return job.astype(np.int32), fs.astype(np.int32), bins, shares
 
 
-if NUMBA_ENABLED:
-    _attribute_loop_jit = njit(cache=True)(_attribute_loop)
-    _attribute_count_jit = njit(cache=True)(_attribute_count)
+def risk_contribs(deltas, fs_idx, avg, md_total, alpha, beta, threshold):
+    """Per-counter clamped risk contributions.
 
-    def attribute_shares_numba(node_idx, fs_idx, bin_start, deltas, bin_width,
-                               node_ptr, job_start, job_end, job_of):
-        bound = _attribute_count_jit(node_idx, bin_start, bin_width,
-                                     node_ptr, job_start, job_end)
-        out_job = np.empty(bound, dtype=np.int32)
-        out_fs = np.empty(bound, dtype=np.int32)
-        out_bin = np.empty(bound, dtype=np.int64)
-        out_deltas = np.empty((bound, N_COUNTERS), dtype=np.int64)
-        n = _attribute_loop_jit(node_idx, fs_idx, bin_start, deltas,
-                                bin_width, node_ptr, job_start, job_end,
-                                job_of, out_job, out_fs, out_bin, out_deltas)
-        return out_job[:n], out_fs[:n], out_bin[:n], out_deltas[:n]
-else:
-    attribute_shares_numba = None
-
-
-# ---------------------------------------------------------------------------
-# risk: per-counter clamped contributions
-#
-# OSS counters: (x - alpha*avg) / (alpha*avg), zero when avg is zero.
-# MDS counters: same when alpha*avg >= threshold, otherwise the beta path
-# (x - beta*md_total) / (beta*md_total) with the denominator floored at the
-# threshold when md_total is zero. All contributions clamp at zero.
-# ---------------------------------------------------------------------------
-
-
-def _risk_loop(deltas, fs_idx, avg, md_total, alpha, beta, threshold, out):
-    m = deltas.shape[0]
-    for i in range(m):
-        f = fs_idx[i]
-        for c in range(N_COUNTERS):
-            x = deltas[i, c]
-            a = avg[f, c]
-            denom = alpha * a
-            if c < N_OSS:
-                if denom <= 0.0:
-                    out[i, c] = 0.0
-                    continue
-            else:
-                if denom < threshold:
-                    denom = beta * md_total[f]
-                    if denom <= 0.0:
-                        denom = threshold
-                    if denom <= 0.0:
-                        out[i, c] = 0.0
-                        continue
-            v = (x - denom) / denom
-            out[i, c] = v if v > 0.0 else 0.0
-    return out
-
-
-def risk_contribs_numpy(deltas, fs_idx, avg, md_total, alpha, beta,
-                        threshold):
-    """Numpy fallback: fully vectorized contribution evaluation."""
+    OSS counters: (x - alpha*avg) / (alpha*avg), zero when avg is zero.
+    MDS counters: the same when alpha*avg >= threshold, otherwise the beta
+    path (x - beta*md_total) / (beta*md_total) with the denominator floored
+    at the threshold when md_total is zero. All contributions clamp at zero.
+    """
     a = avg[fs_idx]
     denom = alpha * a
     mds = denom[:, N_OSS:]
@@ -531,26 +154,3 @@ def risk_contribs_numpy(deltas, fs_idx, avg, md_total, alpha, beta,
         contrib = (deltas - denom) / denom
     contrib = np.where(denom > 0.0, contrib, 0.0)
     return np.maximum(contrib, 0.0)
-
-
-if NUMBA_ENABLED:
-    _risk_loop_jit = njit(cache=True)(_risk_loop)
-
-    def risk_contribs_numba(deltas, fs_idx, avg, md_total, alpha, beta,
-                            threshold):
-        out = np.empty_like(deltas)
-        return _risk_loop_jit(deltas, fs_idx, avg, md_total,
-                              float(alpha), float(beta), float(threshold),
-                              out)
-else:
-    risk_contribs_numba = None
-
-
-if NUMBA_ENABLED:
-    deltify_pairs = deltify_pairs_numba
-    attribute_shares = attribute_shares_numba
-    risk_contribs = risk_contribs_numba
-else:
-    deltify_pairs = deltify_pairs_numpy
-    attribute_shares = attribute_shares_numpy
-    risk_contribs = risk_contribs_numpy

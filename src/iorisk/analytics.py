@@ -62,6 +62,15 @@ class SlowdownFinding:
     ratio: float
 
 
+def check_slowdown_params(factor: float, min_group: int) -> None:
+    """Reject a slowdown factor of 1 or less and groups of fewer than two
+    runs: either would flag runs that are no slower than their peers."""
+    if factor <= 1:
+        raise ValueError(f"slowdown_factor must be > 1, got {factor}")
+    if min_group < 2:
+        raise ValueError(f"min_group must be >= 2, got {min_group}")
+
+
 def detect_slowdown(groups, factor: float = DEFAULT_SLOWDOWN_FACTOR,
                     min_group: int = DEFAULT_MIN_GROUP
                     ) -> list[SlowdownFinding]:
@@ -70,10 +79,7 @@ def detect_slowdown(groups, factor: float = DEFAULT_SLOWDOWN_FACTOR,
     Groups smaller than min_group are skipped; the mean includes the
     candidate run itself.
     """
-    if factor <= 1:
-        raise ValueError(f"slowdown factor must be > 1, got {factor}")
-    if min_group < 2:
-        raise ValueError(f"min_group must be >= 2, got {min_group}")
+    check_slowdown_params(factor, min_group)
     findings = []
     for group in groups:
         if len(group.run_ids) < min_group:

@@ -141,9 +141,9 @@ def attribute_usage(node_usage: UsageTable, jobs) -> AttributionResult:
     """Assign node-bin deltas to the jobs holding the nodes.
 
     Bins partially covered by a job interval are apportioned by overlap
-    fraction (half-even rounding, exact sum, residue to the last claimant
-    in start order with the unattributed remainder last). Deltas on nodes
-    no job held go to the unattributed ledger.
+    fraction (the rule in _kernels, exact sum) between the jobs in start
+    order, with the unattributed remainder last. Deltas on nodes no job
+    held go to the unattributed ledger.
     """
     jobs = list(jobs)
     validate_exclusive_allocation(jobs)

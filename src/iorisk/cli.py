@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, simgen, store
+from . import simgen, store
 from .analytics import (build_scatter, detect_slowdown, group_applications,
                         summarize_jobs)
 from .attribute import attribute_usage, fs_bin_totals
@@ -108,7 +109,7 @@ def cmd_ingest(args, cfg: Config) -> int:
     store.write_node_usage(out, usage)
     store.write_jobs(out, jobs)
     print(f"ingested {len(feed)} samples -> {len(usage)} node-bin rows, "
-          f"{len(jobs)} jobs ({_kernels.backend_name()} backend)")
+          f"{len(jobs)} jobs")
     return 0
 
 
@@ -134,8 +135,7 @@ def cmd_analyze(args, cfg: Config) -> int:
                            attribution.unattributed)
     write_risk_timeseries_csv(out / "risk_timeseries.csv", fm, jm)
     print(f"analyzed {len(attribution.job_usage)} job-bin rows on "
-          f"{len(baselines)} filesystems ({_kernels.backend_name()} "
-          f"backend)")
+          f"{len(baselines)} filesystems")
     return 0
 
 
@@ -151,6 +151,17 @@ def _read_probe(path):
             ts.append(int(row[0]))
             values.append(float(row[1]))
     return np.asarray(ts, dtype=np.int64), np.asarray(values)
+
+
+def _clear_report_artifacts(out: Path) -> None:
+    """Remove report artifacts an earlier run left behind: a report writes
+    these only for some inputs and flags, or, for timeseries/, one file
+    per day of data."""
+    for name in ["correlation.csv", "breakdown.csv"] + [
+            f"heatmap_{m}.{ext}" for m in MEASURES for ext in ("csv", "svg")]:
+        (out / name).unlink(missing_ok=True)
+    if (out / "timeseries").exists():
+        shutil.rmtree(out / "timeseries")
 
 
 def cmd_report(args, cfg: Config) -> int:
@@ -172,6 +183,7 @@ def cmd_report(args, cfg: Config) -> int:
     findings = detect_slowdown(groups, cfg.slowdown_factor, cfg.min_group)
     scatter = build_scatter(jobs, jm, cfg.scatter_min_risk)
 
+    _clear_report_artifacts(out)
     write_job_summary_csv(out / "job_summary.csv", summaries)
     write_scatter_csv(out / "scatter.csv", scatter, aliases)
     write_slowdown_csv(out / "slowdown.csv", findings, aliases)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .analytics import (DEFAULT_MIN_GROUP, DEFAULT_SCATTER_MIN_RISK,
-                        DEFAULT_SLOWDOWN_FACTOR)
+                        DEFAULT_SLOWDOWN_FACTOR, check_slowdown_params)
 from .ingest import (DEFAULT_BIN_WIDTH_S, DEFAULT_CORES_PER_NODE,
                      DEFAULT_MAX_GAP_BINS)
 from .metrics import (DEFAULT_ALPHA, DEFAULT_BETA,
@@ -39,13 +39,13 @@ class Config:
     quality_agg: str = "sum"
 
     def validate(self) -> None:
-        positive = ("bin_width_s", "alpha", "beta", "slowdown_factor",
-                    "min_group", "scatter_min_risk", "cores_per_node",
-                    "max_gap_bins", "top_k")
+        positive = ("bin_width_s", "alpha", "beta", "scatter_min_risk",
+                    "cores_per_node", "max_gap_bins", "top_k")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config: {name} must be positive, "
                                  f"got {getattr(self, name)}")
+        check_slowdown_params(self.slowdown_factor, self.min_group)
         if self.md_small_avg_threshold < 0:
             raise ValueError("config: md_small_avg_threshold must be >= 0")
         if self.baseline_days is not None and self.baseline_days <= 0:

@@ -390,8 +390,8 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
 
     A sample at time t covers activity since the previous sample of the same
     (node, fs) stream; a bin labelled b covers (b, b+w]. Deltas spanning
-    several bins are apportioned by time overlap (half-even rounding, exact
-    sum). Counter decreases are treated as resets (the new value is the
+    several bins are apportioned by time overlap (the rule in _kernels,
+    exact sum). Counter decreases are treated as resets (the new value is the
     delta since the restart). Gaps longer than max_gap_bins bins are
     dropped. Input order does not matter; rows are sorted internally.
 

@@ -207,3 +207,61 @@ def test_alias_file_relabels_commands(demo_feeds, tmp_path):
     text = (out / "scatter.csv").read_text()
     assert "friendly-name" in text
     assert target not in text
+
+
+@pytest.mark.parametrize("flag", [("--min-group", "1"),
+                                  ("--slowdown-factor", "0.5")])
+def test_bad_slowdown_config_fails_before_writing(demo_feeds, tmp_path,
+                                                  capsys, flag):
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, flag) == 1
+    assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+    for name in ("store", "risk_timeseries.csv", "unattributed.csv"):
+        assert not (out / name).exists(), name
+
+
+def test_rerun_leaves_no_stale_report_artifacts(tmp_path):
+    from iorisk.simgen import JobTemplate, ScenarioSpec
+    spec = ScenarioSpec(
+        seed=5, duration_s=2 * 86400, node_count=4, filesystems=("fs2",),
+        templates=(JobTemplate("scan", "scan --files index.db",
+                               "materials", "small-read", count=8,
+                               nodes=1, runtime_bins=(4, 12)),),
+        emit_probe=True)
+    feeds = tmp_path / "feeds"
+    generate(spec, feeds)
+    # the same feed cut to its first day
+    short = tmp_path / "short"
+    short.mkdir()
+    header, *rows = (feeds / "counters.csv").read_text().splitlines(True)
+    (short / "counters.csv").write_text("".join(
+        [header] + [r for r in rows
+                    if int(r.split(",")[0]) <= spec.start_ts + 86400]))
+    (short / "jobs.csv").write_bytes((feeds / "jobs.csv").read_bytes())
+
+    out = tmp_path / "out"
+    assert _run_all(feeds, out, ("--probe", str(feeds / "probe.csv"),
+                                 "--svg")) == 0
+    assert (out / "correlation.csv").exists()
+    assert len(list((out / "timeseries" / "fs2").glob("*.csv"))) == 2
+    assert _run_all(short, out) == 0
+    fresh = tmp_path / "fresh"
+    assert _run_all(short, fresh) == 0
+    assert len(list((fresh / "timeseries" / "fs2").glob("*.csv"))) == 1
+    assert _tree_bytes(out) == _tree_bytes(fresh)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import iorisk
+    src = Path(iorisk.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "iorisk", "simulate", "--preset", "demo",
+         "--out", str(tmp_path / "sim")],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sim" / "counters.csv").exists()

@@ -25,7 +25,9 @@ def test_shipped_defaults_match_analysis_constants():
 def test_validation_rejects_nonpositive_values():
     for name, bad in (("alpha", 0.0), ("beta", -1.0), ("bin_width_s", 0),
                       ("slowdown_factor", 0.0), ("min_group", 0),
-                      ("cores_per_node", -2), ("top_k", 0)):
+                      ("cores_per_node", -2), ("top_k", 0),
+                      # detect_slowdown's own rule, checked before any stage
+                      ("slowdown_factor", 1.0), ("min_group", 1)):
         cfg = Config(**{name: bad})
         with pytest.raises(ValueError):
             cfg.validate()

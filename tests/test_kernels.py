@@ -1,109 +1,158 @@
-"""Backend agreement: the numba kernels and the numpy fallbacks must
-produce identical results on randomized inputs."""
+"""The vectorized kernels against the scalar reference loops in
+scalar_kernels.py, on generated inputs: off-grid cadence, resets,
+duplicate timestamps, long gaps, partial-bin job edges and bins shared by
+several jobs and the unattributed remainder."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from iorisk import _kernels
-from iorisk._kernels import (attribute_shares_numpy, deltify_pairs_numpy,
-                             risk_contribs_numpy)
 from iorisk.ops import N_COUNTERS
 
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                                 reason="numba backend disabled")
+import scalar_kernels as ref
+
+# the max_gap_s that deltify_and_bin passes for max_gap_bins=None
+NO_GAP_LIMIT = np.iinfo(np.int64).max // 4
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
-def _random_stream(rng, n_streams=6, n_samples=40, bin_width=360):
-    """Sorted (stream, ts, cumulative values) with irregular cadence."""
+def _sorted_rows(*cols):
+    """Order-independent view of a kernel's output rows."""
+    deltas = cols[-1]
+    keys = [deltas[:, c] for c in range(N_COUNTERS - 1, -1, -1)]
+    order = np.lexsort(keys + [np.asarray(c) for c in cols[-2::-1]])
+    return [np.asarray(c)[order] for c in cols]
+
+
+def _assert_same_rows(a, b):
+    for x, y in zip(_sorted_rows(*a), _sorted_rows(*b)):
+        np.testing.assert_array_equal(x, y)
+
+
+_magnitude = st.sampled_from([3, 1000, 2 ** 40])
+
+
+@st.composite
+def apportion_cases(draw):
+    k_count = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    overlap = np.array(draw(st.lists(
+        st.lists(st.integers(0, 40), min_size=k_count, max_size=k_count),
+        min_size=n, max_size=n)), dtype=np.int64)
+    overlap[overlap.sum(axis=1) == 0, -1] = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    deltas = rng.integers(0, draw(_magnitude), size=(n, N_COUNTERS))
+    return deltas, overlap, overlap.sum(axis=1)
+
+
+@PROPERTY
+@given(apportion_cases())
+def test_apportion_matches_scalar_rule(case):
+    deltas, overlap, span = case
+    shares = _kernels.apportion(deltas, overlap, span)
+    np.testing.assert_array_equal(shares.sum(axis=1), deltas)
+    assert (shares >= 0).all()
+    for i in range(len(deltas)):
+        for c in range(N_COUNTERS):
+            assert shares[i, :, c].tolist() == ref.split_ref(
+                int(deltas[i, c]), overlap[i].tolist(), int(span[i]))
+
+
+def test_apportion_half_even_ties_residue_and_carry():
+    def split(d, overlaps):
+        deltas = np.full((1, N_COUNTERS), d, dtype=np.int64)
+        ov = np.array([overlaps], dtype=np.int64)
+        return _kernels.apportion(deltas, ov, ov.sum(axis=1))[0, :, 0]
+
+    assert split(1, (1, 1)).tolist() == [0, 1]   # 0.5 -> 0, residue last
+    assert split(3, (1, 1)).tolist() == [2, 1]   # 1.5 -> 2, negative residue
+    assert split(5, (3, 3, 3, 1)).tolist() == [2, 2, 1, 0]  # carry walks back
+    assert split(7, (4,)).tolist() == [7]        # one claimant: identity
+
+
+@st.composite
+def snapshot_streams(draw):
+    """Sorted (stream, ts, cumulative values) plus bin width and gap."""
+    w = draw(st.sampled_from([60, 360]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    magnitude = draw(_magnitude)
     stream, ts, values = [], [], []
-    for s in range(n_streams):
-        t = int(rng.integers(1, 500))
-        cum = rng.integers(0, 1000, size=N_COUNTERS)
-        for _ in range(n_samples):
-            t += int(rng.integers(1, bin_width * 5))
-            if rng.random() < 0.05:  # occasional reset
+    for s in range(draw(st.integers(1, 4))):
+        t = draw(st.integers(1, 3 * w))
+        cum = np.zeros(N_COUNTERS, dtype=np.int64)
+        for _ in range(draw(st.integers(1, 10))):
+            t += draw(st.one_of(st.integers(1, 3 * w),      # off-grid
+                                st.just(0),                 # duplicate ts
+                                st.integers(1, 6).map(lambda k: k * w),
+                                st.integers(4 * w, 30 * w)))  # long gap
+            kind = draw(st.sampled_from(["grow", "grow", "idle", "reset"]))
+            if kind == "grow":
+                step = rng.integers(0, magnitude, size=N_COUNTERS)
+                cum = cum + step * (rng.random(N_COUNTERS) < 0.7)
+            elif kind == "reset":
                 cum = rng.integers(0, 50, size=N_COUNTERS)
-            else:
-                cum = cum + rng.integers(0, 800, size=N_COUNTERS)
             stream.append(s)
             ts.append(t)
             values.append(cum.copy())
-    order = np.lexsort((ts, stream))
-    return (np.asarray(stream, dtype=np.int64)[order],
-            np.asarray(ts, dtype=np.int64)[order],
-            np.asarray(values, dtype=np.int64)[order])
+    gap_bins = draw(st.one_of(st.none(), st.integers(1, 6)))
+    max_gap_s = NO_GAP_LIMIT if gap_bins is None else gap_bins * w
+    return (np.asarray(stream, dtype=np.int64),
+            np.asarray(ts, dtype=np.int64),
+            np.asarray(values, dtype=np.int64), w, max_gap_s)
 
 
-def _aggregate(stream, bins, deltas):
-    """Order-independent view: sum shares per (stream, bin)."""
-    out = {}
-    for s, b, d in zip(stream, bins, deltas):
-        key = (int(s), int(b))
-        if key in out:
-            out[key] = out[key] + d
-        else:
-            out[key] = d.astype(np.int64)
-    return {k: v.tolist() for k, v in out.items()}
+@PROPERTY
+@given(snapshot_streams())
+def test_deltify_pairs_matches_scalar_reference(case):
+    got = _kernels.deltify_pairs(*case)
+    _assert_same_rows(got, ref.deltify_pairs_ref(*case))
+    assert (got[2] >= 0).all()
+    assert (got[1] % case[3] == 0).all()
 
 
-@needs_numba
-def test_deltify_backends_agree(rng):
-    for trial in range(5):
-        stream, ts, values = _random_stream(rng)
-        a = _kernels.deltify_pairs_numba(stream, ts, values, 360, 1080)
-        b = deltify_pairs_numpy(stream, ts, values, 360, 1080)
-        assert _aggregate(*a) == _aggregate(*b)
+@st.composite
+def attribution_cases(draw):
+    """Node-bin rows and per-node CSR job intervals, non-overlapping."""
+    w = draw(st.sampled_from([60, 360]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_nodes = draw(st.integers(1, 4))
+    node_ptr, starts, ends = [0], [], []
+    for _ in range(n_nodes):
+        t = draw(st.integers(0, 3 * w))
+        for _ in range(draw(st.integers(0, 5))):
+            t += draw(st.one_of(st.just(0), st.integers(1, 2 * w)))
+            dur = draw(st.one_of(st.integers(1, w), st.integers(w, 4 * w)))
+            starts.append(t)
+            ends.append(t + dur)
+            t += dur
+        node_ptr.append(len(starts))
+    horizon_bins = max(ends, default=0) // w + 2
+    m = draw(st.integers(1, 30))
+    node_idx = rng.integers(0, n_nodes, size=m).astype(np.int32)
+    fs_idx = rng.integers(0, 2, size=m).astype(np.int32)
+    bin_start = rng.integers(0, horizon_bins, size=m).astype(np.int64) * w
+    deltas = rng.integers(0, draw(_magnitude), size=(m, N_COUNTERS))
+    job_of = rng.permutation(len(starts)).astype(np.int32)
+    return (node_idx, fs_idx, bin_start, deltas, w,
+            np.asarray(node_ptr, dtype=np.int64),
+            np.asarray(starts, dtype=np.int64),
+            np.asarray(ends, dtype=np.int64), job_of)
 
 
-@needs_numba
-def test_attribute_backends_agree(rng):
-    w = 360
-    n_nodes = 8
-    for trial in range(5):
-        # non-overlapping job intervals per node
-        node_ptr = [0]
-        starts, ends, of = [], [], []
-        job_id = 0
-        for node in range(n_nodes):
-            t = 0
-            for _ in range(int(rng.integers(0, 5))):
-                t += int(rng.integers(0, 900))
-                dur = int(rng.integers(100, 2000))
-                starts.append(t)
-                ends.append(t + dur)
-                of.append(job_id)
-                job_id += 1
-                t += dur
-            node_ptr.append(len(starts))
-        m = 60
-        node_idx = rng.integers(0, n_nodes, size=m).astype(np.int32)
-        fs_idx = rng.integers(0, 2, size=m).astype(np.int32)
-        bin_start = (rng.integers(0, 30, size=m) * w).astype(np.int64)
-        deltas = rng.integers(0, 5000, size=(m, N_COUNTERS))
-
-        args = (node_idx, fs_idx, bin_start, deltas, w,
-                np.asarray(node_ptr, dtype=np.int64),
-                np.asarray(starts, dtype=np.int64),
-                np.asarray(ends, dtype=np.int64),
-                np.asarray(of, dtype=np.int32))
-        ja, fa, ba, da = _kernels.attribute_shares_numba(*args)
-        jb, fb, bb, db = attribute_shares_numpy(*args)
-
-        def agg(j, f, b, d):
-            out = {}
-            for ji, fi, bi, di in zip(j, f, b, d):
-                key = (int(ji), int(fi), int(bi))
-                out[key] = (out.get(key, np.zeros(N_COUNTERS, np.int64))
-                            + di)
-            return {k: v.tolist() for k, v in out.items()}
-
-        assert agg(ja, fa, ba, da) == agg(jb, fb, bb, db)
+@PROPERTY
+@given(attribution_cases())
+def test_attribute_shares_matches_scalar_reference(case):
+    got = _kernels.attribute_shares(*case)
+    _assert_same_rows(got, ref.attribute_shares_ref(*case))
+    assert (got[3] >= 0).all()
+    assert got[3].sum() == case[3].sum()
 
 
-@needs_numba
-def test_risk_backends_agree(rng):
-    for trial in range(5):
+def test_risk_contribs_matches_scalar_reference(rng):
+    for _ in range(5):
         m, n_fs = 80, 3
         deltas = rng.integers(0, 2000, size=(m, N_COUNTERS)).astype(
             np.float64)
@@ -112,16 +161,13 @@ def test_risk_backends_agree(rng):
         avg[rng.random(avg.shape) < 0.3] = 0.0  # exercise the beta path
         md_total = rng.uniform(0, 300, size=n_fs)
         md_total[0] = 0.0  # degenerate fs
-        a = _kernels.risk_contribs_numba(deltas, fs_idx, avg, md_total,
-                                         2.0, 0.25, 1.0)
-        b = risk_contribs_numpy(deltas, fs_idx, avg, md_total,
-                                2.0, 0.25, 1.0)
-        np.testing.assert_array_equal(a, b)
+        args = (deltas, fs_idx, avg, md_total, 2.0, 0.25, 1.0)
+        np.testing.assert_array_equal(_kernels.risk_contribs(*args),
+                                      ref.risk_contribs_ref(*args))
 
 
-@needs_numba
-def test_full_pipeline_backend_equivalence(monkeypatch, rng):
-    # same feed through the public pipeline with each backend active
+def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
+    # one off-grid feed through the public pipeline, once per kernel set
     from iorisk.attribute import attribute_usage, fs_bin_totals
     from iorisk.ingest import deltify_and_bin
     from iorisk.metrics import compute_baselines, compute_job_metrics
@@ -140,6 +186,7 @@ def test_full_pipeline_backend_equivalence(monkeypatch, rng):
             t += int(rng.integers(60, 1000))
             cum = cum + rng.integers(0, 700, size=21)
             rows.append([t, node, "fs2"] + cum.tolist())
+    rows.reverse()  # unsorted feed order
 
     def run_pipeline():
         usage = deltify_and_bin(feed_from_rows(rows), 360)
@@ -148,28 +195,28 @@ def test_full_pipeline_backend_equivalence(monkeypatch, rng):
         jm = compute_job_metrics(attribution.job_usage, baselines)
         return usage, attribution, jm
 
-    u_nb, a_nb, m_nb = run_pipeline()
-    monkeypatch.setattr(_kernels, "deltify_pairs",
-                        _kernels.deltify_pairs_numpy)
+    u_vec, a_vec, m_vec = run_pipeline()
+    monkeypatch.setattr(_kernels, "deltify_pairs", ref.deltify_pairs_ref)
     monkeypatch.setattr(_kernels, "attribute_shares",
-                        _kernels.attribute_shares_numpy)
-    monkeypatch.setattr(_kernels, "risk_contribs",
-                        _kernels.risk_contribs_numpy)
-    u_np, a_np, m_np = run_pipeline()
+                        ref.attribute_shares_ref)
+    monkeypatch.setattr(_kernels, "risk_contribs", ref.risk_contribs_ref)
+    u_ref, a_ref, m_ref = run_pipeline()
 
-    np.testing.assert_array_equal(u_nb.deltas, u_np.deltas)
-    np.testing.assert_array_equal(u_nb.bin_start, u_np.bin_start)
-    np.testing.assert_array_equal(a_nb.job_usage.deltas,
-                                  a_np.job_usage.deltas)
-    np.testing.assert_array_equal(a_nb.unattributed.deltas,
-                                  a_np.unattributed.deltas)
-    np.testing.assert_array_equal(m_nb.contrib, m_np.contrib)
-    np.testing.assert_array_equal(m_nb.risk_oss, m_np.risk_oss)
+    np.testing.assert_array_equal(u_vec.deltas, u_ref.deltas)
+    np.testing.assert_array_equal(u_vec.bin_start, u_ref.bin_start)
+    np.testing.assert_array_equal(a_vec.job_usage.deltas,
+                                  a_ref.job_usage.deltas)
+    np.testing.assert_array_equal(a_vec.unattributed.deltas,
+                                  a_ref.unattributed.deltas)
+    np.testing.assert_array_equal(m_vec.contrib, m_ref.contrib)
+    np.testing.assert_array_equal(m_vec.risk_oss, m_ref.risk_oss)
 
 
 def test_round_half_even_matches_python():
-    rhe = _kernels._round_half_even
+    # the reference rounding, and numpy's rint that apportion relies on
+    rhe = ref._round_half_even
     for x, expected in ((0.5, 0), (1.5, 2), (2.5, 2), (3.5, 4),
                         (0.49, 0), (0.51, 1), (7.0, 7), (0.0, 0)):
         assert rhe(x) == expected
         assert rhe(x) == round(x)
+        assert rhe(x) == int(np.rint(x))
