@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,91 +134,143 @@ def _check_header(row, expected, what):
 
 
 _PARSE_CHUNK = 65536
+# ASCII characters numpy's C integer parser skips as space and int() rejects
+_C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _convert_chunk(rows, first_line):
-    """String rows -> (ts, values) arrays; locates faults on failure."""
-    cols = list(zip(*rows))
+def _codes(keys, registry) -> np.ndarray:
+    """int32 codes of keys; new keys join registry in order of first
+    appearance."""
+    get = registry.__getitem__
     try:
-        ts = np.asarray(cols[0], dtype=np.int64)
-        values = np.empty((len(rows), N_COUNTERS), dtype=np.int64)
-        for c in range(N_COUNTERS):
-            values[:, c] = np.asarray(cols[3 + c], dtype=np.int64)
+        return np.fromiter(map(get, keys), np.int32, len(keys))
+    except KeyError:
+        for key in dict.fromkeys(keys):
+            registry.setdefault(key, len(registry))
+    return np.fromiter(map(get, keys), np.int32, len(keys))
+
+
+def _load_chunk(lines, dtype):
+    """numpy's C reading of raw lines, or None where it could differ from
+    csv.reader's: non-ASCII text (its integer parser misreads some), a
+    character only it takes for space, a blank line (it skips those), a
+    record spanning lines, or a row it rejects."""
+    text = "".join(lines)
+    if not text.isascii() or any(c in text for c in _C_ONLY_SPACE):
+        return None
+    # a quoted field left open on the last line swallows this row
+    sentinel = ",".join("0" * (len(dtype.names) - 1 + N_COUNTERS))
+    try:
+        table = np.loadtxt(lines + [sentinel], dtype=dtype, delimiter=",",
+                           comments=None, quotechar='"', ndmin=1)
+    except ValueError:
+        return None
+    return table[:-1] if len(table) == len(lines) + 1 else None
+
+
+def _read_records(lines, schema, dtype, first_line, what):
+    """csv.reader's reading of a chunk of records into dtype; locates a
+    fault by line and field."""
+    rows = []
+    for row in itertools.islice(csv.reader(lines), _PARSE_CHUNK):
+        if len(row) != len(schema):
+            raise FeedFormatError(
+                f"{what}: expected {len(schema)} fields, got {len(row)}",
+                line_no=first_line + len(rows))
+        rows.append(row)
+    cols = list(zip(*rows))
+    lead = len(dtype.names) - 1
+    ints = [j for j in range(len(schema)) if j >= lead or dtype[j] != object]
+    try:
+        arrays = {j: np.asarray(cols[j], dtype=np.int64) for j in ints}
     except (ValueError, OverflowError):
         for i, r in enumerate(rows):  # slow rescan to locate the fault
-            for j, name in (((0, "ts"),) + tuple(
-                    (3 + c, COUNTER_NAMES[c]) for c in range(N_COUNTERS))):
+            for j in ints:
                 try:
                     int(r[j])
                 except ValueError:
                     raise FeedFormatError(
-                        f"counter feed: non-integer value {r[j]!r}",
-                        line_no=first_line + i, feed_field=name) from None
+                        f"{what}: non-integer value {r[j]!r}",
+                        line_no=first_line + i,
+                        feed_field=schema[j]) from None
         raise
-    bad = np.flatnonzero(ts <= 0)
-    if bad.size:
-        i = int(bad[0])
+    table = np.empty(len(rows), dtype)
+    for j in range(lead):
+        table[schema[j]] = (arrays[j] if j in arrays
+                            else np.array(cols[j], dtype=object))
+    table["counters"] = np.stack([arrays[j] for j in ints[-N_COUNTERS:]],
+                                 axis=1)
+    return table
+
+
+def _read_keyed_table(stream, schema, registries, what, check=None):
+    """Parse the rows of a CSV table of integers keyed by strings.
+
+    The last N_COUNTERS columns are counters; registries maps each key
+    column to the dict that codes it, extended in place. Returns {column:
+    array}: int32 codes for keys, int64 for the other leading columns and
+    (n, 21) int64 "counters". Each chunk of lines goes through numpy's C
+    reader, or through csv.reader where the two could read it differently.
+    check(chunk, first_line) runs on each chunk before the next is read;
+    line numbers count records, the first after the header being 2.
+    """
+    dtype = np.dtype([(name, "O" if name in registries else "i8")
+                      for name in schema[:-N_COUNTERS]]
+                     + [("counters", "i8", (N_COUNTERS,))])
+    parts = {name: [np.empty((0,) + dtype[name].shape,
+                             np.int32 if name in registries else np.int64)]
+             for name in dtype.names}
+    first_line = 2
+    while lines := list(itertools.islice(stream, _PARSE_CHUNK)):
+        table = _load_chunk(lines, dtype)
+        if table is None:  # a quoted newline may pull in further lines
+            table = _read_records(itertools.chain(lines, stream), schema,
+                                  dtype, first_line, what)
+        chunk = {name: table[name] for name in dtype.names}
+        for name, registry in registries.items():
+            chunk[name] = _codes(table[name], registry)
+            table[name] = None  # frees the key strings; views keep table
+        if check is not None:
+            check(chunk, first_line)
+        for name, part in chunk.items():
+            parts[name].append(part)
+        first_line += len(table)
+    return {name: np.concatenate(part) for name, part in parts.items()}
+
+
+def _check_counter_chunk(chunk, first_line):
+    ts, values = chunk["ts"], chunk["counters"]
+    bad = ts <= 0
+    if bad.any():
+        i = int(bad.argmax())
         raise FeedFormatError(
             f"counter feed: timestamp must be > 0, got {ts[i]}",
             line_no=first_line + i, feed_field="ts")
-    neg = np.argwhere(values < 0)
-    if neg.size:
-        i, c = int(neg[0, 0]), int(neg[0, 1])
+    neg = values < 0
+    if neg.any():
+        i, c = divmod(int(neg.argmax()), N_COUNTERS)
         raise FeedFormatError(
             f"counter feed: negative counter value {values[i, c]}",
             line_no=first_line + i, feed_field=COUNTER_NAMES[c])
-    return ts, values
 
 
-def parse_counter_feed(stream, schema=COUNTER_HEADER) -> CounterFeed:
+def parse_counter_feed(stream) -> CounterFeed:
     """Parse a counters.csv stream into a CounterFeed.
 
     Raises FeedFormatError with the line number and offending field for
-    malformed rows; the header must match the schema exactly. Rows are
+    malformed rows; the header must match COUNTER_HEADER exactly. Rows are
     converted in chunks so large feeds never sit in memory as strings.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    _check_header(header, schema, "counter feed")
-
-    node_code: dict[str, int] = {}
-    fs_code: dict[str, int] = {}
-    node_idx: list[int] = []
-    fs_idx: list[int] = []
-    ts_chunks: list[np.ndarray] = []
-    value_chunks: list[np.ndarray] = []
-    pending: list[list[str]] = []
-    first_line = 2
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(schema):
-            raise FeedFormatError(
-                f"counter feed: expected {len(schema)} fields, "
-                f"got {len(row)}", line_no=line_no)
-        node_idx.append(node_code.setdefault(row[1], len(node_code)))
-        fs_idx.append(fs_code.setdefault(row[2], len(fs_code)))
-        pending.append(row)
-        if len(pending) >= _PARSE_CHUNK:
-            ts, values = _convert_chunk(pending, first_line)
-            ts_chunks.append(ts)
-            value_chunks.append(values)
-            first_line = line_no + 1
-            pending = []
-    if pending:
-        ts, values = _convert_chunk(pending, first_line)
-        ts_chunks.append(ts)
-        value_chunks.append(values)
-
-    if ts_chunks:
-        ts_all = np.concatenate(ts_chunks)
-        values_all = np.concatenate(value_chunks)
-    else:
-        ts_all = np.empty(0, dtype=np.int64)
-        values_all = np.empty((0, N_COUNTERS), dtype=np.int64)
-    return CounterFeed(ts_all,
-                       np.asarray(node_idx, dtype=np.int32),
-                       np.asarray(fs_idx, dtype=np.int32),
-                       values_all,
-                       tuple(node_code), tuple(fs_code))
+    stream = iter(stream)
+    _check_header(next(csv.reader(stream), None), COUNTER_HEADER,
+                  "counter feed")
+    nodes: dict[str, int] = {}
+    filesystems: dict[str, int] = {}
+    cols = _read_keyed_table(stream, COUNTER_HEADER,
+                             {"node": nodes, "fs": filesystems},
+                             "counter feed", _check_counter_chunk)
+    return CounterFeed(cols["ts"], cols["node"], cols["fs"],
+                       cols["counters"], tuple(nodes), tuple(filesystems))
 
 
 def write_counter_csv(feed: CounterFeed, stream) -> None:

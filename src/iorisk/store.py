@@ -10,16 +10,17 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .attribute import JobUsageTable
-from .ingest import UsageTable, parse_job_feed, write_jobs_csv
-from .ops import COUNTER_NAMES, N_COUNTERS
+from .ingest import (UsageTable, _read_keyed_table, parse_job_feed,
+                     write_jobs_csv)
+from .ops import COUNTER_NAMES
 
 NODE_USAGE_NAME = "node_usage.csv"
 JOB_USAGE_NAME = "job_usage.csv"
 JOBS_NAME = "jobs.csv"
 META_NAME = "meta.json"
+NODE_USAGE_HEADER = ("node", "fs", "bin_start") + COUNTER_NAMES
+JOB_USAGE_HEADER = ("job_id", "fs", "bin_start") + COUNTER_NAMES
 
 
 def store_dir(out_dir) -> Path:
@@ -36,11 +37,18 @@ def read_meta(out_dir) -> dict:
     return json.loads((store_dir(out_dir) / META_NAME).read_text())
 
 
+def _read_table(path, schema, registries, check=None):
+    with open(path, newline="") as f:
+        next(csv.reader(f))
+        return _read_keyed_table(f, schema, registries, f"store {path}",
+                                 check)
+
+
 def write_node_usage(out_dir, usage: UsageTable) -> None:
     path = store_dir(out_dir) / NODE_USAGE_NAME
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["node", "fs", "bin_start"] + list(COUNTER_NAMES))
+        w.writerow(NODE_USAGE_HEADER)
         for i in range(len(usage)):
             w.writerow([usage.nodes[usage.node_idx[i]],
                         usage.filesystems[usage.fs_idx[i]],
@@ -48,43 +56,14 @@ def write_node_usage(out_dir, usage: UsageTable) -> None:
                        + usage.deltas[i].tolist())
 
 
-_READ_CHUNK = 65536
-
-
-def _delta_chunks(pending, chunks):
-    chunks.append(np.asarray(pending, dtype=np.int64))
-    pending.clear()
-
-
-def _stack_deltas(chunks, m):
-    if not m:
-        return np.empty((0, N_COUNTERS), dtype=np.int64)
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-
-
 def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
-    path = store_dir(out_dir) / NODE_USAGE_NAME
     nodes: dict[str, int] = {}
     filesystems: dict[str, int] = {}
-    node_idx, fs_idx, bins = [], [], []
-    pending, chunks = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in reader:
-            node_idx.append(nodes.setdefault(row[0], len(nodes)))
-            fs_idx.append(filesystems.setdefault(row[1], len(filesystems)))
-            bins.append(int(row[2]))
-            pending.append(row[3:])
-            if len(pending) >= _READ_CHUNK:
-                _delta_chunks(pending, chunks)
-    if pending:
-        _delta_chunks(pending, chunks)
+    cols = _read_table(store_dir(out_dir) / NODE_USAGE_NAME,
+                       NODE_USAGE_HEADER, {"node": nodes, "fs": filesystems})
     return UsageTable(
-        bin_start=np.asarray(bins, dtype=np.int64),
-        node_idx=np.asarray(node_idx, dtype=np.int32),
-        fs_idx=np.asarray(fs_idx, dtype=np.int32),
-        deltas=_stack_deltas(chunks, len(bins)),
+        bin_start=cols["bin_start"], node_idx=cols["node"],
+        fs_idx=cols["fs"], deltas=cols["counters"],
         nodes=tuple(nodes), filesystems=tuple(filesystems),
         bin_width=bin_width_s)
 
@@ -93,7 +72,7 @@ def write_job_usage(out_dir, ju: JobUsageTable) -> None:
     path = store_dir(out_dir) / JOB_USAGE_NAME
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["job_id", "fs", "bin_start"] + list(COUNTER_NAMES))
+        w.writerow(JOB_USAGE_HEADER)
         for i in range(len(ju)):
             w.writerow([ju.job_ids[ju.job_idx[i]],
                         ju.filesystems[ju.fs_idx[i]],
@@ -108,33 +87,24 @@ def read_job_usage(out_dir, bin_width_s: int, job_ids,
     path = store_dir(out_dir) / JOB_USAGE_NAME
     job_of = {j: i for i, j in enumerate(job_ids)}
     fs_of = {f: i for i, f in enumerate(filesystems)}
-    job_idx, fs_idx, bins = [], [], []
-    pending, chunks = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in reader:
-            if row[0] not in job_of:
-                raise ValueError(
-                    f"store {path}: job {row[0]!r} not in jobs.csv; "
-                    f"rerun the analyze stage")
-            if row[1] not in fs_of:
-                raise ValueError(
-                    f"store {path}: filesystem {row[1]!r} not in the node "
-                    f"usage store; rerun the analyze stage")
-            job_idx.append(job_of[row[0]])
-            fs_idx.append(fs_of[row[1]])
-            bins.append(int(row[2]))
-            pending.append(row[3:])
-            if len(pending) >= _READ_CHUNK:
-                _delta_chunks(pending, chunks)
-    if pending:
-        _delta_chunks(pending, chunks)
+    n_jobs, n_fs = len(job_of), len(fs_of)
+
+    def check_known(chunk, first_line):
+        # a key missing from jobs.csv or the node usage store was coded
+        # past the end of its registry
+        if len(job_of) > n_jobs:
+            raise ValueError(f"store {path}: job {list(job_of)[n_jobs]!r} "
+                             f"not in jobs.csv; rerun the analyze stage")
+        if len(fs_of) > n_fs:
+            raise ValueError(
+                f"store {path}: filesystem {list(fs_of)[n_fs]!r} not in "
+                f"the node usage store; rerun the analyze stage")
+
+    cols = _read_table(path, JOB_USAGE_HEADER,
+                       {"job_id": job_of, "fs": fs_of}, check_known)
     return JobUsageTable(
-        job_idx=np.asarray(job_idx, dtype=np.int32),
-        fs_idx=np.asarray(fs_idx, dtype=np.int32),
-        bin_start=np.asarray(bins, dtype=np.int64),
-        deltas=_stack_deltas(chunks, len(bins)),
+        job_idx=cols["job_id"], fs_idx=cols["fs"],
+        bin_start=cols["bin_start"], deltas=cols["counters"],
         job_ids=tuple(job_ids), filesystems=tuple(filesystems),
         bin_width=bin_width_s)
 

@@ -1,0 +1,157 @@
+"""The chunked counter feed parser against the row-by-row oracle in
+scalar_ingest.py: for every feed, whichever of numpy's C reader or the
+csv.reader fallback reads each chunk, the result is an equal CounterFeed
+or the same error with the same message, line and field."""
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from iorisk import ingest
+from iorisk.ingest import COUNTER_HEADER, FeedFormatError
+
+import scalar_ingest as ref
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+HEADER = ",".join(COUNTER_HEADER)
+
+
+@contextlib.contextmanager
+def chunk_size(n):
+    saved = ingest._PARSE_CHUNK, ref._PARSE_CHUNK
+    ingest._PARSE_CHUNK = ref._PARSE_CHUNK = n
+    try:
+        yield
+    finally:
+        ingest._PARSE_CHUNK, ref._PARSE_CHUNK = saved
+
+
+def outcome(parse, text, newline):
+    """The feed's arrays and registries, or the error parse raised."""
+    try:
+        feed = parse(io.StringIO(text, newline=newline))
+    except FeedFormatError as exc:
+        return ("FeedFormatError", str(exc), exc.line_no, exc.feed_field)
+    except (ValueError, OverflowError, csv.Error) as exc:
+        return (type(exc).__name__, str(exc))
+    arrays = (feed.ts, feed.node_idx, feed.fs_idx, feed.values)
+    return (("feed", feed.nodes, feed.filesystems)
+            + tuple((a.dtype.str, a.shape, a.tolist()) for a in arrays))
+
+
+def assert_matches_oracle(text, chunk):
+    # newline="\n" is StringIO's own reading; "" is read_counter_file's
+    with chunk_size(chunk):
+        for newline in ("\n", ""):
+            assert (outcome(ingest.parse_counter_feed, text, newline)
+                    == outcome(ref.parse_counter_feed, text, newline))
+
+
+def line(ts="1", node="n1", fs="fs2", counters=None, **at):
+    """One counters.csv line; at= replaces a counter's text by name."""
+    counters = list(counters or [str(c) for c in range(21)])
+    for name, text in at.items():
+        counters[COUNTER_HEADER.index(name) - 3] = text
+    return ",".join([ts, node, fs] + counters)
+
+
+def feed(*lines, eol="\n"):
+    return eol.join((HEADER,) + lines) + eol
+
+
+FULL = line()
+
+DIALECT_CASES = {
+    "quoted key with a comma": feed(FULL, line(node='"n,1"'), FULL),
+    "quoted key with doubled quotes": feed(line(node='"n""1"'), FULL),
+    "quoted key with a newline across a chunk boundary":
+        feed(FULL, line(ts="2", node='"n\n1"'), line(ts="3"), FULL),
+    "quoted counter with a newline across a chunk boundary":
+        feed(FULL, line(ts="2", cdr='"5\n"'), FULL),
+    "fault after a quoted newline":
+        feed(FULL, line(node='"n\n1"'), FULL, line(ts="4", mkdir="-1")),
+    "quote left open at the end of the feed":
+        HEADER + "\n" + FULL + "\n" + line(cdr='"7'),
+    "spaces around keys and numbers":
+        feed(line(ts=" 1 ", node=" n1 ", fs="fs2 ", read_kb=" 5 "), FULL),
+    "plus sign and underscore digits":
+        feed(line(read_kb="+5"), line(write_kb="1_000"), FULL),
+    "CRLF line endings": feed(FULL, line(node="n2"), FULL, eol="\r\n"),
+    "CR line endings": feed(FULL, line(node="n2"), eol="\r"),
+    "lone CR inside a line": feed(FULL, FULL + "\r" + FULL),
+    "blank line": feed(FULL, "", FULL),
+    "whitespace-only line": feed(FULL, "   ", FULL),
+    "trailing blank line": feed(FULL, FULL, ""),
+    "short row": feed(FULL, FULL, line()[:-3]),
+    "long row": feed(FULL, line() + ",9"),
+    "negative value in the second chunk":
+        feed(FULL, FULL, line(ts="3"), line(ts="4", mkdir="-2")),
+    "non-integer value in the second chunk":
+        feed(FULL, FULL, FULL, line(sync="x")),
+    "zero timestamp": feed(FULL, line(ts="0")),
+    "non-ASCII digit": feed(FULL, line(open="٣")),
+    "non-ASCII letter the C parser reads as a number":
+        feed(FULL, line(close="Ǿ")),
+    "ASCII separator the C parser takes for space":
+        feed(FULL, line(read_ops="\x1c5")),
+    "value beyond int64": feed(FULL, line(other="9" * 20)),
+    "header only": HEADER + "\n",
+    "header without a newline": HEADER,
+}
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 65536])
+@pytest.mark.parametrize("text", DIALECT_CASES.values(), ids=DIALECT_CASES)
+def test_dialect_cases_match_oracle(text, chunk):
+    assert_matches_oracle(text, chunk)
+
+
+FIELD_CHARS = '017-+ ,"\n\ra_.\t\x00\x1c\x7fé٣Ǿ'
+odd_fields = st.one_of(
+    st.text(FIELD_CHARS, max_size=4),
+    st.text(FIELD_CHARS, max_size=3).map(
+        lambda s: '"' + s.replace('"', '""') + '"'),
+    st.sampled_from(["", "+5", "1_000", " 5 ", "-1", "0", "9" * 20,
+                     '"12"', '"n,1"', '"a""b"', '"x\ny"', "Ǿ"]))
+
+
+@st.composite
+def records(draw):
+    """A counters.csv line: mostly well formed, with a few odd fields,
+    now and then a wrong field count, a blank or a whitespace line."""
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        return draw(st.sampled_from(["", "  "]))
+    fields = ([str(draw(st.integers(1, 9999))),
+               draw(st.sampled_from(["n1", "n2", '"n,3"', " n4 ",
+                                     '"n""5"'])),
+               draw(st.sampled_from(["fs2", "fs3"]))]
+              + [str(v) for v in draw(st.lists(st.integers(0, 999),
+                                               min_size=21, max_size=21))])
+    if kind == 1:
+        fields = fields[:draw(st.integers(0, 23))]
+    elif kind == 2:
+        fields += ["0"]
+    for _ in range(draw(st.integers(0, 2))):
+        if fields:
+            i = draw(st.integers(0, len(fields) - 1))
+            fields[i] = draw(odd_fields)
+    return ",".join(fields)
+
+
+@st.composite
+def feeds(draw):
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [HEADER] + draw(st.lists(records(), max_size=8))
+    return eol.join(lines) + draw(st.sampled_from([eol, "", eol + eol]))
+
+
+@PROPERTY
+@given(feeds(), st.sampled_from([1, 2, 3, 65536]))
+def test_parser_matches_oracle(text, chunk):
+    assert_matches_oracle(text, chunk)

@@ -9,7 +9,7 @@ from conftest import counter_csv, feed_from_rows, values_row
 from iorisk.ingest import (COUNTER_HEADER, CounterFeed, FeedFormatError,
                            JobRecord, deltify_and_bin, feed_to_csv_text,
                            parse_counter_feed, parse_job_feed,
-                           write_jobs_csv)
+                           read_counter_file, write_jobs_csv)
 from iorisk.ops import OpKind
 
 
@@ -286,3 +286,15 @@ def test_from_samples_round_trip():
     feed = feed_from_rows([[500, "n1", "fs2"] + list(range(21))])
     again = CounterFeed.from_samples(list(feed))
     assert list(again) == list(feed)
+
+
+def test_blank_line_is_a_field_count_error(tmp_path):
+    # numpy's C reader skips blank lines; the feed contract rejects them
+    rows = [[500 + 100 * i, "n1", "fs2"] + [0] * 21 for i in range(3)]
+    lines = counter_csv(rows).getvalue().splitlines(keepends=True)
+    path = tmp_path / "counters.csv"
+    path.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+    with pytest.raises(FeedFormatError,
+                       match="expected 24 fields, got 0") as exc:
+        read_counter_file(path)
+    assert exc.value.line_no == 4
