@@ -2,7 +2,9 @@
 
 Subcommands: simulate (synthetic feeds), ingest (feeds -> binned store),
 analyze (attribution + metrics), report (all report artifacts), all
-(ingest + analyze + report in one go, same bytes as running the stages).
+(ingest + analyze + report in one in-memory pass, same bytes as running
+the stages). The stages load their inputs from the store and call the same
+layer functions as all.
 """
 from __future__ import annotations
 
@@ -97,45 +99,58 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_ingest(args, cfg: Config) -> int:
-    out = Path(args.out)
-    store.store_dir(out).mkdir(parents=True, exist_ok=True)
+def _ingest(args, cfg: Config, out: Path):
+    """Parse both feeds, bin the counters and save them to the store;
+    returns the node usage and the jobs."""
     feed = read_counter_file(args.counters)
     jobs = read_job_file(args.jobs, default_cores=cfg.cores_per_node)
     usage = deltify_and_bin(feed, cfg.bin_width_s,
                             max_gap_bins=cfg.max_gap_bins,
                             pre_differenced=cfg.pre_differenced)
+    store.store_dir(out).mkdir(parents=True, exist_ok=True)
     store.write_meta(out, cfg.bin_width_s)
     store.write_node_usage(out, usage)
     store.write_jobs(out, jobs)
     print(f"ingested {len(feed)} samples -> {len(usage)} node-bin rows, "
           f"{len(jobs)} jobs")
-    return 0
+    return usage, jobs
 
 
-def _load_analysis_inputs(out: Path, cfg: Config):
-    meta = store.read_meta(out)
-    bin_width = meta["bin_width_s"]
-    usage = store.read_node_usage(out, bin_width)
-    jobs = store.read_jobs(out)
-    return bin_width, usage, jobs
-
-
-def cmd_analyze(args, cfg: Config) -> int:
-    out = Path(args.out)
-    bin_width, usage, jobs = _load_analysis_inputs(out, cfg)
-    attribution = attribute_usage(usage, jobs)
+def _metrics(usage, job_usage, cfg: Config):
+    """Per-fs baselines from the node usage, then job and fs metrics."""
     totals = fs_bin_totals(usage)
     baselines = compute_baselines(totals, baseline_days=cfg.baseline_days)
-    jm = compute_job_metrics(attribution.job_usage, baselines,
-                             cfg.risk_params())
-    fm = compute_fs_metrics(jm, cfg.quality_agg)
+    jm = compute_job_metrics(job_usage, baselines, cfg.risk_params())
+    return baselines, jm, compute_fs_metrics(jm, cfg.quality_agg)
+
+
+def _analyze(cfg: Config, out: Path, usage, jobs):
+    """Attribute node usage to jobs and write the analysis artifacts;
+    returns the job usage and its job and fs metrics."""
+    attribution = attribute_usage(usage, jobs)
+    baselines, jm, fm = _metrics(usage, attribution.job_usage, cfg)
     store.write_job_usage(out, attribution.job_usage)
     write_unattributed_csv(out / "unattributed.csv",
                            attribution.unattributed)
     write_risk_timeseries_csv(out / "risk_timeseries.csv", fm, jm)
     print(f"analyzed {len(attribution.job_usage)} job-bin rows on "
           f"{len(baselines)} filesystems")
+    return attribution.job_usage, jm, fm
+
+
+def _load_analysis_inputs(out: Path):
+    usage = store.read_node_usage(out, store.read_meta(out)["bin_width_s"])
+    return usage, store.read_jobs(out)
+
+
+def cmd_ingest(args, cfg: Config) -> int:
+    _ingest(args, cfg, Path(args.out))
+    return 0
+
+
+def cmd_analyze(args, cfg: Config) -> int:
+    out = Path(args.out)
+    _analyze(cfg, out, *_load_analysis_inputs(out))
     return 0
 
 
@@ -164,16 +179,9 @@ def _clear_report_artifacts(out: Path) -> None:
         shutil.rmtree(out / "timeseries")
 
 
-def cmd_report(args, cfg: Config) -> int:
-    out = Path(args.out)
-    bin_width, usage, jobs = _load_analysis_inputs(out, cfg)
-    job_usage = store.read_job_usage(
-        out, bin_width, [j.job_id for j in jobs], usage.filesystems)
-    totals = fs_bin_totals(usage)
-    baselines = compute_baselines(totals, baseline_days=cfg.baseline_days)
-    jm = compute_job_metrics(job_usage, baselines, cfg.risk_params())
-    fm = compute_fs_metrics(jm, cfg.quality_agg)
-
+def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm) -> None:
+    """Write the report artifacts from the jobs, their usage and metrics."""
+    bin_width = job_usage.bin_width
     aliases = None
     if args.alias:
         aliases = json.loads(Path(args.alias).read_text())
@@ -222,17 +230,26 @@ def cmd_report(args, cfg: Config) -> int:
 
     print(f"reported {len(summaries)} job summaries, {len(scatter)} "
           f"scatter points, {len(findings)} slowdown findings -> {out}")
+
+
+def cmd_report(args, cfg: Config) -> int:
+    out = Path(args.out)
+    usage, jobs = _load_analysis_inputs(out)
+    job_usage = store.read_job_usage(
+        out, usage.bin_width, [j.job_id for j in jobs], usage.filesystems)
+    _, jm, fm = _metrics(usage, job_usage, cfg)
+    _report(args, cfg, out, jobs, job_usage, jm, fm)
     return 0
 
 
 def cmd_all(args, cfg: Config) -> int:
-    rc = cmd_ingest(args, cfg)
-    if rc:
-        return rc
-    rc = cmd_analyze(args, cfg)
-    if rc:
-        return rc
-    return cmd_report(args, cfg)
+    """ingest, analyze and report in one pass: each layer hands its tables
+    to the next, and the store is written, never read back."""
+    out = Path(args.out)
+    usage, jobs = _ingest(args, cfg, out)
+    job_usage, jm, fm = _analyze(cfg, out, usage, jobs)
+    _report(args, cfg, out, jobs, job_usage, jm, fm)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -136,6 +136,7 @@ def _check_header(row, expected, what):
 _PARSE_CHUNK = 65536
 # ASCII characters numpy's C integer parser skips as space and int() rejects
 _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_INT64 = np.iinfo(np.int64)
 
 
 def _codes(keys, registry) -> np.ndarray:
@@ -168,6 +169,18 @@ def _load_chunk(lines, dtype):
     return table[:-1] if len(table) == len(lines) + 1 else None
 
 
+def _check_int64(text, what, line_no, feed_field) -> None:
+    """Raise FeedFormatError unless int() reads text as an int64."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise FeedFormatError(f"{what}: non-integer value {text!r}",
+                              line_no=line_no, feed_field=feed_field) from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise FeedFormatError(f"{what}: value out of int64 range {text!r}",
+                              line_no=line_no, feed_field=feed_field)
+
+
 def _read_records(lines, schema, dtype, first_line, what):
     """csv.reader's reading of a chunk of records into dtype; locates a
     fault by line and field."""
@@ -186,13 +199,7 @@ def _read_records(lines, schema, dtype, first_line, what):
     except (ValueError, OverflowError):
         for i, r in enumerate(rows):  # slow rescan to locate the fault
             for j in ints:
-                try:
-                    int(r[j])
-                except ValueError:
-                    raise FeedFormatError(
-                        f"{what}: non-integer value {r[j]!r}",
-                        line_no=first_line + i,
-                        feed_field=schema[j]) from None
+                _check_int64(r[j], what, first_line + i, schema[j])
         raise
     table = np.empty(len(rows), dtype)
     for j in range(lead):
@@ -396,7 +403,8 @@ class BinnedNodeUsage:
 
 @dataclass
 class UsageTable:
-    """Columnar set of BinnedNodeUsage rows, sorted by (node, fs, bin)."""
+    """Columnar set of BinnedNodeUsage rows, grouped by (node, fs) and
+    sorted by bin within each group."""
 
     bin_start: np.ndarray  # int64 (m,)
     node_idx: np.ndarray   # int32 (m,)
@@ -428,12 +436,12 @@ class UsageTable:
         return self.deltas.sum(axis=0)
 
 
-def _empty_usage(nodes, filesystems, bin_width) -> UsageTable:
+def _empty_usage(bin_width) -> UsageTable:
     return UsageTable(np.empty(0, dtype=np.int64),
                       np.empty(0, dtype=np.int32),
                       np.empty(0, dtype=np.int32),
                       np.empty((0, N_COUNTERS), dtype=np.int64),
-                      nodes, filesystems, bin_width)
+                      (), (), bin_width)
 
 
 def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
@@ -447,6 +455,8 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
     exact sum). Counter decreases are treated as resets (the new value is the
     delta since the restart). Gaps longer than max_gap_bins bins are
     dropped. Input order does not matter; rows are sorted internally.
+    The table lists only the nodes and filesystems that have rows, in order
+    of first appearance in its rows, as the store reads them back.
 
     With pre_differenced=True each row's values are taken directly as the
     delta for the bin its timestamp closes.
@@ -457,7 +467,7 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
         else CounterFeed.from_samples(samples)
     n_fs = len(feed.filesystems)
     if len(feed) == 0 or n_fs == 0:
-        return _empty_usage(feed.nodes, feed.filesystems, bin_width)
+        return _empty_usage(bin_width)
 
     order = np.lexsort((feed.ts, feed.fs_idx, feed.node_idx))
     stream = (feed.node_idx[order].astype(np.int64) * n_fs
@@ -479,7 +489,7 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
             stream, ts, values, bin_width, max_gap_s)
 
     if len(s_codes) == 0:
-        return _empty_usage(feed.nodes, feed.filesystems, bin_width)
+        return _empty_usage(bin_width)
 
     # spanning pairs can produce all-zero shares; keep the table sparse
     nonzero = deltas.any(axis=1)
@@ -488,7 +498,7 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
         bins = bins[nonzero]
         deltas = deltas[nonzero]
     if len(s_codes) == 0:
-        return _empty_usage(feed.nodes, feed.filesystems, bin_width)
+        return _empty_usage(bin_width)
 
     # aggregate duplicate (stream, bin) rows and fix the canonical order
     order2 = np.lexsort((bins, s_codes))
@@ -501,13 +511,23 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
     u_s = s2[starts]
     u_b = b2[starts]
 
-    return UsageTable(bin_start=u_b,
-                      node_idx=(u_s // n_fs).astype(np.int32),
-                      fs_idx=(u_s % n_fs).astype(np.int32),
-                      deltas=agg,
-                      nodes=feed.nodes,
-                      filesystems=feed.filesystems,
+    node_idx, nodes = _recode(u_s // n_fs, feed.nodes)
+    fs_idx, filesystems = _recode(u_s % n_fs, feed.filesystems)
+    return UsageTable(bin_start=u_b, node_idx=node_idx, fs_idx=fs_idx,
+                      deltas=agg, nodes=nodes, filesystems=filesystems,
                       bin_width=bin_width)
+
+
+def _recode(codes, names):
+    """Renumber codes in order of first appearance, keeping only the names
+    in use: the registry the store's reader builds from the same rows, so
+    that a UsageTable written and read back is the same table."""
+    used, first, inverse = np.unique(codes, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(used), dtype=np.int32)
+    rank[order] = np.arange(len(used), dtype=np.int32)
+    return rank[inverse], tuple(names[i] for i in used[order])
 
 
 def read_counter_file(path) -> CounterFeed:

@@ -2,18 +2,22 @@
 
 ingest writes store/node_usage.csv + store/jobs.csv + store/meta.json;
 analyze adds store/job_usage.csv. Everything is auditable CSV/JSON with
-deterministic ordering; no database.
+deterministic ordering; no database. `all` writes the same files but
+never reads them back: they serve audits and staged reruns.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .attribute import JobUsageTable
 from .ingest import (UsageTable, _read_keyed_table, parse_job_feed,
                      write_jobs_csv)
-from .ops import COUNTER_NAMES
+from .ops import COUNTER_NAMES, N_COUNTERS
 
 NODE_USAGE_NAME = "node_usage.csv"
 JOB_USAGE_NAME = "job_usage.csv"
@@ -21,6 +25,8 @@ JOBS_NAME = "jobs.csv"
 META_NAME = "meta.json"
 NODE_USAGE_HEADER = ("node", "fs", "bin_start") + COUNTER_NAMES
 JOB_USAGE_HEADER = ("job_id", "fs", "bin_start") + COUNTER_NAMES
+_WRITE_CHUNK = 1024  # rows formatted by one % operation
+_ROW_FORMAT = "%s" + ",%d" * (1 + N_COUNTERS) + "\n"
 
 
 def store_dir(out_dir) -> Path:
@@ -44,16 +50,45 @@ def _read_table(path, schema, registries, check=None):
                                  check)
 
 
-def write_node_usage(out_dir, usage: UsageTable) -> None:
-    path = store_dir(out_dir) / NODE_USAGE_NAME
+def _csv_texts(names) -> list[str]:
+    """Each name as csv.writer writes it in a field that is not the last
+    of its row (a lone empty field would be quoted)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    texts = []
+    for name in names:
+        w.writerow((name, ""))
+        texts.append(buf.getvalue()[:-2])
+        buf.seek(0)
+        buf.truncate()
+    return texts
+
+
+def _write_table(path, header, key_idx, keys, fs_idx, filesystems,
+                 bin_start, deltas) -> None:
+    """Write key,fs,bin_start,counters rows, the same bytes as csv.writer
+    row by row, formatting _WRITE_CHUNK rows at a time."""
+    n_fs = len(filesystems)
+    pairs, pair_of = np.unique(key_idx.astype(np.int64) * n_fs + fs_idx,
+                               return_inverse=True)
+    key_text, fs_text = _csv_texts(keys), _csv_texts(filesystems)
+    labels = np.array([f"{key_text[p // n_fs]},{fs_text[p % n_fs]}"
+                       for p in pairs.tolist()], dtype=object)
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(NODE_USAGE_HEADER)
-        for i in range(len(usage)):
-            w.writerow([usage.nodes[usage.node_idx[i]],
-                        usage.filesystems[usage.fs_idx[i]],
-                        int(usage.bin_start[i])]
-                       + usage.deltas[i].tolist())
+        csv.writer(f, lineterminator="\n").writerow(header)
+        for lo in range(0, len(bin_start), _WRITE_CHUNK):
+            hi = min(lo + _WRITE_CHUNK, len(bin_start))
+            rows = np.empty((hi - lo, 2 + N_COUNTERS), dtype=object)
+            rows[:, 0] = labels[pair_of[lo:hi]]
+            rows[:, 1] = bin_start[lo:hi]  # Python ints from here on
+            rows[:, 2:] = deltas[lo:hi]
+            f.write(_ROW_FORMAT * (hi - lo) % tuple(rows.ravel().tolist()))
+
+
+def write_node_usage(out_dir, usage: UsageTable) -> None:
+    _write_table(store_dir(out_dir) / NODE_USAGE_NAME, NODE_USAGE_HEADER,
+                 usage.node_idx, usage.nodes, usage.fs_idx,
+                 usage.filesystems, usage.bin_start, usage.deltas)
 
 
 def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
@@ -69,15 +104,9 @@ def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
 
 
 def write_job_usage(out_dir, ju: JobUsageTable) -> None:
-    path = store_dir(out_dir) / JOB_USAGE_NAME
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(JOB_USAGE_HEADER)
-        for i in range(len(ju)):
-            w.writerow([ju.job_ids[ju.job_idx[i]],
-                        ju.filesystems[ju.fs_idx[i]],
-                        int(ju.bin_start[i])]
-                       + ju.deltas[i].tolist())
+    _write_table(store_dir(out_dir) / JOB_USAGE_NAME, JOB_USAGE_HEADER,
+                 ju.job_idx, ju.job_ids, ju.fs_idx, ju.filesystems,
+                 ju.bin_start, ju.deltas)
 
 
 def read_job_usage(out_dir, bin_width_s: int, job_ids,

@@ -1,9 +1,11 @@
 """Row-by-row counter feed parser: the oracle for ``iorisk.ingest``.
 
 This is the ``csv.reader`` parser the package shipped before counter
-feeds went through numpy's C reader, kept unchanged: one Python list per
-row, keys coded as rows arrive, integers converted in chunks of
-``_PARSE_CHUNK`` rows and faults located by a scalar ``int()`` rescan.
+feeds went through numpy's C reader: one Python list per row, keys coded
+as rows arrive, integers converted in chunks of ``_PARSE_CHUNK`` rows and
+faults located by a scalar ``int()`` rescan. It is kept unchanged but for
+one rule: the rescan names a value outside int64 as a feed error, where
+the old parser let numpy's bare ``OverflowError`` through.
 The chunked parser in ``iorisk.ingest`` must return an equal
 ``CounterFeed`` or raise the same error for every input.
 """
@@ -33,11 +35,15 @@ def _convert_chunk(rows, first_line):
             for j, name in (((0, "ts"),) + tuple(
                     (3 + c, COUNTER_NAMES[c]) for c in range(N_COUNTERS))):
                 try:
-                    int(r[j])
+                    v = int(r[j])
                 except ValueError:
                     raise FeedFormatError(
                         f"counter feed: non-integer value {r[j]!r}",
                         line_no=first_line + i, feed_field=name) from None
+                if not -2**63 <= v < 2**63:
+                    raise FeedFormatError(
+                        f"counter feed: value out of int64 range {r[j]!r}",
+                        line_no=first_line + i, feed_field=name)
         raise
     bad = np.flatnonzero(ts <= 0)
     if bad.size:

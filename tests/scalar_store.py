@@ -1,0 +1,37 @@
+"""Row-by-row store writers: the oracle for ``iorisk.store``.
+
+These are the ``csv.writer`` loops the package shipped before the store
+tables were formatted in bulk, kept unchanged: one ``writerow`` with a
+``.tolist()`` per table row. The bulk writers must produce the same bytes
+for every table.
+"""
+from __future__ import annotations
+
+import csv
+
+from iorisk.store import (JOB_USAGE_HEADER, JOB_USAGE_NAME,
+                          NODE_USAGE_HEADER, NODE_USAGE_NAME, store_dir)
+
+
+def write_node_usage(out_dir, usage) -> None:
+    path = store_dir(out_dir) / NODE_USAGE_NAME
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(NODE_USAGE_HEADER)
+        for i in range(len(usage)):
+            w.writerow([usage.nodes[usage.node_idx[i]],
+                        usage.filesystems[usage.fs_idx[i]],
+                        int(usage.bin_start[i])]
+                       + usage.deltas[i].tolist())
+
+
+def write_job_usage(out_dir, ju) -> None:
+    path = store_dir(out_dir) / JOB_USAGE_NAME
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(JOB_USAGE_HEADER)
+        for i in range(len(ju)):
+            w.writerow([ju.job_ids[ju.job_idx[i]],
+                        ju.filesystems[ju.fs_idx[i]],
+                        int(ju.bin_start[i])]
+                       + ju.deltas[i].tolist())

@@ -265,3 +265,111 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sim" / "counters.csv").exists()
+
+
+def _reorder_feeds(root: Path) -> Path:
+    """Node n0 has rows only on fs3; n1 has rows on fs2 and fs3, with fs2
+    first in the feed. A lone n0,fs2 snapshot makes no pair, so the store
+    lists fs3 before fs2."""
+    from iorisk.ingest import COUNTER_HEADER
+    rows = [",".join(COUNTER_HEADER)]
+
+    def snap(ts, node, fs, base):
+        rows.append(",".join([str(ts), node, fs]
+                             + [str(base + c) for c in range(21)]))
+
+    snap(360, "n0", "fs2", 0)
+    for ts in range(360, 3600, 360):
+        snap(ts, "n1", "fs2", ts)
+        snap(ts, "n0", "fs3", 2 * ts)
+        snap(ts, "n1", "fs3", 3 * ts)
+    root.mkdir()
+    (root / "counters.csv").write_text("\n".join(rows) + "\n")
+    (root / "jobs.csv").write_text(
+        "job_id,project,command,nodes,start_ts,end_ts,cores_per_node\n"
+        "j1,p,cmd,n0;n1,500,2000,24\n"
+        "j2,p,cmd,n1,2000,3000,24\n"
+        "j3,p,cmd,n0,2100,3300,\n")
+    return root
+
+
+def test_staged_equals_all_when_store_order_differs_from_feed(
+        tmp_path, monkeypatch):
+    from iorisk import cli, store
+    feeds = _reorder_feeds(tmp_path / "feeds")
+    analyzed = []
+    attribute = cli.attribute_usage
+    monkeypatch.setattr(cli, "attribute_usage", lambda usage, jobs: (
+        analyzed.append(usage) or attribute(usage, jobs)))
+    oneshot = tmp_path / "oneshot"
+    assert _run_all(feeds, oneshot) == 0
+    staged = tmp_path / "staged"
+    assert run(["ingest", "--counters", str(feeds / "counters.csv"),
+                "--jobs", str(feeds / "jobs.csv"),
+                "--out", str(staged)]) == 0
+    assert run(["analyze", "--out", str(staged)]) == 0
+    assert run(["report", "--out", str(staged)]) == 0
+    assert _tree_bytes(staged) == _tree_bytes(oneshot)
+
+    usage = analyzed[0]
+    assert usage.filesystems == ("fs3", "fs2")
+    again = tmp_path / "again"
+    store.store_dir(again).mkdir(parents=True)
+    store.write_node_usage(again, usage)
+    back = store.read_node_usage(again, usage.bin_width)
+    assert (back.nodes, back.filesystems, back.bin_width) == (
+        usage.nodes, usage.filesystems, usage.bin_width)
+    for name in ("bin_start", "node_idx", "fs_idx", "deltas"):
+        a, b = getattr(back, name), getattr(usage, name)
+        assert a.dtype == b.dtype and (a == b).all(), name
+
+
+def test_all_parses_once_and_never_reads_the_store(demo_feeds, tmp_path,
+                                                    monkeypatch):
+    from iorisk import cli, ingest, store
+    out = tmp_path / "out"
+    calls = {"parse_counter_feed": 0, "fs_bin_totals": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("all read the store back")
+
+    with monkeypatch.context() as m:
+        for name in ("read_node_usage", "read_job_usage", "read_jobs"):
+            m.setattr(store, name, forbidden)
+        counted(ingest, "parse_counter_feed")
+        counted(cli, "fs_bin_totals")
+        assert _run_all(demo_feeds, out) == 0
+    assert calls == {"parse_counter_feed": 1, "fs_bin_totals": 1}
+
+    before = _tree_bytes(out)
+    assert run(["report", "--out", str(out)]) == 0
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("command", ["ingest", "all"])
+def test_counter_beyond_int64_exits_before_writing(demo_feeds, tmp_path,
+                                                   capsys, command):
+    header, first, *rest = (demo_feeds / "counters.csv").read_text() \
+        .splitlines(True)
+    fields = first.split(",")
+    fields[5] = "9" * 20
+    feeds = tmp_path / "feeds"
+    feeds.mkdir()
+    (feeds / "counters.csv").write_text(
+        "".join([header, ",".join(fields)] + rest))
+    out = tmp_path / "out"
+    rc = run([command, "--counters", str(feeds / "counters.csv"),
+              "--jobs", str(demo_feeds / "jobs.csv"), "--out", str(out)])
+    assert rc == 1
+    assert ("counter feed: value out of int64 range "
+            f"'{'9' * 20}' (line 2, field 'write_kb')"
+            in capsys.readouterr().err)
+    assert not out.exists()

@@ -100,6 +100,9 @@ DIALECT_CASES = {
     "ASCII separator the C parser takes for space":
         feed(FULL, line(read_ops="\x1c5")),
     "value beyond int64": feed(FULL, line(other="9" * 20)),
+    "int64 maximum": feed(FULL, line(other=str(2**63 - 1))),
+    "one past the int64 maximum": feed(FULL, line(ts=str(2**63))),
+    "one below the int64 minimum": feed(FULL, line(cdr=str(-2**63 - 1))),
     "header only": HEADER + "\n",
     "header without a newline": HEADER,
 }
@@ -109,6 +112,15 @@ DIALECT_CASES = {
 @pytest.mark.parametrize("text", DIALECT_CASES.values(), ids=DIALECT_CASES)
 def test_dialect_cases_match_oracle(text, chunk):
     assert_matches_oracle(text, chunk)
+
+
+@pytest.mark.parametrize("chunk", [2, 65536])
+def test_value_beyond_int64_names_line_and_field(chunk):
+    with chunk_size(chunk), pytest.raises(FeedFormatError) as exc:
+        ingest.parse_counter_feed(io.StringIO(
+            DIALECT_CASES["value beyond int64"]))
+    assert str(exc.value) == ("counter feed: value out of int64 range "
+                              f"'{'9' * 20}' (line 3, field 'other')")
 
 
 FIELD_CHARS = '017-+ ,"\n\ra_.\t\x00\x1c\x7fé٣Ǿ'

@@ -1,5 +1,6 @@
-"""The store tables read back through the chunked reader: round trips with
-awkward keys, and malformed rows named by file, line and field."""
+"""The store tables: the bulk writers against the row-by-row oracle in
+scalar_store.py, round trips through the chunked reader with awkward keys,
+and malformed rows named by file, line and field."""
 from __future__ import annotations
 
 import re
@@ -11,6 +12,8 @@ from iorisk import ingest, store
 from iorisk.attribute import JobUsageTable
 from iorisk.ingest import UsageTable
 from iorisk.ops import N_COUNTERS
+
+import scalar_store as ref
 
 # plain, comma, quote, newline and non-ASCII keys
 NODES = ("n1", "n,2", 'n"3', "n\n4", "nœ5")
@@ -35,6 +38,42 @@ def _job_usage(m=11) -> JobUsageTable:
     bins, jobs, fs, deltas = _columns(m)
     return JobUsageTable(jobs, fs, bins, deltas, JOB_IDS, FILESYSTEMS,
                          BIN_WIDTH)
+
+
+# keys csv.writer must quote or keep as they are: comma, doubled quote,
+# newline, empty, non-ASCII, leading and trailing spaces
+ODD_KEYS = ("k,1", 'k"2', 'k""3', "k\n4", "", "kœ5", " k6 ", "k\r\n7", "k8")
+ODD_FS = ("fs,2", " fs3", "")
+
+
+def _odd_tables(m):
+    deltas = np.arange(m * N_COUNTERS, dtype=np.int64).reshape(m, N_COUNTERS)
+    deltas[::3] = np.iinfo(np.int64).max
+    deltas[1::4] = 0
+    bins = np.arange(m, dtype=np.int64) * BIN_WIDTH
+    keys = (np.arange(m) * 7 % len(ODD_KEYS)).astype(np.int32)
+    fs = (np.arange(m) % len(ODD_FS)).astype(np.int32)
+    return (UsageTable(bins, keys, fs, deltas, ODD_KEYS, ODD_FS, BIN_WIDTH),
+            JobUsageTable(keys, fs, bins, deltas, ODD_KEYS, ODD_FS,
+                          BIN_WIDTH))
+
+
+@pytest.mark.parametrize("m, chunk", [(0, 1024), (1, 1024), (23, 2),
+                                      (23, 1024)])
+def test_writers_match_row_by_row_oracle(tmp_path, monkeypatch, m, chunk):
+    monkeypatch.setattr(store, "_WRITE_CHUNK", chunk)
+    usage, job_usage = _odd_tables(m)
+    files = {}
+    for name, write_node, write_job in (
+            ("bulk", store.write_node_usage, store.write_job_usage),
+            ("oracle", ref.write_node_usage, ref.write_job_usage)):
+        store.store_dir(tmp_path / name).mkdir(parents=True)
+        write_node(tmp_path / name, usage)
+        write_job(tmp_path / name, job_usage)
+        files[name] = [(store.store_dir(tmp_path / name) / table)
+                       .read_bytes() for table in (store.NODE_USAGE_NAME,
+                                                   store.JOB_USAGE_NAME)]
+    assert files["bulk"] == files["oracle"]
 
 
 def _assert_same_arrays(a, b, names):
