@@ -20,7 +20,8 @@ import numpy as np
 from . import simgen, store
 from .analytics import (build_scatter, detect_slowdown, group_applications,
                         summarize_jobs)
-from .attribute import attribute_usage, fs_bin_totals
+from .attribute import (attribute_usage, fs_bin_totals,
+                        validate_exclusive_allocation)
 from .config import Config, resolve_config
 from .ingest import deltify_and_bin, read_counter_file, read_job_file
 from .metrics import compute_baselines, compute_fs_metrics, \
@@ -101,17 +102,21 @@ def cmd_simulate(args) -> int:
 
 def _ingest(args, cfg: Config, out: Path):
     """Parse both feeds, bin the counters and save them to the store;
-    returns the node usage and the jobs."""
+    returns the node usage and the jobs. A job conflict fails before the
+    store is created."""
     feed = read_counter_file(args.counters)
     jobs = read_job_file(args.jobs, default_cores=cfg.cores_per_node)
+    validate_exclusive_allocation(jobs)
+    n_samples = len(feed)
     usage = deltify_and_bin(feed, cfg.bin_width_s,
                             max_gap_bins=cfg.max_gap_bins,
                             pre_differenced=cfg.pre_differenced)
+    del feed  # the store writes need only the usage
     store.store_dir(out).mkdir(parents=True, exist_ok=True)
     store.write_meta(out, cfg.bin_width_s)
     store.write_node_usage(out, usage)
     store.write_jobs(out, jobs)
-    print(f"ingested {len(feed)} samples -> {len(usage)} node-bin rows, "
+    print(f"ingested {n_samples} samples -> {len(usage)} node-bin rows, "
           f"{len(jobs)} jobs")
     return usage, jobs
 

@@ -133,7 +133,9 @@ def _check_header(row, expected, what):
             f"expected exactly {','.join(expected)})", line_no=1)
 
 
-_PARSE_CHUNK = 65536
+# rows per chunk of parsing and binning: the row budget of temporaries
+# that ingest holds next to the one counter matrix
+_PARSE_CHUNK = 16384
 # ASCII characters numpy's C integer parser skips as space and int() rejects
 _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 _INT64 = np.iinfo(np.int64)
@@ -210,6 +212,29 @@ def _read_records(lines, schema, dtype, first_line, what):
     return table
 
 
+def _concat_releasing(parts):
+    """{column: np.concatenate of that column across parts}, for parts a
+    list of {column: array} that share dtypes and trailing shapes.
+
+    parts is emptied front to back as each part is copied into the
+    preallocated result, so a part's memory goes as soon as it is copied:
+    the result's pages and the parts still to copy are never both resident
+    in full, as they are under np.concatenate.
+    """
+    n = sum(len(next(iter(p.values()))) for p in parts)
+    out = {name: np.empty((n,) + a.shape[1:], a.dtype)
+           for name, a in parts[0].items()}
+    parts.reverse()
+    lo = 0
+    while parts:
+        part = parts.pop()
+        hi = lo + len(next(iter(part.values())))
+        for name, a in part.items():
+            out[name][lo:hi] = a
+        lo = hi
+    return out
+
+
 def _read_keyed_table(stream, schema, registries, what, check=None):
     """Parse the rows of a CSV table of integers keyed by strings.
 
@@ -219,14 +244,15 @@ def _read_keyed_table(stream, schema, registries, what, check=None):
     (n, 21) int64 "counters". Each chunk of lines goes through numpy's C
     reader, or through csv.reader where the two could read it differently.
     check(chunk, first_line) runs on each chunk before the next is read;
-    line numbers count records, the first after the header being 2.
+    line numbers count records, the first after the header being 2. The
+    chunks are assembled by _concat_releasing.
     """
     dtype = np.dtype([(name, "O" if name in registries else "i8")
                       for name in schema[:-N_COUNTERS]]
                      + [("counters", "i8", (N_COUNTERS,))])
-    parts = {name: [np.empty((0,) + dtype[name].shape,
-                             np.int32 if name in registries else np.int64)]
-             for name in dtype.names}
+    parts = [{name: np.empty((0,) + dtype[name].shape,
+                             np.int32 if name in registries else np.int64)
+              for name in dtype.names}]
     first_line = 2
     while lines := list(itertools.islice(stream, _PARSE_CHUNK)):
         table = _load_chunk(lines, dtype)
@@ -239,10 +265,9 @@ def _read_keyed_table(stream, schema, registries, what, check=None):
             table[name] = None  # frees the key strings; views keep table
         if check is not None:
             check(chunk, first_line)
-        for name, part in chunk.items():
-            parts[name].append(part)
+        parts.append(chunk)
         first_line += len(table)
-    return {name: np.concatenate(part) for name, part in parts.items()}
+    return _concat_releasing(parts)
 
 
 def _check_counter_chunk(chunk, first_line):
@@ -280,19 +305,31 @@ def parse_counter_feed(stream) -> CounterFeed:
                        cols["counters"], tuple(nodes), tuple(filesystems))
 
 
+def _csv_lines(rows):
+    r"""Each row as a line that csv.writer(lineterminator="\n") writes,
+    except that a field holding a lone "\r" is quoted too: csv.reader ends
+    a record at an unquoted "\r", so the row would not read back."""
+    buf = io.StringIO()
+    # "\r\n" as terminator makes csv.writer quote fields holding "\r" or "\n"
+    writer = csv.writer(buf, lineterminator="\r\n")
+    for row in rows:
+        writer.writerow(row)
+        yield buf.getvalue()[:-2] + "\n"
+        buf.seek(0)
+        buf.truncate()
+
+
 def write_counter_csv(feed: CounterFeed, stream) -> None:
     """Serialize a CounterFeed back to counters.csv format (row order kept)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(COUNTER_HEADER)
     nodes = feed.nodes
     filesystems = feed.filesystems
     ts = feed.ts
     ni = feed.node_idx
     fi = feed.fs_idx
     vals = feed.values
-    for i in range(len(feed)):
-        writer.writerow([int(ts[i]), nodes[ni[i]], filesystems[fi[i]],
-                         *[int(v) for v in vals[i]]])
+    rows = ([int(ts[i]), nodes[ni[i]], filesystems[fi[i]],
+             *[int(v) for v in vals[i]]] for i in range(len(feed)))
+    stream.writelines(_csv_lines(itertools.chain([COUNTER_HEADER], rows)))
 
 
 @dataclass(frozen=True)
@@ -370,12 +407,9 @@ def parse_job_feed(stream,
 
 def write_jobs_csv(jobs, stream) -> None:
     """Serialize JobRecords to jobs.csv format (nodes sorted, ';'-joined)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(JOB_HEADER)
-    for j in jobs:
-        writer.writerow([j.job_id, j.project, j.command,
-                         ";".join(sorted(j.nodes)),
-                         j.start_ts, j.end_ts, j.cores_per_node])
+    rows = ([j.job_id, j.project, j.command, ";".join(sorted(j.nodes)),
+             j.start_ts, j.end_ts, j.cores_per_node] for j in jobs)
+    stream.writelines(_csv_lines(itertools.chain([JOB_HEADER], rows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,6 +494,11 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
 
     With pre_differenced=True each row's values are taken directly as the
     delta for the bin its timestamp closes.
+
+    Only the sort order is computed over the whole feed. The sorted rows
+    are gathered and binned in chunks of about _PARSE_CHUNK rows that never
+    split a stream, so memory beyond the feed is one chunk's temporaries
+    plus the result.
     """
     if bin_width <= 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
@@ -472,24 +511,60 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
     order = np.lexsort((feed.ts, feed.fs_idx, feed.node_idx))
     stream = (feed.node_idx[order].astype(np.int64) * n_fs
               + feed.fs_idx[order])
-    ts = np.ascontiguousarray(feed.ts[order])
-    values = np.ascontiguousarray(feed.values[order])
+    if max_gap_bins is None:
+        max_gap_s = np.iinfo(np.int64).max // 4
+    else:
+        max_gap_s = max_gap_bins * bin_width
 
+    # no (stream, bin) row spans two chunks and chunks follow stream order,
+    # so the chunks' rows, concatenated, are in canonical order
+    parts = [{"stream": np.empty(0, np.int64), "bin": np.empty(0, np.int64),
+              "deltas": np.empty((0, N_COUNTERS), np.int64)}]
+    for lo, hi in _stream_chunks(stream):
+        rows = order[lo:hi]
+        parts.append(_bin_chunk(stream[lo:hi], feed.ts[rows],
+                                feed.values[rows], bin_width, max_gap_s,
+                                pre_differenced))
+    del order, stream, rows  # the sort index goes before the assembly
+    cols = _concat_releasing(parts)
+    if len(cols["stream"]) == 0:
+        return _empty_usage(bin_width)
+
+    node_idx, nodes = _recode(cols["stream"] // n_fs, feed.nodes)
+    fs_idx, filesystems = _recode(cols["stream"] % n_fs, feed.filesystems)
+    return UsageTable(bin_start=cols["bin"], node_idx=node_idx,
+                      fs_idx=fs_idx, deltas=cols["deltas"], nodes=nodes,
+                      filesystems=filesystems, bin_width=bin_width)
+
+
+def _stream_chunks(stream):
+    """(lo, hi) ranges over rows sorted by stream code, of at most
+    _PARSE_CHUNK rows and cut where the code changes; a stream longer than
+    that is a range of its own."""
+    ends = np.append(np.flatnonzero(stream[1:] != stream[:-1]) + 1,
+                     len(stream))
+    lo = 0
+    while lo < len(stream):
+        fits = np.searchsorted(ends, lo + _PARSE_CHUNK, side="right") - 1
+        first = np.searchsorted(ends, lo, side="right")
+        hi = int(ends[max(fits, first)])
+        yield lo, hi
+        lo = hi
+
+
+def _bin_chunk(stream, ts, values, bin_width, max_gap_s, pre_differenced):
+    """Binned deltas of whole streams sorted by (stream, ts): {"stream",
+    "bin", "deltas"} with all-zero rows dropped and duplicate (stream, bin)
+    rows summed, sorted by (stream, bin)."""
     if pre_differenced:
         keep = values.any(axis=1)
         s_codes = stream[keep]
         bins = bin_width * ((ts[keep] - 1) // bin_width)
         deltas = values[keep]
     else:
-        if max_gap_bins is None:
-            max_gap_s = np.iinfo(np.int64).max // 4
-        else:
-            max_gap_s = max_gap_bins * bin_width
         s_codes, bins, deltas = _kernels.deltify_pairs(
             stream, ts, values, bin_width, max_gap_s)
-
-    if len(s_codes) == 0:
-        return _empty_usage(bin_width)
+    del values  # the gathered chunk goes before the aggregation's copies
 
     # spanning pairs can produce all-zero shares; keep the table sparse
     nonzero = deltas.any(axis=1)
@@ -498,24 +573,16 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
         bins = bins[nonzero]
         deltas = deltas[nonzero]
     if len(s_codes) == 0:
-        return _empty_usage(bin_width)
+        return {"stream": s_codes, "bin": bins, "deltas": deltas}
 
     # aggregate duplicate (stream, bin) rows and fix the canonical order
-    order2 = np.lexsort((bins, s_codes))
-    s2 = s_codes[order2]
-    b2 = bins[order2]
-    d2 = deltas[order2]
+    order = np.lexsort((bins, s_codes))
+    s2 = s_codes[order]
+    b2 = bins[order]
     starts = np.flatnonzero(
         np.concatenate(([True], (s2[1:] != s2[:-1]) | (b2[1:] != b2[:-1]))))
-    agg = np.add.reduceat(d2, starts, axis=0)
-    u_s = s2[starts]
-    u_b = b2[starts]
-
-    node_idx, nodes = _recode(u_s // n_fs, feed.nodes)
-    fs_idx, filesystems = _recode(u_s % n_fs, feed.filesystems)
-    return UsageTable(bin_start=u_b, node_idx=node_idx, fs_idx=fs_idx,
-                      deltas=agg, nodes=nodes, filesystems=filesystems,
-                      bin_width=bin_width)
+    return {"stream": s2[starts], "bin": b2[starts],
+            "deltas": np.add.reduceat(deltas[order], starts, axis=0)}
 
 
 def _recode(codes, names):

@@ -8,15 +8,14 @@ never reads them back: they serve audits and staged reruns.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .attribute import JobUsageTable
-from .ingest import (UsageTable, _read_keyed_table, parse_job_feed,
-                     write_jobs_csv)
+from .ingest import (UsageTable, _csv_lines, _read_keyed_table,
+                     parse_job_feed, write_jobs_csv)
 from .ops import COUNTER_NAMES, N_COUNTERS
 
 NODE_USAGE_NAME = "node_usage.csv"
@@ -51,22 +50,14 @@ def _read_table(path, schema, registries, check=None):
 
 
 def _csv_texts(names) -> list[str]:
-    """Each name as csv.writer writes it in a field that is not the last
+    """Each name as _csv_lines writes it in a field that is not the last
     of its row (a lone empty field would be quoted)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    texts = []
-    for name in names:
-        w.writerow((name, ""))
-        texts.append(buf.getvalue()[:-2])
-        buf.seek(0)
-        buf.truncate()
-    return texts
+    return [line[:-2] for line in _csv_lines((name, "") for name in names)]
 
 
 def _write_table(path, header, key_idx, keys, fs_idx, filesystems,
                  bin_start, deltas) -> None:
-    """Write key,fs,bin_start,counters rows, the same bytes as csv.writer
+    """Write key,fs,bin_start,counters rows, the same bytes as _csv_lines
     row by row, formatting _WRITE_CHUNK rows at a time."""
     n_fs = len(filesystems)
     pairs, pair_of = np.unique(key_idx.astype(np.int64) * n_fs + fs_idx,
@@ -75,7 +66,7 @@ def _write_table(path, header, key_idx, keys, fs_idx, filesystems,
     labels = np.array([f"{key_text[p // n_fs]},{fs_text[p % n_fs]}"
                        for p in pairs.tolist()], dtype=object)
     with open(path, "w", newline="") as f:
-        csv.writer(f, lineterminator="\n").writerow(header)
+        f.writelines(_csv_lines([header]))
         for lo in range(0, len(bin_start), _WRITE_CHUNK):
             hi = min(lo + _WRITE_CHUNK, len(bin_start))
             rows = np.empty((hi - lo, 2 + N_COUNTERS), dtype=object)

@@ -1,0 +1,90 @@
+"""Whole-feed deltify: the oracle for ``iorisk.ingest.deltify_and_bin``.
+
+This is ``deltify_and_bin`` as the package shipped it before binning went
+through stream-aligned chunks: it sorts and gathers the whole counter
+matrix, deltifies every pair in one kernel call and aggregates duplicate
+(stream, bin) rows in one pass. It is kept verbatim. The chunked function
+must return the same ``UsageTable``, array for array, registries included,
+at every chunk budget.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from iorisk import _kernels
+from iorisk.ingest import (DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_BINS,
+                           CounterFeed, UsageTable, _empty_usage, _recode)
+
+
+def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
+                    max_gap_bins: int | None = DEFAULT_MAX_GAP_BINS,
+                    pre_differenced: bool = False) -> UsageTable:
+    """Convert cumulative snapshots to per-bin deltas.
+
+    A sample at time t covers activity since the previous sample of the same
+    (node, fs) stream; a bin labelled b covers (b, b+w]. Deltas spanning
+    several bins are apportioned by time overlap (the rule in _kernels,
+    exact sum). Counter decreases are treated as resets (the new value is the
+    delta since the restart). Gaps longer than max_gap_bins bins are
+    dropped. Input order does not matter; rows are sorted internally.
+    The table lists only the nodes and filesystems that have rows, in order
+    of first appearance in its rows, as the store reads them back.
+
+    With pre_differenced=True each row's values are taken directly as the
+    delta for the bin its timestamp closes.
+    """
+    if bin_width <= 0:
+        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    feed = samples if isinstance(samples, CounterFeed) \
+        else CounterFeed.from_samples(samples)
+    n_fs = len(feed.filesystems)
+    if len(feed) == 0 or n_fs == 0:
+        return _empty_usage(bin_width)
+
+    order = np.lexsort((feed.ts, feed.fs_idx, feed.node_idx))
+    stream = (feed.node_idx[order].astype(np.int64) * n_fs
+              + feed.fs_idx[order])
+    ts = np.ascontiguousarray(feed.ts[order])
+    values = np.ascontiguousarray(feed.values[order])
+
+    if pre_differenced:
+        keep = values.any(axis=1)
+        s_codes = stream[keep]
+        bins = bin_width * ((ts[keep] - 1) // bin_width)
+        deltas = values[keep]
+    else:
+        if max_gap_bins is None:
+            max_gap_s = np.iinfo(np.int64).max // 4
+        else:
+            max_gap_s = max_gap_bins * bin_width
+        s_codes, bins, deltas = _kernels.deltify_pairs(
+            stream, ts, values, bin_width, max_gap_s)
+
+    if len(s_codes) == 0:
+        return _empty_usage(bin_width)
+
+    # spanning pairs can produce all-zero shares; keep the table sparse
+    nonzero = deltas.any(axis=1)
+    if not nonzero.all():
+        s_codes = s_codes[nonzero]
+        bins = bins[nonzero]
+        deltas = deltas[nonzero]
+    if len(s_codes) == 0:
+        return _empty_usage(bin_width)
+
+    # aggregate duplicate (stream, bin) rows and fix the canonical order
+    order2 = np.lexsort((bins, s_codes))
+    s2 = s_codes[order2]
+    b2 = bins[order2]
+    d2 = deltas[order2]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (s2[1:] != s2[:-1]) | (b2[1:] != b2[:-1]))))
+    agg = np.add.reduceat(d2, starts, axis=0)
+    u_s = s2[starts]
+    u_b = b2[starts]
+
+    node_idx, nodes = _recode(u_s // n_fs, feed.nodes)
+    fs_idx, filesystems = _recode(u_s % n_fs, feed.filesystems)
+    return UsageTable(bin_start=u_b, node_idx=node_idx, fs_idx=fs_idx,
+                      deltas=agg, nodes=nodes, filesystems=filesystems,
+                      bin_width=bin_width)

@@ -3,7 +3,8 @@
 These are the ``csv.writer`` loops the package shipped before the store
 tables were formatted in bulk, kept unchanged: one ``writerow`` with a
 ``.tolist()`` per table row. The bulk writers must produce the same bytes
-for every table.
+for every table whose keys hold no lone carriage return; such a key the
+bulk writers quote and these loops do not.
 """
 from __future__ import annotations
 

@@ -373,3 +373,52 @@ def test_counter_beyond_int64_exits_before_writing(demo_feeds, tmp_path,
             f"'{'9' * 20}' (line 2, field 'write_kb')"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "all"])
+def test_job_conflict_exits_before_writing(demo_feeds, tmp_path, capsys,
+                                           command):
+    header, first, *rest = (demo_feeds / "jobs.csv").read_text() \
+        .splitlines(True)
+    job_id, tail = first.split(",", 1)
+    feeds = tmp_path / "feeds"
+    feeds.mkdir()
+    (feeds / "jobs.csv").write_text(
+        "".join([header, first, f"{job_id}-again,{tail}"] + rest))
+    out = tmp_path / "out"
+    rc = run([command, "--counters", str(demo_feeds / "counters.csv"),
+              "--jobs", str(feeds / "jobs.csv"), "--out", str(out)])
+    assert rc == 1
+    assert "attribution conflict on node" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_keys_with_a_lone_carriage_return_survive_the_store(tmp_path):
+    from iorisk.ingest import COUNTER_HEADER
+    rows = [",".join(COUNTER_HEADER)]
+    for ts in range(360, 3600, 360):
+        for node, fs in (('"a\rb"', "fs2"), ("n1", '"fs\r3"')):
+            rows.append(",".join([str(ts), node, fs]
+                                 + [str(ts * (c + 1)) for c in range(21)]))
+    feeds = tmp_path / "feeds"
+    feeds.mkdir()
+    (feeds / "counters.csv").write_text("\n".join(rows) + "\n", newline="")
+    (feeds / "jobs.csv").write_text(
+        "job_id,project,command,nodes,start_ts,end_ts,cores_per_node\n"
+        '"j\r1",p,"cmd\r","a\rb;n1",500,2000,24\n'
+        "j2,p,cmd,n1,2000,3000,24\n", newline="")
+    oneshot = tmp_path / "oneshot"
+    assert _run_all(feeds, oneshot) == 0
+    staged = tmp_path / "staged"
+    assert run(["ingest", "--counters", str(feeds / "counters.csv"),
+                "--jobs", str(feeds / "jobs.csv"),
+                "--out", str(staged)]) == 0
+    assert run(["analyze", "--out", str(staged)]) == 0
+    assert run(["report", "--out", str(staged)]) == 0
+    assert _tree_bytes(staged) == _tree_bytes(oneshot)
+    store = oneshot / "store"
+    assert b'\n"a\rb",fs2,' in (store / "node_usage.csv").read_bytes()
+    assert b'\nn1,"fs\r3",' in (store / "node_usage.csv").read_bytes()
+    assert b'\n"j\r1","fs\r3",' in (store / "job_usage.csv").read_bytes()
+    assert (b'\n"j\r1",p,"cmd\r","a\rb;n1",'
+            in (store / "jobs.csv").read_bytes())

@@ -95,6 +95,17 @@ def test_round_trip_parse_serialize_parse_identical():
     assert feed_to_csv_text(again) == text
 
 
+def test_round_trip_keeps_keys_with_a_lone_carriage_return():
+    feed = CounterFeed(np.array([360, 720]), np.zeros(2, np.int32),
+                       np.zeros(2, np.int32),
+                       np.arange(42, dtype=np.int64).reshape(2, 21),
+                       ("a\rb",), ("fs\r2",))
+    text = feed_to_csv_text(feed)
+    assert '\n360,"a\rb","fs\r2",0,' in text
+    again = parse_counter_feed(io.StringIO(text, newline=""))
+    assert list(again) == list(feed)
+
+
 def test_counter_sample_validation():
     from iorisk.ingest import CounterSample
     with pytest.raises(ValueError):
