@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribute import AttributionResult, JobUsageTable
+from .config import Config, check
 from .ingest import JobRecord
 from .metrics import JobMetrics
 from .ops import READ_KB, READ_OPS, WRITE_KB, WRITE_OPS
-
-DEFAULT_SLOWDOWN_FACTOR = 1.5
-DEFAULT_MIN_GROUP = 3
-DEFAULT_SCATTER_MIN_RISK = 25.0
 
 KIB_PER_GIB = 2 ** 20
 
@@ -62,24 +59,18 @@ class SlowdownFinding:
     ratio: float
 
 
-def check_slowdown_params(factor: float, min_group: int) -> None:
-    """Reject a slowdown factor of 1 or less and groups of fewer than two
-    runs: either would flag runs that are no slower than their peers."""
-    if factor <= 1:
-        raise ValueError(f"slowdown_factor must be > 1, got {factor}")
-    if min_group < 2:
-        raise ValueError(f"min_group must be >= 2, got {min_group}")
-
-
-def detect_slowdown(groups, factor: float = DEFAULT_SLOWDOWN_FACTOR,
-                    min_group: int = DEFAULT_MIN_GROUP
+def detect_slowdown(groups, factor: float = Config.slowdown_factor,
+                    min_group: int = Config.min_group
                     ) -> list[SlowdownFinding]:
     """Flag runs with runtime >= factor * group mean runtime.
 
     Groups smaller than min_group are skipped; the mean includes the
-    candidate run itself.
+    candidate run itself. A factor of 1 or less, or groups of fewer than
+    two runs, would flag runs that are no slower than their peers, and
+    raise ValueError.
     """
-    check_slowdown_params(factor, min_group)
+    check("slowdown_factor", factor, "detect_slowdown")
+    check("min_group", min_group, "detect_slowdown")
     findings = []
     for group in groups:
         if len(group.run_ids) < min_group:
@@ -114,7 +105,7 @@ def runtime_bin_count(job: JobRecord, bin_width: int) -> int:
 
 
 def build_scatter(jobs, job_metrics: JobMetrics,
-                  min_total_risk: float = DEFAULT_SCATTER_MIN_RISK
+                  min_total_risk: float = Config.scatter_min_risk
                   ) -> list[ScatterPoint]:
     """One point per job whose average total risk reaches the threshold.
 

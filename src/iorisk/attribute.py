@@ -1,7 +1,7 @@
 """Attribute binned node usage to the jobs that held the nodes.
 
 Node allocation is exclusive (whole-node scheduling): two jobs may not hold
-the same node at the same time, and violations raise. A bin partially
+the same node at the same time, which parse_job_feed checks. A bin partially
 covered by a job's interval is split by time-overlap fraction; whatever no
 job claims goes to a per-fs unattributed ledger so fs totals stay auditable.
 """
@@ -13,43 +13,13 @@ import numpy as np
 
 from . import _kernels
 from .ingest import JobRecord, UsageTable
-from .ops import N_COUNTERS, OpKind
-
-
-class AttributionConflictError(ValueError):
-    """Two jobs claim the same node at the same time."""
-
-    def __init__(self, node_id, job_a, job_b):
-        super().__init__(
-            f"attribution conflict on node {node_id!r}: jobs {job_a!r} "
-            f"and {job_b!r} overlap in time")
-        self.node_id = node_id
-        self.job_ids = (job_a, job_b)
-
-
-@dataclass(frozen=True, eq=False)
-class JobBinUsage:
-    """Per-job, per-fs counter deltas for one time bin."""
-
-    job_id: str
-    fs_id: str
-    bin_start: int
-    deltas: np.ndarray  # (21,), int64
-
-    def delta(self, op: OpKind) -> int:
-        return int(self.deltas[op.column])
-
-    def __eq__(self, other):
-        if not isinstance(other, JobBinUsage):
-            return NotImplemented
-        return (self.job_id == other.job_id and self.fs_id == other.fs_id
-                and self.bin_start == other.bin_start
-                and np.array_equal(self.deltas, other.deltas))
+from .ops import N_COUNTERS
 
 
 @dataclass
 class JobUsageTable:
-    """Columnar JobBinUsage rows, sorted by (job, fs, bin)."""
+    """Per-job, per-fs counter deltas in each time bin, sorted by
+    (job, fs, bin)."""
 
     job_idx: np.ndarray   # int32 (m,), index into job_ids
     fs_idx: np.ndarray    # int32 (m,)
@@ -61,18 +31,6 @@ class JobUsageTable:
 
     def __len__(self) -> int:
         return len(self.bin_start)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return JobBinUsage(self.job_ids[self.job_idx[i]],
-                           self.filesystems[self.fs_idx[i]],
-                           int(self.bin_start[i]),
-                           self.deltas[i].copy())
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass
@@ -94,20 +52,6 @@ class AttributionResult:
     job_usage: JobUsageTable
     unattributed: FsUsageTable
     jobs: list[JobRecord]
-
-
-def validate_exclusive_allocation(jobs) -> None:
-    """Raise AttributionConflictError if any node is double-booked."""
-    by_node: dict[str, list[tuple[int, int, str]]] = {}
-    for job in jobs:
-        for node in job.nodes:
-            by_node.setdefault(node, []).append(
-                (job.start_ts, job.end_ts, job.job_id))
-    for node, intervals in by_node.items():
-        intervals.sort()
-        for (s0, e0, id0), (s1, e1, id1) in zip(intervals, intervals[1:]):
-            if s1 < e0:
-                raise AttributionConflictError(node, id0, id1)
 
 
 def _group_sum(keys, deltas):
@@ -143,10 +87,10 @@ def attribute_usage(node_usage: UsageTable, jobs) -> AttributionResult:
     Bins partially covered by a job interval are apportioned by overlap
     fraction (the rule in _kernels, exact sum) between the jobs in start
     order, with the unattributed remainder last. Deltas on nodes no job
-    held go to the unattributed ledger.
+    held go to the unattributed ledger. The jobs must hold their nodes
+    exclusively, as parse_job_feed ensures.
     """
     jobs = list(jobs)
-    validate_exclusive_allocation(jobs)
 
     node_of = {name: i for i, name in enumerate(node_usage.nodes)}
     per_node: dict[int, list[tuple[int, int, int]]] = {}

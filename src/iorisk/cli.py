@@ -4,7 +4,8 @@ Subcommands: simulate (synthetic feeds), ingest (feeds -> binned store),
 analyze (attribution + metrics), report (all report artifacts), all
 (ingest + analyze + report in one in-memory pass, same bytes as running
 the stages). The stages load their inputs from the store and call the same
-layer functions as all.
+layer functions as all. Every stage stores the Config it ran with; analyze
+and report start from the stored one (see config.py).
 """
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ import numpy as np
 from . import simgen, store
 from .analytics import (build_scatter, detect_slowdown, group_applications,
                         summarize_jobs)
-from .attribute import (attribute_usage, fs_bin_totals,
-                        validate_exclusive_allocation)
-from .config import Config, resolve_config
+from .attribute import attribute_usage, fs_bin_totals
+from .config import FIELDS, Config, add_config_flags, resolve_config
 from .ingest import deltify_and_bin, read_counter_file, read_job_file
 from .metrics import compute_baselines, compute_fs_metrics, \
     compute_job_metrics
@@ -35,52 +35,11 @@ from .report import (MEASURES, binned_series_instants, build_breakdown,
                      write_unattributed_csv)
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE",
-                   help="config file (key=value); $IORISK_CONFIG otherwise")
-    p.add_argument("--bin-width", type=int, dest="bin_width_s",
-                   metavar="SECONDS", help="time bin width (default 360)")
-    p.add_argument("--alpha", type=float, help="risk scale (default 2)")
-    p.add_argument("--beta", type=float,
-                   help="metadata-total risk scale (default 0.25)")
-    p.add_argument("--md-threshold", type=float,
-                   dest="md_small_avg_threshold",
-                   help="scaled-average floor that triggers the beta path "
-                        "(default 1.0)")
-    p.add_argument("--slowdown-factor", type=float,
-                   help="runtime/mean ratio flagged as slowdown "
-                        "(default 1.5)")
-    p.add_argument("--min-group", type=int,
-                   help="minimum runs per command group (default 3)")
-    p.add_argument("--scatter-min-risk", type=float,
-                   help="scatter inclusion threshold (default 25)")
-    p.add_argument("--cores-per-node", type=int,
-                   help="cores per node when jobs.csv omits it (default 24)")
-    p.add_argument("--baseline-days", type=float,
-                   help="trailing baseline window in days (default: all)")
-    p.add_argument("--max-gap-bins", type=int,
-                   help="drop deltas spanning longer snapshot gaps "
-                        "(default 3)")
-    p.add_argument("--top-k", type=int,
-                   help="jobs broken out in time-series reports (default 5)")
-    p.add_argument("--pre-differenced", action="store_const", const=True,
-                   default=None,
-                   help="counter feed already holds per-interval deltas")
-    p.add_argument("--day-offset", type=int, dest="day_offset_s",
-                   help="daily report boundary offset from UTC midnight")
-    p.add_argument("--quality-agg", choices=("sum", "mean"),
-                   help="fs-level quality aggregation (default sum)")
-
-
-_CONFIG_KEYS = ("bin_width_s", "alpha", "beta", "md_small_avg_threshold",
-                "slowdown_factor", "min_group", "scatter_min_risk",
-                "cores_per_node", "baseline_days", "max_gap_bins", "top_k",
-                "pre_differenced", "day_offset_s", "quality_agg")
-
-
-def _config_from_args(args) -> Config:
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
-    return resolve_config(getattr(args, "config", None), overrides)
+def _config_from_args(args, stage: str) -> Config:
+    """The stage's Config: analyze and report start from the stored one."""
+    stored = store.read_config(args.out) if stage != "ingest" else None
+    overrides = {name: getattr(args, name) for name in FIELDS}
+    return resolve_config(args.config, overrides, stored, stage)
 
 
 def cmd_simulate(args) -> int:
@@ -106,14 +65,13 @@ def _ingest(args, cfg: Config, out: Path):
     store is created."""
     feed = read_counter_file(args.counters)
     jobs = read_job_file(args.jobs, default_cores=cfg.cores_per_node)
-    validate_exclusive_allocation(jobs)
     n_samples = len(feed)
     usage = deltify_and_bin(feed, cfg.bin_width_s,
                             max_gap_bins=cfg.max_gap_bins,
                             pre_differenced=cfg.pre_differenced)
     del feed  # the store writes need only the usage
     store.store_dir(out).mkdir(parents=True, exist_ok=True)
-    store.write_meta(out, cfg.bin_width_s)
+    store.write_config(out, cfg)
     store.write_node_usage(out, usage)
     store.write_jobs(out, jobs)
     print(f"ingested {n_samples} samples -> {len(usage)} node-bin rows, "
@@ -125,7 +83,7 @@ def _metrics(usage, job_usage, cfg: Config):
     """Per-fs baselines from the node usage, then job and fs metrics."""
     totals = fs_bin_totals(usage)
     baselines = compute_baselines(totals, baseline_days=cfg.baseline_days)
-    jm = compute_job_metrics(job_usage, baselines, cfg.risk_params())
+    jm = compute_job_metrics(job_usage, baselines, cfg)
     return baselines, jm, compute_fs_metrics(jm, cfg.quality_agg)
 
 
@@ -143,8 +101,8 @@ def _analyze(cfg: Config, out: Path, usage, jobs):
     return attribution.job_usage, jm, fm
 
 
-def _load_analysis_inputs(out: Path):
-    usage = store.read_node_usage(out, store.read_meta(out)["bin_width_s"])
+def _load_analysis_inputs(out: Path, cfg: Config):
+    usage = store.read_node_usage(out, cfg.bin_width_s)
     return usage, store.read_jobs(out)
 
 
@@ -155,7 +113,9 @@ def cmd_ingest(args, cfg: Config) -> int:
 
 def cmd_analyze(args, cfg: Config) -> int:
     out = Path(args.out)
-    _analyze(cfg, out, *_load_analysis_inputs(out))
+    usage, jobs = _load_analysis_inputs(out, cfg)
+    store.write_config(out, cfg)
+    _analyze(cfg, out, usage, jobs)
     return 0
 
 
@@ -239,10 +199,11 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm) -> None:
 
 def cmd_report(args, cfg: Config) -> int:
     out = Path(args.out)
-    usage, jobs = _load_analysis_inputs(out)
+    usage, jobs = _load_analysis_inputs(out, cfg)
     job_usage = store.read_job_usage(
         out, usage.bin_width, [j.job_id for j in jobs], usage.filesystems)
     _, jm, fm = _metrics(usage, job_usage, cfg)
+    store.write_config(out, cfg)
     _report(args, cfg, out, jobs, job_usage, jm, fm)
     return 0
 
@@ -298,9 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON {command: label} relabeling for "
                                 "reports")
         p.add_argument("--out", required=True, metavar="DIR")
-        _add_config_flags(p)
-        p.set_defaults(func=(lambda f: lambda a: f(a, _config_from_args(a)))
-                       (fn))
+        add_config_flags(p)
+        stage = "ingest" if name == "all" else name
+        p.set_defaults(func=lambda a, fn=fn, stage=stage: fn(
+            a, _config_from_args(a, stage)))
     return parser
 
 

@@ -1,69 +1,138 @@
-"""Pipeline configuration: defaults, config-file parsing, flag overlay.
+"""The pipeline's parameters: one schema for flags, config files, validation
+and the config a store carries.
 
-Precedence: built-in defaults < config file (--config or $IORISK_CONFIG)
-< command-line flags. The file format is plain key=value lines with #
-comments; keys match the Config field names.
+Each Config field states its default, its command-line flag, the stage that
+owns it, a help text and a rule (a bound or a set of choices); its kind is
+its annotation. The argparse flags, the config-file keys and Config.validate
+are all derived from the fields. Library functions that guard their
+arguments call check() for the same rules.
+
+Precedence: built-in defaults < config stored by an earlier stage (analyze
+and report read it from the store) < config file (--config or
+$IORISK_CONFIG) < command-line flags. A file or flag may not change a
+parameter owned by a stage before the one running. The file format is plain
+key=value lines with # comments; keys are the Config field names.
 """
 from __future__ import annotations
 
+import argparse
+import math
+import operator
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .analytics import (DEFAULT_MIN_GROUP, DEFAULT_SCATTER_MIN_RISK,
-                        DEFAULT_SLOWDOWN_FACTOR, check_slowdown_params)
-from .ingest import (DEFAULT_BIN_WIDTH_S, DEFAULT_CORES_PER_NODE,
-                     DEFAULT_MAX_GAP_BINS)
-from .metrics import (DEFAULT_ALPHA, DEFAULT_BETA,
-                      DEFAULT_MD_SMALL_AVG_THRESHOLD, RiskParams)
-from .report import DEFAULT_TOP_K
-
 CONFIG_ENV_VAR = "IORISK_CONFIG"
+STAGES = ("ingest", "analyze", "report")
+
+
+def _param(default, flag, stage, help, rule=None, choices=None):
+    """A Config field; rule is "<op> <bound>" with op one of > and >=."""
+    return field(default=default, metadata={
+        "flag": flag, "stage": stage, "help": help, "rule": rule,
+        "choices": choices})
 
 
 @dataclass
 class Config:
-    bin_width_s: int = DEFAULT_BIN_WIDTH_S
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    md_small_avg_threshold: float = DEFAULT_MD_SMALL_AVG_THRESHOLD
-    slowdown_factor: float = DEFAULT_SLOWDOWN_FACTOR
-    min_group: int = DEFAULT_MIN_GROUP
-    scatter_min_risk: float = DEFAULT_SCATTER_MIN_RISK
-    cores_per_node: int = DEFAULT_CORES_PER_NODE
-    baseline_days: float | None = None
-    max_gap_bins: int = DEFAULT_MAX_GAP_BINS
-    top_k: int = DEFAULT_TOP_K
-    pre_differenced: bool = False
-    day_offset_s: int = 0
-    quality_agg: str = "sum"
+    bin_width_s: int = _param(
+        360, "--bin-width", "ingest", "time bin width in seconds", "> 0")
+    max_gap_bins: int = _param(
+        3, "--max-gap-bins", "ingest",
+        "drop deltas spanning longer snapshot gaps, in bins", "> 0")
+    pre_differenced: bool = _param(
+        False, "--pre-differenced", "ingest",
+        "counter feed already holds per-interval deltas")
+    cores_per_node: int = _param(
+        24, "--cores-per-node", "ingest",
+        "cores per node when jobs.csv omits it", "> 0")
+    alpha: float = _param(2.0, "--alpha", "analyze", "risk scale", "> 0")
+    beta: float = _param(
+        0.25, "--beta", "analyze", "metadata-total risk scale", "> 0")
+    md_small_avg_threshold: float = _param(
+        1.0, "--md-threshold", "analyze",
+        "scaled-average floor that triggers the beta path", ">= 0")
+    baseline_days: float | None = _param(
+        None, "--baseline-days", "analyze",
+        "trailing baseline window in days; unset means all data", "> 0")
+    quality_agg: str = _param(
+        "sum", "--quality-agg", "analyze", "fs-level quality aggregation",
+        choices=("sum", "mean"))
+    slowdown_factor: float = _param(
+        1.5, "--slowdown-factor", "report",
+        "runtime/mean ratio flagged as slowdown", "> 1")
+    min_group: int = _param(
+        3, "--min-group", "report", "minimum runs per command group", ">= 2")
+    scatter_min_risk: float = _param(
+        25.0, "--scatter-min-risk", "report", "scatter inclusion threshold",
+        "> 0")
+    top_k: int = _param(
+        5, "--top-k", "report", "jobs broken out in time-series reports",
+        "> 0")
+    day_offset_s: int = _param(
+        0, "--day-offset", "report",
+        "daily report boundary offset from UTC midnight, in seconds")
 
     def validate(self) -> None:
-        positive = ("bin_width_s", "alpha", "beta", "scatter_min_risk",
-                    "cores_per_node", "max_gap_bins", "top_k")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config: {name} must be positive, "
-                                 f"got {getattr(self, name)}")
-        check_slowdown_params(self.slowdown_factor, self.min_group)
-        if self.md_small_avg_threshold < 0:
-            raise ValueError("config: md_small_avg_threshold must be >= 0")
-        if self.baseline_days is not None and self.baseline_days <= 0:
-            raise ValueError("config: baseline_days must be positive")
-        if self.quality_agg not in ("sum", "mean"):
-            raise ValueError("config: quality_agg must be 'sum' or 'mean'")
+        for f in fields(self):
+            check(f.name, getattr(self, f.name))
 
-    def risk_params(self) -> RiskParams:
-        return RiskParams(alpha=self.alpha, beta=self.beta,
-                          md_small_avg_threshold=self.md_small_avg_threshold)
+
+FIELDS = {f.name: f for f in fields(Config)}
+_KINDS = {"int": (int,), "float": (int, float), "float | None": (int, float),
+          "bool": (bool,), "str": (str,)}
+_OPS = {">": operator.gt, ">=": operator.ge}
+
+
+def check(name: str, value, where: str = "config") -> None:
+    """Raise ValueError unless value is of Config field name's kind (a
+    float one finite) and obeys its rule; None passes where the default is
+    None."""
+    f = FIELDS[name]
+    if value is None and f.default is None:
+        return
+    if (not isinstance(value, _KINDS[f.type])
+            or isinstance(value, bool) != (f.type == "bool")
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ValueError(f"{where}: {name} must be of kind {f.type}, "
+                         f"got {value!r}")
+    rule, choices = f.metadata["rule"], f.metadata["choices"]
+    if choices is not None and value not in choices:
+        raise ValueError(f"{where}: {name} must be one of "
+                         f"{', '.join(choices)}, got {value!r}")
+    if rule is not None:
+        op, bound = rule.split()
+        if not _OPS[op](value, float(bound)):
+            raise ValueError(f"{where}: {name} must be {rule}, "
+                             f"got {value!r}")
+
+
+def add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """--config and one flag per Config field, each defaulting to None
+    (unset)."""
+    parser.add_argument("--config", metavar="FILE",
+                        help="config file (key=value); $IORISK_CONFIG "
+                             "otherwise")
+    for f in fields(Config):
+        meta = f.metadata
+        help = (f"{meta['help']} ({meta['stage']} stage, default "
+                f"{'unset' if f.default is None else f.default})")
+        if f.type == "bool":
+            parser.add_argument(meta["flag"], dest=f.name, default=None,
+                                action="store_const", const=True, help=help)
+        else:
+            parser.add_argument(meta["flag"], dest=f.name,
+                                type=_KINDS[f.type][-1],
+                                choices=meta["choices"], help=help)
 
 
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
 
-def _parse_value(name: str, text: str, kind):
+def _parse_value(name: str, text: str):
     text = text.strip()
+    kind = FIELDS[name].type
     if kind == "bool":
         low = text.lower()
         if low in _BOOL_TRUE:
@@ -71,23 +140,9 @@ def _parse_value(name: str, text: str, kind):
         if low in _BOOL_FALSE:
             return False
         raise ValueError(f"config: bad boolean for {name}: {text!r}")
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "optional_float":
-        return None if text.lower() in ("", "none") else float(text)
-    return text
-
-
-_FIELD_KINDS = {
-    "bin_width_s": "int", "alpha": "float", "beta": "float",
-    "md_small_avg_threshold": "float", "slowdown_factor": "float",
-    "min_group": "int", "scatter_min_risk": "float",
-    "cores_per_node": "int", "baseline_days": "optional_float",
-    "max_gap_bins": "int", "top_k": "int", "pre_differenced": "bool",
-    "day_offset_s": "int", "quality_agg": "str",
-}
+    if kind == "float | None" and text.lower() in ("", "none"):
+        return None
+    return _KINDS[kind][-1](text)
 
 
 def load_config_file(path) -> dict:
@@ -104,28 +159,39 @@ def load_config_file(path) -> dict:
                 f"got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_KINDS:
+        if key not in FIELDS:
             raise ValueError(f"config {path}: line {line_no}: "
                              f"unknown key {key!r}")
-        values[key] = _parse_value(key, value, _FIELD_KINDS[key])
+        values[key] = _parse_value(key, value)
     return values
 
 
-def resolve_config(config_path=None, overrides: dict | None = None
+def resolve_config(config_path=None, overrides: dict | None = None,
+                   stored: dict | None = None, stage: str = "ingest"
                    ) -> Config:
-    """defaults < config file < explicit overrides (None means unset)."""
-    values = {}
+    """defaults < stored < config file < overrides (None means unset).
+
+    stored is the config an earlier stage ran with. A file or override
+    that gives a parameter owned by a stage before `stage` a value other
+    than the stored one raises ValueError.
+    """
+    given = {}
     path = config_path or os.environ.get(CONFIG_ENV_VAR)
     if path:
-        values.update(load_config_file(path))
-    if overrides:
-        known = {f.name for f in fields(Config)}
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key not in known:
-                raise ValueError(f"unknown config override {key!r}")
-            values[key] = value
-    cfg = Config(**values)
+        given.update(load_config_file(path))
+    for key, value in (overrides or {}).items():
+        if key not in FIELDS:
+            raise ValueError(f"unknown config override {key!r}")
+        if value is not None:
+            given[key] = value
+    for key, value in given.items():
+        owner = FIELDS[key].metadata["stage"]
+        if (stored is not None and value != stored[key]
+                and STAGES.index(owner) < STAGES.index(stage)):
+            raise ValueError(
+                f"config: {key} = {value!r} conflicts with {stored[key]!r}, "
+                f"which the {owner} stage ran with; rerun {owner} to "
+                f"change it")
+    cfg = Config(**{**(stored or {}), **given})
     cfg.validate()
     return cfg

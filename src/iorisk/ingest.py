@@ -2,8 +2,10 @@
 
 Feeds are plain CSV. counters.csv carries one cumulative snapshot per
 (timestamp, node, filesystem) row with the 21 counters; jobs.csv carries
-scheduler accounting. Parsed counter feeds are held columnar (numpy) but
-behave as sequences of ``CounterSample`` records.
+scheduler accounting. Parsed feeds and binned usage are held columnar:
+one numpy array per column, with the node and filesystem names kept once
+in registries that the integer code columns index. A job list is checked
+for exclusive node allocation where it is parsed.
 """
 from __future__ import annotations
 
@@ -15,15 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .ops import COUNTER_NAMES, N_COUNTERS, OpKind
+from .config import Config, check
+from .ops import COUNTER_NAMES, N_COUNTERS
 
 COUNTER_HEADER = ("ts", "node", "fs") + COUNTER_NAMES
 JOB_HEADER = ("job_id", "project", "command", "nodes",
               "start_ts", "end_ts", "cores_per_node")
-
-DEFAULT_BIN_WIDTH_S = 360
-DEFAULT_MAX_GAP_BINS = 3
-DEFAULT_CORES_PER_NODE = 24
 
 
 class FeedFormatError(ValueError):
@@ -41,45 +40,9 @@ class FeedFormatError(ValueError):
         self.feed_field = feed_field
 
 
-@dataclass(frozen=True, eq=False)
-class CounterSample:
-    """One node's cumulative counter snapshot for one fs at one time."""
-
-    timestamp: int
-    node_id: str
-    fs_id: str
-    values: np.ndarray  # shape (21,), int64, feed column order
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64)
-        if vals.shape != (N_COUNTERS,):
-            raise ValueError(f"expected {N_COUNTERS} counter values, "
-                             f"got shape {vals.shape}")
-        if self.timestamp <= 0:
-            raise ValueError(f"timestamp must be > 0, got {self.timestamp}")
-        if (vals < 0).any():
-            bad = COUNTER_NAMES[int(np.argmin(vals))]
-            raise ValueError(f"negative counter value for {bad!r}")
-        object.__setattr__(self, "values", vals)
-
-    def value(self, op: OpKind) -> int:
-        return int(self.values[op.column])
-
-    def values_dict(self) -> dict[OpKind, int]:
-        return {op: int(self.values[op.column]) for op in OpKind}
-
-    def __eq__(self, other):
-        if not isinstance(other, CounterSample):
-            return NotImplemented
-        return (self.timestamp == other.timestamp
-                and self.node_id == other.node_id
-                and self.fs_id == other.fs_id
-                and np.array_equal(self.values, other.values))
-
-
 @dataclass
 class CounterFeed:
-    """Columnar sequence of CounterSample rows, in feed order."""
+    """Cumulative counter snapshots, one row per feed line, in feed order."""
 
     ts: np.ndarray        # int64 (n,)
     node_idx: np.ndarray  # int32 (n,)
@@ -90,36 +53,6 @@ class CounterFeed:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return CounterSample(int(self.ts[i]),
-                             self.nodes[self.node_idx[i]],
-                             self.filesystems[self.fs_idx[i]],
-                             self.values[i].copy())
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    @classmethod
-    def from_samples(cls, samples) -> "CounterFeed":
-        samples = list(samples)
-        nodes: dict[str, int] = {}
-        filesystems: dict[str, int] = {}
-        n = len(samples)
-        ts = np.empty(n, dtype=np.int64)
-        node_idx = np.empty(n, dtype=np.int32)
-        fs_idx = np.empty(n, dtype=np.int32)
-        values = np.empty((n, N_COUNTERS), dtype=np.int64)
-        for i, s in enumerate(samples):
-            ts[i] = s.timestamp
-            node_idx[i] = nodes.setdefault(s.node_id, len(nodes))
-            fs_idx[i] = filesystems.setdefault(s.fs_id, len(filesystems))
-            values[i] = s.values
-        return cls(ts, node_idx, fs_idx, values,
-                   tuple(nodes), tuple(filesystems))
 
 
 def _check_header(row, expected, what):
@@ -342,7 +275,7 @@ class JobRecord:
     nodes: frozenset[str]
     start_ts: int
     end_ts: int
-    cores_per_node: int = DEFAULT_CORES_PER_NODE
+    cores_per_node: int = Config.cores_per_node
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
@@ -352,9 +285,7 @@ class JobRecord:
                 f"start_ts {self.start_ts}")
         if not self.nodes:
             raise ValueError(f"job {self.job_id}: empty node list")
-        if self.cores_per_node <= 0:
-            raise ValueError(
-                f"job {self.job_id}: cores_per_node must be positive")
+        check("cores_per_node", self.cores_per_node, f"job {self.job_id}")
 
     @property
     def runtime_s(self) -> int:
@@ -362,9 +293,10 @@ class JobRecord:
 
 
 def parse_job_feed(stream,
-                   default_cores: int = DEFAULT_CORES_PER_NODE
+                   default_cores: int = Config.cores_per_node
                    ) -> list[JobRecord]:
-    """Parse a jobs.csv stream; job ids must be unique within the feed.
+    """Parse a jobs.csv stream; job ids must be unique within the feed
+    and no two jobs may hold a node at the same time.
 
     An empty cores_per_node field falls back to default_cores.
     """
@@ -402,7 +334,33 @@ def parse_job_feed(stream,
         except ValueError as exc:
             raise FeedFormatError(f"job feed: {exc}",
                                   line_no=line_no) from None
+    validate_exclusive_allocation(jobs)
     return jobs
+
+
+class AttributionConflictError(ValueError):
+    """Two jobs claim the same node at the same time."""
+
+    def __init__(self, node_id, job_a, job_b):
+        super().__init__(
+            f"attribution conflict on node {node_id!r}: jobs {job_a!r} "
+            f"and {job_b!r} overlap in time")
+        self.node_id = node_id
+        self.job_ids = (job_a, job_b)
+
+
+def validate_exclusive_allocation(jobs) -> None:
+    """Raise AttributionConflictError if any node is double-booked."""
+    by_node: dict[str, list[tuple[int, int, str]]] = {}
+    for job in jobs:
+        for node in job.nodes:
+            by_node.setdefault(node, []).append(
+                (job.start_ts, job.end_ts, job.job_id))
+    for node, intervals in by_node.items():
+        intervals.sort()
+        for (s0, e0, id0), (s1, e1, id1) in zip(intervals, intervals[1:]):
+            if s1 < e0:
+                raise AttributionConflictError(node, id0, id1)
 
 
 def write_jobs_csv(jobs, stream) -> None:
@@ -412,33 +370,10 @@ def write_jobs_csv(jobs, stream) -> None:
     stream.writelines(_csv_lines(itertools.chain([JOB_HEADER], rows)))
 
 
-@dataclass(frozen=True, eq=False)
-class BinnedNodeUsage:
-    """Per-node, per-fs counter deltas accrued in one time bin."""
-
-    node_id: str
-    fs_id: str
-    bin_start: int
-    deltas: np.ndarray  # (21,), int64
-
-    def delta(self, op: OpKind) -> int:
-        return int(self.deltas[op.column])
-
-    def deltas_dict(self) -> dict[OpKind, int]:
-        return {op: int(self.deltas[op.column]) for op in OpKind}
-
-    def __eq__(self, other):
-        if not isinstance(other, BinnedNodeUsage):
-            return NotImplemented
-        return (self.node_id == other.node_id and self.fs_id == other.fs_id
-                and self.bin_start == other.bin_start
-                and np.array_equal(self.deltas, other.deltas))
-
-
 @dataclass
 class UsageTable:
-    """Columnar set of BinnedNodeUsage rows, grouped by (node, fs) and
-    sorted by bin within each group."""
+    """Per-node, per-fs counter deltas accrued in each time bin, grouped by
+    (node, fs) and sorted by bin within each group."""
 
     bin_start: np.ndarray  # int64 (m,)
     node_idx: np.ndarray   # int32 (m,)
@@ -446,22 +381,10 @@ class UsageTable:
     deltas: np.ndarray     # int64 (m, 21)
     nodes: tuple[str, ...]
     filesystems: tuple[str, ...]
-    bin_width: int = DEFAULT_BIN_WIDTH_S
+    bin_width: int = Config.bin_width_s
 
     def __len__(self) -> int:
         return len(self.bin_start)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return BinnedNodeUsage(self.nodes[self.node_idx[i]],
-                               self.filesystems[self.fs_idx[i]],
-                               int(self.bin_start[i]),
-                               self.deltas[i].copy())
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def totals(self) -> np.ndarray:
         """Per-counter grand totals, shape (21,)."""
@@ -478,8 +401,8 @@ def _empty_usage(bin_width) -> UsageTable:
                       (), (), bin_width)
 
 
-def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
-                    max_gap_bins: int | None = DEFAULT_MAX_GAP_BINS,
+def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
+                    *, max_gap_bins: int | None = Config.max_gap_bins,
                     pre_differenced: bool = False) -> UsageTable:
     """Convert cumulative snapshots to per-bin deltas.
 
@@ -500,10 +423,7 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
     split a stream, so memory beyond the feed is one chunk's temporaries
     plus the result.
     """
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
-    feed = samples if isinstance(samples, CounterFeed) \
-        else CounterFeed.from_samples(samples)
+    check("bin_width_s", bin_width, "deltify_and_bin")
     n_fs = len(feed.filesystems)
     if len(feed) == 0 or n_fs == 0:
         return _empty_usage(bin_width)
@@ -603,7 +523,7 @@ def read_counter_file(path) -> CounterFeed:
 
 
 def read_job_file(path,
-                  default_cores: int = DEFAULT_CORES_PER_NODE
+                  default_cores: int = Config.cores_per_node
                   ) -> list[JobRecord]:
     with open(path, newline="") as f:
         return parse_job_feed(f, default_cores=default_cores)

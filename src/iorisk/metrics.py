@@ -10,38 +10,32 @@ large values mean small, inefficient accesses.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _kernels
-from .attribute import FsUsageTable, JobBinUsage, JobUsageTable
+from .attribute import FsUsageTable, JobUsageTable
+from .config import Config, check
 from .ops import (MDS_SLICE, N_COUNTERS, OSS_SLICE, OpKind,
                   READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)
 
 log = logging.getLogger(__name__)
-
-DEFAULT_ALPHA = 2.0
-DEFAULT_BETA = 0.25
-DEFAULT_MD_SMALL_AVG_THRESHOLD = 1.0
 
 FS_SUBJECT = "__fs__"
 
 
 @dataclass(frozen=True)
 class RiskParams:
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    md_small_avg_threshold: float = DEFAULT_MD_SMALL_AVG_THRESHOLD
+    """The risk rule's parameters; a Config serves in their place."""
+
+    alpha: float = Config.alpha
+    beta: float = Config.beta
+    md_small_avg_threshold: float = Config.md_small_avg_threshold
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.md_small_avg_threshold < 0:
-            raise ValueError("md_small_avg_threshold must be >= 0, got "
-                             f"{self.md_small_avg_threshold}")
+        for f in fields(self):
+            check(f.name, getattr(self, f.name), "risk params")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +80,7 @@ def compute_baseline(totals: FsUsageTable, fs_id: str,
     if window is not None and baseline_days is not None:
         raise ValueError("pass either window or baseline_days, not both")
     if baseline_days is not None:
-        if baseline_days <= 0:
-            raise ValueError("baseline_days must be positive")
+        check("baseline_days", baseline_days, "compute_baseline")
         last = int(bins.max())
         n_slots = max(1, int(round(baseline_days * 86400 / w)))
         first = last - (n_slots - 1) * w
@@ -126,41 +119,6 @@ def compute_baselines(totals: FsUsageTable,
     return out
 
 
-def op_risk(x: float, avg: float, alpha: float = DEFAULT_ALPHA) -> float:
-    """Risk of one operation count against its scaled average.
-
-    Callers clamp negative values when aggregating; the raw (possibly
-    negative) value is returned here.
-    """
-    if avg <= 0:
-        raise ValueError(f"op_risk needs avg > 0, got {avg}")
-    scaled = alpha * avg
-    return (x - scaled) / scaled
-
-
-@dataclass(frozen=True, eq=False)
-class RiskPoint:
-    """Clamped risk contributions of one subject in one fs-bin."""
-
-    subject: str
-    fs_id: str
-    bin_start: int
-    risk_oss: float
-    risk_mds: float
-    per_op_risk: dict[OpKind, float] = field(repr=False)
-
-
-@dataclass(frozen=True)
-class QualityPoint:
-    """Read/write quality of one subject in one fs-bin."""
-
-    subject: str
-    fs_id: str
-    bin_start: int
-    read_kb_ops: float
-    write_kb_ops: float
-
-
 def _quality_arrays(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     read_kb = deltas[:, READ_KB].astype(np.float64)
     read_ops = deltas[:, READ_OPS].astype(np.float64)
@@ -172,15 +130,6 @@ def _quality_arrays(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q_write = np.where(write_kb > 0, write_ops * 1024.0 / write_kb,
                            write_ops * 1024.0)
     return q_read, q_write
-
-
-def job_bin_quality(usage: JobBinUsage) -> QualityPoint:
-    """Quality metrics for one job-bin (1.0 = 1 MiB mean transfer)."""
-    q_read, q_write = _quality_arrays(usage.deltas[None, :])
-    return QualityPoint(subject=usage.job_id, fs_id=usage.fs_id,
-                        bin_start=usage.bin_start,
-                        read_kb_ops=float(q_read[0]),
-                        write_kb_ops=float(q_write[0]))
 
 
 def _baseline_matrix(filesystems, baselines):
@@ -212,32 +161,15 @@ class JobMetrics:
     job_ids: tuple[str, ...]
     filesystems: tuple[str, ...]
     bin_width: int
-    params: RiskParams
     degenerate_fs: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.bin_start)
 
-    def risk_point(self, i: int) -> RiskPoint:
-        per_op = {op: float(self.contrib[i, op.column]) for op in OpKind}
-        return RiskPoint(subject=self.job_ids[self.job_idx[i]],
-                         fs_id=self.filesystems[self.fs_idx[i]],
-                         bin_start=int(self.bin_start[i]),
-                         risk_oss=float(self.risk_oss[i]),
-                         risk_mds=float(self.risk_mds[i]),
-                         per_op_risk=per_op)
-
-    def quality_point(self, i: int) -> QualityPoint:
-        return QualityPoint(subject=self.job_ids[self.job_idx[i]],
-                            fs_id=self.filesystems[self.fs_idx[i]],
-                            bin_start=int(self.bin_start[i]),
-                            read_kb_ops=float(self.read_kb_ops[i]),
-                            write_kb_ops=float(self.write_kb_ops[i]))
-
-
 def compute_job_metrics(job_usage: JobUsageTable,
                         baselines: dict[str, FsBaseline],
-                        params: RiskParams = RiskParams()) -> JobMetrics:
+                        params: RiskParams | Config = RiskParams()
+                        ) -> JobMetrics:
     """Evaluate risk and quality for every job-bin row."""
     avg, md_total, present = _baseline_matrix(job_usage.filesystems,
                                               baselines)
@@ -278,34 +210,7 @@ def compute_job_metrics(job_usage: JobUsageTable,
                       job_ids=job_usage.job_ids,
                       filesystems=job_usage.filesystems,
                       bin_width=job_usage.bin_width,
-                      params=params,
                       degenerate_fs=tuple(degenerate))
-
-
-def job_bin_risk(usage: JobBinUsage, baseline: FsBaseline,
-                 params: RiskParams = RiskParams()) -> RiskPoint:
-    """Risk contributions of a single job-bin against its fs baseline."""
-    if baseline.fs_id != usage.fs_id:
-        raise ValueError(f"baseline is for {baseline.fs_id!r}, "
-                         f"usage is for {usage.fs_id!r}")
-    contrib = _kernels.risk_contribs(
-        usage.deltas[None, :].astype(np.float64),
-        np.zeros(1, dtype=np.int32),
-        baseline.avg[None, :],
-        np.asarray([baseline.md_total_avg]),
-        params.alpha, params.beta, params.md_small_avg_threshold)
-    if (baseline.md_total_avg == 0
-            and usage.deltas[MDS_SLICE].any()):
-        log.warning(
-            "degenerate baseline for %s: zero metadata average with "
-            "nonzero metadata activity; beta-path denominator floored "
-            "at %g", usage.fs_id, params.md_small_avg_threshold)
-    per_op = {op: float(contrib[0, op.column]) for op in OpKind}
-    return RiskPoint(subject=usage.job_id, fs_id=usage.fs_id,
-                     bin_start=usage.bin_start,
-                     risk_oss=float(contrib[0, OSS_SLICE].sum()),
-                     risk_mds=float(contrib[0, MDS_SLICE].sum()),
-                     per_op_risk=per_op)
 
 
 @dataclass
@@ -321,13 +226,13 @@ class FsMetrics:
     write_kb_ops: np.ndarray
     filesystems: tuple[str, ...]
     bin_width: int
-    quality_agg: str = "sum"
 
     def __len__(self) -> int:
         return len(self.bin_start)
 
 
-def compute_fs_metrics(jm: JobMetrics, quality_agg: str = "sum") -> FsMetrics:
+def compute_fs_metrics(jm: JobMetrics,
+                       quality_agg: str = Config.quality_agg) -> FsMetrics:
     """Aggregate job metrics to fs-level series.
 
     Risk sums over every job; quality aggregates only jobs with
@@ -335,9 +240,7 @@ def compute_fs_metrics(jm: JobMetrics, quality_agg: str = "sum") -> FsMetrics:
     "sum" totals the contributing jobs' values, "mean" divides by their
     count.
     """
-    if quality_agg not in ("sum", "mean"):
-        raise ValueError(f"quality_agg must be 'sum' or 'mean', "
-                         f"got {quality_agg!r}")
+    check("quality_agg", quality_agg, "compute_fs_metrics")
     if len(jm) == 0:
         empty64 = np.empty(0, dtype=np.float64)
         return FsMetrics(np.empty(0, dtype=np.int32),
@@ -345,7 +248,7 @@ def compute_fs_metrics(jm: JobMetrics, quality_agg: str = "sum") -> FsMetrics:
                          empty64, empty64.copy(),
                          np.empty((0, N_COUNTERS), dtype=np.float64),
                          empty64.copy(), empty64.copy(),
-                         jm.filesystems, jm.bin_width, quality_agg)
+                         jm.filesystems, jm.bin_width)
 
     order = np.lexsort((jm.bin_start, jm.fs_idx))
     fs = jm.fs_idx[order]
@@ -373,50 +276,4 @@ def compute_fs_metrics(jm: JobMetrics, quality_agg: str = "sum") -> FsMetrics:
                      risk_oss=agg_oss, risk_mds=agg_mds,
                      contrib=agg_contrib,
                      read_kb_ops=agg_qr, write_kb_ops=agg_qw,
-                     filesystems=jm.filesystems, bin_width=jm.bin_width,
-                     quality_agg=quality_agg)
-
-
-def fs_bin_aggregate(risk_points, quality_points
-                     ) -> tuple[RiskPoint, QualityPoint]:
-    """Aggregate one fs-bin's job points into the fs point.
-
-    All points must share fs_id and bin_start. Quality sums cover only
-    subjects whose risk_oss is greater than zero.
-    """
-    risk_points = list(risk_points)
-    quality_points = list(quality_points)
-    if not risk_points and not quality_points:
-        raise ValueError("nothing to aggregate")
-    ref = risk_points[0] if risk_points else quality_points[0]
-    for p in risk_points + quality_points:
-        if p.fs_id != ref.fs_id or p.bin_start != ref.bin_start:
-            raise ValueError(
-                f"point {p.subject!r} at ({p.fs_id}, {p.bin_start}) does "
-                f"not belong to fs-bin ({ref.fs_id}, {ref.bin_start})")
-
-    per_op = {op: 0.0 for op in OpKind}
-    for p in risk_points:
-        for op, v in p.per_op_risk.items():
-            per_op[op] += v
-    risk_oss = sum(p.per_op_risk[op] for p in risk_points
-                   for op in OpKind if op.op_class.value == "oss")
-    risk_mds = sum(p.per_op_risk[op] for p in risk_points
-                   for op in OpKind if op.op_class.value == "mds")
-
-    oss_of = {p.subject: p.risk_oss for p in risk_points}
-    q_read = 0.0
-    q_write = 0.0
-    for q in quality_points:
-        if oss_of.get(q.subject, 0.0) > 0:
-            q_read += q.read_kb_ops
-            q_write += q.write_kb_ops
-
-    fs_risk = RiskPoint(subject=FS_SUBJECT, fs_id=ref.fs_id,
-                        bin_start=ref.bin_start,
-                        risk_oss=float(risk_oss), risk_mds=float(risk_mds),
-                        per_op_risk=per_op)
-    fs_quality = QualityPoint(subject=FS_SUBJECT, fs_id=ref.fs_id,
-                              bin_start=ref.bin_start,
-                              read_kb_ops=q_read, write_kb_ops=q_write)
-    return fs_risk, fs_quality
+                     filesystems=jm.filesystems, bin_width=jm.bin_width)

@@ -69,6 +69,3 @@ class OpKind(enum.Enum):
 
 
 _COLUMN = {op: COUNTER_NAMES.index(op.value) for op in OpKind}
-
-OSS_KINDS = tuple(op for op in OpKind if op.op_class is OpClass.OSS)
-MDS_KINDS = tuple(op for op in OpKind if op.op_class is OpClass.MDS)

@@ -8,7 +8,7 @@ repr-formatted floats; SVG output is a dependency-free convenience.
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .attribute import FsUsageTable
+from .config import Config
+from .ingest import _csv_lines
 from .metrics import FS_SUBJECT, FsMetrics, JobMetrics
 from .ops import COUNTER_NAMES
 
@@ -26,12 +28,17 @@ BREAKDOWN_EDGES_GIB = (4.0, 32.0, 256.0, 2048.0)
 BREAKDOWN_LABELS = ("(0,4)", "[4,32)", "[32,256)", "[256,2048)",
                     "[2048,inf)")
 
-DEFAULT_TOP_K = 5
 SECONDS_PER_DAY = 86400
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write header and rows as _csv_lines formats them."""
+    with open(path, "w", newline="") as f:
+        f.writelines(_csv_lines(itertools.chain([header], rows)))
 
 
 def _pow2(k: int) -> str:
@@ -180,7 +187,7 @@ def _day_label(day_start: int) -> str:
 
 
 def emit_timeseries(fs_metrics: FsMetrics, job_metrics: JobMetrics,
-                    out_dir, top_k: int = DEFAULT_TOP_K, svg: bool = False,
+                    out_dir, top_k: int = Config.top_k, svg: bool = False,
                     day_offset: int = 0) -> list[Path]:
     """Write per-fs, per-day risk series with the top contributing jobs.
 
@@ -216,7 +223,9 @@ def emit_timeseries(fs_metrics: FsMetrics, job_metrics: JobMetrics,
                                 < day + SECONDS_PER_DAY)] \
                 if job_rows_fs.size else job_rows_fs
             ranked = _rank_jobs(jm, jr, top_k)
-            _write_day_series(path, fm, day_sel, jm, jr, ranked)
+            _write_csv(path, ["bin_start", "subject", "risk_oss",
+                              "risk_mds"],
+                       _day_series_rows(fm, day_sel, jm, jr, ranked))
             written.append(path)
             if svg and day_sel.size:
                 svg_path = fs_dir / f"{_day_label(day)}.svg"
@@ -240,61 +249,57 @@ def _rank_jobs(jm: JobMetrics, rows, top_k: int) -> list[int]:
     return ranked[:top_k]
 
 
-def _write_day_series(path, fm: FsMetrics, day_sel, jm: JobMetrics,
-                      job_rows, ranked) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["bin_start", "subject", "risk_oss", "risk_mds"])
-        if day_sel.size == 0:
-            return
-        by_bin: dict[int, dict[int, tuple[float, float]]] = {}
-        for r in job_rows:
-            b = int(jm.bin_start[r])
-            by_bin.setdefault(b, {})[int(jm.job_idx[r])] = (
-                float(jm.risk_oss[r]), float(jm.risk_mds[r]))
-        order = np.argsort(fm.bin_start[day_sel], kind="stable")
-        for i in day_sel[order]:
-            b = int(fm.bin_start[i])
-            fs_oss = float(fm.risk_oss[i])
-            fs_mds = float(fm.risk_mds[i])
-            w.writerow([b, FS_SUBJECT, _fmt(fs_oss), _fmt(fs_mds)])
-            top_oss = 0.0
-            top_mds = 0.0
-            jobs_here = by_bin.get(b, {})
-            for j in ranked:
-                oss, mds = jobs_here.get(j, (0.0, 0.0))
-                top_oss += oss
-                top_mds += mds
-                w.writerow([b, jm.job_ids[j], _fmt(oss), _fmt(mds)])
-            w.writerow([b, "__other__", _fmt(fs_oss - top_oss),
-                        _fmt(fs_mds - top_mds)])
+def _day_series_rows(fm: FsMetrics, day_sel, jm: JobMetrics, job_rows,
+                     ranked):
+    """Per bin of the day: the fs total, each ranked job, the remainder."""
+    by_bin: dict[int, dict[int, tuple[float, float]]] = {}
+    for r in job_rows:
+        b = int(jm.bin_start[r])
+        by_bin.setdefault(b, {})[int(jm.job_idx[r])] = (
+            float(jm.risk_oss[r]), float(jm.risk_mds[r]))
+    order = np.argsort(fm.bin_start[day_sel], kind="stable")
+    for i in day_sel[order]:
+        b = int(fm.bin_start[i])
+        fs_oss = float(fm.risk_oss[i])
+        fs_mds = float(fm.risk_mds[i])
+        yield [b, FS_SUBJECT, _fmt(fs_oss), _fmt(fs_mds)]
+        top_oss = 0.0
+        top_mds = 0.0
+        jobs_here = by_bin.get(b, {})
+        for j in ranked:
+            oss, mds = jobs_here.get(j, (0.0, 0.0))
+            top_oss += oss
+            top_mds += mds
+            yield [b, jm.job_ids[j], _fmt(oss), _fmt(mds)]
+        yield [b, "__other__", _fmt(fs_oss - top_oss),
+               _fmt(fs_mds - top_mds)]
 
 
 def write_risk_timeseries_csv(path, fm: FsMetrics, jm: JobMetrics) -> None:
     """The full risk/quality series: one __fs__ row plus job rows per bin."""
+    _write_csv(path, ["fs", "bin_start", "subject", "risk_oss", "risk_mds",
+                      "read_kb_ops", "write_kb_ops"],
+               _risk_timeseries_rows(fm, jm))
+
+
+def _risk_timeseries_rows(fm: FsMetrics, jm: JobMetrics):
     job_rows: dict[tuple[int, int], list[int]] = {}
     for r in range(len(jm)):
         job_rows.setdefault((int(jm.fs_idx[r]), int(jm.bin_start[r])),
                             []).append(r)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["fs", "bin_start", "subject", "risk_oss", "risk_mds",
-                    "read_kb_ops", "write_kb_ops"])
-        order = np.lexsort((fm.bin_start, fm.fs_idx))
-        for i in order:
-            fs_i = int(fm.fs_idx[i])
-            b = int(fm.bin_start[i])
-            fs_id = fm.filesystems[fs_i]
-            w.writerow([fs_id, b, FS_SUBJECT,
-                        _fmt(fm.risk_oss[i]), _fmt(fm.risk_mds[i]),
-                        _fmt(fm.read_kb_ops[i]), _fmt(fm.write_kb_ops[i])])
-            rows = job_rows.get((fs_i, b), [])
-            rows.sort(key=lambda r: jm.job_ids[jm.job_idx[r]])
-            for r in rows:
-                w.writerow([fs_id, b, jm.job_ids[jm.job_idx[r]],
-                            _fmt(jm.risk_oss[r]), _fmt(jm.risk_mds[r]),
-                            _fmt(jm.read_kb_ops[r]),
-                            _fmt(jm.write_kb_ops[r])])
+    for i in np.lexsort((fm.bin_start, fm.fs_idx)):
+        fs_i = int(fm.fs_idx[i])
+        b = int(fm.bin_start[i])
+        fs_id = fm.filesystems[fs_i]
+        yield [fs_id, b, FS_SUBJECT,
+               _fmt(fm.risk_oss[i]), _fmt(fm.risk_mds[i]),
+               _fmt(fm.read_kb_ops[i]), _fmt(fm.write_kb_ops[i])]
+        rows = job_rows.get((fs_i, b), [])
+        rows.sort(key=lambda r: jm.job_ids[jm.job_idx[r]])
+        for r in rows:
+            yield [fs_id, b, jm.job_ids[jm.job_idx[r]],
+                   _fmt(jm.risk_oss[r]), _fmt(jm.risk_mds[r]),
+                   _fmt(jm.read_kb_ops[r]), _fmt(jm.write_kb_ops[r])]
 
 
 # ---------------------------------------------------------------------------
@@ -365,76 +370,58 @@ def apply_aliases(command: str, aliases: dict[str, str] | None) -> str:
 
 
 def write_job_summary_csv(path, summaries) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["job_id", "project", "command", "nodes", "core_h",
-                    "read_gib", "write_gib", "read_ops", "write_ops",
-                    "mean_read_ops_s", "mean_write_ops_s"])
-        for s in summaries:
-            w.writerow([s.job_id, s.project, s.command, s.nodes_count,
-                        _fmt(s.core_h), _fmt(s.read_gib), _fmt(s.write_gib),
-                        s.read_ops_total, s.write_ops_total,
-                        _fmt(s.mean_read_ops_s), _fmt(s.mean_write_ops_s)])
+    _write_csv(path, ["job_id", "project", "command", "nodes", "core_h",
+                      "read_gib", "write_gib", "read_ops", "write_ops",
+                      "mean_read_ops_s", "mean_write_ops_s"],
+               ([s.job_id, s.project, s.command, s.nodes_count,
+                 _fmt(s.core_h), _fmt(s.read_gib), _fmt(s.write_gib),
+                 s.read_ops_total, s.write_ops_total,
+                 _fmt(s.mean_read_ops_s), _fmt(s.mean_write_ops_s)]
+                for s in summaries))
 
 
 def write_scatter_csv(path, points, aliases=None) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["job_id", "command", "avg_risk_oss", "avg_risk_mds",
-                    "avg_quality"])
-        for p in points:
-            w.writerow([p.job_id, apply_aliases(p.command, aliases),
-                        _fmt(p.avg_risk_oss), _fmt(p.avg_risk_mds),
-                        _fmt(p.avg_quality)])
+    _write_csv(path, ["job_id", "command", "avg_risk_oss", "avg_risk_mds",
+                      "avg_quality"],
+               ([p.job_id, apply_aliases(p.command, aliases),
+                 _fmt(p.avg_risk_oss), _fmt(p.avg_risk_mds),
+                 _fmt(p.avg_quality)] for p in points))
 
 
 def write_slowdown_csv(path, findings, aliases=None) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["job_id", "command", "runtime_s", "group_mean_s",
-                    "ratio"])
-        for fd in findings:
-            w.writerow([fd.job_id, apply_aliases(fd.command, aliases),
-                        fd.runtime_s, _fmt(fd.group_mean_s),
-                        _fmt(fd.ratio)])
+    _write_csv(path, ["job_id", "command", "runtime_s", "group_mean_s",
+                      "ratio"],
+               ([fd.job_id, apply_aliases(fd.command, aliases),
+                 fd.runtime_s, _fmt(fd.group_mean_s), _fmt(fd.ratio)]
+                for fd in findings))
 
 
 def write_heatmap_csv(path, hm: Heatmap) -> None:
     """Rows are job-size bins, columns are measure bins, cells core-h."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["nodes_bin"] + list(hm.col_labels))
-        for r, label in enumerate(hm.row_labels):
-            w.writerow([label] + [_fmt(v) for v in hm.weights[r]])
+    _write_csv(path, ["nodes_bin"] + list(hm.col_labels),
+               ([label] + [_fmt(v) for v in hm.weights[r]]
+                for r, label in enumerate(hm.row_labels)))
 
 
 def write_breakdown_csv(path, table: BreakdownTable) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["data_gib_bin", "read_pct", "write_pct"])
-        for label, r, wr in zip(table.labels, table.read_pct,
-                                table.write_pct):
-            w.writerow([label, _fmt(r), _fmt(wr)])
+    _write_csv(path, ["data_gib_bin", "read_pct", "write_pct"],
+               ([label, _fmt(r), _fmt(wr)] for label, r, wr in
+                zip(table.labels, table.read_pct, table.write_pct)))
 
 
 def write_unattributed_csv(path, unattributed: FsUsageTable) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["fs", "bin_start"] + list(COUNTER_NAMES))
-        for i in range(len(unattributed)):
-            w.writerow([unattributed.filesystems[unattributed.fs_idx[i]],
-                        int(unattributed.bin_start[i])]
-                       + [int(v) for v in unattributed.deltas[i]])
+    u = unattributed
+    _write_csv(path, ["fs", "bin_start"] + list(COUNTER_NAMES),
+               ([u.filesystems[u.fs_idx[i]], int(u.bin_start[i])]
+                + u.deltas[i].tolist() for i in range(len(u))))
 
 
 def write_correlation_csv(path, rows) -> None:
     """rows: iterable of (series_a, series_b, lag, r_or_None, n_bins)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["series_a", "series_b", "lag_bins", "pearson_r",
-                    "n_bins"])
-        for a, b, lag, r, n in rows:
-            w.writerow([a, b, lag, "undefined" if r is None else _fmt(r), n])
+    _write_csv(path, ["series_a", "series_b", "lag_bins", "pearson_r",
+                      "n_bins"],
+               ([a, b, lag, "undefined" if r is None else _fmt(r), n]
+                for a, b, lag, r, n in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
 """Plain-file intermediate store so pipeline stages compose.
 
 ingest writes store/node_usage.csv + store/jobs.csv + store/meta.json;
-analyze adds store/job_usage.csv. Everything is auditable CSV/JSON with
-deterministic ordering; no database. `all` writes the same files but
-never reads them back: they serve audits and staged reruns.
+analyze adds store/job_usage.csv. meta.json holds the full Config the last
+stage ran with, which a later stage inherits. Everything is auditable
+CSV/JSON with deterministic ordering; no database. `all` writes the same
+files but never reads them back: they serve audits and staged reruns.
 """
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .attribute import JobUsageTable
+from .config import FIELDS, Config
 from .ingest import (UsageTable, _csv_lines, _read_keyed_table,
                      parse_job_feed, write_jobs_csv)
 from .ops import COUNTER_NAMES, N_COUNTERS
@@ -32,14 +35,19 @@ def store_dir(out_dir) -> Path:
     return Path(out_dir) / "store"
 
 
-def write_meta(out_dir, bin_width_s: int) -> None:
-    doc = {"bin_width_s": int(bin_width_s)}
+def write_config(out_dir, cfg: Config) -> None:
     (store_dir(out_dir) / META_NAME).write_text(
-        json.dumps(doc, sort_keys=True) + "\n")
+        json.dumps(asdict(cfg), sort_keys=True) + "\n")
 
 
-def read_meta(out_dir) -> dict:
-    return json.loads((store_dir(out_dir) / META_NAME).read_text())
+def read_config(out_dir) -> dict:
+    """{field: value} of the Config the last stage ran with."""
+    path = store_dir(out_dir) / META_NAME
+    stored = json.loads(path.read_text())
+    if not isinstance(stored, dict) or set(stored) != set(FIELDS):
+        raise ValueError(f"store {path}: does not hold the full config; "
+                         f"rerun the ingest stage")
+    return stored
 
 
 def _read_table(path, schema, registries, check=None):

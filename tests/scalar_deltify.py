@@ -3,21 +3,22 @@
 This is ``deltify_and_bin`` as the package shipped it before binning went
 through stream-aligned chunks: it sorts and gathers the whole counter
 matrix, deltifies every pair in one kernel call and aggregates duplicate
-(stream, bin) rows in one pass. It is kept verbatim. The chunked function
-must return the same ``UsageTable``, array for array, registries included,
-at every chunk budget.
+(stream, bin) rows in one pass. It is kept verbatim, except that it takes
+a ``CounterFeed`` only, as the package function now does. The chunked
+function must return the same ``UsageTable``, array for array, registries
+included, at every chunk budget.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from iorisk import _kernels
-from iorisk.ingest import (DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_BINS,
-                           CounterFeed, UsageTable, _empty_usage, _recode)
+from iorisk.config import Config
+from iorisk.ingest import CounterFeed, UsageTable, _empty_usage, _recode
 
 
-def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
-                    max_gap_bins: int | None = DEFAULT_MAX_GAP_BINS,
+def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
+                    *, max_gap_bins: int | None = Config.max_gap_bins,
                     pre_differenced: bool = False) -> UsageTable:
     """Convert cumulative snapshots to per-bin deltas.
 
@@ -35,8 +36,6 @@ def deltify_and_bin(samples, bin_width: int = DEFAULT_BIN_WIDTH_S, *,
     """
     if bin_width <= 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
-    feed = samples if isinstance(samples, CounterFeed) \
-        else CounterFeed.from_samples(samples)
     n_fs = len(feed.filesystems)
     if len(feed) == 0 or n_fs == 0:
         return _empty_usage(bin_width)

@@ -1,0 +1,134 @@
+"""One job-bin at a time: the per-record metric oracles.
+
+The package computes risk and quality for whole columnar tables
+(``compute_job_metrics``) and aggregates them per fs-bin
+(``compute_fs_metrics``). These helpers state the same rules for a single
+job-bin record and a list of such records, so the rule tests can be
+written one bin at a time. ``job_bin_risk`` runs the package's own
+``compute_job_metrics`` on a one-row table; ``fs_bin_aggregate`` is an
+independent per-point summation.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from iorisk.attribute import JobUsageTable
+from iorisk.metrics import (FS_SUBJECT, FsBaseline, RiskParams,
+                            _quality_arrays, compute_job_metrics)
+from iorisk.ops import OpClass, OpKind
+
+
+@dataclass(frozen=True, eq=False)
+class JobBinUsage:
+    """Per-job, per-fs counter deltas for one time bin."""
+
+    job_id: str
+    fs_id: str
+    bin_start: int
+    deltas: np.ndarray  # (21,), int64
+
+
+@dataclass(frozen=True, eq=False)
+class RiskPoint:
+    """Clamped risk contributions of one subject in one fs-bin."""
+
+    subject: str
+    fs_id: str
+    bin_start: int
+    risk_oss: float
+    risk_mds: float
+    per_op_risk: dict[OpKind, float] = field(repr=False)
+
+
+@dataclass(frozen=True)
+class QualityPoint:
+    """Read/write quality of one subject in one fs-bin."""
+
+    subject: str
+    fs_id: str
+    bin_start: int
+    read_kb_ops: float
+    write_kb_ops: float
+
+
+def op_risk(x: float, avg: float, alpha: float = RiskParams.alpha) -> float:
+    """Risk of one operation count against its scaled average, unclamped."""
+    if avg <= 0:
+        raise ValueError(f"op_risk needs avg > 0, got {avg}")
+    scaled = alpha * avg
+    return (x - scaled) / scaled
+
+
+def job_bin_risk(usage: JobBinUsage, baseline: FsBaseline,
+                 params: RiskParams = RiskParams()) -> RiskPoint:
+    """Risk contributions of a single job-bin against its fs baseline."""
+    if baseline.fs_id != usage.fs_id:
+        raise ValueError(f"baseline is for {baseline.fs_id!r}, "
+                         f"usage is for {usage.fs_id!r}")
+    table = JobUsageTable(np.zeros(1, np.int32), np.zeros(1, np.int32),
+                          np.asarray([usage.bin_start], np.int64),
+                          usage.deltas[None, :], (usage.job_id,),
+                          (usage.fs_id,), 360)
+    jm = compute_job_metrics(table, {usage.fs_id: baseline}, params)
+    return RiskPoint(subject=usage.job_id, fs_id=usage.fs_id,
+                     bin_start=usage.bin_start,
+                     risk_oss=float(jm.risk_oss[0]),
+                     risk_mds=float(jm.risk_mds[0]),
+                     per_op_risk={op: float(jm.contrib[0, op.column])
+                                  for op in OpKind})
+
+
+def job_bin_quality(usage: JobBinUsage) -> QualityPoint:
+    """Quality metrics for one job-bin (1.0 = 1 MiB mean transfer)."""
+    q_read, q_write = _quality_arrays(usage.deltas[None, :])
+    return QualityPoint(subject=usage.job_id, fs_id=usage.fs_id,
+                        bin_start=usage.bin_start,
+                        read_kb_ops=float(q_read[0]),
+                        write_kb_ops=float(q_write[0]))
+
+
+def fs_bin_aggregate(risk_points, quality_points
+                     ) -> tuple[RiskPoint, QualityPoint]:
+    """Aggregate one fs-bin's job points into the fs point.
+
+    All points must share fs_id and bin_start. Quality sums cover only
+    subjects whose risk_oss is greater than zero.
+    """
+    risk_points = list(risk_points)
+    quality_points = list(quality_points)
+    if not risk_points and not quality_points:
+        raise ValueError("nothing to aggregate")
+    ref = risk_points[0] if risk_points else quality_points[0]
+    for p in risk_points + quality_points:
+        if p.fs_id != ref.fs_id or p.bin_start != ref.bin_start:
+            raise ValueError(
+                f"point {p.subject!r} at ({p.fs_id}, {p.bin_start}) does "
+                f"not belong to fs-bin ({ref.fs_id}, {ref.bin_start})")
+
+    per_op = {op: 0.0 for op in OpKind}
+    for p in risk_points:
+        for op, v in p.per_op_risk.items():
+            per_op[op] += v
+    risk_oss = sum(p.per_op_risk[op] for p in risk_points
+                   for op in OpKind if op.op_class is OpClass.OSS)
+    risk_mds = sum(p.per_op_risk[op] for p in risk_points
+                   for op in OpKind if op.op_class is OpClass.MDS)
+
+    oss_of = {p.subject: p.risk_oss for p in risk_points}
+    q_read = 0.0
+    q_write = 0.0
+    for q in quality_points:
+        if oss_of.get(q.subject, 0.0) > 0:
+            q_read += q.read_kb_ops
+            q_write += q.write_kb_ops
+
+    fs_risk = RiskPoint(subject=FS_SUBJECT, fs_id=ref.fs_id,
+                        bin_start=ref.bin_start,
+                        risk_oss=float(risk_oss), risk_mds=float(risk_mds),
+                        per_op_risk=per_op)
+    fs_quality = QualityPoint(subject=FS_SUBJECT, fs_id=ref.fs_id,
+                              bin_start=ref.bin_start,
+                              read_kb_ops=q_read, write_kb_ops=q_write)
+    return fs_risk, fs_quality

@@ -22,8 +22,7 @@ from iorisk.config import Config
 from iorisk.ingest import (deltify_and_bin, read_counter_file,
                            read_job_file)
 from iorisk.metrics import (FsBaseline, RiskParams, compute_baselines,
-                            compute_fs_metrics, compute_job_metrics,
-                            job_bin_risk)
+                            compute_fs_metrics, compute_job_metrics)
 from iorisk.ops import COUNTER_NAMES, N_COUNTERS, OpKind
 from iorisk.report import (BREAKDOWN_LABELS, build_breakdown, build_heatmap,
                            correlate_series, node_bin_index,
@@ -31,7 +30,7 @@ from iorisk.report import (BREAKDOWN_LABELS, build_breakdown, build_heatmap,
 from iorisk.simgen import generate, preset_scenario
 
 from conftest import feed_from_rows, simple_job, values_row
-from iorisk.attribute import JobBinUsage
+from scalar_metrics import JobBinUsage, job_bin_risk
 
 
 def _report(n: int, desc: str, fn) -> None:

@@ -1,18 +1,29 @@
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
 from conftest import feed_from_rows, simple_job, values_row
-from iorisk.attribute import (AttributionConflictError, attribute_usage,
-                              fs_bin_totals, validate_exclusive_allocation)
-from iorisk.ingest import deltify_and_bin
+from iorisk.attribute import attribute_usage, fs_bin_totals
+from iorisk.ingest import (AttributionConflictError, deltify_and_bin,
+                           parse_job_feed, validate_exclusive_allocation,
+                           write_jobs_csv)
 from iorisk.ops import N_COUNTERS, OpKind
 
 
 def usage_from(rows, bin_width=360):
     return deltify_and_bin(feed_from_rows(rows), bin_width,
                            max_gap_bins=None)
+
+
+def job_rows(job_usage) -> dict[tuple[str, str, int], list[int]]:
+    """{(job, fs, bin): deltas} of a JobUsageTable."""
+    ju = job_usage
+    return {(ju.job_ids[j], ju.filesystems[f], b): d
+            for j, f, b, d in zip(ju.job_idx, ju.fs_idx,
+                                  ju.bin_start.tolist(), ju.deltas.tolist())}
 
 
 def test_full_bin_inside_job_interval_fully_attributed():
@@ -22,10 +33,9 @@ def test_full_bin_inside_job_interval_fully_attributed():
     job = simple_job("j1", "n1", start=360, end=1080)
     res = attribute_usage(usage, [job])
     assert len(res.job_usage) == 1
-    jb = res.job_usage[0]
-    assert jb.job_id == "j1"
-    assert jb.bin_start == 360
-    assert jb.delta(OpKind.READ_OPS) == 100
+    rows = job_rows(res.job_usage)
+    assert list(rows) == [("j1", "fs2", 360)]
+    assert rows["j1", "fs2", 360][OpKind.READ_OPS.column] == 100
     assert len(res.unattributed) == 0
 
 
@@ -38,7 +48,7 @@ def test_half_covered_bin_split_with_residue():
         [720, "n1", "fs2"] + values_row(read_ops=101)])
     job = simple_job("j1", "n1", start=180, end=540)
     res = attribute_usage(usage, [job])
-    assert res.job_usage[0].delta(OpKind.READ_OPS) == 50
+    assert res.job_usage.deltas[0, OpKind.READ_OPS.column] == 50
     assert int(res.unattributed.deltas[0, OpKind.READ_OPS.column]) == 51
 
 
@@ -58,11 +68,10 @@ def test_conflicting_jobs_rejected_with_both_ids():
     with pytest.raises(AttributionConflictError) as exc:
         validate_exclusive_allocation(jobs)
     assert set(exc.value.job_ids) == {"j1", "j2"}
-    usage = usage_from([
-        [360, "n1", "fs2"] + values_row(read_ops=0),
-        [720, "n1", "fs2"] + values_row(read_ops=10)])
+    buf = io.StringIO()
+    write_jobs_csv(jobs, buf)
     with pytest.raises(AttributionConflictError):
-        attribute_usage(usage, jobs)
+        parse_job_feed(io.StringIO(buf.getvalue()))
 
 
 def test_back_to_back_jobs_do_not_conflict():
@@ -79,7 +88,8 @@ def test_sequential_jobs_split_one_bin():
     jobs = [simple_job("j1", "n1", 0, 540),
             simple_job("j2", "n1", 540, 1440)]
     res = attribute_usage(usage, jobs)
-    got = {jb.job_id: jb.delta(OpKind.GETATTR) for jb in res.job_usage}
+    got = {job: d[OpKind.GETATTR.column]
+           for (job, _, _), d in job_rows(res.job_usage).items()}
     assert got == {"j1": 50, "j2": 50}
     assert len(res.unattributed) == 0
 
@@ -90,13 +100,16 @@ def _brute_force_attribution(usage, jobs, w):
     claimant."""
     attributed = {}
     unattributed = {}
-    for u in usage:
+    for node_i, fs_i, bin_start, deltas in zip(
+            usage.node_idx, usage.fs_idx, usage.bin_start.tolist(),
+            usage.deltas.tolist()):
+        node_id, fs_id = usage.nodes[node_i], usage.filesystems[fs_i]
         claimants = []
         for job in jobs:
-            if u.node_id not in job.nodes:
+            if node_id not in job.nodes:
                 continue
-            ov = min(job.end_ts, u.bin_start + w) - max(job.start_ts,
-                                                        u.bin_start)
+            ov = min(job.end_ts, bin_start + w) - max(job.start_ts,
+                                                      bin_start)
             if ov > 0:
                 claimants.append((job.start_ts, job.job_id, ov))
         claimants.sort()
@@ -105,7 +118,7 @@ def _brute_force_attribution(usage, jobs, w):
         if covered < w:
             parts.append((None, w - covered))
         for c in range(N_COUNTERS):
-            d = int(u.deltas[c])
+            d = deltas[c]
             shares = [round(d * ov / w) for _, ov in parts]
             shares[-1] += d - sum(shares)
             i = len(shares) - 1
@@ -115,10 +128,10 @@ def _brute_force_attribution(usage, jobs, w):
                 i -= 1
             for (job_id, _), s in zip(parts, shares):
                 if job_id is None:
-                    key = (u.fs_id, u.bin_start)
+                    key = (fs_id, bin_start)
                     unattributed.setdefault(key, [0] * N_COUNTERS)[c] += s
                 else:
-                    key = (job_id, u.fs_id, u.bin_start)
+                    key = (job_id, fs_id, bin_start)
                     attributed.setdefault(key, [0] * N_COUNTERS)[c] += s
     return attributed, unattributed
 
@@ -174,10 +187,7 @@ def test_randomized_conservation_and_oracle_equality(rng):
 
         # oracle equality
         want_attr, want_un = _brute_force_attribution(usage, jobs, w)
-        got_attr = {}
-        for jb in res.job_usage:
-            got_attr[(jb.job_id, jb.fs_id, jb.bin_start)] = \
-                jb.deltas.tolist()
+        got_attr = job_rows(res.job_usage)
         want_attr = {k: v for k, v in want_attr.items() if any(v)}
         got_attr = {k: v for k, v in got_attr.items() if any(v)}
         assert got_attr == want_attr
@@ -203,16 +213,12 @@ def test_deterministic_under_input_shuffle(rng):
     jobs = [simple_job("j1", "a", 0, 1200),
             simple_job("j2", "b", 360, 2000),
             simple_job("j3", "c", 100, 900)]
-    def keyed(res):
-        return {(jb.job_id, jb.fs_id, jb.bin_start): jb.deltas.tolist()
-                for jb in res.job_usage}
-
     base = attribute_usage(usage_from(rows), jobs)
     for trial in range(3):
         shuffled = list(rows)
         rng.shuffle(shuffled)
         res = attribute_usage(usage_from(shuffled), list(reversed(jobs)))
-        assert keyed(res) == keyed(base)
+        assert job_rows(res.job_usage) == job_rows(base.job_usage)
 
 
 def test_fs_bin_totals_sums_nodes():

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import argparse
+import csv
 import filecmp
 import json
 from pathlib import Path
 
 import pytest
 
-from iorisk.cli import run
+from iorisk.cli import build_parser, run
+from iorisk.config import FIELDS, load_config_file
 from iorisk.simgen import generate, preset_scenario
 
 ARTIFACTS = ("risk_timeseries.csv", "unattributed.csv", "job_summary.csv",
@@ -47,10 +50,13 @@ def test_missing_inputs_exit_nonzero(tmp_path, capsys):
     assert "missing input" in capsys.readouterr().err
 
 
-def test_bad_config_value_exits_nonzero(demo_feeds, tmp_path, capsys):
-    rc = _run_all(demo_feeds, tmp_path / "out", ("--alpha", "-1"))
+@pytest.mark.parametrize("flag", [("--alpha", "-1"), ("--alpha", "inf"),
+                                  ("--baseline-days", "inf")])
+def test_bad_config_value_exits_nonzero(demo_feeds, tmp_path, capsys, flag):
+    rc = _run_all(demo_feeds, tmp_path / "out", flag)
     assert rc == 1
-    assert "alpha" in capsys.readouterr().err
+    assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_all_produces_artifact_set(demo_feeds, tmp_path):
@@ -422,3 +428,134 @@ def test_keys_with_a_lone_carriage_return_survive_the_store(tmp_path):
     assert b'\n"j\r1","fs\r3",' in (store / "job_usage.csv").read_bytes()
     assert (b'\n"j\r1",p,"cmd\r","a\rb;n1",'
             in (store / "jobs.csv").read_bytes())
+    # every CSV, report artifacts included, reads back row by row
+    for path in sorted(oneshot.rglob("*.csv")):
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        short = [r for r in rows if len(r) != len(header)]
+        assert not short, (path.relative_to(oneshot), short[:3])
+
+
+# --- the stored config -------------------------------------------------------
+
+def _staged(feeds, out, ingest=(), analyze=(), report=()) -> list[int]:
+    return [run(["ingest", "--counters", str(feeds / "counters.csv"),
+                 "--jobs", str(feeds / "jobs.csv"), "--out", str(out),
+                 *ingest]),
+            run(["analyze", "--out", str(out), *analyze]),
+            run(["report", "--out", str(out), *report])]
+
+
+def test_staged_run_inherits_alpha_given_at_analyze(demo_feeds, tmp_path):
+    staged = tmp_path / "staged"
+    assert _staged(demo_feeds, staged, analyze=("--alpha", "3")) == [0] * 3
+    oneshot = tmp_path / "oneshot"
+    assert _run_all(demo_feeds, oneshot, ("--alpha", "3")) == 0
+    assert _tree_bytes(staged) == _tree_bytes(oneshot)
+    stored = json.loads((staged / "store" / "meta.json").read_text())
+    assert stored["alpha"] == 3.0
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_changing_an_ingest_parameter_later_exits_before_writing(
+        demo_feeds, tmp_path, capsys, source):
+    out = tmp_path / "out"
+    assert run(["ingest", "--counters", str(demo_feeds / "counters.csv"),
+                "--jobs", str(demo_feeds / "jobs.csv"), "--out", str(out),
+                "--bin-width", "600"]) == 0
+    before = _tree_bytes(out)
+    conf = tmp_path / "iorisk.conf"
+    conf.write_text("bin_width_s = 360\n")
+    given = (("--bin-width", "360") if source == "flag"
+             else ("--config", str(conf)))
+    capsys.readouterr()
+    assert run(["analyze", "--out", str(out), *given]) == 1
+    err = capsys.readouterr().err
+    assert "bin_width_s" in err and "360" in err and "600" in err
+    assert _tree_bytes(out) == before
+    # the stored value itself is no conflict
+    assert run(["analyze", "--out", str(out), "--bin-width", "600"]) == 0
+
+
+def test_report_rejects_an_analyze_parameter_that_differs(demo_feeds,
+                                                           tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, ("--alpha", "3")) == 0
+    before = _tree_bytes(out)
+    assert run(["report", "--out", str(out), "--alpha", "2"]) == 1
+    assert "alpha" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("meta", ['{"bin_width_s": 360}\n', "[]\n"])
+def test_store_without_the_full_config_exits(demo_feeds, tmp_path, capsys,
+                                             meta):
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out) == 0
+    (out / "store" / "meta.json").write_text(meta)
+    before = _tree_bytes(out)
+    for stage in ("analyze", "report"):
+        assert run([stage, "--out", str(out)]) == 1
+        assert "rerun the ingest stage" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+
+
+@pytest.fixture(scope="module")
+def metric_feeds(tmp_path_factory):
+    """The metric preset with cores_per_node left empty in jobs.csv, so
+    that --cores-per-node reaches the job summaries."""
+    feeds = tmp_path_factory.mktemp("metric")
+    generate(preset_scenario("metric"), feeds)
+    jobs = feeds / "jobs.csv"
+    header, *rows = jobs.read_text().splitlines(True)
+    jobs.write_text("".join([header] + [r.rsplit(",", 1)[0] + ",\n"
+                                        for r in rows]))
+    return feeds
+
+
+# A value other than the default for every Config field
+NON_DEFAULT = {
+    "bin_width_s": "720", "max_gap_bins": "1", "pre_differenced": None,
+    "cores_per_node": "32", "alpha": "3", "beta": "0.5",
+    "md_small_avg_threshold": "40", "baseline_days": "0.2",
+    "quality_agg": "mean", "slowdown_factor": "1.05", "min_group": "2",
+    "scatter_min_risk": "1", "top_k": "1", "day_offset_s": "3600",
+}
+
+
+@pytest.fixture(scope="module")
+def metric_default(metric_feeds, tmp_path_factory):
+    out = tmp_path_factory.mktemp("default")
+    assert _run_all(metric_feeds, out) == 0
+    return _tree_bytes(out)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_staged_equals_all_for_each_parameter_at_its_stage(
+        metric_feeds, metric_default, tmp_path, name):
+    meta = FIELDS[name].metadata
+    flag = (meta["flag"],) + ((NON_DEFAULT[name],)
+                              if NON_DEFAULT[name] is not None else ())
+    staged = tmp_path / "staged"
+    assert _staged(metric_feeds, staged, **{meta["stage"]: flag}) == [0] * 3
+    oneshot = tmp_path / "oneshot"
+    assert _run_all(metric_feeds, oneshot, flag) == 0
+    assert _tree_bytes(staged) == _tree_bytes(oneshot)
+    assert _tree_bytes(oneshot) != metric_default
+
+
+def test_flags_config_keys_and_fields_are_one_set(tmp_path):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for stage in ("ingest", "analyze", "report", "all"):
+        actions = subparsers.choices[stage]._actions
+        dests = {a.dest: a.option_strings for a in actions}
+        config_dests = {d for d in dests if d in FIELDS}
+        assert config_dests == set(FIELDS), stage
+        for name, f in FIELDS.items():
+            assert dests[name] == [f.metadata["flag"]]
+    conf = tmp_path / "all.conf"
+    conf.write_text("".join(f"{name} = {NON_DEFAULT[name] or 'yes'}\n"
+                            for name in FIELDS))
+    assert set(load_config_file(conf)) == set(FIELDS)

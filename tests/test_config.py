@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
-from iorisk.config import CONFIG_ENV_VAR, Config, load_config_file, \
-    resolve_config
+from iorisk.config import (CONFIG_ENV_VAR, FIELDS, Config, load_config_file,
+                           resolve_config)
 
 
 def test_shipped_defaults_match_analysis_constants():
@@ -79,3 +82,66 @@ def test_env_var_points_to_config(tmp_path, monkeypatch):
     other = tmp_path / "other.conf"
     other.write_text("top_k = 2\n")
     assert resolve_config(other, {}).top_k == 2
+
+
+def test_stored_config_sits_between_defaults_and_file(tmp_path):
+    stored = asdict(Config(alpha=3.0, beta=0.5, top_k=7))
+    path = tmp_path / "iorisk.conf"
+    path.write_text("beta = 0.75\n")
+    cfg = resolve_config(path, {"top_k": 9}, stored, "analyze")
+    assert (cfg.alpha, cfg.beta, cfg.top_k) == (3.0, 0.75, 9)
+    assert cfg.bin_width_s == 360
+
+
+@pytest.mark.parametrize("stage, name, value", [
+    ("analyze", "bin_width_s", 600), ("analyze", "pre_differenced", True),
+    ("report", "max_gap_bins", 5), ("report", "alpha", 3.0),
+    ("report", "quality_agg", "mean")])
+def test_parameter_of_an_earlier_stage_may_not_change(stage, name, value):
+    stored = asdict(Config())
+    with pytest.raises(ValueError, match=f"{name} = {value!r} conflicts "
+                                         f"with {stored[name]!r}"):
+        resolve_config(None, {name: value}, stored, stage)
+    # the same value as stored, or a parameter of this or a later stage,
+    # is no conflict
+    resolve_config(None, {name: stored[name]}, stored, stage)
+    assert getattr(resolve_config(None, {name: value}, stored,
+                                  FIELDS[name].metadata["stage"]),
+                   name) == value
+
+
+def test_validation_checks_each_field_kind():
+    for name, bad in (("min_group", 2.5), ("pre_differenced", 1),
+                      ("alpha", "2"), ("top_k", True),
+                      ("quality_agg", 1), ("alpha", float("inf")),
+                      ("baseline_days", float("inf")),
+                      ("md_small_avg_threshold", float("nan"))):
+        with pytest.raises(ValueError, match=f"{name} must be of kind"):
+            Config(**{name: bad}).validate()
+    Config(alpha=3).validate()  # an int is a float here
+
+
+def test_library_guards_state_the_schema_rule():
+    from iorisk.analytics import detect_slowdown
+    from iorisk.metrics import RiskParams
+    with pytest.raises(ValueError, match=r"risk params: alpha must be > 0"):
+        RiskParams(alpha=0.0)
+    with pytest.raises(ValueError, match=r"config: alpha must be > 0"):
+        Config(alpha=0.0).validate()
+    with pytest.raises(ValueError, match=r"slowdown_factor must be > 1"):
+        detect_slowdown([], factor=1.0)
+    with pytest.raises(ValueError, match=r"min_group must be >= 2"):
+        detect_slowdown([], min_group=1)
+    with pytest.raises(ValueError, match=r"quality_agg must be one of"):
+        Config(quality_agg="median").validate()
+
+
+def test_readme_table_lists_every_field_with_its_flag_and_stage():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text().splitlines():
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        if len(cells) == 5 and cells[1] in FIELDS:
+            rows[cells[1]] = (cells[0], cells[2])
+    assert rows == {name: (f.metadata["flag"], f.metadata["stage"])
+                    for name, f in FIELDS.items()}

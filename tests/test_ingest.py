@@ -13,16 +13,26 @@ from iorisk.ingest import (COUNTER_HEADER, CounterFeed, FeedFormatError,
 from iorisk.ops import OpKind
 
 
+def assert_same_feed(a: CounterFeed, b: CounterFeed) -> None:
+    assert (a.nodes, a.filesystems) == (b.nodes, b.filesystems)
+    for name in ("ts", "node_idx", "fs_idx", "values"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def by_bin(usage, op: OpKind) -> dict[int, int]:
+    return dict(zip(usage.bin_start.tolist(),
+                    usage.deltas[:, op.column].tolist()))
+
+
 def test_parse_single_valid_row():
     feed = feed_from_rows([[500, "n1", "fs2"] + list(range(21))])
     assert len(feed) == 1
-    s = feed[0]
-    assert s.timestamp == 500
-    assert s.node_id == "n1"
-    assert s.fs_id == "fs2"
-    assert s.value(OpKind.READ_KB) == 0
-    assert s.value(OpKind.CDR) == 20
-    assert len(s.values_dict()) == 21
+    assert feed.ts[0] == 500
+    assert feed.nodes[feed.node_idx[0]] == "n1"
+    assert feed.filesystems[feed.fs_idx[0]] == "fs2"
+    assert feed.values[0, OpKind.READ_KB.column] == 0
+    assert feed.values[0, OpKind.CDR.column] == 20
+    assert feed.values.shape == (1, 21)
 
 
 def test_negative_counter_rejected_with_line_and_field():
@@ -61,7 +71,7 @@ def test_error_line_numbers_survive_chunked_parsing():
     assert exc.value.feed_field == "read_kb"
     feed = feed_from_rows(rows[:-1])
     assert len(feed) == n - 1
-    assert feed[_PARSE_CHUNK].timestamp == _PARSE_CHUNK + 1
+    assert feed.ts[_PARSE_CHUNK] == _PARSE_CHUNK + 1
 
 
 def test_missing_and_extra_columns_are_schema_errors():
@@ -89,9 +99,7 @@ def test_round_trip_parse_serialize_parse_identical():
     feed = feed_from_rows(rows)
     text = feed_to_csv_text(feed)
     again = parse_counter_feed(io.StringIO(text))
-    assert len(again) == len(feed)
-    for a, b in zip(feed, again):
-        assert a == b
+    assert_same_feed(again, feed)
     assert feed_to_csv_text(again) == text
 
 
@@ -103,17 +111,7 @@ def test_round_trip_keeps_keys_with_a_lone_carriage_return():
     text = feed_to_csv_text(feed)
     assert '\n360,"a\rb","fs\r2",0,' in text
     again = parse_counter_feed(io.StringIO(text, newline=""))
-    assert list(again) == list(feed)
-
-
-def test_counter_sample_validation():
-    from iorisk.ingest import CounterSample
-    with pytest.raises(ValueError):
-        CounterSample(0, "n1", "fs2", np.zeros(21, dtype=np.int64))
-    with pytest.raises(ValueError):
-        CounterSample(5, "n1", "fs2", np.zeros(20, dtype=np.int64))
-    with pytest.raises(ValueError):
-        CounterSample(5, "n1", "fs2", np.full(21, -1, dtype=np.int64))
+    assert_same_feed(again, feed)
 
 
 # --- job feed -------------------------------------------------------------
@@ -176,9 +174,8 @@ def test_delta_within_one_bin():
         [300, "n1", "fs2"] + values_row(read_ops=1500)])
     usage = deltify_and_bin(feed, 360)
     assert len(usage) == 1
-    assert usage[0].bin_start == 0
-    assert usage[0].delta(OpKind.READ_OPS) == 500
-    assert sum(usage[0].deltas) == 500
+    assert by_bin(usage, OpKind.READ_OPS) == {0: 500}
+    assert usage.deltas[0].sum() == 500
 
 
 def test_counter_reset_yields_new_value_as_delta():
@@ -187,7 +184,7 @@ def test_counter_reset_yields_new_value_as_delta():
         [300, "n1", "fs2"] + values_row(read_ops=100)])
     usage = deltify_and_bin(feed, 360)
     assert len(usage) == 1
-    assert usage[0].delta(OpKind.READ_OPS) == 100
+    assert usage.deltas[0, OpKind.READ_OPS.column] == 100
 
 
 def test_spanning_delta_apportioned_proportionally():
@@ -196,8 +193,7 @@ def test_spanning_delta_apportioned_proportionally():
         [100, "n1", "fs2"] + values_row(write_ops=0),
         [500, "n1", "fs2"] + values_row(write_ops=400)])
     usage = deltify_and_bin(feed, 360)
-    got = {u.bin_start: u.delta(OpKind.WRITE_OPS) for u in usage}
-    assert got == {0: 260, 360: 140}
+    assert by_bin(usage, OpKind.WRITE_OPS) == {0: 260, 360: 140}
 
 
 def test_boundary_snapshot_closes_earlier_bin():
@@ -207,8 +203,7 @@ def test_boundary_snapshot_closes_earlier_bin():
         [720, "n1", "fs2"] + values_row(read_ops=50)])
     usage = deltify_and_bin(feed, 360)
     assert len(usage) == 1
-    assert usage[0].bin_start == 360
-    assert usage[0].delta(OpKind.READ_OPS) == 50
+    assert by_bin(usage, OpKind.READ_OPS) == {360: 50}
 
 
 def test_long_gap_drops_interval():
@@ -218,7 +213,7 @@ def test_long_gap_drops_interval():
     usage = deltify_and_bin(feed, 360, max_gap_bins=3)
     assert len(usage) == 0
     usage = deltify_and_bin(feed, 360, max_gap_bins=4)
-    assert sum(u.delta(OpKind.READ_OPS) for u in usage) == 999
+    assert usage.deltas[:, OpKind.READ_OPS.column].sum() == 999
 
 
 def test_unsorted_interleaved_input_is_sorted_internally():
@@ -229,8 +224,9 @@ def test_unsorted_interleaved_input_is_sorted_internally():
         [400, "n2", "fs2"] + values_row(read_ops=30),
     ]
     usage = deltify_and_bin(feed_from_rows(rows), 360)
-    got = {(u.node_id, u.bin_start): u.delta(OpKind.READ_OPS)
-           for u in usage}
+    got = {(usage.nodes[n], b): d for n, b, d in zip(
+        usage.node_idx, usage.bin_start.tolist(),
+        usage.deltas[:, OpKind.READ_OPS.column].tolist())}
     assert got == {("n1", 360): 30, ("n2", 360): 40}
 
 
@@ -248,10 +244,7 @@ def test_conservation_on_random_monotone_walk(rng):
         usage = deltify_and_bin(feed_from_rows(
             [[1, "n1", "fs2"] + first.tolist()] + rows), 360,
             max_gap_bins=None)
-        total = np.zeros(21, dtype=np.int64)
-        for u in usage:
-            total += u.deltas
-        np.testing.assert_array_equal(total, cum - first)
+        np.testing.assert_array_equal(usage.deltas.sum(axis=0), cum - first)
 
 
 def test_apportioned_shares_never_negative(rng):
@@ -264,7 +257,7 @@ def test_apportioned_shares_never_negative(rng):
             [t0, "n1", "fs2"] + values_row(mkdir=0),
             [t1, "n1", "fs2"] + values_row(mkdir=delta)])
         usage = deltify_and_bin(feed, 360, max_gap_bins=None)
-        shares = [u.delta(OpKind.MKDIR) for u in usage]
+        shares = usage.deltas[:, OpKind.MKDIR.column].tolist()
         assert all(s >= 0 for s in shares)
         assert sum(shares) == delta
 
@@ -275,8 +268,7 @@ def test_duplicate_timestamp_pair_assigned_to_closing_bin():
         [400, "n1", "fs2"] + values_row(read_ops=130)])
     usage = deltify_and_bin(feed, 360)
     assert len(usage) == 1
-    assert usage[0].bin_start == 360
-    assert usage[0].delta(OpKind.READ_OPS) == 30
+    assert by_bin(usage, OpKind.READ_OPS) == {360: 30}
 
 
 def test_pre_differenced_passthrough():
@@ -284,19 +276,12 @@ def test_pre_differenced_passthrough():
         [300, "n1", "fs2"] + values_row(read_ops=100),
         [660, "n1", "fs2"] + values_row(read_ops=40)])
     usage = deltify_and_bin(feed, 360, pre_differenced=True)
-    got = {u.bin_start: u.delta(OpKind.READ_OPS) for u in usage}
-    assert got == {0: 100, 360: 40}
+    assert by_bin(usage, OpKind.READ_OPS) == {0: 100, 360: 40}
 
 
 def test_bin_width_must_be_positive():
     with pytest.raises(ValueError):
-        deltify_and_bin(CounterFeed.from_samples([]), 0)
-
-
-def test_from_samples_round_trip():
-    feed = feed_from_rows([[500, "n1", "fs2"] + list(range(21))])
-    again = CounterFeed.from_samples(list(feed))
-    assert list(again) == list(feed)
+        deltify_and_bin(feed_from_rows([]), 0)
 
 
 def test_blank_line_is_a_field_count_error(tmp_path):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import feed_from_rows, simple_job, values_row
-from iorisk.attribute import (JobBinUsage, attribute_usage, fs_bin_totals)
+from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.ingest import deltify_and_bin
 from iorisk.metrics import (FS_SUBJECT, FsBaseline,
                             RiskParams, compute_baseline,
                             compute_baselines, compute_fs_metrics,
-                            compute_job_metrics, fs_bin_aggregate,
-                            job_bin_quality, job_bin_risk, op_risk)
+                            compute_job_metrics)
+from scalar_metrics import (JobBinUsage, fs_bin_aggregate, job_bin_quality,
+                            job_bin_risk, op_risk)
 from iorisk.ops import (COUNTER_NAMES, MDS_COUNTERS, N_COUNTERS,
                         OSS_COUNTERS, OpKind)
 
