@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import simgen, store
+from . import store
 from .analytics import (build_scatter, detect_slowdown, group_applications,
                         summarize_jobs)
 from .attribute import attribute_usage, fs_bin_totals
@@ -43,6 +43,8 @@ def _config_from_args(args, stage: str) -> Config:
 
 
 def cmd_simulate(args) -> int:
+    from . import simgen  # here: the other commands skip its import time
+
     if args.scenario:
         spec = simgen.spec_from_json(args.scenario)
         if args.seed is not None:

@@ -9,9 +9,11 @@ for exclusive node allocation where it is parsed.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,10 @@ _PARSE_CHUNK = 16384
 # ASCII characters numpy's C integer parser skips as space and int() rejects
 _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 _INT64 = np.iinfo(np.int64)
+# ints in [0, _SMALL_INT) are written from a text table per separator
+_SMALL_INT = 4096
+_SMALL_INT_TEXTS = {sep: np.array([f"{sep}{i}" for i in range(_SMALL_INT)],
+                                  dtype=object) for sep in ",\n"}
 
 
 def _codes(keys, registry) -> np.ndarray:
@@ -238,31 +244,103 @@ def parse_counter_feed(stream) -> CounterFeed:
                        cols["counters"], tuple(nodes), tuple(filesystems))
 
 
-def _csv_lines(rows):
-    r"""Each row as a line that csv.writer(lineterminator="\n") writes,
-    except that a field holding a lone "\r" is quoted too: csv.reader ends
-    a record at an unquoted "\r", so the row would not read back."""
-    buf = io.StringIO()
-    # "\r\n" as terminator makes csv.writer quote fields holding "\r" or "\n"
-    writer = csv.writer(buf, lineterminator="\r\n")
-    for row in rows:
-        writer.writerow(row)
-        yield buf.getvalue()[:-2] + "\n"
-        buf.seek(0)
-        buf.truncate()
+def _quoted(texts, alone: bool) -> list[str]:
+    r"""Each text as a field csv.writer writes it, QUOTE_MINIMAL with a
+    "\r\n" terminator, so a lone "\r" is quoted too: csv.reader ends a
+    record at an unquoted "\r". A field alone in its row is quoted when
+    empty."""
+    lines: list[str] = []  # csv.writer writes each row with one call
+    writer = csv.writer(types.SimpleNamespace(write=lines.append),
+                        lineterminator="\r\n")
+    writer.writerows(((text,) if alone else (text, "")) for text in texts)
+    cut = 2 if alone else 3  # the terminator, and the empty field's ","
+    return [line[:-cut] for line in lines]
 
 
-def write_counter_csv(feed: CounterFeed, stream) -> None:
+def _int_texts(values, sep: str) -> np.ndarray:
+    table = values.clip(0, _SMALL_INT - 1)
+    texts = _SMALL_INT_TEXTS[sep][table]
+    big = table != values
+    if big.any():
+        texts[big] = [f"{sep}{v}" for v in values[big].tolist()]
+    return texts
+
+
+def _block_texts(block, sep: str, alone: bool):
+    """(lo, hi) -> the (hi - lo, width) texts of the block's rows lo:hi,
+    each led by sep."""
+    if isinstance(block, tuple):
+        codes, names = block
+        table = np.array([sep + q for q in _quoted(names, alone)],
+                         dtype=object)
+        return lambda lo, hi: table[codes[lo:hi, None]]
+    if block.dtype.kind in "iu":
+        return lambda lo, hi: _int_texts(block[lo:hi], sep)
+    if block.dtype.kind == "f":
+        return lambda lo, hi: np.array(
+            [f"{sep}{v!r}" for v in block[lo:hi].ravel().tolist()],
+            dtype=object).reshape(hi - lo, block.shape[1])
+    raise TypeError(f"no CSV text for a {block.dtype} column")
+
+
+def key_column(texts) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A key column for write_csv: codes into the distinct texts."""
+    registry: dict[str, int] = {}
+    codes = _codes(texts, registry)
+    return codes, tuple(registry)
+
+
+def repeated_ints(values) -> tuple[np.ndarray, list[str]]:
+    """A key column for write_csv from an int column that repeats a few
+    values, such as bin starts: each distinct value is formatted once."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return codes, [str(v) for v in distinct.tolist()]
+
+
+def write_csv(out, header, columns) -> None:
+    """Write a CSV table to a path or a stream, whole columns at a time.
+
+    A column is an int array, a float array (a 2-D array is one column
+    per array column) or a key column (codes, names): int codes into a
+    sequence of texts. The header and the key texts are quoted as
+    _quoted says, each distinct text once; ints are written as str
+    writes them, floats as repr does. Rows go out _PARSE_CHUNK at a time,
+    each chunk as one joined string.
+    """
+    blocks = []  # key columns and 2-D arrays, in column order
+    for column in columns:
+        if isinstance(column, tuple):
+            blocks.append(column)
+        else:
+            block = column if column.ndim == 2 else column[:, None]
+            # the first column of a row takes another separator
+            blocks += [block] if blocks else [block[:, :1], block[:, 1:]]
+    widths = [1 if isinstance(b, tuple) else b.shape[1] for b in blocks]
+    lengths = {len(b[0] if isinstance(b, tuple) else b) for b in blocks}
+    if len(lengths) != 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    n, alone = lengths.pop(), len(header) == 1
+    # each row is "\n" + its first field, then "," + each later field
+    texts = [_block_texts(b, "," if i else "\n", alone)
+             for i, b in enumerate(blocks)]
+    stops = np.cumsum(widths).tolist()
+    with (contextlib.nullcontext(out) if hasattr(out, "write")
+          else open(out, "w", newline="")) as f:
+        f.write(",".join(_quoted(header, alone)))
+        for lo in range(0, n, _PARSE_CHUNK):
+            hi = min(lo + _PARSE_CHUNK, n)
+            cells = np.empty((hi - lo, len(header)), dtype=object)
+            for block_texts, width, stop in zip(texts, widths, stops):
+                cells[:, stop - width:stop] = block_texts(lo, hi)
+            f.write("".join(cells.ravel().tolist()))
+        f.write("\n")
+
+
+def write_counter_csv(feed: CounterFeed, out) -> None:
     """Serialize a CounterFeed back to counters.csv format (row order kept)."""
-    nodes = feed.nodes
-    filesystems = feed.filesystems
-    ts = feed.ts
-    ni = feed.node_idx
-    fi = feed.fs_idx
-    vals = feed.values
-    rows = ([int(ts[i]), nodes[ni[i]], filesystems[fi[i]],
-             *[int(v) for v in vals[i]]] for i in range(len(feed)))
-    stream.writelines(_csv_lines(itertools.chain([COUNTER_HEADER], rows)))
+    write_csv(out, COUNTER_HEADER,
+              [repeated_ints(feed.ts), (feed.node_idx, feed.nodes),
+               (feed.fs_idx, feed.filesystems), feed.values])
 
 
 @dataclass(frozen=True)
@@ -363,11 +441,15 @@ def validate_exclusive_allocation(jobs) -> None:
                 raise AttributionConflictError(node, id0, id1)
 
 
-def write_jobs_csv(jobs, stream) -> None:
+def write_jobs_csv(jobs, out) -> None:
     """Serialize JobRecords to jobs.csv format (nodes sorted, ';'-joined)."""
-    rows = ([j.job_id, j.project, j.command, ";".join(sorted(j.nodes)),
-             j.start_ts, j.end_ts, j.cores_per_node] for j in jobs)
-    stream.writelines(_csv_lines(itertools.chain([JOB_HEADER], rows)))
+    write_csv(out, JOB_HEADER,
+              [key_column([j.job_id for j in jobs]),
+               key_column([j.project for j in jobs]),
+               key_column([j.command for j in jobs]),
+               key_column([";".join(sorted(j.nodes)) for j in jobs]),
+               *(np.array([getattr(j, name) for j in jobs], dtype=np.int64)
+                 for name in JOB_HEADER[4:])])
 
 
 @dataclass

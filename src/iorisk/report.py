@@ -8,7 +8,6 @@ repr-formatted floats; SVG output is a dependency-free convenience.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -18,7 +17,7 @@ import numpy as np
 
 from .attribute import FsUsageTable
 from .config import Config
-from .ingest import _csv_lines
+from .ingest import key_column, repeated_ints, write_csv
 from .metrics import FS_SUBJECT, FsMetrics, JobMetrics
 from .ops import COUNTER_NAMES
 
@@ -29,16 +28,6 @@ BREAKDOWN_LABELS = ("(0,4)", "[4,32)", "[32,256)", "[256,2048)",
                     "[2048,inf)")
 
 SECONDS_PER_DAY = 86400
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path, header, rows) -> None:
-    """Write header and rows as _csv_lines formats them."""
-    with open(path, "w", newline="") as f:
-        f.writelines(_csv_lines(itertools.chain([header], rows)))
 
 
 def _pow2(k: int) -> str:
@@ -199,107 +188,103 @@ def emit_timeseries(fs_metrics: FsMetrics, job_metrics: JobMetrics,
     out_dir = Path(out_dir)
     jm = job_metrics
     fm = fs_metrics
+    id_rank = _id_rank(jm.job_ids)
     written = []
     for fs_i, fs_id in enumerate(fm.filesystems):
         fs_rows = np.flatnonzero(fm.fs_idx == fs_i)
         if fs_rows.size == 0:
             continue
-        fs_bins = fm.bin_start[fs_rows]
-        day_of = lambda b: ((b - day_offset) // SECONDS_PER_DAY) \
-            * SECONDS_PER_DAY + day_offset
-        first_day = day_of(int(fs_bins.min()))
-        last_day = day_of(int(fs_bins.max()))
         fs_dir = out_dir / "timeseries" / fs_id
         fs_dir.mkdir(parents=True, exist_ok=True)
-        job_rows_fs = np.flatnonzero(jm.fs_idx == fs_i) if len(jm) else \
-            np.empty(0, dtype=np.int64)
-        for day in range(first_day, last_day + SECONDS_PER_DAY,
-                         SECONDS_PER_DAY):
+        job_rows = np.flatnonzero(jm.fs_idx == fs_i)
+        fs_day = (fm.bin_start[fs_rows] - day_offset) // SECONDS_PER_DAY
+        job_day = (jm.bin_start[job_rows] - day_offset) // SECONDS_PER_DAY
+        for d in range(int(fs_day.min()), int(fs_day.max()) + 1):
+            day = d * SECONDS_PER_DAY + day_offset
             path = fs_dir / f"{_day_label(day)}.csv"
-            day_sel = fs_rows[(fs_bins >= day)
-                              & (fs_bins < day + SECONDS_PER_DAY)]
-            jr = job_rows_fs[(jm.bin_start[job_rows_fs] >= day)
-                             & (jm.bin_start[job_rows_fs]
-                                < day + SECONDS_PER_DAY)] \
-                if job_rows_fs.size else job_rows_fs
-            ranked = _rank_jobs(jm, jr, top_k)
-            _write_csv(path, ["bin_start", "subject", "risk_oss",
-                              "risk_mds"],
-                       _day_series_rows(fm, day_sel, jm, jr, ranked))
+            day_sel, jr = fs_rows[fs_day == d], job_rows[job_day == d]
+            ranked = _top_jobs(jm, jr, top_k, id_rank)
+            bins, oss, mds = _day_tables(fm, day_sel, jm, jr, ranked)
+            names = [jm.job_ids[j] for j in ranked]
+            write_csv(path, ("bin_start", "subject", "risk_oss", "risk_mds"),
+                      [repeated_ints(np.repeat(bins, len(names) + 2)),
+                       (np.tile(np.arange(len(names) + 2), len(bins)),
+                        (FS_SUBJECT, *names, "__other__")),
+                       oss.ravel(), mds.ravel()])
             written.append(path)
             if svg and day_sel.size:
                 svg_path = fs_dir / f"{_day_label(day)}.svg"
                 render_timeseries_svg(svg_path, fs_id, _day_label(day),
-                                      fm, day_sel, jm, jr, ranked)
+                                      bins.tolist(),
+                                      oss[:, :-1] + mds[:, :-1], names)
                 written.append(svg_path)
     return written
 
 
-def _rank_jobs(jm: JobMetrics, rows, top_k: int) -> list[int]:
+def _id_rank(job_ids) -> np.ndarray:
+    """Each job's position in job id order."""
+    return np.argsort(sorted(range(len(job_ids)), key=job_ids.__getitem__))
+
+
+def _top_jobs(jm: JobMetrics, rows, top_k: int, id_rank) -> list[int]:
     """Top-k job indices by integrated total risk, ties by job id."""
     if rows.size == 0 or top_k <= 0:
         return []
-    integrated: dict[int, float] = {}
-    total = jm.risk_oss[rows] + jm.risk_mds[rows]
-    for r, t in zip(rows, total):
-        j = int(jm.job_idx[r])
-        integrated[j] = integrated.get(j, 0.0) + float(t)
-    ranked = sorted(integrated, key=lambda j: (-integrated[j],
-                                               jm.job_ids[j]))
-    return ranked[:top_k]
+    # bincount adds each job's risk in row order, one row at a time
+    integrated = np.bincount(jm.job_idx[rows],
+                             jm.risk_oss[rows] + jm.risk_mds[rows])
+    jobs = np.unique(jm.job_idx[rows])
+    order = np.lexsort((id_rank[jobs], -integrated[jobs]))
+    return jobs[order[:top_k]].tolist()
 
 
-def _day_series_rows(fm: FsMetrics, day_sel, jm: JobMetrics, job_rows,
-                     ranked):
-    """Per bin of the day: the fs total, each ranked job, the remainder."""
-    by_bin: dict[int, dict[int, tuple[float, float]]] = {}
-    for r in job_rows:
-        b = int(jm.bin_start[r])
-        by_bin.setdefault(b, {})[int(jm.job_idx[r])] = (
-            float(jm.risk_oss[r]), float(jm.risk_mds[r]))
-    order = np.argsort(fm.bin_start[day_sel], kind="stable")
-    for i in day_sel[order]:
-        b = int(fm.bin_start[i])
-        fs_oss = float(fm.risk_oss[i])
-        fs_mds = float(fm.risk_mds[i])
-        yield [b, FS_SUBJECT, _fmt(fs_oss), _fmt(fs_mds)]
-        top_oss = 0.0
-        top_mds = 0.0
-        jobs_here = by_bin.get(b, {})
-        for j in ranked:
-            oss, mds = jobs_here.get(j, (0.0, 0.0))
-            top_oss += oss
-            top_mds += mds
-            yield [b, jm.job_ids[j], _fmt(oss), _fmt(mds)]
-        yield [b, "__other__", _fmt(fs_oss - top_oss),
-               _fmt(fs_mds - top_mds)]
+def _added_in_turn(columns) -> np.ndarray:
+    """Row sums of a table, adding one column at a time from the left."""
+    total = np.zeros(len(columns))
+    for c in range(columns.shape[1]):
+        total = total + columns[:, c]
+    return total
+
+
+def _day_tables(fm: FsMetrics, day_sel, jm: JobMetrics, job_rows, ranked):
+    """The day's bins, ascending, and its risk_oss and risk_mds tables:
+    per bin, the fs total, each ranked job and the remainder."""
+    fs_rows = day_sel[np.argsort(fm.bin_start[day_sel], kind="stable")]
+    bins = fm.bin_start[fs_rows]
+    k = len(ranked)
+    slot = np.zeros(len(jm.job_ids), dtype=np.int64)
+    slot[ranked] = np.arange(1, k + 1)
+    rows = job_rows[slot[jm.job_idx[job_rows]] > 0]
+    # every job row's (fs, bin) has its fs row: fs metrics sum job rows
+    at = np.searchsorted(bins, jm.bin_start[rows])
+    tables = []
+    for fs_risk, job_risk in ((fm.risk_oss, jm.risk_oss),
+                              (fm.risk_mds, jm.risk_mds)):
+        table = np.zeros((len(bins), k + 2))
+        table[:, 0] = fs_risk[fs_rows]
+        table[at, slot[jm.job_idx[rows]]] = job_risk[rows]
+        table[:, -1] = table[:, 0] - _added_in_turn(table[:, 1:-1])
+        tables.append(table)
+    return bins, *tables
 
 
 def write_risk_timeseries_csv(path, fm: FsMetrics, jm: JobMetrics) -> None:
-    """The full risk/quality series: one __fs__ row plus job rows per bin."""
-    _write_csv(path, ["fs", "bin_start", "subject", "risk_oss", "risk_mds",
-                      "read_kb_ops", "write_kb_ops"],
-               _risk_timeseries_rows(fm, jm))
-
-
-def _risk_timeseries_rows(fm: FsMetrics, jm: JobMetrics):
-    job_rows: dict[tuple[int, int], list[int]] = {}
-    for r in range(len(jm)):
-        job_rows.setdefault((int(jm.fs_idx[r]), int(jm.bin_start[r])),
-                            []).append(r)
-    for i in np.lexsort((fm.bin_start, fm.fs_idx)):
-        fs_i = int(fm.fs_idx[i])
-        b = int(fm.bin_start[i])
-        fs_id = fm.filesystems[fs_i]
-        yield [fs_id, b, FS_SUBJECT,
-               _fmt(fm.risk_oss[i]), _fmt(fm.risk_mds[i]),
-               _fmt(fm.read_kb_ops[i]), _fmt(fm.write_kb_ops[i])]
-        rows = job_rows.get((fs_i, b), [])
-        rows.sort(key=lambda r: jm.job_ids[jm.job_idx[r]])
-        for r in rows:
-            yield [fs_id, b, jm.job_ids[jm.job_idx[r]],
-                   _fmt(jm.risk_oss[r]), _fmt(jm.risk_mds[r]),
-                   _fmt(jm.read_kb_ops[r]), _fmt(jm.write_kb_ops[r])]
+    """The full risk/quality series: per (fs, bin), one __fs__ row, then
+    the job rows in job id order."""
+    rank = np.concatenate((np.full(len(fm), -1),  # the fs row first
+                           _id_rank(jm.job_ids)[jm.job_idx]))
+    bins = np.concatenate((fm.bin_start, jm.bin_start))
+    fs = np.concatenate((fm.fs_idx, jm.fs_idx))
+    order = np.lexsort((rank, bins, fs))
+    subject = np.concatenate((np.full(len(fm), len(jm.job_ids)),
+                              jm.job_idx))
+    write_csv(path, ("fs", "bin_start", "subject", "risk_oss", "risk_mds",
+                     "read_kb_ops", "write_kb_ops"),
+              [(fs[order], fm.filesystems), repeated_ints(bins[order]),
+               (subject[order], jm.job_ids + (FS_SUBJECT,)),
+               *(np.concatenate((getattr(fm, name), getattr(jm, name)))[order]
+                 for name in ("risk_oss", "risk_mds", "read_kb_ops",
+                              "write_kb_ops"))])
 
 
 # ---------------------------------------------------------------------------
@@ -369,59 +354,74 @@ def apply_aliases(command: str, aliases: dict[str, str] | None) -> str:
     return aliases.get(command, command)
 
 
+def _attributes(records, names, dtype=np.float64) -> np.ndarray:
+    """(records, names) array of each record's named attributes."""
+    return np.array([[getattr(r, name) for name in names] for r in records],
+                    dtype=dtype).reshape(len(records), len(names))
+
+
+def _keys(records, name, aliases=None):
+    return key_column([apply_aliases(getattr(r, name), aliases)
+                       for r in records])
+
+
 def write_job_summary_csv(path, summaries) -> None:
-    _write_csv(path, ["job_id", "project", "command", "nodes", "core_h",
-                      "read_gib", "write_gib", "read_ops", "write_ops",
-                      "mean_read_ops_s", "mean_write_ops_s"],
-               ([s.job_id, s.project, s.command, s.nodes_count,
-                 _fmt(s.core_h), _fmt(s.read_gib), _fmt(s.write_gib),
-                 s.read_ops_total, s.write_ops_total,
-                 _fmt(s.mean_read_ops_s), _fmt(s.mean_write_ops_s)]
-                for s in summaries))
+    s = summaries
+    write_csv(path, ("job_id", "project", "command", "nodes", "core_h",
+                     "read_gib", "write_gib", "read_ops", "write_ops",
+                     "mean_read_ops_s", "mean_write_ops_s"),
+              [_keys(s, "job_id"), _keys(s, "project"), _keys(s, "command"),
+               _attributes(s, ("nodes_count",), np.int64),
+               _attributes(s, ("core_h", "read_gib", "write_gib")),
+               _attributes(s, ("read_ops_total", "write_ops_total"),
+                           np.int64),
+               _attributes(s, ("mean_read_ops_s", "mean_write_ops_s"))])
 
 
 def write_scatter_csv(path, points, aliases=None) -> None:
-    _write_csv(path, ["job_id", "command", "avg_risk_oss", "avg_risk_mds",
-                      "avg_quality"],
-               ([p.job_id, apply_aliases(p.command, aliases),
-                 _fmt(p.avg_risk_oss), _fmt(p.avg_risk_mds),
-                 _fmt(p.avg_quality)] for p in points))
+    write_csv(path, ("job_id", "command", "avg_risk_oss", "avg_risk_mds",
+                     "avg_quality"),
+              [_keys(points, "job_id"), _keys(points, "command", aliases),
+               _attributes(points, ("avg_risk_oss", "avg_risk_mds",
+                                    "avg_quality"))])
 
 
 def write_slowdown_csv(path, findings, aliases=None) -> None:
-    _write_csv(path, ["job_id", "command", "runtime_s", "group_mean_s",
-                      "ratio"],
-               ([fd.job_id, apply_aliases(fd.command, aliases),
-                 fd.runtime_s, _fmt(fd.group_mean_s), _fmt(fd.ratio)]
-                for fd in findings))
+    write_csv(path, ("job_id", "command", "runtime_s", "group_mean_s",
+                     "ratio"),
+              [_keys(findings, "job_id"), _keys(findings, "command", aliases),
+               _attributes(findings, ("runtime_s",), np.int64),
+               _attributes(findings, ("group_mean_s", "ratio"))])
 
 
 def write_heatmap_csv(path, hm: Heatmap) -> None:
     """Rows are job-size bins, columns are measure bins, cells core-h."""
-    _write_csv(path, ["nodes_bin"] + list(hm.col_labels),
-               ([label] + [_fmt(v) for v in hm.weights[r]]
-                for r, label in enumerate(hm.row_labels)))
+    write_csv(path, ("nodes_bin", *hm.col_labels),
+              [key_column(hm.row_labels), hm.weights])
 
 
 def write_breakdown_csv(path, table: BreakdownTable) -> None:
-    _write_csv(path, ["data_gib_bin", "read_pct", "write_pct"],
-               ([label, _fmt(r), _fmt(wr)] for label, r, wr in
-                zip(table.labels, table.read_pct, table.write_pct)))
+    write_csv(path, ("data_gib_bin", "read_pct", "write_pct"),
+              [key_column(table.labels),
+               np.column_stack((table.read_pct, table.write_pct))])
 
 
 def write_unattributed_csv(path, unattributed: FsUsageTable) -> None:
     u = unattributed
-    _write_csv(path, ["fs", "bin_start"] + list(COUNTER_NAMES),
-               ([u.filesystems[u.fs_idx[i]], int(u.bin_start[i])]
-                + u.deltas[i].tolist() for i in range(len(u))))
+    write_csv(path, ("fs", "bin_start") + COUNTER_NAMES,
+              [(u.fs_idx, u.filesystems), repeated_ints(u.bin_start),
+               u.deltas])
 
 
 def write_correlation_csv(path, rows) -> None:
     """rows: iterable of (series_a, series_b, lag, r_or_None, n_bins)."""
-    _write_csv(path, ["series_a", "series_b", "lag_bins", "pearson_r",
-                      "n_bins"],
-               ([a, b, lag, "undefined" if r is None else _fmt(r), n]
-                for a, b, lag, r, n in rows))
+    a, b, lag, r, n = list(zip(*rows)) or [()] * 5
+    write_csv(path, ("series_a", "series_b", "lag_bins", "pearson_r",
+                     "n_bins"),
+              [key_column(a), key_column(b), np.array(lag, dtype=np.int64),
+               key_column(["undefined" if x is None else repr(float(x))
+                           for x in r]),
+               np.array(n, dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -482,38 +482,27 @@ def render_heatmap_svg(path, hm: Heatmap, norm: str = "log") -> None:
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def render_timeseries_svg(path, fs_id: str, day_label: str, fm: FsMetrics,
-                          day_sel, jm: JobMetrics, job_rows,
-                          ranked) -> None:
-    """Stacked-area chart of the top contributors plus the remainder."""
+def render_timeseries_svg(path, fs_id: str, day_label: str, bins, risk,
+                          names) -> None:
+    """Stacked-area chart of the top contributors plus the remainder.
+
+    risk holds, per bin, the fs total risk, then each named job's."""
     width, height = 720, 300
     left, top, bottom = 60, 30, 40
     plot_w = width - left - 20
     plot_h = height - top - bottom
 
-    order = np.argsort(fm.bin_start[day_sel], kind="stable")
-    rows = day_sel[order]
-    bins = [int(fm.bin_start[i]) for i in rows]
-    total = [float(fm.risk_oss[i] + fm.risk_mds[i]) for i in rows]
     nb = len(bins)
+    total = risk[:, 0]
+    series = np.column_stack((risk[:, 1:],
+                              total - _added_in_turn(risk[:, 1:])))
+    names = [*names, "__other__"]
 
-    per_job: dict[int, dict[int, float]] = {j: {} for j in ranked}
-    for r in job_rows:
-        j = int(jm.job_idx[r])
-        if j in per_job:
-            per_job[j][int(jm.bin_start[r])] = float(
-                jm.risk_oss[r] + jm.risk_mds[r])
-
-    series = [[per_job[j].get(b, 0.0) for b in bins] for j in ranked]
-    other = [total[i] - sum(s[i] for s in series) for i in range(nb)]
-    series.append(other)
-    names = [jm.job_ids[j] for j in ranked] + ["__other__"]
-
-    ymax = max(total) if total and max(total) > 0 else 1.0
-    xs = [left + (plot_w * i / max(1, nb - 1)) for i in range(nb)]
+    ymax = float(total.max()) if nb and total.max() > 0 else 1.0
+    xs = (left + plot_w * np.arange(nb) / max(1, nb - 1)).tolist()
 
     def y_of(v):
-        return top + plot_h * (1.0 - v / ymax)
+        return (top + plot_h * (1.0 - v / ymax)).tolist()
 
     palette = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
                "#aa3377", "#bbbbbb")
@@ -521,20 +510,19 @@ def render_timeseries_svg(path, fs_id: str, day_label: str, fm: FsMetrics,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" font-family="monospace" font-size="10">',
         f'<text x="{left}" y="16" font-size="12">total risk, {fs_id} '
-        f'{day_label} (stacked top-{len(ranked)} jobs + other)</text>',
+        f'{day_label} (stacked top-{len(names) - 1} jobs + other)</text>',
     ]
     if nb:
-        base = [0.0] * nb
-        for s_i, s in enumerate(series):
-            upper = [base[i] + s[i] for i in range(nb)]
-            pts = [f"{xs[i]:.1f},{y_of(upper[i]):.1f}" for i in range(nb)]
-            pts += [f"{xs[i]:.1f},{y_of(base[i]):.1f}"
-                    for i in range(nb - 1, -1, -1)]
+        base = np.zeros(nb)
+        base_pts = [f"{x:.1f},{y:.1f}" for x, y in zip(xs, y_of(base))]
+        for s_i in range(series.shape[1]):
+            upper = base + series[:, s_i]
+            pts = [f"{x:.1f},{y:.1f}" for x, y in zip(xs, y_of(upper))]
             color = palette[s_i % len(palette)]
-            parts.append(f'<polygon points="{" ".join(pts)}" '
+            parts.append(f'<polygon points="{" ".join(pts + base_pts[::-1])}" '
                          f'fill="{color}" fill-opacity="0.8" '
                          f'data-series="{names[s_i]}"/>')
-            base = upper
+            base, base_pts = upper, pts
         for s_i, name in enumerate(names):
             color = palette[s_i % len(palette)]
             y = top + 14 * s_i

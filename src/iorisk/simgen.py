@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import JobRecord, write_jobs_csv
+from .ingest import (CounterFeed, JobRecord, write_counter_csv, write_csv,
+                     write_jobs_csv)
 from .ops import (COUNTER_NAMES, MDS_SLICE, N_COUNTERS,
                   READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)
 from .report import node_bin_label, volume_bin_label
@@ -404,31 +405,24 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
         else:
             resets_skipped.append([node_id, fs_id, offset_s])
 
-    # emit counters.csv: snapshot k reports cumulative activity of bins < k
-    counters_path = out_dir / "counters.csv"
-    with open(counters_path, "w", newline="") as f:
-        f.write(",".join(("ts", "node", "fs") + COUNTER_NAMES) + "\n")
-        for k in range(n_bins + 1):
-            ts = spec.start_ts + k * w
-            rows = []
-            for fs_i in range(n_fs):
-                if k == 0:
-                    snap = np.zeros((n_nodes, N_COUNTERS), dtype=np.int64)
-                else:
-                    snap = cums[fs_i][:, k - 1, :]
-                if rebase is not None:
-                    snap = snap - rebase[fs_i][:, k, :]
-                vals = snap.tolist()
-                fs_id = spec.filesystems[fs_i]
-                for node in range(n_nodes):
-                    rows.append(f"{ts},{node_names[node]},{fs_id},"
-                                + ",".join(map(str, vals[node])))
-            f.write("\n".join(rows) + "\n")
+    # emit counters.csv: snapshot k reports cumulative activity of bins < k,
+    # rows by snapshot, then fs, then node
+    snaps = np.zeros((n_bins + 1, n_fs, n_nodes, N_COUNTERS), dtype=np.int64)
+    for fs_i in range(n_fs):
+        snaps[1:, fs_i] = cums[fs_i].transpose(1, 0, 2)
+        if rebase is not None:
+            snaps[:, fs_i] -= rebase[fs_i].transpose(1, 0, 2)
+    del cums, rebase  # the snapshots hold the feed from here on
+    write_counter_csv(CounterFeed(
+        np.repeat(spec.start_ts + w * np.arange(n_bins + 1), n_fs * n_nodes),
+        np.tile(np.arange(n_nodes), (n_bins + 1) * n_fs),
+        np.tile(np.repeat(np.arange(n_fs), n_nodes), n_bins + 1),
+        snaps.reshape(-1, N_COUNTERS), tuple(node_names), spec.filesystems),
+        out_dir / "counters.csv")
+    del snaps
 
-    jobs_path = out_dir / "jobs.csv"
     records = sorted((j.record for j in placed), key=lambda r: r.job_id)
-    with open(jobs_path, "w", newline="") as f:
-        write_jobs_csv(records, f)
+    write_jobs_csv(records, out_dir / "jobs.csv")
 
     feed_totals = {
         spec.filesystems[fs_i]: [int(v)
@@ -483,12 +477,9 @@ def _emit_probe(spec: ScenarioSpec, cubes, path, rng) -> None:
     ticks = np.arange(spec.probe_cadence_s, spec.duration_s + 1,
                       spec.probe_cadence_s, dtype=np.int64)
     jitter = rng.uniform(0.0, 0.05, size=ticks.size)
-    with open(path, "w", newline="") as f:
-        f.write("ts,latency_ms\n")
-        for t, j in zip(ticks, jitter):
-            k = min(int((t - 1) // w), spec.n_bins - 1)
-            latency = float(1.0 + 9.0 * load[k] / peak + j)
-            f.write(f"{int(spec.start_ts + t)},{latency!r}\n")
+    k = np.minimum((ticks - 1) // w, spec.n_bins - 1)
+    write_csv(path, ("ts", "latency_ms"),
+              [spec.start_ts + ticks, 1.0 + 9.0 * load[k] / peak + jitter])
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,11 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .attribute import JobUsageTable
 from .config import FIELDS, Config
-from .ingest import (UsageTable, _csv_lines, _read_keyed_table,
-                     parse_job_feed, write_jobs_csv)
-from .ops import COUNTER_NAMES, N_COUNTERS
+from .ingest import (UsageTable, _read_keyed_table, parse_job_feed,
+                     repeated_ints, write_csv, write_jobs_csv)
+from .ops import COUNTER_NAMES
 
 NODE_USAGE_NAME = "node_usage.csv"
 JOB_USAGE_NAME = "job_usage.csv"
@@ -27,8 +25,6 @@ JOBS_NAME = "jobs.csv"
 META_NAME = "meta.json"
 NODE_USAGE_HEADER = ("node", "fs", "bin_start") + COUNTER_NAMES
 JOB_USAGE_HEADER = ("job_id", "fs", "bin_start") + COUNTER_NAMES
-_WRITE_CHUNK = 1024  # rows formatted by one % operation
-_ROW_FORMAT = "%s" + ",%d" * (1 + N_COUNTERS) + "\n"
 
 
 def store_dir(out_dir) -> Path:
@@ -57,37 +53,11 @@ def _read_table(path, schema, registries, check=None):
                                  check)
 
 
-def _csv_texts(names) -> list[str]:
-    """Each name as _csv_lines writes it in a field that is not the last
-    of its row (a lone empty field would be quoted)."""
-    return [line[:-2] for line in _csv_lines((name, "") for name in names)]
-
-
-def _write_table(path, header, key_idx, keys, fs_idx, filesystems,
-                 bin_start, deltas) -> None:
-    """Write key,fs,bin_start,counters rows, the same bytes as _csv_lines
-    row by row, formatting _WRITE_CHUNK rows at a time."""
-    n_fs = len(filesystems)
-    pairs, pair_of = np.unique(key_idx.astype(np.int64) * n_fs + fs_idx,
-                               return_inverse=True)
-    key_text, fs_text = _csv_texts(keys), _csv_texts(filesystems)
-    labels = np.array([f"{key_text[p // n_fs]},{fs_text[p % n_fs]}"
-                       for p in pairs.tolist()], dtype=object)
-    with open(path, "w", newline="") as f:
-        f.writelines(_csv_lines([header]))
-        for lo in range(0, len(bin_start), _WRITE_CHUNK):
-            hi = min(lo + _WRITE_CHUNK, len(bin_start))
-            rows = np.empty((hi - lo, 2 + N_COUNTERS), dtype=object)
-            rows[:, 0] = labels[pair_of[lo:hi]]
-            rows[:, 1] = bin_start[lo:hi]  # Python ints from here on
-            rows[:, 2:] = deltas[lo:hi]
-            f.write(_ROW_FORMAT * (hi - lo) % tuple(rows.ravel().tolist()))
-
-
 def write_node_usage(out_dir, usage: UsageTable) -> None:
-    _write_table(store_dir(out_dir) / NODE_USAGE_NAME, NODE_USAGE_HEADER,
-                 usage.node_idx, usage.nodes, usage.fs_idx,
-                 usage.filesystems, usage.bin_start, usage.deltas)
+    write_csv(store_dir(out_dir) / NODE_USAGE_NAME, NODE_USAGE_HEADER,
+              [(usage.node_idx, usage.nodes),
+               (usage.fs_idx, usage.filesystems),
+               repeated_ints(usage.bin_start), usage.deltas])
 
 
 def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
@@ -103,9 +73,9 @@ def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
 
 
 def write_job_usage(out_dir, ju: JobUsageTable) -> None:
-    _write_table(store_dir(out_dir) / JOB_USAGE_NAME, JOB_USAGE_HEADER,
-                 ju.job_idx, ju.job_ids, ju.fs_idx, ju.filesystems,
-                 ju.bin_start, ju.deltas)
+    write_csv(store_dir(out_dir) / JOB_USAGE_NAME, JOB_USAGE_HEADER,
+              [(ju.job_idx, ju.job_ids), (ju.fs_idx, ju.filesystems),
+               repeated_ints(ju.bin_start), ju.deltas])
 
 
 def read_job_usage(out_dir, bin_width_s: int, job_ids,
@@ -138,8 +108,7 @@ def read_job_usage(out_dir, bin_width_s: int, job_ids,
 
 
 def write_jobs(out_dir, jobs) -> None:
-    with open(store_dir(out_dir) / JOBS_NAME, "w", newline="") as f:
-        write_jobs_csv(jobs, f)
+    write_jobs_csv(jobs, store_dir(out_dir) / JOBS_NAME)
 
 
 def read_jobs(out_dir):

@@ -559,3 +559,43 @@ def test_flags_config_keys_and_fields_are_one_set(tmp_path):
     conf.write_text("".join(f"{name} = {NON_DEFAULT[name] or 'yes'}\n"
                             for name in FIELDS))
     assert set(load_config_file(conf)) == set(FIELDS)
+
+
+def test_importing_the_cli_leaves_the_feed_generator_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import iorisk
+    src = Path(iorisk.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, iorisk.cli; print('iorisk.simgen' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_fs_risk_series_has_rows_only_for_bins_with_job_rows(demo_feeds,
+                                                             tmp_path):
+    """Known defect, pinned: the fs risk series, and the correlation built
+    on it, skips the bins no job has a row in, while each baseline counts
+    every bin slot of its filesystem's span, idle ones as zeros."""
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out) == 0
+    with open(out / "risk_timeseries.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    fs_bins = {(r["fs"], int(r["bin_start"])) for r in rows
+               if r["subject"] == "__fs__"}
+    assert fs_bins == {(r["fs"], int(r["bin_start"])) for r in rows
+                       if r["subject"] != "__fs__"}
+    with open(out / "store" / "node_usage.csv", newline="") as f:
+        usage_bins = {(r["fs"], int(r["bin_start"]))
+                      for r in csv.DictReader(f)}
+    counts = {}
+    for fs in sorted({fs for fs, _ in usage_bins}):
+        bins = [b for f, b in usage_bins if f == fs]
+        slots = (max(bins) - min(bins)) // 360 + 1
+        counts[fs] = (sum(f == fs for f, _ in fs_bins), slots)
+    assert counts == {"fs2": (130, 225), "fs3": (95, 236)}

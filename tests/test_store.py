@@ -61,7 +61,7 @@ def _odd_tables(m):
 @pytest.mark.parametrize("m, chunk", [(0, 1024), (1, 1024), (23, 2),
                                       (23, 1024)])
 def test_writers_match_row_by_row_oracle(tmp_path, monkeypatch, m, chunk):
-    monkeypatch.setattr(store, "_WRITE_CHUNK", chunk)
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
     usage, job_usage = _odd_tables(m)
     files = {}
     for name, write_node, write_job in (
