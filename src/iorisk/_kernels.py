@@ -14,6 +14,10 @@ the bin width for attribute; the overlaps sum to the span):
 The shares therefore sum to d exactly and none is negative. With K = 1
 the single claimant gets d. ``apportion`` is the only implementation of
 the rule; the kernels group their rows by K and call it once per group.
+
+Grouping rule. Every binned table is built by sorting rows on key columns
+and summing the rows that share every key. ``sort_groups`` is the only
+implementation of that sort and ``group_sum`` the only one of the sum.
 """
 from __future__ import annotations
 
@@ -45,6 +49,35 @@ def apportion(deltas, overlap, span):
         shares[:, k] -= carry
         shares[:, k - 1] += carry
     return shares
+
+
+def sort_groups(*keys):
+    """Sort rows by key columns, the first key major -> (order, starts).
+
+    The sort is stable, so rows that share every key keep their input
+    order; starts holds the position in order of each group's first row.
+    Zero rows give empty order and starts.
+    """
+    order = np.lexsort(keys[::-1])
+    sorted_keys = [key[order] for key in keys]
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in sorted_keys:
+        first[1:] |= key[1:] != key[:-1]
+    return order, np.flatnonzero(first)
+
+
+def group_sum(keys, values):
+    """Sum the rows of values that share every key -> (keys, sums).
+
+    Groups come in key order (see sort_groups) and each group's rows are
+    added in input order. The returned key columns keep their dtypes, so
+    zero rows give typed empty columns and an empty (0, ...) sum.
+    """
+    order, starts = sort_groups(*keys)
+    first = order[starts]
+    return ([key[first] for key in keys],
+            np.add.reduceat(values[order], starts, axis=0))
 
 
 def deltify_pairs(stream, ts, values, bin_width, max_gap_s):

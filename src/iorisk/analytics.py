@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribute import AttributionResult, JobUsageTable
+from .attribute import JobUsageTable
 from .config import Config, check
 from .ingest import JobRecord
 from .metrics import JobMetrics
@@ -121,12 +121,11 @@ def build_scatter(jobs, job_metrics: JobMetrics,
     sum_mds = np.zeros(n, dtype=np.float64)
     sum_quality = np.zeros(n, dtype=np.float64)
     io_bins = np.zeros(n, dtype=np.int64)
-    if len(jm):
-        np.add.at(sum_oss, jm.job_idx, jm.risk_oss)
-        np.add.at(sum_mds, jm.job_idx, jm.risk_mds)
-        q = (jm.read_kb_ops + jm.write_kb_ops) * jm.has_io
-        np.add.at(sum_quality, jm.job_idx, q)
-        np.add.at(io_bins, jm.job_idx, jm.has_io.astype(np.int64))
+    np.add.at(sum_oss, jm.job_idx, jm.risk_oss)
+    np.add.at(sum_mds, jm.job_idx, jm.risk_mds)
+    q = (jm.read_kb_ops + jm.write_kb_ops) * jm.has_io
+    np.add.at(sum_quality, jm.job_idx, q)
+    np.add.at(io_bins, jm.job_idx, jm.has_io.astype(np.int64))
 
     points = []
     for idx, job_id in enumerate(jm.job_ids):
@@ -168,25 +167,14 @@ class JobIoSummary:
         return self.core_s / 3600.0
 
 
-def summarize_jobs(jobs, attribution) -> list[JobIoSummary]:
+def summarize_jobs(jobs, job_usage: JobUsageTable) -> list[JobIoSummary]:
     """Per-job I/O totals across all filesystems, in input job order."""
-    if isinstance(attribution, AttributionResult):
-        job_usage = attribution.job_usage
-    elif isinstance(attribution, JobUsageTable):
-        job_usage = attribution
-    else:
-        raise TypeError(f"expected attribution result or job usage table, "
-                        f"got {type(attribution).__name__}")
-
     jobs = list(jobs)
     pos_of = {job_id: i for i, job_id in enumerate(job_usage.job_ids)}
     n = len(job_usage.job_ids)
     totals = np.zeros((n, 4), dtype=np.int64)  # read_kb, read_ops, write_kb, write_ops
-    if len(job_usage):
-        cols = (READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)
-        for t, c in enumerate(cols):
-            np.add.at(totals[:, t], job_usage.job_idx,
-                      job_usage.deltas[:, c])
+    for t, c in enumerate((READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)):
+        np.add.at(totals[:, t], job_usage.job_idx, job_usage.deltas[:, c])
 
     out = []
     for job in jobs:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .ingest import JobRecord, UsageTable
-from .ops import N_COUNTERS
+from .ingest import UsageTable
 
 
 @dataclass
@@ -51,34 +50,13 @@ class FsUsageTable:
 class AttributionResult:
     job_usage: JobUsageTable
     unattributed: FsUsageTable
-    jobs: list[JobRecord]
-
-
-def _group_sum(keys, deltas):
-    """Sort rows by key columns and sum duplicates. keys: list of arrays."""
-    order = np.lexsort(tuple(reversed(keys)))
-    sk = [k[order] for k in keys]
-    sd = deltas[order]
-    changed = np.zeros(len(order), dtype=bool)
-    changed[0] = True
-    for k in sk:
-        changed[1:] |= k[1:] != k[:-1]
-    starts = np.flatnonzero(changed)
-    agg = np.add.reduceat(sd, starts, axis=0)
-    return [k[starts] for k in sk], agg
 
 
 def fs_bin_totals(usage: UsageTable) -> FsUsageTable:
     """Aggregate node usage to fs-wide per-bin totals."""
-    if len(usage) == 0:
-        return FsUsageTable(np.empty(0, dtype=np.int32),
-                            np.empty(0, dtype=np.int64),
-                            np.empty((0, N_COUNTERS), dtype=np.int64),
-                            usage.filesystems, usage.bin_width)
-    keys, agg = _group_sum(
-        [usage.fs_idx.astype(np.int64), usage.bin_start], usage.deltas)
-    return FsUsageTable(keys[0].astype(np.int32), keys[1], agg,
-                        usage.filesystems, usage.bin_width)
+    (fs, bins), deltas = _kernels.group_sum(
+        [usage.fs_idx, usage.bin_start], usage.deltas)
+    return FsUsageTable(fs, bins, deltas, usage.filesystems, usage.bin_width)
 
 
 def attribute_usage(node_usage: UsageTable, jobs) -> AttributionResult:
@@ -120,41 +98,12 @@ def attribute_usage(node_usage: UsageTable, jobs) -> AttributionResult:
         node_usage.deltas, node_usage.bin_width,
         node_ptr, job_start, job_end, job_of)
 
-    job_ids = tuple(j.job_id for j in jobs)
-    owned = claim_job >= 0
-    if owned.any():
-        keys, agg = _group_sum(
-            [claim_job[owned].astype(np.int64),
-             claim_fs[owned].astype(np.int64),
-             claim_bin[owned]],
-            claim_deltas[owned])
-        job_usage = JobUsageTable(keys[0].astype(np.int32),
-                                  keys[1].astype(np.int32),
-                                  keys[2], agg, job_ids,
-                                  node_usage.filesystems,
-                                  node_usage.bin_width)
-    else:
-        job_usage = JobUsageTable(np.empty(0, dtype=np.int32),
-                                  np.empty(0, dtype=np.int32),
-                                  np.empty(0, dtype=np.int64),
-                                  np.empty((0, N_COUNTERS), dtype=np.int64),
-                                  job_ids, node_usage.filesystems,
-                                  node_usage.bin_width)
-
-    free = ~owned
-    if free.any():
-        keys, agg = _group_sum(
-            [claim_fs[free].astype(np.int64), claim_bin[free]],
-            claim_deltas[free])
-        unattributed = FsUsageTable(keys[0].astype(np.int32), keys[1], agg,
-                                    node_usage.filesystems,
-                                    node_usage.bin_width)
-    else:
-        unattributed = FsUsageTable(np.empty(0, dtype=np.int32),
-                                    np.empty(0, dtype=np.int64),
-                                    np.empty((0, N_COUNTERS),
-                                             dtype=np.int64),
-                                    node_usage.filesystems,
-                                    node_usage.bin_width)
-
-    return AttributionResult(job_usage, unattributed, jobs)
+    (job, fs, bins), deltas = _kernels.group_sum(
+        [claim_job, claim_fs, claim_bin], claim_deltas)
+    free = int(np.searchsorted(job, 0))  # the remainder, job -1, sorts first
+    job_usage = JobUsageTable(job[free:], fs[free:], bins[free:],
+                              deltas[free:], tuple(j.job_id for j in jobs),
+                              node_usage.filesystems, node_usage.bin_width)
+    unattributed = FsUsageTable(fs[:free], bins[:free], deltas[:free],
+                                node_usage.filesystems, node_usage.bin_width)
+    return AttributionResult(job_usage, unattributed)

@@ -10,20 +10,18 @@ and report start from the stored one (see config.py).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import shutil
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import store
 from .analytics import (build_scatter, detect_slowdown, group_applications,
                         summarize_jobs)
 from .attribute import attribute_usage, fs_bin_totals
 from .config import FIELDS, Config, add_config_flags, resolve_config
-from .ingest import deltify_and_bin, read_counter_file, read_job_file
+from .ingest import (deltify_and_bin, read_counter_file, read_job_file,
+                     read_probe_file)
 from .metrics import compute_baselines, compute_fs_metrics, \
     compute_job_metrics
 from .report import (MEASURES, binned_series_instants, build_breakdown,
@@ -121,20 +119,6 @@ def cmd_analyze(args, cfg: Config) -> int:
     return 0
 
 
-def _read_probe(path):
-    ts, values = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or len(header) != 2:
-            raise ValueError(f"probe file {path}: expected 2-column CSV "
-                             f"with header")
-        for row in reader:
-            ts.append(int(row[0]))
-            values.append(float(row[1]))
-    return np.asarray(ts, dtype=np.int64), np.asarray(values)
-
-
 def _clear_report_artifacts(out: Path) -> None:
     """Remove report artifacts an earlier run left behind: a report writes
     these only for some inputs and flags, or, for timeseries/, one file
@@ -146,8 +130,10 @@ def _clear_report_artifacts(out: Path) -> None:
         shutil.rmtree(out / "timeseries")
 
 
-def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm) -> None:
-    """Write the report artifacts from the jobs, their usage and metrics."""
+def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm,
+            probe) -> None:
+    """Write the report artifacts from the jobs, their usage and metrics,
+    and the probe series (None without --probe)."""
     bin_width = job_usage.bin_width
     aliases = None
     if args.alias:
@@ -173,8 +159,7 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm) -> None:
     emit_timeseries(fm, jm, out, top_k=cfg.top_k, svg=args.svg,
                     day_offset=cfg.day_offset_s)
 
-    if args.probe:
-        probe = _read_probe(args.probe)
+    if probe is not None:
         rows = []
         for fs_i, fs_id in enumerate(fm.filesystems):
             sel = fm.fs_idx == fs_i
@@ -183,15 +168,12 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm) -> None:
             risk = (binned_series_instants(fm.bin_start[sel], bin_width),
                     fm.risk_oss[sel] + fm.risk_mds[sel])
             try:
-                r = correlate_series(risk, probe, bin_width, lag=args.lag)
+                r, n = correlate_series(risk, probe, bin_width,
+                                        lag=args.lag)
             except ValueError as exc:
                 print(f"correlation skipped for {fs_id}: {exc}",
                       file=sys.stderr)
                 continue
-            n = len(np.intersect1d(
-                fm.bin_start[sel],
-                bin_width * ((probe[0] - 1) // bin_width)
-                - args.lag * bin_width))
             rows.append((f"risk:{fs_id}", "probe", args.lag, r, n))
         write_correlation_csv(out / "correlation.csv", rows)
 
@@ -201,12 +183,13 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm) -> None:
 
 def cmd_report(args, cfg: Config) -> int:
     out = Path(args.out)
+    probe = read_probe_file(args.probe) if args.probe else None
     usage, jobs = _load_analysis_inputs(out, cfg)
     job_usage = store.read_job_usage(
         out, usage.bin_width, [j.job_id for j in jobs], usage.filesystems)
     _, jm, fm = _metrics(usage, job_usage, cfg)
     store.write_config(out, cfg)
-    _report(args, cfg, out, jobs, job_usage, jm, fm)
+    _report(args, cfg, out, jobs, job_usage, jm, fm, probe)
     return 0
 
 
@@ -214,9 +197,10 @@ def cmd_all(args, cfg: Config) -> int:
     """ingest, analyze and report in one pass: each layer hands its tables
     to the next, and the store is written, never read back."""
     out = Path(args.out)
+    probe = read_probe_file(args.probe) if args.probe else None
     usage, jobs = _ingest(args, cfg, out)
     job_usage, jm, fm = _analyze(cfg, out, usage, jobs)
-    _report(args, cfg, out, jobs, job_usage, jm, fm)
+    _report(args, cfg, out, jobs, job_usage, jm, fm, probe)
     return 0
 
 

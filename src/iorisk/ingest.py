@@ -110,8 +110,8 @@ def _load_chunk(lines, dtype):
     return table[:-1] if len(table) == len(lines) + 1 else None
 
 
-def _check_int64(text, what, line_no, feed_field) -> None:
-    """Raise FeedFormatError unless int() reads text as an int64."""
+def _check_int64(text, what, line_no, feed_field) -> int:
+    """int(text); FeedFormatError unless int() reads it as an int64."""
     try:
         value = int(text)
     except ValueError:
@@ -120,6 +120,7 @@ def _check_int64(text, what, line_no, feed_field) -> None:
     if not _INT64.min <= value <= _INT64.max:
         raise FeedFormatError(f"{what}: value out of int64 range {text!r}",
                               line_no=line_no, feed_field=feed_field)
+    return value
 
 
 def _read_records(lines, schema, dtype, first_line, what):
@@ -397,13 +398,10 @@ def parse_job_feed(stream,
                 feed_field="job_id")
         seen[job_id] = line_no
         nodes = frozenset(n for n in nodes_s.split(";") if n)
-        try:
-            start_ts = int(start_s)
-            end_ts = int(end_s)
-            cores = int(cores_s) if cores_s.strip() else default_cores
-        except ValueError as exc:
-            raise FeedFormatError(f"job feed: {exc}",
-                                  line_no=line_no) from None
+        start_ts = _check_int64(start_s, "job feed", line_no, "start_ts")
+        end_ts = _check_int64(end_s, "job feed", line_no, "end_ts")
+        cores = (_check_int64(cores_s, "job feed", line_no, "cores_per_node")
+                 if cores_s.strip() else default_cores)
         try:
             jobs.append(JobRecord(job_id=job_id, command=command,
                                   project=project, nodes=nodes,
@@ -468,20 +466,6 @@ class UsageTable:
     def __len__(self) -> int:
         return len(self.bin_start)
 
-    def totals(self) -> np.ndarray:
-        """Per-counter grand totals, shape (21,)."""
-        if not len(self):
-            return np.zeros(N_COUNTERS, dtype=np.int64)
-        return self.deltas.sum(axis=0)
-
-
-def _empty_usage(bin_width) -> UsageTable:
-    return UsageTable(np.empty(0, dtype=np.int64),
-                      np.empty(0, dtype=np.int32),
-                      np.empty(0, dtype=np.int32),
-                      np.empty((0, N_COUNTERS), dtype=np.int64),
-                      (), (), bin_width)
-
 
 def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
                     *, max_gap_bins: int | None = Config.max_gap_bins,
@@ -507,9 +491,6 @@ def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
     """
     check("bin_width_s", bin_width, "deltify_and_bin")
     n_fs = len(feed.filesystems)
-    if len(feed) == 0 or n_fs == 0:
-        return _empty_usage(bin_width)
-
     order = np.lexsort((feed.ts, feed.fs_idx, feed.node_idx))
     stream = (feed.node_idx[order].astype(np.int64) * n_fs
               + feed.fs_idx[order])
@@ -523,15 +504,11 @@ def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
     parts = [{"stream": np.empty(0, np.int64), "bin": np.empty(0, np.int64),
               "deltas": np.empty((0, N_COUNTERS), np.int64)}]
     for lo, hi in _stream_chunks(stream):
-        rows = order[lo:hi]
-        parts.append(_bin_chunk(stream[lo:hi], feed.ts[rows],
-                                feed.values[rows], bin_width, max_gap_s,
-                                pre_differenced))
-    del order, stream, rows  # the sort index goes before the assembly
+        parts.append(_bin_chunk(stream[lo:hi], feed.ts[order[lo:hi]],
+                                feed.values[order[lo:hi]], bin_width,
+                                max_gap_s, pre_differenced))
+    del order, stream  # the sort index goes before the assembly
     cols = _concat_releasing(parts)
-    if len(cols["stream"]) == 0:
-        return _empty_usage(bin_width)
-
     node_idx, nodes = _recode(cols["stream"] // n_fs, feed.nodes)
     fs_idx, filesystems = _recode(cols["stream"] % n_fs, feed.filesystems)
     return UsageTable(bin_start=cols["bin"], node_idx=node_idx,
@@ -559,32 +536,20 @@ def _bin_chunk(stream, ts, values, bin_width, max_gap_s, pre_differenced):
     "bin", "deltas"} with all-zero rows dropped and duplicate (stream, bin)
     rows summed, sorted by (stream, bin)."""
     if pre_differenced:
-        keep = values.any(axis=1)
-        s_codes = stream[keep]
-        bins = bin_width * ((ts[keep] - 1) // bin_width)
-        deltas = values[keep]
+        s_codes, deltas = stream, values
+        bins = bin_width * ((ts - 1) // bin_width)
     else:
         s_codes, bins, deltas = _kernels.deltify_pairs(
             stream, ts, values, bin_width, max_gap_s)
     del values  # the gathered chunk goes before the aggregation's copies
 
-    # spanning pairs can produce all-zero shares; keep the table sparse
-    nonzero = deltas.any(axis=1)
-    if not nonzero.all():
-        s_codes = s_codes[nonzero]
-        bins = bins[nonzero]
-        deltas = deltas[nonzero]
-    if len(s_codes) == 0:
-        return {"stream": s_codes, "bin": bins, "deltas": deltas}
-
-    # aggregate duplicate (stream, bin) rows and fix the canonical order
-    order = np.lexsort((bins, s_codes))
-    s2 = s_codes[order]
-    b2 = bins[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], (s2[1:] != s2[:-1]) | (b2[1:] != b2[:-1]))))
-    return {"stream": s2[starts], "bin": b2[starts],
-            "deltas": np.add.reduceat(deltas[order], starts, axis=0)}
+    # idle snapshots and all-zero shares of spanning pairs are dropped:
+    # the table stays sparse
+    keep = deltas.any(axis=1)
+    if not keep.all():
+        s_codes, bins, deltas = s_codes[keep], bins[keep], deltas[keep]
+    (s_codes, bins), deltas = _kernels.group_sum([s_codes, bins], deltas)
+    return {"stream": s_codes, "bin": bins, "deltas": deltas}
 
 
 def _recode(codes, names):
@@ -609,6 +574,32 @@ def read_job_file(path,
                   ) -> list[JobRecord]:
     with open(path, newline="") as f:
         return parse_job_feed(f, default_cores=default_cores)
+
+
+def read_probe_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """A probe's (timestamps, values) from a two-column CSV with a header
+    naming them; raises FeedFormatError with the file, line and field."""
+    what = f"probe file {path}"
+    ts, values = [], []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or len(header) != 2:
+            raise FeedFormatError(f"{what}: expected 2-column CSV with "
+                                  f"header", line_no=1)
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise FeedFormatError(
+                    f"{what}: expected 2 fields, got {len(row)}",
+                    line_no=line_no)
+            ts.append(_check_int64(row[0], what, line_no, header[0]))
+            try:
+                values.append(float(row[1]))
+            except ValueError:
+                raise FeedFormatError(
+                    f"{what}: non-numeric value {row[1]!r}",
+                    line_no=line_no, feed_field=header[1]) from None
+    return np.asarray(ts, dtype=np.int64), np.asarray(values)
 
 
 def feed_to_csv_text(feed: CounterFeed) -> str:

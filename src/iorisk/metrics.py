@@ -10,7 +10,7 @@ large values mean small, inefficient accesses.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,19 +23,6 @@ from .ops import (MDS_SLICE, N_COUNTERS, OSS_SLICE, OpKind,
 log = logging.getLogger(__name__)
 
 FS_SUBJECT = "__fs__"
-
-
-@dataclass(frozen=True)
-class RiskParams:
-    """The risk rule's parameters; a Config serves in their place."""
-
-    alpha: float = Config.alpha
-    beta: float = Config.beta
-    md_small_avg_threshold: float = Config.md_small_avg_threshold
-
-    def __post_init__(self):
-        for f in fields(self):
-            check(f.name, getattr(self, f.name), "risk params")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,16 +155,17 @@ class JobMetrics:
 
 def compute_job_metrics(job_usage: JobUsageTable,
                         baselines: dict[str, FsBaseline],
-                        params: RiskParams | Config = RiskParams()
-                        ) -> JobMetrics:
-    """Evaluate risk and quality for every job-bin row."""
+                        params: Config = Config()) -> JobMetrics:
+    """Evaluate risk and quality for every job-bin row under the risk
+    rule's parameters: params' alpha, beta and md_small_avg_threshold."""
+    for name in ("alpha", "beta", "md_small_avg_threshold"):
+        check(name, getattr(params, name), "compute_job_metrics")
     avg, md_total, present = _baseline_matrix(job_usage.filesystems,
                                               baselines)
-    if len(job_usage):
-        used = np.unique(job_usage.fs_idx)
-        missing = [job_usage.filesystems[i] for i in used if not present[i]]
-        if missing:
-            raise ValueError(f"no baseline for filesystems {missing}")
+    missing = [job_usage.filesystems[i] for i in np.unique(job_usage.fs_idx)
+               if not present[i]]
+    if missing:
+        raise ValueError(f"no baseline for filesystems {missing}")
 
     deltas = job_usage.deltas.astype(np.float64)
     contrib = _kernels.risk_contribs(deltas, job_usage.fs_idx, avg, md_total,
@@ -241,22 +229,7 @@ def compute_fs_metrics(jm: JobMetrics,
     count.
     """
     check("quality_agg", quality_agg, "compute_fs_metrics")
-    if len(jm) == 0:
-        empty64 = np.empty(0, dtype=np.float64)
-        return FsMetrics(np.empty(0, dtype=np.int32),
-                         np.empty(0, dtype=np.int64),
-                         empty64, empty64.copy(),
-                         np.empty((0, N_COUNTERS), dtype=np.float64),
-                         empty64.copy(), empty64.copy(),
-                         jm.filesystems, jm.bin_width)
-
-    order = np.lexsort((jm.bin_start, jm.fs_idx))
-    fs = jm.fs_idx[order]
-    bins = jm.bin_start[order]
-    changed = np.concatenate(
-        ([True], (fs[1:] != fs[:-1]) | (bins[1:] != bins[:-1])))
-    starts = np.flatnonzero(changed)
-
+    order, starts = _kernels.sort_groups(jm.fs_idx, jm.bin_start)
     contributes = (jm.risk_oss[order] > 0).astype(np.float64)
     q_read = jm.read_kb_ops[order] * contributes
     q_write = jm.write_kb_ops[order] * contributes
@@ -272,7 +245,8 @@ def compute_fs_metrics(jm: JobMetrics,
             agg_qr = np.where(counts > 0, agg_qr / counts, 0.0)
             agg_qw = np.where(counts > 0, agg_qw / counts, 0.0)
 
-    return FsMetrics(fs_idx=fs[starts], bin_start=bins[starts],
+    first = order[starts]
+    return FsMetrics(fs_idx=jm.fs_idx[first], bin_start=jm.bin_start[first],
                      risk_oss=agg_oss, risk_mds=agg_mds,
                      contrib=agg_contrib,
                      read_kb_ops=agg_qr, write_kb_ops=agg_qw,

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .attribute import FsUsageTable
 from .config import Config
 from .ingest import key_column, repeated_ints, write_csv
@@ -80,10 +81,6 @@ class Heatmap:
     col_labels: tuple[str, ...]   # 0, then (2^(k-1), 2^k] ascending
     weights: np.ndarray           # (rows, cols) core-h, float64
     weights_core_s: np.ndarray    # (rows, cols) core-seconds, int64 (exact)
-
-    @property
-    def total_core_h(self) -> float:
-        return float(self.weights_core_s.sum()) / 3600.0
 
 
 def build_heatmap(summaries, measure: str) -> Heatmap:
@@ -298,16 +295,11 @@ def resample_to_bins(ts, values, bin_width: int):
     values = np.asarray(values, dtype=np.float64)
     if ts.shape != values.shape:
         raise ValueError("timestamps and values must align")
-    if ts.size == 0:
-        return ts.copy(), values.copy()
     bins = bin_width * ((ts - 1) // bin_width)
-    order = np.argsort(bins, kind="stable")
-    b = bins[order]
-    v = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
-    sums = np.add.reduceat(v, starts)
-    counts = np.diff(np.concatenate((starts, [len(b)])))
-    return b[starts], sums / counts
+    order, starts = _kernels.sort_groups(bins)
+    sums = np.add.reduceat(values[order], starts)
+    counts = np.diff(np.append(starts, len(bins)))
+    return bins[order[starts]], sums / counts
 
 
 def binned_series_instants(bin_start, bin_width: int):
@@ -320,14 +312,16 @@ def binned_series_instants(bin_start, bin_width: int):
     return np.asarray(bin_start, dtype=np.int64) + bin_width
 
 
-def correlate_series(a, b, bin_width: int, lag: int = 0) -> float | None:
-    """Pearson correlation of two (timestamps, values) series at a lag.
+def correlate_series(a, b, bin_width: int,
+                     lag: int = 0) -> tuple[float | None, int]:
+    """Pearson correlation of two (timestamps, values) series at a lag,
+    and the number of bins it pairs.
 
     Both series are resampled to the common bin grid by per-bin mean
     (timestamps are sample instants; for pre-binned series pass
     binned_series_instants). A value of series a at bin t is paired with
-    series b at t + lag bins. Returns None when either side has zero
-    variance (undefined).
+    series b at t + lag bins. The correlation is None when either side
+    has zero variance (undefined).
     """
     a_bins, a_vals = resample_to_bins(a[0], a[1], bin_width)
     b_bins, b_vals = resample_to_bins(b[0], b[1], bin_width)
@@ -339,8 +333,8 @@ def correlate_series(a, b, bin_width: int, lag: int = 0) -> float | None:
     x = a_vals[ia]
     y = b_vals[ib]
     if np.ptp(x) == 0 or np.ptp(y) == 0:
-        return None
-    return float(np.corrcoef(x, y)[0, 1])
+        return None, common.size
+    return float(np.corrcoef(x, y)[0, 1]), common.size
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +431,9 @@ def _heat_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_heatmap_svg(path, hm: Heatmap, norm: str = "log") -> None:
-    """Minimal heatmap rendering; each cell carries both normalizations."""
-    if norm not in ("log", "linear"):
-        raise ValueError(f"norm must be 'log' or 'linear', got {norm!r}")
+def render_heatmap_svg(path, hm: Heatmap) -> None:
+    """Minimal heatmap rendering on a log color scale; each cell carries
+    both normalizations."""
     cell = 30
     left, top = 130, 50
     nrows, ncols = hm.weights.shape
@@ -450,7 +443,7 @@ def render_heatmap_svg(path, hm: Heatmap, norm: str = "log") -> None:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" font-family="monospace" font-size="10">',
-        f'<!-- norm={norm} (available: log, linear) -->',
+        '<!-- norm=log (available: log, linear) -->',
         f'<text x="{left}" y="20" font-size="13">core-h heatmap: '
         f'{hm.measure} vs job size</text>',
     ]
@@ -462,11 +455,10 @@ def render_heatmap_svg(path, hm: Heatmap, norm: str = "log") -> None:
             w = float(hm.weights[r, c])
             t_log = math.log1p(w) / math.log1p(wmax) if wmax > 0 else 0.0
             t_lin = w / wmax if wmax > 0 else 0.0
-            t = t_log if norm == "log" else t_lin
             x = left + c * cell
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell - 1}" '
-                f'height="{cell - 1}" fill="{_heat_color(t)}" '
+                f'height="{cell - 1}" fill="{_heat_color(t_log)}" '
                 f'data-core-h="{w!r}" data-norm-log="{t_log:.6f}" '
                 f'data-norm-linear="{t_lin:.6f}"/>')
     for c in range(ncols):
@@ -477,7 +469,7 @@ def render_heatmap_svg(path, hm: Heatmap, norm: str = "log") -> None:
             f'{hm.col_labels[c]}</text>')
     parts.append(f'<text x="{left}" y="{height - 14}">rows: job size '
                  f'(nodes); cols: {hm.measure}; shade: core-h '
-                 f'({norm} scale, max {wmax!r})</text>')
+                 f'(log scale, max {wmax!r})</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 

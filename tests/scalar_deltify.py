@@ -14,7 +14,16 @@ import numpy as np
 
 from iorisk import _kernels
 from iorisk.config import Config
-from iorisk.ingest import CounterFeed, UsageTable, _empty_usage, _recode
+from iorisk.ingest import CounterFeed, UsageTable, _recode
+from iorisk.ops import N_COUNTERS
+
+
+def _empty_usage(bin_width) -> UsageTable:
+    return UsageTable(np.empty(0, dtype=np.int64),
+                      np.empty(0, dtype=np.int32),
+                      np.empty(0, dtype=np.int32),
+                      np.empty((0, N_COUNTERS), dtype=np.int64),
+                      (), (), bin_width)
 
 
 def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,

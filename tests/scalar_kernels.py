@@ -5,7 +5,8 @@ kernels were vectorized, kept unchanged. Each loop states the apportioning
 rule inline (half-even share of (d * overlap) / span per claimant, residue
 to the last claimant, negative carry walked back), so the vectorized
 ``apportion`` and the kernels built on it are checked against code that
-shares none of their structure.
+shares none of their structure. ``group_rows_ref`` is the dict-based
+oracle of the grouping rule behind ``sort_groups`` and ``group_sum``.
 """
 from __future__ import annotations
 
@@ -287,3 +288,12 @@ def risk_contribs_ref(deltas, fs_idx, avg, md_total, alpha, beta,
     out = np.empty_like(deltas)
     return _risk_loop(deltas, fs_idx, avg, md_total, float(alpha),
                       float(beta), float(threshold), out)
+
+
+def group_rows_ref(keys, n_rows):
+    """{key tuple: [row, ...]}: the rows that share each distinct key
+    tuple, in input order, gathered one row at a time."""
+    groups = {}
+    for row in range(n_rows):
+        groups.setdefault(tuple(int(k[row]) for k in keys), []).append(row)
+    return groups

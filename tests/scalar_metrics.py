@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from iorisk.attribute import JobUsageTable
-from iorisk.metrics import (FS_SUBJECT, FsBaseline, RiskParams,
+from iorisk.config import Config
+from iorisk.metrics import (FS_SUBJECT, FsBaseline,
                             _quality_arrays, compute_job_metrics)
 from iorisk.ops import OpClass, OpKind
 
@@ -53,7 +54,7 @@ class QualityPoint:
     write_kb_ops: float
 
 
-def op_risk(x: float, avg: float, alpha: float = RiskParams.alpha) -> float:
+def op_risk(x: float, avg: float, alpha: float = Config.alpha) -> float:
     """Risk of one operation count against its scaled average, unclamped."""
     if avg <= 0:
         raise ValueError(f"op_risk needs avg > 0, got {avg}")
@@ -62,7 +63,7 @@ def op_risk(x: float, avg: float, alpha: float = RiskParams.alpha) -> float:
 
 
 def job_bin_risk(usage: JobBinUsage, baseline: FsBaseline,
-                 params: RiskParams = RiskParams()) -> RiskPoint:
+                 params: Config = Config()) -> RiskPoint:
     """Risk contributions of a single job-bin against its fs baseline."""
     if baseline.fs_id != usage.fs_id:
         raise ValueError(f"baseline is for {baseline.fs_id!r}, "

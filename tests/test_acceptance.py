@@ -21,7 +21,7 @@ from iorisk.cli import run
 from iorisk.config import Config
 from iorisk.ingest import (deltify_and_bin, read_counter_file,
                            read_job_file)
-from iorisk.metrics import (FsBaseline, RiskParams, compute_baselines,
+from iorisk.metrics import (FsBaseline, compute_baselines,
                             compute_fs_metrics, compute_job_metrics)
 from iorisk.ops import COUNTER_NAMES, N_COUNTERS, OpKind
 from iorisk.report import (BREAKDOWN_LABELS, build_breakdown, build_heatmap,
@@ -107,7 +107,7 @@ def test_criterion_2_paper_constant_defaults():
         assert cfg.beta == 0.25
         assert cfg.slowdown_factor == 1.5
         assert cfg.scatter_min_risk == 25.0
-        params = RiskParams()
+        params = Config()
         assert params.alpha == 2.0
         assert params.beta == 0.25
         assert BREAKDOWN_LABELS == ("(0,4)", "[4,32)", "[32,256)",
@@ -204,7 +204,7 @@ def test_criterion_5_conservation_chain(metric_run):
                                           err_msg=job_id)
 
         # attribution -> job summaries
-        summaries = summarize_jobs(jobs, attribution)
+        summaries = summarize_jobs(jobs, attribution.job_usage)
         for s in summaries:
             want = ledger.job_totals[s.job_id]
             assert s.read_ops_total == want[OpKind.READ_OPS.column]
@@ -218,7 +218,7 @@ def test_criterion_5_conservation_chain(metric_run):
 def test_criterion_6_heatmap_and_breakdown_mass(metric_run):
     def check():
         summaries = summarize_jobs(metric_run["jobs"],
-                                   metric_run["attribution"])
+                                   metric_run["attribution"].job_usage)
         total_core_s = sum(s.core_s for s in summaries)
         for measure in ("read_gib", "write_gib"):
             hm = build_heatmap(summaries, measure)
@@ -262,9 +262,9 @@ def test_criterion_8_correlation_sanity(tmp_path_factory):
         ts = np.arange(1, 60) * 360
         rng = np.random.default_rng(5)
         vals = rng.uniform(0, 10, size=59)
-        assert correlate_series((ts, vals), (ts, vals), 360) \
+        assert correlate_series((ts, vals), (ts, vals), 360)[0] \
             == pytest.approx(1.0, abs=1e-12)
-        assert correlate_series((ts, vals), (ts, -vals), 360) \
+        assert correlate_series((ts, vals), (ts, -vals), 360)[0] \
             == pytest.approx(-1.0, abs=1e-12)
 
         out = tmp_path_factory.mktemp("contention")
@@ -284,7 +284,7 @@ def test_criterion_8_correlation_sanity(tmp_path_factory):
         probe_rows = (out / "probe.csv").read_text().splitlines()[1:]
         pts = np.asarray([int(r.split(",")[0]) for r in probe_rows])
         pv = np.asarray([float(r.split(",")[1]) for r in probe_rows])
-        r = correlate_series(risk, (pts, pv), spec.bin_width_s)
+        r, n = correlate_series(risk, (pts, pv), spec.bin_width_s)
         assert r is not None and r > 0.8, f"risk/probe correlation {r}"
 
         # brute-force Pearson on the same resampled overlap
@@ -293,6 +293,7 @@ def test_criterion_8_correlation_sanity(tmp_path_factory):
         common, ia, ib = np.intersect1d(rb, pb, return_indices=True)
         want = brute_force_pearson(list(rv[ia]), list(pvm[ib]))
         assert abs(r - want) < 1e-9
+        assert n == common.size
 
     _report(8, "self/negation correlation and contention probe > 0.8",
             check)

@@ -8,8 +8,9 @@ from iorisk.analytics import (build_scatter, detect_slowdown,
                               group_applications, runtime_bin_count,
                               summarize_jobs)
 from iorisk.attribute import attribute_usage, fs_bin_totals
+from iorisk.config import Config
 from iorisk.ingest import deltify_and_bin
-from iorisk.metrics import (RiskParams, compute_baselines,
+from iorisk.metrics import (compute_baselines,
                             compute_job_metrics)
 from iorisk.ops import OpKind
 
@@ -121,7 +122,7 @@ def test_slowdown_parameter_validation():
 # --- scatter ----------------------------------------------------------------
 
 
-def _metrics_for(jobs, rows, params=RiskParams()):
+def _metrics_for(jobs, rows, params=Config()):
     usage = deltify_and_bin(feed_from_rows(rows), W)
     attribution = attribute_usage(usage, jobs)
     baselines = compute_baselines(fs_bin_totals(usage))
@@ -228,7 +229,7 @@ def test_core_h_arithmetic():
     rows = [[W, "n1", "fs2"] + values_row()]
     usage = deltify_and_bin(feed_from_rows(rows), W)
     res = attribute_usage(usage, [job])
-    s = summarize_jobs([job], res)[0]
+    s = summarize_jobs([job], res.job_usage)[0]
     assert s.core_h == pytest.approx(288.0)
     assert s.core_s == 288 * 3600
 
@@ -238,7 +239,7 @@ def test_read_gib_unit_identity():
             [2 * W, "n1", "fs2"] + values_row(read_kb=2 ** 20)]
     job = simple_job("j1", "n1", start=W, end=2 * W)
     usage = deltify_and_bin(feed_from_rows(rows), W)
-    s = summarize_jobs([job], attribute_usage(usage, [job]))[0]
+    s = summarize_jobs([job], attribute_usage(usage, [job]).job_usage)[0]
     assert s.read_gib == 1.0
     assert s.mean_read_ops_s == 0.0
 
@@ -262,7 +263,7 @@ def test_job_read_totals_plus_unattributed_equal_fs_total(rng):
             rows.append([t, node, "fs2"] + cum.tolist())
     usage = deltify_and_bin(feed_from_rows(rows), W)
     res = attribute_usage(usage, jobs)
-    summaries = summarize_jobs(jobs, res)
+    summaries = summarize_jobs(jobs, res.job_usage)
     col = OpKind.READ_KB.column
     job_read_kb = sum(round(s.read_gib * 2 ** 20) for s in summaries)
     unattributed_read_kb = int(res.unattributed.deltas[:, col].sum())
@@ -286,7 +287,7 @@ def test_summaries_conserve_attribution_totals(rng):
             rows.append([t, node, "fs2"] + cum.tolist())
     usage = deltify_and_bin(feed_from_rows(rows), W)
     res = attribute_usage(usage, jobs)
-    summaries = summarize_jobs(jobs, res)
+    summaries = summarize_jobs(jobs, res.job_usage)
     total_read_kb = sum(s.read_gib for s in summaries) * 2 ** 20
     want = res.job_usage.deltas[:, OpKind.READ_KB.column].sum()
     assert total_read_kb == pytest.approx(float(want), rel=1e-12)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -599,3 +600,88 @@ def test_fs_risk_series_has_rows_only_for_bins_with_job_rows(demo_feeds,
         slots = (max(bins) - min(bins)) // 360 + 1
         counts[fs] = (sum(f == fs for f, _ in fs_bins), slots)
     assert counts == {"fs2": (130, 225), "fs3": (95, 236)}
+
+
+def test_job_time_beyond_int64_exits_before_writing(demo_feeds, tmp_path,
+                                                    capsys):
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text("job_id,project,command,nodes,start_ts,end_ts,"
+                    "cores_per_node\n"
+                    "j1,p,cmd,n1,1577836800,100000000000000000000,24\n")
+    out = tmp_path / "out"
+    rc = run(["all", "--counters", str(demo_feeds / "counters.csv"),
+              "--jobs", str(jobs), "--out", str(out)])
+    assert rc == 1
+    assert ("job feed: value out of int64 range '100000000000000000000' "
+            "(line 2, field 'end_ts')" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+BAD_PROBES = {
+    "short-row": ("1577837100\n", "expected 2 fields, got 1 (line 2)"),
+    "text-timestamp": ("abc,1.0\n",
+                       "non-integer value 'abc' (line 2, field 'ts')"),
+    "text-latency": ("1577837100,slow\n",
+                     "non-numeric value 'slow' (line 2, field "
+                     "'latency_ms')"),
+}
+
+
+def _bad_probe(tmp_path, rows) -> Path:
+    path = tmp_path / "probe.csv"
+    path.write_text("ts,latency_ms\n" + rows)
+    return path
+
+
+@pytest.mark.parametrize("rows, message", BAD_PROBES.values(),
+                         ids=BAD_PROBES)
+def test_bad_probe_fails_all_before_writing(demo_feeds, tmp_path, capsys,
+                                            rows, message):
+    probe = _bad_probe(tmp_path, rows)
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, ("--probe", str(probe))) == 1
+    assert f"probe file {probe}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", BAD_PROBES.values(),
+                         ids=BAD_PROBES)
+def test_bad_probe_fails_report_before_writing(demo_feeds, tmp_path,
+                                               capsys, rows, message):
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, ("--svg",)) == 0
+    before = _tree_bytes(out)
+    probe = _bad_probe(tmp_path, rows)
+    # a report that got as far as writing would drop the SVGs
+    assert run(["report", "--probe", str(probe), "--out", str(out)]) == 1
+    assert f"probe file {probe}: {message}" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+
+
+def _header_only_counters(demo_feeds, feeds):
+    header = (demo_feeds / "counters.csv").read_text().splitlines(True)[0]
+    (feeds / "counters.csv").write_text(header)
+    shutil.copy(demo_feeds / "jobs.csv", feeds / "jobs.csv")
+
+
+def _jobs_without_usage(demo_feeds, feeds):
+    shutil.copy(demo_feeds / "counters.csv", feeds / "counters.csv")
+    (feeds / "jobs.csv").write_text(
+        "job_id,project,command,nodes,start_ts,end_ts,cores_per_node\n"
+        "j1,p,cmd,idle1;idle2,1577836800,1577840400,24\n"
+        "j2,p,cmd,idle3,1577836800,1577850400,\n")
+
+
+@pytest.mark.parametrize("make_feeds", [_header_only_counters,
+                                        _jobs_without_usage])
+def test_feeds_with_no_job_usage_run_and_staged_equals_all(
+        demo_feeds, tmp_path, make_feeds):
+    feeds = tmp_path / "feeds"
+    feeds.mkdir()
+    make_feeds(demo_feeds, feeds)
+    extra = ("--svg", "--probe", str(demo_feeds / "probe.csv"))
+    assert _run_all(feeds, tmp_path / "all", extra) == 0
+    assert _staged(feeds, tmp_path / "staged", report=extra) == [0, 0, 0]
+    assert _tree_bytes(tmp_path / "all") == _tree_bytes(tmp_path / "staged")
+    lines = (tmp_path / "all" / "risk_timeseries.csv").read_text()
+    assert lines.count("\n") == 1  # header only: no job-bin rows

@@ -3,6 +3,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iorisk.config import (CONFIG_ENV_VAR, FIELDS, Config, load_config_file,
@@ -123,9 +124,14 @@ def test_validation_checks_each_field_kind():
 
 def test_library_guards_state_the_schema_rule():
     from iorisk.analytics import detect_slowdown
-    from iorisk.metrics import RiskParams
-    with pytest.raises(ValueError, match=r"risk params: alpha must be > 0"):
-        RiskParams(alpha=0.0)
+    from iorisk.attribute import JobUsageTable
+    from iorisk.metrics import compute_job_metrics
+    no_rows = JobUsageTable(np.empty(0, np.int32), np.empty(0, np.int32),
+                            np.empty(0, np.int64), np.empty((0, 21), np.int64),
+                            (), (), 360)
+    with pytest.raises(ValueError,
+                       match=r"compute_job_metrics: alpha must be > 0"):
+        compute_job_metrics(no_rows, {}, Config(alpha=0.0))
     with pytest.raises(ValueError, match=r"config: alpha must be > 0"):
         Config(alpha=0.0).validate()
     with pytest.raises(ValueError, match=r"slowdown_factor must be > 1"):

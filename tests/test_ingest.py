@@ -148,6 +148,17 @@ def test_job_empty_cores_defaults_to_24():
     assert jobs[0].cores_per_node == 36
 
 
+@pytest.mark.parametrize("field", ["start_ts", "end_ts", "cores_per_node"])
+def test_job_integer_beyond_int64_names_line_and_field(field):
+    values = {"start_ts": "100", "end_ts": "200", "cores_per_node": "24",
+              field: "9" * 20}
+    row = "j1,p,c,n1," + ",".join(values.values())
+    with pytest.raises(FeedFormatError,
+                       match="value out of int64 range") as exc:
+        parse_job_feed(job_csv(['j0,p,c,n0,1,2,24', row]))
+    assert (exc.value.line_no, exc.value.feed_field) == (3, field)
+
+
 def test_job_command_with_commas_round_trips():
     jobs = [JobRecord("j1", 'run -a 1,2 -b "x"', "p", frozenset({"n1"}),
                       100, 200)]

@@ -5,7 +5,7 @@ several jobs and the unattributed remainder."""
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iorisk import _kernels
 from iorisk.ops import N_COUNTERS
@@ -149,6 +149,47 @@ def test_attribute_shares_matches_scalar_reference(case):
     _assert_same_rows(got, ref.attribute_shares_ref(*case))
     assert (got[3] >= 0).all()
     assert got[3].sum() == case[3].sum()
+
+
+@st.composite
+def grouping_cases(draw):
+    """1-3 key columns of few distinct values, so that groups repeat, and
+    int values of one or several columns."""
+    n = draw(st.integers(0, 40))
+    keys = [np.asarray(draw(st.lists(st.integers(-2, 2), min_size=n,
+                                     max_size=n)),
+                       dtype=draw(st.sampled_from([np.int32, np.int64])))
+            for _ in range(draw(st.integers(1, 3)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    width = draw(st.sampled_from([(), (3,)]))
+    return keys, rng.integers(-50, 50, size=(n,) + width)
+
+
+@PROPERTY
+@example(([np.empty(0, np.int32), np.empty(0, np.int64)],
+          np.empty((0, N_COUNTERS), np.int64)))
+@example(([np.array([7], np.int64)], np.array([[1.5, -2.0]])))
+@given(grouping_cases())
+def test_group_sum_matches_dict_oracle(case):
+    keys, values = case
+    groups = ref.group_rows_ref(keys, len(values))
+    want_keys = sorted(groups)  # ascending, the first key major
+
+    order, starts = _kernels.sort_groups(*keys)
+    bounds = np.append(starts, len(order)).tolist()
+    assert [order[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])] \
+        == [groups[key] for key in want_keys]
+
+    got_keys, sums = _kernels.group_sum(keys, values)
+    assert [k.dtype for k in got_keys] == [k.dtype for k in keys]
+    assert list(zip(*(k.tolist() for k in got_keys))) == want_keys
+    assert sums.dtype == values.dtype
+    assert sums.shape == (len(want_keys),) + values.shape[1:]
+    for group, key in enumerate(want_keys):
+        want = values[groups[key][0]]
+        for row in groups[key][1:]:
+            want = want + values[row]
+        np.testing.assert_array_equal(sums[group], want)
 
 
 def test_risk_contribs_matches_scalar_reference(rng):

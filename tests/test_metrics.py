@@ -8,8 +8,8 @@ import pytest
 from conftest import feed_from_rows, simple_job, values_row
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.ingest import deltify_and_bin
-from iorisk.metrics import (FS_SUBJECT, FsBaseline,
-                            RiskParams, compute_baseline,
+from iorisk.config import Config
+from iorisk.metrics import (FS_SUBJECT, FsBaseline, compute_baseline,
                             compute_baselines, compute_fs_metrics,
                             compute_job_metrics)
 from scalar_metrics import (JobBinUsage, fs_bin_aggregate, job_bin_quality,
@@ -218,7 +218,7 @@ def test_degenerate_md_total_uses_threshold_floor(caplog):
                           window=(0, 0), n_bins=1)
     with caplog.at_level(logging.WARNING, logger="iorisk.metrics"):
         point = job_bin_risk(jb_usage(mkdir=5), baseline,
-                             RiskParams(md_small_avg_threshold=1.0))
+                             Config(md_small_avg_threshold=1.0))
     assert point.per_op_risk[OpKind.MKDIR] == 4.0  # (5 - 1) / 1
     assert any("degenerate" in r.message for r in caplog.records)
 
@@ -248,7 +248,7 @@ def test_random_job_bins_match_brute_force_oracle(rng):
     avgs = {name: float(rng.uniform(0, 30) * (rng.random() < 0.7))
             for name in COUNTER_NAMES}
     baseline = make_baseline(**avgs)
-    params = RiskParams()
+    params = Config()
     for _ in range(200):
         deltas = {name: int(rng.integers(0, 500))
                   for name in COUNTER_NAMES}
@@ -347,7 +347,7 @@ def test_fifty_job_aggregate_matches_summation_oracle(rng):
 # --- batch metrics and invariants -------------------------------------------
 
 
-def _pipeline_metrics(rng, n_jobs=10, n_bins=8, params=RiskParams()):
+def _pipeline_metrics(rng, n_jobs=10, n_bins=8, params=Config()):
     rows = []
     jobs = []
     for j in range(n_jobs):
@@ -413,16 +413,16 @@ def test_doubling_alpha_never_increases_contribution_on_stable_paths(rng):
     for _ in range(20):
         deltas = {n: int(rng.integers(0, 400)) for n in COUNTER_NAMES}
         p1 = job_bin_risk(jb_usage(**deltas), baseline,
-                          RiskParams(alpha=2.0))
+                          Config(alpha=2.0))
         p2 = job_bin_risk(jb_usage(**deltas), baseline,
-                          RiskParams(alpha=4.0))
+                          Config(alpha=4.0))
         for op in OpKind:
             assert p2.per_op_risk[op] <= p1.per_op_risk[op] + 1e-12
 
 
 def test_beta_path_selection_is_deterministic_function_of_baseline():
     baseline = make_baseline(mkdir=0.4, open=10.0)
-    params = RiskParams(alpha=2.0, md_small_avg_threshold=1.0)
+    params = Config(alpha=2.0, md_small_avg_threshold=1.0)
     # mkdir: 2*0.4 = 0.8 < 1.0 -> beta path; open: 20 >= 1.0 -> alpha path
     for x in (0, 1, 10, 1000):
         p = job_bin_risk(jb_usage(mkdir=x), baseline, params)
@@ -453,9 +453,10 @@ def test_quality_agg_mean_option(rng):
 
 
 def test_risk_params_validation():
+    usage, baseline = jb_usage(), make_baseline()
     with pytest.raises(ValueError):
-        RiskParams(alpha=0)
+        job_bin_risk(usage, baseline, Config(alpha=0))
     with pytest.raises(ValueError):
-        RiskParams(beta=-1)
+        job_bin_risk(usage, baseline, Config(beta=-1))
     with pytest.raises(ValueError):
-        RiskParams(md_small_avg_threshold=-0.1)
+        job_bin_risk(usage, baseline, Config(md_small_avg_threshold=-0.1))

@@ -9,8 +9,9 @@ import pytest
 from conftest import feed_from_rows, simple_job, values_row
 from iorisk.analytics import JobIoSummary
 from iorisk.attribute import attribute_usage, fs_bin_totals
+from iorisk.config import Config
 from iorisk.ingest import deltify_and_bin
-from iorisk.metrics import (RiskParams, compute_baselines,
+from iorisk.metrics import (compute_baselines,
                             compute_fs_metrics, compute_job_metrics)
 from iorisk.report import (BREAKDOWN_LABELS, MEASURES, breakdown_bin_index,
                            build_breakdown, build_heatmap, correlate_series,
@@ -181,14 +182,15 @@ def brute_force_pearson(x, y):
 def test_self_correlation_is_one(rng):
     ts = np.arange(1, 40) * W
     vals = rng.uniform(0, 10, size=39)
-    r = correlate_series((ts, vals), (ts, vals), W)
+    r, n = correlate_series((ts, vals), (ts, vals), W)
     assert r == pytest.approx(1.0, abs=1e-12)
+    assert n == 39
 
 
 def test_negation_correlation_is_minus_one(rng):
     ts = np.arange(1, 40) * W
     vals = rng.uniform(0, 10, size=39)
-    r = correlate_series((ts, vals), (ts, -vals), W)
+    r, _ = correlate_series((ts, vals), (ts, -vals), W)
     assert r == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -196,7 +198,7 @@ def test_correlation_matches_brute_force(rng):
     ts = np.arange(1, 100) * W
     x = rng.uniform(0, 5, size=99)
     y = 0.5 * x + rng.uniform(0, 2, size=99)
-    r = correlate_series((ts, x), (ts, y), W)
+    r, _ = correlate_series((ts, x), (ts, y), W)
     assert r == pytest.approx(brute_force_pearson(list(x), list(y)),
                               abs=1e-9)
 
@@ -205,7 +207,7 @@ def test_zero_variance_is_undefined():
     ts = np.arange(1, 10) * W
     flat = np.ones(9)
     wavy = np.arange(9, dtype=float)
-    assert correlate_series((ts, flat), (ts, wavy), W) is None
+    assert correlate_series((ts, flat), (ts, wavy), W) == (None, 9)
 
 
 def test_too_few_overlapping_bins_rejected():
@@ -227,8 +229,9 @@ def test_correlation_with_lag():
     ts = np.arange(1, 30) * W
     x = np.sin(np.arange(29) * 0.7) + 2
     # b is a copy of x delayed by 2 bins: matching a(t) with b(t + 2 bins)
-    r = correlate_series((ts, x), (ts + 2 * W, x), W, lag=2)
+    r, n = correlate_series((ts, x), (ts + 2 * W, x), W, lag=2)
     assert r == pytest.approx(1.0, abs=1e-12)
+    assert n == 29
 
 
 # --- time-series emission ---------------------------------------------------
@@ -251,7 +254,7 @@ def _full_metrics(rng, n_jobs=5, n_bins=12):
     usage = deltify_and_bin(feed_from_rows(rows), W)
     attribution = attribute_usage(usage, jobs)
     baselines = compute_baselines(fs_bin_totals(usage))
-    jm = compute_job_metrics(attribution.job_usage, baselines, RiskParams())
+    jm = compute_job_metrics(attribution.job_usage, baselines, Config())
     fm = compute_fs_metrics(jm)
     return jobs, attribution, jm, fm
 
@@ -305,7 +308,7 @@ def test_empty_day_produces_header_only_file(rng, tmp_path):
     job = simple_job("j1", "n1", start=W, end=3 * 86400)
     attribution = attribute_usage(usage, [job])
     baselines = compute_baselines(fs_bin_totals(usage))
-    jm = compute_job_metrics(attribution.job_usage, baselines, RiskParams())
+    jm = compute_job_metrics(attribution.job_usage, baselines, Config())
     fm = compute_fs_metrics(jm)
     files = emit_timeseries(fm, jm, tmp_path, top_k=2)
     assert len(files) == 3
@@ -355,5 +358,3 @@ def test_heatmap_svg_smoke(tmp_path):
     with open(tmp_path / "hm.csv") as f:
         header = f.readline().strip().split(",")
     assert header[0] == "nodes_bin"
-    with pytest.raises(ValueError):
-        render_heatmap_svg(out, hm, norm="sqrt")
