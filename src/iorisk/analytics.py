@@ -1,4 +1,5 @@
-"""Application grouping, slowdown detection, scatter profiles, job summaries.
+"""Per-job analytics on a JobTable: I/O summaries, slowdown findings and
+scatter profiles, each as arrays aligned with the table's rows.
 
 Runs are grouped by the byte-identical launch command. A run is flagged as
 slowed down when its runtime reaches the configured factor times its
@@ -8,191 +9,100 @@ summary is the aggregated feed handed to the service reporting side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _kernels
 from .attribute import JobUsageTable
 from .config import Config, check
-from .ingest import JobRecord
+from .ingest import JobTable
 from .metrics import JobMetrics
 from .ops import READ_KB, READ_OPS, WRITE_KB, WRITE_OPS
 
 KIB_PER_GIB = 2 ** 20
 
 
-@dataclass(frozen=True)
-class ApplicationGroup:
-    """All runs sharing one exact command string."""
-
-    command: str
-    run_ids: tuple[str, ...]
-    mean_runtime: float
-    runtimes: tuple[int, ...]  # aligned with run_ids
+def _check_aligned(jobs: JobTable, job_ids) -> None:
+    if tuple(job_ids) != jobs.job_ids:
+        raise ValueError("job usage and metrics must list the job table's "
+                         "jobs, in its order")
 
 
-def group_applications(jobs) -> list[ApplicationGroup]:
-    """Partition jobs by byte-identical command, sorted by command."""
-    by_command: dict[str, list[JobRecord]] = {}
-    for job in jobs:
-        by_command.setdefault(job.command, []).append(job)
-    groups = []
-    for command in sorted(by_command):
-        members = by_command[command]
-        runtimes = tuple(j.runtime_s for j in members)
-        groups.append(ApplicationGroup(
-            command=command,
-            run_ids=tuple(j.job_id for j in members),
-            mean_runtime=sum(runtimes) / len(runtimes),
-            runtimes=runtimes))
-    return groups
+def summarize_jobs(jobs: JobTable, job_usage: JobUsageTable) -> np.ndarray:
+    """Per-job I/O totals across all filesystems: an (n, 4) int64 array
+    of read_kb, read_ops, write_kb and write_ops, aligned with jobs."""
+    _check_aligned(jobs, job_usage.job_ids)
+    totals = np.zeros((len(jobs), 4), dtype=np.int64)
+    np.add.at(totals, job_usage.job_idx,
+              job_usage.deltas[:, [READ_KB, READ_OPS, WRITE_KB, WRITE_OPS]])
+    return totals
 
 
-@dataclass(frozen=True)
-class SlowdownFinding:
-    """One run whose runtime reached factor x its group mean."""
+def job_measures(jobs: JobTable, totals) -> np.ndarray:
+    """(n, 4) float64: read_gib, write_gib, mean_read_ops_s and
+    mean_write_ops_s of each job, from summarize_jobs' totals. The op
+    rates divide Python ints, so each rounds once, as int / int does;
+    float64 operands would be rounded first above 2**53."""
+    rates = (totals[:, [1, 3]].astype(object)
+             / jobs.runtime_s[:, None].astype(object))
+    return np.column_stack((totals[:, [0, 2]] / KIB_PER_GIB,
+                            rates.astype(np.float64)))
 
-    job_id: str
-    command: str
-    runtime_s: int
-    group_mean_s: float
-    ratio: float
 
-
-def detect_slowdown(groups, factor: float = Config.slowdown_factor,
+def detect_slowdown(jobs: JobTable, factor: float = Config.slowdown_factor,
                     min_group: int = Config.min_group
-                    ) -> list[SlowdownFinding]:
-    """Flag runs with runtime >= factor * group mean runtime.
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Flag runs with runtime >= factor * the mean runtime of the runs
+    sharing their command -> (rows, group_mean_s).
 
-    Groups smaller than min_group are skipped; the mean includes the
-    candidate run itself. A factor of 1 or less, or groups of fewer than
-    two runs, would flag runs that are no slower than their peers, and
-    raise ValueError.
+    rows are the flagged jobs' rows, by command in string order and then
+    in feed order; group_mean_s holds each one's group mean. Groups
+    smaller than min_group are skipped; the mean includes the candidate
+    run itself. A factor of 1 or less, or groups of fewer than two runs,
+    would flag runs that are no slower than their peers, and raise
+    ValueError.
     """
     check("slowdown_factor", factor, "detect_slowdown")
     check("min_group", min_group, "detect_slowdown")
-    findings = []
-    for group in groups:
-        if len(group.run_ids) < min_group:
-            continue
-        threshold = factor * group.mean_runtime
-        for job_id, runtime in zip(group.run_ids, group.runtimes):
-            if runtime >= threshold:
-                findings.append(SlowdownFinding(
-                    job_id=job_id, command=group.command,
-                    runtime_s=runtime, group_mean_s=group.mean_runtime,
-                    ratio=runtime / group.mean_runtime))
-    return findings
+    _, group = np.unique(np.array(jobs.commands, dtype=object),
+                         return_inverse=True)
+    order, starts = _kernels.sort_groups(group)
+    sizes = np.diff(np.append(starts, len(order)))
+    # Python ints and floats: the mean and the comparison stay exact
+    runtime = jobs.runtime_s[order].astype(object)
+    mean = np.add.reduceat(runtime, starts) / sizes.astype(object)
+    per_run = np.repeat(mean, sizes)
+    flagged = ((runtime >= factor * per_run)
+               & np.repeat(sizes >= min_group, sizes))
+    return order[flagged], per_run[flagged].astype(np.float64)
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
-    """Per-run average risk and quality for the application scatter."""
-
-    job_id: str
-    command: str
-    avg_risk_oss: float
-    avg_risk_mds: float
-    avg_quality: float
-
-
-def runtime_bin_count(job: JobRecord, bin_width: int) -> int:
-    """Number of bin slots overlapping [start_ts, end_ts)."""
-    w = bin_width
-    first = w * (job.start_ts // w)
-    last = w * ((job.end_ts - 1) // w)
-    return int((last - first) // w + 1)
-
-
-def build_scatter(jobs, job_metrics: JobMetrics,
+def build_scatter(jobs: JobTable, job_metrics: JobMetrics,
                   min_total_risk: float = Config.scatter_min_risk
-                  ) -> list[ScatterPoint]:
-    """One point per job whose average total risk reaches the threshold.
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The jobs whose average total risk reaches the threshold ->
+    (rows, averages), rows in job id order and averages (k, 3) float64:
+    avg_risk_oss, avg_risk_mds and avg_quality.
 
     Risk averages divide by the number of bins the run spans (idle bins
     count as zero risk); the quality average covers only bins with any
     read/write activity. The threshold comparison is inclusive.
     """
-    jobs = list(jobs)
-    by_id = {j.job_id: j for j in jobs}
     jm = job_metrics
-    n = len(jm.job_ids)
-    sum_oss = np.zeros(n, dtype=np.float64)
-    sum_mds = np.zeros(n, dtype=np.float64)
-    sum_quality = np.zeros(n, dtype=np.float64)
-    io_bins = np.zeros(n, dtype=np.int64)
-    np.add.at(sum_oss, jm.job_idx, jm.risk_oss)
-    np.add.at(sum_mds, jm.job_idx, jm.risk_mds)
-    q = (jm.read_kb_ops + jm.write_kb_ops) * jm.has_io
-    np.add.at(sum_quality, jm.job_idx, q)
-    np.add.at(io_bins, jm.job_idx, jm.has_io.astype(np.int64))
+    _check_aligned(jobs, jm.job_ids)
+    n = len(jobs)
 
-    points = []
-    for idx, job_id in enumerate(jm.job_ids):
-        job = by_id.get(job_id)
-        if job is None:
-            raise ValueError(f"metrics reference unknown job {job_id!r}")
-        nbins = runtime_bin_count(job, jm.bin_width)
-        avg_oss = float(sum_oss[idx]) / nbins
-        avg_mds = float(sum_mds[idx]) / nbins
-        if avg_oss + avg_mds < min_total_risk:
-            continue
-        avg_q = float(sum_quality[idx]) / io_bins[idx] if io_bins[idx] else 0.0
-        points.append(ScatterPoint(job_id=job_id, command=job.command,
-                                   avg_risk_oss=avg_oss,
-                                   avg_risk_mds=avg_mds,
-                                   avg_quality=avg_q))
-    points.sort(key=lambda p: p.job_id)
-    return points
+    def per_job(values):  # adds each job's rows in row order
+        return np.bincount(jm.job_idx, values, minlength=n)
 
-
-@dataclass(frozen=True)
-class JobIoSummary:
-    """Aggregated per-job I/O totals (the service reporting feed)."""
-
-    job_id: str
-    project: str
-    command: str
-    nodes_count: int
-    core_s: int  # nodes * cores_per_node * runtime seconds, exact
-    read_gib: float
-    write_gib: float
-    read_ops_total: int
-    write_ops_total: int
-    mean_read_ops_s: float
-    mean_write_ops_s: float
-
-    @property
-    def core_h(self) -> float:
-        return self.core_s / 3600.0
-
-
-def summarize_jobs(jobs, job_usage: JobUsageTable) -> list[JobIoSummary]:
-    """Per-job I/O totals across all filesystems, in input job order."""
-    jobs = list(jobs)
-    pos_of = {job_id: i for i, job_id in enumerate(job_usage.job_ids)}
-    n = len(job_usage.job_ids)
-    totals = np.zeros((n, 4), dtype=np.int64)  # read_kb, read_ops, write_kb, write_ops
-    for t, c in enumerate((READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)):
-        np.add.at(totals[:, t], job_usage.job_idx, job_usage.deltas[:, c])
-
-    out = []
-    for job in jobs:
-        idx = pos_of.get(job.job_id)
-        read_kb, read_ops, write_kb, write_ops = (
-            (int(v) for v in totals[idx]) if idx is not None
-            else (0, 0, 0, 0))
-        elapsed = job.runtime_s
-        out.append(JobIoSummary(
-            job_id=job.job_id,
-            project=job.project,
-            command=job.command,
-            nodes_count=len(job.nodes),
-            core_s=len(job.nodes) * job.cores_per_node * elapsed,
-            read_gib=read_kb / KIB_PER_GIB,
-            write_gib=write_kb / KIB_PER_GIB,
-            read_ops_total=read_ops,
-            write_ops_total=write_ops,
-            mean_read_ops_s=read_ops / elapsed,
-            mean_write_ops_s=write_ops / elapsed))
-    return out
+    w = jm.bin_width
+    n_bins = (w * ((jobs.end_ts - 1) // w) - w * (jobs.start_ts // w)) // w + 1
+    avg_oss = per_job(jm.risk_oss) / n_bins
+    avg_mds = per_job(jm.risk_mds) / n_bins
+    io_bins = np.bincount(jm.job_idx[jm.has_io], minlength=n)
+    quality = per_job((jm.read_kb_ops + jm.write_kb_ops) * jm.has_io)
+    avg_q = np.where(io_bins > 0, quality / np.maximum(io_bins, 1), 0.0)
+    kept = np.flatnonzero(~(avg_oss + avg_mds < min_total_risk))
+    ids = np.array(jobs.job_ids, dtype=object)
+    rows = kept[np.argsort(ids[kept], kind="stable")]
+    return rows, np.column_stack((avg_oss[rows], avg_mds[rows],
+                                  avg_q[rows]))

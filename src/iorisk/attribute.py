@@ -1,7 +1,7 @@
 """Attribute binned node usage to the jobs that held the nodes.
 
 Node allocation is exclusive (whole-node scheduling): two jobs may not hold
-the same node at the same time, which parse_job_feed checks. A bin partially
+the same node at the same time, which job_table checks. A bin partially
 covered by a job's interval is split by time-overlap fraction; whatever no
 job claims goes to a per-fs unattributed ledger so fs totals stay auditable.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .ingest import UsageTable
+from .ingest import JobTable, UsageTable
 
 
 @dataclass
@@ -59,39 +59,30 @@ def fs_bin_totals(usage: UsageTable) -> FsUsageTable:
     return FsUsageTable(fs, bins, deltas, usage.filesystems, usage.bin_width)
 
 
-def attribute_usage(node_usage: UsageTable, jobs) -> AttributionResult:
+def attribute_usage(node_usage: UsageTable, jobs: JobTable
+                    ) -> AttributionResult:
     """Assign node-bin deltas to the jobs holding the nodes.
 
     Bins partially covered by a job interval are apportioned by overlap
     fraction (the rule in _kernels, exact sum) between the jobs in start
     order, with the unattributed remainder last. Deltas on nodes no job
     held go to the unattributed ledger. The jobs must hold their nodes
-    exclusively, as parse_job_feed ensures.
+    exclusively, as job_table ensures.
     """
-    jobs = list(jobs)
-
+    # each job's slots recoded to the usage table's nodes; -1 has no usage
     node_of = {name: i for i, name in enumerate(node_usage.nodes)}
-    per_node: dict[int, list[tuple[int, int, int]]] = {}
-    for pos, job in enumerate(jobs):
-        for node in job.nodes:
-            idx = node_of.get(node)
-            if idx is not None:
-                per_node.setdefault(idx, []).append(
-                    (job.start_ts, job.end_ts, pos))
-
-    n_nodes = len(node_usage.nodes)
-    node_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    starts, ends, of = [], [], []
-    for idx in range(n_nodes):
-        intervals = sorted(per_node.get(idx, []))
-        node_ptr[idx + 1] = node_ptr[idx] + len(intervals)
-        for s, e, pos in intervals:
-            starts.append(s)
-            ends.append(e)
-            of.append(pos)
-    job_start = np.asarray(starts, dtype=np.int64)
-    job_end = np.asarray(ends, dtype=np.int64)
-    job_of = np.asarray(of, dtype=np.int32)
+    recode = np.array([node_of.get(name, -1) for name in jobs.nodes],
+                      dtype=np.int64)
+    slot_node = recode[jobs.slot_node]
+    slot_job = np.repeat(np.arange(len(jobs)), jobs.node_counts)
+    start, end = jobs.start_ts[slot_job], jobs.end_ts[slot_job]
+    # by node, then start: a node's jobs are disjoint, so starts differ
+    order = np.lexsort((start, slot_node))
+    order = order[slot_node[order] >= 0]
+    node_ptr = np.searchsorted(slot_node[order],
+                               np.arange(len(node_usage.nodes) + 1))
+    job_start, job_end = start[order], end[order]
+    job_of = slot_job[order].astype(np.int32)
 
     claim_job, claim_fs, claim_bin, claim_deltas = _kernels.attribute_shares(
         node_usage.node_idx, node_usage.fs_idx, node_usage.bin_start,
@@ -102,7 +93,7 @@ def attribute_usage(node_usage: UsageTable, jobs) -> AttributionResult:
         [claim_job, claim_fs, claim_bin], claim_deltas)
     free = int(np.searchsorted(job, 0))  # the remainder, job -1, sorts first
     job_usage = JobUsageTable(job[free:], fs[free:], bins[free:],
-                              deltas[free:], tuple(j.job_id for j in jobs),
+                              deltas[free:], jobs.job_ids,
                               node_usage.filesystems, node_usage.bin_width)
     unattributed = FsUsageTable(fs[:free], bins[:free], deltas[:free],
                                 node_usage.filesystems, node_usage.bin_width)

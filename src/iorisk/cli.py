@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 from . import store
-from .analytics import (build_scatter, detect_slowdown, group_applications,
-                        summarize_jobs)
+from .analytics import build_scatter, detect_slowdown, summarize_jobs
 from .attribute import attribute_usage, fs_bin_totals
 from .config import FIELDS, Config, add_config_flags, resolve_config
 from .ingest import (deltify_and_bin, read_counter_file, read_job_file,
@@ -139,20 +138,22 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm,
     if args.alias:
         aliases = json.loads(Path(args.alias).read_text())
 
-    summaries = summarize_jobs(jobs, job_usage)
-    groups = group_applications(jobs)
-    findings = detect_slowdown(groups, cfg.slowdown_factor, cfg.min_group)
-    scatter = build_scatter(jobs, jm, cfg.scatter_min_risk)
+    totals = summarize_jobs(jobs, job_usage)
+    slow_rows, group_mean_s = detect_slowdown(jobs, cfg.slowdown_factor,
+                                              cfg.min_group)
+    scatter_rows, averages = build_scatter(jobs, jm, cfg.scatter_min_risk)
 
     _clear_report_artifacts(out)
-    write_job_summary_csv(out / "job_summary.csv", summaries)
-    write_scatter_csv(out / "scatter.csv", scatter, aliases)
-    write_slowdown_csv(out / "slowdown.csv", findings, aliases)
-    if summaries:
+    write_job_summary_csv(out / "job_summary.csv", jobs, totals)
+    write_scatter_csv(out / "scatter.csv", jobs, scatter_rows, averages,
+                      aliases)
+    write_slowdown_csv(out / "slowdown.csv", jobs, slow_rows, group_mean_s,
+                       aliases)
+    if len(jobs):
         write_breakdown_csv(out / "breakdown.csv",
-                            build_breakdown(summaries))
+                            build_breakdown(jobs, totals))
         for measure in MEASURES:
-            hm = build_heatmap(summaries, measure)
+            hm = build_heatmap(jobs, totals, measure)
             write_heatmap_csv(out / f"heatmap_{measure}.csv", hm)
             if args.svg:
                 render_heatmap_svg(out / f"heatmap_{measure}.svg", hm)
@@ -177,16 +178,16 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm,
             rows.append((f"risk:{fs_id}", "probe", args.lag, r, n))
         write_correlation_csv(out / "correlation.csv", rows)
 
-    print(f"reported {len(summaries)} job summaries, {len(scatter)} "
-          f"scatter points, {len(findings)} slowdown findings -> {out}")
+    print(f"reported {len(jobs)} job summaries, {len(scatter_rows)} "
+          f"scatter points, {len(slow_rows)} slowdown findings -> {out}")
 
 
 def cmd_report(args, cfg: Config) -> int:
     out = Path(args.out)
     probe = read_probe_file(args.probe) if args.probe else None
     usage, jobs = _load_analysis_inputs(out, cfg)
-    job_usage = store.read_job_usage(
-        out, usage.bin_width, [j.job_id for j in jobs], usage.filesystems)
+    job_usage = store.read_job_usage(out, usage.bin_width, jobs.job_ids,
+                                     usage.filesystems)
     _, jm, fm = _metrics(usage, job_usage, cfg)
     store.write_config(out, cfg)
     _report(args, cfg, out, jobs, job_usage, jm, fm, probe)

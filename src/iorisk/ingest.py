@@ -4,8 +4,8 @@ Feeds are plain CSV. counters.csv carries one cumulative snapshot per
 (timestamp, node, filesystem) row with the 21 counters; jobs.csv carries
 scheduler accounting. Parsed feeds and binned usage are held columnar:
 one numpy array per column, with the node and filesystem names kept once
-in registries that the integer code columns index. A job list is checked
-for exclusive node allocation where it is parsed.
+in registries that the integer code columns index. Jobs are one such
+table too, checked for exclusive node allocation where it is built.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 import types
 from dataclasses import dataclass
 
@@ -344,74 +345,39 @@ def write_counter_csv(feed: CounterFeed, out) -> None:
                (feed.fs_idx, feed.filesystems), feed.values])
 
 
-@dataclass(frozen=True)
-class JobRecord:
-    """Scheduler accounting for one job."""
+@dataclass
+class JobTable:
+    """Scheduler accounting, one row per job in feed order.
 
-    job_id: str
-    command: str
-    project: str
-    nodes: frozenset[str]
-    start_ts: int
-    end_ts: int
-    cores_per_node: int = Config.cores_per_node
+    Job i holds the nodes slot_node[node_ptr[i]:node_ptr[i + 1]]: codes
+    into nodes, which is sorted by name, so each job's nodes come in name
+    order. Build one with job_table, which checks the feed's rules.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        if self.end_ts <= self.start_ts:
-            raise ValueError(
-                f"job {self.job_id}: end_ts {self.end_ts} must be after "
-                f"start_ts {self.start_ts}")
-        if not self.nodes:
-            raise ValueError(f"job {self.job_id}: empty node list")
-        check("cores_per_node", self.cores_per_node, f"job {self.job_id}")
+    job_ids: tuple[str, ...]
+    projects: tuple[str, ...]
+    commands: tuple[str, ...]
+    start_ts: np.ndarray        # int64 (n,)
+    end_ts: np.ndarray          # int64 (n,)
+    cores_per_node: np.ndarray  # int64 (n,)
+    node_ptr: np.ndarray        # int64 (n + 1,)
+    slot_node: np.ndarray       # int32 (node_ptr[-1],)
+    nodes: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.job_ids)
 
     @property
-    def runtime_s(self) -> int:
+    def runtime_s(self) -> np.ndarray:
         return self.end_ts - self.start_ts
 
+    @property
+    def node_counts(self) -> np.ndarray:
+        return np.diff(self.node_ptr)
 
-def parse_job_feed(stream,
-                   default_cores: int = Config.cores_per_node
-                   ) -> list[JobRecord]:
-    """Parse a jobs.csv stream; job ids must be unique within the feed
-    and no two jobs may hold a node at the same time.
-
-    An empty cores_per_node field falls back to default_cores.
-    """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    _check_header(header, JOB_HEADER, "job feed")
-
-    jobs = []
-    seen: dict[str, int] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(JOB_HEADER):
-            raise FeedFormatError(
-                f"job feed: expected {len(JOB_HEADER)} fields, "
-                f"got {len(row)}", line_no=line_no)
-        job_id, project, command, nodes_s, start_s, end_s, cores_s = row
-        if job_id in seen:
-            raise FeedFormatError(
-                f"job feed: duplicate job_id {job_id!r} "
-                f"(first at line {seen[job_id]})", line_no=line_no,
-                feed_field="job_id")
-        seen[job_id] = line_no
-        nodes = frozenset(n for n in nodes_s.split(";") if n)
-        start_ts = _check_int64(start_s, "job feed", line_no, "start_ts")
-        end_ts = _check_int64(end_s, "job feed", line_no, "end_ts")
-        cores = (_check_int64(cores_s, "job feed", line_no, "cores_per_node")
-                 if cores_s.strip() else default_cores)
-        try:
-            jobs.append(JobRecord(job_id=job_id, command=command,
-                                  project=project, nodes=nodes,
-                                  start_ts=start_ts, end_ts=end_ts,
-                                  cores_per_node=cores))
-        except ValueError as exc:
-            raise FeedFormatError(f"job feed: {exc}",
-                                  line_no=line_no) from None
-    validate_exclusive_allocation(jobs)
-    return jobs
+    @property
+    def core_s(self) -> np.ndarray:  # job_table bounds its sum in int64
+        return self.node_counts * self.cores_per_node * self.runtime_s
 
 
 class AttributionConflictError(ValueError):
@@ -425,29 +391,108 @@ class AttributionConflictError(ValueError):
         self.job_ids = (job_a, job_b)
 
 
-def validate_exclusive_allocation(jobs) -> None:
-    """Raise AttributionConflictError if any node is double-booked."""
-    by_node: dict[str, list[tuple[int, int, str]]] = {}
-    for job in jobs:
-        for node in job.nodes:
-            by_node.setdefault(node, []).append(
-                (job.start_ts, job.end_ts, job.job_id))
-    for node, intervals in by_node.items():
-        intervals.sort()
-        for (s0, e0, id0), (s1, e1, id1) in zip(intervals, intervals[1:]):
-            if s1 < e0:
-                raise AttributionConflictError(node, id0, id1)
+def job_table(job_ids, projects, commands, node_lists, start_ts, end_ts,
+              cores_per_node) -> JobTable:
+    """The JobTable of per-job sequences in feed order; job i holds the
+    nodes named in node_lists[i], in any order and with repeats.
+
+    Job ids must be unique, each end_ts after its start_ts, each node list
+    non-empty and each cores_per_node positive, and the jobs' core-seconds
+    must sum within int64. The first job that breaks a rule raises
+    FeedFormatError naming its line in a feed, 2 + i. Two jobs holding one
+    node at the same time raise AttributionConflictError; of several such
+    pairs, the one reported is the first in (node name, start, end, feed
+    position) order.
+    """
+    n = len(job_ids)
+    ids = np.array(job_ids, dtype=object)
+    start = np.array(start_ts, dtype=np.int64)
+    end = np.array(end_ts, dtype=np.int64)
+    cores = np.array(cores_per_node, dtype=np.int64)
+
+    def first_bad(mask, message, feed_field=None):
+        if mask.any():
+            i = int(mask.argmax())
+            raise FeedFormatError(f"job feed: {message(i)}",
+                                  line_no=2 + i, feed_field=feed_field)
+
+    _, first, inverse = np.unique(ids, return_index=True,
+                                  return_inverse=True)
+    first = first[inverse]
+    first_bad(first != np.arange(n), lambda i: (
+        f"duplicate job_id {ids[i]!r} (first at line {2 + first[i]})"),
+        "job_id")
+    first_bad(end <= start, lambda i: (
+        f"job {ids[i]}: end_ts {end[i]} must be after start_ts {start[i]}"))
+
+    # each (job, node) pair once, by job and then node name
+    nodes, slot_node = np.unique(np.array(
+        list(itertools.chain.from_iterable(node_lists)), dtype=object),
+        return_inverse=True)
+    slot_job = np.repeat(np.arange(n), [len(names) for names in node_lists])
+    order, starts = _kernels.sort_groups(slot_job, slot_node)
+    slot_job, slot_node = slot_job[order[starts]], slot_node[order[starts]]
+    node_ptr = np.searchsorted(slot_job, np.arange(n + 1))
+    first_bad(node_ptr[1:] == node_ptr[:-1],
+              lambda i: f"job {ids[i]}: empty node list")
+    first_bad(cores <= 0, lambda i: (
+        f"job {ids[i]}: cores_per_node must be > 0, got {cores[i]}"))
+
+    # Python ints: exact however far past int64 a sum goes
+    core_s = np.cumsum(np.diff(node_ptr).astype(object) * cores.astype(object)
+                       * (end.astype(object) - start.astype(object)))
+    first_bad(core_s > _INT64.max, lambda i: (
+        f"job {ids[i]}: core-seconds of the jobs up to this one sum to "
+        f"{core_s[i]}, beyond int64"), "end_ts")
+
+    # by node, then start: a node's overlapping jobs include a neighbour pair
+    order = np.lexsort((slot_job, end[slot_job], start[slot_job], slot_node))
+    on, oj = slot_node[order], slot_job[order]
+    clash = np.flatnonzero((on[1:] == on[:-1])
+                           & (start[oj[1:]] < end[oj[:-1]]))
+    if clash.size:
+        k = clash[0]
+        raise AttributionConflictError(nodes[on[k]], ids[oj[k]],
+                                       ids[oj[k + 1]])
+    return JobTable(tuple(job_ids), tuple(projects), tuple(commands), start,
+                    end, cores, node_ptr, slot_node.astype(np.int32),
+                    tuple(nodes))
 
 
-def write_jobs_csv(jobs, out) -> None:
-    """Serialize JobRecords to jobs.csv format (nodes sorted, ';'-joined)."""
+def parse_job_feed(stream,
+                   default_cores: int = Config.cores_per_node) -> JobTable:
+    """Parse a jobs.csv stream into a JobTable (see job_table for the
+    rules it checks). An empty cores_per_node field falls back to
+    default_cores."""
+    reader = csv.reader(stream)
+    _check_header(next(reader, None), JOB_HEADER, "job feed")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(JOB_HEADER):
+            raise FeedFormatError(
+                f"job feed: expected {len(JOB_HEADER)} fields, "
+                f"got {len(row)}", line_no=line_no)
+        job_id, project, command, nodes_s, start_s, end_s, cores_s = row
+        rows.append((
+            job_id, project, command,
+            [name for name in nodes_s.split(";") if name],
+            _check_int64(start_s, "job feed", line_no, "start_ts"),
+            _check_int64(end_s, "job feed", line_no, "end_ts"),
+            _check_int64(cores_s, "job feed", line_no, "cores_per_node")
+            if cores_s.strip() else default_cores))
+    return job_table(*(list(zip(*rows)) or [()] * 7))
+
+
+def write_jobs_csv(jobs: JobTable, out) -> None:
+    """Serialize a JobTable to jobs.csv format (nodes ';'-joined)."""
+    names = np.array(jobs.nodes, dtype=object)[jobs.slot_node].tolist()
+    ptr = jobs.node_ptr.tolist()
     write_csv(out, JOB_HEADER,
-              [key_column([j.job_id for j in jobs]),
-               key_column([j.project for j in jobs]),
-               key_column([j.command for j in jobs]),
-               key_column([";".join(sorted(j.nodes)) for j in jobs]),
-               *(np.array([getattr(j, name) for j in jobs], dtype=np.int64)
-                 for name in JOB_HEADER[4:])])
+              [key_column(jobs.job_ids), key_column(jobs.projects),
+               key_column(jobs.commands),
+               key_column([";".join(names[a:b])
+                           for a, b in zip(ptr, ptr[1:])]),
+               jobs.start_ts, jobs.end_ts, jobs.cores_per_node])
 
 
 @dataclass
@@ -570,8 +615,7 @@ def read_counter_file(path) -> CounterFeed:
 
 
 def read_job_file(path,
-                  default_cores: int = Config.cores_per_node
-                  ) -> list[JobRecord]:
+                  default_cores: int = Config.cores_per_node) -> JobTable:
     with open(path, newline="") as f:
         return parse_job_feed(f, default_cores=default_cores)
 
@@ -594,11 +638,15 @@ def read_probe_file(path) -> tuple[np.ndarray, np.ndarray]:
                     line_no=line_no)
             ts.append(_check_int64(row[0], what, line_no, header[0]))
             try:
-                values.append(float(row[1]))
+                value = float(row[1])
             except ValueError:
                 raise FeedFormatError(
                     f"{what}: non-numeric value {row[1]!r}",
                     line_no=line_no, feed_field=header[1]) from None
+            if not math.isfinite(value):
+                raise FeedFormatError(f"{what}: non-finite value {row[1]!r}",
+                                      line_no=line_no, feed_field=header[1])
+            values.append(value)
     return np.asarray(ts, dtype=np.int64), np.asarray(values)
 
 

@@ -44,14 +44,13 @@ def _window_slots(first_bin: int, last_bin: int, w: int) -> int:
 
 
 def compute_baseline(totals: FsUsageTable, fs_id: str,
-                     window: tuple[int, int] | None = None,
                      baseline_days: float | None = None) -> FsBaseline:
     """Average the fs-wide per-bin deltas of one filesystem.
 
     Bins inside the window with no activity count as zeros: the divisor is
-    the number of bin slots spanned, not the number of rows. The default
-    window is the full extent of the filesystem's data; baseline_days
-    selects a trailing window instead.
+    the number of bin slots spanned, not the number of rows. The window is
+    the full extent of the filesystem's data, or the trailing
+    baseline_days of it.
     """
     w = totals.bin_width
     try:
@@ -64,28 +63,15 @@ def compute_baseline(totals: FsUsageTable, fs_id: str,
     bins = totals.bin_start[mask]
     deltas = totals.deltas[mask]
 
-    if window is not None and baseline_days is not None:
-        raise ValueError("pass either window or baseline_days, not both")
+    last = int(bins.max())
     if baseline_days is not None:
         check("baseline_days", baseline_days, "compute_baseline")
-        last = int(bins.max())
         n_slots = max(1, int(round(baseline_days * 86400 / w)))
         first = last - (n_slots - 1) * w
-    elif window is not None:
-        lo, hi = window
-        first = w * (int(lo) // w)
-        last = w * (int(hi) // w)
-        if last < first:
-            raise ValueError(f"empty baseline window {window}")
     else:
         first = int(bins.min())
-        last = int(bins.max())
 
-    inside = (bins >= first) & (bins <= last)
-    if not inside.any():
-        raise ValueError(
-            f"baseline window [{first}, {last}] holds no data for "
-            f"filesystem {fs_id!r}")
+    inside = bins >= first
     n_slots = _window_slots(first, last, w)
     avg = deltas[inside].sum(axis=0, dtype=np.float64) / n_slots
     md_total_avg = float(
@@ -95,13 +81,12 @@ def compute_baseline(totals: FsUsageTable, fs_id: str,
 
 
 def compute_baselines(totals: FsUsageTable,
-                      window: tuple[int, int] | None = None,
                       baseline_days: float | None = None
                       ) -> dict[str, FsBaseline]:
     out = {}
     for fs in totals.filesystems:
         if (totals.fs_idx == totals.filesystems.index(fs)).any():
-            out[fs] = compute_baseline(totals, fs, window=window,
+            out[fs] = compute_baseline(totals, fs,
                                        baseline_days=baseline_days)
     return out
 
@@ -148,10 +133,10 @@ class JobMetrics:
     job_ids: tuple[str, ...]
     filesystems: tuple[str, ...]
     bin_width: int
-    degenerate_fs: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.bin_start)
+
 
 def compute_job_metrics(job_usage: JobUsageTable,
                         baselines: dict[str, FsBaseline],
@@ -171,13 +156,11 @@ def compute_job_metrics(job_usage: JobUsageTable,
     contrib = _kernels.risk_contribs(deltas, job_usage.fs_idx, avg, md_total,
                                      params.alpha, params.beta,
                                      params.md_small_avg_threshold)
-    degenerate = []
     for i, fs in enumerate(job_usage.filesystems):
         if not present[i] or md_total[i] > 0:
             continue
         rows = job_usage.fs_idx == i
         if rows.any() and job_usage.deltas[rows][:, MDS_SLICE].any():
-            degenerate.append(fs)
             log.warning(
                 "degenerate baseline for %s: zero metadata average with "
                 "nonzero metadata activity; beta-path denominator floored "
@@ -197,8 +180,7 @@ def compute_job_metrics(job_usage: JobUsageTable,
                       has_io=has_io,
                       job_ids=job_usage.job_ids,
                       filesystems=job_usage.filesystems,
-                      bin_width=job_usage.bin_width,
-                      degenerate_fs=tuple(degenerate))
+                      bin_width=job_usage.bin_width)
 
 
 @dataclass
@@ -209,7 +191,6 @@ class FsMetrics:
     bin_start: np.ndarray
     risk_oss: np.ndarray
     risk_mds: np.ndarray
-    contrib: np.ndarray       # (m, 21) summed contributions
     read_kb_ops: np.ndarray   # quality sums over jobs with risk_oss > 0
     write_kb_ops: np.ndarray
     filesystems: tuple[str, ...]
@@ -234,7 +215,6 @@ def compute_fs_metrics(jm: JobMetrics,
     q_read = jm.read_kb_ops[order] * contributes
     q_write = jm.write_kb_ops[order] * contributes
 
-    agg_contrib = np.add.reduceat(jm.contrib[order], starts, axis=0)
     agg_oss = np.add.reduceat(jm.risk_oss[order], starts)
     agg_mds = np.add.reduceat(jm.risk_mds[order], starts)
     agg_qr = np.add.reduceat(q_read, starts)
@@ -248,6 +228,5 @@ def compute_fs_metrics(jm: JobMetrics,
     first = order[starts]
     return FsMetrics(fs_idx=jm.fs_idx[first], bin_start=jm.bin_start[first],
                      risk_oss=agg_oss, risk_mds=agg_mds,
-                     contrib=agg_contrib,
                      read_kb_ops=agg_qr, write_kb_ops=agg_qw,
                      filesystems=jm.filesystems, bin_width=jm.bin_width)

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from .analytics import job_measures
 from .attribute import FsUsageTable
 from .config import Config
-from .ingest import key_column, repeated_ints, write_csv
+from .ingest import JobTable, key_column, repeated_ints, write_csv
 from .metrics import FS_SUBJECT, FsMetrics, JobMetrics
 from .ops import COUNTER_NAMES
 
@@ -41,35 +42,23 @@ def _pow2(k: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def node_bin_index(n: int) -> int:
-    """Row index of a job size: 0 for [1,1], k for (2^(k-1), 2^k]."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    return 0 if n == 1 else (n - 1).bit_length()
-
-
-def volume_bin_exp(v: float) -> int | None:
-    """Column exponent of a volume: None for 0, else k with 2^(k-1) < v <= 2^k."""
-    if v < 0:
-        raise ValueError(f"volume must be >= 0, got {v}")
-    if v == 0:
-        return None
-    k = math.ceil(math.log2(v))
-    while 2.0 ** (k - 1) >= v:
-        k -= 1
-    while v > 2.0 ** k:
-        k += 1
-    return k
+def bin_exp(values) -> np.ndarray:
+    """The power-of-two bin of each value v > 0: k with 2^(k-1) < v <= 2^k,
+    read exactly off np.frexp (v = m * 2^e with 0.5 <= m < 1)."""
+    mantissa, exp = np.frexp(np.asarray(values, dtype=np.float64))
+    return exp - (mantissa == 0.5)
 
 
 def node_bin_label(n: int) -> str:
-    k = node_bin_index(n)
+    """The job-size bin of n >= 1 nodes: [1,1], then (2^(k-1), 2^k]."""
+    k = int(bin_exp(n))
     return "[1,1]" if k == 0 else f"({_pow2(k - 1)},{_pow2(k)}]"
 
 
 def volume_bin_label(v: float) -> str:
-    k = volume_bin_exp(v)
-    return "0" if k is None else f"({_pow2(k - 1)},{_pow2(k)}]"
+    """The data-volume bin of v >= 0: 0, or (2^(k-1), 2^k]."""
+    k = int(bin_exp(v))
+    return "0" if v == 0 else f"({_pow2(k - 1)},{_pow2(k)}]"
 
 
 @dataclass
@@ -83,44 +72,31 @@ class Heatmap:
     weights_core_s: np.ndarray    # (rows, cols) core-seconds, int64 (exact)
 
 
-def build_heatmap(summaries, measure: str) -> Heatmap:
-    """Bin every job into one (size, volume) cell weighted by its core-h."""
+def build_heatmap(jobs: JobTable, totals, measure: str) -> Heatmap:
+    """Bin every job into one (size, volume) cell weighted by its core-h;
+    totals are summarize_jobs' for the jobs."""
     if measure not in MEASURES:
         raise ValueError(f"unknown heatmap measure {measure!r}; "
                          f"expected one of {MEASURES}")
-    summaries = list(summaries)
-    if not summaries:
-        raise ValueError("no job summaries to bin")
-
-    rows = []
-    for s in summaries:
-        value = getattr(s, measure)
-        rows.append((node_bin_index(s.nodes_count), volume_bin_exp(value),
-                     s.core_s))
-
-    max_row = max(r for r, _, _ in rows)
-    exps = [e for _, e, _ in rows if e is not None]
-    if exps:
-        kmin, kmax = min(exps), max(exps)
-        col_exps = list(range(kmin, kmax + 1))
-    else:
-        col_exps = []
-    col_of = {e: i + 1 for i, e in enumerate(col_exps)}
-
-    weights_core_s = np.zeros((max_row + 1, len(col_exps) + 1),
+    if not len(jobs):
+        raise ValueError("no jobs to bin")
+    rows = bin_exp(jobs.node_counts)
+    values = job_measures(jobs, totals)[:, MEASURES.index(measure)]
+    exps = bin_exp(values)
+    zero = values == 0
+    k_min, k_max = ((exps[~zero].min(), exps[~zero].max()) if not zero.all()
+                    else (1, 0))
+    cols = np.where(zero, 0, exps - k_min + 1)
+    weights_core_s = np.zeros((rows.max() + 1, k_max - k_min + 2),
                               dtype=np.int64)
-    for r, e, core_s in rows:
-        c = 0 if e is None else col_of[e]
-        weights_core_s[r, c] += core_s
-
-    row_labels = ["[1,1]"] + [f"({_pow2(k - 1)},{_pow2(k)}]"
-                              for k in range(1, max_row + 1)]
-    col_labels = ["0"] + [f"({_pow2(k - 1)},{_pow2(k)}]" for k in col_exps]
-    return Heatmap(measure=measure,
-                   row_labels=tuple(row_labels),
-                   col_labels=tuple(col_labels),
-                   weights=weights_core_s / 3600.0,
-                   weights_core_s=weights_core_s)
+    np.add.at(weights_core_s, (rows, cols), jobs.core_s)
+    return Heatmap(
+        measure=measure,
+        row_labels=tuple(node_bin_label(2 ** k)
+                         for k in range(rows.max() + 1)),
+        col_labels=tuple(volume_bin_label(v) for v in
+                         (0, *2.0 ** np.arange(k_min, k_max + 1))),
+        weights=weights_core_s / 3600.0, weights_core_s=weights_core_s)
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +113,26 @@ class BreakdownTable:
     write_pct: tuple[float, ...]
 
 
-def breakdown_bin_index(v: float) -> int:
-    """Bin of a per-job GiB volume; zero-I/O jobs land in the first bin."""
-    for i, edge in enumerate(BREAKDOWN_EDGES_GIB):
-        if v < edge:
-            return i
-    return len(BREAKDOWN_EDGES_GIB)
+def breakdown_bin_index(values) -> np.ndarray:
+    """Bin of each per-job GiB volume; zero-I/O jobs land in the first."""
+    return np.searchsorted(BREAKDOWN_EDGES_GIB, values, side="right")
 
 
-def build_breakdown(summaries) -> BreakdownTable:
-    summaries = list(summaries)
-    total = sum(s.core_s for s in summaries)
+def build_breakdown(jobs: JobTable, totals) -> BreakdownTable:
+    """The breakdown of the jobs' core-h; totals are summarize_jobs'."""
+    core_s = jobs.core_s
+    total = int(core_s.sum())
     if total <= 0:
         raise ValueError("total core-h must be positive")
-    nbins = len(BREAKDOWN_LABELS)
-    read_core_s = [0] * nbins
-    write_core_s = [0] * nbins
-    for s in summaries:
-        read_core_s[breakdown_bin_index(s.read_gib)] += s.core_s
-        write_core_s[breakdown_bin_index(s.write_gib)] += s.core_s
-    return BreakdownTable(
-        labels=BREAKDOWN_LABELS,
-        read_pct=tuple(100.0 * c / total for c in read_core_s),
-        write_pct=tuple(100.0 * c / total for c in write_core_s))
+    gib = job_measures(jobs, totals)[:, :2]
+
+    def pct(values):
+        bins = np.zeros(len(BREAKDOWN_LABELS), dtype=np.int64)
+        np.add.at(bins, breakdown_bin_index(values), core_s)
+        return tuple((100.0 * bins / total).tolist())
+
+    return BreakdownTable(labels=BREAKDOWN_LABELS, read_pct=pct(gib[:, 0]),
+                          write_pct=pct(gib[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,44 +321,43 @@ def apply_aliases(command: str, aliases: dict[str, str] | None) -> str:
     return aliases.get(command, command)
 
 
-def _attributes(records, names, dtype=np.float64) -> np.ndarray:
-    """(records, names) array of each record's named attributes."""
-    return np.array([[getattr(r, name) for name in names] for r in records],
-                    dtype=dtype).reshape(len(records), len(names))
+def _commands(jobs: JobTable, rows, aliases):
+    """The key column of the rows' commands, each distinct command
+    relabelled once through aliases."""
+    codes, commands = key_column(jobs.commands)
+    return codes[rows], [apply_aliases(c, aliases) for c in commands]
 
 
-def _keys(records, name, aliases=None):
-    return key_column([apply_aliases(getattr(r, name), aliases)
-                       for r in records])
-
-
-def write_job_summary_csv(path, summaries) -> None:
-    s = summaries
+def write_job_summary_csv(path, jobs: JobTable, totals) -> None:
+    """One row per job from summarize_jobs' totals, in table order."""
+    measures = job_measures(jobs, totals)
     write_csv(path, ("job_id", "project", "command", "nodes", "core_h",
                      "read_gib", "write_gib", "read_ops", "write_ops",
                      "mean_read_ops_s", "mean_write_ops_s"),
-              [_keys(s, "job_id"), _keys(s, "project"), _keys(s, "command"),
-               _attributes(s, ("nodes_count",), np.int64),
-               _attributes(s, ("core_h", "read_gib", "write_gib")),
-               _attributes(s, ("read_ops_total", "write_ops_total"),
-                           np.int64),
-               _attributes(s, ("mean_read_ops_s", "mean_write_ops_s"))])
+              [key_column(jobs.job_ids), key_column(jobs.projects),
+               key_column(jobs.commands), jobs.node_counts,
+               jobs.core_s / 3600.0, measures[:, :2], totals[:, [1, 3]],
+               measures[:, 2:]])
 
 
-def write_scatter_csv(path, points, aliases=None) -> None:
+def write_scatter_csv(path, jobs: JobTable, rows, averages,
+                      aliases=None) -> None:
+    """build_scatter's rows and averages."""
     write_csv(path, ("job_id", "command", "avg_risk_oss", "avg_risk_mds",
                      "avg_quality"),
-              [_keys(points, "job_id"), _keys(points, "command", aliases),
-               _attributes(points, ("avg_risk_oss", "avg_risk_mds",
-                                    "avg_quality"))])
+              [(rows, jobs.job_ids), _commands(jobs, rows, aliases),
+               averages])
 
 
-def write_slowdown_csv(path, findings, aliases=None) -> None:
+def write_slowdown_csv(path, jobs: JobTable, rows, group_mean_s,
+                       aliases=None) -> None:
+    """detect_slowdown's rows and group means."""
+    runtime = jobs.runtime_s[rows]
     write_csv(path, ("job_id", "command", "runtime_s", "group_mean_s",
                      "ratio"),
-              [_keys(findings, "job_id"), _keys(findings, "command", aliases),
-               _attributes(findings, ("runtime_s",), np.int64),
-               _attributes(findings, ("group_mean_s", "ratio"))])
+              [(rows, jobs.job_ids), _commands(jobs, rows, aliases),
+               runtime, np.column_stack((group_mean_s,
+                                         runtime / group_mean_s))])
 
 
 def write_heatmap_csv(path, hm: Heatmap) -> None:

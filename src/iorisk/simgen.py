@@ -9,12 +9,13 @@ Identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import (CounterFeed, JobRecord, write_counter_csv, write_csv,
+from .ingest import (CounterFeed, job_table, write_counter_csv, write_csv,
                      write_jobs_csv)
 from .ops import (COUNTER_NAMES, MDS_SLICE, N_COUNTERS,
                   READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)
@@ -228,7 +229,7 @@ def _pattern_deltas(rng, pattern: str, nb: int, nodes: int,
 
 @dataclass
 class _PlacedJob:
-    record: JobRecord
+    job_id: str
     template: JobTemplate
     fs_i: int
     start_bin: int
@@ -256,7 +257,6 @@ def _free_nodes(bookings, start, end, want, order):
 
 def _place_jobs(spec: ScenarioSpec, rng) -> list[_PlacedJob]:
     import bisect
-    node_names = [f"n{i:04d}" for i in range(spec.node_count)]
     bookings: list[list[tuple[int, int]]] = \
         [[] for _ in range(spec.node_count)]
     n_bins = spec.n_bins
@@ -304,16 +304,8 @@ def _place_jobs(spec: ScenarioSpec, rng) -> list[_PlacedJob]:
             fs_i = int(rng.integers(0, len(spec.filesystems)))
             deltas = _pattern_deltas(rng, template.pattern, runtime,
                                      nodes_k, template.intensity)
-            w = spec.bin_width_s
-            record = JobRecord(
-                job_id=f"{template.name}-{k:04d}",
-                command=template.command,
-                project=template.project,
-                nodes=frozenset(node_names[i] for i in chosen),
-                start_ts=spec.start_ts + start_bin * w,
-                end_ts=spec.start_ts + (start_bin + runtime) * w,
-                cores_per_node=template.cores_per_node)
-            placed.append(_PlacedJob(record=record, template=template,
+            placed.append(_PlacedJob(job_id=f"{template.name}-{k:04d}",
+                                     template=template,
                                      fs_i=fs_i, start_bin=start_bin,
                                      node_idxs=chosen, deltas=deltas,
                                      is_slow=is_slow))
@@ -348,6 +340,12 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
     node_names = [f"n{i:04d}" for i in range(n_nodes)]
 
     placed = _place_jobs(spec, rng)
+    jobs = job_table(*zip(*sorted(  # in job id order
+        (j.job_id, j.template.project, j.template.command,
+         [node_names[i] for i in j.node_idxs],
+         spec.start_ts + w * j.start_bin,
+         spec.start_ts + w * (j.start_bin + len(j.deltas)),
+         j.template.cores_per_node) for j in placed)))
     for job in placed:
         _apply_episodes(spec, job)
 
@@ -368,10 +366,9 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
         for pos, node in enumerate(nodes):
             extra = (rem > pos).astype(np.int64)
             cube[node, job.start_bin:job.start_bin + nb] += base + extra
-        job_totals[job.record.job_id] = [int(v)
-                                         for v in job.deltas.sum(axis=0)]
+        job_totals[job.job_id] = [int(v) for v in job.deltas.sum(axis=0)]
         fs_id = spec.filesystems[job.fs_i]
-        job_fs[job.record.job_id] = fs_id
+        job_fs[job.job_id] = fs_id
         bins_map = fs_bin_totals[fs_id]
         for b in range(nb):
             key = spec.start_ts + (job.start_bin + b) * w
@@ -421,26 +418,20 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
         out_dir / "counters.csv")
     del snaps
 
-    records = sorted((j.record for j in placed), key=lambda r: r.job_id)
-    write_jobs_csv(records, out_dir / "jobs.csv")
+    write_jobs_csv(jobs, out_dir / "jobs.csv")
 
     feed_totals = {
         spec.filesystems[fs_i]: [int(v)
                                  for v in cubes[fs_i].sum(axis=(0, 1))]
         for fs_i in range(n_fs)}
 
-    project_counts: dict[str, int] = {}
-    for job in placed:
-        project_counts[job.record.project] = \
-            project_counts.get(job.record.project, 0) + 1
-
     heatmap_cells = {}
     for job in placed:
-        totals = job_totals[job.record.job_id]
-        cells = {"nodes": node_bin_label(len(job.record.nodes))}
+        totals = job_totals[job.job_id]
+        cells = {"nodes": node_bin_label(len(job.node_idxs))}
         for measure, col in (("read_gib", READ_KB), ("write_gib", WRITE_KB)):
             cells[measure] = volume_bin_label(totals[col] / 2 ** 20)
-        heatmap_cells[job.record.job_id] = cells
+        heatmap_cells[job.job_id] = cells
 
     ledger = GroundTruthLedger(
         bin_width_s=w,
@@ -452,8 +443,8 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
                             for b, arr in bins.items()}
                        for fs, bins in fs_bin_totals.items()},
         feed_totals=feed_totals,
-        project_job_counts=project_counts,
-        slowdown_job_ids=[j.record.job_id for j in placed if j.is_slow],
+        project_job_counts=dict(Counter(jobs.projects)),
+        slowdown_job_ids=[j.job_id for j in placed if j.is_slow],
         heatmap_cells=heatmap_cells,
         resets_applied=resets_applied,
         resets_skipped=resets_skipped)

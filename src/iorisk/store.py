@@ -15,8 +15,9 @@ from pathlib import Path
 
 from .attribute import JobUsageTable
 from .config import FIELDS, Config
-from .ingest import (UsageTable, _read_keyed_table, parse_job_feed,
-                     repeated_ints, write_csv, write_jobs_csv)
+from .ingest import (JobTable, UsageTable, _read_keyed_table,
+                     parse_job_feed, repeated_ints, write_csv,
+                     write_jobs_csv)
 from .ops import COUNTER_NAMES
 
 NODE_USAGE_NAME = "node_usage.csv"
@@ -107,10 +108,10 @@ def read_job_usage(out_dir, bin_width_s: int, job_ids,
         bin_width=bin_width_s)
 
 
-def write_jobs(out_dir, jobs) -> None:
+def write_jobs(out_dir, jobs: JobTable) -> None:
     write_jobs_csv(jobs, store_dir(out_dir) / JOBS_NAME)
 
 
-def read_jobs(out_dir):
+def read_jobs(out_dir) -> JobTable:
     with open(store_dir(out_dir) / JOBS_NAME, newline="") as f:
         return parse_job_feed(f)

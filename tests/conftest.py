@@ -5,9 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from iorisk.ingest import (COUNTER_HEADER, CounterFeed, JobRecord,
-                           parse_counter_feed)
+from iorisk.ingest import COUNTER_HEADER, CounterFeed, parse_counter_feed
 from iorisk.ops import COUNTER_NAMES, N_COUNTERS
+from scalar_analytics import JobRecord
 
 
 def counter_csv(rows) -> io.StringIO:
@@ -35,6 +35,15 @@ def simple_job(job_id="j1", node="n1", start=0, end=720, command="cmd",
     return JobRecord(job_id=job_id, command=command, project=project,
                      nodes=frozenset(nodes if nodes else [node]),
                      start_ts=start, end_ts=end, cores_per_node=cores)
+
+
+def assert_same_jobs(a, b) -> None:
+    """Two JobTables hold the same jobs."""
+    assert (a.job_ids, a.projects, a.commands, a.nodes) == (
+        b.job_ids, b.projects, b.commands, b.nodes)
+    for name in ("start_ts", "end_ts", "cores_per_node", "node_ptr",
+                 "slot_node"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 @pytest.fixture

@@ -14,8 +14,8 @@ import pytest
 from test_metrics import oracle_contributions, oracle_quality
 from test_report import brute_force_pearson
 
-from iorisk.analytics import (build_scatter, detect_slowdown,
-                              group_applications, summarize_jobs)
+from iorisk.analytics import (build_scatter, detect_slowdown, job_measures,
+                              summarize_jobs)
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.cli import run
 from iorisk.config import Config
@@ -25,11 +25,12 @@ from iorisk.metrics import (FsBaseline, compute_baselines,
                             compute_fs_metrics, compute_job_metrics)
 from iorisk.ops import COUNTER_NAMES, N_COUNTERS, OpKind
 from iorisk.report import (BREAKDOWN_LABELS, build_breakdown, build_heatmap,
-                           correlate_series, node_bin_index,
-                           volume_bin_exp)
+                           correlate_series)
 from iorisk.simgen import generate, preset_scenario
 
 from conftest import feed_from_rows, simple_job, values_row
+from scalar_analytics import (as_table, node_bin_index, volume_bin_exp,
+                              volume_bin_label)
 from scalar_metrics import JobBinUsage, job_bin_risk
 
 
@@ -158,7 +159,7 @@ def test_criterion_4_quality_identity():
         jobs = [simple_job("mib", "n1", 360, 720),
                 simple_job("kib", "n2", 360, 720)]
         usage = deltify_and_bin(feed_from_rows(rows), 360)
-        attribution = attribute_usage(usage, jobs)
+        attribution = attribute_usage(usage, as_table(jobs))
         jm = compute_job_metrics(attribution.job_usage,
                                  compute_baselines(fs_bin_totals(usage)))
         quality = {jm.job_ids[jm.job_idx[i]]: jm.write_kb_ops[i]
@@ -204,38 +205,41 @@ def test_criterion_5_conservation_chain(metric_run):
                                           err_msg=job_id)
 
         # attribution -> job summaries
-        summaries = summarize_jobs(jobs, attribution.job_usage)
-        for s in summaries:
-            want = ledger.job_totals[s.job_id]
-            assert s.read_ops_total == want[OpKind.READ_OPS.column]
-            assert s.write_ops_total == want[OpKind.WRITE_OPS.column]
-            assert s.read_gib == want[OpKind.READ_KB.column] / 2 ** 20
-            assert s.write_gib == want[OpKind.WRITE_KB.column] / 2 ** 20
+        summary = summarize_jobs(jobs, attribution.job_usage)
+        gib = job_measures(jobs, summary)[:, :2]
+        for job_id, totals, (read_gib, write_gib) in zip(
+                jobs.job_ids, summary.tolist(), gib.tolist()):
+            want = ledger.job_totals[job_id]
+            assert totals == [want[op.column] for op in (
+                OpKind.READ_KB, OpKind.READ_OPS, OpKind.WRITE_KB,
+                OpKind.WRITE_OPS)]
+            assert read_gib == want[OpKind.READ_KB.column] / 2 ** 20
+            assert write_gib == want[OpKind.WRITE_KB.column] / 2 ** 20
 
     _report(5, "ledger = ingest = attribution = summaries, exact", check)
 
 
 def test_criterion_6_heatmap_and_breakdown_mass(metric_run):
     def check():
-        summaries = summarize_jobs(metric_run["jobs"],
-                                   metric_run["attribution"].job_usage)
-        total_core_s = sum(s.core_s for s in summaries)
-        for measure in ("read_gib", "write_gib"):
-            hm = build_heatmap(summaries, measure)
+        jobs = metric_run["jobs"]
+        totals = summarize_jobs(jobs, metric_run["attribution"].job_usage)
+        total_core_s = int(jobs.core_s.sum())
+        for m, measure in enumerate(("read_gib", "write_gib")):
+            hm = build_heatmap(jobs, totals, measure)
             assert int(hm.weights_core_s.sum()) == total_core_s
             # one cell per job: re-derive each job's cell and check that
             # removing per-job mass empties the matrix
             cells = np.zeros_like(hm.weights_core_s)
-            for s in summaries:
-                r = node_bin_index(s.nodes_count)
-                v = getattr(s, measure)
+            for n, v, core_s in zip(jobs.node_counts.tolist(),
+                                    job_measures(jobs, totals)[:, m].tolist(),
+                                    jobs.core_s.tolist()):
+                r = node_bin_index(n)
                 exp = volume_bin_exp(v)
-                from iorisk.report import volume_bin_label
                 c = 0 if exp is None else \
                     hm.col_labels.index(volume_bin_label(v))
-                cells[r, c] += s.core_s
+                cells[r, c] += core_s
             np.testing.assert_array_equal(cells, hm.weights_core_s)
-        table = build_breakdown(summaries)
+        table = build_breakdown(jobs, totals)
         assert abs(sum(table.read_pct) - 100.0) <= 0.1
         assert abs(sum(table.write_pct) - 100.0) <= 0.1
 
@@ -248,9 +252,8 @@ def test_criterion_7_slowdown_exact_set(tmp_path_factory):
         out = tmp_path_factory.mktemp("slowdown")
         ledger = generate(preset_scenario("slowdown"), out)
         jobs = read_job_file(out / "jobs.csv")
-        groups = group_applications(jobs)
-        findings = detect_slowdown(groups, factor=1.5, min_group=3)
-        assert sorted(f.job_id for f in findings) == \
+        rows, _ = detect_slowdown(jobs, factor=1.5, min_group=3)
+        assert sorted(jobs.job_ids[r] for r in rows) == \
             sorted(ledger.slowdown_job_ids)
         assert len(ledger.slowdown_job_ids) == 2
 

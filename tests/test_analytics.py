@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import feed_from_rows, simple_job, values_row
-from iorisk.analytics import (build_scatter, detect_slowdown,
-                              group_applications, runtime_bin_count,
+import scalar_analytics
+from iorisk.analytics import (build_scatter, detect_slowdown, job_measures,
                               summarize_jobs)
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.config import Config
 from iorisk.ingest import deltify_and_bin
-from iorisk.metrics import (compute_baselines,
+from iorisk.metrics import (JobMetrics, compute_baselines,
                             compute_job_metrics)
 from iorisk.ops import OpKind
+from scalar_analytics import as_table, runtime_bin_count
 
 W = 360
 
@@ -20,42 +21,47 @@ W = 360
 # --- grouping ---------------------------------------------------------------
 
 
+def _slowdown(jobs, factor=1.5, min_group=3):
+    """detect_slowdown on JobRecords -> (flagged ids, group means, ratios)."""
+    table = as_table(jobs)
+    rows, means = detect_slowdown(table, factor, min_group)
+    return ([table.job_ids[r] for r in rows], means.tolist(),
+            (table.runtime_s[rows] / means).tolist())
+
+
 def test_same_command_one_group():
     jobs = [simple_job("a", command="solver -n 8", start=0, end=100),
             simple_job("b", command="solver -n 8", start=200, end=400,
                        node="n2")]
-    groups = group_applications(jobs)
-    assert len(groups) == 1
-    assert groups[0].run_ids == ("a", "b")
-    assert groups[0].mean_runtime == pytest.approx(150.0)
+    # one group of two: mean 150, and 200 >= 1.2 * 150
+    assert _slowdown(jobs, 1.2, 2)[:2] == (["b"], [150.0])
 
 
 def test_command_differing_by_flag_splits_groups():
     jobs = [simple_job("a", command="solver -n 8", end=100),
-            simple_job("b", command="solver -n 16", end=100, node="n2")]
-    assert len(group_applications(jobs)) == 2
+            simple_job("b", command="solver -n 16", end=400, node="n2")]
+    # one group would flag b; two groups of one are below min_group
+    assert _slowdown(jobs, 1.2, 2)[0] == []
 
 
 def test_grouping_is_partition_matching_oracle(rng):
-    # DERIVED: 300 jobs vs a brute-force map-by-command partition
+    # DERIVED: 300 jobs vs the record-by-record grouping and slowdown
     commands = [f"app{k} --mode {k % 5}" for k in range(40)]
     jobs = []
     for i in range(300):
         cmd = commands[int(rng.integers(0, len(commands)))]
         start = int(rng.integers(0, 10000))
         jobs.append(simple_job(f"j{i:03d}", command=cmd, start=start,
-                               end=start + int(rng.integers(10, 5000))))
-    groups = group_applications(jobs)
-    want: dict[str, list] = {}
-    for j in jobs:
-        want.setdefault(j.command, []).append(j.job_id)
-    assert {g.command: list(g.run_ids) for g in groups} == want
-    all_ids = [jid for g in groups for jid in g.run_ids]
-    assert sorted(all_ids) == sorted(j.job_id for j in jobs)
-    assert len(all_ids) == len(set(all_ids))
-    for g in groups:
-        assert g.mean_runtime == pytest.approx(
-            sum(g.runtimes) / len(g.runtimes))
+                               end=start + int(rng.integers(10, 5000)),
+                               node=f"n{i}"))
+    for factor, min_group in ((1.1, 2), (1.5, 3), (2.5, 8)):
+        want = scalar_analytics.detect_slowdown(
+            scalar_analytics.group_applications(jobs), factor, min_group)
+        ids, means, ratios = _slowdown(jobs, factor, min_group)
+        assert ids == [f.job_id for f in want]
+        assert means == [f.group_mean_s for f in want]
+        assert ratios == [f.ratio for f in want]
+        assert want or factor == 2.5
 
 
 # --- slowdown ---------------------------------------------------------------
@@ -69,54 +75,45 @@ def _group_jobs(runtimes, command="cmd"):
 
 def test_slowdown_160_of_mean_120_is_not_flagged():
     # mean 120 -> threshold 180 at factor 1.5: 160 stays unflagged
-    groups = group_applications(_group_jobs([100, 100, 160]))
-    assert detect_slowdown(groups, 1.5, 3) == []
+    assert _slowdown(_group_jobs([100, 100, 160]))[0] == []
 
 
 def test_slowdown_400_of_mean_200_is_flagged():
-    groups = group_applications(_group_jobs([100, 100, 400]))
-    findings = detect_slowdown(groups, 1.5, 3)
-    assert len(findings) == 1
-    f = findings[0]
-    assert f.job_id == "r2"
-    assert f.group_mean_s == pytest.approx(200.0)
-    assert f.ratio == pytest.approx(2.0)
+    ids, means, ratios = _slowdown(_group_jobs([100, 100, 400]))
+    assert ids == ["r2"]
+    assert means == [pytest.approx(200.0)]
+    assert ratios == [pytest.approx(2.0)]
 
 
 def test_equal_runtimes_no_findings():
-    groups = group_applications(_group_jobs([500] * 6))
-    assert detect_slowdown(groups, 1.5, 3) == []
+    assert _slowdown(_group_jobs([500] * 6))[0] == []
 
 
 def test_small_groups_skipped():
-    groups = group_applications(_group_jobs([100, 400]))
-    assert detect_slowdown(groups, 1.5, min_group=3) == []
-    findings = detect_slowdown(groups, 1.5, min_group=2)
-    assert [f.job_id for f in findings] == ["r1"]
+    jobs = _group_jobs([100, 400])
+    assert _slowdown(jobs, 1.5, min_group=3)[0] == []
+    assert _slowdown(jobs, 1.5, min_group=2)[0] == ["r1"]
 
 
 def test_threshold_boundary_inclusive():
     # mean of {100, 100, 100, 180} is 120; 180 == 1.5 * 120 exactly
-    groups = group_applications(_group_jobs([100, 100, 100, 180]))
-    findings = detect_slowdown(groups, 1.5, 3)
-    assert [f.job_id for f in findings] == ["r3"]
+    assert _slowdown(_group_jobs([100, 100, 100, 180]))[0] == ["r3"]
 
 
 def test_findings_invariant_under_uniform_runtime_scaling():
     base = [110, 95, 100, 240, 105]
     for scale in (1, 3, 60):
-        groups = group_applications(_group_jobs([r * scale for r in base]))
-        findings = detect_slowdown(groups, 1.5, 3)
-        assert [f.job_id for f in findings] == ["r3"]
-        assert findings[0].ratio == pytest.approx(240 / 130)
+        ids, _, ratios = _slowdown(_group_jobs([r * scale for r in base]))
+        assert ids == ["r3"]
+        assert ratios == [pytest.approx(240 / 130)]
 
 
 def test_slowdown_parameter_validation():
-    groups = group_applications(_group_jobs([100, 100, 100]))
+    jobs = as_table(_group_jobs([100, 100, 100]))
     with pytest.raises(ValueError):
-        detect_slowdown(groups, factor=1.0)
+        detect_slowdown(jobs, factor=1.0)
     with pytest.raises(ValueError):
-        detect_slowdown(groups, factor=1.5, min_group=1)
+        detect_slowdown(jobs, factor=1.5, min_group=1)
 
 
 # --- scatter ----------------------------------------------------------------
@@ -124,17 +121,35 @@ def test_slowdown_parameter_validation():
 
 def _metrics_for(jobs, rows, params=Config()):
     usage = deltify_and_bin(feed_from_rows(rows), W)
-    attribution = attribute_usage(usage, jobs)
+    attribution = attribute_usage(usage, as_table(jobs))
     baselines = compute_baselines(fs_bin_totals(usage))
     jm = compute_job_metrics(attribution.job_usage, baselines, params)
     return jm
 
 
+def _scatter(jobs, jm, min_total_risk):
+    """build_scatter on JobRecords -> {job id: (oss, mds, quality)}, in
+    the order of its rows."""
+    table = as_table(jobs)
+    rows, averages = build_scatter(table, jm, min_total_risk)
+    return {table.job_ids[r]: tuple(a) for r, a in
+            zip(rows.tolist(), averages.tolist())}
+
+
 def test_runtime_bin_count():
-    assert runtime_bin_count(simple_job(start=0, end=360), W) == 1
-    assert runtime_bin_count(simple_job(start=0, end=361), W) == 2
-    assert runtime_bin_count(simple_job(start=100, end=300), W) == 1
-    assert runtime_bin_count(simple_job(start=350, end=370), W) == 2
+    # one job-bin row of risk 1: the average divides by the bins spanned
+    for start, end, n_bins in ((0, 360, 1), (0, 361, 2), (100, 300, 1),
+                               (350, 370, 2)):
+        table = as_table([simple_job(start=start, end=end)])
+        jm = JobMetrics(
+            job_idx=np.zeros(1, np.int32), fs_idx=np.zeros(1, np.int32),
+            bin_start=np.zeros(1, np.int64), contrib=np.zeros((1, 21)),
+            risk_oss=np.ones(1), risk_mds=np.zeros(1),
+            read_kb_ops=np.zeros(1), write_kb_ops=np.zeros(1),
+            has_io=np.zeros(1, bool), job_ids=table.job_ids,
+            filesystems=("fs2",), bin_width=W)
+        _, averages = build_scatter(table, jm, 1e-9)
+        assert averages.tolist() == [[1 / n_bins, 0.0, 0.0]]
 
 
 def test_scatter_threshold_inclusive_and_exclusive(rng):
@@ -152,14 +167,12 @@ def test_scatter_threshold_inclusive_and_exclusive(rng):
     jobs = [simple_job("big", "n1", start=W, end=4 * W),
             simple_job("small", "n2", start=W, end=32 * W)]
     jm = _metrics_for(jobs, rows)
-    points = build_scatter(jobs, jm, min_total_risk=1.0)
-    ids = [p.job_id for p in points]
-    assert "big" in ids and "small" not in ids
+    points = _scatter(jobs, jm, min_total_risk=1.0)
+    assert "big" in points and "small" not in points
     # boundary inclusion: threshold exactly at the big job's average
-    big = next(p for p in points if p.job_id == "big")
-    exact = big.avg_risk_oss + big.avg_risk_mds
-    assert [p.job_id for p in build_scatter(jobs, jm, exact)] == ["big"]
-    assert build_scatter(jobs, jm, exact + 1e-9) == []
+    exact = points["big"][0] + points["big"][1]
+    assert list(_scatter(jobs, jm, exact)) == ["big"]
+    assert _scatter(jobs, jm, exact + 1e-9) == {}
 
 
 def test_scatter_matches_brute_force_filter_oracle(rng):
@@ -182,7 +195,7 @@ def test_scatter_matches_brute_force_filter_oracle(rng):
             rows.append([t, node, "fs2"] + cum.tolist())
     jm = _metrics_for(jobs, rows)
     threshold = 15.0
-    points = build_scatter(jobs, jm, threshold)
+    points = _scatter(jobs, jm, threshold)
 
     # oracle: per job, sum risk over rows, divide by runtime bins
     sums: dict[str, list[float]] = {j.job_id: [0.0, 0.0] for j in jobs}
@@ -195,12 +208,11 @@ def test_scatter_matches_brute_force_filter_oracle(rng):
         nb = runtime_bin_count(j, W)
         if (sums[j.job_id][0] + sums[j.job_id][1]) / nb >= threshold:
             want.add(j.job_id)
-    assert {p.job_id for p in points} == want
-    for p in points:
+    assert set(points) == want
+    for job_id, (avg_oss, _, _) in points.items():
         nb = runtime_bin_count(next(x for x in jobs
-                                    if x.job_id == p.job_id), W)
-        assert p.avg_risk_oss == pytest.approx(sums[p.job_id][0] / nb,
-                                               abs=1e-9)
+                                    if x.job_id == job_id), W)
+        assert avg_oss == pytest.approx(sums[job_id][0] / nb, abs=1e-9)
 
 
 def test_scatter_quality_excludes_idle_bins(rng):
@@ -216,9 +228,9 @@ def test_scatter_quality_excludes_idle_bins(rng):
                     + values_row(read_ops=cum_ops, read_kb=cum_kb))
     jobs = [simple_job("j1", "n1", start=W, end=6 * W)]
     jm = _metrics_for(jobs, rows)
-    points = build_scatter(jobs, jm, min_total_risk=0.0)
+    points = _scatter(jobs, jm, min_total_risk=0.0)
     # both active bins have quality exactly 1.0; idle bins are excluded
-    assert points[0].avg_quality == pytest.approx(1.0)
+    assert points["j1"][2] == pytest.approx(1.0)
 
 
 # --- summaries --------------------------------------------------------------
@@ -228,10 +240,10 @@ def test_core_h_arithmetic():
     job = simple_job("j1", "n1", start=0, end=12 * 3600, cores=24)
     rows = [[W, "n1", "fs2"] + values_row()]
     usage = deltify_and_bin(feed_from_rows(rows), W)
-    res = attribute_usage(usage, [job])
-    s = summarize_jobs([job], res.job_usage)[0]
-    assert s.core_h == pytest.approx(288.0)
-    assert s.core_s == 288 * 3600
+    table = as_table([job])
+    res = attribute_usage(usage, table)
+    assert summarize_jobs(table, res.job_usage).tolist() == [[0, 0, 0, 0]]
+    assert table.core_s.tolist() == [288 * 3600]
 
 
 def test_read_gib_unit_identity():
@@ -239,9 +251,10 @@ def test_read_gib_unit_identity():
             [2 * W, "n1", "fs2"] + values_row(read_kb=2 ** 20)]
     job = simple_job("j1", "n1", start=W, end=2 * W)
     usage = deltify_and_bin(feed_from_rows(rows), W)
-    s = summarize_jobs([job], attribute_usage(usage, [job]).job_usage)[0]
-    assert s.read_gib == 1.0
-    assert s.mean_read_ops_s == 0.0
+    table = as_table([job])
+    totals = summarize_jobs(table, attribute_usage(usage, table).job_usage)
+    # read_gib, write_gib, mean_read_ops_s, mean_write_ops_s
+    assert job_measures(table, totals).tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 def test_job_read_totals_plus_unattributed_equal_fs_total(rng):
@@ -262,10 +275,11 @@ def test_job_read_totals_plus_unattributed_equal_fs_total(rng):
             cum = cum + rng.integers(0, 400, size=21)
             rows.append([t, node, "fs2"] + cum.tolist())
     usage = deltify_and_bin(feed_from_rows(rows), W)
-    res = attribute_usage(usage, jobs)
-    summaries = summarize_jobs(jobs, res.job_usage)
+    table = as_table(jobs)
+    res = attribute_usage(usage, table)
+    totals = summarize_jobs(table, res.job_usage)
     col = OpKind.READ_KB.column
-    job_read_kb = sum(round(s.read_gib * 2 ** 20) for s in summaries)
+    job_read_kb = int(totals[:, 0].sum())
     unattributed_read_kb = int(res.unattributed.deltas[:, col].sum())
     fs_total = int(usage.deltas[:, col].sum())
     assert job_read_kb + unattributed_read_kb == fs_total
@@ -286,13 +300,15 @@ def test_summaries_conserve_attribution_totals(rng):
             cum = cum + rng.integers(0, 500, size=21)
             rows.append([t, node, "fs2"] + cum.tolist())
     usage = deltify_and_bin(feed_from_rows(rows), W)
-    res = attribute_usage(usage, jobs)
-    summaries = summarize_jobs(jobs, res.job_usage)
-    total_read_kb = sum(s.read_gib for s in summaries) * 2 ** 20
+    table = as_table(jobs)
+    res = attribute_usage(usage, table)
+    totals = summarize_jobs(table, res.job_usage)
+    measures = job_measures(table, totals)
+    total_read_kb = measures[:, 0].sum() * 2 ** 20
     want = res.job_usage.deltas[:, OpKind.READ_KB.column].sum()
     assert total_read_kb == pytest.approx(float(want), rel=1e-12)
-    assert sum(s.read_ops_total for s in summaries) == \
+    assert totals[:, 1].sum() == \
         res.job_usage.deltas[:, OpKind.READ_OPS.column].sum()
-    assert all(s.mean_read_ops_s == pytest.approx(
-        s.read_ops_total / (j.end_ts - j.start_ts), abs=1e-12)
-        for s, j in zip(summaries, jobs))
+    assert all(mean == pytest.approx(ops / (j.end_ts - j.start_ts),
+                                     abs=1e-12)
+               for mean, ops, j in zip(measures[:, 2], totals[:, 1], jobs))

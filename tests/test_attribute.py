@@ -8,9 +8,9 @@ import pytest
 from conftest import feed_from_rows, simple_job, values_row
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.ingest import (AttributionConflictError, deltify_and_bin,
-                           parse_job_feed, validate_exclusive_allocation,
-                           write_jobs_csv)
+                           parse_job_feed)
 from iorisk.ops import N_COUNTERS, OpKind
+from scalar_analytics import as_table
 
 
 def usage_from(rows, bin_width=360):
@@ -31,7 +31,7 @@ def test_full_bin_inside_job_interval_fully_attributed():
         [360, "n1", "fs2"] + values_row(read_ops=0),
         [720, "n1", "fs2"] + values_row(read_ops=100)])
     job = simple_job("j1", "n1", start=360, end=1080)
-    res = attribute_usage(usage, [job])
+    res = attribute_usage(usage, as_table([job]))
     assert len(res.job_usage) == 1
     rows = job_rows(res.job_usage)
     assert list(rows) == [("j1", "fs2", 360)]
@@ -47,7 +47,7 @@ def test_half_covered_bin_split_with_residue():
         [360, "n1", "fs2"] + values_row(read_ops=0),
         [720, "n1", "fs2"] + values_row(read_ops=101)])
     job = simple_job("j1", "n1", start=180, end=540)
-    res = attribute_usage(usage, [job])
+    res = attribute_usage(usage, as_table([job]))
     assert res.job_usage.deltas[0, OpKind.READ_OPS.column] == 50
     assert int(res.unattributed.deltas[0, OpKind.READ_OPS.column]) == 51
 
@@ -56,7 +56,8 @@ def test_unowned_bin_goes_to_unattributed_ledger():
     usage = usage_from([
         [360, "n1", "fs2"] + values_row(write_kb=0),
         [720, "n1", "fs2"] + values_row(write_kb=77)])
-    res = attribute_usage(usage, [simple_job("j1", "n9", 0, 360)])
+    res = attribute_usage(usage,
+                          as_table([simple_job("j1", "n9", 0, 360)]))
     assert len(res.job_usage) == 0
     assert len(res.unattributed) == 1
     assert int(res.unattributed.deltas[0, OpKind.WRITE_KB.column]) == 77
@@ -66,18 +67,18 @@ def test_conflicting_jobs_rejected_with_both_ids():
     jobs = [simple_job("j1", "n1", 0, 1000),
             simple_job("j2", "n1", 500, 1500)]
     with pytest.raises(AttributionConflictError) as exc:
-        validate_exclusive_allocation(jobs)
+        as_table(jobs)
     assert set(exc.value.job_ids) == {"j1", "j2"}
-    buf = io.StringIO()
-    write_jobs_csv(jobs, buf)
     with pytest.raises(AttributionConflictError):
-        parse_job_feed(io.StringIO(buf.getvalue()))
+        parse_job_feed(io.StringIO(
+            "job_id,project,command,nodes,start_ts,end_ts,cores_per_node\n"
+            "j1,p,cmd,n1,0,1000,24\nj2,p,cmd,n1,500,1500,24\n"))
 
 
 def test_back_to_back_jobs_do_not_conflict():
     jobs = [simple_job("j1", "n1", 0, 720),
             simple_job("j2", "n1", 720, 1440)]
-    validate_exclusive_allocation(jobs)
+    as_table(jobs)
 
 
 def test_sequential_jobs_split_one_bin():
@@ -87,7 +88,7 @@ def test_sequential_jobs_split_one_bin():
         [720, "n1", "fs2"] + values_row(getattr=100)])
     jobs = [simple_job("j1", "n1", 0, 540),
             simple_job("j2", "n1", 540, 1440)]
-    res = attribute_usage(usage, jobs)
+    res = attribute_usage(usage, as_table(jobs))
     got = {job: d[OpKind.GETATTR.column]
            for (job, _, _), d in job_rows(res.job_usage).items()}
     assert got == {"j1": 50, "j2": 50}
@@ -162,7 +163,7 @@ def test_randomized_conservation_and_oracle_equality(rng):
                                    end=start + int(rng.integers(200, 3000)),
                                    nodes=node_set))
         try:
-            validate_exclusive_allocation(jobs)
+            as_table(jobs)
         except AttributionConflictError:
             # overlapping random intervals: drop later conflicting jobs
             kept = []
@@ -177,7 +178,7 @@ def test_randomized_conservation_and_oracle_equality(rng):
                             (job.start_ts, job.end_ts))
             jobs = kept
 
-        res = attribute_usage(usage, jobs)
+        res = attribute_usage(usage, as_table(jobs))
 
         # exact conservation per (fs, counter)
         total_in = usage.deltas.sum(axis=0)
@@ -213,11 +214,12 @@ def test_deterministic_under_input_shuffle(rng):
     jobs = [simple_job("j1", "a", 0, 1200),
             simple_job("j2", "b", 360, 2000),
             simple_job("j3", "c", 100, 900)]
-    base = attribute_usage(usage_from(rows), jobs)
+    base = attribute_usage(usage_from(rows), as_table(jobs))
     for trial in range(3):
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        res = attribute_usage(usage_from(shuffled), list(reversed(jobs)))
+        res = attribute_usage(usage_from(shuffled),
+                              as_table(list(reversed(jobs))))
         assert job_rows(res.job_usage) == job_rows(base.job_usage)
 
 

@@ -617,6 +617,23 @@ def test_job_time_beyond_int64_exits_before_writing(demo_feeds, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "all"])
+def test_job_core_seconds_beyond_int64_exit_before_writing(
+        demo_feeds, tmp_path, capsys, command):
+    jobs = tmp_path / "jobs.csv"
+    demo = (demo_feeds / "jobs.csv").read_text()
+    jobs.write_text(demo + f"zz,p,cmd,zz_lonely,1,{2 ** 62},24\n")
+    out = tmp_path / "out"
+    rc = run([command, "--counters", str(demo_feeds / "counters.csv"),
+              "--jobs", str(jobs), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "job zz: core-seconds of the jobs up to this one sum to" in err
+    line = demo.count("\n") + 1
+    assert f"beyond int64 (line {line}, field 'end_ts')" in err
+    assert not out.exists()
+
+
 BAD_PROBES = {
     "short-row": ("1577837100\n", "expected 2 fields, got 1 (line 2)"),
     "text-timestamp": ("abc,1.0\n",
@@ -624,6 +641,11 @@ BAD_PROBES = {
     "text-latency": ("1577837100,slow\n",
                      "non-numeric value 'slow' (line 2, field "
                      "'latency_ms')"),
+    "nan-latency": ("1577837100,1.5\n1577843040,nan\n",
+                    "non-finite value 'nan' (line 3, field 'latency_ms')"),
+    "inf-latency": ("1577837100,-inf\n",
+                    "non-finite value '-inf' (line 2, field "
+                    "'latency_ms')"),
 }
 
 

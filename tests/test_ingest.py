@@ -5,12 +5,15 @@ import io
 import numpy as np
 import pytest
 
-from conftest import counter_csv, feed_from_rows, values_row
-from iorisk.ingest import (COUNTER_HEADER, CounterFeed, FeedFormatError,
-                           JobRecord, deltify_and_bin, feed_to_csv_text,
-                           parse_counter_feed, parse_job_feed,
-                           read_counter_file, write_jobs_csv)
+from conftest import (assert_same_jobs, counter_csv, feed_from_rows,
+                      values_row)
+from iorisk.ingest import (COUNTER_HEADER, AttributionConflictError,
+                           CounterFeed, FeedFormatError, deltify_and_bin,
+                           feed_to_csv_text, parse_counter_feed,
+                           parse_job_feed, read_counter_file,
+                           write_jobs_csv)
 from iorisk.ops import OpKind
+from scalar_analytics import JobRecord, as_table
 
 
 def assert_same_feed(a: CounterFeed, b: CounterFeed) -> None:
@@ -124,10 +127,12 @@ def job_csv(lines) -> io.StringIO:
 
 
 def test_job_row_with_two_nodes():
-    jobs = parse_job_feed(job_csv(['j1,projA,cmd,n1;n2,100,200,24']))
+    jobs = parse_job_feed(job_csv(['j1,projA,cmd,n2;n1;n2,100,200,24']))
     assert len(jobs) == 1
-    assert jobs[0].nodes == frozenset({"n1", "n2"})
-    assert jobs[0].runtime_s == 100
+    assert jobs.nodes == ("n1", "n2")
+    assert jobs.slot_node.tolist() == [0, 1]
+    assert jobs.node_ptr.tolist() == [0, 2]
+    assert jobs.runtime_s.tolist() == [100]
 
 
 def test_job_end_before_start_rejected():
@@ -142,10 +147,10 @@ def test_job_empty_node_list_rejected():
 
 def test_job_empty_cores_defaults_to_24():
     jobs = parse_job_feed(job_csv(['j1,projA,cmd,n1,100,200,']))
-    assert jobs[0].cores_per_node == 24
+    assert jobs.cores_per_node.tolist() == [24]
     jobs = parse_job_feed(job_csv(['j1,projA,cmd,n1,100,200,']),
                           default_cores=36)
-    assert jobs[0].cores_per_node == 36
+    assert jobs.cores_per_node.tolist() == [36]
 
 
 @pytest.mark.parametrize("field", ["start_ts", "end_ts", "cores_per_node"])
@@ -160,13 +165,39 @@ def test_job_integer_beyond_int64_names_line_and_field(field):
 
 
 def test_job_command_with_commas_round_trips():
-    jobs = [JobRecord("j1", 'run -a 1,2 -b "x"', "p", frozenset({"n1"}),
-                      100, 200)]
+    jobs = as_table([JobRecord("j1", 'run -a 1,2 -b "x"', "p",
+                               frozenset({"n1"}), 100, 200)])
     buf = io.StringIO()
     write_jobs_csv(jobs, buf)
     again = parse_job_feed(io.StringIO(buf.getvalue()))
-    assert again[0].command == 'run -a 1,2 -b "x"'
-    assert again == jobs
+    assert again.commands == ('run -a 1,2 -b "x"',)
+    assert_same_jobs(again, jobs)
+
+
+def test_job_core_seconds_beyond_int64_name_line_and_end_ts():
+    top = 2 ** 63 - 1  # one node, one core: core-seconds = runtime
+    assert parse_job_feed(job_csv([f'j1,p,c,n1,0,{top},1'])).core_s \
+        .tolist() == [top]
+    with pytest.raises(FeedFormatError, match="beyond int64") as exc:
+        parse_job_feed(job_csv([f'j1,p,c,n1,0,{top // 2},2',
+                                f'j2,p,c,n1;n2,-1,{top // 4},24']))
+    assert (exc.value.line_no, exc.value.feed_field) == (3, "end_ts")
+    # the feed's sum, not only each job's, stays within int64
+    with pytest.raises(FeedFormatError, match="sum to 9223372036854775808"
+                       ) as exc:
+        parse_job_feed(job_csv(['j1,p,c,n1,0,2,1', 'j0,p,c,n2,0,3,24',
+                                f'j2,p,c,n3,0,{top - 73},1']))
+    assert (exc.value.line_no, exc.value.feed_field) == (4, "end_ts")
+
+
+def test_first_of_several_conflicts_is_reported():
+    # j1 holds both nodes; which of its conflicts is reported must not
+    # depend on the order a set of node names iterates in
+    with pytest.raises(AttributionConflictError) as exc:
+        parse_job_feed(job_csv(['j1,p,c,zz;aa,100,200,24',
+                                'j2,p,c,zz,150,300,24',
+                                'j3,p,c,aa,199,300,24']))
+    assert (exc.value.node_id, exc.value.job_ids) == ("aa", ("j1", "j3"))
 
 
 def test_duplicate_job_id_rejected():

@@ -213,6 +213,7 @@ def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
     from iorisk.ingest import deltify_and_bin
     from iorisk.metrics import compute_baselines, compute_job_metrics
     from conftest import feed_from_rows, simple_job
+    from scalar_analytics import as_table
 
     rows = []
     jobs = []
@@ -231,7 +232,7 @@ def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
 
     def run_pipeline():
         usage = deltify_and_bin(feed_from_rows(rows), 360)
-        attribution = attribute_usage(usage, jobs)
+        attribution = attribute_usage(usage, as_table(jobs))
         baselines = compute_baselines(fs_bin_totals(usage))
         jm = compute_job_metrics(attribution.job_usage, baselines)
         return usage, attribution, jm

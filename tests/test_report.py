@@ -7,60 +7,67 @@ import numpy as np
 import pytest
 
 from conftest import feed_from_rows, simple_job, values_row
-from iorisk.analytics import JobIoSummary
+from iorisk.analytics import job_measures
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.config import Config
 from iorisk.ingest import deltify_and_bin
 from iorisk.metrics import (compute_baselines,
                             compute_fs_metrics, compute_job_metrics)
-from iorisk.report import (BREAKDOWN_LABELS, MEASURES, breakdown_bin_index,
-                           build_breakdown, build_heatmap, correlate_series,
-                           emit_timeseries, node_bin_index, node_bin_label,
-                           render_heatmap_svg, resample_to_bins,
-                           volume_bin_exp, volume_bin_label,
+from iorisk.report import (BREAKDOWN_LABELS, MEASURES, bin_exp,
+                           breakdown_bin_index, build_breakdown,
+                           build_heatmap, correlate_series, emit_timeseries,
+                           node_bin_label, render_heatmap_svg,
+                           resample_to_bins, volume_bin_label,
                            write_heatmap_csv, write_risk_timeseries_csv)
+from scalar_analytics import as_table, node_bin_index, volume_bin_exp
 
 W = 360
 
 
 def summary(job_id="j1", nodes=1, core_h=None, read_gib=0.0, write_gib=0.0,
-            read_ops=0, write_ops=0, elapsed_s=3600, cores=24,
-            project="p", command="cmd") -> JobIoSummary:
-    core_s = int((core_h * 3600) if core_h is not None
-                 else nodes * cores * elapsed_s)
-    return JobIoSummary(job_id=job_id, project=project, command=command,
-                        nodes_count=nodes, core_s=core_s,
-                        read_gib=read_gib, write_gib=write_gib,
-                        read_ops_total=read_ops, write_ops_total=write_ops,
-                        mean_read_ops_s=read_ops / elapsed_s,
-                        mean_write_ops_s=write_ops / elapsed_s)
+            read_ops=0, write_ops=0, elapsed_s=3600, cores=24):
+    """One job as (JobRecord, its summarize_jobs totals row); core_h, when
+    given, sets one core per node and the runtime to match."""
+    if core_h is not None:
+        cores, elapsed_s = 1, round(core_h * 3600 / nodes)
+    job = simple_job(job_id, start=0, end=elapsed_s, cores=cores,
+                     nodes=[f"{job_id}-{k}" for k in range(nodes)])
+    return job, [round(read_gib * 2 ** 20), read_ops,
+                 round(write_gib * 2 ** 20), write_ops]
+
+
+def summaries(jobs):
+    """The JobTable and totals of summary()s."""
+    records, totals = zip(*jobs) if jobs else ((), ())
+    return (as_table(list(records)),
+            np.array(totals, dtype=np.int64).reshape(len(jobs), 4))
 
 
 # --- binning helpers --------------------------------------------------------
 
 
 def test_node_bin_index_and_labels():
-    assert node_bin_index(1) == 0
+    assert bin_exp(1) == 0
     assert node_bin_label(1) == "[1,1]"
     assert node_bin_label(2) == "(1,2]"
     assert node_bin_label(3) == "(2,4]"
     assert node_bin_label(4) == "(2,4]"
     assert node_bin_label(64) == "(32,64]"
     assert node_bin_label(65) == "(64,128]"
-    with pytest.raises(ValueError):
-        node_bin_index(0)
+    counts = np.arange(1, 5000)
+    assert bin_exp(counts).tolist() == [node_bin_index(int(n))
+                                        for n in counts]
 
 
 def test_volume_bin_exp_and_labels():
-    assert volume_bin_exp(0.0) is None
     assert volume_bin_label(0.0) == "0"
     assert volume_bin_label(1.0) == "(0.5,1]"
     assert volume_bin_label(1.5) == "(1,2]"
     assert volume_bin_label(2.0) == "(1,2]"
     assert volume_bin_label(2.0001) == "(2,4]"
     assert volume_bin_label(0.25) == "(0.125,0.25]"
-    assert volume_bin_exp(2 ** 40) == 40
-    assert volume_bin_exp(2 ** -20) == -20
+    assert bin_exp(2 ** 40) == 40
+    assert bin_exp(2 ** -20) == -20
 
 
 def test_volume_bin_exp_brute_force(rng):
@@ -68,16 +75,19 @@ def test_volume_bin_exp_brute_force(rng):
         v = float(rng.uniform(0, 1) * 10.0 ** float(rng.integers(-6, 6)))
         if v == 0:
             continue
-        k = volume_bin_exp(v)
+        k = int(bin_exp(v))
         assert 2.0 ** (k - 1) < v <= 2.0 ** k
+        assert k == volume_bin_exp(v)
+        for edge in (2.0 ** k, np.nextafter(2.0 ** k, np.inf)):
+            assert bin_exp(edge) == volume_bin_exp(edge)
 
 
 # --- heatmaps ---------------------------------------------------------------
 
 
 def test_heatmap_hand_case_64_nodes_1p5_gib():
-    s = summary(nodes=64, core_h=288.0, write_gib=1.5)
-    hm = build_heatmap([s], "write_gib")
+    hm = build_heatmap(*summaries([summary(nodes=64, core_h=288.0,
+                                           write_gib=1.5)]), "write_gib")
     r = hm.row_labels.index("(32,64]")
     c = hm.col_labels.index("(1,2]")
     assert hm.weights[r, c] == pytest.approx(288.0)
@@ -85,48 +95,47 @@ def test_heatmap_hand_case_64_nodes_1p5_gib():
 
 
 def test_heatmap_zero_measure_lands_in_zero_column():
-    s = summary(write_gib=0.0, core_h=10.0)
-    hm = build_heatmap([s], "write_gib")
+    hm = build_heatmap(*summaries([summary(write_gib=0.0, core_h=10.0)]),
+                       "write_gib")
     assert hm.col_labels == ("0",)
     assert hm.weights[0, 0] == pytest.approx(10.0)
 
 
 def test_heatmap_unknown_measure_rejected():
     with pytest.raises(ValueError):
-        build_heatmap([summary()], "bogus")
+        build_heatmap(*summaries([summary()]), "bogus")
     with pytest.raises(ValueError):
-        build_heatmap([], "read_gib")
+        build_heatmap(*summaries([]), "read_gib")
 
 
 def test_heatmap_mass_conservation_and_unique_cells(rng):
     # DERIVED: integer core-second mass is conserved exactly and each job
     # lands in exactly one cell
-    summaries = []
-    for i in range(200):
-        summaries.append(summary(
-            job_id=f"j{i}", nodes=int(rng.integers(1, 600)),
-            read_gib=float(rng.uniform(0, 3000) * (rng.random() < 0.8)),
-            elapsed_s=int(rng.integers(360, 100000))))
-    hm = build_heatmap(summaries, "read_gib")
-    assert int(hm.weights_core_s.sum()) == sum(s.core_s for s in summaries)
+    jobs, totals = summaries([summary(
+        job_id=f"j{i}", nodes=int(rng.integers(1, 600)),
+        read_gib=float(rng.uniform(0, 3000) * (rng.random() < 0.8)),
+        elapsed_s=int(rng.integers(360, 100000))) for i in range(200)])
+    hm = build_heatmap(jobs, totals, "read_gib")
+    assert int(hm.weights_core_s.sum()) == int(jobs.core_s.sum())
     assert hm.weights.sum() == pytest.approx(
-        sum(s.core_h for s in summaries), rel=1e-12)
-    for s in summaries:
-        r = node_bin_index(s.nodes_count)
-        exp = volume_bin_exp(s.read_gib)
+        float(jobs.core_s.sum()) / 3600, rel=1e-12)
+    read_gib = job_measures(jobs, totals)[:, 0].tolist()
+    for n, v in zip(jobs.node_counts.tolist(), read_gib):
+        r = node_bin_index(n)
+        exp = volume_bin_exp(v)
         col = 0 if exp is None else hm.col_labels.index(
-            volume_bin_label(s.read_gib))
+            volume_bin_label(v))
         assert hm.weights_core_s[r, col] > 0
 
 
 def test_heatmap_all_four_measures(rng):
-    summaries = [summary(job_id=f"j{i}", nodes=i + 1, read_gib=i * 0.7,
-                         write_gib=i * 1.3, read_ops=i * 1000,
-                         write_ops=i * 500) for i in range(8)]
+    jobs, totals = summaries([
+        summary(job_id=f"j{i}", nodes=i + 1, read_gib=i * 0.7,
+                write_gib=i * 1.3, read_ops=i * 1000, write_ops=i * 500)
+        for i in range(8)])
     for measure in MEASURES:
-        hm = build_heatmap(summaries, measure)
-        assert int(hm.weights_core_s.sum()) == \
-            sum(s.core_s for s in summaries)
+        hm = build_heatmap(jobs, totals, measure)
+        assert int(hm.weights_core_s.sum()) == int(jobs.core_s.sum())
 
 
 # --- breakdown --------------------------------------------------------------
@@ -146,15 +155,15 @@ def test_breakdown_bin_edges_per_table():
 
 
 def test_breakdown_all_small_reads():
-    summaries = [summary(job_id=f"j{i}", read_gib=1.0) for i in range(5)]
-    table = build_breakdown(summaries)
+    table = build_breakdown(*summaries([summary(job_id=f"j{i}", read_gib=1.0)
+                                        for i in range(5)]))
     assert table.read_pct == (100.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_breakdown_60_40_split():
-    summaries = [summary(job_id="a", core_h=60.0, read_gib=1.0),
-                 summary(job_id="b", core_h=40.0, read_gib=10.0)]
-    table = build_breakdown(summaries)
+    table = build_breakdown(*summaries([
+        summary(job_id="a", core_h=60.0, read_gib=1.0),
+        summary(job_id="b", core_h=40.0, read_gib=10.0)]))
     assert table.read_pct[0] == pytest.approx(60.0, abs=0.1)
     assert table.read_pct[1] == pytest.approx(40.0, abs=0.1)
     assert sum(table.read_pct) == pytest.approx(100.0, abs=0.1)
@@ -163,7 +172,7 @@ def test_breakdown_60_40_split():
 
 def test_breakdown_requires_positive_core_h():
     with pytest.raises(ValueError):
-        build_breakdown([])
+        build_breakdown(*summaries([]))
 
 
 # --- correlation ------------------------------------------------------------
@@ -252,7 +261,7 @@ def _full_metrics(rng, n_jobs=5, n_bins=12):
             cum = cum + rng.integers(0, 200, size=21)
             rows.append([t, node, "fs2"] + cum.tolist())
     usage = deltify_and_bin(feed_from_rows(rows), W)
-    attribution = attribute_usage(usage, jobs)
+    attribution = attribute_usage(usage, as_table(jobs))
     baselines = compute_baselines(fs_bin_totals(usage))
     jm = compute_job_metrics(attribution.job_usage, baselines, Config())
     fm = compute_fs_metrics(jm)
@@ -306,7 +315,7 @@ def test_empty_day_produces_header_only_file(rng, tmp_path):
             rows.append([t, "n1", "fs2"] + values_row(read_ops=cum))
     usage = deltify_and_bin(feed_from_rows(rows), W)
     job = simple_job("j1", "n1", start=W, end=3 * 86400)
-    attribution = attribute_usage(usage, [job])
+    attribution = attribute_usage(usage, as_table([job]))
     baselines = compute_baselines(fs_bin_totals(usage))
     jm = compute_job_metrics(attribution.job_usage, baselines, Config())
     fm = compute_fs_metrics(jm)
@@ -345,9 +354,10 @@ def test_risk_timeseries_csv_shape(rng, tmp_path):
 
 
 def test_heatmap_svg_smoke(tmp_path):
-    hm = build_heatmap([summary(nodes=64, core_h=288.0, write_gib=1.5),
-                        summary(job_id="j2", nodes=3, core_h=10.0,
-                                write_gib=0.0)], "write_gib")
+    hm = build_heatmap(*summaries([
+        summary(nodes=64, core_h=288.0, write_gib=1.5),
+        summary(job_id="j2", nodes=3, core_h=10.0, write_gib=0.0)]),
+        "write_gib")
     out = tmp_path / "hm.svg"
     render_heatmap_svg(out, hm)
     text = out.read_text()

@@ -1,6 +1,10 @@
-"""Every report artifact against the row-by-row writers of scalar_report.py,
-from the same in-memory tables: each writer the pipeline calls is wrapped
-so that the oracle writes the same tables into a second directory."""
+"""Every report artifact against the row-by-row writers of scalar_report.py.
+
+Each analytics function and writer the pipeline calls is wrapped. The
+analytics wrappers also run the record-by-record functions of
+scalar_analytics.py on the job table's records; the writer wrappers have
+the row-by-row writers write the same tables, or those records' results
+in place of the column ones, into a second directory."""
 from __future__ import annotations
 
 from pathlib import Path
@@ -10,6 +14,7 @@ import pytest
 from iorisk import cli
 from iorisk.simgen import generate, preset_scenario
 
+import scalar_analytics as ref
 import scalar_report
 
 # writers called as writer(path, *tables)
@@ -20,11 +25,45 @@ PATH_WRITERS = ("write_job_summary_csv", "write_scatter_csv",
 
 
 def _with_oracle(monkeypatch, out: Path, oracle: Path) -> None:
+    results = {}  # the record-by-record results of the run
+
+    def record(name, oracle_fn):
+        def both(*args, _real=getattr(cli, name)):
+            results[name] = oracle_fn(*args)
+            return _real(*args)
+        monkeypatch.setattr(cli, name, both)
+
+    record("summarize_jobs", lambda jobs, usage: ref.summarize_jobs(
+        ref.records_of(jobs), usage))
+    record("detect_slowdown", lambda jobs, factor, min_group:
+           ref.detect_slowdown(ref.group_applications(ref.records_of(jobs)),
+                               factor, min_group))
+    record("build_scatter", lambda jobs, jm, min_risk: ref.build_scatter(
+        ref.records_of(jobs), jm, min_risk))
+    record("build_breakdown", lambda jobs, totals: ref.build_breakdown(
+        results["summarize_jobs"]))
+    record("build_heatmap", lambda jobs, totals, measure: {
+        **results.get("build_heatmap", {}),
+        measure: ref.build_heatmap(results["summarize_jobs"], measure)})
+
+    # the tables the row-by-row writer takes, from the pipeline writer's
+    tables_of = {
+        "write_job_summary_csv": lambda jobs, totals: (
+            results["summarize_jobs"],),
+        "write_scatter_csv": lambda jobs, rows, averages, aliases: (
+            results["build_scatter"], aliases),
+        "write_slowdown_csv": lambda jobs, rows, means, aliases: (
+            results["detect_slowdown"], aliases),
+        "write_breakdown_csv": lambda table: (results["build_breakdown"],),
+        "write_heatmap_csv": lambda hm: (
+            results["build_heatmap"][hm.measure],),
+    }
     for name in PATH_WRITERS:
         def both(path, *tables, _real=getattr(cli, name),
-                 _ref=getattr(scalar_report, name), **kw):
-            _real(path, *tables, **kw)
-            _ref(oracle / Path(path).relative_to(out), *tables, **kw)
+                 _ref=getattr(scalar_report, name),
+                 _tables=tables_of.get(name, lambda *t: t)):
+            _real(path, *tables)
+            _ref(oracle / Path(path).relative_to(out), *_tables(*tables))
         monkeypatch.setattr(cli, name, both)
 
     def emit_both(fm, jm, out_dir, _real=cli.emit_timeseries, **kw):

@@ -59,10 +59,10 @@ def test_feeds_conform_to_ingest_schemas(tmp_path):
     feed, jobs, usage, _ = pipeline_recover(tmp_path)
     assert len(feed) == 8 * 2 * 41  # nodes x fs x snapshots
     assert len(jobs) == 7
-    assert len({j.job_id for j in jobs}) == 7
+    assert len(set(jobs.job_ids)) == 7
     counts: dict[str, int] = {}
-    for j in jobs:
-        counts[j.project] = counts.get(j.project, 0) + 1
+    for project in jobs.projects:
+        counts[project] = counts.get(project, 0) + 1
     assert counts == ledger.project_job_counts
 
 
