@@ -67,6 +67,14 @@ def sort_groups(*keys):
     return order, np.flatnonzero(first)
 
 
+def groups(key):
+    """(value, rows) for each distinct value of key, in ascending order of
+    value; rows holds the value's positions in key, ascending."""
+    order, starts = sort_groups(key)
+    for rows in np.split(order, starts)[1:]:
+        yield key[rows[0]], rows
+
+
 def group_sum(keys, values):
     """Sum the rows of values that share every key -> (keys, sums).
 
@@ -80,7 +88,7 @@ def group_sum(keys, values):
             np.add.reduceat(values[order], starts, axis=0))
 
 
-def deltify_pairs(stream, ts, values, bin_width, max_gap_s):
+def deltify_pairs(stream, ts, values, bin_width, max_gap_s, out=None):
     """Cumulative snapshots sorted by (stream, ts) -> per-bin delta rows.
 
     A sample at time t covers activity (t_prev, t] of its stream; a bin
@@ -90,12 +98,15 @@ def deltify_pairs(stream, ts, values, bin_width, max_gap_s):
     covers by time overlap out of its duration (see the module docstring);
     a pair with no duration (duplicate timestamps) lands whole in the bin
     its timestamp closes. Returns (stream, bin_start, deltas) with one row
-    per covered bin, unaggregated and in no particular order.
+    per covered bin, unaggregated and in no particular order. out, if
+    given, is a workspace of at least len(values) - 1 rows for the pairs'
+    deltas; the result shares no memory with it.
     """
     w = bin_width
     t0, t1 = ts[:-1], ts[1:]
     v0, v1 = values[:-1], values[1:]
-    delta = np.where(v1 >= v0, v1 - v0, v1)
+    delta = np.subtract(v1, v0, out=None if out is None else out[:len(v1)])
+    np.copyto(delta, v1, where=v1 < v0)
     keep = np.flatnonzero((stream[1:] == stream[:-1])
                           & (t1 - t0 <= max_gap_s) & delta.any(axis=1))
     pair_stream, t0, t1, delta = (stream[1:][keep], t0[keep], t1[keep],
@@ -106,8 +117,7 @@ def deltify_pairs(stream, ts, values, bin_width, max_gap_s):
 
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64),
               np.empty((0, N_COUNTERS), np.int64))]
-    for k_count in np.unique(nbins):
-        rows = np.flatnonzero(nbins == k_count)
+    for k_count, rows in groups(nbins):
         bins = b_last[rows, None] - w * np.arange(k_count - 1, -1, -1)
         overlap = (np.minimum(t1[rows, None], bins + w)
                    - np.maximum(t0[rows, None], bins))
@@ -132,8 +142,7 @@ def attribute_shares(node_idx, fs_idx, bin_start, deltas, bin_width,
     w = bin_width
     j0 = np.empty(len(bin_start), dtype=np.int64)
     j1 = np.empty(len(bin_start), dtype=np.int64)
-    for node in np.unique(node_idx):
-        rows = np.flatnonzero(node_idx == node)
+    for node, rows in groups(node_idx):
         lo, hi = int(node_ptr[node]), int(node_ptr[node + 1])
         bins = bin_start[rows]
         j0[rows] = lo + np.searchsorted(job_end[lo:hi], bins, side="right")
@@ -153,8 +162,7 @@ def attribute_shares(node_idx, fs_idx, bin_start, deltas, bin_width,
                       np.repeat(bin_start[rows], k_count),
                       shares.reshape(-1, N_COUNTERS)))
 
-    for n_j in np.unique(njobs):
-        rows = np.flatnonzero(njobs == n_j)
+    for n_j, rows in groups(njobs):
         jobs = j0[rows, None] + np.arange(n_j)
         b = bin_start[rows, None]
         overlap = (np.minimum(job_end[jobs], b + w)

@@ -176,7 +176,26 @@ def _concat_releasing(parts):
     return out
 
 
-def _read_keyed_table(stream, schema, registries, what, check=None):
+def _line_count(path) -> int:
+    r"""1 + the line ends of a file, "\r\n", "\n" or a lone "\r" each
+    counted once: a bound on the records of a CSV file, made loose only by
+    line breaks inside quoted fields."""
+    block = np.empty(1 << 16, np.uint8)
+    count, cr_end = 1, False
+    with open(path, "rb") as f:
+        while size := f.readinto(block):
+            lf = block[:size] == ord("\n")
+            count += np.count_nonzero(lf)
+            cr = block[:size] == ord("\r")
+            if cr_end or cr.any():  # a "\r\n" counts at its "\n" only
+                count += (np.count_nonzero(cr[:-1] & ~lf[1:]) + bool(cr[-1])
+                          - bool(cr_end and lf[0]))
+            cr_end = bool(cr[-1])
+    return count
+
+
+def _read_keyed_table(stream, schema, registries, what, check=None,
+                      capacity=0):
     """Parse the rows of a CSV table of integers keyed by strings.
 
     The last N_COUNTERS columns are counters; registries maps each key
@@ -185,30 +204,43 @@ def _read_keyed_table(stream, schema, registries, what, check=None):
     (n, 21) int64 "counters". Each chunk of lines goes through numpy's C
     reader, or through csv.reader where the two could read it differently.
     check(chunk, first_line) runs on each chunk before the next is read;
-    line numbers count records, the first after the header being 2. The
-    chunks are assembled by _concat_releasing.
+    line numbers count records, the first after the header being 2.
+
+    The columns are allocated once, for capacity records (a bound such as
+    _line_count gives, or 0 for a stream of unknown length), and each
+    chunk is copied into them as it is read; they double in capacity when
+    a chunk would overflow them. The arrays returned are views of the
+    parsed length.
     """
     dtype = np.dtype([(name, "O" if name in registries else "i8")
                       for name in schema[:-N_COUNTERS]]
                      + [("counters", "i8", (N_COUNTERS,))])
-    parts = [{name: np.empty((0,) + dtype[name].shape,
-                             np.int32 if name in registries else np.int64)
-              for name in dtype.names}]
-    first_line = 2
+    cols = {name: np.empty((capacity,) + dtype[name].shape,
+                           np.int32 if name in registries else np.int64)
+            for name in dtype.names}
+    n, first_line = 0, 2
     while lines := list(itertools.islice(stream, _PARSE_CHUNK)):
         table = _load_chunk(lines, dtype)
         if table is None:  # a quoted newline may pull in further lines
             table = _read_records(itertools.chain(lines, stream), schema,
                                   dtype, first_line, what)
-        chunk = {name: table[name] for name in dtype.names}
-        for name, registry in registries.items():
-            chunk[name] = _codes(table[name], registry)
-            table[name] = None  # frees the key strings; views keep table
+        lo, n = n, n + len(table)
+        if n > capacity:
+            capacity = max(n, 2 * capacity)
+            grown = {name: np.empty((capacity,) + col.shape[1:], col.dtype)
+                     for name, col in cols.items()}
+            for name, col in cols.items():
+                grown[name][:lo] = col[:lo]
+            cols = grown
+        for name, col in cols.items():
+            col[lo:n] = (_codes(table[name], registries[name])
+                         if name in registries else table[name])
+        del table  # the next chunk's table takes its memory
         if check is not None:
-            check(chunk, first_line)
-        parts.append(chunk)
-        first_line += len(table)
-    return _concat_releasing(parts)
+            check({name: col[lo:n] for name, col in cols.items()},
+                  first_line)
+        first_line += n - lo
+    return {name: col[:n] for name, col in cols.items()}
 
 
 def _check_counter_chunk(chunk, first_line):
@@ -227,12 +259,14 @@ def _check_counter_chunk(chunk, first_line):
             line_no=first_line + i, feed_field=COUNTER_NAMES[c])
 
 
-def parse_counter_feed(stream) -> CounterFeed:
+def parse_counter_feed(stream, capacity: int = 0) -> CounterFeed:
     """Parse a counters.csv stream into a CounterFeed.
 
     Raises FeedFormatError with the line number and offending field for
     malformed rows; the header must match COUNTER_HEADER exactly. Rows are
     converted in chunks so large feeds never sit in memory as strings.
+    capacity, a bound on the rows, sizes the columns up front (see
+    _read_keyed_table).
     """
     stream = iter(stream)
     _check_header(next(csv.reader(stream), None), COUNTER_HEADER,
@@ -241,7 +275,7 @@ def parse_counter_feed(stream) -> CounterFeed:
     filesystems: dict[str, int] = {}
     cols = _read_keyed_table(stream, COUNTER_HEADER,
                              {"node": nodes, "fs": filesystems},
-                             "counter feed", _check_counter_chunk)
+                             "counter feed", _check_counter_chunk, capacity)
     return CounterFeed(cols["ts"], cols["node"], cols["fs"],
                        cols["counters"], tuple(nodes), tuple(filesystems))
 
@@ -531,8 +565,9 @@ def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
 
     Only the sort order is computed over the whole feed. The sorted rows
     are gathered and binned in chunks of about _PARSE_CHUNK rows that never
-    split a stream, so memory beyond the feed is one chunk's temporaries
-    plus the result.
+    split a stream, each into the same two chunk-sized workspaces, so
+    memory beyond the feed is those, one chunk's other temporaries and the
+    result.
     """
     check("bin_width_s", bin_width, "deltify_and_bin")
     n_fs = len(feed.filesystems)
@@ -546,13 +581,22 @@ def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
 
     # no (stream, bin) row spans two chunks and chunks follow stream order,
     # so the chunks' rows, concatenated, are in canonical order
+    chunks = list(_stream_chunks(stream))
+    size = max((hi - lo for lo, hi in chunks), default=1)
+    # every chunk's rows are gathered into one workspace and differenced
+    # into another, both gone before the result is assembled
+    gathered = np.empty((size, N_COUNTERS), np.int64)
+    differenced = np.empty((size - 1, N_COUNTERS), np.int64)
     parts = [{"stream": np.empty(0, np.int64), "bin": np.empty(0, np.int64),
               "deltas": np.empty((0, N_COUNTERS), np.int64)}]
-    for lo, hi in _stream_chunks(stream):
+    for lo, hi in chunks:
+        # mode="clip": with the default mode, take buffers its output
+        values = np.take(feed.values, order[lo:hi], axis=0, mode="clip",
+                         out=gathered[:hi - lo])
         parts.append(_bin_chunk(stream[lo:hi], feed.ts[order[lo:hi]],
-                                feed.values[order[lo:hi]], bin_width,
-                                max_gap_s, pre_differenced))
-    del order, stream  # the sort index goes before the assembly
+                                values, bin_width, max_gap_s,
+                                pre_differenced, differenced))
+    del order, stream, gathered, differenced
     cols = _concat_releasing(parts)
     node_idx, nodes = _recode(cols["stream"] // n_fs, feed.nodes)
     fs_idx, filesystems = _recode(cols["stream"] % n_fs, feed.filesystems)
@@ -576,17 +620,18 @@ def _stream_chunks(stream):
         lo = hi
 
 
-def _bin_chunk(stream, ts, values, bin_width, max_gap_s, pre_differenced):
+def _bin_chunk(stream, ts, values, bin_width, max_gap_s, pre_differenced,
+               differenced):
     """Binned deltas of whole streams sorted by (stream, ts): {"stream",
     "bin", "deltas"} with all-zero rows dropped and duplicate (stream, bin)
-    rows summed, sorted by (stream, bin)."""
+    rows summed, sorted by (stream, bin). The result shares no memory with
+    values or with differenced, deltify_pairs' workspace."""
     if pre_differenced:
         s_codes, deltas = stream, values
         bins = bin_width * ((ts - 1) // bin_width)
     else:
         s_codes, bins, deltas = _kernels.deltify_pairs(
-            stream, ts, values, bin_width, max_gap_s)
-    del values  # the gathered chunk goes before the aggregation's copies
+            stream, ts, values, bin_width, max_gap_s, out=differenced)
 
     # idle snapshots and all-zero shares of spanning pairs are dropped:
     # the table stays sparse
@@ -610,8 +655,9 @@ def _recode(codes, names):
 
 
 def read_counter_file(path) -> CounterFeed:
+    capacity = _line_count(path)
     with open(path, newline="") as f:
-        return parse_counter_feed(f)
+        return parse_counter_feed(f, capacity)
 
 
 def read_job_file(path,

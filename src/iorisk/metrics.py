@@ -124,7 +124,6 @@ class JobMetrics:
     job_idx: np.ndarray
     fs_idx: np.ndarray
     bin_start: np.ndarray
-    contrib: np.ndarray       # (m, 21) clamped per-op risk
     risk_oss: np.ndarray      # (m,)
     risk_mds: np.ndarray      # (m,)
     read_kb_ops: np.ndarray   # (m,)
@@ -147,15 +146,20 @@ def compute_job_metrics(job_usage: JobUsageTable,
         check(name, getattr(params, name), "compute_job_metrics")
     avg, md_total, present = _baseline_matrix(job_usage.filesystems,
                                               baselines)
-    missing = [job_usage.filesystems[i] for i in np.unique(job_usage.fs_idx)
+    missing = [job_usage.filesystems[i]
+               for i in np.flatnonzero(np.bincount(job_usage.fs_idx))
                if not present[i]]
     if missing:
         raise ValueError(f"no baseline for filesystems {missing}")
 
-    deltas = job_usage.deltas.astype(np.float64)
-    contrib = _kernels.risk_contribs(deltas, job_usage.fs_idx, avg, md_total,
+    # the clamped per-counter risk, summed over each server class
+    contrib = _kernels.risk_contribs(job_usage.deltas.astype(np.float64),
+                                     job_usage.fs_idx, avg, md_total,
                                      params.alpha, params.beta,
                                      params.md_small_avg_threshold)
+    risk_oss = contrib[:, OSS_SLICE].sum(axis=1)
+    risk_mds = contrib[:, MDS_SLICE].sum(axis=1)
+    del contrib
     for i, fs in enumerate(job_usage.filesystems):
         if not present[i] or md_total[i] > 0:
             continue
@@ -172,9 +176,8 @@ def compute_job_metrics(job_usage: JobUsageTable,
     return JobMetrics(job_idx=job_usage.job_idx,
                       fs_idx=job_usage.fs_idx,
                       bin_start=job_usage.bin_start,
-                      contrib=contrib,
-                      risk_oss=contrib[:, OSS_SLICE].sum(axis=1),
-                      risk_mds=contrib[:, MDS_SLICE].sum(axis=1),
+                      risk_oss=risk_oss,
+                      risk_mds=risk_mds,
                       read_kb_ops=q_read,
                       write_kb_ops=q_write,
                       has_io=has_io,

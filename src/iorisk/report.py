@@ -203,7 +203,7 @@ def _top_jobs(jm: JobMetrics, rows, top_k: int, id_rank) -> list[int]:
     # bincount adds each job's risk in row order, one row at a time
     integrated = np.bincount(jm.job_idx[rows],
                              jm.risk_oss[rows] + jm.risk_mds[rows])
-    jobs = np.unique(jm.job_idx[rows])
+    jobs = np.flatnonzero(np.bincount(jm.job_idx[rows]))
     order = np.lexsort((id_rank[jobs], -integrated[jobs]))
     return jobs[order[:top_k]].tolist()
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .attribute import JobUsageTable
 from .config import FIELDS, Config
-from .ingest import (JobTable, UsageTable, _read_keyed_table,
+from .ingest import (JobTable, UsageTable, _line_count, _read_keyed_table,
                      parse_job_feed, repeated_ints, write_csv,
                      write_jobs_csv)
 from .ops import COUNTER_NAMES
@@ -48,10 +48,11 @@ def read_config(out_dir) -> dict:
 
 
 def _read_table(path, schema, registries, check=None):
+    capacity = _line_count(path)
     with open(path, newline="") as f:
         next(csv.reader(f))
         return _read_keyed_table(f, schema, registries, f"store {path}",
-                                 check)
+                                 check, capacity)
 
 
 def write_node_usage(out_dir, usage: UsageTable) -> None:

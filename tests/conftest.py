@@ -5,7 +5,10 @@ import io
 import numpy as np
 import pytest
 
+from iorisk import _kernels
+from iorisk.config import Config
 from iorisk.ingest import COUNTER_HEADER, CounterFeed, parse_counter_feed
+from iorisk.metrics import _baseline_matrix
 from iorisk.ops import COUNTER_NAMES, N_COUNTERS
 from scalar_analytics import JobRecord
 
@@ -35,6 +38,15 @@ def simple_job(job_id="j1", node="n1", start=0, end=720, command="cmd",
     return JobRecord(job_id=job_id, command=command, project=project,
                      nodes=frozenset(nodes if nodes else [node]),
                      start_ts=start, end_ts=end, cores_per_node=cores)
+
+
+def risk_contribs(job_usage, baselines, params=Config()) -> np.ndarray:
+    """The (m, 21) clamped per-counter risk that compute_job_metrics sums
+    into risk_oss and risk_mds, from _kernels.risk_contribs."""
+    avg, md_total, _ = _baseline_matrix(job_usage.filesystems, baselines)
+    return _kernels.risk_contribs(
+        job_usage.deltas.astype(np.float64), job_usage.fs_idx, avg,
+        md_total, params.alpha, params.beta, params.md_small_avg_threshold)
 
 
 def assert_same_jobs(a, b) -> None:

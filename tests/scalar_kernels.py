@@ -259,7 +259,8 @@ def split_ref(d, overlaps, span):
     return shares
 
 
-def deltify_pairs_ref(stream, ts, values, bin_width, max_gap_s):
+def deltify_pairs_ref(stream, ts, values, bin_width, max_gap_s, out=None):
+    # out is the vectorized kernel's workspace; the loop needs none
     bound = _deltify_count(stream, ts, bin_width, max_gap_s)
     out_stream = np.empty(bound, dtype=np.int64)
     out_bin = np.empty(bound, dtype=np.int64)

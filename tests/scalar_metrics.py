@@ -20,6 +20,8 @@ from iorisk.metrics import (FS_SUBJECT, FsBaseline,
                             _quality_arrays, compute_job_metrics)
 from iorisk.ops import OpClass, OpKind
 
+from conftest import risk_contribs
+
 
 @dataclass(frozen=True, eq=False)
 class JobBinUsage:
@@ -73,11 +75,12 @@ def job_bin_risk(usage: JobBinUsage, baseline: FsBaseline,
                           usage.deltas[None, :], (usage.job_id,),
                           (usage.fs_id,), 360)
     jm = compute_job_metrics(table, {usage.fs_id: baseline}, params)
+    contrib = risk_contribs(table, {usage.fs_id: baseline}, params)
     return RiskPoint(subject=usage.job_id, fs_id=usage.fs_id,
                      bin_start=usage.bin_start,
                      risk_oss=float(jm.risk_oss[0]),
                      risk_mds=float(jm.risk_mds[0]),
-                     per_op_risk={op: float(jm.contrib[0, op.column])
+                     per_op_risk={op: float(contrib[0, op.column])
                                   for op in OpKind})
 
 

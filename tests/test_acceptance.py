@@ -28,7 +28,7 @@ from iorisk.report import (BREAKDOWN_LABELS, build_breakdown, build_heatmap,
                            correlate_series)
 from iorisk.simgen import generate, preset_scenario
 
-from conftest import feed_from_rows, simple_job, values_row
+from conftest import feed_from_rows, risk_contribs, simple_job, values_row
 from scalar_analytics import (as_table, node_bin_index, volume_bin_exp,
                               volume_bin_label)
 from scalar_metrics import JobBinUsage, job_bin_risk
@@ -125,7 +125,9 @@ def test_criterion_2_paper_constant_defaults():
 def test_criterion_3_clamp_and_decomposition(metric_run):
     def check():
         jm = metric_run["jm"]
-        assert (jm.contrib >= 0.0).all(), "negative stored contribution"
+        contrib = risk_contribs(metric_run["attribution"].job_usage,
+                                metric_run["baselines"])
+        assert (contrib >= 0.0).all(), "negative stored contribution"
         fm = compute_fs_metrics(jm)
         for i in range(len(fm)):
             sel = (jm.fs_idx == fm.fs_idx[i]) \

@@ -143,8 +143,7 @@ def test_runtime_bin_count():
         table = as_table([simple_job(start=start, end=end)])
         jm = JobMetrics(
             job_idx=np.zeros(1, np.int32), fs_idx=np.zeros(1, np.int32),
-            bin_start=np.zeros(1, np.int64), contrib=np.zeros((1, 21)),
-            risk_oss=np.ones(1), risk_mds=np.zeros(1),
+            bin_start=np.zeros(1, np.int64), risk_oss=np.ones(1), risk_mds=np.zeros(1),
             read_kb_ops=np.zeros(1), write_kb_ops=np.zeros(1),
             has_io=np.zeros(1, bool), job_ids=table.job_ids,
             filesystems=("fs2",), bin_width=W)

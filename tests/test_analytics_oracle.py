@@ -69,7 +69,7 @@ def _metrics(jobs, seed) -> JobMetrics:
     return JobMetrics(
         job_idx=rng.integers(0, len(jobs), size=m).astype(np.int32),
         fs_idx=np.zeros(m, np.int32), bin_start=np.zeros(m, np.int64),
-        contrib=np.zeros((m, N_COUNTERS)), risk_oss=risk(),
+        risk_oss=risk(),
         risk_mds=risk(), read_kb_ops=risk(), write_kb_ops=risk(),
         has_io=rng.random(m) < 0.6, job_ids=tuple(j.job_id for j in jobs),
         filesystems=("fs2",), bin_width=W)

@@ -578,6 +578,29 @@ def test_importing_the_cli_leaves_the_feed_generator_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_a_full_run_leaves_numpy_ma_unloaded(demo_feeds, tmp_path):
+    # a bare np.unique(x) imports numpy.ma, about 15 ms of each process
+    import os
+    import subprocess
+    import sys
+
+    import iorisk
+    src = Path(iorisk.__file__).resolve().parents[1]
+    args = ["all", "--counters", str(demo_feeds / "counters.csv"),
+            "--jobs", str(demo_feeds / "jobs.csv"), "--out",
+            str(tmp_path / "out"), "--svg", "--probe",
+            str(demo_feeds / "probe.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from iorisk.cli import run; "
+         "rc = run(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)",
+         *args],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_fs_risk_series_has_rows_only_for_bins_with_job_rows(demo_feeds,
                                                              tmp_path):
     """Known defect, pinned: the fs risk series, and the correlation built

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from iorisk import ingest
 from iorisk.ingest import COUNTER_HEADER, FeedFormatError
+from iorisk.ops import N_COUNTERS
 
 import scalar_ingest as ref
 
@@ -167,3 +168,86 @@ def feeds(draw):
 @given(feeds(), st.sampled_from([1, 2, 3, 65536]))
 def test_parser_matches_oracle(text, chunk):
     assert_matches_oracle(text, chunk)
+
+
+# read_counter_file sizes its columns from the file's line count; a
+# stream of unknown length starts them empty and doubles them as it goes
+FILE_CASES = {
+    "quoted newline in a key":
+        feed(FULL, line(ts="2", node='"n\n1"'), line(ts="3", node='"a\nb"'),
+             FULL),
+    "CRLF line ends": feed(FULL, line(node="n2"), FULL, eol="\r\n"),
+    "no trailing newline": feed(FULL, line(node="n2"), FULL)[:-1],
+    "header only": HEADER + "\n",
+    "blank line": feed(FULL, FULL, "", FULL),
+    "fault on a later chunk": feed(FULL, FULL, FULL, line(ts="4", sync="-3")),
+    "stream that has to grow": feed(*[line(ts=str(t)) for t in range(1, 41)]),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, ingest._PARSE_CHUNK])
+@pytest.mark.parametrize("text", FILE_CASES.values(), ids=FILE_CASES)
+def test_file_and_stream_reads_match_oracle(tmp_path, text, chunk):
+    # outcome compares shapes too: the views end at the parsed rows
+    path = tmp_path / "counters.csv"
+    path.write_text(text, newline="")
+
+    def read_file(_stream):  # the same text, through the file's path
+        return ingest.read_counter_file(path)
+
+    with chunk_size(chunk):
+        want = outcome(ref.parse_counter_feed, text, "")
+        assert outcome(read_file, text, "") == want
+        assert outcome(ingest.parse_counter_feed, text, "") == want
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_fault_on_a_later_chunk_names_line_and_field(tmp_path, chunk):
+    path = tmp_path / "counters.csv"
+    path.write_text(FILE_CASES["fault on a later chunk"])
+    with chunk_size(chunk), pytest.raises(FeedFormatError) as exc:
+        ingest.read_counter_file(path)
+    assert (exc.value.line_no, exc.value.feed_field) == (5, "sync")
+    assert str(exc.value) == ("counter feed: negative counter value -3 "
+                              "(line 5, field 'sync')")
+
+
+@pytest.mark.parametrize("text", [
+    "", "a", "a\n", "a\r\nb", "a\rb\r", "\r\r\n\n\r", "x" * 65535 + "\r\ny",
+    "x" * 65535 + "\r" + "y", "x" * 65535 + "\r", "x" * 65536 + "\n\r",
+    "x" * 65534 + "\r\n\r\n" + "x" * 65534 + "\n"])
+def test_line_count_is_one_more_than_the_line_ends(tmp_path, text):
+    # a "\r\n" astride two of the counter's blocks counts once
+    path = tmp_path / "lines.csv"
+    path.write_text(text, newline="")
+    with open(path, newline="") as f:
+        ends = sum(line.endswith(("\r", "\n")) for line in f)
+    assert ingest._line_count(path) == 1 + ends
+
+
+def test_memory_beyond_the_feed_is_about_one_chunk(tmp_path, monkeypatch):
+    # numpy reports its array allocations to tracemalloc. Beyond the
+    # returned columns, read_counter_file holds one chunk at a time: its
+    # lines as strings (about one table here), its structured table and
+    # numpy's parse buffers, about 3.5 tables in all. Keeping every
+    # chunk's table until the end, as a reader that concatenates does,
+    # peaks at 39 tables on this feed.
+    from test_deltify_chunks import _sparse_feed
+    import tracemalloc
+
+    path = tmp_path / "counters.csv"
+    ingest.write_counter_csv(_sparse_feed(), path)
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
+    table = ingest._PARSE_CHUNK * (3 * 8 + 8 * N_COUNTERS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        feed = ingest.read_counter_file(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(feed) >= 32 * ingest._PARSE_CHUNK
+    columns = sum(a.nbytes for a in (feed.ts, feed.node_idx, feed.fs_idx,
+                                     feed.values))
+    assert peak - columns < 5 * table, (peak - columns) / table

@@ -11,6 +11,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from iorisk import ingest
@@ -127,3 +128,27 @@ def test_memory_beyond_the_feed_is_a_fraction_of_the_counter_matrix(
         tracemalloc.stop()
     assert len(usage)
     assert peak < 0.5 * feed.values.nbytes, peak / feed.values.nbytes
+
+
+@pytest.mark.parametrize("pre_differenced", [False, True])
+def test_deltas_share_no_memory_with_the_feed_or_the_workspaces(
+        monkeypatch, pre_differenced):
+    # every chunk is gathered and differenced into the same two buffers;
+    # the table must hold copies, not views of them
+    feed = _sparse_feed(n_streams=8, n_samples=50)
+    workspaces = []
+    bin_chunk = ingest._bin_chunk
+
+    def spy(stream, ts, values, *args):
+        workspaces.extend(a if a.base is None else a.base
+                          for a in (values, args[-1]))
+        return bin_chunk(stream, ts, values, *args)
+
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 64)
+    monkeypatch.setattr(ingest, "_bin_chunk", spy)
+    usage = deltify_and_bin(feed, pre_differenced=pre_differenced)
+    assert len(usage) and len(workspaces) >= 2 * 6
+    # one gather buffer and one difference buffer for all the chunks
+    assert len({id(w) for w in workspaces}) == 2
+    for buffer in [feed.values] + workspaces:
+        assert not np.shares_memory(usage.deltas, buffer)

@@ -212,7 +212,7 @@ def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
     from iorisk.attribute import attribute_usage, fs_bin_totals
     from iorisk.ingest import deltify_and_bin
     from iorisk.metrics import compute_baselines, compute_job_metrics
-    from conftest import feed_from_rows, simple_job
+    from conftest import feed_from_rows, risk_contribs, simple_job
     from scalar_analytics import as_table
 
     rows = []
@@ -235,14 +235,15 @@ def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
         attribution = attribute_usage(usage, as_table(jobs))
         baselines = compute_baselines(fs_bin_totals(usage))
         jm = compute_job_metrics(attribution.job_usage, baselines)
-        return usage, attribution, jm
+        return usage, attribution, jm, risk_contribs(attribution.job_usage,
+                                                     baselines)
 
-    u_vec, a_vec, m_vec = run_pipeline()
+    u_vec, a_vec, m_vec, c_vec = run_pipeline()
     monkeypatch.setattr(_kernels, "deltify_pairs", ref.deltify_pairs_ref)
     monkeypatch.setattr(_kernels, "attribute_shares",
                         ref.attribute_shares_ref)
     monkeypatch.setattr(_kernels, "risk_contribs", ref.risk_contribs_ref)
-    u_ref, a_ref, m_ref = run_pipeline()
+    u_ref, a_ref, m_ref, c_ref = run_pipeline()
 
     np.testing.assert_array_equal(u_vec.deltas, u_ref.deltas)
     np.testing.assert_array_equal(u_vec.bin_start, u_ref.bin_start)
@@ -250,7 +251,7 @@ def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
                                   a_ref.job_usage.deltas)
     np.testing.assert_array_equal(a_vec.unattributed.deltas,
                                   a_ref.unattributed.deltas)
-    np.testing.assert_array_equal(m_vec.contrib, m_ref.contrib)
+    np.testing.assert_array_equal(c_vec, c_ref)
     np.testing.assert_array_equal(m_vec.risk_oss, m_ref.risk_oss)
 
 

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import feed_from_rows, simple_job, values_row
+from conftest import feed_from_rows, risk_contribs, simple_job, values_row
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.ingest import deltify_and_bin
 from iorisk.config import Config
@@ -368,9 +368,10 @@ def _pipeline_metrics(rng, n_jobs=10, n_bins=8, params=Config()):
 
 
 def test_no_negative_stored_contribution_and_reclamp_idempotent(rng):
-    _, _, _, jm = _pipeline_metrics(rng)
-    assert (jm.contrib >= 0).all()
-    np.testing.assert_array_equal(np.maximum(jm.contrib, 0.0), jm.contrib)
+    _, attribution, baselines, _ = _pipeline_metrics(rng)
+    contrib = risk_contribs(attribution.job_usage, baselines)
+    assert (contrib >= 0).all()
+    np.testing.assert_array_equal(np.maximum(contrib, 0.0), contrib)
 
 
 def test_fs_series_decomposes_into_job_series(rng):
