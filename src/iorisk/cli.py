@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
 
-from . import store
+# OpenBLAS's thread pool cost 0.07 s per start-up, for one 2 x n corrcoef
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # an explicit value wins
+
+from . import store  # noqa: E402  (numpy loads after the default is set)
 from .analytics import build_scatter, detect_slowdown, summarize_jobs
 from .attribute import attribute_usage, fs_bin_totals
 from .config import FIELDS, Config, add_config_flags, resolve_config
@@ -78,31 +82,28 @@ def _ingest(args, cfg: Config, out: Path):
     return usage, jobs
 
 
-def _metrics(usage, job_usage, cfg: Config):
-    """Per-fs baselines from the node usage, then job and fs metrics."""
-    totals = fs_bin_totals(usage)
+def _metrics(totals, job_usage, cfg: Config):
+    """Per-fs baselines from the fs bin totals, then job and fs metrics."""
     baselines = compute_baselines(totals, baseline_days=cfg.baseline_days)
     jm = compute_job_metrics(job_usage, baselines, cfg)
     return baselines, jm, compute_fs_metrics(jm, cfg.quality_agg)
 
 
 def _analyze(cfg: Config, out: Path, usage, jobs):
-    """Attribute node usage to jobs and write the analysis artifacts;
-    returns the job usage and its job and fs metrics."""
+    """Attribute node usage to jobs and write the analysis artifacts and
+    the fs bin totals report reads; returns the job usage and its job and
+    fs metrics."""
     attribution = attribute_usage(usage, jobs)
-    baselines, jm, fm = _metrics(usage, attribution.job_usage, cfg)
+    totals = fs_bin_totals(usage)
+    baselines, jm, fm = _metrics(totals, attribution.job_usage, cfg)
     store.write_job_usage(out, attribution.job_usage)
+    store.write_fs_usage(out, totals)
     write_unattributed_csv(out / "unattributed.csv",
                            attribution.unattributed)
     write_risk_timeseries_csv(out / "risk_timeseries.csv", fm, jm)
     print(f"analyzed {len(attribution.job_usage)} job-bin rows on "
           f"{len(baselines)} filesystems")
     return attribution.job_usage, jm, fm
-
-
-def _load_analysis_inputs(out: Path, cfg: Config):
-    usage = store.read_node_usage(out, cfg.bin_width_s)
-    return usage, store.read_jobs(out)
 
 
 def cmd_ingest(args, cfg: Config) -> int:
@@ -112,7 +113,8 @@ def cmd_ingest(args, cfg: Config) -> int:
 
 def cmd_analyze(args, cfg: Config) -> int:
     out = Path(args.out)
-    usage, jobs = _load_analysis_inputs(out, cfg)
+    usage = store.read_node_usage(out, cfg.bin_width_s)
+    jobs = store.read_jobs(out)
     store.write_config(out, cfg)
     _analyze(cfg, out, usage, jobs)
     return 0
@@ -185,10 +187,11 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm,
 def cmd_report(args, cfg: Config) -> int:
     out = Path(args.out)
     probe = read_probe_file(args.probe) if args.probe else None
-    usage, jobs = _load_analysis_inputs(out, cfg)
-    job_usage = store.read_job_usage(out, usage.bin_width, jobs.job_ids,
-                                     usage.filesystems)
-    _, jm, fm = _metrics(usage, job_usage, cfg)
+    jobs = store.read_jobs(out)
+    totals = store.read_fs_usage(out, cfg.bin_width_s)
+    job_usage = store.read_job_usage(out, cfg.bin_width_s, jobs.job_ids,
+                                     totals.filesystems)
+    _, jm, fm = _metrics(totals, job_usage, cfg)
     store.write_config(out, cfg)
     _report(args, cfg, out, jobs, job_usage, jm, fm, probe)
     return 0

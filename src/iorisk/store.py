@@ -1,10 +1,13 @@
 """Plain-file intermediate store so pipeline stages compose.
 
 ingest writes store/node_usage.csv + store/jobs.csv + store/meta.json;
-analyze adds store/job_usage.csv. meta.json holds the full Config the last
-stage ran with, which a later stage inherits. Everything is auditable
-CSV/JSON with deterministic ordering; no database. `all` writes the same
-files but never reads them back: they serve audits and staged reruns.
+analyze reads node usage and jobs and adds store/job_usage.csv and
+store/fs_usage.csv, the per-fs bin totals the baselines come from. report
+reads jobs, fs usage and job usage, never node usage. meta.json holds the
+full Config the last stage ran with, which a later stage inherits.
+Everything is auditable CSV/JSON with deterministic ordering; no
+database. `all` writes the same files but never reads them back: they
+serve audits and staged reruns.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from .attribute import JobUsageTable
+from .attribute import FsUsageTable, JobUsageTable
 from .config import FIELDS, Config
 from .ingest import (JobTable, UsageTable, _line_count, _read_keyed_table,
                      parse_job_feed, repeated_ints, write_csv,
@@ -22,10 +25,12 @@ from .ops import COUNTER_NAMES
 
 NODE_USAGE_NAME = "node_usage.csv"
 JOB_USAGE_NAME = "job_usage.csv"
+FS_USAGE_NAME = "fs_usage.csv"
 JOBS_NAME = "jobs.csv"
 META_NAME = "meta.json"
 NODE_USAGE_HEADER = ("node", "fs", "bin_start") + COUNTER_NAMES
 JOB_USAGE_HEADER = ("job_id", "fs", "bin_start") + COUNTER_NAMES
+FS_USAGE_HEADER = ("fs", "bin_start") + COUNTER_NAMES
 
 
 def store_dir(out_dir) -> Path:
@@ -74,6 +79,28 @@ def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
         bin_width=bin_width_s)
 
 
+def write_fs_usage(out_dir, totals: FsUsageTable) -> None:
+    write_csv(store_dir(out_dir) / FS_USAGE_NAME, FS_USAGE_HEADER,
+              [(totals.fs_idx, totals.filesystems),
+               repeated_ints(totals.bin_start), totals.deltas])
+
+
+def read_fs_usage(out_dir, bin_width_s: int) -> FsUsageTable:
+    """Load the per-fs bin totals. They are sorted by (fs, bin), so the
+    filesystems come in the node usage's order."""
+    path = store_dir(out_dir) / FS_USAGE_NAME
+    filesystems: dict[str, int] = {}
+    try:
+        cols = _read_table(path, FS_USAGE_HEADER, {"fs": filesystems})
+    except FileNotFoundError:
+        raise FileNotFoundError(
+            f"store {path}: no such file; rerun the analyze stage") from None
+    return FsUsageTable(
+        fs_idx=cols["fs"], bin_start=cols["bin_start"],
+        deltas=cols["counters"], filesystems=tuple(filesystems),
+        bin_width=bin_width_s)
+
+
 def write_job_usage(out_dir, ju: JobUsageTable) -> None:
     write_csv(store_dir(out_dir) / JOB_USAGE_NAME, JOB_USAGE_HEADER,
               [(ju.job_idx, ju.job_ids), (ju.fs_idx, ju.filesystems),
@@ -82,23 +109,23 @@ def write_job_usage(out_dir, ju: JobUsageTable) -> None:
 
 def read_job_usage(out_dir, bin_width_s: int, job_ids,
                    filesystems) -> JobUsageTable:
-    """Load job usage; job/fs registries come from the jobs and node feeds
-    so indices stay stable even for jobs without rows."""
+    """Load job usage; job/fs registries come from jobs.csv and
+    fs_usage.csv so indices stay stable even for jobs without rows."""
     path = store_dir(out_dir) / JOB_USAGE_NAME
     job_of = {j: i for i, j in enumerate(job_ids)}
     fs_of = {f: i for i, f in enumerate(filesystems)}
     n_jobs, n_fs = len(job_of), len(fs_of)
 
     def check_known(chunk, first_line):
-        # a key missing from jobs.csv or the node usage store was coded
-        # past the end of its registry
+        # a key missing from jobs.csv or fs_usage.csv was coded past the
+        # end of its registry
         if len(job_of) > n_jobs:
             raise ValueError(f"store {path}: job {list(job_of)[n_jobs]!r} "
                              f"not in jobs.csv; rerun the analyze stage")
         if len(fs_of) > n_fs:
             raise ValueError(
                 f"store {path}: filesystem {list(fs_of)[n_fs]!r} not in "
-                f"the node usage store; rerun the analyze stage")
+                f"{FS_USAGE_NAME}; rerun the analyze stage")
 
     cols = _read_table(path, JOB_USAGE_HEADER,
                        {"job_id": job_of, "fs": fs_of}, check_known)

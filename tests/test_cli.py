@@ -349,7 +349,8 @@ def test_all_parses_once_and_never_reads_the_store(demo_feeds, tmp_path,
         raise AssertionError("all read the store back")
 
     with monkeypatch.context() as m:
-        for name in ("read_node_usage", "read_job_usage", "read_jobs"):
+        for name in ("read_node_usage", "read_fs_usage", "read_job_usage",
+                     "read_jobs"):
             m.setattr(store, name, forbidden)
         counted(ingest, "parse_counter_feed")
         counted(cli, "fs_bin_totals")
@@ -359,6 +360,76 @@ def test_all_parses_once_and_never_reads_the_store(demo_feeds, tmp_path,
     before = _tree_bytes(out)
     assert run(["report", "--out", str(out)]) == 0
     assert _tree_bytes(out) == before
+
+
+def _ingest_and_analyze(feeds, out) -> None:
+    assert run(["ingest", "--counters", str(feeds / "counters.csv"),
+                "--jobs", str(feeds / "jobs.csv"), "--out", str(out)]) == 0
+    assert run(["analyze", "--out", str(out)]) == 0
+
+
+def test_report_reads_fs_totals_not_node_usage(demo_feeds, tmp_path,
+                                                monkeypatch):
+    from iorisk import cli, store
+    extra = ("--svg", "--probe", str(demo_feeds / "probe.csv"))
+    assert _run_all(demo_feeds, tmp_path / "all", extra) == 0
+    staged = tmp_path / "staged"
+    _ingest_and_analyze(demo_feeds, staged)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("report rebuilt the fs totals")
+
+    monkeypatch.setattr(store, "read_node_usage", forbidden)
+    monkeypatch.setattr(cli, "fs_bin_totals", forbidden)
+    assert run(["report", "--out", str(staged), *extra]) == 0
+    assert _tree_bytes(staged) == _tree_bytes(tmp_path / "all")
+
+
+def test_report_on_a_store_without_fs_totals_exits_before_writing(
+        demo_feeds, tmp_path, capsys):
+    # a store analyzed before analyze wrote the fs totals
+    out = tmp_path / "out"
+    _ingest_and_analyze(demo_feeds, out)
+    (out / "store" / "fs_usage.csv").unlink()
+    before = _tree_bytes(out)
+    # --top-k would change meta.json, had report got as far as writing it
+    assert run(["report", "--out", str(out), "--top-k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "fs_usage.csv" in err and "rerun the analyze stage" in err
+    assert _tree_bytes(out) == before
+    assert not (out / "job_summary.csv").exists()
+
+
+def _import_cli(extra_env: dict) -> list[str]:
+    """OPENBLAS_NUM_THREADS and the thread count after importing the cli
+    in a fresh interpreter whose environment sets the variable only as
+    extra_env does."""
+    import os
+    import subprocess
+    import sys
+
+    import iorisk
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    src = Path(iorisk.__file__).resolve().parents[1]
+    env.update(extra_env, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, iorisk.cli\n"
+         "status = open('/proc/self/status').read()\n"
+         "print(os.environ['OPENBLAS_NUM_THREADS'],"
+         " status.split('Threads:')[1].split()[0])"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from /proc")
+def test_importing_the_cli_starts_one_blas_thread():
+    assert _import_cli({}) == ["1", "1"]
+    # an explicit value wins (OpenBLAS caps its threads at the core count)
+    assert _import_cli({"OPENBLAS_NUM_THREADS": "2"})[0] == "2"
 
 
 @pytest.mark.parametrize("command", ["ingest", "all"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from iorisk import ingest, store
-from iorisk.attribute import JobUsageTable
+from iorisk.attribute import JobUsageTable, fs_bin_totals
 from iorisk.ingest import UsageTable
 from iorisk.ops import N_COUNTERS
 
@@ -104,6 +104,38 @@ def test_usage_tables_round_trip(out, monkeypatch, chunk):
                         ("bin_start", "job_idx", "fs_idx", "deltas"))
 
 
+def _reordered_usage() -> UsageTable:
+    """Node usage listing fs3 before fs2, as ingest stores it when the
+    first node has rows only on fs3."""
+    nodes = np.array([0, 0, 1, 1, 1, 1], dtype=np.int32)
+    fs = np.array([0, 0, 1, 1, 0, 0], dtype=np.int32)
+    bins = np.array([0, 1, 0, 1, 0, 2], dtype=np.int64) * BIN_WIDTH
+    deltas = np.arange(6 * N_COUNTERS, dtype=np.int64).reshape(6, N_COUNTERS)
+    return UsageTable(bins, nodes, fs, deltas, ("n0", "n1"), ("fs3", "fs2"),
+                      BIN_WIDTH)
+
+
+def _empty_usage() -> UsageTable:
+    bins, nodes, fs, deltas = _columns(0)
+    return UsageTable(bins, nodes, fs, deltas, (), (), BIN_WIDTH)
+
+
+@pytest.mark.parametrize("chunk", [2, 65536])
+@pytest.mark.parametrize("make_usage", [
+    _reordered_usage, _empty_usage, lambda: _odd_tables(23)[0]],
+    ids=["fs3-before-fs2", "empty", "odd-keys"])
+def test_fs_totals_round_trip(out, monkeypatch, chunk, make_usage):
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
+    usage = make_usage()
+    totals = fs_bin_totals(usage)
+    store.write_fs_usage(out, totals)
+
+    again = store.read_fs_usage(out, BIN_WIDTH)
+    assert (again.filesystems, again.bin_width) == (usage.filesystems,
+                                                    BIN_WIDTH)
+    _assert_same_arrays(again, totals, ("fs_idx", "bin_start", "deltas"))
+
+
 def _rewrite_line(path, line_no, edit):
     lines = path.read_text().split("\n")
     lines[line_no - 1] = edit(lines[line_no - 1])
@@ -142,6 +174,6 @@ def test_job_usage_filesystem_missing_from_node_usage(out):
     store.write_job_usage(out, _job_usage())
     path = store.store_dir(out) / store.JOB_USAGE_NAME
     with pytest.raises(ValueError, match=re.escape(
-            f"store {path}: filesystem 'fs 3' not in the node usage store; "
+            f"store {path}: filesystem 'fs 3' not in fs_usage.csv; "
             f"rerun the analyze stage")):
         store.read_job_usage(out, BIN_WIDTH, JOB_IDS, FILESYSTEMS[:1])
