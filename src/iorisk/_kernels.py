@@ -81,11 +81,44 @@ def group_sum(keys, values):
     Groups come in key order (see sort_groups) and each group's rows are
     added in input order. The returned key columns keep their dtypes, so
     zero rows give typed empty columns and an empty (0, ...) sum.
+
+    values is an array, or a non-empty list of arrays whose rows, in list
+    order, are the rows. The list is emptied front to back as each array
+    is added into the sums, so that the arrays and the sums are never all
+    resident at once, as they are when the arrays are first concatenated.
     """
     order, starts = sort_groups(*keys)
     first = order[starts]
-    return ([key[first] for key in keys],
-            np.add.reduceat(values[order], starts, axis=0))
+    keys = [key[first] for key in keys]
+    if not isinstance(values, list):
+        return keys, np.add.reduceat(values[order], starts, axis=0)
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[starts] = True
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(is_first) - 1
+    opens = np.zeros(len(order), dtype=bool)
+    opens[first] = True  # the rows that open their groups, in input order
+    # a group's rows come in input order, so two rows of one array in one
+    # group are neighbours; such an array needs np.add.at, over three times
+    # slower than the plain scatter an array of distinct groups takes
+    owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
+    owner = owner[order]
+    repeats = np.zeros(len(values), dtype=bool)
+    repeats[owner[1:][~is_first[1:] & (owner[1:] == owner[:-1])]] = True
+    sums = np.zeros((len(starts),) + values[0].shape[1:], values[0].dtype)
+    values.reverse()
+    lo = 0
+    for repeat in repeats:
+        part = values.pop()
+        rows, seen = group[lo:lo + len(part)], ~opens[lo:lo + len(part)]
+        if repeat:
+            np.add.at(sums, rows, part)
+        else:  # the groups begun before get their sums so far added back
+            before = sums[rows[seen]]
+            sums[rows] = part
+            sums[rows[seen]] += before
+        lo += len(part)
+    return keys, sums
 
 
 def deltify_pairs(stream, ts, values, bin_width, max_gap_s, out=None):
@@ -97,18 +130,29 @@ def deltify_pairs(stream, ts, values, bin_width, max_gap_s, out=None):
     no counter change, are dropped. A pair is apportioned over the bins it
     covers by time overlap out of its duration (see the module docstring);
     a pair with no duration (duplicate timestamps) lands whole in the bin
-    its timestamp closes. Returns (stream, bin_start, deltas) with one row
-    per covered bin, unaggregated and in no particular order. out, if
-    given, is a workspace of at least len(values) - 1 rows for the pairs'
-    deltas; the result shares no memory with it.
+    its timestamp closes. Returns (stream, bin_start, deltas, gap_pairs,
+    reset_pairs): one row per covered bin, unaggregated and in no
+    particular order, then the count of pairs dropped as further apart
+    than max_gap_s and the count of the other pairs in which a counter
+    went down. out, if given, is a workspace of at least len(values) - 1
+    rows for the pairs' deltas; the result shares no memory with it.
     """
     w = bin_width
     t0, t1 = ts[:-1], ts[1:]
     v0, v1 = values[:-1], values[1:]
     delta = np.subtract(v1, v0, out=None if out is None else out[:len(v1)])
-    np.copyto(delta, v1, where=v1 < v0)
-    keep = np.flatnonzero((stream[1:] == stream[:-1])
-                          & (t1 - t0 <= max_gap_s) & delta.any(axis=1))
+    down = v1 < v0
+    np.copyto(delta, v1, where=down)
+    same = stream[1:] == stream[:-1]
+    near = same & (t1 - t0 <= max_gap_s)
+    gap_pairs = int(np.count_nonzero(same) - np.count_nonzero(near))
+    # the pairs in which a counter went down, from the few counters that
+    # did: a row-wise pass over all of them took a third of the kernel
+    reset = np.zeros(len(near), dtype=bool)
+    reset[np.flatnonzero(down) // N_COUNTERS] = True
+    reset_pairs = int(np.count_nonzero(near & reset))
+    del down, reset
+    keep = np.flatnonzero(near & delta.any(axis=1))
     pair_stream, t0, t1, delta = (stream[1:][keep], t0[keep], t1[keep],
                                   delta[keep])
     dt = t1 - t0
@@ -124,7 +168,8 @@ def deltify_pairs(stream, ts, values, bin_width, max_gap_s, out=None):
         shares = apportion(delta[rows], overlap, dt[rows])
         parts.append((np.repeat(pair_stream[rows], k_count), bins.ravel(),
                       shares.reshape(-1, N_COUNTERS)))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return (*(np.concatenate(p) for p in zip(*parts)), gap_pairs,
+            reset_pairs)
 
 
 def attribute_shares(node_idx, fs_idx, bin_start, deltas, bin_width,

@@ -23,8 +23,7 @@ from . import store  # noqa: E402  (numpy loads after the default is set)
 from .analytics import build_scatter, detect_slowdown, summarize_jobs
 from .attribute import attribute_usage, fs_bin_totals
 from .config import FIELDS, Config, add_config_flags, resolve_config
-from .ingest import (deltify_and_bin, read_counter_file, read_job_file,
-                     read_probe_file)
+from .ingest import deltify_and_bin, read_job_file, read_probe_file
 from .metrics import compute_baselines, compute_fs_metrics, \
     compute_job_metrics
 from .report import (MEASURES, binned_series_instants, build_breakdown,
@@ -63,22 +62,21 @@ def cmd_simulate(args) -> int:
 
 
 def _ingest(args, cfg: Config, out: Path):
-    """Parse both feeds, bin the counters and save them to the store;
-    returns the node usage and the jobs. A job conflict fails before the
-    store is created."""
-    feed = read_counter_file(args.counters)
-    jobs = read_job_file(args.jobs, default_cores=cfg.cores_per_node)
-    n_samples = len(feed)
-    usage = deltify_and_bin(feed, cfg.bin_width_s,
+    """Bin the counter feed as it is read, parse the job feed and save
+    both to the store; returns the node usage and the jobs. A job conflict
+    fails before the store is created."""
+    usage = deltify_and_bin(args.counters, cfg.bin_width_s,
                             max_gap_bins=cfg.max_gap_bins,
                             pre_differenced=cfg.pre_differenced)
-    del feed  # the store writes need only the usage
+    jobs = read_job_file(args.jobs, default_cores=cfg.cores_per_node)
     store.store_dir(out).mkdir(parents=True, exist_ok=True)
     store.write_config(out, cfg)
     store.write_node_usage(out, usage)
     store.write_jobs(out, jobs)
-    print(f"ingested {n_samples} samples -> {len(usage)} node-bin rows, "
-          f"{len(jobs)} jobs")
+    counts = usage.counts
+    print(f"ingested {counts.samples} samples -> {len(usage)} node-bin "
+          f"rows, {len(jobs)} jobs; dropped {counts.gap_pairs} pairs over "
+          f"the gap limit, saw {counts.reset_pairs} counter resets")
     return usage, jobs
 
 

@@ -65,7 +65,7 @@ def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
             max_gap_s = np.iinfo(np.int64).max // 4
         else:
             max_gap_s = max_gap_bins * bin_width
-        s_codes, bins, deltas = _kernels.deltify_pairs(
+        s_codes, bins, deltas, _, _ = _kernels.deltify_pairs(
             stream, ts, values, bin_width, max_gap_s)
 
     if len(s_codes) == 0:

@@ -5,7 +5,9 @@ kernels were vectorized, kept unchanged. Each loop states the apportioning
 rule inline (half-even share of (d * overlap) / span per claimant, residue
 to the last claimant, negative carry walked back), so the vectorized
 ``apportion`` and the kernels built on it are checked against code that
-shares none of their structure. ``group_rows_ref`` is the dict-based
+shares none of their structure. ``_deltify_drops`` counts, pair by pair,
+what ``deltify_pairs`` reports it dropped or took as a reset.
+``group_rows_ref`` is the dict-based
 oracle of the grouping rule behind ``sort_groups`` and ``group_sum``.
 """
 from __future__ import annotations
@@ -109,6 +111,20 @@ def _deltify_count(stream, ts, bin_width, max_gap_s):
         else:
             total += (b_last - b_first) // w + 1
     return total
+
+
+def _deltify_drops(stream, ts, values, max_gap_s):
+    """(pairs further apart than max_gap_s, other pairs in which some
+    counter went down), over the consecutive same-stream pairs."""
+    gap_pairs = reset_pairs = 0
+    for i in range(1, ts.shape[0]):
+        if stream[i] != stream[i - 1]:
+            continue
+        if ts[i] - ts[i - 1] > max_gap_s:
+            gap_pairs += 1
+        elif any(values[i, c] < values[i - 1, c] for c in range(N_COUNTERS)):
+            reset_pairs += 1
+    return gap_pairs, reset_pairs
 
 
 def _claim_range(starts, ends, lo, hi, b, b_end):
@@ -267,7 +283,8 @@ def deltify_pairs_ref(stream, ts, values, bin_width, max_gap_s, out=None):
     out_deltas = np.empty((bound, N_COUNTERS), dtype=np.int64)
     n = _deltify_loop(stream, ts, values, bin_width, max_gap_s,
                       out_stream, out_bin, out_deltas)
-    return out_stream[:n], out_bin[:n], out_deltas[:n]
+    return (out_stream[:n], out_bin[:n], out_deltas[:n],
+            *_deltify_drops(stream, ts, values, max_gap_s))
 
 
 def attribute_shares_ref(node_idx, fs_idx, bin_start, deltas, bin_width,

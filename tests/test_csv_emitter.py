@@ -18,7 +18,7 @@ from scalar_csv import _csv_lines
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
-CHUNKS = (1, 2, 3, ingest._PARSE_CHUNK)
+CHUNKS = (1, 2, 3, ingest._WRITE_CHUNK)
 INT64 = np.iinfo(np.int64)
 
 # a comma, a quote, a lone "\r", "\n", "\r\n", empty, leading and
@@ -69,7 +69,7 @@ def tables(draw):
 
 def _emitted(header, columns, chunk) -> str:
     buf = io.StringIO()
-    with mock.patch.object(ingest, "_PARSE_CHUNK", chunk):
+    with mock.patch.object(ingest, "_WRITE_CHUNK", chunk):
         write_csv(buf, header, columns)
     return buf.getvalue()
 

@@ -1,13 +1,21 @@
-"""Chunked deltify against the whole-feed oracle in scalar_deltify.py.
+"""Chunked and streamed deltify against the whole-feed oracle in
+scalar_deltify.py.
 
-deltify_and_bin bins the sorted feed in chunks of about _PARSE_CHUNK rows
-that never split a stream. At every budget it must return the oracle's
-table array for array, registries included, and its memory beyond the
-feed must stay a fraction of the counter matrix.
+deltify_and_bin bins an in-memory feed as one segment, sorted and cut
+into pieces of about _PARSE_CHUNK rows that never split a stream; it bins
+a counter file one parsed chunk at a time against the carry of each
+stream's last snapshot, and reads the file again whole when a stream goes
+back in time. At every budget it must return the oracle's table array for
+array, registries included, and count the pairs it dropped for a gap and
+the resets it saw as the scalar loop does. Streaming ingest's memory
+beyond the binned rows stays a few chunk tables, however many snapshots
+the same bins receive.
 """
 from __future__ import annotations
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,10 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iorisk import ingest
-from iorisk.ingest import CounterFeed, deltify_and_bin
+from iorisk.cli import run
+from iorisk.ingest import COUNTER_HEADER, CounterFeed, deltify_and_bin
 from iorisk.ops import N_COUNTERS
 
 import scalar_deltify as ref
+import scalar_kernels
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -110,11 +120,13 @@ def _sparse_feed(n_streams=64, n_samples=600, bin_width=360):
 
 def test_memory_beyond_the_feed_is_a_fraction_of_the_counter_matrix(
         monkeypatch):
+    # An in-memory feed, as a file read again whole, is one segment.
     # numpy reports its array allocations to tracemalloc. The peak counts
-    # the sort order, one chunk's temporaries and the returned table, the
-    # last one twice while it is assembled: tracemalloc counts the
-    # preallocated result in full before its pages are written. The whole-
-    # feed oracle peaks at 3.3 times the counter matrix on this feed.
+    # the sort order, one piece's temporaries, the carry and the returned
+    # table, about 0.3 of the counter matrix: the workspaces and the
+    # binned rows live in memory maps of their own, which tracemalloc does
+    # not see. The whole-feed oracle peaks at 3.3 times the counter matrix
+    # on this feed.
     feed = _sparse_feed()
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
     assert len(feed) >= 8 * ingest._PARSE_CHUNK
@@ -152,3 +164,220 @@ def test_deltas_share_no_memory_with_the_feed_or_the_workspaces(
     assert len({id(w) for w in workspaces}) == 2
     for buffer in [feed.values] + workspaces:
         assert not np.shares_memory(usage.deltas, buffer)
+
+
+# --- streaming: a counter file binned one parsed chunk at a time ---------
+
+
+def _write_rows(path, rows):
+    """rows: (ts, node, fs, values) in file order."""
+    lines = [",".join(COUNTER_HEADER)]
+    lines += [",".join([str(t), node, fs] + [str(v) for v in values])
+              for t, node, fs, values in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@st.composite
+def ordered_feeds(draw):
+    """Counter feed rows in which each stream's rows come in time order,
+    the streams interleaved at random: off-grid cadence, duplicate
+    timestamps, multi-bin pairs, long gaps, idle intervals and resets, and
+    streams that start late, so that a node or a filesystem first appears
+    mid-feed. With back_in_time, one stream's last row is moved to the
+    front of the feed."""
+    w = draw(st.sampled_from([60, 360]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    magnitude = draw(st.sampled_from([3, 1000, 2 ** 40]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                          min_size=1, max_size=5, unique=True))
+    streams = []
+    for ni, fi in pairs:
+        t = draw(st.integers(1, 20 * w))
+        cum = np.zeros(N_COUNTERS, dtype=np.int64)
+        rows = []
+        for _ in range(draw(st.integers(1, 12))):
+            t += draw(st.one_of(st.integers(1, 3 * w),      # off-grid
+                                st.just(0),                 # duplicate ts
+                                st.integers(1, 6).map(lambda k: k * w),
+                                st.integers(4 * w, 30 * w)))  # long gap
+            kind = draw(st.sampled_from(["grow", "grow", "idle", "reset"]))
+            if kind == "grow":
+                step = rng.integers(0, magnitude, size=N_COUNTERS)
+                cum = cum + step * (rng.random(N_COUNTERS) < 0.7)
+            elif kind == "reset":
+                cum = rng.integers(0, 50, size=N_COUNTERS)
+            rows.append((t, f"n{ni}", f"fs{fi}", cum.tolist()))
+        streams.append(rows)
+    feed = []
+    while streams:  # a random merge that keeps each stream's order
+        k = int(rng.integers(len(streams)))
+        feed.append(streams[k].pop(0))
+        if not streams[k]:
+            streams.pop(k)
+    if draw(st.booleans()) and draw(st.booleans()):  # back in time
+        key = feed[-1][1:3]
+        feed.insert(0, feed.pop(max(i for i, row in enumerate(feed)
+                                    if row[1:3] == key)))
+    options = dict(max_gap_bins=draw(st.one_of(st.none(), st.integers(1, 6))),
+                   pre_differenced=draw(st.booleans()))
+    return feed, w, options
+
+
+def _goes_back_in_time(rows, chunk):
+    """Whether a stream's row falls before a row of it in an earlier chunk
+    of chunk rows: the file must then be read again whole."""
+    latest = {}  # stream -> its latest ts in the chunks before
+    for lo in range(0, len(rows), chunk):
+        block = rows[lo:lo + chunk]
+        if any(t < latest.get((node, fs), t) for t, node, fs, _ in block):
+            return True
+        for t, node, fs, _ in block:
+            latest[node, fs] = max(t, latest.get((node, fs), t))
+    return False
+
+
+def _scalar_counts(feed, w, max_gap_bins, pre_differenced):
+    """(samples, gap pairs, reset pairs) of a parsed feed, counted pair by
+    pair over its rows sorted by stream and time."""
+    if pre_differenced:
+        return len(feed), 0, 0
+    order = np.lexsort((feed.ts, feed.fs_idx, feed.node_idx))
+    stream = (feed.node_idx[order].astype(np.int64)
+              * len(feed.filesystems) + feed.fs_idx[order])
+    max_gap_s = (np.iinfo(np.int64).max // 4 if max_gap_bins is None
+                 else max_gap_bins * w)
+    return (len(feed), *scalar_kernels._deltify_drops(
+        stream, feed.ts[order], feed.values[order], max_gap_s))
+
+
+def _streamed(path, w, options, chunk):
+    """deltify_and_bin of a counter file at a chunk budget, and whether it
+    read the file again whole."""
+    with mock.patch.object(ingest, "_PARSE_CHUNK", chunk), \
+            mock.patch.object(ingest, "read_counter_file",
+                              wraps=ingest.read_counter_file) as reread:
+        usage = deltify_and_bin(path, w, **options)
+    return usage, reread.called
+
+
+@PROPERTY
+@given(ordered_feeds())
+def test_streamed_file_matches_whole_feed_oracle(case):
+    rows, w, options = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counters.csv"
+        _write_rows(path, rows)
+        feed = ingest.read_counter_file(path)
+        want = ref.deltify_and_bin(feed, w, **options)
+        counts = ingest.BinCounts(*_scalar_counts(feed, w, **options))
+        for chunk in BUDGETS:
+            usage, reread = _streamed(path, w, options, chunk)
+            _same_table(usage, want)
+            assert usage.counts == counts
+            assert reread == (not options["pre_differenced"]
+                              and _goes_back_in_time(rows, chunk))
+
+
+def test_a_stream_back_in_time_across_chunks_reads_the_file_again(tmp_path):
+    # n1's third snapshot comes after n2's rows; at one row a chunk it is
+    # behind n1's carried snapshot, within one chunk it is merely unsorted
+    rows = [(360, "n1", "fs1", [5] * N_COUNTERS),
+            (1080, "n1", "fs1", [9] * N_COUNTERS),
+            (360, "n2", "fs1", [1] * N_COUNTERS),
+            (720, "n1", "fs1", [7] * N_COUNTERS)]
+    path = tmp_path / "counters.csv"
+    _write_rows(path, rows)
+    want = ref.deltify_and_bin(ingest.read_counter_file(path), 360)
+    for chunk, reread_expected in ((1, True), (2, True), (4, False)):
+        usage, reread = _streamed(path, 360, {}, chunk)
+        assert reread == reread_expected
+        _same_table(usage, want)
+
+
+def _straddling_feed():
+    """One stream on a 360 s grid whose reset (rows 5 to 6) and long gap
+    (rows 11 to 12) each cross a chunk boundary at 1, 2 and 3 rows a
+    chunk; the last chunk of 3 rows is short."""
+    ts = [360 * (i + 1) for i in range(12)] + [360 * 22, 360 * 23]
+    read_kb = [100 * (i + 1) for i in range(6)] + [5 + 100 * i
+                                                  for i in range(8)]
+    values = [[kb] + [0] * (N_COUNTERS - 1) for kb in read_kb]
+    return [(t, "n1", "fs1", v) for t, v in zip(ts, values)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_gap_and_reset_straddling_chunks_are_counted_once(tmp_path, chunk):
+    path = tmp_path / "counters.csv"
+    _write_rows(path, _straddling_feed())
+    want = ref.deltify_and_bin(ingest.read_counter_file(path), 360,
+                               max_gap_bins=3)
+    usage, reread = _streamed(path, 360, {"max_gap_bins": 3}, chunk)
+    assert not reread
+    _same_table(usage, want)
+    assert usage.counts == ingest.BinCounts(samples=14, gap_pairs=1,
+                                            reset_pairs=1)
+
+
+@pytest.mark.parametrize("command", ["ingest", "all"])
+def test_summary_line_reports_gaps_and_resets(tmp_path, capsys, command):
+    _write_rows(tmp_path / "counters.csv", _straddling_feed())
+    (tmp_path / "jobs.csv").write_text(
+        ",".join(ingest.JOB_HEADER) + "\nj1,p,cmd,n1,0,720,24\n")
+    assert run([command, "--counters", str(tmp_path / "counters.csv"),
+                "--jobs", str(tmp_path / "jobs.csv"), "--max-gap-bins", "3",
+                "--out", str(tmp_path / "out")]) == 0
+    assert ("ingested 14 samples -> 12 node-bin rows, 1 jobs; dropped 1 "
+            "pairs over the gap limit, saw 1 counter resets") \
+        in capsys.readouterr().out
+
+
+def _collector_feed(path, cadence, n_streams=32, hours=30):
+    """A counters.csv in collector order, by time: n_streams nodes whose
+    counters move in every interval of cadence seconds, so that every
+    cadence fills the same 360 s bins."""
+    n = hours * 3600 // cadence + 1
+    rng = np.random.default_rng(5)
+    cum = np.cumsum(rng.integers(1, 1000, size=(n, n_streams, N_COUNTERS)),
+                    axis=0)
+    node = np.tile(np.arange(n_streams, dtype=np.int32), n)
+    ingest.write_counter_csv(CounterFeed(
+        np.repeat(360 + cadence * np.arange(n), n_streams), node,
+        np.zeros_like(node), cum.reshape(-1, N_COUNTERS),
+        tuple(f"n{i}" for i in range(n_streams)), ("fs0",)), path)
+    return n * n_streams
+
+
+def test_streaming_memory_beyond_the_binned_rows_is_a_few_chunk_tables(
+        tmp_path, monkeypatch):
+    # numpy reports its array allocations to tracemalloc; the binning
+    # workspaces and the binned rows live in memory maps of their own,
+    # which it does not see, until the rows are summed into the table
+    # returned. Beyond that table, streaming ingest holds one chunk at a
+    # time (its lines, its parsed table and the columns it is copied
+    # into), the carry, and at the end the sort of the binned rows' keys:
+    # 3.5 tables here.
+    # None of that grows with the snapshots: four times as many in the
+    # same bins leave the peak where it was. Parsing the whole feed first
+    # holds its counter matrix, 33 tables at the 90 s cadence.
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
+    table = ingest._PARSE_CHUNK * (3 * 8 + 8 * N_COUNTERS)
+    beyond, rows_out = {}, set()
+    for cadence in (360, 90):
+        path = tmp_path / f"counters_{cadence}.csv"
+        samples = _collector_feed(path, cadence)
+        assert samples >= 8 * ingest._PARSE_CHUNK
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            usage = deltify_and_bin(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert usage.counts.samples == samples
+        rows_out.add(len(usage))
+        beyond[cadence] = peak - sum(a.nbytes for a in (
+            usage.bin_start, usage.node_idx, usage.fs_idx, usage.deltas))
+    assert len(rows_out) == 1  # the same bins
+    assert beyond[360] < 6 * table, beyond[360] / table
+    assert beyond[90] < beyond[360] + table, (beyond[90] - beyond[360]) / table

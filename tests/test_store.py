@@ -62,6 +62,7 @@ def _odd_tables(m):
                                       (23, 1024)])
 def test_writers_match_row_by_row_oracle(tmp_path, monkeypatch, m, chunk):
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
     usage, job_usage = _odd_tables(m)
     files = {}
     for name, write_node, write_job in (
@@ -91,6 +92,7 @@ def out(tmp_path):
 @pytest.mark.parametrize("chunk", [2, 65536])
 def test_usage_tables_round_trip(out, monkeypatch, chunk):
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
     usage, job_usage = _usage(), _job_usage()
     store.write_node_usage(out, usage)
     store.write_job_usage(out, job_usage)
@@ -126,6 +128,7 @@ def _empty_usage() -> UsageTable:
     ids=["fs3-before-fs2", "empty", "odd-keys"])
 def test_fs_totals_round_trip(out, monkeypatch, chunk, make_usage):
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
     usage = make_usage()
     totals = fs_bin_totals(usage)
     store.write_fs_usage(out, totals)
