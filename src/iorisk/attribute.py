@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .ingest import JobTable, UsageTable
+from .ingest import JobTable, UsageTable, key_ranges
 
 
 @dataclass
@@ -52,10 +52,31 @@ class AttributionResult:
     unattributed: FsUsageTable
 
 
+def _by_bin_slices(bin_start, summed):
+    """summed(rows) -> (keys, sums) over slices of about ingest's
+    _PARSE_CHUNK rows that never split a bin, merged into one table in
+    key order.
+
+    Each slice's rows and temporaries are dropped before the next. The
+    keys include the bin, so no key is summed in two slices, and the
+    final group_sum only sorts the slice outputs.
+    """
+    order = np.argsort(bin_start, kind="stable")
+    ranges = list(key_ranges(bin_start[order]))
+    parts = [summed(order[:0])]  # types an empty table
+    parts += [summed(order[lo:hi]) for lo, hi in ranges]
+    del order
+    keys = [np.concatenate(col) for col in zip(*(p[0] for p in parts))]
+    sums = np.concatenate([p[1] for p in parts])
+    del parts
+    return _kernels.group_sum(keys, sums)
+
+
 def fs_bin_totals(usage: UsageTable) -> FsUsageTable:
     """Aggregate node usage to fs-wide per-bin totals."""
-    (fs, bins), deltas = _kernels.group_sum(
-        [usage.fs_idx, usage.bin_start], usage.deltas)
+    (fs, bins), deltas = _by_bin_slices(usage.bin_start, lambda rows: (
+        _kernels.group_sum([usage.fs_idx[rows], usage.bin_start[rows]],
+                           np.take(usage.deltas, rows, axis=0))))
     return FsUsageTable(fs, bins, deltas, usage.filesystems, usage.bin_width)
 
 
@@ -68,6 +89,9 @@ def attribute_usage(node_usage: UsageTable, jobs: JobTable
     order, with the unattributed remainder last. Deltas on nodes no job
     held go to the unattributed ledger. The jobs must hold their nodes
     exclusively, as job_table ensures.
+
+    Each row's claiming jobs are found once, over the whole table; the
+    claimant rows are built, apportioned and summed a bin slice at a time.
     """
     # each job's slots recoded to the usage table's nodes; -1 has no usage
     node_of = {name: i for i, name in enumerate(node_usage.nodes)}
@@ -83,14 +107,18 @@ def attribute_usage(node_usage: UsageTable, jobs: JobTable
                                np.arange(len(node_usage.nodes) + 1))
     job_start, job_end = start[order], end[order]
     job_of = slot_job[order].astype(np.int32)
+    j0, j1 = _kernels.claim_ranges(
+        node_usage.node_idx, node_usage.bin_start, node_usage.bin_width,
+        node_ptr, job_start, job_end)
 
-    claim_job, claim_fs, claim_bin, claim_deltas = _kernels.attribute_shares(
-        node_usage.node_idx, node_usage.fs_idx, node_usage.bin_start,
-        node_usage.deltas, node_usage.bin_width,
-        node_ptr, job_start, job_end, job_of)
+    def attributed(rows):
+        *claim_keys, claim_deltas = _kernels.attribute_shares(
+            rows, node_usage.fs_idx, node_usage.bin_start, node_usage.deltas,
+            node_usage.bin_width, j0, j1, job_start, job_end, job_of)
+        return _kernels.group_sum(claim_keys, claim_deltas)
 
-    (job, fs, bins), deltas = _kernels.group_sum(
-        [claim_job, claim_fs, claim_bin], claim_deltas)
+    (job, fs, bins), deltas = _by_bin_slices(node_usage.bin_start,
+                                             attributed)
     free = int(np.searchsorted(job, 0))  # the remainder, job -1, sorts first
     job_usage = JobUsageTable(job[free:], fs[free:], bins[free:],
                               deltas[free:], jobs.job_ids,

@@ -711,7 +711,7 @@ class _SegmentBinner:
                 carried = first + np.arange(len(first))
             carry = new_carry
         # a parsed chunk and its carried snapshots make one piece
-        pieces = list(_stream_chunks(stream, _PARSE_CHUNK + len(carried)))
+        pieces = list(key_ranges(stream, _PARSE_CHUNK + len(carried)))
         self._reserve(max(hi - lo for lo, hi in pieces))
         parts = []
         for lo, hi in pieces:
@@ -780,15 +780,14 @@ def _map_slab(rows):
             table[2 * rows:].reshape(rows, N_COUNTERS))
 
 
-def _stream_chunks(stream, size=None):
-    """(lo, hi) ranges over rows sorted by stream code, of at most size
-    rows (default _PARSE_CHUNK) and cut where the code changes; a stream
-    longer than that is a range of its own."""
+def key_ranges(key, size=None):
+    """(lo, hi) ranges over rows sorted by key (a stream code, a bin), of
+    at most size rows (default _PARSE_CHUNK) and cut where the key
+    changes; a key held by more rows than that is a range of its own."""
     size = _PARSE_CHUNK if size is None else size
-    ends = np.append(np.flatnonzero(stream[1:] != stream[:-1]) + 1,
-                     len(stream))
+    ends = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, len(key))
     lo = 0
-    while lo < len(stream):
+    while lo < len(key):
         fits = np.searchsorted(ends, lo + size, side="right") - 1
         first = np.searchsorted(ends, lo, side="right")
         hi = int(ends[max(fits, first)])

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import scalar_kernels
 from conftest import feed_from_rows, simple_job, values_row
+from iorisk import _kernels, ingest
 from iorisk.attribute import attribute_usage, fs_bin_totals
-from iorisk.ingest import (AttributionConflictError, deltify_and_bin,
-                           parse_job_feed)
+from iorisk.ingest import (AttributionConflictError, UsageTable,
+                           deltify_and_bin, parse_job_feed)
 from iorisk.ops import N_COUNTERS, OpKind
 from scalar_analytics import as_table
 
@@ -232,3 +237,183 @@ def test_fs_bin_totals_sums_nodes():
     totals = fs_bin_totals(usage)
     assert len(totals) == 1
     assert int(totals.deltas[0, OpKind.READ_OPS.column]) == 42
+
+
+def _usage(keys, deltas, n_nodes, n_fs, w):
+    """A UsageTable of (node, fs, bin) keys, sorted as ingest sorts them."""
+    node, fs, b = np.asarray(keys, np.int64).reshape(-1, 3).T
+    order = np.lexsort((b, fs, node))
+    return UsageTable(b[order] * w, node[order].astype(np.int32),
+                      fs[order].astype(np.int32),
+                      np.asarray(deltas, np.int64).reshape(-1, N_COUNTERS)[
+                          order],
+                      tuple(f"n{i}" for i in range(n_nodes)),
+                      tuple(f"fs{i}" for i in range(n_fs)), w)
+
+
+@st.composite
+def attribution_feeds(draw):
+    """Node usage over a few bins, where one bin holds up to ten rows, and
+    jobs holding their nodes exclusively: edges off the bin grid, nodes
+    that no job holds, jobs on nodes with no usage, no jobs at all, zero
+    usage rows and all-zero delta rows."""
+    w = draw(st.sampled_from([60, 360]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_nodes, n_fs = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    n_bins = draw(st.integers(1, 5))
+    present = rng.random((n_nodes, n_fs, n_bins)) < draw(
+        st.sampled_from([0.6, 1.0, 0.0]))
+    keys = list(zip(*np.nonzero(present)))
+    deltas = rng.integers(0, draw(st.sampled_from([3, 1000, 2 ** 40])),
+                          size=(len(keys), N_COUNTERS))
+    deltas[rng.random(len(keys)) < 0.2] = 0
+    jobs, held = [], {}
+    for k in range(draw(st.integers(0, 6))):
+        # node n{n_nodes} has no usage
+        nodes = {f"n{i}" for i in rng.choice(
+            n_nodes + 1, size=int(rng.integers(1, 3)), replace=False)}
+        start = int(rng.integers(-w, (n_bins + 1) * w))
+        end = start + int(draw(st.sampled_from([1, w // 2, w, 3 * w])))
+        if all(end <= s or e <= start for node in nodes
+               for s, e in held.get(node, [])):
+            jobs.append(simple_job(f"j{k}", start=start, end=end,
+                                   nodes=nodes))
+            for node in nodes:
+                held.setdefault(node, []).append((start, end))
+    return _usage(keys, deltas, n_nodes, n_fs, w), jobs
+
+
+def _attribution_oracle(usage, jobs):
+    """(job rows, unattributed rows, fs totals) as dicts keyed (job, fs,
+    bin), (fs, bin) and (fs, bin), the claimant rows from the scalar loop
+    of scalar_kernels and summed one by one."""
+    # each usage node's jobs, by start: the CSR the loop reads
+    held = [sorted((job.start_ts, job.end_ts, j) for j, job in
+                   enumerate(jobs) if name in job.nodes)
+            for name in usage.nodes]
+    node_ptr = np.cumsum([0] + [len(h) for h in held])
+    start, end, job_of = (np.array([t[c] for h in held for t in h],
+                                   np.int64) for c in range(3))
+    claims = scalar_kernels.attribute_rows_ref(
+        usage.node_idx, usage.fs_idx, usage.bin_start, usage.deltas,
+        usage.bin_width, node_ptr, start, end, job_of.astype(np.int32))
+    job_rows, free_rows, totals = {}, {}, {}
+
+    def add(table, key, row):
+        table[key] = [a + b for a, b in
+                      zip(table.get(key, [0] * N_COUNTERS), row)]
+
+    for j, f, b, row in zip(*(c.tolist() for c in claims)):
+        if j < 0:
+            add(free_rows, (f, b), row)
+        else:
+            add(job_rows, (j, f, b), row)
+    for f, b, row in zip(usage.fs_idx.tolist(), usage.bin_start.tolist(),
+                         usage.deltas.tolist()):
+        add(totals, (f, b), row)
+    return job_rows, free_rows, totals
+
+
+def _assert_table(got_cols, want, dtypes):
+    """The key columns and deltas of a table equal the sorted dict."""
+    keys = sorted(want)
+    for col, dtype, want_col in zip(got_cols, dtypes, zip(*keys) if keys
+                                    else [()] * len(dtypes)):
+        assert col.dtype == dtype
+        assert col.tolist() == list(want_col)
+    deltas = got_cols[-1]
+    assert (deltas.dtype, deltas.shape) == (np.int64, (len(keys), N_COUNTERS))
+    assert deltas.tolist() == [want[k] for k in keys]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@example((_usage([], [], 2, 1, 360), [simple_job("j0", "n0", 0, 500)]))
+@example((_usage([(0, 0, 1), (1, 0, 1), (1, 0, 2)], np.ones((3, 21)),
+                 2, 1, 360), []))
+@given(attribution_feeds())
+def test_sliced_attribution_matches_scalar_loop_and_dict_oracle(case):
+    usage, jobs = case
+    job_rows, free_rows, totals = _attribution_oracle(usage, jobs)
+    for budget in (1, 2, 3, ingest._PARSE_CHUNK):
+        with mock.patch.object(ingest, "_PARSE_CHUNK", budget):
+            res = attribute_usage(usage, as_table(jobs))
+            fs_totals = fs_bin_totals(usage)
+        ju, un = res.job_usage, res.unattributed
+        _assert_table((ju.job_idx, ju.fs_idx, ju.bin_start, ju.deltas),
+                      job_rows, (np.int32, np.int32, np.int64))
+        _assert_table((un.fs_idx, un.bin_start, un.deltas), free_rows,
+                      (np.int32, np.int64))
+        _assert_table((fs_totals.fs_idx, fs_totals.bin_start,
+                       fs_totals.deltas), totals, (np.int32, np.int64))
+        # conservation, exact per (fs, bin): jobs + unattributed = usage
+        (fs, bins), attributed = _kernels.group_sum(
+            [np.concatenate((ju.fs_idx, un.fs_idx)),
+             np.concatenate((ju.bin_start, un.bin_start))],
+            np.concatenate((ju.deltas, un.deltas)))
+        assert fs.tolist() == fs_totals.fs_idx.tolist()
+        assert bins.tolist() == fs_totals.bin_start.tolist()
+        np.testing.assert_array_equal(attributed, fs_totals.deltas)
+
+
+def _busy_nodes(n_bins, w=360, n_nodes=64):
+    """Node usage of n_nodes nodes in every bin, and groups of eight nodes
+    each running one job after another, edges off the bin grid."""
+    rng = np.random.default_rng(3)
+    keys = [(n, 0, b) for n in range(n_nodes) for b in range(n_bins)]
+    usage = _usage(keys, rng.integers(0, 1000, size=(len(keys), N_COUNTERS)),
+                   n_nodes, 1, w)
+    jobs = []
+    for g in range(n_nodes // 8):
+        nodes = {f"n{8 * g + i}" for i in range(8)}
+        t = int(rng.integers(1, w))
+        while t < n_bins * w:
+            end = t + int(rng.integers(w // 2, 20 * w))
+            jobs.append(simple_job(f"j{len(jobs)}", start=t, end=end,
+                                   nodes=nodes))
+            t = end + int(rng.integers(0, w))
+    return usage, as_table(jobs)
+
+
+def _traced_peak(fn):
+    """(result, traced peak) of fn()."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", ["attribute_usage", "fs_bin_totals"])
+def test_attribution_memory_beyond_its_tables_is_a_few_slice_tables(
+        monkeypatch, stage):
+    # A run holds, beyond the node usage and the tables it returns, a few
+    # int64 columns over the usage rows (the rows' order by bin and the
+    # sorted bins; for attribution each row's claiming jobs, j0 and j1,
+    # too), one slice's rows and temporaries, and in the final merge the
+    # slice outputs, a copy of the returned rows. Nothing else grows with
+    # the bins: at four times the bins, and the same slice budget, the
+    # rest stays where it was. Before slicing, attribute_usage held 77
+    # slice tables beyond its tables at 512 bins, fs_bin_totals 29.
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
+    table = ingest._PARSE_CHUNK * (3 * 8 + 8 * N_COUNTERS)
+    index = 8 * (4 if stage == "attribute_usage" else 2)  # bytes a row
+    rest = {}
+    for n_bins in (128, 512):
+        usage, jobs = _busy_nodes(n_bins)
+        assert len(usage) >= 8 * ingest._PARSE_CHUNK
+        if stage == "attribute_usage":
+            res, peak = _traced_peak(lambda: attribute_usage(usage, jobs))
+            tables = (res.job_usage, res.unattributed)
+        else:
+            res, peak = _traced_peak(lambda: fs_bin_totals(usage))
+            tables = (res,)
+        returned = sum(col.nbytes for t in tables
+                       for col in vars(t).values()
+                       if isinstance(col, np.ndarray))
+        beyond = peak - returned
+        rest[n_bins] = beyond - returned - index * len(usage)
+        assert rest[n_bins] < 3 * table, rest[n_bins] / table
+    assert rest[512] < rest[128] + table, (rest[512] - rest[128]) / table

@@ -99,7 +99,7 @@ def test_chunked_deltify_matches_whole_feed_oracle(case):
 def test_chunks_cut_only_at_stream_boundaries(monkeypatch):
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", 4)
     stream = np.repeat(np.arange(5), [2, 2, 7, 1, 3])
-    assert list(ingest._stream_chunks(stream)) \
+    assert list(ingest.key_ranges(stream)) \
         == [(0, 4), (4, 11), (11, 15)]
 
 

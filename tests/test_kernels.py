@@ -4,6 +4,8 @@ duplicate timestamps, long gaps, partial-bin job edges and bins shared by
 several jobs and the unattributed remainder."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -147,10 +149,26 @@ def attribution_cases(draw):
 @PROPERTY
 @given(attribution_cases())
 def test_attribute_shares_matches_scalar_reference(case):
-    got = _kernels.attribute_shares(*case)
-    _assert_same_rows(got, ref.attribute_shares_ref(*case))
+    node_idx, fs_idx, bin_start, deltas, w, node_ptr, starts, ends, job_of \
+        = case
+    j0, j1 = _kernels.claim_ranges(node_idx, bin_start, w, node_ptr,
+                                   starts, ends)
+    want = ref.attribute_rows_ref(*case)
+    got = _kernels.attribute_shares(np.arange(len(bin_start)), fs_idx,
+                                    bin_start, deltas, w, j0, j1, starts,
+                                    ends, job_of)
+    _assert_same_rows(got, want)
     assert (got[3] >= 0).all()
-    assert got[3].sum() == case[3].sum()
+    assert got[3].sum() == deltas.sum()
+    # any subset of the rows, in any order, gets the same claimants
+    rows = np.random.default_rng(len(bin_start)).permutation(
+        len(bin_start))[:len(bin_start) // 2]
+    _assert_same_rows(
+        _kernels.attribute_shares(rows, fs_idx, bin_start, deltas, w, j0,
+                                  j1, starts, ends, job_of),
+        ref.attribute_rows_ref(node_idx[rows], fs_idx[rows], bin_start[rows],
+                               deltas[rows], w, node_ptr, starts, ends,
+                               job_of))
 
 
 @st.composite
@@ -203,6 +221,48 @@ def test_group_sum_matches_dict_oracle(case):
             == [k.tolist() for k in got_keys]
         assert (part_sums.dtype, part_sums.shape) == (sums.dtype, sums.shape)
         np.testing.assert_array_equal(part_sums, sums)
+
+
+@PROPERTY
+@example(0, 0, 1)
+@example(_kernels._SHORT_GROUP + 1, 1, 2)
+@given(st.integers(0, 3 * _kernels._SHORT_GROUP),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_group_sum_segments_match_dict_oracle_and_reduceat(size, spread,
+                                                           seed):
+    # groups of about size rows, from one group holding every row (spread
+    # 0) to many groups on both sides of the short-group limit; the values
+    # are near the int64 limits, so that most sums wrap
+    rng = np.random.default_rng(seed)
+    n = size * (1 + spread)
+    key = rng.integers(0, spread + 1, size=n)
+    info = np.iinfo(np.int64)
+    values = rng.integers(info.min, info.max, size=(n, 3), endpoint=True)
+    groups = ref.group_rows_ref([key], n)
+    (got_key,), sums = _kernels.group_sum([key], values)
+    assert got_key.tolist() == [k for k, in sorted(groups)]
+    assert (sums.dtype, sums.shape) == (np.int64, (len(groups), 3))
+    for group, k in enumerate(sorted(groups)):
+        want = [0, 0, 0]  # Python ints, wrapped into int64 below
+        for row in groups[k]:
+            want = [a + int(b) for a, b in zip(want, values[row])]
+        assert [(x - info.min) % 2 ** 64 + info.min for x in want] \
+            == sums[group].tolist()
+    order, starts = _kernels.sort_groups(key)
+    want = (np.add.reduceat(values[order], starts, axis=0) if n
+            else values[:0])
+    assert sums.tobytes() == want.tobytes()
+
+
+def test_group_sum_of_one_long_group_is_one_reduceat():
+    # 100k rows in one group: summed at once, not row rank by row rank
+    n = 100_000
+    values = np.arange(n * 21, dtype=np.int64).reshape(n, 21)
+    start = time.perf_counter()
+    (key,), sums = _kernels.group_sum([np.zeros(n, np.int32)], values)
+    assert time.perf_counter() - start < 2.0
+    assert key.tolist() == [0]
+    np.testing.assert_array_equal(sums, values.sum(axis=0, keepdims=True))
 
 
 def test_risk_contribs_matches_scalar_reference(rng):

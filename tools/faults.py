@@ -5,11 +5,14 @@ Usage: python tools/faults.py SRC_DIR [--work DIR] [--seed N]
 Simulates simgen's ``perf`` preset with the iorisk package under SRC_DIR
 (the directory holding ``iorisk/``), then runs ``ingest``, ``analyze``,
 ``report --svg --probe`` and ``all --svg --probe`` on it (the probe is the
-``demo`` preset's, as ``tools/parity.py`` takes it), each in a fresh
-interpreter, and prints per command its wall time and the child's
-``ru_minflt`` and ``ru_maxrss`` as ``getrusage(RUSAGE_CHILDREN)`` reports
-them. Interpreter start-up and imports are included. Run it on two trees
-to compare their memory churn:
+``demo`` preset's, as ``tools/parity.py`` takes it), and ``all --svg
+--probe`` once more on the ``offgrid-busy`` benchmark feeds, built as
+``tools/parity.py`` builds them: five times the job density, where
+attribution weighs most. Each command runs in a fresh interpreter, and
+per command it prints the wall time and the child's ``ru_minflt`` and
+``ru_maxrss`` as ``getrusage(RUSAGE_CHILDREN)`` reports them.
+Interpreter start-up and imports are included. Run it on two trees to
+compare their memory churn:
 
     python tools/faults.py /path/to/old/src
     python tools/faults.py src
@@ -23,6 +26,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from parity import OFFGRID, build_offgrid
 
 
 def measure(src: Path, work: Path, *args: str) -> tuple[float, int, int]:
@@ -64,15 +69,22 @@ def main(argv=None) -> int:
     commands = {"ingest": ("ingest", *feeds, "--out", "staged"),
                 "analyze": ("analyze", "--out", "staged"),
                 "report": ("report", "--out", "staged", *report),
-                "all": ("all", *feeds, "--out", "all", *report)}
+                "all": ("all", *feeds, "--out", "all", *report),
+                f"all {OFFGRID}": (
+                    "all", "--counters", f"{OFFGRID}/feeds/counters.csv",
+                    "--jobs", f"{OFFGRID}/feeds/jobs.csv",
+                    "--out", f"{OFFGRID}/all", *report)}
     try:
         measure(src, work, "simulate", "--preset", "perf", "--seed",
                 args.seed, "--out", "feeds")
         measure(src, work, "simulate", "--preset", "demo", "--out", "demo")
-        print(f"{'command':<8} {'wall_s':>7} {'minflt':>8} {'maxrss_mb':>9}")
+        build_offgrid(src, work)
+        print(f"{'command':<16} {'wall_s':>7} {'minflt':>8} "
+              f"{'maxrss_mb':>9}")
         for name, cmd in commands.items():
             wall, minflt, maxrss = measure(src, work, *cmd)
-            print(f"{name:<8} {wall:7.3f} {minflt:8d} {maxrss / 1024:9.1f}")
+            print(f"{name:<16} {wall:7.3f} {minflt:8d} "
+                  f"{maxrss / 1024:9.1f}")
     finally:
         if args.work is None:
             shutil.rmtree(work)
