@@ -59,7 +59,9 @@ def _by_bin_slices(bin_start, summed):
 
     Each slice's rows and temporaries are dropped before the next. The
     keys include the bin, so no key is summed in two slices, and the
-    final group_sum only sorts the slice outputs.
+    final group_sum only scatters the slice sums into key order, dropping
+    each as it goes (its list form): only the key columns are
+    concatenated.
     """
     order = np.argsort(bin_start, kind="stable")
     ranges = list(key_ranges(bin_start[order]))
@@ -67,7 +69,7 @@ def _by_bin_slices(bin_start, summed):
     parts += [summed(order[lo:hi]) for lo, hi in ranges]
     del order
     keys = [np.concatenate(col) for col in zip(*(p[0] for p in parts))]
-    sums = np.concatenate([p[1] for p in parts])
+    sums = [p[1] for p in parts]
     del parts
     return _kernels.group_sum(keys, sums)
 

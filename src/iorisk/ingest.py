@@ -16,6 +16,10 @@ import itertools
 import math
 import mmap
 import os
+import pickle
+import signal
+import sys
+import threading
 import types
 from dataclasses import dataclass
 
@@ -74,6 +78,13 @@ def _check_header(row, expected, what):
 # rows per chunk of parsing and binning: the row budget of the temporaries
 # that ingest holds next to the binned rows
 _PARSE_CHUNK = 16384
+# the fewest bytes of counter file a range binned in a process of its own
+# holds (see _cuts): on a 2-core x86 machine with its second core free,
+# prefixes of simgen's perf feed took less wall time in two ranges than in
+# one read from 12 MB on (6 of 8 alternating runs; at 8 and 10 MB 1 and 0
+# of 8). Forking costs 10 to 20% more CPU time at every size, all of it
+# wall time when the two processes share one core
+_SEGMENT_BYTES = 6 << 20
 # rows per block of write_csv: a block's temporaries, a text object per
 # field and their join, take about four times a parsed row's memory, and
 # at a whole chunk they outgrew the heap that streaming ingest leaves, so
@@ -178,8 +189,14 @@ def _line_count(path) -> int:
     return count
 
 
+class _Unsplittable(Exception):
+    """A range of a counter file cannot be read apart from the rest: a
+    chunk needs csv.reader, whose records may run on past a cut, or a row
+    is malformed, whose line the range cannot number."""
+
+
 def _read_keyed_table(stream, schema, registries, what, check=None,
-                      capacity=0, keep=True):
+                      capacity=0, keep=True, split=False):
     """Parse the rows of a CSV table of integers keyed by strings.
 
     The last N_COUNTERS columns are counters; registries maps each key
@@ -196,7 +213,9 @@ def _read_keyed_table(stream, schema, registries, what, check=None,
     a chunk would overflow them. The arrays returned are views of the
     parsed length. With keep=False each chunk is copied over the one
     before it instead, so the columns stay one chunk long: check sees
-    every chunk, and the arrays returned are the last one's.
+    every chunk, and the arrays returned are the last one's. With split,
+    the stream is a range of a file cut at line ends, and a chunk that
+    needs csv.reader raises _Unsplittable.
     """
     dtype = np.dtype([(name, "O" if name in registries else "i8")
                       for name in schema[:-N_COUNTERS]]
@@ -207,6 +226,8 @@ def _read_keyed_table(stream, schema, registries, what, check=None,
     n, first_line = 0, 2
     while lines := list(itertools.islice(stream, _PARSE_CHUNK)):
         table = _load_chunk(lines, dtype)
+        if table is None and split:
+            raise _Unsplittable
         if table is None:  # a quoted newline may pull in further lines
             table = _read_records(itertools.chain(lines, stream), schema,
                                   dtype, first_line, what)
@@ -246,7 +267,8 @@ def _check_counter_chunk(chunk, first_line):
             line_no=first_line + i, feed_field=COUNTER_NAMES[c])
 
 
-def parse_counter_feed(stream, capacity: int = 0, sink=None) -> CounterFeed:
+def parse_counter_feed(stream, capacity: int = 0, sink=None,
+                       split=False) -> CounterFeed:
     """Parse a counters.csv stream into a CounterFeed.
 
     Raises FeedFormatError with the line number and offending field for
@@ -259,11 +281,16 @@ def parse_counter_feed(stream, capacity: int = 0, sink=None) -> CounterFeed:
     node_idx, fs_idx, values) and is not kept: the next chunk is read into
     the same columns, so sink must copy what it keeps. The CounterFeed
     returned then has no rows, only the registries that sink's codes
-    index.
+    index. split is _read_keyed_table's.
     """
     stream = iter(stream)
     _check_header(next(csv.reader(stream), None), COUNTER_HEADER,
                   "counter feed")
+    return _counter_rows(stream, capacity, sink, split)
+
+
+def _counter_rows(stream, capacity=0, sink=None, split=False) -> CounterFeed:
+    """parse_counter_feed of the lines after the header."""
     nodes: dict[str, int] = {}
     filesystems: dict[str, int] = {}
 
@@ -275,7 +302,7 @@ def parse_counter_feed(stream, capacity: int = 0, sink=None) -> CounterFeed:
     cols = _read_keyed_table(stream, COUNTER_HEADER,
                              {"node": nodes, "fs": filesystems},
                              "counter feed", check, capacity,
-                             keep=sink is None)
+                             keep=sink is None, split=split)
     if sink is not None:  # no views that hold the chunk's columns
         cols = {name: col[:0].copy() for name, col in cols.items()}
     return CounterFeed(cols["ts"], cols["node"], cols["fs"],
@@ -581,26 +608,206 @@ def deltify_and_bin(feed: CounterFeed | str | os.PathLike,
 
     A CounterFeed is binned as one segment (see _SegmentBinner). A file is
     binned one parsed chunk at a time, each chunk a segment, so the
-    counter matrix is never held. If a stream's rows go back in time from
-    one chunk to a later one, the file is read again whole and binned as
-    one segment.
+    counter matrix is never held; a large file is cut into byte ranges
+    binned side by side (see _bin_ranges). If a stream's rows go back in
+    time from one chunk or range to a later one, the file is read again
+    whole and binned as one segment.
     """
     check("bin_width_s", bin_width, "deltify_and_bin")
-    binner = _SegmentBinner(bin_width, max_gap_bins, pre_differenced)
-    if isinstance(feed, CounterFeed):
-        binner.add(feed.ts, feed.node_idx, feed.fs_idx, feed.values)
-        return binner.table(feed.nodes, feed.filesystems)
-    try:
-        with open(feed, newline="") as f:
-            registries = parse_counter_feed(f, sink=binner.add)
-    except _BackInTime:
-        registries = None
-    if registries is None:  # outside the handler, which holds the binner
-        del binner
-        return deltify_and_bin(read_counter_file(feed), bin_width,
-                               max_gap_bins=max_gap_bins,
-                               pre_differenced=pre_differenced)
+    options = (bin_width, max_gap_bins, pre_differenced)
+    if not isinstance(feed, CounterFeed):
+        try:
+            return _bin_file(feed, options)
+        except _BackInTime:
+            pass  # read again outside the handler, which holds the binners
+        feed = read_counter_file(feed)
+    binner = _SegmentBinner(*options)
+    binner.add(feed.ts, feed.node_idx, feed.fs_idx, feed.values)
+    return binner.table(feed.nodes, feed.filesystems)
+
+
+def _bin_file(path, options) -> UsageTable:
+    """The counter file at path binned as it is read: in byte ranges on
+    several CPUs where _cuts makes more than one, else, or where a range
+    cannot be read on its own, in one sequential read."""
+    cuts = _cuts(path)
+    if len(cuts) > 2:
+        try:
+            return _bin_ranges(path, cuts, options)
+        except _Unsplittable:
+            pass
+    binner = _SegmentBinner(*options)
+    with open(path, newline="") as f:
+        registries = parse_counter_feed(f, sink=binner.add)
     return binner.table(registries.nodes, registries.filesystems)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _cuts(path) -> list[int]:
+    r"""Byte offsets 0 = c[0] < c[1] < .. < c[k] = the file's size, each
+    c[i] just after the first "\n" at or past i / k of the file: k ranges
+    that end at line ends, one per usable CPU, but fewer where a range
+    would hold less than _SEGMENT_BYTES or no line end. One without
+    os.fork, and where other threads run: a forked worker would find the
+    locks they hold held for good."""
+    size = os.path.getsize(path)
+    k = min(_usable_cpus(), size // _SEGMENT_BYTES)
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [0, size]
+    cuts = [0]
+    with open(path, "rb") as f:
+        for i in range(1, k):
+            f.seek(max(cuts[-1], i * size // k - 1))
+            f.readline()
+            if cuts[-1] < f.tell() < size:
+                cuts.append(f.tell())
+    return cuts + [size]
+
+
+def _bin_ranges(path, cuts, options) -> UsageTable:
+    """The counter file at path binned in the byte ranges between cuts:
+    the first here, through parse_counter_feed, each later one in a forked
+    process (see _send_range) from an empty carry. Each later range is
+    then joined in order (see _SegmentBinner.join), so the table is the
+    one sequential read gives.
+
+    Raises _BackInTime when a stream goes back in time within a range or
+    across a cut, and _Unsplittable when a range cannot be read on its
+    own or no worker can be forked. Every worker is killed and reaped
+    before this returns or raises.
+    """
+    # a forked copy of a buffer is never written: the worker ends in
+    # os._exit, and the parent's copy is empty
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers = []  # (pid, the read end of its pipe)
+    try:
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                workers.append(_fork_range(path, lo, hi, options,
+                                           [pipe for _, pipe in workers]))
+        except OSError:  # no process or pipe to be had
+            raise _Unsplittable from None
+        binner = _SegmentBinner(*options)
+        try:
+            with _open_range(path, 0, cuts[1]) as f:
+                feed = parse_counter_feed(f, sink=binner.add, split=True)
+        except ValueError:  # one sequential read numbers the line
+            raise _Unsplittable from None
+        nodes = {name: i for i, name in enumerate(feed.nodes)}
+        filesystems = {name: i for i, name in enumerate(feed.filesystems)}
+        for _, pipe in workers:
+            segment = _load(pipe)
+            if segment is _BackInTime:
+                raise _BackInTime
+            parts = (_load(pipe) for _ in range(segment.n_parts))
+            binner.join(segment, parts, nodes, filesystems)
+        return binner.table(tuple(nodes), tuple(filesystems))
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes lo:hi of a file."""
+
+    def __init__(self, path, lo, hi):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(lo)
+        self._left = hi - lo
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._file.readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self):
+        self._file.close()
+        super().close()
+
+
+def _open_range(path, lo, hi):
+    """Bytes lo:hi of a file as text, read as open(path, newline="")
+    reads the file."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, lo, hi)),
+                            newline="")
+
+
+@dataclass
+class _Segment:
+    """What a worker sends of its range before the range's binned parts
+    (see _SegmentBinner): the registries its codes index, its carry,
+    each stream's first snapshot in the range, its counts, and how many
+    parts follow."""
+
+    nodes: tuple[str, ...]
+    filesystems: tuple[str, ...]
+    carry: _Carry
+    heads: _Carry
+    counts: BinCounts
+    n_parts: int
+
+
+def _fork_range(path, lo, hi, options, inherited):
+    """(pid, pipe): a forked worker binning bytes lo:hi of the counter
+    file, and the read end of the pipe it sends its range down. inherited
+    are the pipes of the workers before it, which it closes."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    try:  # the worker never returns, nor runs the parent's exit handlers
+        os.close(read_fd)
+        for pipe in inherited:
+            os.close(pipe.fileno())
+        with open(write_fd, "wb") as out:
+            _send_range(out, path, lo, hi, options)
+    finally:
+        os._exit(0)
+
+
+def _send_range(out, path, lo, hi, options):
+    """Bin bytes lo:hi of the counter file from an empty carry and pickle
+    to out _BackInTime, or a _Segment and then its parts, one at a time.
+    Any other failure raises, and the worker ends having sent nothing
+    more (see _load). Should the parent be gone, the write raises
+    BrokenPipeError (Python ignores SIGPIPE)."""
+    binner = _SegmentBinner(*options)
+    try:
+        with _open_range(path, lo, hi) as f:
+            feed = _counter_rows(f, sink=binner.add, split=True)
+    except _BackInTime:
+        return pickle.dump(_BackInTime, out)
+    # protocol 5 writes an array's buffer without copying it
+    pickle.dump(_Segment(feed.nodes, feed.filesystems, binner.carry,
+                         binner.heads, binner.counts(), len(binner.parts)),
+                out, pickle.HIGHEST_PROTOCOL)
+    for part in binner.parts:
+        pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
+
+
+def _load(pipe):
+    """The next object a worker pickled. Raises _Unsplittable if the
+    worker ended first: its range could not be read on its own, it failed
+    otherwise, or it was killed."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise _Unsplittable from None
 
 
 class _BackInTime(Exception):
@@ -615,6 +822,31 @@ class _Carry:
     ts: np.ndarray      # int64 (k,)
     values: np.ndarray  # int64 (k, 21)
 
+    def find(self, stream):
+        """(at, held): where each of the given streams goes in this
+        carry's, and whether the carry holds it there."""
+        at = np.searchsorted(self.stream, stream)
+        held = at < len(self.stream)
+        held[held] = self.stream[at[held]] == stream[held]
+        return at, held
+
+    def updated(self, stream, ts, values) -> _Carry:
+        """This carry with the snapshots of streams, distinct and in any
+        order, in place of the ones it holds for them."""
+        at, held = self.find(stream)
+        kept = np.ones(len(self.stream), bool)
+        kept[at[held]] = False
+        merged = np.concatenate((self.stream[kept], stream))
+        by_stream = np.argsort(merged, kind="stable")
+        return _Carry(merged[by_stream],
+                      np.concatenate((self.ts[kept], ts))[by_stream],
+                      np.concatenate((self.values[kept], values))[by_stream])
+
+
+def _no_snapshots() -> _Carry:
+    return _Carry(np.empty(0, np.int64), np.empty(0, np.int64),
+                  np.empty((0, N_COUNTERS), np.int64))
+
 
 class _SegmentBinner:
     """Bins a counter feed one segment of rows at a time, each segment
@@ -626,7 +858,9 @@ class _SegmentBinner:
     and differenced in the same two workspaces, which grow only when a
     piece outgrows them. So memory beyond the rows given is a piece's
     temporaries, the carry and the binned rows. The workspaces and the
-    binned rows are memory maps (see _mapped).
+    binned rows are memory maps (see _mapped). The rows of a later range
+    of the feed, binned by a binner of their own, join through the carry
+    (see join).
     """
 
     def __init__(self, bin_width, max_gap_bins, pre_differenced):
@@ -634,8 +868,10 @@ class _SegmentBinner:
         self.max_gap_s = (np.iinfo(np.int64).max // 4 if max_gap_bins is None
                           else max_gap_bins * bin_width)
         self.pre_differenced = pre_differenced
-        self.carry = _Carry(np.empty(0, np.int64), np.empty(0, np.int64),
-                            np.empty((0, N_COUNTERS), np.int64))
+        self.carry = _no_snapshots()
+        # each stream's first snapshot, which a binner of the rows before
+        # it pairs with its own carry (see join)
+        self.heads = _no_snapshots()
         # the binned rows: each part's (stream, bin, deltas), copied into
         # slabs filled in turn, each twice the size of the one before, so
         # no binned row moves again; parts holds the copies, as views. The
@@ -647,10 +883,48 @@ class _SegmentBinner:
         self._gathered = np.empty((0, N_COUNTERS), np.int64)
         self._differenced = np.empty((0, N_COUNTERS), np.int64)
 
+    def counts(self) -> BinCounts:
+        return BinCounts(self.samples, self.gap_pairs, self.reset_pairs)
+
     def add(self, ts, node_idx, fs_idx, values):
         """Bin one segment of rows after those added before it."""
+        self.samples += len(ts)
         self.carry, parts = self.bin_segment(
             self.carry, (ts, node_idx, fs_idx, values))
+        self._keep(parts)
+
+    def join(self, segment, parts, nodes, filesystems):
+        """Add the rows of a later range of the feed, binned by another
+        binner from an empty carry: segment is its _Segment, parts its
+        binned parts. Its codes join nodes and filesystems, the dicts that
+        this binner's codes index, extended in place. Each stream's pair
+        across the cut, from this carry to the stream's first snapshot in
+        the range, is formed here, once; then the range's carry takes the
+        place of this one's for its streams.
+
+        Raises _BackInTime when a stream's first snapshot in the range
+        goes back before the snapshot carried for it."""
+        node_code = _codes(segment.nodes, nodes).astype(np.int64) << 32
+        fs_code = _codes(segment.filesystems, filesystems).astype(np.int64)
+
+        def recode(stream):
+            return node_code[stream >> 32] | fs_code[stream & 0xFFFFFFFF]
+
+        heads, carry = segment.heads, segment.carry
+        head = recode(heads.stream)
+        self.carry, stitched = self.bin_segment(
+            self.carry,
+            (heads.ts, head >> 32, head & 0xFFFFFFFF, heads.values))
+        self.carry = self.carry.updated(recode(carry.stream), carry.ts,
+                                        carry.values)
+        self._keep(stitched)
+        for stream, bins, deltas in parts:
+            self._keep([(recode(stream), bins, deltas)])
+        self.samples += segment.counts.samples
+        self.gap_pairs += segment.counts.gap_pairs
+        self.reset_pairs += segment.counts.reset_pairs
+
+    def _keep(self, parts):
         for part in parts:
             n, room = len(part[0]), len(self._slab[0])
             if self._filled + n > room:
@@ -675,7 +949,6 @@ class _SegmentBinner:
         ts, node_idx, fs_idx, values = rows
         if not len(ts):
             return carry, []
-        self.samples += len(ts)
         # a stream is its code pair: the registries may grow mid-feed, so
         # node * len(filesystems) + fs would renumber earlier streams
         stream = (node_idx.astype(np.int64) << 32) | fs_idx
@@ -686,24 +959,18 @@ class _SegmentBinner:
         # where carried snapshots go among the sorted rows, and their values
         carried, carried_values = np.empty(0, np.intp), values[:0]
         if not self.pre_differenced:
-            at = np.searchsorted(carry.stream, stream[starts])
-            held = at < len(carry.stream)
-            held[held] = carry.stream[at[held]] == stream[starts[held]]
+            at, held = carry.find(stream[starts])
             c, first = at[held], starts[held]
             if (ts[first] < carry.ts[c]).any():
                 raise _BackInTime
             carried_values = carry.values[c]
+            new = starts[~held]
+            self.heads = self.heads.updated(stream[new], ts[new],
+                                            values[order[new]])
             # the carry leaves each stream's last row
             last = np.append(starts[1:], len(order)) - 1
-            kept = np.ones(len(carry.stream), bool)
-            kept[c] = False
-            merged = np.concatenate((carry.stream[kept], stream[starts]))
-            by_stream = np.argsort(merged, kind="stable")
-            new_carry = _Carry(
-                merged[by_stream],
-                np.concatenate((carry.ts[kept], ts[last]))[by_stream],
-                np.concatenate((carry.values[kept],
-                                values[order[last]]))[by_stream])
+            new_carry = carry.updated(stream[starts], ts[last],
+                                      values[order[last]])
             if len(c):
                 ts = np.insert(ts, first, carry.ts[c])
                 stream = np.insert(stream, first, stream[first])
@@ -738,7 +1005,7 @@ class _SegmentBinner:
         return UsageTable(
             bin_start=bins, node_idx=node_idx, fs_idx=fs_idx, deltas=deltas,
             nodes=nodes, filesystems=filesystems, bin_width=self.bin_width,
-            counts=BinCounts(self.samples, self.gap_pairs, self.reset_pairs))
+            counts=self.counts())
 
     def _reserve(self, rows):
         if len(self._gathered) < rows:

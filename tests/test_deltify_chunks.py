@@ -4,16 +4,22 @@ scalar_deltify.py.
 deltify_and_bin bins an in-memory feed as one segment, sorted and cut
 into pieces of about _PARSE_CHUNK rows that never split a stream; it bins
 a counter file one parsed chunk at a time against the carry of each
-stream's last snapshot, and reads the file again whole when a stream goes
-back in time. At every budget it must return the oracle's table array for
-array, registries included, and count the pairs it dropped for a gap and
-the resets it saw as the scalar loop does. Streaming ingest's memory
+stream's last snapshot, a large file in byte ranges side by side, each
+range in a forked worker from an empty carry and joined through the
+carry, and reads the file again whole when a stream goes back in time.
+At every budget and range count it must return the oracle's table array
+for array, registries included, and count the pairs it dropped for a gap
+and the resets it saw as the scalar loop does. Streaming ingest's memory
 beyond the binned rows stays a few chunk tables, however many snapshots
 the same bins receive.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -223,12 +229,16 @@ def ordered_feeds(draw):
     return feed, w, options
 
 
-def _goes_back_in_time(rows, chunk):
+def _goes_back_in_time(rows, chunk, cuts=(0,)):
     """Whether a stream's row falls before a row of it in an earlier chunk
-    of chunk rows: the file must then be read again whole."""
+    of chunk rows, the chunks counted afresh from each row index in cuts:
+    the file must then be read again whole."""
+    ends = list(cuts[1:]) + [len(rows)]
+    starts = sorted({lo for a, b in zip(cuts, ends)
+                     for lo in range(a, b, chunk)})
     latest = {}  # stream -> its latest ts in the chunks before
-    for lo in range(0, len(rows), chunk):
-        block = rows[lo:lo + chunk]
+    for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+        block = rows[lo:hi]
         if any(t < latest.get((node, fs), t) for t, node, fs, _ in block):
             return True
         for t, node, fs, _ in block:
@@ -349,6 +359,20 @@ def _collector_feed(path, cadence, n_streams=32, hours=30):
 
 def test_streaming_memory_beyond_the_binned_rows_is_a_few_chunk_tables(
         tmp_path, monkeypatch):
+    _check_streaming_memory(tmp_path, monkeypatch)
+
+
+def test_streaming_memory_in_ranges_is_a_few_chunk_tables(tmp_path,
+                                                          monkeypatch):
+    # in two ranges the parent keeps within the same bound: its range's
+    # chunks, and a worker's binned parts copied into memory maps one at
+    # a time
+    monkeypatch.setattr(ingest, "_SEGMENT_BYTES", 1)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+    _check_streaming_memory(tmp_path, monkeypatch)
+
+
+def _check_streaming_memory(tmp_path, monkeypatch):
     # numpy reports its array allocations to tracemalloc; the binning
     # workspaces and the binned rows live in memory maps of their own,
     # which it does not see, until the rows are summed into the table
@@ -381,3 +405,264 @@ def test_streaming_memory_beyond_the_binned_rows_is_a_few_chunk_tables(
     assert len(rows_out) == 1  # the same bins
     assert beyond[360] < 6 * table, beyond[360] / table
     assert beyond[90] < beyond[360] + table, (beyond[90] - beyond[360]) / table
+
+
+# --- ranges: a counter file cut at line ends and binned side by side -----
+
+
+RANGES = settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+
+
+def _row_cuts(path):
+    """The row index each byte range of a counter file of one line a row
+    starts at, as _cuts cuts it."""
+    text = Path(path).read_bytes()
+    return [max(text[:c].count(b"\n") - 1, 0)
+            for c in ingest._cuts(path)[:-1]]
+
+
+def _in_ranges(path, w, options, chunk, cpus):
+    """_streamed of a file cut into as many ranges as cpus, however small
+    it is, and the row indices the ranges start at."""
+    with mock.patch.object(ingest, "_SEGMENT_BYTES", 1), \
+            mock.patch.object(ingest, "_usable_cpus", lambda: cpus):
+        usage, reread = _streamed(path, w, options, chunk)
+        return usage, reread, _row_cuts(path)
+
+
+def _cut_before(path, rows_at):
+    """_cuts patched to cut the file just before each data row index in
+    rows_at."""
+    ends = np.cumsum([len(line) + 1 for line in
+                      Path(path).read_bytes().split(b"\n")])
+    cuts = [0] + [int(ends[i]) for i in rows_at] + [path.stat().st_size]
+    return mock.patch.object(ingest, "_cuts", lambda _: cuts)
+
+
+def _no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@RANGES
+@given(ordered_feeds())
+def test_file_in_ranges_matches_one_read_and_oracle(case):
+    rows, w, options = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counters.csv"
+        _write_rows(path, rows)
+        feed = ingest.read_counter_file(path)
+        want = ref.deltify_and_bin(feed, w, **options)
+        counts = ingest.BinCounts(*_scalar_counts(feed, w, **options))
+        for chunk in (1, 2, ingest._PARSE_CHUNK):
+            one, _ = _streamed(path, w, options, chunk)
+            for cpus in (1, 2, 3, 4):
+                usage, reread, cuts = _in_ranges(path, w, options, chunk,
+                                                 cpus)
+                assert len(cuts) <= cpus
+                _same_table(usage, one)
+                _same_table(usage, want)
+                assert usage.counts == one.counts == counts
+                assert reread == (not options["pre_differenced"]
+                                  and _goes_back_in_time(rows, chunk, cuts))
+    _no_worker_left()
+
+
+def test_ranges_are_cut_at_line_ends_one_per_cpu(tmp_path):
+    path = tmp_path / "counters.csv"
+    _write_rows(path, _straddling_feed())
+    text = path.read_bytes()
+    for cpus in (1, 2, 3, 4):
+        with mock.patch.object(ingest, "_SEGMENT_BYTES", 1), \
+                mock.patch.object(ingest, "_usable_cpus", lambda: cpus):
+            cuts = ingest._cuts(path)
+        assert len(cuts) == cpus + 1
+        assert cuts[0] == 0 and cuts[-1] == len(text)
+        assert all(text[c - 1:c] == b"\n" for c in cuts[1:])
+    with mock.patch.object(ingest, "_usable_cpus", lambda: 4):
+        # a range holds _SEGMENT_BYTES or more
+        with mock.patch.object(ingest, "_SEGMENT_BYTES", len(text) // 2):
+            assert len(ingest._cuts(path)) == 3
+        # no fork while another thread runs
+        with mock.patch.object(ingest, "_SEGMENT_BYTES", 1):
+            done = threading.Event()
+            thread = threading.Thread(target=done.wait)
+            thread.start()
+            try:
+                assert ingest._cuts(path) == [0, len(text)]
+            finally:
+                done.set()
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+def _cut_feed():
+    """n1's reset and long gap (see _straddling_feed), with n2 on fs1
+    snapshotted three times at one timestamp among them and n3 on fs2
+    first seen in the last two rows."""
+    rows = []
+    for i, row in enumerate(_straddling_feed()):
+        rows.append(row)
+        if 2 <= i <= 4:
+            rows.append((1440, "n2", "fs1", [10 * i] * N_COUNTERS))
+    rows.append((2160, "n2", "fs1", [90] * N_COUNTERS))
+    rows += [(360 * 22, "n3", "fs2", [1] * N_COUNTERS),
+             (360 * 23, "n3", "fs2", [5] * N_COUNTERS)]
+    return rows
+
+
+@pytest.mark.parametrize("pre_differenced", [False, True])
+def test_every_cut_gives_the_one_read_table(tmp_path, pre_differenced):
+    # a cut between any two rows: inside the run of equal timestamps,
+    # across the reset and the long gap, before the first rows of a node
+    # and of a filesystem
+    rows = _cut_feed()
+    path = tmp_path / "counters.csv"
+    _write_rows(path, rows)
+    options = {"max_gap_bins": 3, "pre_differenced": pre_differenced}
+    feed = ingest.read_counter_file(path)
+    want = ref.deltify_and_bin(feed, 360, **options)
+    counts = ingest.BinCounts(*_scalar_counts(feed, 360, **options))
+    if not pre_differenced:
+        assert counts == ingest.BinCounts(len(rows), 1, 1)
+    splits = [[i] for i in range(1, len(rows))]
+    splits += [[i, i + 7] for i in range(1, len(rows) - 7, 3)]
+    for rows_at in splits:
+        with _cut_before(path, rows_at):
+            usage, reread = _streamed(path, 360, options, ingest._PARSE_CHUNK)
+        assert not reread, rows_at
+        _same_table(usage, want)
+        assert usage.counts == counts, rows_at
+    _no_worker_left()
+
+
+def test_a_stream_back_in_time_across_a_cut_reads_the_file_again(tmp_path):
+    # n1's last snapshot, 720, comes after its 1080 one: within one range
+    # it is merely unsorted, across a cut it goes back in time
+    rows = [(360, "n1", "fs1", [5] * N_COUNTERS),
+            (1080, "n1", "fs1", [9] * N_COUNTERS),
+            (360, "n2", "fs1", [1] * N_COUNTERS),
+            (720, "n1", "fs1", [7] * N_COUNTERS)]
+    path = tmp_path / "counters.csv"
+    _write_rows(path, rows)
+    want = ref.deltify_and_bin(ingest.read_counter_file(path), 360)
+    for rows_at, reread_expected in (([1], False), ([2], True), ([3], True),
+                                     ([1, 3], True), ([1, 2], True)):
+        with _cut_before(path, rows_at):
+            usage, reread = _streamed(path, 360, {}, ingest._PARSE_CHUNK)
+        assert reread == reread_expected, rows_at
+        _same_table(usage, want)
+        _no_worker_left()
+
+
+def _error_of(path):
+    with pytest.raises(ingest.FeedFormatError) as exc:
+        deltify_and_bin(path)
+    return str(exc.value), exc.value.line_no, exc.value.feed_field
+
+
+@pytest.mark.parametrize("bad", ["x", "-5"])
+@pytest.mark.parametrize("bad_row", [3, 14, 29])
+def test_a_bad_value_in_any_range_raises_the_one_read_error(tmp_path, bad,
+                                                            bad_row):
+    rows = [(360 * (i + 1), f"n{i % 2}", "fs1",
+             [i] * (N_COUNTERS - 1) + [bad if i == bad_row else i])
+            for i in range(30)]
+    path = tmp_path / "counters.csv"
+    _write_rows(path, rows)
+    want = _error_of(path)
+    assert want[1] == 2 + bad_row and want[2] == "cdr"
+    with _cut_before(path, [10, 20]):
+        assert _error_of(path) == want
+    _no_worker_left()
+
+
+def test_the_error_reported_is_the_one_read_chunks_first(tmp_path):
+    # a chunk reports a bad timestamp before a negative counter: at one
+    # read the zero timestamp of row 15 shares a chunk with the negative
+    # counter of row 3, which the first range would report alone
+    rows = [(0 if i == 15 else 360 * (i + 1), "n1", "fs1",
+             [-1 if i == 3 else i] * N_COUNTERS) for i in range(30)]
+    path = tmp_path / "counters.csv"
+    _write_rows(path, rows)
+    want = _error_of(path)
+    assert want[1:] == (17, "ts")
+    with _cut_before(path, [10, 20]):
+        assert _error_of(path) == want
+    _no_worker_left()
+
+
+def test_a_quoted_line_break_across_a_cut_gives_the_one_read_table(tmp_path):
+    rows = [(360 * (i + 1), '"a\nb"' if i % 3 else "n1", "fs1",
+             [i] * N_COUNTERS) for i in range(12)]
+    path = tmp_path / "counters.csv"
+    _write_rows(path, rows)
+    text = path.read_bytes()
+    inside = [i + 3 for i in range(len(text)) if text.startswith(b'"a\n', i)]
+    want = deltify_and_bin(path)
+    assert set(want.nodes) == {"a\nb", "n1"}
+    ends = [i + 1 for i in range(len(text)) if text[i:i + 1] == b"\n"]
+    for cuts in ([0, inside[2], len(text)],
+                 [0, ends[2], inside[5], len(text)]):
+        with mock.patch.object(ingest, "_cuts", lambda _: cuts):
+            _same_table(deltify_and_bin(path), want)
+    _no_worker_left()
+
+
+def test_ingest_in_ranges_prints_its_summary_once(tmp_path):
+    # stdout to a file is block-buffered: a forked copy of its buffer,
+    # flushed too, would print the lines before the fork twice
+    _write_rows(tmp_path / "counters.csv", _straddling_feed())
+    (tmp_path / "jobs.csv").write_text(
+        ",".join(ingest.JOB_HEADER) + "\nj1,p,cmd,n1,0,720,24\n")
+    code = ("import sys\n"
+            "from iorisk import cli, ingest\n"
+            "ingest._SEGMENT_BYTES = 1\n"
+            "ingest._usable_cpus = lambda: 3\n"
+            "print('ranges', len(ingest._cuts('counters.csv')) - 1)\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ingest.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open(tmp_path / "stdout.txt", "w") as out:
+        subprocess.run([sys.executable, "-c", code, "ingest", "--counters",
+                        "counters.csv", "--jobs", "jobs.csv", "--out", "out"],
+                       cwd=tmp_path, env=env, stdout=out, check=True)
+    lines = (tmp_path / "stdout.txt").read_text().splitlines()
+    assert lines[0] == "ranges 3"
+    assert len(lines) == 2 and lines[1].startswith("ingested 14 samples")
+
+
+def test_no_process_to_fork_reads_the_file_in_one(tmp_path):
+    path = tmp_path / "counters.csv"
+    _write_rows(path, _cut_feed())
+    want = deltify_and_bin(path)
+    with _cut_before(path, [5, 10]), \
+            mock.patch.object(ingest.os, "fork", side_effect=BlockingIOError):
+        _same_table(deltify_and_bin(path), want)
+    _no_worker_left()
+
+
+def _dies_at_once(out, *args):
+    os._exit(1)
+
+
+def _dies_after_its_segment(out, path, lo, hi, options):
+    segment = ingest._Segment((), (), ingest._no_snapshots(),
+                              ingest._no_snapshots(),
+                              ingest.BinCounts(0, 0, 0), n_parts=3)
+    ingest.pickle.dump(segment, out)
+    out.flush()
+    os._exit(1)
+
+
+@pytest.mark.parametrize("worker", [_dies_at_once, _dies_after_its_segment])
+def test_a_worker_that_dies_leaves_the_one_read_table(tmp_path, worker):
+    path = tmp_path / "counters.csv"
+    _write_rows(path, _cut_feed())
+    want = deltify_and_bin(path)
+    with _cut_before(path, [5, 10]), \
+            mock.patch.object(ingest, "_send_range", worker):
+        _same_table(deltify_and_bin(path), want)
+    _no_worker_left()

@@ -1,4 +1,5 @@
-"""Wall time, minor page faults and peak RSS of each iorisk command.
+"""Wall time, CPU time, minor page faults and peak RSS of each iorisk
+command.
 
 Usage: python tools/faults.py SRC_DIR [--work DIR] [--seed N]
 
@@ -9,10 +10,12 @@ Simulates simgen's ``perf`` preset with the iorisk package under SRC_DIR
 --probe`` once more on the ``offgrid-busy`` benchmark feeds, built as
 ``tools/parity.py`` builds them: five times the job density, where
 attribution weighs most. Each command runs in a fresh interpreter, and
-per command it prints the wall time and the child's ``ru_minflt`` and
-``ru_maxrss`` as ``getrusage(RUSAGE_CHILDREN)`` reports them.
-Interpreter start-up and imports are included. Run it on two trees to
-compare their memory churn:
+per command it prints the wall time and what
+``getrusage(RUSAGE_CHILDREN)`` reports: the CPU seconds (user + system)
+of the command and of the workers it forked and reaped, so that forking
+shows, and the command's ``ru_minflt`` and ``ru_maxrss`` (the largest
+of the processes, not their sum). Interpreter start-up and imports are
+included. Run it on two trees to compare their memory churn:
 
     python tools/faults.py /path/to/old/src
     python tools/faults.py src
@@ -30,24 +33,26 @@ from pathlib import Path
 from parity import OFFGRID, build_offgrid
 
 
-def measure(src: Path, work: Path, *args: str) -> tuple[float, int, int]:
-    """(wall s, minor faults, peak RSS kB) of one command in a fresh
-    interpreter, run by a helper process so that the rusage of its
-    children is that command's alone."""
+def measure(src: Path, work: Path,
+            *args: str) -> tuple[float, float, int, int]:
+    """(wall s, CPU s, minor faults, peak RSS kB) of one command in a
+    fresh interpreter, run by a helper process so that the rusage of its
+    children is that command's and its workers' alone."""
     code = ("import resource, subprocess, sys, time\n"
             "t = time.perf_counter()\n"
             "subprocess.run(sys.argv[1:], check=True,\n"
             "               stdout=subprocess.DEVNULL)\n"
             "wall = time.perf_counter() - t\n"
             "r = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
-            "print(wall, r.ru_minflt, r.ru_maxrss)\n")
+            "print(wall, r.ru_utime + r.ru_stime, r.ru_minflt,\n"
+            "      r.ru_maxrss)\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("IORISK_CONFIG", None)
-    wall, minflt, maxrss = subprocess.run(
+    wall, cpu, minflt, maxrss = subprocess.run(
         [sys.executable, "-c", code, sys.executable, "-m", "iorisk", *args],
         cwd=work, env=env, check=True, capture_output=True, text=True,
     ).stdout.split()
-    return float(wall), int(minflt), int(maxrss)
+    return float(wall), float(cpu), int(minflt), int(maxrss)
 
 
 def main(argv=None) -> int:
@@ -79,11 +84,11 @@ def main(argv=None) -> int:
                 args.seed, "--out", "feeds")
         measure(src, work, "simulate", "--preset", "demo", "--out", "demo")
         build_offgrid(src, work)
-        print(f"{'command':<16} {'wall_s':>7} {'minflt':>8} "
+        print(f"{'command':<16} {'wall_s':>7} {'cpu_s':>7} {'minflt':>8} "
               f"{'maxrss_mb':>9}")
         for name, cmd in commands.items():
-            wall, minflt, maxrss = measure(src, work, *cmd)
-            print(f"{name:<16} {wall:7.3f} {minflt:8d} "
+            wall, cpu, minflt, maxrss = measure(src, work, *cmd)
+            print(f"{name:<16} {wall:7.3f} {cpu:7.3f} {minflt:8d} "
                   f"{maxrss / 1024:9.1f}")
     finally:
         if args.work is None:
