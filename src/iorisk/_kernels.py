@@ -39,15 +39,22 @@ def apportion(deltas, overlap, span):
     d = deltas.astype(np.float64)
     span = span.astype(np.float64)[:, None]
     shares = np.empty((n, k_count, deltas.shape[1]), dtype=np.int64)
-    for k in range(k_count):
+    # the last claimant's rounded share plus the residue is deltas less
+    # the other shares, so only the others are rounded
+    last = shares[:, -1]
+    last[:] = deltas
+    for k in range(k_count - 1):
         # non-negative operands, so rint's ties-to-even is the rule's rounding
         shares[:, k] = np.rint(d * overlap[:, k, None].astype(np.float64)
                                / span)
-    shares[:, -1] += deltas - shares.sum(axis=1)
-    for k in range(k_count - 1, 0, -1):
-        carry = np.minimum(shares[:, k], 0)
-        shares[:, k] -= carry
-        shares[:, k - 1] += carry
+        last -= shares[:, k]
+    # the others are rounded from non-negative operands, so a carry starts
+    # only at a negative last share
+    if (last < 0).any():
+        for k in range(k_count - 1, 0, -1):
+            carry = np.minimum(shares[:, k], 0)
+            shares[:, k] -= carry
+            shares[:, k - 1] += carry
     return shares
 
 

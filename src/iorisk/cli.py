@@ -20,6 +20,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # an explicit value wins
 
 from . import store  # noqa: E402  (numpy loads after the default is set)
+from ._fork import beside
 from .analytics import build_scatter, detect_slowdown, summarize_jobs
 from .attribute import attribute_usage, fs_bin_totals
 from .config import FIELDS, Config, add_config_flags, resolve_config
@@ -62,22 +63,28 @@ def cmd_simulate(args) -> int:
 
 
 def _ingest(args, cfg: Config, out: Path):
-    """Bin the counter feed as it is read, parse the job feed and save
-    both to the store; returns the node usage and the jobs. A job conflict
-    fails before the store is created."""
+    """Bin the counter feed as it is read, parse the job feed, and create
+    the store with the config; returns the node usage and the jobs. A job
+    conflict fails before the store is created."""
     usage = deltify_and_bin(args.counters, cfg.bin_width_s,
                             max_gap_bins=cfg.max_gap_bins,
                             pre_differenced=cfg.pre_differenced)
     jobs = read_job_file(args.jobs, default_cores=cfg.cores_per_node)
     store.store_dir(out).mkdir(parents=True, exist_ok=True)
     store.write_config(out, cfg)
+    return usage, jobs
+
+
+def _save_ingested(out: Path, usage, jobs) -> None:
     store.write_node_usage(out, usage)
     store.write_jobs(out, jobs)
+
+
+def _print_ingested(usage, jobs) -> None:
     counts = usage.counts
     print(f"ingested {counts.samples} samples -> {len(usage)} node-bin "
           f"rows, {len(jobs)} jobs; dropped {counts.gap_pairs} pairs over "
           f"the gap limit, saw {counts.reset_pairs} counter resets")
-    return usage, jobs
 
 
 def _metrics(totals, job_usage, cfg: Config):
@@ -105,7 +112,10 @@ def _analyze(cfg: Config, out: Path, usage, jobs):
 
 
 def cmd_ingest(args, cfg: Config) -> int:
-    _ingest(args, cfg, Path(args.out))
+    out = Path(args.out)
+    usage, jobs = _ingest(args, cfg, out)
+    _save_ingested(out, usage, jobs)
+    _print_ingested(usage, jobs)
     return 0
 
 
@@ -197,12 +207,17 @@ def cmd_report(args, cfg: Config) -> int:
 
 def cmd_all(args, cfg: Config) -> int:
     """ingest, analyze and report in one pass: each layer hands its tables
-    to the next, and the store is written, never read back."""
+    to the next, and the store is written, never read back. So ingest's
+    store files are written beside the analysis and the report, in a
+    forked process where one can run on a CPU of its own (see
+    _fork.beside), and joined before this returns."""
     out = Path(args.out)
     probe = read_probe_file(args.probe) if args.probe else None
     usage, jobs = _ingest(args, cfg, out)
-    job_usage, jm, fm = _analyze(cfg, out, usage, jobs)
-    _report(args, cfg, out, jobs, job_usage, jm, fm, probe)
+    with beside(_save_ingested, out, usage, jobs):
+        _print_ingested(usage, jobs)
+        job_usage, jm, fm = _analyze(cfg, out, usage, jobs)
+        _report(args, cfg, out, jobs, job_usage, jm, fm, probe)
     return 0
 
 

@@ -17,15 +17,14 @@ import math
 import mmap
 import os
 import pickle
-import signal
-import sys
-import threading
 import types
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._fork import can_fork, fork
+from ._fork import usable_cpus as _usable_cpus
 from .config import Config, check
 from .ops import COUNTER_NAMES, N_COUNTERS
 
@@ -342,9 +341,14 @@ def _block_texts(block, sep: str, alone: bool):
     if block.dtype.kind in "iu":
         return lambda lo, hi: _int_texts(block[lo:hi], sep)
     if block.dtype.kind == "f":
-        return lambda lo, hi: np.array(
-            [f"{sep}{v!r}" for v in block[lo:hi].ravel().tolist()],
-            dtype=object).reshape(hi - lo, block.shape[1])
+        # each distinct value formatted once; distinct by its bits, since
+        # 0.0 and -0.0 compare equal but print apart
+        bits = np.ascontiguousarray(block, np.float64).view(np.int64)
+        distinct, codes = np.unique(bits, return_inverse=True)
+        table = np.array([f"{sep}{v!r}" for v in
+                          distinct.view(np.float64).tolist()], dtype=object)
+        codes = codes.reshape(block.shape)
+        return lambda lo, hi: table[codes[lo:hi]]
     raise TypeError(f"no CSV text for a {block.dtype} column")
 
 
@@ -642,23 +646,15 @@ def _bin_file(path, options) -> UsageTable:
     return binner.table(registries.nodes, registries.filesystems)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _cuts(path) -> list[int]:
     r"""Byte offsets 0 = c[0] < c[1] < .. < c[k] = the file's size, each
     c[i] just after the first "\n" at or past i / k of the file: k ranges
     that end at line ends, one per usable CPU, but fewer where a range
-    would hold less than _SEGMENT_BYTES or no line end. One without
-    os.fork, and where other threads run: a forked worker would find the
-    locks they hold held for good."""
+    would hold less than _SEGMENT_BYTES or no line end. One where k
+    ranges cannot be binned in forked workers (see _fork.can_fork)."""
     size = os.path.getsize(path)
     k = min(_usable_cpus(), size // _SEGMENT_BYTES)
-    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if not can_fork(k):
         return [0, size]
     cuts = [0]
     with open(path, "rb") as f:
@@ -682,16 +678,11 @@ def _bin_ranges(path, cuts, options) -> UsageTable:
     own or no worker can be forked. Every worker is killed and reaped
     before this returns or raises.
     """
-    # a forked copy of a buffer is never written: the worker ends in
-    # os._exit, and the parent's copy is empty
-    sys.stdout.flush()
-    sys.stderr.flush()
-    workers = []  # (pid, the read end of its pipe)
-    try:
+    with contextlib.ExitStack() as stack:
         try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                workers.append(_fork_range(path, lo, hi, options,
-                                           [pipe for _, pipe in workers]))
+            workers = [stack.enter_context(fork(_send_range, path, lo, hi,
+                                                options))
+                       for lo, hi in zip(cuts[1:-1], cuts[2:])]
         except OSError:  # no process or pipe to be had
             raise _Unsplittable from None
         binner = _SegmentBinner(*options)
@@ -702,20 +693,16 @@ def _bin_ranges(path, cuts, options) -> UsageTable:
             raise _Unsplittable from None
         nodes = {name: i for i, name in enumerate(feed.nodes)}
         filesystems = {name: i for i, name in enumerate(feed.filesystems)}
-        for _, pipe in workers:
-            segment = _load(pipe)
-            if segment is _BackInTime:
-                raise _BackInTime
-            parts = (_load(pipe) for _ in range(segment.n_parts))
-            binner.join(segment, parts, nodes, filesystems)
+        try:
+            for worker in workers:
+                segment = worker.load()
+                if segment is _BackInTime:
+                    raise _BackInTime
+                parts = (worker.load() for _ in range(segment.n_parts))
+                binner.join(segment, parts, nodes, filesystems)
+        except ChildProcessError:  # the worker failed or was killed
+            raise _Unsplittable from None
         return binner.table(tuple(nodes), tuple(filesystems))
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
 
 
 class _ByteRange(io.RawIOBase):
@@ -761,31 +748,11 @@ class _Segment:
     n_parts: int
 
 
-def _fork_range(path, lo, hi, options, inherited):
-    """(pid, pipe): a forked worker binning bytes lo:hi of the counter
-    file, and the read end of the pipe it sends its range down. inherited
-    are the pipes of the workers before it, which it closes."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    try:  # the worker never returns, nor runs the parent's exit handlers
-        os.close(read_fd)
-        for pipe in inherited:
-            os.close(pipe.fileno())
-        with open(write_fd, "wb") as out:
-            _send_range(out, path, lo, hi, options)
-    finally:
-        os._exit(0)
-
-
 def _send_range(out, path, lo, hi, options):
     """Bin bytes lo:hi of the counter file from an empty carry and pickle
     to out _BackInTime, or a _Segment and then its parts, one at a time.
-    Any other failure raises, and the worker ends having sent nothing
-    more (see _load). Should the parent be gone, the write raises
-    BrokenPipeError (Python ignores SIGPIPE)."""
+    Any other failure raises, and the worker sends nothing more (see
+    _fork.Child.load)."""
     binner = _SegmentBinner(*options)
     try:
         with _open_range(path, lo, hi) as f:
@@ -798,16 +765,6 @@ def _send_range(out, path, lo, hi, options):
                 out, pickle.HIGHEST_PROTOCOL)
     for part in binner.parts:
         pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
-
-
-def _load(pipe):
-    """The next object a worker pickled. Raises _Unsplittable if the
-    worker ended first: its range could not be read on its own, it failed
-    otherwise, or it was killed."""
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        raise _Unsplittable from None
 
 
 class _BackInTime(Exception):

@@ -15,7 +15,11 @@ per command it prints the wall time and what
 of the command and of the workers it forked and reaped, so that forking
 shows, and the command's ``ru_minflt`` and ``ru_maxrss`` (the largest
 of the processes, not their sum). Interpreter start-up and imports are
-included. Run it on two trees to compare their memory churn:
+included. Before the table it prints the parallel headroom: how long
+two CPU-bound processes take side by side against one alone, 1.0 where
+a second CPU is free and 2.0 where the two share one, so that each
+timing says whether work forked beside the parent could pay off. Run it
+on two trees to compare their memory churn:
 
     python tools/faults.py /path/to/old/src
     python tools/faults.py src
@@ -31,6 +35,26 @@ import tempfile
 from pathlib import Path
 
 from parity import OFFGRID, build_offgrid
+
+# a CPU-bound loop of about 0.3 s, which prints its own duration
+SPIN = ("import time\n"
+        "t = time.perf_counter()\n"
+        "sum(range(10_000_000))\n"
+        "print(time.perf_counter() - t)\n")
+
+
+def headroom() -> float:
+    """The wall time of the slower of two CPU-bound processes run side by
+    side over that of one run alone (each the best of 3): 1.0 where a
+    second CPU is free, 2.0 where the two share one."""
+    def spin(n: int) -> float:
+        procs = [subprocess.Popen([sys.executable, "-c", SPIN],
+                                  stdout=subprocess.PIPE, text=True)
+                 for _ in range(n)]
+        return max(float(p.communicate()[0]) for p in procs)
+
+    return (min(spin(2) for _ in range(3))
+            / min(spin(1) for _ in range(3)))
 
 
 def measure(src: Path, work: Path,
@@ -84,6 +108,8 @@ def main(argv=None) -> int:
                 args.seed, "--out", "feeds")
         measure(src, work, "simulate", "--preset", "demo", "--out", "demo")
         build_offgrid(src, work)
+        print(f"parallel headroom {headroom():.2f} (two CPU-bound "
+              f"processes against one; 1.0: a second CPU is free)")
         print(f"{'command':<16} {'wall_s':>7} {'cpu_s':>7} {'minflt':>8} "
               f"{'maxrss_mb':>9}")
         for name, cmd in commands.items():
