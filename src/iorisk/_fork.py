@@ -1,13 +1,12 @@
 """Work in a forked child process, beside the parent.
 
-The one implementation of forking, used by ingest's byte-range workers
-and by the store writer that `all` runs beside attribution. A child is
-forked, not spawned: a fresh interpreter's imports take 0.24 s. It runs
-work(out, *args), out the write end of a pipe that the parent reads,
-and ends in os._exit, so it never returns into the parent's code nor
-runs its exit handlers. Should work raise, the child pickles the error
-down the pipe before it ends. On Linux the kernel kills a child whose
-parent ends first, so a parent killed mid-run leaves none behind.
+The one implementation of forking, used by ingest's byte-range workers.
+A child is forked, not spawned: a fresh interpreter's imports take
+0.24 s. It runs work(out, *args), out the write end of a pipe that the
+parent reads, and ends in os._exit, so it never returns into the
+parent's code nor runs its exit handlers. Should work raise, the child
+just ends. On Linux the kernel kills a child whose parent ends first, so
+a parent killed mid-run leaves none behind.
 """
 from __future__ import annotations
 
@@ -40,13 +39,6 @@ def can_fork(cpus: int) -> bool:
     return cpus > 1 and hasattr(os, "fork") and threading.active_count() == 1
 
 
-class _Failed:
-    """What a child pickles last when work raised."""
-
-    def __init__(self, error: BaseException):
-        self.error = error
-
-
 class Child:
     """A forked child and the read end of its pipe. As a context manager
     it kills the child, should it still run, and reaps it on exit."""
@@ -54,43 +46,16 @@ class Child:
     def __init__(self, pid: int, pipe):
         self.pid = pid
         self.pipe = pipe
-        self.status: int | None = None  # the wait status, once reaped
 
     def load(self):
         """The next object the child pickled. Raises ChildProcessError
         where the child sent no further object: it ended, was killed, or
-        sent the error work raised, which is then the cause."""
+        work raised."""
         try:
-            sent = pickle.load(self.pipe)
+            return pickle.load(self.pipe)
         except Exception:  # the pipe ended, or broke off mid-object
             raise ChildProcessError(
                 f"forked child {self.pid} ended early") from None
-        if isinstance(sent, _Failed):
-            raise ChildProcessError(
-                f"forked child {self.pid} failed") from sent.error
-        return sent
-
-    def join(self) -> None:
-        """Wait for the child to end, discarding what it sent that was
-        not loaded. Raises the error work raised in the child, or
-        ChildProcessError where the child ended otherwise than by work
-        returning."""
-        try:
-            while True:
-                self.load()
-        except ChildProcessError as ended:
-            error = ended.__cause__
-        self._reap()
-        if error is None and self.status:
-            error = ChildProcessError(
-                f"forked child {self.pid} ended with exit code "
-                f"{os.waitstatus_to_exitcode(self.status)}")
-        if error is not None:
-            raise error
-
-    def _reap(self) -> None:
-        if self.status is None:
-            self.status = os.waitpid(self.pid, 0)[1]
 
     def __enter__(self) -> Child:
         return self
@@ -98,11 +63,10 @@ class Child:
     def __exit__(self, *exc) -> None:
         _live.remove(self)
         self.pipe.close()
-        if self.status is None:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                self._reap()
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self.pid, 0)
 
 
 def fork(work, *args) -> Child:
@@ -141,11 +105,7 @@ def _run(work, args, prctl, parent, read_fd, write_fd):
         for child in _live:  # a pipe ends only when no child holds it
             os.close(child.pipe.fileno())
         with open(write_fd, "wb") as out:
-            try:
-                work(out, *args)
-            except BaseException as exc:
-                out.write(pickle.dumps(_Failed(exc)))
-                raise
+            work(out, *args)
         code = 0
     finally:
         os._exit(code)
@@ -164,25 +124,3 @@ def _prctl():
     prctl.restype = ctypes.c_int
     return prctl
 
-
-@contextlib.contextmanager
-def beside(work, *args):
-    """Run work(*args) beside the with block: in a forked child where
-    can_fork(usable_cpus()) and a process is to be had, else inline
-    before the block. The child is joined when the block ends, even by
-    an error. If work raised, its error is raised then, in place of any
-    the block raised: inline it would have come first."""
-    try:
-        child = (fork(lambda _out: work(*args))
-                 if can_fork(usable_cpus()) else None)
-    except OSError:
-        child = None
-    if child is None:
-        work(*args)
-        yield
-        return
-    with child:
-        try:
-            yield
-        finally:
-            child.join()

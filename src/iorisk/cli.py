@@ -3,9 +3,11 @@
 Subcommands: simulate (synthetic feeds), ingest (feeds -> binned store),
 analyze (attribution + metrics), report (all report artifacts), all
 (ingest + analyze + report in one in-memory pass, same bytes as running
-the stages). The stages load their inputs from the store and call the same
-layer functions as all. Every stage stores the Config it ran with; analyze
-and report start from the stored one (see config.py).
+the stages). all makes the stages' own calls in order, in one process;
+the stages load their inputs from the store instead of taking them from
+the stage before. ingest removes what analyze and report derived from an
+earlier store. Every stage stores the Config it ran with; analyze and
+report start from the stored one (see config.py).
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # an explicit value wins
 
 from . import store  # noqa: E402  (numpy loads after the default is set)
-from ._fork import beside
 from .analytics import build_scatter, detect_slowdown, summarize_jobs
 from .attribute import attribute_usage, fs_bin_totals
 from .config import FIELDS, Config, add_config_flags, resolve_config
@@ -63,13 +64,15 @@ def cmd_simulate(args) -> int:
 
 
 def _ingest(args, cfg: Config, out: Path):
-    """Bin the counter feed as it is read, parse the job feed, and create
-    the store with the config; returns the node usage and the jobs. A job
-    conflict fails before the store is created."""
+    """Bin the counter feed as it is read, parse the job feed, remove what
+    analyze and report derived from an earlier store, and create the store
+    with the config; returns the node usage and the jobs. A bad feed or a
+    job conflict fails before anything is removed or created."""
     usage = deltify_and_bin(args.counters, cfg.bin_width_s,
                             max_gap_bins=cfg.max_gap_bins,
                             pre_differenced=cfg.pre_differenced)
     jobs = read_job_file(args.jobs, default_cores=cfg.cores_per_node)
+    _clear_derived(out)
     store.store_dir(out).mkdir(parents=True, exist_ok=True)
     store.write_config(out, cfg)
     return usage, jobs
@@ -139,15 +142,40 @@ def _clear_report_artifacts(out: Path) -> None:
         shutil.rmtree(out / "timeseries")
 
 
-def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm,
-            probe) -> None:
-    """Write the report artifacts from the jobs, their usage and metrics,
-    and the probe series (None without --probe)."""
-    bin_width = job_usage.bin_width
-    aliases = None
-    if args.alias:
-        aliases = json.loads(Path(args.alias).read_text())
+def _clear_derived(out: Path) -> None:
+    """Remove what analyze and report derived from an earlier store, so
+    that no later stage pairs it with a new ingest's jobs."""
+    for path in (store.store_dir(out) / store.JOB_USAGE_NAME,
+                 store.store_dir(out) / store.FS_USAGE_NAME,
+                 *(out / name for name in (
+                     "unattributed.csv", "risk_timeseries.csv",
+                     "job_summary.csv", "scatter.csv", "slowdown.csv"))):
+        path.unlink(missing_ok=True)
+    _clear_report_artifacts(out)
 
+
+def _read_aliases(path) -> dict[str, str] | None:
+    """The --alias file's {command: label} map, None without the flag;
+    raises ValueError naming the file where it holds anything else."""
+    if path is None:
+        return None
+    try:
+        aliases = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"alias file {path}: {exc}") from None
+    if not isinstance(aliases, dict) or not all(
+            isinstance(label, str) for label in aliases.values()):
+        raise ValueError(f"alias file {path}: expected a JSON object of "
+                         f"command: label strings")
+    return aliases
+
+
+def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm,
+            probe, aliases) -> None:
+    """Write the report artifacts from the jobs, their usage and metrics,
+    the probe series (None without --probe) and the alias map (None
+    without --alias)."""
+    bin_width = job_usage.bin_width
     totals = summarize_jobs(jobs, job_usage)
     slow_rows, group_mean_s = detect_slowdown(jobs, cfg.slowdown_factor,
                                               cfg.min_group)
@@ -195,29 +223,29 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm,
 def cmd_report(args, cfg: Config) -> int:
     out = Path(args.out)
     probe = read_probe_file(args.probe) if args.probe else None
+    aliases = _read_aliases(args.alias)
     jobs = store.read_jobs(out)
     totals = store.read_fs_usage(out, cfg.bin_width_s)
     job_usage = store.read_job_usage(out, cfg.bin_width_s, jobs.job_ids,
                                      totals.filesystems)
     _, jm, fm = _metrics(totals, job_usage, cfg)
     store.write_config(out, cfg)
-    _report(args, cfg, out, jobs, job_usage, jm, fm, probe)
+    _report(args, cfg, out, jobs, job_usage, jm, fm, probe, aliases)
     return 0
 
 
 def cmd_all(args, cfg: Config) -> int:
-    """ingest, analyze and report in one pass: each layer hands its tables
-    to the next, and the store is written, never read back. So ingest's
-    store files are written beside the analysis and the report, in a
-    forked process where one can run on a CPU of its own (see
-    _fork.beside), and joined before this returns."""
+    """ingest, analyze and report in one pass: the stages' calls in
+    order, each layer handing its tables to the next, so the store is
+    written, never read back."""
     out = Path(args.out)
     probe = read_probe_file(args.probe) if args.probe else None
+    aliases = _read_aliases(args.alias)
     usage, jobs = _ingest(args, cfg, out)
-    with beside(_save_ingested, out, usage, jobs):
-        _print_ingested(usage, jobs)
-        job_usage, jm, fm = _analyze(cfg, out, usage, jobs)
-        _report(args, cfg, out, jobs, job_usage, jm, fm, probe)
+    _save_ingested(out, usage, jobs)
+    _print_ingested(usage, jobs)
+    job_usage, jm, fm = _analyze(cfg, out, usage, jobs)
+    _report(args, cfg, out, jobs, job_usage, jm, fm, probe, aliases)
     return 0
 
 

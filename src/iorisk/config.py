@@ -139,7 +139,7 @@ def _parse_value(name: str, text: str):
             return True
         if low in _BOOL_FALSE:
             return False
-        raise ValueError(f"config: bad boolean for {name}: {text!r}")
+        raise ValueError(f"expected a boolean, got {text!r}")
     if kind == "float | None" and text.lower() in ("", "none"):
         return None
     return _KINDS[kind][-1](text)
@@ -162,7 +162,11 @@ def load_config_file(path) -> dict:
         if key not in FIELDS:
             raise ValueError(f"config {path}: line {line_no}: "
                              f"unknown key {key!r}")
-        values[key] = _parse_value(key, value)
+        try:
+            values[key] = _parse_value(key, value)
+        except ValueError as exc:
+            raise ValueError(f"config {path}: line {line_no}: bad value "
+                             f"for {key}: {exc}") from None
     return values
 
 

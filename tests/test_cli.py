@@ -400,6 +400,36 @@ def test_report_on_a_store_without_fs_totals_exits_before_writing(
     assert not (out / "job_summary.csv").exists()
 
 
+def test_report_after_a_reingest_exits_before_writing(demo_feeds,
+                                                      tmp_path, capsys):
+    out = tmp_path / "out"
+    _ingest_and_analyze(demo_feeds, out)
+    assert run(["report", "--out", str(out)]) == 0
+    other = tmp_path / "other"
+    assert run(["simulate", "--preset", "demo", "--seed", "3",
+                "--out", str(other)]) == 0
+    # a feed that fails to parse removes nothing
+    bad = tmp_path / "bad_jobs.csv"
+    bad.write_text((other / "jobs.csv").read_text() + "j-bad,p,c\n")
+    before = _tree_bytes(out)
+    assert run(["ingest", "--counters", str(other / "counters.csv"),
+                "--jobs", str(bad), "--out", str(out)]) == 1
+    assert _tree_bytes(out) == before
+    assert run(["ingest", "--counters", str(other / "counters.csv"),
+                "--jobs", str(other / "jobs.csv"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    # only the new ingest's store is left: nothing the old analysis and
+    # report derived
+    assert sorted(p.relative_to(out).as_posix()
+                  for p in out.rglob("*") if p.is_file()) == [
+        "store/jobs.csv", "store/meta.json", "store/node_usage.csv"]
+    before = _tree_bytes(out)
+    assert run(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "fs_usage.csv" in err and "rerun the analyze stage" in err
+    assert _tree_bytes(out) == before
+
+
 def _import_cli(extra_env: dict) -> list[str]:
     """OPENBLAS_NUM_THREADS and the thread count after importing the cli
     in a fresh interpreter whose environment sets the variable only as
@@ -774,6 +804,48 @@ def test_bad_probe_fails_report_before_writing(demo_feeds, tmp_path,
     assert _tree_bytes(out) == before
 
 
+BAD_ALIASES = {
+    "not-json": ("{not json", "Expecting property name"),
+    "a-list": ("[1, 2]", "expected a JSON object of command: label"),
+    "a-number-label": ('{"cmd": 1}',
+                       "expected a JSON object of command: label"),
+}
+
+
+def _bad_alias(tmp_path, text) -> Path:
+    path = tmp_path / "alias.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("text, message", BAD_ALIASES.values(),
+                         ids=BAD_ALIASES)
+def test_bad_alias_fails_all_before_writing(demo_feeds, tmp_path, capsys,
+                                            text, message):
+    alias = _bad_alias(tmp_path, text)
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, ("--alias", str(alias))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"iorisk: alias file {alias}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", BAD_ALIASES.values(),
+                         ids=BAD_ALIASES)
+def test_bad_alias_fails_report_before_writing(demo_feeds, tmp_path,
+                                               capsys, text, message):
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, ("--svg",)) == 0
+    before = _tree_bytes(out)
+    alias = _bad_alias(tmp_path, text)
+    # --top-k would change meta.json, had report got as far as writing it
+    assert run(["report", "--alias", str(alias), "--top-k", "1",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"iorisk: alias file {alias}: ") and message in err
+    assert _tree_bytes(out) == before
+
+
 def _header_only_counters(demo_feeds, feeds):
     header = (demo_feeds / "counters.csv").read_text().splitlines(True)[0]
     (feeds / "counters.csv").write_text(header)
@@ -801,3 +873,32 @@ def test_feeds_with_no_job_usage_run_and_staged_equals_all(
     assert _tree_bytes(tmp_path / "all") == _tree_bytes(tmp_path / "staged")
     lines = (tmp_path / "all" / "risk_timeseries.csv").read_text()
     assert lines.count("\n") == 1  # header only: no job-bin rows
+
+
+def test_a_store_write_that_fails_exits_before_the_analysis(demo_feeds,
+                                                            tmp_path, capsys):
+    out = tmp_path / "out"
+    path = out / "store" / "node_usage.csv"
+    path.mkdir(parents=True)  # the write cannot open it
+    assert _run_all(demo_feeds, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("iorisk: ")
+    assert repr(str(path)) in captured.err, captured.err
+    assert captured.out == ""
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "store", "store/meta.json", "store/node_usage.csv"]
+
+
+def test_all_forks_no_process_for_a_feed_under_one_segment(demo_feeds,
+                                                           tmp_path):
+    from unittest import mock
+
+    from iorisk import _fork, ingest
+    assert (demo_feeds / "counters.csv").stat().st_size \
+        < ingest._SEGMENT_BYTES
+    with mock.patch.object(_fork, "usable_cpus", lambda: 2), \
+            mock.patch.object(ingest, "_usable_cpus", lambda: 2), \
+            mock.patch.object(_fork, "fork", wraps=_fork.fork) as fork, \
+            mock.patch.object(ingest, "fork", fork):
+        assert _run_all(demo_feeds, tmp_path / "out") == 0
+    assert fork.call_count == 0

@@ -65,6 +65,22 @@ def test_config_file_rejects_unknown_keys_and_bad_lines(tmp_path):
         load_config_file(path)
 
 
+@pytest.mark.parametrize("line, detail", [
+    ("bin_width_s=3.5", "invalid literal for int() with base 10: '3.5'"),
+    ("alpha=abc", "could not convert string to float: 'abc'"),
+    ("pre_differenced=maybe", "expected a boolean, got 'maybe'")],
+    ids=["int", "float", "bool"])
+def test_config_file_value_that_does_not_parse_names_file_line_and_key(
+        tmp_path, line, detail):
+    path = tmp_path / "bad.conf"
+    path.write_text(f"# settings\ntop_k = 3\n{line}\n")
+    key = line.split("=")[0]
+    with pytest.raises(ValueError) as exc:
+        load_config_file(path)
+    assert str(exc.value) == f"config {path}: line 3: bad value for " \
+                             f"{key}: {detail}"
+
+
 def test_flags_beat_config_file(tmp_path):
     path = tmp_path / "iorisk.conf"
     path.write_text("alpha = 3.5\nbeta=0.5\n")

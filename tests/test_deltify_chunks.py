@@ -16,10 +16,12 @@ the same bins receive.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -657,7 +659,12 @@ def _dies_after_its_segment(out, path, lo, hi, options):
     os._exit(1)
 
 
-@pytest.mark.parametrize("worker", [_dies_at_once, _dies_after_its_segment])
+def _raises(out, *args):
+    raise RuntimeError("the worker failed")
+
+
+@pytest.mark.parametrize("worker", [_dies_at_once, _dies_after_its_segment,
+                                    _raises])
 def test_a_worker_that_dies_leaves_the_one_read_table(tmp_path, worker):
     path = tmp_path / "counters.csv"
     _write_rows(path, _cut_feed())
@@ -666,3 +673,62 @@ def test_a_worker_that_dies_leaves_the_one_read_table(tmp_path, worker):
             mock.patch.object(ingest, "_send_range", worker):
         _same_table(deltify_and_bin(path), want)
     _no_worker_left()
+
+
+# --- a parent killed mid-run leaves no worker behind ----------------------
+
+
+def _state(pid: int) -> str | None:
+    """The process state letter of pid, None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def _kill_parent_then_check_child(tmp_path, code, *args):
+    """Run code, whose forked child writes its pid to child.pid and then
+    blocks, kill the parent with SIGKILL, and check that the child ends."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ingest.__file__).resolve().parents[1])}
+    parent = subprocess.Popen([sys.executable, "-c", code, *args],
+                              cwd=tmp_path, env=env,
+                              stdout=subprocess.DEVNULL)
+    pid_file = tmp_path / "child.pid"
+    try:
+        deadline = time.monotonic() + 120
+        while not pid_file.exists():
+            assert parent.poll() is None, "the parent ended first"
+            assert time.monotonic() < deadline, "no child started"
+            time.sleep(0.02)
+    finally:
+        parent.kill()
+        parent.wait(timeout=60)
+    child = int(pid_file.read_text())
+    deadline = time.monotonic() + 30
+    while _state(child) not in (None, "Z", "X"):
+        if time.monotonic() > deadline:
+            os.kill(child, signal.SIGKILL)
+            pytest.fail(f"child {child} outlived its parent")
+        time.sleep(0.02)
+
+
+_BLOCKED = ("import os, sys, time\n"
+            "def blocked(*args):\n"
+            "    with open('child.tmp', 'w') as f:\n"
+            "        f.write(str(os.getpid()))\n"
+            "    os.rename('child.tmp', 'child.pid')\n"
+            "    time.sleep(600)\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the kernel ends a child with its parent on Linux")
+def test_a_killed_parent_leaves_no_range_worker_behind(tmp_path):
+    _write_rows(tmp_path / "counters.csv", _cut_feed())
+    code = _BLOCKED + ("from iorisk import ingest\n"
+                       "ingest._SEGMENT_BYTES = 1\n"
+                       "ingest._usable_cpus = lambda: 2\n"
+                       "ingest._send_range = blocked\n"
+                       "ingest.deltify_and_bin(sys.argv[1])\n")
+    _kill_parent_then_check_child(tmp_path, code, "counters.csv")
