@@ -5,11 +5,7 @@ attributes I/O to jobs, computes contention-risk and I/O-quality metrics,
 and emits risk time series, application scatter profiles, slowdown
 findings, per-job I/O summaries, core-hour-weighted heatmaps and usage
 breakdown tables. A deterministic synthetic workload generator provides
-ground-truth fixtures.
+ground-truth fixtures. The 21 counters' names and columns are in ops.
 """
 
-from .ops import OpClass, OpKind
-
 __version__ = "0.1.0"
-
-__all__ = ["OpClass", "OpKind", "__version__"]

@@ -18,12 +18,26 @@ the rule; the kernels group their rows by K and call it once per group.
 Grouping rule. Every binned table is built by sorting rows on key columns
 and summing the rows that share every key. ``sort_groups`` is the only
 implementation of that sort and ``group_sum`` the only one of the sum.
+
+Bin rule. A bin labelled b covers (b, b+w]: a time t falls in the bin it
+closes, ``closing_bin``, and an interval (t0, t1] meets ``bins_spanned``
+bins.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .ops import N_COUNTERS, N_OSS
+
+
+def closing_bin(t, w):
+    """Label of the bin that time t closes (see the bin rule)."""
+    return w * ((t - 1) // w)
+
+
+def bins_spanned(t0, t1, w):
+    """How many bins the interval (t0, t1], t1 > t0, meets."""
+    return (t1 - 1) // w - t0 // w + 1
 
 
 def apportion(deltas, overlap, span):
@@ -197,8 +211,8 @@ def deltify_pairs(stream, ts, values, bin_width, max_gap_s, out=None):
     pair_stream, t0, t1 = stream[1:][keep], t0[keep], t1[keep]
     delta = np.take(delta, keep, axis=0)
     dt = t1 - t0
-    b_last = w * ((t1 - 1) // w)
-    nbins = np.where(dt > 0, (b_last - w * (t0 // w)) // w + 1, 1)
+    b_last = closing_bin(t1, w)
+    nbins = np.where(dt > 0, bins_spanned(t0, t1, w), 1)
 
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64),
               np.empty((0, N_COUNTERS), np.int64))]

@@ -94,8 +94,7 @@ def build_scatter(jobs: JobTable, job_metrics: JobMetrics,
     def per_job(values):  # adds each job's rows in row order
         return np.bincount(jm.job_idx, values, minlength=n)
 
-    w = jm.bin_width
-    n_bins = (w * ((jobs.end_ts - 1) // w) - w * (jobs.start_ts // w)) // w + 1
+    n_bins = _kernels.bins_spanned(jobs.start_ts, jobs.end_ts, jm.bin_width)
     avg_oss = per_job(jm.risk_oss) / n_bins
     avg_mds = per_job(jm.risk_mds) / n_bins
     io_bins = np.bincount(jm.job_idx[jm.has_io], minlength=n)

@@ -6,8 +6,9 @@ analyze (attribution + metrics), report (all report artifacts), all
 the stages). all makes the stages' own calls in order, in one process;
 the stages load their inputs from the store instead of taking them from
 the stage before. ingest removes what analyze and report derived from an
-earlier store. Every stage stores the Config it ran with; analyze and
-report start from the stored one (see config.py).
+earlier store, and analyze what report derived. Every stage stores the
+Config it ran with; analyze and report start from the stored one (see
+config.py).
 """
 from __future__ import annotations
 
@@ -126,16 +127,18 @@ def cmd_analyze(args, cfg: Config) -> int:
     out = Path(args.out)
     usage = store.read_node_usage(out, cfg.bin_width_s)
     jobs = store.read_jobs(out)
+    _clear_report_artifacts(out)
     store.write_config(out, cfg)
     _analyze(cfg, out, usage, jobs)
     return 0
 
 
 def _clear_report_artifacts(out: Path) -> None:
-    """Remove report artifacts an earlier run left behind: a report writes
-    these only for some inputs and flags, or, for timeseries/, one file
-    per day of data."""
-    for name in ["correlation.csv", "breakdown.csv"] + [
+    """Remove what a report wrote, before analyze or report writes: a
+    report writes some of these only for some inputs and flags, and
+    timeseries/ one file per day of data."""
+    for name in ["job_summary.csv", "scatter.csv", "slowdown.csv",
+                 "correlation.csv", "breakdown.csv"] + [
             f"heatmap_{m}.{ext}" for m in MEASURES for ext in ("csv", "svg")]:
         (out / name).unlink(missing_ok=True)
     if (out / "timeseries").exists():
@@ -147,9 +150,7 @@ def _clear_derived(out: Path) -> None:
     that no later stage pairs it with a new ingest's jobs."""
     for path in (store.store_dir(out) / store.JOB_USAGE_NAME,
                  store.store_dir(out) / store.FS_USAGE_NAME,
-                 *(out / name for name in (
-                     "unattributed.csv", "risk_timeseries.csv",
-                     "job_summary.csv", "scatter.csv", "slowdown.csv"))):
+                 out / "unattributed.csv", out / "risk_timeseries.csv"):
         path.unlink(missing_ok=True)
     _clear_report_artifacts(out)
 

@@ -633,17 +633,12 @@ def deltify_and_bin(feed: CounterFeed | str | os.PathLike,
 def _bin_file(path, options) -> UsageTable:
     """The counter file at path binned as it is read: in byte ranges on
     several CPUs where _cuts makes more than one, else, or where a range
-    cannot be read on its own, in one sequential read."""
+    cannot be read on its own, as one range."""
     cuts = _cuts(path)
-    if len(cuts) > 2:
-        try:
-            return _bin_ranges(path, cuts, options)
-        except _Unsplittable:
-            pass
-    binner = _SegmentBinner(*options)
-    with open(path, newline="") as f:
-        registries = parse_counter_feed(f, sink=binner.add)
-    return binner.table(registries.nodes, registries.filesystems)
+    try:
+        return _bin_ranges(path, cuts, options)
+    except _Unsplittable:
+        return _bin_ranges(path, [0, cuts[-1]], options)
 
 
 def _cuts(path) -> list[int]:
@@ -671,13 +666,16 @@ def _bin_ranges(path, cuts, options) -> UsageTable:
     the first here, through parse_counter_feed, each later one in a forked
     process (see _send_range) from an empty carry. Each later range is
     then joined in order (see _SegmentBinner.join), so the table is the
-    one sequential read gives.
+    one sequential read gives. With cuts [0, size] the file is one range,
+    read sequentially in this process, and a malformed row raises its
+    FeedFormatError, which names the line.
 
     Raises _BackInTime when a stream goes back in time within a range or
-    across a cut, and _Unsplittable when a range cannot be read on its
-    own or no worker can be forked. Every worker is killed and reaped
-    before this returns or raises.
+    across a cut, and, with more than one range, _Unsplittable when a
+    range cannot be read on its own or no worker can be forked. Every
+    worker is killed and reaped before this returns or raises.
     """
+    split = len(cuts) > 2
     with contextlib.ExitStack() as stack:
         try:
             workers = [stack.enter_context(fork(_send_range, path, lo, hi,
@@ -688,9 +686,11 @@ def _bin_ranges(path, cuts, options) -> UsageTable:
         binner = _SegmentBinner(*options)
         try:
             with _open_range(path, 0, cuts[1]) as f:
-                feed = parse_counter_feed(f, sink=binner.add, split=True)
-        except ValueError:  # one sequential read numbers the line
-            raise _Unsplittable from None
+                feed = parse_counter_feed(f, sink=binner.add, split=split)
+        except ValueError:
+            if not split:
+                raise
+            raise _Unsplittable from None  # one range numbers the line
         nodes = {name: i for i, name in enumerate(feed.nodes)}
         filesystems = {name: i for i, name in enumerate(feed.filesystems)}
         try:
@@ -1029,7 +1029,7 @@ def _bin_chunk(stream, ts, values, bin_width, max_gap_s, pre_differenced,
     gap_pairs = reset_pairs = 0
     if pre_differenced:
         s_codes, deltas = stream, values
-        bins = bin_width * ((ts - 1) // bin_width)
+        bins = _kernels.closing_bin(ts, bin_width)
     else:
         s_codes, bins, deltas, gap_pairs, reset_pairs = \
             _kernels.deltify_pairs(stream, ts, values, bin_width, max_gap_s,
@@ -1096,9 +1096,3 @@ def read_probe_file(path) -> tuple[np.ndarray, np.ndarray]:
                                       line_no=line_no, feed_field=header[1])
             values.append(value)
     return np.asarray(ts, dtype=np.int64), np.asarray(values)
-
-
-def feed_to_csv_text(feed: CounterFeed) -> str:
-    buf = io.StringIO()
-    write_counter_csv(feed, buf)
-    return buf.getvalue()

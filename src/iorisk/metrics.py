@@ -17,8 +17,8 @@ import numpy as np
 from . import _kernels
 from .attribute import FsUsageTable, JobUsageTable
 from .config import Config, check
-from .ops import (MDS_SLICE, N_COUNTERS, OSS_SLICE, OpKind,
-                  READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)
+from .ops import (MDS_SLICE, N_COUNTERS, OSS_SLICE, READ_KB, READ_OPS,
+                  WRITE_KB, WRITE_OPS)
 
 log = logging.getLogger(__name__)
 
@@ -34,9 +34,6 @@ class FsBaseline:
     md_total_avg: float
     window: tuple[int, int]  # [first_bin, last_bin] used, inclusive
     n_bins: int
-
-    def avg_of(self, op: OpKind) -> float:
-        return float(self.avg[op.column])
 
 
 def _window_slots(first_bin: int, last_bin: int, w: int) -> int:

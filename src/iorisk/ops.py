@@ -6,8 +6,6 @@ columns 5..20.
 """
 from __future__ import annotations
 
-import enum
-
 OSS_COUNTERS = ("read_kb", "read_ops", "write_kb", "write_ops", "other")
 MDS_COUNTERS = (
     "open", "close", "mknod", "link", "unlink", "mkdir", "rmdir", "ren",
@@ -26,46 +24,3 @@ READ_KB = COUNTER_NAMES.index("read_kb")
 READ_OPS = COUNTER_NAMES.index("read_ops")
 WRITE_KB = COUNTER_NAMES.index("write_kb")
 WRITE_OPS = COUNTER_NAMES.index("write_ops")
-
-
-class OpClass(enum.Enum):
-    OSS = "oss"
-    MDS = "mds"
-
-
-class OpKind(enum.Enum):
-    """One of the 21 per-node counters reported for each filesystem."""
-
-    READ_KB = "read_kb"
-    READ_OPS = "read_ops"
-    WRITE_KB = "write_kb"
-    WRITE_OPS = "write_ops"
-    OTHER = "other"
-    OPEN = "open"
-    CLOSE = "close"
-    MKNOD = "mknod"
-    LINK = "link"
-    UNLINK = "unlink"
-    MKDIR = "mkdir"
-    RMDIR = "rmdir"
-    REN = "ren"
-    GETATTR = "getattr"
-    SETATTR = "setattr"
-    GETXATTR = "getxattr"
-    SETXATTR = "setxattr"
-    STATFS = "statfs"
-    SYNC = "sync"
-    SDR = "sdr"
-    CDR = "cdr"
-
-    @property
-    def op_class(self) -> OpClass:
-        return OpClass.OSS if self.value in OSS_COUNTERS else OpClass.MDS
-
-    @property
-    def column(self) -> int:
-        """Array column of this counter (feed column order)."""
-        return _COLUMN[self]
-
-
-_COLUMN = {op: COUNTER_NAMES.index(op.value) for op in OpKind}

@@ -268,7 +268,7 @@ def resample_to_bins(ts, values, bin_width: int):
     values = np.asarray(values, dtype=np.float64)
     if ts.shape != values.shape:
         raise ValueError("timestamps and values must align")
-    bins = bin_width * ((ts - 1) // bin_width)
+    bins = _kernels.closing_bin(ts, bin_width)
     order, starts = _kernels.sort_groups(bins)
     sums = np.add.reduceat(values[order], starts)
     counts = np.diff(np.append(starts, len(bins)))

@@ -158,24 +158,6 @@ class GroundTruthLedger:
         Path(path).write_text(json.dumps(doc, indent=1, sort_keys=False)
                               + "\n")
 
-    @classmethod
-    def from_json(cls, path) -> "GroundTruthLedger":
-        doc = json.loads(Path(path).read_text())
-        return cls(
-            bin_width_s=doc["bin_width_s"],
-            start_ts=doc["start_ts"],
-            duration_s=doc["duration_s"],
-            job_totals={k: list(v) for k, v in doc["job_totals"].items()},
-            job_fs=doc["job_fs"],
-            fs_bin_totals={fs: {int(b): list(v) for b, v in bins.items()}
-                           for fs, bins in doc["fs_bin_totals"].items()},
-            feed_totals={k: list(v) for k, v in doc["feed_totals"].items()},
-            project_job_counts=doc["project_job_counts"],
-            slowdown_job_ids=list(doc["slowdown_job_ids"]),
-            heatmap_cells=doc["heatmap_cells"],
-            resets_applied=doc["resets_applied"],
-            resets_skipped=doc["resets_skipped"])
-
 
 def _draw(rng, value) -> int:
     """Fixed int or inclusive (lo, hi) range."""

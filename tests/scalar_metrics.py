@@ -18,7 +18,7 @@ from iorisk.attribute import JobUsageTable
 from iorisk.config import Config
 from iorisk.metrics import (FS_SUBJECT, FsBaseline,
                             _quality_arrays, compute_job_metrics)
-from iorisk.ops import OpClass, OpKind
+from iorisk.ops import COUNTER_NAMES, MDS_COUNTERS, OSS_COUNTERS
 
 from conftest import risk_contribs
 
@@ -42,7 +42,7 @@ class RiskPoint:
     bin_start: int
     risk_oss: float
     risk_mds: float
-    per_op_risk: dict[OpKind, float] = field(repr=False)
+    per_op_risk: dict[str, float] = field(repr=False)  # by counter name
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ def job_bin_risk(usage: JobBinUsage, baseline: FsBaseline,
                      bin_start=usage.bin_start,
                      risk_oss=float(jm.risk_oss[0]),
                      risk_mds=float(jm.risk_mds[0]),
-                     per_op_risk={op: float(contrib[0, op.column])
-                                  for op in OpKind})
+                     per_op_risk={op: float(contrib[0, col])
+                                  for col, op in enumerate(COUNTER_NAMES)})
 
 
 def job_bin_quality(usage: JobBinUsage) -> QualityPoint:
@@ -111,14 +111,14 @@ def fs_bin_aggregate(risk_points, quality_points
                 f"point {p.subject!r} at ({p.fs_id}, {p.bin_start}) does "
                 f"not belong to fs-bin ({ref.fs_id}, {ref.bin_start})")
 
-    per_op = {op: 0.0 for op in OpKind}
+    per_op = {op: 0.0 for op in COUNTER_NAMES}
     for p in risk_points:
         for op, v in p.per_op_risk.items():
             per_op[op] += v
     risk_oss = sum(p.per_op_risk[op] for p in risk_points
-                   for op in OpKind if op.op_class is OpClass.OSS)
+                   for op in OSS_COUNTERS)
     risk_mds = sum(p.per_op_risk[op] for p in risk_points
-                   for op in OpKind if op.op_class is OpClass.MDS)
+                   for op in MDS_COUNTERS)
 
     oss_of = {p.subject: p.risk_oss for p in risk_points}
     q_read = 0.0

@@ -23,7 +23,8 @@ from iorisk.ingest import (deltify_and_bin, read_counter_file,
                            read_job_file)
 from iorisk.metrics import (FsBaseline, compute_baselines,
                             compute_fs_metrics, compute_job_metrics)
-from iorisk.ops import COUNTER_NAMES, N_COUNTERS, OpKind
+from iorisk.ops import (COUNTER_NAMES, N_COUNTERS, READ_KB, READ_OPS,
+                        WRITE_KB, WRITE_OPS)
 from iorisk.report import (BREAKDOWN_LABELS, build_breakdown, build_heatmap,
                            correlate_series)
 from iorisk.simgen import generate, preset_scenario
@@ -137,13 +138,13 @@ def test_criterion_3_clamp_and_decomposition(metric_run):
 
         # beta-path fixture: mkdir 500 against avg 0.1, md_total_avg 100
         avg = np.zeros(N_COUNTERS)
-        avg[OpKind.MKDIR.column] = 0.1
+        avg[COUNTER_NAMES.index("mkdir")] = 0.1
         baseline = FsBaseline("fsx", avg, md_total_avg=100.0,
                               window=(0, 0), n_bins=1)
         usage = JobBinUsage("j", "fsx", 0, np.asarray(
             values_row(mkdir=500), dtype=np.int64))
         point = job_bin_risk(usage, baseline)
-        assert point.per_op_risk[OpKind.MKDIR] == 19.0
+        assert point.per_op_risk["mkdir"] == 19.0
         assert point.risk_mds == 19.0
 
     _report(3, "clamped contributions and fs = sum(jobs) per bin", check)
@@ -212,11 +213,10 @@ def test_criterion_5_conservation_chain(metric_run):
         for job_id, totals, (read_gib, write_gib) in zip(
                 jobs.job_ids, summary.tolist(), gib.tolist()):
             want = ledger.job_totals[job_id]
-            assert totals == [want[op.column] for op in (
-                OpKind.READ_KB, OpKind.READ_OPS, OpKind.WRITE_KB,
-                OpKind.WRITE_OPS)]
-            assert read_gib == want[OpKind.READ_KB.column] / 2 ** 20
-            assert write_gib == want[OpKind.WRITE_KB.column] / 2 ** 20
+            assert totals == [want[col] for col in (
+                READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)]
+            assert read_gib == want[READ_KB] / 2 ** 20
+            assert write_gib == want[WRITE_KB] / 2 ** 20
 
     _report(5, "ledger = ingest = attribution = summaries, exact", check)
 

@@ -12,7 +12,7 @@ from iorisk.config import Config
 from iorisk.ingest import deltify_and_bin
 from iorisk.metrics import (JobMetrics, compute_baselines,
                             compute_job_metrics)
-from iorisk.ops import OpKind
+from iorisk.ops import READ_KB, READ_OPS
 from scalar_analytics import as_table, runtime_bin_count
 
 W = 360
@@ -277,10 +277,9 @@ def test_job_read_totals_plus_unattributed_equal_fs_total(rng):
     table = as_table(jobs)
     res = attribute_usage(usage, table)
     totals = summarize_jobs(table, res.job_usage)
-    col = OpKind.READ_KB.column
     job_read_kb = int(totals[:, 0].sum())
-    unattributed_read_kb = int(res.unattributed.deltas[:, col].sum())
-    fs_total = int(usage.deltas[:, col].sum())
+    unattributed_read_kb = int(res.unattributed.deltas[:, READ_KB].sum())
+    fs_total = int(usage.deltas[:, READ_KB].sum())
     assert job_read_kb + unattributed_read_kb == fs_total
 
 
@@ -304,10 +303,10 @@ def test_summaries_conserve_attribution_totals(rng):
     totals = summarize_jobs(table, res.job_usage)
     measures = job_measures(table, totals)
     total_read_kb = measures[:, 0].sum() * 2 ** 20
-    want = res.job_usage.deltas[:, OpKind.READ_KB.column].sum()
+    want = res.job_usage.deltas[:, READ_KB].sum()
     assert total_read_kb == pytest.approx(float(want), rel=1e-12)
     assert totals[:, 1].sum() == \
-        res.job_usage.deltas[:, OpKind.READ_OPS.column].sum()
+        res.job_usage.deltas[:, READ_OPS].sum()
     assert all(mean == pytest.approx(ops / (j.end_ts - j.start_ts),
                                      abs=1e-12)
                for mean, ops, j in zip(measures[:, 2], totals[:, 1], jobs))

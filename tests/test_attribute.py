@@ -14,7 +14,7 @@ from iorisk import _kernels, ingest
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.ingest import (AttributionConflictError, UsageTable,
                            deltify_and_bin, parse_job_feed)
-from iorisk.ops import N_COUNTERS, OpKind
+from iorisk.ops import COUNTER_NAMES, N_COUNTERS, READ_OPS, WRITE_KB
 from scalar_analytics import as_table
 
 
@@ -40,7 +40,7 @@ def test_full_bin_inside_job_interval_fully_attributed():
     assert len(res.job_usage) == 1
     rows = job_rows(res.job_usage)
     assert list(rows) == [("j1", "fs2", 360)]
-    assert rows["j1", "fs2", 360][OpKind.READ_OPS.column] == 100
+    assert rows["j1", "fs2", 360][READ_OPS] == 100
     assert len(res.unattributed) == 0
 
 
@@ -53,8 +53,8 @@ def test_half_covered_bin_split_with_residue():
         [720, "n1", "fs2"] + values_row(read_ops=101)])
     job = simple_job("j1", "n1", start=180, end=540)
     res = attribute_usage(usage, as_table([job]))
-    assert res.job_usage.deltas[0, OpKind.READ_OPS.column] == 50
-    assert int(res.unattributed.deltas[0, OpKind.READ_OPS.column]) == 51
+    assert res.job_usage.deltas[0, READ_OPS] == 50
+    assert int(res.unattributed.deltas[0, READ_OPS]) == 51
 
 
 def test_unowned_bin_goes_to_unattributed_ledger():
@@ -65,7 +65,7 @@ def test_unowned_bin_goes_to_unattributed_ledger():
                           as_table([simple_job("j1", "n9", 0, 360)]))
     assert len(res.job_usage) == 0
     assert len(res.unattributed) == 1
-    assert int(res.unattributed.deltas[0, OpKind.WRITE_KB.column]) == 77
+    assert int(res.unattributed.deltas[0, WRITE_KB]) == 77
 
 
 def test_conflicting_jobs_rejected_with_both_ids():
@@ -94,7 +94,7 @@ def test_sequential_jobs_split_one_bin():
     jobs = [simple_job("j1", "n1", 0, 540),
             simple_job("j2", "n1", 540, 1440)]
     res = attribute_usage(usage, as_table(jobs))
-    got = {job: d[OpKind.GETATTR.column]
+    got = {job: d[COUNTER_NAMES.index("getattr")]
            for (job, _, _), d in job_rows(res.job_usage).items()}
     assert got == {"j1": 50, "j2": 50}
     assert len(res.unattributed) == 0
@@ -236,7 +236,7 @@ def test_fs_bin_totals_sums_nodes():
         [700, "n2", "fs2"] + values_row(read_ops=32)])
     totals = fs_bin_totals(usage)
     assert len(totals) == 1
-    assert int(totals.deltas[0, OpKind.READ_OPS.column]) == 42
+    assert int(totals.deltas[0, READ_OPS]) == 42
 
 
 def _usage(keys, deltas, n_nodes, n_fs, w):

@@ -385,6 +385,22 @@ def test_report_reads_fs_totals_not_node_usage(demo_feeds, tmp_path,
     assert _tree_bytes(staged) == _tree_bytes(tmp_path / "all")
 
 
+def test_analyze_removes_what_an_earlier_report_wrote(demo_feeds, tmp_path):
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, ("--svg", "--probe",
+                                      str(demo_feeds / "probe.csv"))) == 0
+    assert run(["analyze", "--out", str(out), "--alpha", "3"]) == 0
+    # only what ingest and this analysis wrote: no alpha-2 report is left
+    # beside the alpha-3 analysis
+    fresh = tmp_path / "fresh"
+    assert run(["ingest", "--counters", str(demo_feeds / "counters.csv"),
+                "--jobs", str(demo_feeds / "jobs.csv"),
+                "--out", str(fresh)]) == 0
+    assert run(["analyze", "--out", str(fresh), "--alpha", "3"]) == 0
+    assert not (out / "timeseries").exists()
+    assert _tree_bytes(out) == _tree_bytes(fresh)
+
+
 def test_report_on_a_store_without_fs_totals_exits_before_writing(
         demo_feeds, tmp_path, capsys):
     # a store analyzed before analyze wrote the fs totals

@@ -9,10 +9,10 @@ from conftest import (assert_same_jobs, counter_csv, feed_from_rows,
                       values_row)
 from iorisk.ingest import (COUNTER_HEADER, AttributionConflictError,
                            CounterFeed, FeedFormatError, deltify_and_bin,
-                           feed_to_csv_text, parse_counter_feed,
-                           parse_job_feed, read_counter_file,
+                           parse_counter_feed, parse_job_feed,
+                           read_counter_file, write_counter_csv,
                            write_jobs_csv)
-from iorisk.ops import OpKind
+from iorisk.ops import COUNTER_NAMES, READ_KB, READ_OPS, WRITE_OPS
 from scalar_analytics import JobRecord, as_table
 
 
@@ -22,9 +22,15 @@ def assert_same_feed(a: CounterFeed, b: CounterFeed) -> None:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-def by_bin(usage, op: OpKind) -> dict[int, int]:
+def csv_text(feed: CounterFeed) -> str:
+    buf = io.StringIO()
+    write_counter_csv(feed, buf)
+    return buf.getvalue()
+
+
+def by_bin(usage, col: int) -> dict[int, int]:
     return dict(zip(usage.bin_start.tolist(),
-                    usage.deltas[:, op.column].tolist()))
+                    usage.deltas[:, col].tolist()))
 
 
 def test_parse_single_valid_row():
@@ -33,8 +39,8 @@ def test_parse_single_valid_row():
     assert feed.ts[0] == 500
     assert feed.nodes[feed.node_idx[0]] == "n1"
     assert feed.filesystems[feed.fs_idx[0]] == "fs2"
-    assert feed.values[0, OpKind.READ_KB.column] == 0
-    assert feed.values[0, OpKind.CDR.column] == 20
+    assert feed.values[0, READ_KB] == 0
+    assert feed.values[0, COUNTER_NAMES.index("cdr")] == 20
     assert feed.values.shape == (1, 21)
 
 
@@ -100,10 +106,10 @@ def test_round_trip_parse_serialize_parse_identical():
             [600, "n2", "fs3"] + list(range(100, 121)),
             [700, "n1", "fs2"] + list(range(5, 26))]
     feed = feed_from_rows(rows)
-    text = feed_to_csv_text(feed)
+    text = csv_text(feed)
     again = parse_counter_feed(io.StringIO(text))
     assert_same_feed(again, feed)
-    assert feed_to_csv_text(again) == text
+    assert csv_text(again) == text
 
 
 def test_round_trip_keeps_keys_with_a_lone_carriage_return():
@@ -111,7 +117,7 @@ def test_round_trip_keeps_keys_with_a_lone_carriage_return():
                        np.zeros(2, np.int32),
                        np.arange(42, dtype=np.int64).reshape(2, 21),
                        ("a\rb",), ("fs\r2",))
-    text = feed_to_csv_text(feed)
+    text = csv_text(feed)
     assert '\n360,"a\rb","fs\r2",0,' in text
     again = parse_counter_feed(io.StringIO(text, newline=""))
     assert_same_feed(again, feed)
@@ -216,7 +222,7 @@ def test_delta_within_one_bin():
         [300, "n1", "fs2"] + values_row(read_ops=1500)])
     usage = deltify_and_bin(feed, 360)
     assert len(usage) == 1
-    assert by_bin(usage, OpKind.READ_OPS) == {0: 500}
+    assert by_bin(usage, READ_OPS) == {0: 500}
     assert usage.deltas[0].sum() == 500
 
 
@@ -226,7 +232,7 @@ def test_counter_reset_yields_new_value_as_delta():
         [300, "n1", "fs2"] + values_row(read_ops=100)])
     usage = deltify_and_bin(feed, 360)
     assert len(usage) == 1
-    assert usage.deltas[0, OpKind.READ_OPS.column] == 100
+    assert usage.deltas[0, READ_OPS] == 100
 
 
 def test_spanning_delta_apportioned_proportionally():
@@ -235,7 +241,7 @@ def test_spanning_delta_apportioned_proportionally():
         [100, "n1", "fs2"] + values_row(write_ops=0),
         [500, "n1", "fs2"] + values_row(write_ops=400)])
     usage = deltify_and_bin(feed, 360)
-    assert by_bin(usage, OpKind.WRITE_OPS) == {0: 260, 360: 140}
+    assert by_bin(usage, WRITE_OPS) == {0: 260, 360: 140}
 
 
 def test_boundary_snapshot_closes_earlier_bin():
@@ -245,7 +251,7 @@ def test_boundary_snapshot_closes_earlier_bin():
         [720, "n1", "fs2"] + values_row(read_ops=50)])
     usage = deltify_and_bin(feed, 360)
     assert len(usage) == 1
-    assert by_bin(usage, OpKind.READ_OPS) == {360: 50}
+    assert by_bin(usage, READ_OPS) == {360: 50}
 
 
 def test_long_gap_drops_interval():
@@ -255,7 +261,7 @@ def test_long_gap_drops_interval():
     usage = deltify_and_bin(feed, 360, max_gap_bins=3)
     assert len(usage) == 0
     usage = deltify_and_bin(feed, 360, max_gap_bins=4)
-    assert usage.deltas[:, OpKind.READ_OPS.column].sum() == 999
+    assert usage.deltas[:, READ_OPS].sum() == 999
 
 
 def test_unsorted_interleaved_input_is_sorted_internally():
@@ -268,7 +274,7 @@ def test_unsorted_interleaved_input_is_sorted_internally():
     usage = deltify_and_bin(feed_from_rows(rows), 360)
     got = {(usage.nodes[n], b): d for n, b, d in zip(
         usage.node_idx, usage.bin_start.tolist(),
-        usage.deltas[:, OpKind.READ_OPS.column].tolist())}
+        usage.deltas[:, READ_OPS].tolist())}
     assert got == {("n1", 360): 30, ("n2", 360): 40}
 
 
@@ -299,7 +305,7 @@ def test_apportioned_shares_never_negative(rng):
             [t0, "n1", "fs2"] + values_row(mkdir=0),
             [t1, "n1", "fs2"] + values_row(mkdir=delta)])
         usage = deltify_and_bin(feed, 360, max_gap_bins=None)
-        shares = usage.deltas[:, OpKind.MKDIR.column].tolist()
+        shares = usage.deltas[:, COUNTER_NAMES.index("mkdir")].tolist()
         assert all(s >= 0 for s in shares)
         assert sum(shares) == delta
 
@@ -310,7 +316,7 @@ def test_duplicate_timestamp_pair_assigned_to_closing_bin():
         [400, "n1", "fs2"] + values_row(read_ops=130)])
     usage = deltify_and_bin(feed, 360)
     assert len(usage) == 1
-    assert by_bin(usage, OpKind.READ_OPS) == {360: 30}
+    assert by_bin(usage, READ_OPS) == {360: 30}
 
 
 def test_pre_differenced_passthrough():
@@ -318,7 +324,7 @@ def test_pre_differenced_passthrough():
         [300, "n1", "fs2"] + values_row(read_ops=100),
         [660, "n1", "fs2"] + values_row(read_ops=40)])
     usage = deltify_and_bin(feed, 360, pre_differenced=True)
-    assert by_bin(usage, OpKind.READ_OPS) == {0: 100, 360: 40}
+    assert by_bin(usage, READ_OPS) == {0: 100, 360: 40}
 
 
 def test_bin_width_must_be_positive():

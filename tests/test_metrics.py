@@ -16,7 +16,7 @@ from scalar_analytics import as_table
 from scalar_metrics import (JobBinUsage, fs_bin_aggregate, job_bin_quality,
                             job_bin_risk, op_risk)
 from iorisk.ops import (COUNTER_NAMES, MDS_COUNTERS, N_COUNTERS,
-                        OSS_COUNTERS, OpKind)
+                        OSS_COUNTERS, READ_OPS)
 
 W = 360
 
@@ -84,7 +84,7 @@ def test_baseline_single_bin():
         [400, "n1", "fs2"] + values_row(read_ops=0),
         [700, "n1", "fs2"] + values_row(read_ops=100)])
     b = compute_baseline(totals, "fs2")
-    assert b.avg_of(OpKind.READ_OPS) == 100.0
+    assert b.avg[READ_OPS] == 100.0
     assert b.n_bins == 1
 
 
@@ -94,7 +94,7 @@ def test_baseline_two_bins_arithmetic_mean():
         [700, "n1", "fs2"] + values_row(read_ops=100),
         [1060, "n1", "fs2"] + values_row(read_ops=400)])
     b = compute_baseline(totals, "fs2")
-    assert b.avg_of(OpKind.READ_OPS) == 200.0
+    assert b.avg[READ_OPS] == 200.0
 
 
 def test_baseline_counts_empty_bins_as_zeros():
@@ -105,7 +105,7 @@ def test_baseline_counts_empty_bins_as_zeros():
         [2100, "n1", "fs2"] + values_row(mkdir=150)])
     b = compute_baseline(totals, "fs2")
     assert b.n_bins == 5
-    assert b.avg_of(OpKind.MKDIR) == pytest.approx(150 / 5)
+    assert b.avg[COUNTER_NAMES.index("mkdir")] == pytest.approx(150 / 5)
     assert b.md_total_avg == pytest.approx(150 / 5)
 
 
@@ -127,9 +127,9 @@ def test_baseline_trailing_days():
         rows.append([t, "n1", "fs2"] + values_row(read_ops=cum))
     totals = usage_for_baseline([[360, "n1", "fs2"] + values_row()] + rows)
     full = compute_baseline(totals, "fs2")
-    assert full.avg_of(OpKind.READ_OPS) == pytest.approx(20.0)
+    assert full.avg[READ_OPS] == pytest.approx(20.0)
     trailing = compute_baseline(totals, "fs2", baseline_days=1)
-    assert trailing.avg_of(OpKind.READ_OPS) == pytest.approx(30.0)
+    assert trailing.avg[READ_OPS] == pytest.approx(30.0)
     assert trailing.n_bins == 240
 
 
@@ -187,11 +187,11 @@ def test_mkdir_storm_beta_path_hand_value():
     # alpha*avg[mkdir] = 0.2 < 1.0 threshold: beta path with
     # denominator 0.25 * 100 = 25 -> (500 - 25) / 25 = 19.0
     avg = np.zeros(N_COUNTERS)
-    avg[OpKind.MKDIR.column] = 0.1
+    avg[COUNTER_NAMES.index("mkdir")] = 0.1
     baseline = FsBaseline("fs2", avg, md_total_avg=100.0, window=(0, 0),
                           n_bins=1)
     point = job_bin_risk(jb_usage(mkdir=500), baseline)
-    assert point.per_op_risk[OpKind.MKDIR] == 19.0
+    assert point.per_op_risk["mkdir"] == 19.0
     assert point.risk_mds == 19.0
     assert point.risk_oss == 0.0
 
@@ -199,8 +199,8 @@ def test_mkdir_storm_beta_path_hand_value():
 def test_negative_contributions_clamped_to_zero():
     baseline = make_baseline(read_ops=100.0, open=100.0)
     point = job_bin_risk(jb_usage(read_ops=50, open=10), baseline)
-    assert point.per_op_risk[OpKind.READ_OPS] == 0.0
-    assert point.per_op_risk[OpKind.OPEN] == 0.0
+    assert point.per_op_risk["read_ops"] == 0.0
+    assert point.per_op_risk["open"] == 0.0
     assert all(v >= 0 for v in point.per_op_risk.values())
 
 
@@ -216,7 +216,7 @@ def test_degenerate_md_total_uses_threshold_floor(caplog):
     with caplog.at_level(logging.WARNING, logger="iorisk.metrics"):
         point = job_bin_risk(jb_usage(mkdir=5), baseline,
                              Config(md_small_avg_threshold=1.0))
-    assert point.per_op_risk[OpKind.MKDIR] == 4.0  # (5 - 1) / 1
+    assert point.per_op_risk["mkdir"] == 4.0  # (5 - 1) / 1
     assert any("degenerate" in r.message for r in caplog.records)
 
 
@@ -232,10 +232,8 @@ def test_risk_point_sums_match_per_op_decomposition(rng):
         usage = jb_usage(**{name: int(rng.integers(0, 200))
                             for name in COUNTER_NAMES})
         p = job_bin_risk(usage, baseline)
-        oss = sum(p.per_op_risk[op] for op in OpKind
-                  if op.value in OSS_COUNTERS)
-        mds = sum(p.per_op_risk[op] for op in OpKind
-                  if op.value in MDS_COUNTERS)
+        oss = sum(p.per_op_risk[op] for op in OSS_COUNTERS)
+        mds = sum(p.per_op_risk[op] for op in MDS_COUNTERS)
         assert p.risk_oss == pytest.approx(oss, abs=1e-9)
         assert p.risk_mds == pytest.approx(mds, abs=1e-9)
 
@@ -251,9 +249,9 @@ def test_random_job_bins_match_brute_force_oracle(rng):
                   for name in COUNTER_NAMES}
         point = job_bin_risk(jb_usage(**deltas), baseline, params)
         want = oracle_contributions(deltas, avgs, baseline.md_total_avg)
-        for op in OpKind:
+        for op in COUNTER_NAMES:
             assert point.per_op_risk[op] == pytest.approx(
-                want[op.value], abs=1e-9), op
+                want[op], abs=1e-9), op
 
 
 # --- quality ----------------------------------------------------------------
@@ -414,7 +412,7 @@ def test_doubling_alpha_never_increases_contribution_on_stable_paths(rng):
                           Config(alpha=2.0))
         p2 = job_bin_risk(jb_usage(**deltas), baseline,
                           Config(alpha=4.0))
-        for op in OpKind:
+        for op in COUNTER_NAMES:
             assert p2.per_op_risk[op] <= p1.per_op_risk[op] + 1e-12
 
 
@@ -426,7 +424,7 @@ def test_beta_path_selection_is_deterministic_function_of_baseline():
         p = job_bin_risk(jb_usage(mkdir=x), baseline, params)
         beta_denom = 0.25 * baseline.md_total_avg
         want = max(0.0, (x - beta_denom) / beta_denom)
-        assert p.per_op_risk[OpKind.MKDIR] == pytest.approx(want, abs=1e-9)
+        assert p.per_op_risk["mkdir"] == pytest.approx(want, abs=1e-9)
 
 
 def test_compute_job_metrics_requires_baselines(rng):
