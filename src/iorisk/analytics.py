@@ -27,6 +27,11 @@ def _check_aligned(jobs: JobTable, job_ids) -> None:
                          "jobs, in its order")
 
 
+def id_rank(job_ids) -> np.ndarray:
+    """Each job's position in job id order."""
+    return np.argsort(sorted(range(len(job_ids)), key=job_ids.__getitem__))
+
+
 def summarize_jobs(jobs: JobTable, job_usage: JobUsageTable) -> np.ndarray:
     """Per-job I/O totals across all filesystems: an (n, 4) int64 array
     of read_kb, read_ops, write_kb and write_ops, aligned with jobs."""
@@ -101,7 +106,6 @@ def build_scatter(jobs: JobTable, job_metrics: JobMetrics,
     quality = per_job((jm.read_kb_ops + jm.write_kb_ops) * jm.has_io)
     avg_q = np.where(io_bins > 0, quality / np.maximum(io_bins, 1), 0.0)
     kept = np.flatnonzero(~(avg_oss + avg_mds < min_total_risk))
-    ids = np.array(jobs.job_ids, dtype=object)
-    rows = kept[np.argsort(ids[kept], kind="stable")]
+    rows = kept[np.argsort(id_rank(jobs.job_ids)[kept])]
     return rows, np.column_stack((avg_oss[rows], avg_mds[rows],
                                   avg_q[rows]))

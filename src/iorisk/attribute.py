@@ -52,34 +52,16 @@ class AttributionResult:
     unattributed: FsUsageTable
 
 
-def _by_bin_slices(bin_start, summed):
-    """summed(rows) -> (keys, sums) over slices of about ingest's
-    _PARSE_CHUNK rows that never split a bin, merged into one table in
-    key order.
-
-    Each slice's rows and temporaries are dropped before the next. The
-    keys include the bin, so no key is summed in two slices, and the
-    final group_sum only scatters the slice sums into key order, dropping
-    each as it goes (its list form): only the key columns are
-    concatenated.
-    """
-    order = np.argsort(bin_start, kind="stable")
-    ranges = list(key_ranges(bin_start[order]))
-    parts = [summed(order[:0])]  # types an empty table
-    parts += [summed(order[lo:hi]) for lo, hi in ranges]
-    del order
-    keys = [np.concatenate(col) for col in zip(*(p[0] for p in parts))]
-    sums = [p[1] for p in parts]
-    del parts
-    return _kernels.group_sum(keys, sums)
-
-
-def fs_bin_totals(usage: UsageTable) -> FsUsageTable:
-    """Aggregate node usage to fs-wide per-bin totals."""
-    (fs, bins), deltas = _by_bin_slices(usage.bin_start, lambda rows: (
-        _kernels.group_sum([usage.fs_idx[rows], usage.bin_start[rows]],
-                           np.take(usage.deltas, rows, axis=0))))
-    return FsUsageTable(fs, bins, deltas, usage.filesystems, usage.bin_width)
+def fs_bin_totals(attribution: AttributionResult) -> FsUsageTable:
+    """Fs-wide per-bin totals of the node usage an attribution split: its
+    job usage plus its unattributed ledger, whose shares sum to each
+    node-bin row's deltas exactly (the apportioning rule in _kernels)."""
+    ju, free = attribution.job_usage, attribution.unattributed
+    (fs, bins), deltas = _kernels.group_sum(
+        [np.concatenate((ju.fs_idx, free.fs_idx)),
+         np.concatenate((ju.bin_start, free.bin_start))],
+        [ju.deltas, free.deltas])
+    return FsUsageTable(fs, bins, deltas, free.filesystems, free.bin_width)
 
 
 def attribute_usage(node_usage: UsageTable, jobs: JobTable
@@ -113,14 +95,26 @@ def attribute_usage(node_usage: UsageTable, jobs: JobTable
         node_usage.node_idx, node_usage.bin_start, node_usage.bin_width,
         node_ptr, job_start, job_end)
 
-    def attributed(rows):
+    # slices of about ingest's _PARSE_CHUNK rows never split a bin, and
+    # each slice's rows and temporaries are dropped before the next. The
+    # keys include the bin, so no key is summed in two slices, and the
+    # final group_sum only scatters the slice sums into key order, dropping
+    # each as it goes (its list form): only the key columns are
+    # concatenated. The empty slice (0, 0) types an empty table.
+    order = np.argsort(node_usage.bin_start, kind="stable")
+    parts = []
+    for lo, hi in [(0, 0), *key_ranges(node_usage.bin_start[order])]:
         *claim_keys, claim_deltas = _kernels.attribute_shares(
-            rows, node_usage.fs_idx, node_usage.bin_start, node_usage.deltas,
-            node_usage.bin_width, j0, j1, job_start, job_end, job_of)
-        return _kernels.group_sum(claim_keys, claim_deltas)
-
-    (job, fs, bins), deltas = _by_bin_slices(node_usage.bin_start,
-                                             attributed)
+            order[lo:hi], node_usage.fs_idx, node_usage.bin_start,
+            node_usage.deltas, node_usage.bin_width, j0, j1, job_start,
+            job_end, job_of)
+        parts.append(_kernels.group_sum(claim_keys, claim_deltas))
+        del claim_keys, claim_deltas  # before the next slice's are built
+    del order
+    keys = [np.concatenate(col) for col in zip(*(p[0] for p in parts))]
+    sums = [p[1] for p in parts]
+    del parts
+    (job, fs, bins), deltas = _kernels.group_sum(keys, sums)
     free = int(np.searchsorted(job, 0))  # the remainder, job -1, sorts first
     job_usage = JobUsageTable(job[free:], fs[free:], bins[free:],
                               deltas[free:], jobs.job_ids,

@@ -103,7 +103,7 @@ def _analyze(cfg: Config, out: Path, usage, jobs):
     the fs bin totals report reads; returns the job usage and its job and
     fs metrics."""
     attribution = attribute_usage(usage, jobs)
-    totals = fs_bin_totals(usage)
+    totals = fs_bin_totals(attribution)
     baselines, jm, fm = _metrics(totals, attribution.job_usage, cfg)
     store.write_job_usage(out, attribution.job_usage)
     store.write_fs_usage(out, totals)

@@ -91,7 +91,8 @@ _SEGMENT_BYTES = 6 << 20
 _WRITE_CHUNK = _PARSE_CHUNK // 4
 # ASCII characters numpy's C integer parser skips as space and int() rejects
 _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-_INT64 = np.iinfo(np.int64)
+# int64's range as Python ints: no numpy lookup per field checked
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 # ints in [0, _SMALL_INT) are written from a text table per separator
 _SMALL_INT = 4096
 _SMALL_INT_TEXTS = {sep: np.array([f"{sep}{i}" for i in range(_SMALL_INT)],
@@ -135,7 +136,7 @@ def _check_int64(text, what, line_no, feed_field) -> int:
     except ValueError:
         raise FeedFormatError(f"{what}: non-integer value {text!r}",
                               line_no=line_no, feed_field=feed_field) from None
-    if not _INT64.min <= value <= _INT64.max:
+    if not _INT64_MIN <= value <= _INT64_MAX:
         raise FeedFormatError(f"{what}: value out of int64 range {text!r}",
                               line_no=line_no, feed_field=feed_field)
     return value
@@ -508,7 +509,7 @@ def job_table(job_ids, projects, commands, node_lists, start_ts, end_ts,
     # Python ints: exact however far past int64 a sum goes
     core_s = np.cumsum(np.diff(node_ptr).astype(object) * cores.astype(object)
                        * (end.astype(object) - start.astype(object)))
-    first_bad(core_s > _INT64.max, lambda i: (
+    first_bad(core_s > _INT64_MAX, lambda i: (
         f"job {ids[i]}: core-seconds of the jobs up to this one sum to "
         f"{core_s[i]}, beyond int64"), "end_ts")
 

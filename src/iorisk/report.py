@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .analytics import job_measures
+from .analytics import id_rank, job_measures
 from .attribute import FsUsageTable
 from .config import Config
 from .ingest import JobTable, key_column, repeated_ints, write_csv
@@ -158,7 +158,7 @@ def emit_timeseries(fs_metrics: FsMetrics, job_metrics: JobMetrics,
     out_dir = Path(out_dir)
     jm = job_metrics
     fm = fs_metrics
-    id_rank = _id_rank(jm.job_ids)
+    rank = id_rank(jm.job_ids)
     written = []
     for fs_i, fs_id in enumerate(fm.filesystems):
         fs_rows = np.flatnonzero(fm.fs_idx == fs_i)
@@ -173,7 +173,7 @@ def emit_timeseries(fs_metrics: FsMetrics, job_metrics: JobMetrics,
             day = d * SECONDS_PER_DAY + day_offset
             path = fs_dir / f"{_day_label(day)}.csv"
             day_sel, jr = fs_rows[fs_day == d], job_rows[job_day == d]
-            ranked = _top_jobs(jm, jr, top_k, id_rank)
+            ranked = _top_jobs(jm, jr, top_k, rank)
             bins, oss, mds = _day_tables(fm, day_sel, jm, jr, ranked)
             names = [jm.job_ids[j] for j in ranked]
             write_csv(path, ("bin_start", "subject", "risk_oss", "risk_mds"),
@@ -191,12 +191,7 @@ def emit_timeseries(fs_metrics: FsMetrics, job_metrics: JobMetrics,
     return written
 
 
-def _id_rank(job_ids) -> np.ndarray:
-    """Each job's position in job id order."""
-    return np.argsort(sorted(range(len(job_ids)), key=job_ids.__getitem__))
-
-
-def _top_jobs(jm: JobMetrics, rows, top_k: int, id_rank) -> list[int]:
+def _top_jobs(jm: JobMetrics, rows, top_k: int, rank) -> list[int]:
     """Top-k job indices by integrated total risk, ties by job id."""
     if rows.size == 0 or top_k <= 0:
         return []
@@ -204,7 +199,7 @@ def _top_jobs(jm: JobMetrics, rows, top_k: int, id_rank) -> list[int]:
     integrated = np.bincount(jm.job_idx[rows],
                              jm.risk_oss[rows] + jm.risk_mds[rows])
     jobs = np.flatnonzero(np.bincount(jm.job_idx[rows]))
-    order = np.lexsort((id_rank[jobs], -integrated[jobs]))
+    order = np.lexsort((rank[jobs], -integrated[jobs]))
     return jobs[order[:top_k]].tolist()
 
 
@@ -242,7 +237,7 @@ def write_risk_timeseries_csv(path, fm: FsMetrics, jm: JobMetrics) -> None:
     """The full risk/quality series: per (fs, bin), one __fs__ row, then
     the job rows in job id order."""
     rank = np.concatenate((np.full(len(fm), -1),  # the fs row first
-                           _id_rank(jm.job_ids)[jm.job_idx]))
+                           id_rank(jm.job_ids)[jm.job_idx]))
     bins = np.concatenate((fm.bin_start, jm.bin_start))
     fs = np.concatenate((fm.fs_idx, jm.fs_idx))
     order = np.lexsort((rank, bins, fs))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .ingest import (CounterFeed, job_table, write_counter_csv, write_csv,
                      write_jobs_csv)
 from .ops import (COUNTER_NAMES, MDS_SLICE, N_COUNTERS,
@@ -450,7 +451,7 @@ def _emit_probe(spec: ScenarioSpec, cubes, path, rng) -> None:
     ticks = np.arange(spec.probe_cadence_s, spec.duration_s + 1,
                       spec.probe_cadence_s, dtype=np.int64)
     jitter = rng.uniform(0.0, 0.05, size=ticks.size)
-    k = np.minimum((ticks - 1) // w, spec.n_bins - 1)
+    k = np.minimum(_kernels.closing_bin(ticks, w) // w, spec.n_bins - 1)
     write_csv(path, ("ts", "latency_ms"),
               [spec.start_ts + ticks, 1.0 + 9.0 * load[k] / peak + jitter])
 

@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .attribute import FsUsageTable, JobUsageTable
 from .config import FIELDS, Config
-from .ingest import (JobTable, UsageTable, _line_count, _read_keyed_table,
-                     parse_job_feed, repeated_ints, write_csv,
-                     write_jobs_csv)
+from .ingest import (JobTable, UsageTable, _check_header, _line_count,
+                     _read_keyed_table, parse_job_feed, repeated_ints,
+                     write_csv, write_jobs_csv)
 from .ops import COUNTER_NAMES
 
 NODE_USAGE_NAME = "node_usage.csv"
@@ -53,11 +53,13 @@ def read_config(out_dir) -> dict:
 
 
 def _read_table(path, schema, registries, check=None):
+    """The columns of a store table whose header must be schema."""
     capacity = _line_count(path)
+    what = f"store {path}"
     with open(path, newline="") as f:
-        next(csv.reader(f))
-        return _read_keyed_table(f, schema, registries, f"store {path}",
-                                 check, capacity)
+        _check_header(next(csv.reader(f), None), schema, what)
+        return _read_keyed_table(f, schema, registries, what, check,
+                                 capacity)
 
 
 def write_node_usage(out_dir, usage: UsageTable) -> None:

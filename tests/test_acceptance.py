@@ -54,7 +54,7 @@ def metric_run(tmp_path_factory):
     jobs = read_job_file(out / "jobs.csv")
     usage = deltify_and_bin(feed, spec.bin_width_s)
     attribution = attribute_usage(usage, jobs)
-    totals = fs_bin_totals(usage)
+    totals = fs_bin_totals(attribution)
     baselines = compute_baselines(totals)
     jm = compute_job_metrics(attribution.job_usage, baselines)
     return dict(spec=spec, ledger=ledger, feed=feed, jobs=jobs,
@@ -164,7 +164,7 @@ def test_criterion_4_quality_identity():
         usage = deltify_and_bin(feed_from_rows(rows), 360)
         attribution = attribute_usage(usage, as_table(jobs))
         jm = compute_job_metrics(attribution.job_usage,
-                                 compute_baselines(fs_bin_totals(usage)))
+                                 compute_baselines(fs_bin_totals(attribution)))
         quality = {jm.job_ids[jm.job_idx[i]]: jm.write_kb_ops[i]
                    for i in range(len(jm))}
         assert quality["mib"] == 1.0
@@ -280,7 +280,7 @@ def test_criterion_8_correlation_sanity(tmp_path_factory):
         usage = deltify_and_bin(feed, spec.bin_width_s)
         attribution = attribute_usage(usage, jobs)
         jm = compute_job_metrics(attribution.job_usage,
-                                 compute_baselines(fs_bin_totals(usage)))
+                                 compute_baselines(fs_bin_totals(attribution)))
         fm = compute_fs_metrics(jm)
         from iorisk.report import binned_series_instants, resample_to_bins
         risk = (binned_series_instants(fm.bin_start, spec.bin_width_s),

@@ -122,7 +122,7 @@ def test_slowdown_parameter_validation():
 def _metrics_for(jobs, rows, params=Config()):
     usage = deltify_and_bin(feed_from_rows(rows), W)
     attribution = attribute_usage(usage, as_table(jobs))
-    baselines = compute_baselines(fs_bin_totals(usage))
+    baselines = compute_baselines(fs_bin_totals(attribution))
     jm = compute_job_metrics(attribution.job_usage, baselines, params)
     return jm
 

@@ -401,6 +401,29 @@ def test_analyze_removes_what_an_earlier_report_wrote(demo_feeds, tmp_path):
     assert _tree_bytes(out) == _tree_bytes(fresh)
 
 
+def _files(root: Path) -> list[str]:
+    return sorted(p.relative_to(root).as_posix()
+                  for p in root.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("clear, kept", [
+    ("_clear_derived", []),
+    ("_clear_report_artifacts", ["risk_timeseries.csv", "store/fs_usage.csv",
+                                 "store/job_usage.csv", "unattributed.csv"])],
+    ids=["derived", "report-artifacts"])
+def test_clearing_a_stage_leaves_only_what_the_stages_before_wrote(
+        demo_feeds, tmp_path, clear, kept):
+    # every artifact of a full run, --svg and --probe ones too: a file the
+    # clean-up lists miss would outlive the store it was derived from
+    from iorisk import cli
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, ("--svg", "--probe",
+                                      str(demo_feeds / "probe.csv"))) == 0
+    getattr(cli, clear)(out)
+    assert _files(out) == sorted(["store/jobs.csv", "store/meta.json",
+                                  "store/node_usage.csv", *kept])
+
+
 def test_report_on_a_store_without_fs_totals_exits_before_writing(
         demo_feeds, tmp_path, capsys):
     # a store analyzed before analyze wrote the fs totals
@@ -414,6 +437,41 @@ def test_report_on_a_store_without_fs_totals_exits_before_writing(
     assert "fs_usage.csv" in err and "rerun the analyze stage" in err
     assert _tree_bytes(out) == before
     assert not (out / "job_summary.csv").exists()
+
+
+# a flag that would change meta.json, had the stage got as far as writing
+STAGE_FLAGS = {"analyze": ("--alpha", "3"), "report": ("--top-k", "1")}
+
+
+def _swap_first_columns(path: Path) -> None:
+    """Rewrite a CSV table with its first two columns swapped, header and
+    rows alike."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    with open(path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(
+            [r[1], r[0], *r[2:]] for r in rows)
+
+
+@pytest.mark.parametrize("fault", ["empty", "reordered"])
+@pytest.mark.parametrize("stage, table", [
+    ("analyze", "node_usage.csv"), ("report", "job_usage.csv"),
+    ("report", "fs_usage.csv")])
+def test_a_store_table_with_a_bad_header_exits_before_writing(
+        demo_feeds, tmp_path, capsys, stage, table, fault):
+    out = tmp_path / "out"
+    _ingest_and_analyze(demo_feeds, out)
+    path = out / "store" / table
+    if fault == "empty":
+        path.write_text("")
+    else:  # read by position, the keys would land in each other's columns
+        _swap_first_columns(path)
+    capsys.readouterr()
+    before = _tree_bytes(out)
+    assert run([stage, "--out", str(out), *STAGE_FLAGS[stage]]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "header" in err, err
+    assert _tree_bytes(out) == before
 
 
 def test_report_after_a_reingest_exits_before_writing(demo_feeds,
@@ -436,8 +494,7 @@ def test_report_after_a_reingest_exits_before_writing(demo_feeds,
     capsys.readouterr()
     # only the new ingest's store is left: nothing the old analysis and
     # report derived
-    assert sorted(p.relative_to(out).as_posix()
-                  for p in out.rglob("*") if p.is_file()) == [
+    assert _files(out) == [
         "store/jobs.csv", "store/meta.json", "store/node_usage.csv"]
     before = _tree_bytes(out)
     assert run(["report", "--out", str(out)]) == 1

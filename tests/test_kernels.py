@@ -306,7 +306,7 @@ def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
     def run_pipeline():
         usage = deltify_and_bin(feed_from_rows(rows), 360)
         attribution = attribute_usage(usage, as_table(jobs))
-        baselines = compute_baselines(fs_bin_totals(usage))
+        baselines = compute_baselines(fs_bin_totals(attribution))
         jm = compute_job_metrics(attribution.job_usage, baselines)
         return usage, attribution, jm, risk_contribs(attribution.job_usage,
                                                      baselines)

@@ -75,8 +75,8 @@ def jb_usage(fs_id="fs2", bin_start=0, job_id="j1", **deltas) -> JobBinUsage:
 
 
 def usage_for_baseline(rows):
-    return fs_bin_totals(deltify_and_bin(feed_from_rows(rows), W,
-                                         max_gap_bins=None))
+    usage = deltify_and_bin(feed_from_rows(rows), W, max_gap_bins=None)
+    return fs_bin_totals(attribute_usage(usage, as_table([])))
 
 
 def test_baseline_single_bin():
@@ -360,7 +360,7 @@ def _pipeline_metrics(rng, n_jobs=10, n_bins=8, params=Config()):
             rows.append([t, node, "fs2"] + cum.tolist())
     usage = deltify_and_bin(feed_from_rows(rows), W)
     attribution = attribute_usage(usage, as_table(jobs))
-    baselines = compute_baselines(fs_bin_totals(usage))
+    baselines = compute_baselines(fs_bin_totals(attribution))
     jm = compute_job_metrics(attribution.job_usage, baselines, params)
     return usage, attribution, baselines, jm
 

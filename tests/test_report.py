@@ -262,7 +262,7 @@ def _full_metrics(rng, n_jobs=5, n_bins=12):
             rows.append([t, node, "fs2"] + cum.tolist())
     usage = deltify_and_bin(feed_from_rows(rows), W)
     attribution = attribute_usage(usage, as_table(jobs))
-    baselines = compute_baselines(fs_bin_totals(usage))
+    baselines = compute_baselines(fs_bin_totals(attribution))
     jm = compute_job_metrics(attribution.job_usage, baselines, Config())
     fm = compute_fs_metrics(jm)
     return jobs, attribution, jm, fm
@@ -316,7 +316,7 @@ def test_empty_day_produces_header_only_file(rng, tmp_path):
     usage = deltify_and_bin(feed_from_rows(rows), W)
     job = simple_job("j1", "n1", start=W, end=3 * 86400)
     attribution = attribute_usage(usage, as_table([job]))
-    baselines = compute_baselines(fs_bin_totals(usage))
+    baselines = compute_baselines(fs_bin_totals(attribution))
     jm = compute_job_metrics(attribution.job_usage, baselines, Config())
     fm = compute_fs_metrics(jm)
     files = emit_timeseries(fm, jm, tmp_path, top_k=2)

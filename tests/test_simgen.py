@@ -96,7 +96,7 @@ def test_ledger_matches_recovered_pipeline_exactly(tmp_path):
     feed, jobs, usage, attribution = pipeline_recover(tmp_path)
 
     # feed totals per fs
-    totals = fs_bin_totals(usage)
+    totals = fs_bin_totals(attribution)
     for fs_i, fs in enumerate(totals.filesystems):
         mask = totals.fs_idx == fs_i
         got = totals.deltas[mask].sum(axis=0)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from iorisk import ingest, store
-from iorisk.attribute import JobUsageTable, fs_bin_totals
+from iorisk.attribute import JobUsageTable, attribute_usage, fs_bin_totals
 from iorisk.ingest import UsageTable
 from iorisk.ops import N_COUNTERS
 
 import scalar_store as ref
+from scalar_analytics import as_table
 
 # plain, comma, quote, newline and non-ASCII keys
 NODES = ("n1", "n,2", 'n"3', "n\n4", "nœ5")
@@ -130,7 +131,7 @@ def test_fs_totals_round_trip(out, monkeypatch, chunk, make_usage):
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
     monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
     usage = make_usage()
-    totals = fs_bin_totals(usage)
+    totals = fs_bin_totals(attribute_usage(usage, as_table([])))
     store.write_fs_usage(out, totals)
 
     again = store.read_fs_usage(out, BIN_WIDTH)
