@@ -460,17 +460,17 @@ class AttributionConflictError(ValueError):
 
 
 def job_table(job_ids, projects, commands, node_lists, start_ts, end_ts,
-              cores_per_node) -> JobTable:
+              cores_per_node, what="job feed") -> JobTable:
     """The JobTable of per-job sequences in feed order; job i holds the
     nodes named in node_lists[i], in any order and with repeats.
 
     Job ids must be unique, each end_ts after its start_ts, each node list
     non-empty and each cores_per_node positive, and the jobs' core-seconds
     must sum within int64. The first job that breaks a rule raises
-    FeedFormatError naming its line in a feed, 2 + i. Two jobs holding one
-    node at the same time raise AttributionConflictError; of several such
-    pairs, the one reported is the first in (node name, start, end, feed
-    position) order.
+    FeedFormatError naming what and its line in a feed, 2 + i. Two jobs
+    holding one node at the same time raise AttributionConflictError; of
+    several such pairs, the one reported is the first in (node name,
+    start, end, feed position) order.
     """
     n = len(job_ids)
     ids = np.array(job_ids, dtype=object)
@@ -481,7 +481,7 @@ def job_table(job_ids, projects, commands, node_lists, start_ts, end_ts,
     def first_bad(mask, message, feed_field=None):
         if mask.any():
             i = int(mask.argmax())
-            raise FeedFormatError(f"job feed: {message(i)}",
+            raise FeedFormatError(f"{what}: {message(i)}",
                                   line_no=2 + i, feed_field=feed_field)
 
     _, first, inverse = np.unique(ids, return_index=True,
@@ -527,28 +527,28 @@ def job_table(job_ids, projects, commands, node_lists, start_ts, end_ts,
                     tuple(nodes))
 
 
-def parse_job_feed(stream,
-                   default_cores: int = Config.cores_per_node) -> JobTable:
+def parse_job_feed(stream, default_cores: int = Config.cores_per_node,
+                   what: str = "job feed") -> JobTable:
     """Parse a jobs.csv stream into a JobTable (see job_table for the
-    rules it checks). An empty cores_per_node field falls back to
-    default_cores."""
+    rules it checks); errors start with what. An empty cores_per_node
+    field falls back to default_cores."""
     reader = csv.reader(stream)
-    _check_header(next(reader, None), JOB_HEADER, "job feed")
+    _check_header(next(reader, None), JOB_HEADER, what)
     rows = []
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(JOB_HEADER):
             raise FeedFormatError(
-                f"job feed: expected {len(JOB_HEADER)} fields, "
+                f"{what}: expected {len(JOB_HEADER)} fields, "
                 f"got {len(row)}", line_no=line_no)
         job_id, project, command, nodes_s, start_s, end_s, cores_s = row
         rows.append((
             job_id, project, command,
             [name for name in nodes_s.split(";") if name],
-            _check_int64(start_s, "job feed", line_no, "start_ts"),
-            _check_int64(end_s, "job feed", line_no, "end_ts"),
-            _check_int64(cores_s, "job feed", line_no, "cores_per_node")
+            _check_int64(start_s, what, line_no, "start_ts"),
+            _check_int64(end_s, what, line_no, "end_ts"),
+            _check_int64(cores_s, what, line_no, "cores_per_node")
             if cores_s.strip() else default_cores))
-    return job_table(*(list(zip(*rows)) or [()] * 7))
+    return job_table(*(list(zip(*rows)) or [()] * 7), what=what)
 
 
 def write_jobs_csv(jobs: JobTable, out) -> None:

@@ -221,28 +221,16 @@ class _PlacedJob:
     is_slow: bool
 
 
-def _free_nodes(bookings, start, end, want, order):
-    """First `want` nodes (in `order`) with no booking inside [start, end)."""
-    import bisect
-    found = []
-    for node in order:
-        lst = bookings[node]
-        i = bisect.bisect_left(lst, (start, start))
-        if i < len(lst) and lst[i][0] < end:
-            continue
-        if i > 0 and lst[i - 1][1] > start:
-            continue
-        found.append(int(node))
-        if len(found) == want:
-            return found
-    return None
+def _free_nodes(busy, start, end, want, order):
+    """The first `want` nodes of `order` free over bins [start, end), or
+    None; busy is the nodes x bins grid of booked bins."""
+    free = order[~busy[order, start:end].any(axis=1)]
+    return free[:want] if len(free) >= want else None
 
 
 def _place_jobs(spec: ScenarioSpec, rng) -> list[_PlacedJob]:
-    import bisect
-    bookings: list[list[tuple[int, int]]] = \
-        [[] for _ in range(spec.node_count)]
     n_bins = spec.n_bins
+    busy = np.zeros((spec.node_count, n_bins), dtype=bool)
     placed = []
     for template in spec.templates:
         for k in range(template.count):
@@ -256,34 +244,25 @@ def _place_jobs(spec: ScenarioSpec, rng) -> list[_PlacedJob]:
                 raise ScenarioError(
                     f"template {template.name}: run wants {nodes_k} nodes, "
                     f"scenario has {spec.node_count}")
-            start_bin = None
-            chosen = None
             for _ in range(20):
-                cand = int(rng.integers(0, n_bins - runtime + 1))
-                order = rng.permutation(spec.node_count)
-                found = _free_nodes(bookings, cand, cand + runtime,
-                                    nodes_k, order)
+                start_bin = int(rng.integers(0, n_bins - runtime + 1))
+                found = _free_nodes(busy, start_bin, start_bin + runtime,
+                                    nodes_k, rng.permutation(spec.node_count))
                 if found is not None:
-                    start_bin = cand
-                    chosen = np.sort(np.asarray(found))
                     break
-            if start_bin is None:
-                # deterministic sweep: earliest start with capacity
-                for cand in range(0, n_bins - runtime + 1):
-                    found = _free_nodes(bookings, cand, cand + runtime,
-                                        nodes_k, range(spec.node_count))
+            else:  # deterministic sweep: earliest start with capacity
+                for start_bin in range(n_bins - runtime + 1):
+                    found = _free_nodes(busy, start_bin, start_bin + runtime,
+                                        nodes_k, np.arange(spec.node_count))
                     if found is not None:
-                        start_bin = cand
-                        chosen = np.sort(np.asarray(found))
                         break
-            if start_bin is None:
+            if found is None:
                 raise ScenarioError(
                     f"more concurrent jobs than nodes: could not place "
                     f"run {k} of template {template.name!r} "
                     f"({nodes_k} nodes wanted)")
-            for node in chosen:
-                bisect.insort(bookings[int(node)],
-                              (start_bin, start_bin + runtime))
+            chosen = np.sort(found)
+            busy[chosen, start_bin:start_bin + runtime] = True
             fs_i = int(rng.integers(0, len(spec.filesystems)))
             deltas = _pattern_deltas(rng, template.pattern, runtime,
                                      nodes_k, template.intensity)
@@ -332,32 +311,19 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
     for job in placed:
         _apply_episodes(spec, job)
 
-    # node-level per-bin deltas, one dense cube per fs
+    # node-level per-bin deltas, one dense cube per fs: each job's deltas
+    # split exactly over its nodes, the first nodes taking the remainders
     cubes = [np.zeros((n_nodes, n_bins, N_COUNTERS), dtype=np.int64)
              for _ in range(n_fs)]
-    job_totals: dict[str, list[int]] = {}
-    job_fs: dict[str, str] = {}
-    fs_bin_totals: dict[str, dict[int, np.ndarray]] = {
-        fs: {} for fs in spec.filesystems}
+    covered = np.zeros((n_fs, n_bins), dtype=bool)  # bins a job runs in
     for job in placed:
-        cube = cubes[job.fs_i]
-        nb = job.deltas.shape[0]
-        nodes = job.node_idxs
-        n_share = len(nodes)
-        base = job.deltas // n_share
-        rem = job.deltas - base * n_share
-        for pos, node in enumerate(nodes):
-            extra = (rem > pos).astype(np.int64)
-            cube[node, job.start_bin:job.start_bin + nb] += base + extra
-        job_totals[job.job_id] = [int(v) for v in job.deltas.sum(axis=0)]
-        fs_id = spec.filesystems[job.fs_i]
-        job_fs[job.job_id] = fs_id
-        bins_map = fs_bin_totals[fs_id]
-        for b in range(nb):
-            key = spec.start_ts + (job.start_bin + b) * w
-            if key not in bins_map:
-                bins_map[key] = np.zeros(N_COUNTERS, dtype=np.int64)
-            bins_map[key] += job.deltas[b]
+        span = slice(job.start_bin, job.start_bin + len(job.deltas))
+        n_share = len(job.node_idxs)
+        base, rem = np.divmod(job.deltas, n_share)
+        cubes[job.fs_i][job.node_idxs, span] += \
+            base + (rem > np.arange(n_share)[:, None, None])
+        covered[job.fs_i, span] = True
+    by_bin = [cube.sum(axis=0) for cube in cubes]  # fs usage, (n_bins, 21)
 
     # cumulative series and scripted resets (processed in time order, so a
     # stream's earlier resets shape the emitted values a later one sees)
@@ -403,11 +369,7 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
 
     write_jobs_csv(jobs, out_dir / "jobs.csv")
 
-    feed_totals = {
-        spec.filesystems[fs_i]: [int(v)
-                                 for v in cubes[fs_i].sum(axis=(0, 1))]
-        for fs_i in range(n_fs)}
-
+    job_totals = {j.job_id: j.deltas.sum(axis=0).tolist() for j in placed}
     heatmap_cells = {}
     for job in placed:
         totals = job_totals[job.job_id]
@@ -421,11 +383,13 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
         start_ts=spec.start_ts,
         duration_s=spec.duration_s,
         job_totals=job_totals,
-        job_fs=job_fs,
-        fs_bin_totals={fs: {b: [int(v) for v in arr]
-                            for b, arr in bins.items()}
-                       for fs, bins in fs_bin_totals.items()},
-        feed_totals=feed_totals,
+        job_fs={j.job_id: spec.filesystems[j.fs_i] for j in placed},
+        fs_bin_totals={  # every bin a job runs in, idle jobs' too
+            fs: dict(zip((spec.start_ts + w * np.flatnonzero(runs)).tolist(),
+                         usage[runs].tolist()))
+            for fs, usage, runs in zip(spec.filesystems, by_bin, covered)},
+        feed_totals={fs: usage.sum(axis=0).tolist()
+                     for fs, usage in zip(spec.filesystems, by_bin)},
         project_job_counts=dict(Counter(jobs.projects)),
         slowdown_job_ids=[j.job_id for j in placed if j.is_slow],
         heatmap_cells=heatmap_cells,
@@ -434,19 +398,19 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
     ledger.to_json(out_dir / "ledger.json")
 
     if spec.emit_probe:
-        _emit_probe(spec, cubes, out_dir / "probe.csv", rng)
+        _emit_probe(spec, by_bin, out_dir / "probe.csv", rng)
 
     return ledger
 
 
-def _emit_probe(spec: ScenarioSpec, cubes, path, rng) -> None:
-    """Synthetic per-tick response-time probe tracking total fs load."""
+def _emit_probe(spec: ScenarioSpec, by_bin, path, rng) -> None:
+    """Synthetic per-tick response-time probe tracking total fs load;
+    by_bin holds each fs's (n_bins, 21) usage."""
     w = spec.bin_width_s
     load = np.zeros(spec.n_bins, dtype=np.float64)
-    for cube in cubes:
-        ops = (cube[:, :, READ_OPS] + cube[:, :, WRITE_OPS]
-               + cube[:, :, MDS_SLICE].sum(axis=2))
-        load += ops.sum(axis=0)
+    for usage in by_bin:
+        load += (usage[:, READ_OPS] + usage[:, WRITE_OPS]
+                 + usage[:, MDS_SLICE].sum(axis=1))
     peak = load.max() if load.max() > 0 else 1.0
     ticks = np.arange(spec.probe_cadence_s, spec.duration_s + 1,
                       spec.probe_cadence_s, dtype=np.int64)

@@ -31,10 +31,24 @@ META_NAME = "meta.json"
 NODE_USAGE_HEADER = ("node", "fs", "bin_start") + COUNTER_NAMES
 JOB_USAGE_HEADER = ("job_id", "fs", "bin_start") + COUNTER_NAMES
 FS_USAGE_HEADER = ("fs", "bin_start") + COUNTER_NAMES
+# the stage that writes each store file
+_WRITTEN_BY = {NODE_USAGE_NAME: "ingest", JOBS_NAME: "ingest",
+               META_NAME: "ingest", JOB_USAGE_NAME: "analyze",
+               FS_USAGE_NAME: "analyze"}
 
 
 def store_dir(out_dir) -> Path:
     return Path(out_dir) / "store"
+
+
+def _stored(out_dir, name) -> Path:
+    """The path of a store file to read; raises FileNotFoundError naming
+    it and the stage to rerun where there is none."""
+    path = store_dir(out_dir) / name
+    if not path.exists():
+        raise FileNotFoundError(f"store {path}: no such file; rerun the "
+                                f"{_WRITTEN_BY[name]} stage")
+    return path
 
 
 def write_config(out_dir, cfg: Config) -> None:
@@ -44,8 +58,11 @@ def write_config(out_dir, cfg: Config) -> None:
 
 def read_config(out_dir) -> dict:
     """{field: value} of the Config the last stage ran with."""
-    path = store_dir(out_dir) / META_NAME
-    stored = json.loads(path.read_text())
+    path = _stored(out_dir, META_NAME)
+    try:
+        stored = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"store {path}: {exc}") from None
     if not isinstance(stored, dict) or set(stored) != set(FIELDS):
         raise ValueError(f"store {path}: does not hold the full config; "
                          f"rerun the ingest stage")
@@ -72,8 +89,8 @@ def write_node_usage(out_dir, usage: UsageTable) -> None:
 def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
     nodes: dict[str, int] = {}
     filesystems: dict[str, int] = {}
-    cols = _read_table(store_dir(out_dir) / NODE_USAGE_NAME,
-                       NODE_USAGE_HEADER, {"node": nodes, "fs": filesystems})
+    cols = _read_table(_stored(out_dir, NODE_USAGE_NAME), NODE_USAGE_HEADER,
+                       {"node": nodes, "fs": filesystems})
     return UsageTable(
         bin_start=cols["bin_start"], node_idx=cols["node"],
         fs_idx=cols["fs"], deltas=cols["counters"],
@@ -90,13 +107,9 @@ def write_fs_usage(out_dir, totals: FsUsageTable) -> None:
 def read_fs_usage(out_dir, bin_width_s: int) -> FsUsageTable:
     """Load the per-fs bin totals. They are sorted by (fs, bin), so the
     filesystems come in the node usage's order."""
-    path = store_dir(out_dir) / FS_USAGE_NAME
     filesystems: dict[str, int] = {}
-    try:
-        cols = _read_table(path, FS_USAGE_HEADER, {"fs": filesystems})
-    except FileNotFoundError:
-        raise FileNotFoundError(
-            f"store {path}: no such file; rerun the analyze stage") from None
+    cols = _read_table(_stored(out_dir, FS_USAGE_NAME), FS_USAGE_HEADER,
+                       {"fs": filesystems})
     return FsUsageTable(
         fs_idx=cols["fs"], bin_start=cols["bin_start"],
         deltas=cols["counters"], filesystems=tuple(filesystems),
@@ -113,7 +126,7 @@ def read_job_usage(out_dir, bin_width_s: int, job_ids,
                    filesystems) -> JobUsageTable:
     """Load job usage; job/fs registries come from jobs.csv and
     fs_usage.csv so indices stay stable even for jobs without rows."""
-    path = store_dir(out_dir) / JOB_USAGE_NAME
+    path = _stored(out_dir, JOB_USAGE_NAME)
     job_of = {j: i for i, j in enumerate(job_ids)}
     fs_of = {f: i for i, f in enumerate(filesystems)}
     n_jobs, n_fs = len(job_of), len(fs_of)
@@ -143,5 +156,6 @@ def write_jobs(out_dir, jobs: JobTable) -> None:
 
 
 def read_jobs(out_dir) -> JobTable:
-    with open(store_dir(out_dir) / JOBS_NAME, newline="") as f:
-        return parse_job_feed(f)
+    path = _stored(out_dir, JOBS_NAME)
+    with open(path, newline="") as f:
+        return parse_job_feed(f, what=f"store {path}")

@@ -424,21 +424,6 @@ def test_clearing_a_stage_leaves_only_what_the_stages_before_wrote(
                                   "store/node_usage.csv", *kept])
 
 
-def test_report_on_a_store_without_fs_totals_exits_before_writing(
-        demo_feeds, tmp_path, capsys):
-    # a store analyzed before analyze wrote the fs totals
-    out = tmp_path / "out"
-    _ingest_and_analyze(demo_feeds, out)
-    (out / "store" / "fs_usage.csv").unlink()
-    before = _tree_bytes(out)
-    # --top-k would change meta.json, had report got as far as writing it
-    assert run(["report", "--out", str(out), "--top-k", "1"]) == 1
-    err = capsys.readouterr().err
-    assert "fs_usage.csv" in err and "rerun the analyze stage" in err
-    assert _tree_bytes(out) == before
-    assert not (out / "job_summary.csv").exists()
-
-
 # a flag that would change meta.json, had the stage got as far as writing
 STAGE_FLAGS = {"analyze": ("--alpha", "3"), "report": ("--top-k", "1")}
 
@@ -471,6 +456,36 @@ def test_a_store_table_with_a_bad_header_exits_before_writing(
     assert run([stage, "--out", str(out), *STAGE_FLAGS[stage]]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "header" in err, err
+    assert _tree_bytes(out) == before
+
+
+# the stage that writes each store file
+STORE_WRITER = {"meta.json": "ingest", "node_usage.csv": "ingest",
+                "jobs.csv": "ingest", "fs_usage.csv": "analyze",
+                "job_usage.csv": "analyze"}
+
+
+@pytest.mark.parametrize("damage", ["missing", "empty", "garbled"])
+@pytest.mark.parametrize("stage, name", [
+    ("analyze", "meta.json"), ("analyze", "node_usage.csv"),
+    ("analyze", "jobs.csv"), ("report", "meta.json"), ("report", "jobs.csv"),
+    ("report", "fs_usage.csv"), ("report", "job_usage.csv")])
+def test_a_damaged_store_file_is_named_and_nothing_is_written(
+        demo_feeds, tmp_path, capsys, stage, name, damage):
+    out = tmp_path / "out"
+    _ingest_and_analyze(demo_feeds, out)
+    path = out / "store" / name
+    if damage == "missing":
+        path.unlink()
+    else:  # "{" is neither JSON nor the table's header
+        path.write_text("" if damage == "empty" else "{\n")
+    capsys.readouterr()
+    before = _tree_bytes(out)
+    assert run([stage, "--out", str(out), *STAGE_FLAGS[stage]]) == 1
+    err = capsys.readouterr().err
+    assert f"store {path}" in err, err
+    if damage == "missing":
+        assert f"rerun the {STORE_WRITER[name]} stage" in err, err
     assert _tree_bytes(out) == before
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -230,3 +231,68 @@ def test_presets_all_build():
         assert spec.n_bins > 0
     with pytest.raises(ScenarioError):
         preset_scenario("nope")
+
+# sha256 of each preset's feeds and ledger (and probe, where it emits one):
+# a change to the RNG draw order, the placement or the ledger's format
+# shows here
+GOLDEN_DIGESTS = {
+    "demo": {
+        "counters.csv":
+            "d25bedd5278bd76eae5695d4bfe147620620485f1c3b66d8d3e38c90bfc0ce6a",
+        "jobs.csv":
+            "fe06353f1266ff309e5a7e139447c301e572154ebe043d331e80f821815b779f",
+        "ledger.json":
+            "0d11dd49728f6a3bfc82c6a7b4c0a58a4c8a5df79c81532da2c52e8aac6c4861",
+        "probe.csv":
+            "05c6ddfeb8fe17169a64571e31edd5d64038c629018dca282e3ae4f9a62ad979",
+    },
+    "metric": {
+        "counters.csv":
+            "0ae473918300bc03ee5b3428580925699490ad4a14b2c056f7f1feed91740e95",
+        "jobs.csv":
+            "610a1c43a2af86e1a9b4950618b451be871ea8850f9de697b85d839bb819c4e5",
+        "ledger.json":
+            "686d8667cf807ab3e87828c72407a03819e7525d566363399283fe41ab79ba04",
+    },
+    "slowdown": {
+        "counters.csv":
+            "40c59dc4078a5725aab8bb54e15898d73b932b369311d5621a759733da66bb8a",
+        "jobs.csv":
+            "df59d9388a691ef1a4e2a53aedb132e80259caab6b01b55510578ddea5dff6eb",
+        "ledger.json":
+            "bb8e46ba56a44cf680b201f37b1f1a1e3f9c5ceefdd9a342225add8ab1685755",
+    },
+    "contention": {
+        "counters.csv":
+            "37b8fbcdf6561482b444a1ac6d47c641db4d0dae0d44e543fc4391311b9bf9c9",
+        "jobs.csv":
+            "1cc0635dba49448ac8999118b72b2e6a62e69d67d44d2e05e099193414f3d968",
+        "ledger.json":
+            "c7937fd83b36ac406bbc40844975c9a10d5e500cc09a19f759a48eefc91e19d7",
+        "probe.csv":
+            "8f158455b3af487d21421ba44d41877a7969c7e0547576e6441c8c446495741b",
+    },
+    "perf": {
+        "counters.csv":
+            "1e6ef5e0f0463d5b3a0fc58a9bfd89d0404253ffee908b3bfdf23ef2030890e7",
+        "jobs.csv":
+            "a5738e067a8b82699213f525b2aead6a1deb139dcf8eb57a0a16efc1d6594cbe",
+        "ledger.json":
+            "58082cfe6fef3ad62b7721abd45991a5183fdef5d3410bfe209b780ea19847f0",
+    },
+    "resets": {
+        "counters.csv":
+            "5a4613037f459ca62e4a8c0b60187f57e01b65bb6713b9470df69e9475517e26",
+        "jobs.csv":
+            "8e5939e28f6a508a16f90e678b78b74e214385b18fa46e82293f78ba869443ec",
+        "ledger.json":
+            "7ef68c046e751c633c4e2c3be42b1c567d2de442c16109fa2c48a4426397c746",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_DIGESTS))
+def test_preset_outputs_keep_their_digests(tmp_path, preset):
+    generate(preset_scenario(preset), tmp_path)
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == GOLDEN_DIGESTS[preset]
