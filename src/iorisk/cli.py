@@ -13,6 +13,7 @@ config.py).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -48,13 +49,10 @@ def _config_from_args(args, stage: str) -> Config:
 def cmd_simulate(args) -> int:
     from . import simgen  # here: the other commands skip its import time
 
-    if args.scenario:
-        spec = simgen.spec_from_json(args.scenario)
-        if args.seed is not None:
-            spec = simgen.ScenarioSpec(**{**spec.__dict__,
-                                          "seed": args.seed})
-    else:
-        spec = simgen.preset_scenario(args.preset, seed=args.seed)
+    spec = (simgen.spec_from_json(args.scenario) if args.scenario
+            else simgen.preset_scenario(args.preset))
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     out = Path(args.out)
     ledger = simgen.generate(spec, out)
     print(f"simulated {len(ledger.job_totals)} jobs over "
@@ -66,9 +64,10 @@ def cmd_simulate(args) -> int:
 
 def _ingest(args, cfg: Config, out: Path):
     """Bin the counter feed as it is read, parse the job feed, remove what
-    analyze and report derived from an earlier store, and create the store
-    with the config; returns the node usage and the jobs. A bad feed or a
-    job conflict fails before anything is removed or created."""
+    analyze and report derived from an earlier store, write the store (the
+    config, the node usage, the jobs) and print a summary line; returns
+    the node usage and the jobs. A bad feed or a job conflict fails
+    before anything is removed or created."""
     usage = deltify_and_bin(args.counters, cfg.bin_width_s,
                             max_gap_bins=cfg.max_gap_bins,
                             pre_differenced=cfg.pre_differenced)
@@ -76,19 +75,13 @@ def _ingest(args, cfg: Config, out: Path):
     _clear_derived(out)
     store.store_dir(out).mkdir(parents=True, exist_ok=True)
     store.write_config(out, cfg)
-    return usage, jobs
-
-
-def _save_ingested(out: Path, usage, jobs) -> None:
     store.write_node_usage(out, usage)
     store.write_jobs(out, jobs)
-
-
-def _print_ingested(usage, jobs) -> None:
     counts = usage.counts
     print(f"ingested {counts.samples} samples -> {len(usage)} node-bin "
           f"rows, {len(jobs)} jobs; dropped {counts.gap_pairs} pairs over "
           f"the gap limit, saw {counts.reset_pairs} counter resets")
+    return usage, jobs
 
 
 def _metrics(totals, job_usage, cfg: Config):
@@ -116,10 +109,7 @@ def _analyze(cfg: Config, out: Path, usage, jobs):
 
 
 def cmd_ingest(args, cfg: Config) -> int:
-    out = Path(args.out)
-    usage, jobs = _ingest(args, cfg, out)
-    _save_ingested(out, usage, jobs)
-    _print_ingested(usage, jobs)
+    _ingest(args, cfg, Path(args.out))
     return 0
 
 
@@ -243,8 +233,6 @@ def cmd_all(args, cfg: Config) -> int:
     probe = read_probe_file(args.probe) if args.probe else None
     aliases = _read_aliases(args.alias)
     usage, jobs = _ingest(args, cfg, out)
-    _save_ingested(out, usage, jobs)
-    _print_ingested(usage, jobs)
     job_usage, jm, fm = _analyze(cfg, out, usage, jobs)
     _report(args, cfg, out, jobs, job_usage, jm, fm, probe, aliases)
     return 0

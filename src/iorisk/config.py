@@ -147,9 +147,12 @@ def _parse_value(name: str, text: str):
 
 def load_config_file(path) -> dict:
     """Parse key=value lines; unknown keys are rejected."""
+    try:
+        text = Path(path).read_text()
+    except ValueError as exc:  # not UTF-8
+        raise ValueError(f"config {path}: {exc}") from None
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(),
-                                  start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -142,6 +142,18 @@ def _check_int64(text, what, line_no, feed_field) -> int:
     return value
 
 
+def _check_text(text, what, line_no, feed_field) -> None:
+    """FeedFormatError where text holds a byte that is not UTF-8, which a
+    CSV input, opened with errors="surrogateescape", reads as a lone
+    surrogate: the parser rejects it where it knows the line and field."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        raise FeedFormatError(
+            f"{what}: byte 0x{ord(text[exc.start]) - 0xDC00:02x} is not "
+            f"UTF-8", line_no=line_no, feed_field=feed_field) from None
+
+
 def _read_records(lines, schema, dtype, first_line, what):
     """csv.reader's reading of a chunk of records into dtype; locates a
     fault by line and field."""
@@ -164,6 +176,9 @@ def _read_records(lines, schema, dtype, first_line, what):
         raise
     table = np.empty(len(rows), dtype)
     for j in range(lead):
+        if j not in arrays:  # a key column
+            for i, text in enumerate(cols[j]):
+                _check_text(text, what, first_line + i, schema[j])
         table[schema[j]] = (arrays[j] if j in arrays
                             else np.array(cols[j], dtype=object))
     table["counters"] = np.stack([arrays[j] for j in ints[-N_COUNTERS:]],
@@ -540,6 +555,8 @@ def parse_job_feed(stream, default_cores: int = Config.cores_per_node,
             raise FeedFormatError(
                 f"{what}: expected {len(JOB_HEADER)} fields, "
                 f"got {len(row)}", line_no=line_no)
+        for text, name in zip(row, JOB_HEADER[:4]):
+            _check_text(text, what, line_no, name)
         job_id, project, command, nodes_s, start_s, end_s, cores_s = row
         rows.append((
             job_id, project, command,
@@ -728,10 +745,10 @@ class _ByteRange(io.RawIOBase):
 
 
 def _open_range(path, lo, hi):
-    """Bytes lo:hi of a file as text, read as open(path, newline="")
-    reads the file."""
+    """Bytes lo:hi of a file as text, read as the CSV inputs are read (see
+    _check_text)."""
     return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, lo, hi)),
-                            newline="")
+                            newline="", errors="surrogateescape")
 
 
 @dataclass
@@ -847,9 +864,7 @@ class _SegmentBinner:
     def add(self, ts, node_idx, fs_idx, values):
         """Bin one segment of rows after those added before it."""
         self.samples += len(ts)
-        self.carry, parts = self.bin_segment(
-            self.carry, (ts, node_idx, fs_idx, values))
-        self._keep(parts)
+        self._keep(self.bin_segment((ts, node_idx, fs_idx, values)))
 
     def join(self, segment, parts, nodes, filesystems):
         """Add the rows of a later range of the feed, binned by another
@@ -870,12 +885,10 @@ class _SegmentBinner:
 
         heads, carry = segment.heads, segment.carry
         head = recode(heads.stream)
-        self.carry, stitched = self.bin_segment(
-            self.carry,
-            (heads.ts, head >> 32, head & 0xFFFFFFFF, heads.values))
+        self._keep(self.bin_segment(
+            (heads.ts, head >> 32, head & 0xFFFFFFFF, heads.values)))
         self.carry = self.carry.updated(recode(carry.stream), carry.ts,
                                         carry.values)
-        self._keep(stitched)
         for stream, bins, deltas in parts:
             self._keep([(recode(stream), bins, deltas)])
         self.samples += segment.counts.samples
@@ -893,20 +906,20 @@ class _SegmentBinner:
                 dst[...] = src
             self.parts.append(kept)
 
-    def bin_segment(self, carry, rows):
-        """(carry, parts): rows (ts, node_idx, fs_idx, values), in any
-        order, binned after the snapshots carry holds, and the carry that
-        leaves. Each stream's carried snapshot goes just before its rows,
-        sorted by time, a tie in feed order, so the pair across the carry
-        is formed here, once. The parts share no memory with rows.
+    def bin_segment(self, rows):
+        """The parts of rows (ts, node_idx, fs_idx, values), in any order,
+        binned after the snapshots the carry holds, which then holds the
+        rows' own. Each stream's carried snapshot goes just before its
+        rows, sorted by time, a tie in feed order, so the pair across the
+        carry is formed here, once. The parts share no memory with rows.
 
-        Raises _BackInTime when a stream's rows go back before its carried
-        snapshot. With pre_differenced the rows form no pairs, so nothing
-        is carried.
+        Raises _BackInTime, the carry unchanged, when a stream's rows go
+        back before its carried snapshot. With pre_differenced the rows
+        form no pairs, so nothing is carried.
         """
         ts, node_idx, fs_idx, values = rows
         if not len(ts):
-            return carry, []
+            return []
         # a stream is its code pair: the registries may grow mid-feed, so
         # node * len(filesystems) + fs would renumber earlier streams
         stream = (node_idx.astype(np.int64) << 32) | fs_idx
@@ -917,6 +930,7 @@ class _SegmentBinner:
         # where carried snapshots go among the sorted rows, and their values
         carried, carried_values = np.empty(0, np.intp), values[:0]
         if not self.pre_differenced:
+            carry = self.carry
             at, held = carry.find(stream[starts])
             c, first = at[held], starts[held]
             if (ts[first] < carry.ts[c]).any():
@@ -927,14 +941,13 @@ class _SegmentBinner:
                                             values[order[new]])
             # the carry leaves each stream's last row
             last = np.append(starts[1:], len(order)) - 1
-            new_carry = carry.updated(stream[starts], ts[last],
-                                      values[order[last]])
+            self.carry = carry.updated(stream[starts], ts[last],
+                                       values[order[last]])
             if len(c):
                 ts = np.insert(ts, first, carry.ts[c])
                 stream = np.insert(stream, first, stream[first])
                 order = np.insert(order, first, 0)  # a row set below
                 carried = first + np.arange(len(first))
-            carry = new_carry
         # a parsed chunk and its carried snapshots make one piece
         pieces = list(key_ranges(stream, _PARSE_CHUNK + len(carried)))
         self._reserve(max(hi - lo for lo, hi in pieces))
@@ -945,8 +958,13 @@ class _SegmentBinner:
                                out=self._gathered[:hi - lo])
             here = slice(*np.searchsorted(carried, (lo, hi)))
             gathered[carried[here] - lo] = carried_values[here]
-            parts.append(self._bin(stream[lo:hi], ts[lo:hi], gathered))
-        return carry, parts
+            part, gap_pairs, reset_pairs = _bin_chunk(
+                stream[lo:hi], ts[lo:hi], gathered, self.bin_width,
+                self.max_gap_s, self.pre_differenced, self._differenced)
+            self.gap_pairs += gap_pairs
+            self.reset_pairs += reset_pairs
+            parts.append(part)
+        return parts
 
     def table(self, nodes, filesystems) -> UsageTable:
         """The binned rows summed per (node, fs, bin) into a UsageTable
@@ -972,14 +990,6 @@ class _SegmentBinner:
                 size, N_COUNTERS)
             self._differenced = _mapped((size - 1) * N_COUNTERS).reshape(
                 size - 1, N_COUNTERS)
-
-    def _bin(self, stream, ts, values):
-        part, gap_pairs, reset_pairs = _bin_chunk(
-            stream, ts, values, self.bin_width, self.max_gap_s,
-            self.pre_differenced, self._differenced)
-        self.gap_pairs += gap_pairs
-        self.reset_pairs += reset_pairs
-        return part
 
 
 def _mapped(n):
@@ -1059,13 +1069,13 @@ def _recode(codes, names):
 
 def read_counter_file(path) -> CounterFeed:
     capacity = _line_count(path)
-    with open(path, newline="") as f:
+    with open(path, newline="", errors="surrogateescape") as f:
         return parse_counter_feed(f, capacity)
 
 
 def read_job_file(path,
                   default_cores: int = Config.cores_per_node) -> JobTable:
-    with open(path, newline="") as f:
+    with open(path, newline="", errors="surrogateescape") as f:
         return parse_job_feed(f, default_cores=default_cores)
 
 
@@ -1074,12 +1084,13 @@ def read_probe_file(path) -> tuple[np.ndarray, np.ndarray]:
     naming them; raises FeedFormatError with the file, line and field."""
     what = f"probe file {path}"
     ts, values = [], []
-    with open(path, newline="") as f:
+    with open(path, newline="", errors="surrogateescape") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or len(header) != 2:
             raise FeedFormatError(f"{what}: expected 2-column CSV with "
                                   f"header", line_no=1)
+        _check_text(",".join(header), what, 1, None)
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 2:
                 raise FeedFormatError(

@@ -426,40 +426,37 @@ def _emit_probe(spec: ScenarioSpec, by_bin, path, rng) -> None:
 
 
 def spec_to_json(spec: ScenarioSpec, path) -> None:
-    doc = asdict(spec)
-    doc["filesystems"] = list(spec.filesystems)
-    doc["templates"] = [asdict(t) for t in spec.templates]
-    doc["episodes"] = [asdict(e) for e in spec.episodes]
-    doc["resets"] = [list(r) for r in spec.resets]
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(asdict(spec), indent=1) + "\n")
 
 
-def _tuple_or_int(v):
-    return tuple(v) if isinstance(v, list) else v
+def _frozen(value):
+    """A JSON value with its lists, at any depth, as tuples."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
+def _entry(cls, doc):
+    """cls(**doc) of a JSON object, its lists as tuples."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"a {cls.__name__} must be a JSON object, "
+                            f"got {doc!r:.60}")
+    return cls(**{key: _frozen(value) for key, value in doc.items()})
 
 
 def spec_from_json(path) -> ScenarioSpec:
-    doc = json.loads(Path(path).read_text())
-    templates = tuple(
-        JobTemplate(**{**t,
-                       "nodes": _tuple_or_int(t.get("nodes", 1)),
-                       "runtime_bins": _tuple_or_int(
-                           t.get("runtime_bins", 4))})
-        for t in doc["templates"])
-    episodes = tuple(ContentionEpisode(**e) for e in doc.get("episodes", []))
-    resets = tuple(tuple(r) for r in doc.get("resets", []))
-    return ScenarioSpec(
-        seed=doc["seed"],
-        duration_s=doc["duration_s"],
-        node_count=doc["node_count"],
-        filesystems=tuple(doc["filesystems"]),
-        templates=templates,
-        episodes=episodes,
-        bin_width_s=doc.get("bin_width_s", 360),
-        start_ts=doc.get("start_ts", DEFAULT_START_TS),
-        resets=resets,
-        emit_probe=doc.get("emit_probe", False),
-        probe_cadence_s=doc.get("probe_cadence_s", 60))
+    """The ScenarioSpec of a JSON file: its keys are ScenarioSpec's fields,
+    each template's JobTemplate's and each episode's ContentionEpisode's,
+    an absent key taking the field's default. Raises ScenarioError naming
+    the file where it holds anything else."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if isinstance(doc, dict):
+            for key, cls in (("templates", JobTemplate),
+                             ("episodes", ContentionEpisode)):
+                if key in doc:
+                    doc[key] = [_entry(cls, e) for e in doc[key]]
+        return _entry(ScenarioSpec, doc)
+    except (TypeError, ValueError) as exc:  # ScenarioError is a ValueError
+        raise ScenarioError(f"scenario {path}: {exc}") from None
 
 
 def preset_scenario(name: str, seed: int | None = None) -> ScenarioSpec:

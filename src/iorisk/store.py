@@ -73,7 +73,7 @@ def _read_table(path, schema, registries, check=None):
     """The columns of a store table whose header must be schema."""
     capacity = _line_count(path)
     what = f"store {path}"
-    with open(path, newline="") as f:
+    with open(path, newline="", errors="surrogateescape") as f:
         _check_header(next(csv.reader(f), None), schema, what)
         return _read_keyed_table(f, schema, registries, what, check,
                                  capacity)
@@ -157,5 +157,5 @@ def write_jobs(out_dir, jobs: JobTable) -> None:
 
 def read_jobs(out_dir) -> JobTable:
     path = _stored(out_dir, JOBS_NAME)
-    with open(path, newline="") as f:
+    with open(path, newline="", errors="surrogateescape") as f:
         return parse_job_feed(f, what=f"store {path}")

@@ -198,6 +198,33 @@ def test_simulate_from_scenario_json(tmp_path):
                        shallow=False)
 
 
+def test_seed_overrides_a_scenario_file_as_it_does_a_preset(tmp_path):
+    from iorisk.simgen import spec_to_json
+    scenario = tmp_path / "scenario.json"
+    spec_to_json(preset_scenario("resets"), scenario)
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert run(["simulate", "--scenario", str(scenario), "--seed", "5",
+                "--out", str(out)]) == 0
+    assert run(["simulate", "--preset", "resets", "--seed", "5",
+                "--out", str(ref)]) == 0
+    assert filecmp.cmp(out / "counters.csv", ref / "counters.csv",
+                       shallow=False)
+
+
+@pytest.mark.parametrize("text", [b"{", b'{"seed": 1, "emit_prob": true}',
+                                  b"\xff"],
+                         ids=["not JSON", "an unknown key", "not UTF-8"])
+def test_a_bad_scenario_file_exits_before_writing(tmp_path, capsys, text):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(text)
+    out = tmp_path / "out"
+    assert run(["simulate", "--scenario", str(scenario),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"iorisk: scenario {scenario}: "), err
+    assert not out.exists()
+
+
 def test_alias_file_relabels_commands(demo_feeds, tmp_path):
     import csv
     base = tmp_path / "base"
@@ -486,6 +513,61 @@ def test_a_damaged_store_file_is_named_and_nothing_is_written(
     assert f"store {path}" in err, err
     if damage == "missing":
         assert f"rerun the {STORE_WRITER[name]} stage" in err, err
+    assert _tree_bytes(out) == before
+
+
+def _put_byte_ff(path: Path, line: int) -> None:
+    """Put a 0xff byte, which is not UTF-8, before the second field of the
+    line of a CSV file."""
+    lines = path.read_bytes().split(b"\n")
+    head, sep, rest = lines[line - 1].partition(b",")
+    lines[line - 1] = head + sep + b"\xff" + rest
+    path.write_bytes(b"\n".join(lines))
+
+
+# (stage, the input given a byte that is not UTF-8, its line, the error)
+NOT_UTF8 = {
+    "counters": ("ingest", "counters.csv", 3,
+                 "counter feed: byte 0xff is not UTF-8 (line 3, field "
+                 "'node')"),
+    "jobs": ("ingest", "jobs.csv", 3,
+             "job feed: byte 0xff is not UTF-8 (line 3, field 'project')"),
+    "node usage": ("analyze", "out/store/node_usage.csv", 3,
+                   "store {path}: byte 0xff is not UTF-8 (line 3, field "
+                   "'fs')"),
+    "stored jobs": ("report", "out/store/jobs.csv", 3,
+                    "store {path}: byte 0xff is not UTF-8 (line 3, field "
+                    "'project')"),
+    "probe": ("report", "probe.csv", 1,
+              "probe file {path}: byte 0xff is not UTF-8 (line 1)"),
+    "config": ("ingest", "config.txt", 2,
+               "config {path}: 'utf-8' codec can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8)
+def test_a_byte_that_is_not_utf8_is_named_and_nothing_is_written(
+        demo_feeds, tmp_path, capsys, case):
+    stage, name, line, message = NOT_UTF8[case]
+    out = tmp_path / "out"
+    _ingest_and_analyze(demo_feeds, out)
+    for feed in ("counters.csv", "jobs.csv", "probe.csv"):
+        shutil.copy(demo_feeds / feed, tmp_path)
+    (tmp_path / "config.txt").write_text(
+        "alpha = 2.0\n# the default, as a file gives it\n")
+    path = tmp_path / name
+    _put_byte_ff(path, line)
+    flags = {
+        "ingest": ["--counters", str(tmp_path / "counters.csv"),
+                   "--jobs", str(tmp_path / "jobs.csv")],
+        "analyze": [],
+        "report": ["--probe", str(tmp_path / "probe.csv")],
+    }[stage] + ["--config", str(tmp_path / "config.txt")]
+    capsys.readouterr()
+    before = _tree_bytes(out)
+    assert run([stage, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert message.format(path=path) in err, err
     assert _tree_bytes(out) == before
 
 

@@ -225,6 +225,56 @@ def test_spec_json_round_trip(tmp_path):
         assert spec_from_json(path) == spec
 
 
+def _with_template(doc, template):
+    return {**doc, "templates": [template]}
+
+
+# each a scenario document's bytes made from a valid one, and a text the
+# error holds
+BAD_SCENARIOS = {
+    "not JSON": (lambda doc: b"{", "Expecting property name"),
+    "not UTF-8": (lambda doc: json.dumps(doc).encode().replace(
+        b'"wr"', b'"w\xffr"'), "can't decode byte 0xff"),
+    "an array": (lambda doc: json.dumps([doc]).encode(),
+                 "a ScenarioSpec must be a JSON object"),
+    "an unknown key": (lambda doc: json.dumps(
+        {**doc, "emit_prob": True}).encode(), "'emit_prob'"),
+    "an unknown template key": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "nodez": 2})).encode(), "'nodez'"),
+    "a template as a string": (lambda doc: json.dumps(_with_template(
+        doc, "wr")).encode(), "a JobTemplate must be a JSON object"),
+    "no seed": (lambda doc: json.dumps(
+        {k: v for k, v in doc.items() if k != "seed"}).encode(), "'seed'"),
+    "node_count a string": (lambda doc: json.dumps(
+        {**doc, "node_count": "4"}).encode(), "not supported"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCENARIOS)
+def test_a_bad_scenario_file_raises_naming_the_file(tmp_path, case):
+    make, message = BAD_SCENARIOS[case]
+    valid = tmp_path / "valid.json"
+    spec_to_json(tiny_spec(), valid)
+    path = tmp_path / "scenario.json"
+    path.write_bytes(make(json.loads(valid.read_text())))
+    with pytest.raises(ScenarioError) as exc:
+        spec_from_json(path)
+    assert str(exc.value).startswith(f"scenario {path}: "), exc.value
+    assert message in str(exc.value), exc.value
+
+
+def test_a_scenario_file_takes_the_defaults_for_absent_keys(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "seed": 1, "duration_s": 3600, "node_count": 2,
+        "filesystems": ["fs2"],
+        "templates": [{"name": "a", "command": "a.exe", "project": "p",
+                       "pattern": "idle", "count": 1}]}))
+    assert spec_from_json(path) == ScenarioSpec(
+        seed=1, duration_s=3600, node_count=2, filesystems=("fs2",),
+        templates=(JobTemplate("a", "a.exe", "p", "idle", count=1),))
+
+
 def test_presets_all_build():
     for name in ("demo", "metric", "slowdown", "contention", "resets"):
         spec = preset_scenario(name)
