@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .attribute import JobUsageTable
 from .config import Config, check
-from .ingest import JobTable
+from .ingest import JobTable, UsageTable
 from .metrics import JobMetrics
 from .ops import READ_KB, READ_OPS, WRITE_KB, WRITE_OPS
 
@@ -32,12 +31,12 @@ def id_rank(job_ids) -> np.ndarray:
     return np.argsort(sorted(range(len(job_ids)), key=job_ids.__getitem__))
 
 
-def summarize_jobs(jobs: JobTable, job_usage: JobUsageTable) -> np.ndarray:
+def summarize_jobs(jobs: JobTable, job_usage: UsageTable) -> np.ndarray:
     """Per-job I/O totals across all filesystems: an (n, 4) int64 array
     of read_kb, read_ops, write_kb and write_ops, aligned with jobs."""
-    _check_aligned(jobs, job_usage.job_ids)
+    _check_aligned(jobs, job_usage.names["job_id"])
     totals = np.zeros((len(jobs), 4), dtype=np.int64)
-    np.add.at(totals, job_usage.job_idx,
+    np.add.at(totals, job_usage.codes["job_id"],
               job_usage.deltas[:, [READ_KB, READ_OPS, WRITE_KB, WRITE_OPS]])
     return totals
 

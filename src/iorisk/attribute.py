@@ -16,52 +16,21 @@ from .ingest import JobTable, UsageTable, key_ranges
 
 
 @dataclass
-class JobUsageTable:
-    """Per-job, per-fs counter deltas in each time bin, sorted by
-    (job, fs, bin)."""
-
-    job_idx: np.ndarray   # int32 (m,), index into job_ids
-    fs_idx: np.ndarray    # int32 (m,)
-    bin_start: np.ndarray  # int64 (m,)
-    deltas: np.ndarray    # int64 (m, 21)
-    job_ids: tuple[str, ...]
-    filesystems: tuple[str, ...]
-    bin_width: int
-
-    def __len__(self) -> int:
-        return len(self.bin_start)
-
-
-@dataclass
-class FsUsageTable:
-    """Per-fs, per-bin counter deltas, sorted by (fs, bin)."""
-
-    fs_idx: np.ndarray     # int32 (m,)
-    bin_start: np.ndarray  # int64 (m,)
-    deltas: np.ndarray     # int64 (m, 21)
-    filesystems: tuple[str, ...]
-    bin_width: int
-
-    def __len__(self) -> int:
-        return len(self.bin_start)
-
-
-@dataclass
 class AttributionResult:
-    job_usage: JobUsageTable
-    unattributed: FsUsageTable
+    job_usage: UsageTable     # keyed by job_id and fs
+    unattributed: UsageTable  # keyed by fs
 
 
-def fs_bin_totals(attribution: AttributionResult) -> FsUsageTable:
+def fs_bin_totals(attribution: AttributionResult) -> UsageTable:
     """Fs-wide per-bin totals of the node usage an attribution split: its
     job usage plus its unattributed ledger, whose shares sum to each
     node-bin row's deltas exactly (the apportioning rule in _kernels)."""
     ju, free = attribution.job_usage, attribution.unattributed
     (fs, bins), deltas = _kernels.group_sum(
-        [np.concatenate((ju.fs_idx, free.fs_idx)),
+        [np.concatenate((ju.codes["fs"], free.codes["fs"])),
          np.concatenate((ju.bin_start, free.bin_start))],
         [ju.deltas, free.deltas])
-    return FsUsageTable(fs, bins, deltas, free.filesystems, free.bin_width)
+    return UsageTable({"fs": fs}, free.names, bins, deltas, free.bin_width)
 
 
 def attribute_usage(node_usage: UsageTable, jobs: JobTable
@@ -78,7 +47,8 @@ def attribute_usage(node_usage: UsageTable, jobs: JobTable
     claimant rows are built, apportioned and summed a bin slice at a time.
     """
     # each job's slots recoded to the usage table's nodes; -1 has no usage
-    node_of = {name: i for i, name in enumerate(node_usage.nodes)}
+    nodes, filesystems = node_usage.names["node"], node_usage.names["fs"]
+    node_of = {name: i for i, name in enumerate(nodes)}
     recode = np.array([node_of.get(name, -1) for name in jobs.nodes],
                       dtype=np.int64)
     slot_node = recode[jobs.slot_node]
@@ -88,11 +58,11 @@ def attribute_usage(node_usage: UsageTable, jobs: JobTable
     order = np.lexsort((start, slot_node))
     order = order[slot_node[order] >= 0]
     node_ptr = np.searchsorted(slot_node[order],
-                               np.arange(len(node_usage.nodes) + 1))
+                               np.arange(len(nodes) + 1))
     job_start, job_end = start[order], end[order]
     job_of = slot_job[order].astype(np.int32)
     j0, j1 = _kernels.claim_ranges(
-        node_usage.node_idx, node_usage.bin_start, node_usage.bin_width,
+        node_usage.codes["node"], node_usage.bin_start, node_usage.bin_width,
         node_ptr, job_start, job_end)
 
     # slices of about ingest's _PARSE_CHUNK rows never split a bin, and
@@ -105,7 +75,7 @@ def attribute_usage(node_usage: UsageTable, jobs: JobTable
     parts = []
     for lo, hi in [(0, 0), *key_ranges(node_usage.bin_start[order])]:
         *claim_keys, claim_deltas = _kernels.attribute_shares(
-            order[lo:hi], node_usage.fs_idx, node_usage.bin_start,
+            order[lo:hi], node_usage.codes["fs"], node_usage.bin_start,
             node_usage.deltas, node_usage.bin_width, j0, j1, job_start,
             job_end, job_of)
         parts.append(_kernels.group_sum(claim_keys, claim_deltas))
@@ -116,9 +86,10 @@ def attribute_usage(node_usage: UsageTable, jobs: JobTable
     del parts
     (job, fs, bins), deltas = _kernels.group_sum(keys, sums)
     free = int(np.searchsorted(job, 0))  # the remainder, job -1, sorts first
-    job_usage = JobUsageTable(job[free:], fs[free:], bins[free:],
-                              deltas[free:], jobs.job_ids,
-                              node_usage.filesystems, node_usage.bin_width)
-    unattributed = FsUsageTable(fs[:free], bins[:free], deltas[:free],
-                                node_usage.filesystems, node_usage.bin_width)
+    job_usage = UsageTable({"job_id": job[free:], "fs": fs[free:]},
+                           {"job_id": jobs.job_ids, "fs": filesystems},
+                           bins[free:], deltas[free:], node_usage.bin_width)
+    unattributed = UsageTable({"fs": fs[:free]}, {"fs": filesystems},
+                              bins[:free], deltas[:free],
+                              node_usage.bin_width)
     return AttributionResult(job_usage, unattributed)

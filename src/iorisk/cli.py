@@ -218,7 +218,7 @@ def cmd_report(args, cfg: Config) -> int:
     jobs = store.read_jobs(out)
     totals = store.read_fs_usage(out, cfg.bin_width_s)
     job_usage = store.read_job_usage(out, cfg.bin_width_s, jobs.job_ids,
-                                     totals.filesystems)
+                                     totals.names["fs"])
     _, jm, fm = _metrics(totals, job_usage, cfg)
     store.write_config(out, cfg)
     _report(args, cfg, out, jobs, job_usage, jm, fm, probe, aliases)

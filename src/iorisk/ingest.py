@@ -593,17 +593,19 @@ class BinCounts:
 
 @dataclass
 class UsageTable:
-    """Per-node, per-fs counter deltas accrued in each time bin, grouped by
-    (node, fs) and sorted by bin within each group."""
+    """Counter deltas accrued in each time bin per key: node usage keyed
+    by ("node", "fs"), job usage by ("job_id", "fs"), fs totals and the
+    unattributed ledger by ("fs",). codes holds each key's int32 column
+    (m,), indexing the names of the same key. Rows are grouped by key and
+    sorted by bin within each group; job usage and fs totals are sorted by
+    their codes."""
 
+    codes: dict[str, np.ndarray]
+    names: dict[str, tuple[str, ...]]
     bin_start: np.ndarray  # int64 (m,)
-    node_idx: np.ndarray   # int32 (m,)
-    fs_idx: np.ndarray     # int32 (m,)
     deltas: np.ndarray     # int64 (m, 21)
-    nodes: tuple[str, ...]
-    filesystems: tuple[str, ...]
     bin_width: int = Config.bin_width_s
-    counts: BinCounts | None = None  # None when read back from the store
+    counts: BinCounts | None = None  # deltify_and_bin's, on node usage
 
     def __len__(self) -> int:
         return len(self.bin_start)
@@ -978,10 +980,9 @@ class _SegmentBinner:
         (streams, bins), deltas = _kernels.group_sum(keys, deltas)
         node_idx, nodes = _recode(streams >> 32, nodes)
         fs_idx, filesystems = _recode(streams & 0xFFFFFFFF, filesystems)
-        return UsageTable(
-            bin_start=bins, node_idx=node_idx, fs_idx=fs_idx, deltas=deltas,
-            nodes=nodes, filesystems=filesystems, bin_width=self.bin_width,
-            counts=self.counts())
+        return UsageTable({"node": node_idx, "fs": fs_idx},
+                          {"node": nodes, "fs": filesystems}, bins, deltas,
+                          self.bin_width, self.counts())
 
     def _reserve(self, rows):
         if len(self._gathered) < rows:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .attribute import FsUsageTable, JobUsageTable
 from .config import Config, check
+from .ingest import UsageTable
 from .ops import (MDS_SLICE, N_COUNTERS, OSS_SLICE, READ_KB, READ_OPS,
                   WRITE_KB, WRITE_OPS)
 
@@ -40,7 +40,7 @@ def _window_slots(first_bin: int, last_bin: int, w: int) -> int:
     return int((last_bin - first_bin) // w + 1)
 
 
-def compute_baseline(totals: FsUsageTable, fs_id: str,
+def compute_baseline(totals: UsageTable, fs_id: str,
                      baseline_days: float | None = None) -> FsBaseline:
     """Average the fs-wide per-bin deltas of one filesystem.
 
@@ -51,10 +51,10 @@ def compute_baseline(totals: FsUsageTable, fs_id: str,
     """
     w = totals.bin_width
     try:
-        fs = totals.filesystems.index(fs_id)
+        fs = totals.names["fs"].index(fs_id)
     except ValueError:
         raise ValueError(f"no usage rows for filesystem {fs_id!r}") from None
-    mask = totals.fs_idx == fs
+    mask = totals.codes["fs"] == fs
     if not mask.any():
         raise ValueError(f"no usage rows for filesystem {fs_id!r}")
     bins = totals.bin_start[mask]
@@ -77,12 +77,12 @@ def compute_baseline(totals: FsUsageTable, fs_id: str,
                       window=(first, last), n_bins=n_slots)
 
 
-def compute_baselines(totals: FsUsageTable,
+def compute_baselines(totals: UsageTable,
                       baseline_days: float | None = None
                       ) -> dict[str, FsBaseline]:
     out = {}
-    for fs in totals.filesystems:
-        if (totals.fs_idx == totals.filesystems.index(fs)).any():
+    for i, fs in enumerate(totals.names["fs"]):
+        if (totals.codes["fs"] == i).any():
             out[fs] = compute_baseline(totals, fs,
                                        baseline_days=baseline_days)
     return out
@@ -116,7 +116,8 @@ def _baseline_matrix(filesystems, baselines):
 
 @dataclass
 class JobMetrics:
-    """Risk and quality for every job-bin row, aligned with a JobUsageTable."""
+    """Risk and quality for every job-bin row, aligned with a job usage
+    table."""
 
     job_idx: np.ndarray
     fs_idx: np.ndarray
@@ -134,33 +135,33 @@ class JobMetrics:
         return len(self.bin_start)
 
 
-def compute_job_metrics(job_usage: JobUsageTable,
+def compute_job_metrics(job_usage: UsageTable,
                         baselines: dict[str, FsBaseline],
                         params: Config = Config()) -> JobMetrics:
     """Evaluate risk and quality for every job-bin row under the risk
     rule's parameters: params' alpha, beta and md_small_avg_threshold."""
     for name in ("alpha", "beta", "md_small_avg_threshold"):
         check(name, getattr(params, name), "compute_job_metrics")
-    avg, md_total, present = _baseline_matrix(job_usage.filesystems,
-                                              baselines)
-    missing = [job_usage.filesystems[i]
-               for i in np.flatnonzero(np.bincount(job_usage.fs_idx))
+    job_idx, fs_idx = job_usage.codes["job_id"], job_usage.codes["fs"]
+    job_ids, filesystems = job_usage.names["job_id"], job_usage.names["fs"]
+    avg, md_total, present = _baseline_matrix(filesystems, baselines)
+    missing = [filesystems[i] for i in np.flatnonzero(np.bincount(fs_idx))
                if not present[i]]
     if missing:
         raise ValueError(f"no baseline for filesystems {missing}")
 
     # the clamped per-counter risk, summed over each server class
     contrib = _kernels.risk_contribs(job_usage.deltas.astype(np.float64),
-                                     job_usage.fs_idx, avg, md_total,
+                                     fs_idx, avg, md_total,
                                      params.alpha, params.beta,
                                      params.md_small_avg_threshold)
     risk_oss = contrib[:, OSS_SLICE].sum(axis=1)
     risk_mds = contrib[:, MDS_SLICE].sum(axis=1)
     del contrib
-    for i, fs in enumerate(job_usage.filesystems):
+    for i, fs in enumerate(filesystems):
         if not present[i] or md_total[i] > 0:
             continue
-        rows = job_usage.fs_idx == i
+        rows = fs_idx == i
         if rows.any() and job_usage.deltas[rows][:, MDS_SLICE].any():
             log.warning(
                 "degenerate baseline for %s: zero metadata average with "
@@ -170,16 +171,16 @@ def compute_job_metrics(job_usage: JobUsageTable,
     q_read, q_write = _quality_arrays(job_usage.deltas)
     io_cols = (READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)
     has_io = (job_usage.deltas[:, io_cols] > 0).any(axis=1)
-    return JobMetrics(job_idx=job_usage.job_idx,
-                      fs_idx=job_usage.fs_idx,
+    return JobMetrics(job_idx=job_idx,
+                      fs_idx=fs_idx,
                       bin_start=job_usage.bin_start,
                       risk_oss=risk_oss,
                       risk_mds=risk_mds,
                       read_kb_ops=q_read,
                       write_kb_ops=q_write,
                       has_io=has_io,
-                      job_ids=job_usage.job_ids,
-                      filesystems=job_usage.filesystems,
+                      job_ids=job_ids,
+                      filesystems=filesystems,
                       bin_width=job_usage.bin_width)
 
 

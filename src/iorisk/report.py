@@ -17,11 +17,11 @@ import numpy as np
 
 from . import _kernels
 from .analytics import id_rank, job_measures
-from .attribute import FsUsageTable
 from .config import Config
-from .ingest import JobTable, key_column, repeated_ints, write_csv
+from .ingest import (JobTable, UsageTable, key_column, repeated_ints,
+                     write_csv)
 from .metrics import FS_SUBJECT, FsMetrics, JobMetrics
-from .ops import COUNTER_NAMES
+from .store import write_usage
 
 MEASURES = ("read_gib", "write_gib", "mean_read_ops_s", "mean_write_ops_s")
 
@@ -367,11 +367,8 @@ def write_breakdown_csv(path, table: BreakdownTable) -> None:
                np.column_stack((table.read_pct, table.write_pct))])
 
 
-def write_unattributed_csv(path, unattributed: FsUsageTable) -> None:
-    u = unattributed
-    write_csv(path, ("fs", "bin_start") + COUNTER_NAMES,
-              [(u.fs_idx, u.filesystems), repeated_ints(u.bin_start),
-               u.deltas])
+def write_unattributed_csv(path, unattributed: UsageTable) -> None:
+    write_usage(path, unattributed)
 
 
 def write_correlation_csv(path, rows) -> None:

@@ -9,8 +9,10 @@ Identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import json
+import types
+import typing
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,34 @@ class ScenarioError(ValueError):
     pass
 
 
+def _is_kind(value, kind) -> bool:
+    """value is of the annotated kind: a bool is no int, an int is a
+    float, and a tuple[...] holds its items' kinds."""
+    args = typing.get_args(kind)
+    if isinstance(kind, types.UnionType):
+        return any(_is_kind(value, k) for k in args)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_is_kind(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_is_kind, value, args))
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_kinds(spec, where: str = "") -> None:
+    """Raise ScenarioError naming the first field of a scenario dataclass
+    whose value is not of its annotated kind."""
+    kinds = typing.get_type_hints(type(spec))
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if not _is_kind(value, kinds[field.name]):
+            raise ScenarioError(f"{where}{field.name} must be {field.type}, "
+                                f"got {value!r:.60}")
+
+
 @dataclass(frozen=True)
 class JobTemplate:
     """A family of runs sharing a command and an I/O pattern."""
@@ -52,6 +82,7 @@ class JobTemplate:
     cores_per_node: int = 24
 
     def __post_init__(self):
+        _check_kinds(self, f"template {self.name}: ")
         if self.pattern not in PATTERNS:
             raise ScenarioError(f"unknown pattern {self.pattern!r}; "
                                 f"expected one of {PATTERNS}")
@@ -75,6 +106,7 @@ class ContentionEpisode:
     fs_id: str | None = None  # None: all filesystems
 
     def __post_init__(self):
+        _check_kinds(self, "episode: ")
         if self.end_s <= self.start_s:
             raise ScenarioError("episode end must be after start")
         if self.load_multiplier <= 0:
@@ -96,6 +128,7 @@ class ScenarioSpec:
     probe_cadence_s: int = 60
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.node_count <= 0:
             raise ScenarioError("node_count must be > 0")
         if self.bin_width_s <= 0:

@@ -5,7 +5,11 @@ analyze reads node usage and jobs and adds store/job_usage.csv and
 store/fs_usage.csv, the per-fs bin totals the baselines come from. report
 reads jobs, fs usage and job usage, never node usage. meta.json holds the
 full Config the last stage ran with, which a later stage inherits.
-Everything is auditable CSV/JSON with deterministic ordering; no
+
+The three usage files and analyze's unattributed.csv are UsageTables in
+one layout: the key columns (node,fs; job_id,fs; fs; fs), then bin_start,
+then the 21 counters. write_usage and read_usage are its one writer and
+reader. Everything is auditable CSV/JSON with deterministic ordering; no
 database. `all` writes the same files but never reads them back: they
 serve audits and staged reruns.
 """
@@ -16,7 +20,6 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from .attribute import FsUsageTable, JobUsageTable
 from .config import FIELDS, Config
 from .ingest import (JobTable, UsageTable, _check_header, _line_count,
                      _read_keyed_table, parse_job_feed, repeated_ints,
@@ -28,13 +31,22 @@ JOB_USAGE_NAME = "job_usage.csv"
 FS_USAGE_NAME = "fs_usage.csv"
 JOBS_NAME = "jobs.csv"
 META_NAME = "meta.json"
-NODE_USAGE_HEADER = ("node", "fs", "bin_start") + COUNTER_NAMES
-JOB_USAGE_HEADER = ("job_id", "fs", "bin_start") + COUNTER_NAMES
-FS_USAGE_HEADER = ("fs", "bin_start") + COUNTER_NAMES
 # the stage that writes each store file
 _WRITTEN_BY = {NODE_USAGE_NAME: "ingest", JOBS_NAME: "ingest",
                META_NAME: "ingest", JOB_USAGE_NAME: "analyze",
                FS_USAGE_NAME: "analyze"}
+
+
+def usage_header(*keys: str) -> tuple[str, ...]:
+    """The header of a usage table keyed by keys."""
+    return keys + ("bin_start",) + COUNTER_NAMES
+
+
+NODE_USAGE_HEADER = usage_header("node", "fs")
+JOB_USAGE_HEADER = usage_header("job_id", "fs")
+FS_USAGE_HEADER = usage_header("fs")
+# what a key's names are called in the closed-registry message
+_KEY_NOUN = {"job_id": "job", "fs": "filesystem"}
 
 
 def store_dir(out_dir) -> Path:
@@ -69,86 +81,69 @@ def read_config(out_dir) -> dict:
     return stored
 
 
-def _read_table(path, schema, registries, check=None):
-    """The columns of a store table whose header must be schema."""
-    capacity = _line_count(path)
-    what = f"store {path}"
-    with open(path, newline="", errors="surrogateescape") as f:
-        _check_header(next(csv.reader(f), None), schema, what)
-        return _read_keyed_table(f, schema, registries, what, check,
-                                 capacity)
-
-
-def write_node_usage(out_dir, usage: UsageTable) -> None:
-    write_csv(store_dir(out_dir) / NODE_USAGE_NAME, NODE_USAGE_HEADER,
-              [(usage.node_idx, usage.nodes),
-               (usage.fs_idx, usage.filesystems),
+def write_usage(path, usage: UsageTable) -> None:
+    write_csv(path, usage_header(*usage.codes),
+              [*zip(usage.codes.values(), usage.names.values()),
                repeated_ints(usage.bin_start), usage.deltas])
 
 
+def read_usage(path, keys, bin_width_s: int, known=None) -> UsageTable:
+    """Load a usage table keyed by keys. known maps a key to (names, the
+    store file they come from): its codes index those names, so they stay
+    stable even for names without rows, and a name not among them fails."""
+    known = known or {}
+    registries = {key: {name: i for i, name in enumerate(known[key][0])}
+                  if key in known else {} for key in keys}
+
+    def check_known(chunk, first_line):
+        # a key missing from its file was coded past the end of its names
+        for key, (names, source) in known.items():
+            if len(registries[key]) > len(names):
+                raise ValueError(
+                    f"store {path}: {_KEY_NOUN[key]} "
+                    f"{list(registries[key])[len(names)]!r} not in "
+                    f"{source}; rerun the analyze stage")
+
+    header = usage_header(*keys)
+    with open(path, newline="", errors="surrogateescape") as f:
+        _check_header(next(csv.reader(f), None), header, f"store {path}")
+        cols = _read_keyed_table(f, header, registries, f"store {path}",
+                                 check_known, _line_count(path))
+    return UsageTable({key: cols[key] for key in keys},
+                      {key: tuple(registries[key]) for key in keys},
+                      cols["bin_start"], cols["counters"], bin_width_s)
+
+
+def write_node_usage(out_dir, usage: UsageTable) -> None:
+    write_usage(store_dir(out_dir) / NODE_USAGE_NAME, usage)
+
+
 def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
-    nodes: dict[str, int] = {}
-    filesystems: dict[str, int] = {}
-    cols = _read_table(_stored(out_dir, NODE_USAGE_NAME), NODE_USAGE_HEADER,
-                       {"node": nodes, "fs": filesystems})
-    return UsageTable(
-        bin_start=cols["bin_start"], node_idx=cols["node"],
-        fs_idx=cols["fs"], deltas=cols["counters"],
-        nodes=tuple(nodes), filesystems=tuple(filesystems),
-        bin_width=bin_width_s)
+    return read_usage(_stored(out_dir, NODE_USAGE_NAME), ("node", "fs"),
+                      bin_width_s)
 
 
-def write_fs_usage(out_dir, totals: FsUsageTable) -> None:
-    write_csv(store_dir(out_dir) / FS_USAGE_NAME, FS_USAGE_HEADER,
-              [(totals.fs_idx, totals.filesystems),
-               repeated_ints(totals.bin_start), totals.deltas])
+def write_fs_usage(out_dir, totals: UsageTable) -> None:
+    write_usage(store_dir(out_dir) / FS_USAGE_NAME, totals)
 
 
-def read_fs_usage(out_dir, bin_width_s: int) -> FsUsageTable:
-    """Load the per-fs bin totals. They are sorted by (fs, bin), so the
+def read_fs_usage(out_dir, bin_width_s: int) -> UsageTable:
+    """The per-fs bin totals. They are sorted by (fs, bin), so the
     filesystems come in the node usage's order."""
-    filesystems: dict[str, int] = {}
-    cols = _read_table(_stored(out_dir, FS_USAGE_NAME), FS_USAGE_HEADER,
-                       {"fs": filesystems})
-    return FsUsageTable(
-        fs_idx=cols["fs"], bin_start=cols["bin_start"],
-        deltas=cols["counters"], filesystems=tuple(filesystems),
-        bin_width=bin_width_s)
+    return read_usage(_stored(out_dir, FS_USAGE_NAME), ("fs",), bin_width_s)
 
 
-def write_job_usage(out_dir, ju: JobUsageTable) -> None:
-    write_csv(store_dir(out_dir) / JOB_USAGE_NAME, JOB_USAGE_HEADER,
-              [(ju.job_idx, ju.job_ids), (ju.fs_idx, ju.filesystems),
-               repeated_ints(ju.bin_start), ju.deltas])
+def write_job_usage(out_dir, job_usage: UsageTable) -> None:
+    write_usage(store_dir(out_dir) / JOB_USAGE_NAME, job_usage)
 
 
 def read_job_usage(out_dir, bin_width_s: int, job_ids,
-                   filesystems) -> JobUsageTable:
-    """Load job usage; job/fs registries come from jobs.csv and
-    fs_usage.csv so indices stay stable even for jobs without rows."""
-    path = _stored(out_dir, JOB_USAGE_NAME)
-    job_of = {j: i for i, j in enumerate(job_ids)}
-    fs_of = {f: i for i, f in enumerate(filesystems)}
-    n_jobs, n_fs = len(job_of), len(fs_of)
-
-    def check_known(chunk, first_line):
-        # a key missing from jobs.csv or fs_usage.csv was coded past the
-        # end of its registry
-        if len(job_of) > n_jobs:
-            raise ValueError(f"store {path}: job {list(job_of)[n_jobs]!r} "
-                             f"not in jobs.csv; rerun the analyze stage")
-        if len(fs_of) > n_fs:
-            raise ValueError(
-                f"store {path}: filesystem {list(fs_of)[n_fs]!r} not in "
-                f"{FS_USAGE_NAME}; rerun the analyze stage")
-
-    cols = _read_table(path, JOB_USAGE_HEADER,
-                       {"job_id": job_of, "fs": fs_of}, check_known)
-    return JobUsageTable(
-        job_idx=cols["job_id"], fs_idx=cols["fs"],
-        bin_start=cols["bin_start"], deltas=cols["counters"],
-        job_ids=tuple(job_ids), filesystems=tuple(filesystems),
-        bin_width=bin_width_s)
+                   filesystems) -> UsageTable:
+    """Job usage coded by the jobs of jobs.csv and the filesystems of
+    fs_usage.csv."""
+    return read_usage(_stored(out_dir, JOB_USAGE_NAME), ("job_id", "fs"),
+                      bin_width_s, {"job_id": (job_ids, JOBS_NAME),
+                                    "fs": (filesystems, FS_USAGE_NAME)})
 
 
 def write_jobs(out_dir, jobs: JobTable) -> None:

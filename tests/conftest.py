@@ -43,10 +43,17 @@ def simple_job(job_id="j1", node="n1", start=0, end=720, command="cmd",
 def risk_contribs(job_usage, baselines, params=Config()) -> np.ndarray:
     """The (m, 21) clamped per-counter risk that compute_job_metrics sums
     into risk_oss and risk_mds, from _kernels.risk_contribs."""
-    avg, md_total, _ = _baseline_matrix(job_usage.filesystems, baselines)
+    avg, md_total, _ = _baseline_matrix(job_usage.names["fs"], baselines)
     return _kernels.risk_contribs(
-        job_usage.deltas.astype(np.float64), job_usage.fs_idx, avg,
+        job_usage.deltas.astype(np.float64), job_usage.codes["fs"], avg,
         md_total, params.alpha, params.beta, params.md_small_avg_threshold)
+
+
+def usage_columns(usage) -> dict[str, np.ndarray]:
+    """The arrays of a UsageTable by name: its key codes, then bin_start
+    and deltas."""
+    return {**usage.codes, "bin_start": usage.bin_start,
+            "deltas": usage.deltas}
 
 
 def assert_same_jobs(a, b) -> None:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iorisk.attribute import JobUsageTable
 from iorisk.config import Config, check
-from iorisk.ingest import AttributionConflictError, JobTable, job_table
+from iorisk.ingest import (AttributionConflictError, JobTable, UsageTable,
+                           job_table)
 from iorisk.metrics import JobMetrics
 from iorisk.ops import READ_KB, READ_OPS, WRITE_KB, WRITE_OPS
 from iorisk.report import (BREAKDOWN_EDGES_GIB, BREAKDOWN_LABELS, MEASURES,
@@ -213,14 +213,15 @@ class JobIoSummary:
         return self.core_s / 3600.0
 
 
-def summarize_jobs(jobs, job_usage: JobUsageTable) -> list[JobIoSummary]:
+def summarize_jobs(jobs, job_usage: UsageTable) -> list[JobIoSummary]:
     """Per-job I/O totals across all filesystems, in input job order."""
     jobs = list(jobs)
-    pos_of = {job_id: i for i, job_id in enumerate(job_usage.job_ids)}
-    n = len(job_usage.job_ids)
+    job_ids, job_idx = job_usage.names["job_id"], job_usage.codes["job_id"]
+    pos_of = {job_id: i for i, job_id in enumerate(job_ids)}
+    n = len(job_ids)
     totals = np.zeros((n, 4), dtype=np.int64)  # read_kb, read_ops, write_kb, write_ops
     for t, c in enumerate((READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)):
-        np.add.at(totals[:, t], job_usage.job_idx, job_usage.deltas[:, c])
+        np.add.at(totals[:, t], job_idx, job_usage.deltas[:, c])
 
     out = []
     for job in jobs:

@@ -19,11 +19,11 @@ from iorisk.ops import N_COUNTERS
 
 
 def _empty_usage(bin_width) -> UsageTable:
-    return UsageTable(np.empty(0, dtype=np.int64),
-                      np.empty(0, dtype=np.int32),
-                      np.empty(0, dtype=np.int32),
-                      np.empty((0, N_COUNTERS), dtype=np.int64),
-                      (), (), bin_width)
+    return UsageTable({"node": np.empty(0, dtype=np.int32),
+                       "fs": np.empty(0, dtype=np.int32)},
+                      {"node": (), "fs": ()},
+                      np.empty(0, dtype=np.int64),
+                      np.empty((0, N_COUNTERS), dtype=np.int64), bin_width)
 
 
 def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
@@ -93,6 +93,6 @@ def deltify_and_bin(feed: CounterFeed, bin_width: int = Config.bin_width_s,
 
     node_idx, nodes = _recode(u_s // n_fs, feed.nodes)
     fs_idx, filesystems = _recode(u_s % n_fs, feed.filesystems)
-    return UsageTable(bin_start=u_b, node_idx=node_idx, fs_idx=fs_idx,
-                      deltas=agg, nodes=nodes, filesystems=filesystems,
-                      bin_width=bin_width)
+    return UsageTable(codes={"node": node_idx, "fs": fs_idx},
+                      names={"node": nodes, "fs": filesystems},
+                      bin_start=u_b, deltas=agg, bin_width=bin_width)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from iorisk.attribute import JobUsageTable
 from iorisk.config import Config
+from iorisk.ingest import UsageTable
 from iorisk.metrics import (FS_SUBJECT, FsBaseline,
                             _quality_arrays, compute_job_metrics)
 from iorisk.ops import COUNTER_NAMES, MDS_COUNTERS, OSS_COUNTERS
@@ -70,10 +70,11 @@ def job_bin_risk(usage: JobBinUsage, baseline: FsBaseline,
     if baseline.fs_id != usage.fs_id:
         raise ValueError(f"baseline is for {baseline.fs_id!r}, "
                          f"usage is for {usage.fs_id!r}")
-    table = JobUsageTable(np.zeros(1, np.int32), np.zeros(1, np.int32),
-                          np.asarray([usage.bin_start], np.int64),
-                          usage.deltas[None, :], (usage.job_id,),
-                          (usage.fs_id,), 360)
+    table = UsageTable({"job_id": np.zeros(1, np.int32),
+                        "fs": np.zeros(1, np.int32)},
+                       {"job_id": (usage.job_id,), "fs": (usage.fs_id,)},
+                       np.asarray([usage.bin_start], np.int64),
+                       usage.deltas[None, :], 360)
     jm = compute_job_metrics(table, {usage.fs_id: baseline}, params)
     contrib = risk_contribs(table, {usage.fs_id: baseline}, params)
     return RiskPoint(subject=usage.job_id, fs_id=usage.fs_id,

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from iorisk.attribute import FsUsageTable
 from iorisk.config import Config
+from iorisk.ingest import UsageTable
 from iorisk.metrics import FS_SUBJECT, FsMetrics, JobMetrics
 from iorisk.ops import COUNTER_NAMES
 from iorisk.report import (SECONDS_PER_DAY, BreakdownTable, Heatmap,
@@ -184,10 +184,11 @@ def write_breakdown_csv(path, table: BreakdownTable) -> None:
                 zip(table.labels, table.read_pct, table.write_pct)))
 
 
-def write_unattributed_csv(path, unattributed: FsUsageTable) -> None:
+def write_unattributed_csv(path, unattributed: UsageTable) -> None:
     u = unattributed
+    filesystems, fs_idx = u.names["fs"], u.codes["fs"]
     _write_csv(path, ["fs", "bin_start"] + list(COUNTER_NAMES),
-               ([u.filesystems[u.fs_idx[i]], int(u.bin_start[i])]
+               ([filesystems[fs_idx[i]], int(u.bin_start[i])]
                 + u.deltas[i].tolist() for i in range(len(u))))
 
 

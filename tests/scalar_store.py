@@ -19,9 +19,10 @@ def write_node_usage(out_dir, usage) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(NODE_USAGE_HEADER)
+        nodes, filesystems = usage.names["node"], usage.names["fs"]
         for i in range(len(usage)):
-            w.writerow([usage.nodes[usage.node_idx[i]],
-                        usage.filesystems[usage.fs_idx[i]],
+            w.writerow([nodes[usage.codes["node"][i]],
+                        filesystems[usage.codes["fs"][i]],
                         int(usage.bin_start[i])]
                        + usage.deltas[i].tolist())
 
@@ -31,8 +32,9 @@ def write_job_usage(out_dir, ju) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(JOB_USAGE_HEADER)
+        job_ids, filesystems = ju.names["job_id"], ju.names["fs"]
         for i in range(len(ju)):
-            w.writerow([ju.job_ids[ju.job_idx[i]],
-                        ju.filesystems[ju.fs_idx[i]],
+            w.writerow([job_ids[ju.codes["job_id"][i]],
+                        filesystems[ju.codes["fs"][i]],
                         int(ju.bin_start[i])]
                        + ju.deltas[i].tolist())

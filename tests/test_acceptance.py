@@ -77,7 +77,7 @@ def test_criterion_1_metric_oracle_equivalence(metric_run):
         ju = metric_run["attribution"].job_usage
         checked = 0
         for i in range(len(ju)):
-            fs_id = ju.filesystems[ju.fs_idx[i]]
+            fs_id = ju.names["fs"][ju.codes["fs"][i]]
             b = baselines[fs_id]
             deltas = {name: int(ju.deltas[i, c])
                       for c, name in enumerate(COUNTER_NAMES)}
@@ -181,8 +181,8 @@ def test_criterion_5_conservation_chain(metric_run):
         jobs = metric_run["jobs"]
 
         # ledger -> ingest: per fs and per (fs, bin), exactly
-        for fs_i, fs in enumerate(totals.filesystems):
-            mask = totals.fs_idx == fs_i
+        for fs_i, fs in enumerate(totals.names["fs"]):
+            mask = totals.codes["fs"] == fs_i
             np.testing.assert_array_equal(
                 totals.deltas[mask].sum(axis=0), ledger.feed_totals[fs])
             got = {int(b): d.tolist() for b, d in
@@ -199,10 +199,10 @@ def test_criterion_5_conservation_chain(metric_run):
 
         # attribution -> ledger per job, all 21 counters
         ju = attribution.job_usage
-        per_job = {j: np.zeros(N_COUNTERS, dtype=np.int64)
-                   for j in ju.job_ids}
+        job_ids = ju.names["job_id"]
+        per_job = {j: np.zeros(N_COUNTERS, dtype=np.int64) for j in job_ids}
         for i in range(len(ju)):
-            per_job[ju.job_ids[ju.job_idx[i]]] += ju.deltas[i]
+            per_job[job_ids[ju.codes["job_id"][i]]] += ju.deltas[i]
         for job_id, want in ledger.job_totals.items():
             np.testing.assert_array_equal(per_job[job_id], want,
                                           err_msg=job_id)

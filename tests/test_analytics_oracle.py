@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from iorisk.analytics import (build_scatter, detect_slowdown, job_measures,
                               summarize_jobs)
-from iorisk.attribute import JobUsageTable
-from iorisk.ingest import AttributionConflictError
+from iorisk.ingest import AttributionConflictError, UsageTable
 from iorisk.metrics import JobMetrics
 from iorisk.ops import N_COUNTERS
 from iorisk.report import MEASURES, build_breakdown, build_heatmap
@@ -46,17 +45,17 @@ def job_sets(draw):
             draw(st.integers(2, 4)))
 
 
-def _usage(jobs, seed) -> JobUsageTable:
+def _usage(jobs, seed) -> UsageTable:
     """Job-bin rows for some of the jobs; the rest have no I/O."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(0, 3 * len(jobs) + 1))
     scale = rng.choice([10, 2 ** 20, 2 ** 55], size=(m, 1))
-    return JobUsageTable(
-        job_idx=rng.integers(0, len(jobs), size=m).astype(np.int32),
-        fs_idx=np.zeros(m, np.int32), bin_start=np.zeros(m, np.int64),
-        deltas=rng.integers(0, scale, size=(m, N_COUNTERS)),
-        job_ids=tuple(j.job_id for j in jobs), filesystems=("fs2",),
-        bin_width=W)
+    return UsageTable(
+        codes={"job_id": rng.integers(0, len(jobs), size=m).astype(np.int32),
+               "fs": np.zeros(m, np.int32)},
+        names={"job_id": tuple(j.job_id for j in jobs), "fs": ("fs2",)},
+        bin_start=np.zeros(m, np.int64),
+        deltas=rng.integers(0, scale, size=(m, N_COUNTERS)), bin_width=W)
 
 
 def _metrics(jobs, seed) -> JobMetrics:

@@ -24,10 +24,10 @@ def usage_from(rows, bin_width=360):
 
 
 def job_rows(job_usage) -> dict[tuple[str, str, int], list[int]]:
-    """{(job, fs, bin): deltas} of a JobUsageTable."""
+    """{(job, fs, bin): deltas} of a job usage table."""
     ju = job_usage
-    return {(ju.job_ids[j], ju.filesystems[f], b): d
-            for j, f, b, d in zip(ju.job_idx, ju.fs_idx,
+    return {(ju.names["job_id"][j], ju.names["fs"][f], b): d
+            for j, f, b, d in zip(ju.codes["job_id"], ju.codes["fs"],
                                   ju.bin_start.tolist(), ju.deltas.tolist())}
 
 
@@ -107,9 +107,9 @@ def _brute_force_attribution(usage, jobs, w):
     attributed = {}
     unattributed = {}
     for node_i, fs_i, bin_start, deltas in zip(
-            usage.node_idx, usage.fs_idx, usage.bin_start.tolist(),
+            usage.codes["node"], usage.codes["fs"], usage.bin_start.tolist(),
             usage.deltas.tolist()):
-        node_id, fs_id = usage.nodes[node_i], usage.filesystems[fs_i]
+        node_id, fs_id = usage.names["node"][node_i], usage.names["fs"][fs_i]
         claimants = []
         for job in jobs:
             if node_id not in job.nodes:
@@ -198,10 +198,10 @@ def test_randomized_conservation_and_oracle_equality(rng):
         got_attr = {k: v for k, v in got_attr.items() if any(v)}
         assert got_attr == want_attr
         got_un = {}
-        for i in range(len(res.unattributed)):
-            key = (res.unattributed.filesystems[res.unattributed.fs_idx[i]],
-                   int(res.unattributed.bin_start[i]))
-            got_un[key] = res.unattributed.deltas[i].tolist()
+        un = res.unattributed
+        for i in range(len(un)):
+            key = (un.names["fs"][un.codes["fs"][i]], int(un.bin_start[i]))
+            got_un[key] = un.deltas[i].tolist()
         want_un = {k: v for k, v in want_un.items() if any(v)}
         got_un = {k: v for k, v in got_un.items() if any(v)}
         assert got_un == want_un
@@ -244,12 +244,13 @@ def _usage(keys, deltas, n_nodes, n_fs, w):
     """A UsageTable of (node, fs, bin) keys, sorted as ingest sorts them."""
     node, fs, b = np.asarray(keys, np.int64).reshape(-1, 3).T
     order = np.lexsort((b, fs, node))
-    return UsageTable(b[order] * w, node[order].astype(np.int32),
-                      fs[order].astype(np.int32),
+    return UsageTable({"node": node[order].astype(np.int32),
+                       "fs": fs[order].astype(np.int32)},
+                      {"node": tuple(f"n{i}" for i in range(n_nodes)),
+                       "fs": tuple(f"fs{i}" for i in range(n_fs))},
+                      b[order] * w,
                       np.asarray(deltas, np.int64).reshape(-1, N_COUNTERS)[
-                          order],
-                      tuple(f"n{i}" for i in range(n_nodes)),
-                      tuple(f"fs{i}" for i in range(n_fs)), w)
+                          order], w)
 
 
 @st.composite
@@ -291,13 +292,14 @@ def _attribution_oracle(usage, jobs):
     # each usage node's jobs, by start: the CSR the loop reads
     held = [sorted((job.start_ts, job.end_ts, j) for j, job in
                    enumerate(jobs) if name in job.nodes)
-            for name in usage.nodes]
+            for name in usage.names["node"]]
     node_ptr = np.cumsum([0] + [len(h) for h in held])
     start, end, job_of = (np.array([t[c] for h in held for t in h],
                                    np.int64) for c in range(3))
     claims = scalar_kernels.attribute_rows_ref(
-        usage.node_idx, usage.fs_idx, usage.bin_start, usage.deltas,
-        usage.bin_width, node_ptr, start, end, job_of.astype(np.int32))
+        usage.codes["node"], usage.codes["fs"], usage.bin_start,
+        usage.deltas, usage.bin_width, node_ptr, start, end,
+        job_of.astype(np.int32))
     job_rows, free_rows, totals = {}, {}, {}
 
     def add(table, key, row):
@@ -309,7 +311,7 @@ def _attribution_oracle(usage, jobs):
             add(free_rows, (f, b), row)
         else:
             add(job_rows, (j, f, b), row)
-    for f, b, row in zip(usage.fs_idx.tolist(), usage.bin_start.tolist(),
+    for f, b, row in zip(usage.codes["fs"].tolist(), usage.bin_start.tolist(),
                          usage.deltas.tolist()):
         add(totals, (f, b), row)
     return job_rows, free_rows, totals
@@ -340,12 +342,13 @@ def test_sliced_attribution_matches_scalar_loop_and_dict_oracle(case):
             res = attribute_usage(usage, as_table(jobs))
             fs_totals = fs_bin_totals(res)
         ju, un = res.job_usage, res.unattributed
-        _assert_table((ju.job_idx, ju.fs_idx, ju.bin_start, ju.deltas),
+        _assert_table((ju.codes["job_id"], ju.codes["fs"], ju.bin_start,
+                       ju.deltas),
                       job_rows, (np.int32, np.int32, np.int64))
-        _assert_table((un.fs_idx, un.bin_start, un.deltas), free_rows,
+        _assert_table((un.codes["fs"], un.bin_start, un.deltas), free_rows,
                       (np.int32, np.int64))
         # conservation, exact per (fs, bin): jobs + unattributed = usage
-        _assert_table((fs_totals.fs_idx, fs_totals.bin_start,
+        _assert_table((fs_totals.codes["fs"], fs_totals.bin_start,
                        fs_totals.deltas), totals, (np.int32, np.int64))
 
 
@@ -380,13 +383,13 @@ def test_fs_totals_of_an_attribution_are_the_node_usage_sums(case):
     usage, jobs = case
     totals = fs_bin_totals(attribute_usage(usage, as_table(jobs)))
     want = {}
-    for f, b, row in zip(usage.fs_idx.tolist(), usage.bin_start.tolist(),
+    for f, b, row in zip(usage.codes["fs"].tolist(), usage.bin_start.tolist(),
                          usage.deltas.tolist()):
         want[f, b] = [a + d for a, d in
                       zip(want.get((f, b), [0] * N_COUNTERS), row)]
-    assert (totals.filesystems, totals.bin_width) == (usage.filesystems,
+    assert (totals.names["fs"], totals.bin_width) == (usage.names["fs"],
                                                       usage.bin_width)
-    _assert_table((totals.fs_idx, totals.bin_start, totals.deltas), want,
+    _assert_table((totals.codes["fs"], totals.bin_start, totals.deltas), want,
                   (np.int32, np.int64))
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import filecmp
 import json
 import shutil
@@ -12,6 +13,8 @@ import pytest
 from iorisk.cli import build_parser, run
 from iorisk.config import FIELDS, load_config_file
 from iorisk.simgen import generate, preset_scenario
+
+from conftest import usage_columns
 
 ARTIFACTS = ("risk_timeseries.csv", "unattributed.csv", "job_summary.csv",
              "scatter.csv", "slowdown.csv", "breakdown.csv",
@@ -211,9 +214,11 @@ def test_seed_overrides_a_scenario_file_as_it_does_a_preset(tmp_path):
                        shallow=False)
 
 
-@pytest.mark.parametrize("text", [b"{", b'{"seed": 1, "emit_prob": true}',
-                                  b"\xff"],
-                         ids=["not JSON", "an unknown key", "not UTF-8"])
+@pytest.mark.parametrize("text", [
+    b"{", b'{"seed": 1, "emit_prob": true}', b"\xff",
+    json.dumps({**dataclasses.asdict(preset_scenario("resets")),
+                "seed": "x"}).encode()],
+    ids=["not JSON", "an unknown key", "not UTF-8", "a string seed"])
 def test_a_bad_scenario_file_exits_before_writing(tmp_path, capsys, text):
     scenario = tmp_path / "scenario.json"
     scenario.write_bytes(text)
@@ -346,15 +351,15 @@ def test_staged_equals_all_when_store_order_differs_from_feed(
     assert _tree_bytes(staged) == _tree_bytes(oneshot)
 
     usage = analyzed[0]
-    assert usage.filesystems == ("fs3", "fs2")
+    assert usage.names["fs"] == ("fs3", "fs2")
     again = tmp_path / "again"
     store.store_dir(again).mkdir(parents=True)
     store.write_node_usage(again, usage)
     back = store.read_node_usage(again, usage.bin_width)
-    assert (back.nodes, back.filesystems, back.bin_width) == (
-        usage.nodes, usage.filesystems, usage.bin_width)
-    for name in ("bin_start", "node_idx", "fs_idx", "deltas"):
-        a, b = getattr(back, name), getattr(usage, name)
+    assert (back.names, back.bin_width) == (usage.names, usage.bin_width)
+    want = usage_columns(usage)
+    for name, a in usage_columns(back).items():
+        b = want[name]
         assert a.dtype == b.dtype and (a == b).all(), name
 
 

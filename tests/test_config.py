@@ -140,11 +140,12 @@ def test_validation_checks_each_field_kind():
 
 def test_library_guards_state_the_schema_rule():
     from iorisk.analytics import detect_slowdown
-    from iorisk.attribute import JobUsageTable
+    from iorisk.ingest import UsageTable
     from iorisk.metrics import compute_job_metrics
-    no_rows = JobUsageTable(np.empty(0, np.int32), np.empty(0, np.int32),
-                            np.empty(0, np.int64), np.empty((0, 21), np.int64),
-                            (), (), 360)
+    no_rows = UsageTable({"job_id": np.empty(0, np.int32),
+                          "fs": np.empty(0, np.int32)},
+                         {"job_id": (), "fs": ()}, np.empty(0, np.int64),
+                         np.empty((0, 21), np.int64), 360)
     with pytest.raises(ValueError,
                        match=r"compute_job_metrics: alpha must be > 0"):
         compute_job_metrics(no_rows, {}, Config(alpha=0.0))

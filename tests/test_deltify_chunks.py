@@ -36,6 +36,7 @@ from iorisk.ingest import COUNTER_HEADER, CounterFeed, deltify_and_bin
 from iorisk.ops import N_COUNTERS
 
 import scalar_deltify as ref
+from conftest import usage_columns
 import scalar_kernels
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -86,10 +87,10 @@ def feeds(draw):
 
 
 def _same_table(got, want):
-    assert (got.nodes, got.filesystems, got.bin_width) \
-        == (want.nodes, want.filesystems, want.bin_width)
-    for name in ("bin_start", "node_idx", "fs_idx", "deltas"):
-        x, y = getattr(got, name), getattr(want, name)
+    assert (got.names, got.bin_width) == (want.names, want.bin_width)
+    wanted = usage_columns(want)
+    for name, x in usage_columns(got).items():
+        y = wanted[name]
         assert (x.dtype, x.shape) == (y.dtype, y.shape), name
         assert np.array_equal(x, y), name
 
@@ -402,8 +403,8 @@ def _check_streaming_memory(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert usage.counts.samples == samples
         rows_out.add(len(usage))
-        beyond[cadence] = peak - sum(a.nbytes for a in (
-            usage.bin_start, usage.node_idx, usage.fs_idx, usage.deltas))
+        beyond[cadence] = peak - sum(
+            a.nbytes for a in usage_columns(usage).values())
     assert len(rows_out) == 1  # the same bins
     assert beyond[360] < 6 * table, beyond[360] / table
     assert beyond[90] < beyond[360] + table, (beyond[90] - beyond[360]) / table
@@ -603,7 +604,7 @@ def test_a_quoted_line_break_across_a_cut_gives_the_one_read_table(tmp_path):
     text = path.read_bytes()
     inside = [i + 3 for i in range(len(text)) if text.startswith(b'"a\n', i)]
     want = deltify_and_bin(path)
-    assert set(want.nodes) == {"a\nb", "n1"}
+    assert set(want.names["node"]) == {"a\nb", "n1"}
     ends = [i + 1 for i in range(len(text)) if text[i:i + 1] == b"\n"]
     for cuts in ([0, inside[2], len(text)],
                  [0, ends[2], inside[5], len(text)]):

@@ -272,8 +272,8 @@ def test_unsorted_interleaved_input_is_sorted_internally():
         [400, "n2", "fs2"] + values_row(read_ops=30),
     ]
     usage = deltify_and_bin(feed_from_rows(rows), 360)
-    got = {(usage.nodes[n], b): d for n, b, d in zip(
-        usage.node_idx, usage.bin_start.tolist(),
+    got = {(usage.names["node"][n], b): d for n, b, d in zip(
+        usage.codes["node"], usage.bin_start.tolist(),
         usage.deltas[:, READ_OPS].tolist())}
     assert got == {("n1", 360): 30, ("n2", 360): 40}
 

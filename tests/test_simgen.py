@@ -98,14 +98,14 @@ def test_ledger_matches_recovered_pipeline_exactly(tmp_path):
 
     # feed totals per fs
     totals = fs_bin_totals(attribution)
-    for fs_i, fs in enumerate(totals.filesystems):
-        mask = totals.fs_idx == fs_i
+    for fs_i, fs in enumerate(totals.names["fs"]):
+        mask = totals.codes["fs"] == fs_i
         got = totals.deltas[mask].sum(axis=0)
         np.testing.assert_array_equal(got, ledger.feed_totals[fs])
 
     # per-fs-bin totals
-    for fs_i, fs in enumerate(totals.filesystems):
-        mask = totals.fs_idx == fs_i
+    for fs_i, fs in enumerate(totals.names["fs"]):
+        mask = totals.codes["fs"] == fs_i
         got_bins = {int(b): d.tolist() for b, d in
                     zip(totals.bin_start[mask], totals.deltas[mask])}
         want_bins = {b: v for b, v in ledger.fs_bin_totals[fs].items()
@@ -113,11 +113,11 @@ def test_ledger_matches_recovered_pipeline_exactly(tmp_path):
         assert got_bins == want_bins
 
     # per-job totals, exactly
-    per_job = {j: np.zeros(N_COUNTERS, dtype=np.int64) for j in
-               attribution.job_usage.job_ids}
     ju = attribution.job_usage
+    job_ids = ju.names["job_id"]
+    per_job = {j: np.zeros(N_COUNTERS, dtype=np.int64) for j in job_ids}
     for i in range(len(ju)):
-        per_job[ju.job_ids[ju.job_idx[i]]] += ju.deltas[i]
+        per_job[job_ids[ju.codes["job_id"][i]]] += ju.deltas[i]
     for job_id, want in ledger.job_totals.items():
         np.testing.assert_array_equal(per_job[job_id], want, err_msg=job_id)
 
@@ -142,11 +142,11 @@ def test_scripted_resets_recover_exactly(tmp_path):
     ledger = generate(spec, tmp_path)
     assert ledger.resets_applied or ledger.resets_skipped
     feed, jobs, usage, attribution = pipeline_recover(tmp_path)
-    per_job = {j: np.zeros(N_COUNTERS, dtype=np.int64) for j in
-               attribution.job_usage.job_ids}
     ju = attribution.job_usage
+    job_ids = ju.names["job_id"]
+    per_job = {j: np.zeros(N_COUNTERS, dtype=np.int64) for j in job_ids}
     for i in range(len(ju)):
-        per_job[ju.job_ids[ju.job_idx[i]]] += ju.deltas[i]
+        per_job[job_ids[ju.codes["job_id"][i]]] += ju.deltas[i]
     for job_id, want in ledger.job_totals.items():
         np.testing.assert_array_equal(per_job.get(
             job_id, np.zeros(N_COUNTERS, dtype=np.int64)), want,
@@ -246,7 +246,20 @@ BAD_SCENARIOS = {
     "no seed": (lambda doc: json.dumps(
         {k: v for k, v in doc.items() if k != "seed"}).encode(), "'seed'"),
     "node_count a string": (lambda doc: json.dumps(
-        {**doc, "node_count": "4"}).encode(), "not supported"),
+        {**doc, "node_count": "4"}).encode(), "node_count must be int"),
+    "seed a string": (lambda doc: json.dumps(
+        {**doc, "seed": "x"}).encode(), "seed must be int, got 'x'"),
+    "seed a bool": (lambda doc: json.dumps(
+        {**doc, "seed": True}).encode(), "seed must be int, got True"),
+    "a template count a float": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "count": 2.5})).encode(),
+        "template wr: count must be int, got 2.5"),
+    "a template's nodes a triple": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "nodes": [1, 2, 3]})).encode(),
+        "nodes must be int | tuple[int, int], got (1, 2, 3)"),
+    "filesystems a string": (lambda doc: json.dumps(
+        {**doc, "filesystems": "fs2"}).encode(),
+        "filesystems must be tuple[str, ...], got 'fs2'"),
 }
 
 

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from iorisk import ingest, store
-from iorisk.attribute import JobUsageTable, attribute_usage, fs_bin_totals
+from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.ingest import UsageTable
 from iorisk.ops import N_COUNTERS
 
 import scalar_store as ref
+from conftest import usage_columns
 from scalar_analytics import as_table
 
 # plain, comma, quote, newline and non-ASCII keys
@@ -32,13 +33,16 @@ def _columns(m):
 
 def _usage(m=11) -> UsageTable:
     bins, nodes, fs, deltas = _columns(m)
-    return UsageTable(bins, nodes, fs, deltas, NODES, FILESYSTEMS, BIN_WIDTH)
+    return UsageTable({"node": nodes, "fs": fs},
+                      {"node": NODES, "fs": FILESYSTEMS}, bins, deltas,
+                      BIN_WIDTH)
 
 
-def _job_usage(m=11) -> JobUsageTable:
+def _job_usage(m=11) -> UsageTable:
     bins, jobs, fs, deltas = _columns(m)
-    return JobUsageTable(jobs, fs, bins, deltas, JOB_IDS, FILESYSTEMS,
-                         BIN_WIDTH)
+    return UsageTable({"job_id": jobs, "fs": fs},
+                      {"job_id": JOB_IDS, "fs": FILESYSTEMS}, bins, deltas,
+                      BIN_WIDTH)
 
 
 # keys csv.writer must quote or keep as they are: comma, doubled quote,
@@ -54,9 +58,9 @@ def _odd_tables(m):
     bins = np.arange(m, dtype=np.int64) * BIN_WIDTH
     keys = (np.arange(m) * 7 % len(ODD_KEYS)).astype(np.int32)
     fs = (np.arange(m) % len(ODD_FS)).astype(np.int32)
-    return (UsageTable(bins, keys, fs, deltas, ODD_KEYS, ODD_FS, BIN_WIDTH),
-            JobUsageTable(keys, fs, bins, deltas, ODD_KEYS, ODD_FS,
-                          BIN_WIDTH))
+    return tuple(UsageTable({key: keys, "fs": fs},
+                            {key: ODD_KEYS, "fs": ODD_FS}, bins, deltas,
+                            BIN_WIDTH) for key in ("node", "job_id"))
 
 
 @pytest.mark.parametrize("m, chunk", [(0, 1024), (1, 1024), (23, 2),
@@ -78,33 +82,10 @@ def test_writers_match_row_by_row_oracle(tmp_path, monkeypatch, m, chunk):
     assert files["bulk"] == files["oracle"]
 
 
-def _assert_same_arrays(a, b, names):
-    for name in names:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
-
-
 @pytest.fixture
 def out(tmp_path):
     store.store_dir(tmp_path).mkdir()
     return tmp_path
-
-
-@pytest.mark.parametrize("chunk", [2, 65536])
-def test_usage_tables_round_trip(out, monkeypatch, chunk):
-    monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
-    monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
-    usage, job_usage = _usage(), _job_usage()
-    store.write_node_usage(out, usage)
-    store.write_job_usage(out, job_usage)
-
-    again = store.read_node_usage(out, BIN_WIDTH)
-    assert (again.nodes, again.filesystems) == (NODES, FILESYSTEMS)
-    _assert_same_arrays(again, usage,
-                        ("bin_start", "node_idx", "fs_idx", "deltas"))
-    again = store.read_job_usage(out, BIN_WIDTH, JOB_IDS, FILESYSTEMS)
-    _assert_same_arrays(again, job_usage,
-                        ("bin_start", "job_idx", "fs_idx", "deltas"))
 
 
 def _reordered_usage() -> UsageTable:
@@ -114,30 +95,54 @@ def _reordered_usage() -> UsageTable:
     fs = np.array([0, 0, 1, 1, 0, 0], dtype=np.int32)
     bins = np.array([0, 1, 0, 1, 0, 2], dtype=np.int64) * BIN_WIDTH
     deltas = np.arange(6 * N_COUNTERS, dtype=np.int64).reshape(6, N_COUNTERS)
-    return UsageTable(bins, nodes, fs, deltas, ("n0", "n1"), ("fs3", "fs2"),
-                      BIN_WIDTH)
+    return UsageTable({"node": nodes, "fs": fs},
+                      {"node": ("n0", "n1"), "fs": ("fs3", "fs2")}, bins,
+                      deltas, BIN_WIDTH)
 
 
 def _empty_usage() -> UsageTable:
     bins, nodes, fs, deltas = _columns(0)
-    return UsageTable(bins, nodes, fs, deltas, (), (), BIN_WIDTH)
+    return UsageTable({"node": nodes, "fs": fs}, {"node": (), "fs": ()},
+                      bins, deltas, BIN_WIDTH)
+
+
+USAGES = {"fs3-before-fs2": _reordered_usage, "empty": _empty_usage,
+          "odd-keys": lambda: _odd_tables(23)[0]}
+TABLES = ["node", "job"] + [f"{kind}-{case}" for kind in ("fs", "unattributed")
+                            for case in USAGES]
+
+
+def _table(name):
+    """A table to round-trip and the names its reader is given (see
+    store.read_usage): node or job usage, or the fs totals or the
+    unattributed ledger of node usage that no job holds."""
+    if name == "node":
+        return _usage(), None
+    if name == "job":
+        return _job_usage(), {"job_id": (JOB_IDS, store.JOBS_NAME),
+                              "fs": (FILESYSTEMS, store.FS_USAGE_NAME)}
+    kind, case = name.split("-", 1)
+    attribution = attribute_usage(USAGES[case](), as_table([]))
+    if kind == "fs":
+        return fs_bin_totals(attribution), None
+    return attribution.unattributed, None
 
 
 @pytest.mark.parametrize("chunk", [2, 65536])
-@pytest.mark.parametrize("make_usage", [
-    _reordered_usage, _empty_usage, lambda: _odd_tables(23)[0]],
-    ids=["fs3-before-fs2", "empty", "odd-keys"])
-def test_fs_totals_round_trip(out, monkeypatch, chunk, make_usage):
+@pytest.mark.parametrize("table", TABLES)
+def test_usage_tables_round_trip(tmp_path, monkeypatch, chunk, table):
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
     monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
-    usage = make_usage()
-    totals = fs_bin_totals(attribute_usage(usage, as_table([])))
-    store.write_fs_usage(out, totals)
+    usage, known = _table(table)
+    store.write_usage(tmp_path / "usage.csv", usage)
 
-    again = store.read_fs_usage(out, BIN_WIDTH)
-    assert (again.filesystems, again.bin_width) == (usage.filesystems,
-                                                    BIN_WIDTH)
-    _assert_same_arrays(again, totals, ("fs_idx", "bin_start", "deltas"))
+    again = store.read_usage(tmp_path / "usage.csv", tuple(usage.codes),
+                             BIN_WIDTH, known)
+    assert (again.names, again.bin_width) == (usage.names, BIN_WIDTH)
+    want = usage_columns(usage)
+    for name, x in usage_columns(again).items():
+        y = want[name]
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def _rewrite_line(path, line_no, edit):
