@@ -631,11 +631,12 @@ def deltify_and_bin(feed: CounterFeed | str | os.PathLike,
     delta for the bin its timestamp closes.
 
     A CounterFeed is binned as one segment (see _SegmentBinner). A file is
-    binned one parsed chunk at a time, each chunk a segment, so the
-    counter matrix is never held; a large file is cut into byte ranges
-    binned side by side (see _bin_ranges). If a stream's rows go back in
-    time from one chunk or range to a later one, the file is read again
-    whole and binned as one segment.
+    binned one parsed chunk at a time, so the counter matrix is never
+    held, and a large file in byte ranges side by side (see _bin_ranges):
+    each chunk and range a segment binned from an empty carry and stitched
+    on through the carry. If a stream's rows go back in time from one
+    segment to a later one, the file is read again whole and binned as
+    one segment.
     """
     check("bin_width_s", bin_width, "deltify_and_bin")
     options = (bin_width, max_gap_bins, pre_differenced)
@@ -793,9 +794,9 @@ class _BackInTime(Exception):
 
 @dataclass
 class _Carry:
-    """Each stream's last snapshot in the rows binned so far."""
+    """A snapshot per stream, sorted by stream in a binner's carry."""
 
-    stream: np.ndarray  # int64 (k,), ascending: node code << 32 | fs code
+    stream: np.ndarray  # int64 (k,): node code << 32 | fs code
     ts: np.ndarray      # int64 (k,)
     values: np.ndarray  # int64 (k, 21)
 
@@ -826,18 +827,15 @@ def _no_snapshots() -> _Carry:
 
 
 class _SegmentBinner:
-    """Bins a counter feed one segment of rows at a time, each segment
-    against the carry that the segments before it left, and sums the
+    """Bins a counter feed one segment of rows at a time and sums the
     binned rows per (node, fs, bin) once, at the end.
 
-    A segment's rows are sorted by (stream, ts) and binned in pieces of
-    about _PARSE_CHUNK rows that never split a stream, each gathered into
-    and differenced in the same two workspaces, which grow only when a
-    piece outgrows them. So memory beyond the rows given is a piece's
-    temporaries, the carry and the binned rows. The workspaces and the
-    binned rows are memory maps (see _mapped). The rows of a later range
-    of the feed, binned by a binner of their own, join through the carry
-    (see join).
+    Each segment is binned from an empty carry (see bin_segment) and
+    stitched on after the segments before it (see _stitch): a parsed chunk
+    of the rows added here, or a later range of the feed, binned by a
+    binner of its own (see join). So memory beyond the rows given is a
+    piece's temporaries, the carry and the binned rows. The workspaces
+    and the binned rows are memory maps (see _mapped).
     """
 
     def __init__(self, bin_width, max_gap_bins, pre_differenced):
@@ -847,7 +845,7 @@ class _SegmentBinner:
         self.pre_differenced = pre_differenced
         self.carry = _no_snapshots()
         # each stream's first snapshot, which a binner of the rows before
-        # it pairs with its own carry (see join)
+        # it pairs with its own carry (see _stitch)
         self.heads = _no_snapshots()
         # the binned rows: each part's (stream, bin, deltas), copied into
         # slabs filled in turn, each twice the size of the one before, so
@@ -866,36 +864,50 @@ class _SegmentBinner:
     def add(self, ts, node_idx, fs_idx, values):
         """Bin one segment of rows after those added before it."""
         self.samples += len(ts)
-        self._keep(self.bin_segment((ts, node_idx, fs_idx, values)))
+        # a stream is its code pair: the registries may grow mid-feed, so
+        # node * len(filesystems) + fs would renumber earlier streams
+        stream = (node_idx.astype(np.int64) << 32) | fs_idx
+        self._stitch(*self.bin_segment(stream, ts, values))
 
     def join(self, segment, parts, nodes, filesystems):
         """Add the rows of a later range of the feed, binned by another
         binner from an empty carry: segment is its _Segment, parts its
-        binned parts. Its codes join nodes and filesystems, the dicts that
-        this binner's codes index, extended in place. Each stream's pair
-        across the cut, from this carry to the stream's first snapshot in
-        the range, is formed here, once; then the range's carry takes the
-        place of this one's for its streams.
-
-        Raises _BackInTime when a stream's first snapshot in the range
-        goes back before the snapshot carried for it."""
+        binned parts, recoded as they come, so they are never all held.
+        Its codes join nodes and filesystems, the dicts that this binner's
+        codes index, extended in place."""
         node_code = _codes(segment.nodes, nodes).astype(np.int64) << 32
         fs_code = _codes(segment.filesystems, filesystems).astype(np.int64)
 
         def recode(stream):
             return node_code[stream >> 32] | fs_code[stream & 0xFFFFFFFF]
 
-        heads, carry = segment.heads, segment.carry
-        head = recode(heads.stream)
-        self._keep(self.bin_segment(
-            (heads.ts, head >> 32, head & 0xFFFFFFFF, heads.values)))
-        self.carry = self.carry.updated(recode(carry.stream), carry.ts,
-                                        carry.values)
-        for stream, bins, deltas in parts:
-            self._keep([(recode(stream), bins, deltas)])
+        heads, carry = (_Carry(recode(s.stream), s.ts, s.values)
+                        for s in (segment.heads, segment.carry))
+        self._stitch(heads, carry, ((recode(stream), bins, deltas)
+                                    for stream, bins, deltas in parts))
         self.samples += segment.counts.samples
         self.gap_pairs += segment.counts.gap_pairs
         self.reset_pairs += segment.counts.reset_pairs
+
+    def _stitch(self, heads, carry, parts):
+        """Keep a segment's parts, binned from an empty carry, and bin
+        each stream's pair across the cut: this carry's snapshot, then the
+        segment's head. Then take the segment's carry for its streams.
+        Raises _BackInTime, the carry unchanged, where a head precedes its
+        stream's carried snapshot."""
+        at, held = self.carry.find(heads.stream)
+        c = at[held]
+        if (heads.ts[held] < self.carry.ts[c]).any():
+            raise _BackInTime
+        # the carried snapshot first, so a tie keeps feed order
+        self._keep(self.bin_segment(
+            np.tile(heads.stream[held], 2),
+            np.concatenate((self.carry.ts[c], heads.ts[held])),
+            np.concatenate((self.carry.values[c], heads.values[held])))[2])
+        self.heads = self.heads.updated(heads.stream[~held], heads.ts[~held],
+                                        heads.values[~held])
+        self.carry = self.carry.updated(carry.stream, carry.ts, carry.values)
+        self._keep(parts)
 
     def _keep(self, parts):
         for part in parts:
@@ -908,65 +920,40 @@ class _SegmentBinner:
                 dst[...] = src
             self.parts.append(kept)
 
-    def bin_segment(self, rows):
-        """The parts of rows (ts, node_idx, fs_idx, values), in any order,
-        binned after the snapshots the carry holds, which then holds the
-        rows' own. Each stream's carried snapshot goes just before its
-        rows, sorted by time, a tie in feed order, so the pair across the
-        carry is formed here, once. The parts share no memory with rows.
-
-        Raises _BackInTime, the carry unchanged, when a stream's rows go
-        back before its carried snapshot. With pre_differenced the rows
-        form no pairs, so nothing is carried.
-        """
-        ts, node_idx, fs_idx, values = rows
+    def bin_segment(self, stream, ts, values):
+        """(heads, carry, parts): each stream's first and last snapshot (a
+        tie in feed order) and the binned parts of rows (stream, ts,
+        values), in any order, from an empty carry. The rows are sorted by
+        (stream, ts) and binned in pieces of about _PARSE_CHUNK rows that
+        never split a stream, each gathered and differenced in the same two
+        workspaces, which grow only when a piece outgrows them; the parts
+        share no memory with the rows. With pre_differenced the rows form
+        no pairs, so there are no snapshots to stitch."""
         if not len(ts):
-            return []
-        # a stream is its code pair: the registries may grow mid-feed, so
-        # node * len(filesystems) + fs would renumber earlier streams
-        stream = (node_idx.astype(np.int64) << 32) | fs_idx
+            return _no_snapshots(), _no_snapshots(), []
         order = np.lexsort((ts, stream))
-        stream = stream[order]
-        starts = np.flatnonzero(np.append(True, stream[1:] != stream[:-1]))
-        ts = ts[order]
-        # where carried snapshots go among the sorted rows, and their values
-        carried, carried_values = np.empty(0, np.intp), values[:0]
-        if not self.pre_differenced:
-            carry = self.carry
-            at, held = carry.find(stream[starts])
-            c, first = at[held], starts[held]
-            if (ts[first] < carry.ts[c]).any():
-                raise _BackInTime
-            carried_values = carry.values[c]
-            new = starts[~held]
-            self.heads = self.heads.updated(stream[new], ts[new],
-                                            values[order[new]])
-            # the carry leaves each stream's last row
-            last = np.append(starts[1:], len(order)) - 1
-            self.carry = carry.updated(stream[starts], ts[last],
-                                       values[order[last]])
-            if len(c):
-                ts = np.insert(ts, first, carry.ts[c])
-                stream = np.insert(stream, first, stream[first])
-                order = np.insert(order, first, 0)  # a row set below
-                carried = first + np.arange(len(first))
-        # a parsed chunk and its carried snapshots make one piece
-        pieces = list(key_ranges(stream, _PARSE_CHUNK + len(carried)))
+        stream, ts = stream[order], ts[order]
+        first = np.flatnonzero(np.append(True, stream[1:] != stream[:-1]))
+        last = np.append(first[1:], len(order)) - 1
+        if self.pre_differenced:
+            heads = carry = _no_snapshots()
+        else:
+            heads, carry = (_Carry(stream[at], ts[at], values[order[at]])
+                            for at in (first, last))
+        pieces = list(key_ranges(stream))
         self._reserve(max(hi - lo for lo, hi in pieces))
         parts = []
         for lo, hi in pieces:
             # mode="clip": with the default mode, take buffers its output
             gathered = np.take(values, order[lo:hi], axis=0, mode="clip",
                                out=self._gathered[:hi - lo])
-            here = slice(*np.searchsorted(carried, (lo, hi)))
-            gathered[carried[here] - lo] = carried_values[here]
             part, gap_pairs, reset_pairs = _bin_chunk(
                 stream[lo:hi], ts[lo:hi], gathered, self.bin_width,
                 self.max_gap_s, self.pre_differenced, self._differenced)
             self.gap_pairs += gap_pairs
             self.reset_pairs += reset_pairs
             parts.append(part)
-        return parts
+        return heads, carry, parts
 
     def table(self, nodes, filesystems) -> UsageTable:
         """The binned rows summed per (node, fs, bin) into a UsageTable
@@ -1016,15 +1003,14 @@ def _map_slab(rows):
             table[2 * rows:].reshape(rows, N_COUNTERS))
 
 
-def key_ranges(key, size=None):
+def key_ranges(key):
     """(lo, hi) ranges over rows sorted by key (a stream code, a bin), of
-    at most size rows (default _PARSE_CHUNK) and cut where the key
-    changes; a key held by more rows than that is a range of its own."""
-    size = _PARSE_CHUNK if size is None else size
+    at most _PARSE_CHUNK rows and cut where the key changes; a key held by
+    more rows than that is a range of its own."""
     ends = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, len(key))
     lo = 0
     while lo < len(key):
-        fits = np.searchsorted(ends, lo + size, side="right") - 1
+        fits = np.searchsorted(ends, lo + _PARSE_CHUNK, side="right") - 1
         first = np.searchsorted(ends, lo, side="right")
         hi = int(ends[max(fits, first)])
         yield lo, hi

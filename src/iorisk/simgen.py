@@ -324,7 +324,8 @@ def _apply_episodes(spec: ScenarioSpec, job: _PlacedJob) -> None:
 
 
 def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
-    """Write counters.csv, jobs.csv, ledger.json (and probe.csv) to out_dir."""
+    """Write counters.csv, jobs.csv, ledger.json and, where spec emits one,
+    probe.csv to out_dir; else an old probe.csv, another run's, is removed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
@@ -432,6 +433,8 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
 
     if spec.emit_probe:
         _emit_probe(spec, by_bin, out_dir / "probe.csv", rng)
+    else:
+        (out_dir / "probe.csv").unlink(missing_ok=True)
 
     return ledger
 

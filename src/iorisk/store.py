@@ -20,7 +20,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import FIELDS, Config
+from .config import FIELDS, Config, check
 from .ingest import (JobTable, UsageTable, _check_header, _line_count,
                      _read_keyed_table, parse_job_feed, repeated_ints,
                      write_csv, write_jobs_csv)
@@ -78,6 +78,11 @@ def read_config(out_dir) -> dict:
     if not isinstance(stored, dict) or set(stored) != set(FIELDS):
         raise ValueError(f"store {path}: does not hold the full config; "
                          f"rerun the ingest stage")
+    try:
+        for name, value in stored.items():
+            check(name, value, f"store {path}")
+    except ValueError as exc:
+        raise ValueError(f"{exc}; rerun the ingest stage") from None
     return stored
 
 

@@ -764,16 +764,28 @@ def test_report_rejects_an_analyze_parameter_that_differs(demo_feeds,
     assert _tree_bytes(out) == before
 
 
-@pytest.mark.parametrize("meta", ['{"bin_width_s": 360}\n', "[]\n"])
+def _meta_with(**values) -> str:
+    """meta.json holding every Config field, the given ones garbled."""
+    return json.dumps({**{name: f.default for name, f in FIELDS.items()},
+                       **values}) + "\n"
+
+
+@pytest.mark.parametrize("meta", [
+    '{"bin_width_s": 360}\n', "[]\n",
+    pytest.param(_meta_with(bin_width_s="360"), id="bin_width_s-a-string"),
+    pytest.param(_meta_with(alpha=-1), id="alpha-below-its-bound")])
 def test_store_without_the_full_config_exits(demo_feeds, tmp_path, capsys,
                                              meta):
     out = tmp_path / "out"
     assert _run_all(demo_feeds, out) == 0
-    (out / "store" / "meta.json").write_text(meta)
+    meta_json = out / "store" / "meta.json"
+    meta_json.write_text(meta)
     before = _tree_bytes(out)
     for stage in ("analyze", "report"):
         assert run([stage, "--out", str(out)]) == 1
-        assert "rerun the ingest stage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"iorisk: store {meta_json}: ")
+        assert "rerun the ingest stage" in err
     assert _tree_bytes(out) == before
 
 

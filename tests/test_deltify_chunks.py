@@ -3,10 +3,11 @@ scalar_deltify.py.
 
 deltify_and_bin bins an in-memory feed as one segment, sorted and cut
 into pieces of about _PARSE_CHUNK rows that never split a stream; it bins
-a counter file one parsed chunk at a time against the carry of each
-stream's last snapshot, a large file in byte ranges side by side, each
-range in a forked worker from an empty carry and joined through the
-carry, and reads the file again whole when a stream goes back in time.
+a counter file one parsed chunk at a time, a large file in byte ranges
+side by side, each later range in a forked worker. Every chunk and range
+is a segment binned from an empty carry and stitched on through the carry
+of each stream's last snapshot, and the file is read again whole when a
+stream goes back in time.
 At every budget and range count it must return the oracle's table array
 for array, registries included, and count the pairs it dropped for a gap
 and the resets it saw as the scalar loop does. Streaming ingest's memory

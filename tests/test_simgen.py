@@ -201,6 +201,14 @@ def test_probe_emitted_when_requested(tmp_path):
     assert len(text.splitlines()) == 1 + spec.duration_s // 60
 
 
+def test_a_rerun_that_emits_no_probe_removes_the_old_one(tmp_path):
+    # --probe would correlate a stale probe with the new feed
+    generate(tiny_spec(emit_probe=True), tmp_path)
+    generate(tiny_spec(), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["counters.csv", "jobs.csv", "ledger.json"]
+
+
 def test_scenario_spec_validation():
     with pytest.raises(ScenarioError):
         tiny_spec(duration_s=100)  # not a bin multiple

@@ -5,9 +5,11 @@ Usage: python tools/parity.py SRC_DIR [--work DIR]
 Runs the command line of the iorisk package under SRC_DIR (the directory
 holding ``iorisk/``) on fixed inputs: the six simgen presets, the
 ``offgrid-busy`` benchmark workload as ``perfbench/workloads.py`` builds it,
-and four hand-written feeds (keys holding a lone carriage return; two
+and five hand-written feeds (keys holding a lone carriage return; two
 jobs whose integrated risk ties; the demo counters with no jobs, and with
-two jobs in conflict). Each input goes through ``all --svg --probe``
+two jobs in conflict; the perf counters with their last row moved to the
+front, so a stream goes back in time and ingest reads the file again
+whole). Each input goes through ``all --svg --probe``
 and through the staged ``ingest``/``analyze``/``report --svg --probe``.
 Every simgen output, every file under each ``--out`` and each command's
 exit code and output are then listed as ``sha256  path``, one line each,
@@ -92,6 +94,17 @@ def conflict_feeds(root: Path) -> None:
         "j2,p,cmd,n0000,1577838000,1577842000,24\n")
 
 
+def back_in_time_feeds(root: Path) -> None:
+    """The perf counters with their last row moved to just after the
+    header, and the perf jobs. The perf feed is many parsed chunks, so the
+    moved row's stream goes back behind it in a later chunk."""
+    perf = root.parents[1] / "perf" / "feeds"
+    header, *rows = (perf / "counters.csv").read_bytes().splitlines(True)
+    (root / "counters.csv").write_bytes(b"".join([header, rows[-1],
+                                                  *rows[:-1]]))
+    shutil.copy(perf / "jobs.csv", root)
+
+
 def build_offgrid(src: Path, work: Path) -> None:
     """The benchmark's offgrid-busy feeds, from src's simgen."""
     sys.path.insert(0, str(src))
@@ -167,7 +180,8 @@ def main(argv=None) -> int:
                 "--out", f"{name}/feeds")
         build_offgrid(src, work)
         written = {"lone-cr": lone_cr_feeds, "tied": tied_feeds,
-                   "no-jobs": no_jobs_feeds, "conflict": conflict_feeds}
+                   "no-jobs": no_jobs_feeds, "conflict": conflict_feeds,
+                   "back-in-time": back_in_time_feeds}
         for name, write in written.items():
             (work / name / "feeds").mkdir(parents=True)
             write(work / name / "feeds")
