@@ -9,6 +9,7 @@ Identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from collections import Counter
@@ -63,6 +64,14 @@ def _check_kinds(spec, where: str = "") -> None:
         if not _is_kind(value, kinds[field.name]):
             raise ScenarioError(f"{where}{field.name} must be {field.type}, "
                                 f"got {value!r:.60}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{where}{field.name} must be finite, "
+                                f"got {value!r}")
+
+
+def _bounds(value) -> tuple[int, int]:
+    """The (lo, hi) of a fixed int or an inclusive range."""
+    return (value, value) if isinstance(value, int) else value
 
 
 @dataclass(frozen=True)
@@ -82,18 +91,22 @@ class JobTemplate:
     cores_per_node: int = 24
 
     def __post_init__(self):
-        _check_kinds(self, f"template {self.name}: ")
+        where = f"template {self.name}: "
+        _check_kinds(self, where)
         if self.pattern not in PATTERNS:
             raise ScenarioError(f"unknown pattern {self.pattern!r}; "
                                 f"expected one of {PATTERNS}")
-        if self.count <= 0:
-            raise ScenarioError(f"template {self.name}: count must be > 0")
+        for name in ("count", "intensity", "slow_factor", "cores_per_node"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"{where}{name} must be > 0")
+        for name in ("nodes", "runtime_bins"):
+            lo, hi = _bounds(getattr(self, name))
+            if not 1 <= lo <= hi:
+                raise ScenarioError(
+                    f"{where}{name} must be >= 1, a range's low at most its "
+                    f"high, got {getattr(self, name)!r}")
         if self.slow_runs < 0 or self.slow_runs > self.count:
-            raise ScenarioError(
-                f"template {self.name}: slow_runs out of range")
-        if self.intensity <= 0:
-            raise ScenarioError(
-                f"template {self.name}: intensity must be > 0")
+            raise ScenarioError(f"{where}slow_runs out of range")
 
 
 @dataclass(frozen=True)
@@ -129,24 +142,52 @@ class ScenarioSpec:
 
     def __post_init__(self):
         _check_kinds(self)
-        if self.node_count <= 0:
-            raise ScenarioError("node_count must be > 0")
-        if self.bin_width_s <= 0:
-            raise ScenarioError("bin_width_s must be > 0")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
+        for name in ("node_count", "bin_width_s", "start_ts",
+                     "probe_cadence_s"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"{name} must be > 0")
         if self.duration_s <= 0 or self.duration_s % self.bin_width_s:
             raise ScenarioError(
                 "duration_s must be a positive multiple of bin_width_s")
         if not self.filesystems:
             raise ScenarioError("at least one filesystem required")
+        if len(set(self.filesystems)) != len(self.filesystems):
+            raise ScenarioError("filesystems must be unique")
         if not self.templates:
             raise ScenarioError("at least one job template required")
         names = [t.name for t in self.templates]
         if len(set(names)) != len(names):
             raise ScenarioError("template names must be unique")
+        for t in self.templates:
+            if (want := _bounds(t.nodes)[1]) > self.node_count:
+                raise ScenarioError(f"template {t.name}: runs want up to "
+                                    f"{want} nodes, scenario has "
+                                    f"{self.node_count}")
+        for ep in self.episodes:
+            if ep.fs_id is not None and ep.fs_id not in self.filesystems:
+                raise ScenarioError(f"episode: fs_id {ep.fs_id!r} is not one "
+                                    f"of filesystems {self.filesystems}")
+        nodes = set(self.node_names)
+        for reset in self.resets:
+            node_id, fs_id, offset_s = reset
+            if node_id not in nodes or fs_id not in self.filesystems:
+                raise ScenarioError(f"reset {reset} names no stream of the "
+                                    f"scenario")
+            if offset_s % self.bin_width_s \
+                    or not 0 < offset_s < self.duration_s:
+                raise ScenarioError(
+                    f"reset offset {offset_s} must be a bin-aligned snapshot "
+                    f"inside the scenario")
 
     @property
     def n_bins(self) -> int:
         return self.duration_s // self.bin_width_s
+
+    @property
+    def node_names(self) -> list[str]:
+        return [f"n{i:04d}" for i in range(self.node_count)]
 
 
 @dataclass
@@ -273,10 +314,6 @@ def _place_jobs(spec: ScenarioSpec, rng) -> list[_PlacedJob]:
             if is_slow:
                 runtime = int(round(runtime * template.slow_factor))
             runtime = max(1, min(runtime, n_bins))
-            if nodes_k > spec.node_count:
-                raise ScenarioError(
-                    f"template {template.name}: run wants {nodes_k} nodes, "
-                    f"scenario has {spec.node_count}")
             for _ in range(20):
                 start_bin = int(rng.integers(0, n_bins - runtime + 1))
                 found = _free_nodes(busy, start_bin, start_bin + runtime,
@@ -325,15 +362,19 @@ def _apply_episodes(spec: ScenarioSpec, job: _PlacedJob) -> None:
 
 def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
     """Write counters.csv, jobs.csv, ledger.json and, where spec emits one,
-    probe.csv to out_dir; else an old probe.csv, another run's, is removed."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    probe.csv to out_dir, made once the feed is booked; else an old
+    probe.csv, another run's, is removed.
+
+    The feed is booked on one snapshot array (bin + 1, fs, node, counter):
+    each node's delta of bin k goes to snapshot k + 1, the snapshots are
+    summed in place, and each scripted reset shifts its stream's later
+    snapshots in place."""
     rng = np.random.default_rng(spec.seed)
     w = spec.bin_width_s
     n_bins = spec.n_bins
     n_nodes = spec.node_count
     n_fs = len(spec.filesystems)
-    node_names = [f"n{i:04d}" for i in range(n_nodes)]
+    node_names = spec.node_names
 
     placed = _place_jobs(spec, rng)
     jobs = job_table(*zip(*sorted(  # in job id order
@@ -345,54 +386,46 @@ def generate(spec: ScenarioSpec, out_dir) -> GroundTruthLedger:
     for job in placed:
         _apply_episodes(spec, job)
 
-    # node-level per-bin deltas, one dense cube per fs: each job's deltas
-    # split exactly over its nodes, the first nodes taking the remainders
-    cubes = [np.zeros((n_nodes, n_bins, N_COUNTERS), dtype=np.int64)
-             for _ in range(n_fs)]
+    # each job's deltas split exactly over its nodes, the first nodes
+    # taking the remainders, at the snapshots that close its bins
+    snaps = np.zeros((n_bins + 1, n_fs, n_nodes, N_COUNTERS), dtype=np.int64)
     covered = np.zeros((n_fs, n_bins), dtype=bool)  # bins a job runs in
     for job in placed:
         span = slice(job.start_bin, job.start_bin + len(job.deltas))
         n_share = len(job.node_idxs)
-        base, rem = np.divmod(job.deltas, n_share)
-        cubes[job.fs_i][job.node_idxs, span] += \
-            base + (rem > np.arange(n_share)[:, None, None])
+        base, rem = np.divmod(job.deltas[:, None], n_share)
+        snaps[1:][span, job.fs_i, job.node_idxs] += \
+            base + (rem > np.arange(n_share)[:, None])
         covered[job.fs_i, span] = True
-    by_bin = [cube.sum(axis=0) for cube in cubes]  # fs usage, (n_bins, 21)
+    # fs usage, (fs, bin, counter)
+    by_bin = snaps[1:].sum(axis=2).transpose(1, 0, 2)
 
-    # cumulative series and scripted resets (processed in time order, so a
-    # stream's earlier resets shape the emitted values a later one sees)
-    cums = [np.cumsum(cube, axis=1) for cube in cubes]
+    # scripted resets in time order, so that a stream's earlier resets
+    # shape the snapshots a later one sees; each keeps its bin's delta
+    resets = [(reset, snaps[:, spec.filesystems.index(reset[1]),
+                            node_names.index(reset[0])], reset[2] // w)
+              for reset in sorted(spec.resets,
+                                  key=lambda r: (r[2], r[0], r[1]))]
+    bin_deltas = [stream[k_r + 1].copy() for _, stream, k_r in resets]
+    # snapshot k reports the cumulative activity of bins < k
+    np.cumsum(snaps, axis=0, out=snaps)
     resets_applied: list[list] = []
     resets_skipped: list[list] = []
-    rebase = [np.zeros((n_nodes, n_bins + 1, N_COUNTERS), dtype=np.int64)
-              for _ in range(n_fs)] if spec.resets else None
-    for node_id, fs_id, offset_s in sorted(spec.resets,
-                                           key=lambda r: (r[2], r[0], r[1])):
-        node = node_names.index(node_id)
-        fs_i = spec.filesystems.index(fs_id)
-        if offset_s % w or not 0 < offset_s < spec.duration_s:
-            raise ScenarioError(
-                f"reset offset {offset_s} must be a bin-aligned snapshot "
-                f"inside the scenario")
-        k_r = offset_s // w  # snapshot index; reports bins [0, k_r)
-        pre = cums[fs_i][node, k_r - 1] - rebase[fs_i][node, k_r]
-        bin_delta = cubes[fs_i][node, k_r]
+    for (reset, stream, k_r), bin_delta in zip(resets, bin_deltas):
+        pre = stream[k_r]  # the last snapshot before the reset
         # detectable only if the stream has history and every counter
         # either drops or had none
         if pre.any() and bool(np.all((bin_delta < pre) | (pre == 0))):
-            rebase[fs_i][node, k_r + 1:] = cums[fs_i][node, k_r - 1]
-            resets_applied.append([node_id, fs_id, offset_s])
+            # snapshot k_r + 1 becomes bin k_r's delta, and later ones
+            # shift with it
+            stream[k_r + 1:] -= stream[k_r + 1] - bin_delta
+            resets_applied.append(list(reset))
         else:
-            resets_skipped.append([node_id, fs_id, offset_s])
+            resets_skipped.append(list(reset))
 
-    # emit counters.csv: snapshot k reports cumulative activity of bins < k,
-    # rows by snapshot, then fs, then node
-    snaps = np.zeros((n_bins + 1, n_fs, n_nodes, N_COUNTERS), dtype=np.int64)
-    for fs_i in range(n_fs):
-        snaps[1:, fs_i] = cums[fs_i].transpose(1, 0, 2)
-        if rebase is not None:
-            snaps[:, fs_i] -= rebase[fs_i].transpose(1, 0, 2)
-    del cums, rebase  # the snapshots hold the feed from here on
+    # emit counters.csv: rows by snapshot, then fs, then node
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_counter_csv(CounterFeed(
         np.repeat(spec.start_ts + w * np.arange(n_bins + 1), n_fs * n_nodes),
         np.tile(np.arange(n_nodes), (n_bins + 1) * n_fs),

@@ -214,11 +214,33 @@ def test_seed_overrides_a_scenario_file_as_it_does_a_preset(tmp_path):
                        shallow=False)
 
 
+def _scenario_text(template=(), **changes) -> bytes:
+    """The resets preset as a scenario file, with changes to its fields
+    and to those of its one template."""
+    doc = {**dataclasses.asdict(preset_scenario("resets")), **changes}
+    doc["templates"] = [{**doc["templates"][0], **dict(template)}]
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize("text", [
     b"{", b'{"seed": 1, "emit_prob": true}', b"\xff",
-    json.dumps({**dataclasses.asdict(preset_scenario("resets")),
-                "seed": "x"}).encode()],
-    ids=["not JSON", "an unknown key", "not UTF-8", "a string seed"])
+    _scenario_text(seed="x"),
+    _scenario_text(seed=-1),
+    _scenario_text({"intensity": float("nan")}),
+    _scenario_text(episodes=[{"start_s": 0, "end_s": 360,
+                              "load_multiplier": float("inf")}]),
+    _scenario_text(emit_probe=True, probe_cadence_s=0),
+    _scenario_text({"nodes": 0}),
+    _scenario_text({"runtime_bins": [5, 2]}),
+    _scenario_text({"cores_per_node": 0}),
+    _scenario_text({"nodes": 7}),
+    _scenario_text(resets=[["n9", "fs2", 18000]]),
+    _scenario_text(start_ts=-100000)],
+    ids=["not JSON", "an unknown key", "not UTF-8", "a string seed",
+         "a negative seed", "a NaN intensity", "an infinite multiplier",
+         "a zero probe cadence", "zero nodes", "runtime_bins low above high",
+         "zero cores per node", "more nodes than node_count",
+         "a reset on no node", "a negative start_ts"])
 def test_a_bad_scenario_file_exits_before_writing(tmp_path, capsys, text):
     scenario = tmp_path / "scenario.json"
     scenario.write_bytes(text)
@@ -227,6 +249,27 @@ def test_a_bad_scenario_file_exits_before_writing(tmp_path, capsys, text):
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"iorisk: scenario {scenario}: "), err
+    assert not out.exists()
+
+
+def test_a_negative_seed_flag_exits_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["simulate", "--preset", "demo", "--seed", "-1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "iorisk: seed must be >= 0\n"
+    assert not out.exists()
+
+
+def test_a_scenario_that_cannot_be_placed_exits_before_writing(
+        tmp_path, capsys):
+    # two runs of the whole window on one node
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(_scenario_text(
+        {"count": 2, "runtime_bins": 100}, node_count=1, resets=[]))
+    out = tmp_path / "out"
+    assert run(["simulate", "--scenario", str(scenario),
+                "--out", str(out)]) == 1
+    assert "more concurrent jobs than nodes" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,11 +131,12 @@ def test_more_concurrent_jobs_than_nodes_errors(tmp_path):
         JobTemplate("wide", "big.exe", "cfd", "streaming-write", count=2,
                     nodes=1, runtime_bins=40),))
     with pytest.raises(ScenarioError, match="more concurrent jobs"):
-        generate(spec, tmp_path)
-    with pytest.raises(ScenarioError):
-        generate(tiny_spec(node_count=2, templates=(
+        generate(spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ScenarioError, match="runs want up to 4 nodes"):
+        tiny_spec(node_count=2, templates=(
             JobTemplate("wide", "big.exe", "cfd", "streaming-write",
-                        count=1, nodes=4, runtime_bins=2),)), tmp_path)
+                        count=1, nodes=4, runtime_bins=2),))
 
 
 def test_scripted_resets_recover_exactly(tmp_path):
@@ -268,6 +270,55 @@ BAD_SCENARIOS = {
     "filesystems a string": (lambda doc: json.dumps(
         {**doc, "filesystems": "fs2"}).encode(),
         "filesystems must be tuple[str, ...], got 'fs2'"),
+    # values of the right kind out of their bounds
+    "an intensity NaN": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "intensity": float("nan")})).encode(),
+        "template wr: intensity must be finite, got nan"),
+    "an episode's load_multiplier Infinity": (lambda doc: json.dumps(
+        {**doc, "episodes": [{"start_s": 0, "end_s": W,
+                              "load_multiplier": float("inf")}]}).encode(),
+        "episode: load_multiplier must be finite, got inf"),
+    "probe_cadence_s 0": (lambda doc: json.dumps(
+        {**doc, "emit_probe": True, "probe_cadence_s": 0}).encode(),
+        "probe_cadence_s must be > 0"),
+    "a template's nodes 0": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "nodes": 0})).encode(),
+        "template wr: nodes must be >= 1"),
+    "a template's runtime_bins low above high": (
+        lambda doc: json.dumps(_with_template(
+            doc, {**doc["templates"][0], "runtime_bins": [5, 2]})).encode(),
+        "runtime_bins must be >= 1, a range's low at most its high, "
+        "got (5, 2)"),
+    "a template's cores_per_node 0": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "cores_per_node": 0})).encode(),
+        "template wr: cores_per_node must be > 0"),
+    "a template's slow_factor 0": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "slow_factor": 0})).encode(),
+        "template wr: slow_factor must be > 0"),
+    "seed -1": (lambda doc: json.dumps({**doc, "seed": -1}).encode(),
+                "seed must be >= 0"),
+    "start_ts negative": (lambda doc: json.dumps(
+        {**doc, "start_ts": -100000}).encode(), "start_ts must be > 0"),
+    "a filesystem twice": (lambda doc: json.dumps(
+        {**doc, "filesystems": ["fs2", "fs2"]}).encode(),
+        "filesystems must be unique"),
+    "a template wanting more nodes than node_count": (
+        lambda doc: json.dumps(_with_template(
+            doc, {**doc["templates"][0], "nodes": [1, 9]})).encode(),
+        "template wr: runs want up to 9 nodes, scenario has 8"),
+    "an episode on no filesystem": (lambda doc: json.dumps(
+        {**doc, "episodes": [{"start_s": 0, "end_s": W,
+                              "fs_id": "fs9"}]}).encode(),
+        "episode: fs_id 'fs9' is not one of filesystems"),
+    "a reset on no node": (lambda doc: json.dumps(
+        {**doc, "resets": [["n9", "fs2", W]]}).encode(),
+        "reset ('n9', 'fs2', 360) names no stream"),
+    "a reset on no filesystem": (lambda doc: json.dumps(
+        {**doc, "resets": [["n0000", "fs9", W]]}).encode(),
+        "reset ('n0000', 'fs9', 360) names no stream"),
+    "a reset off the grid": (lambda doc: json.dumps(
+        {**doc, "resets": [["n0000", "fs2", W + 1]]}).encode(),
+        "reset offset 361 must be a bin-aligned snapshot"),
 }
 
 
@@ -362,8 +413,69 @@ GOLDEN_DIGESTS = {
 }
 
 
+def _digests(out_dir) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out_dir.iterdir()}
+
+
 @pytest.mark.parametrize("preset", sorted(GOLDEN_DIGESTS))
 def test_preset_outputs_keep_their_digests(tmp_path, preset):
     generate(preset_scenario(preset), tmp_path)
-    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.iterdir()} == GOLDEN_DIGESTS[preset]
+    assert _digests(tmp_path) == GOLDEN_DIGESTS[preset]
+
+
+def test_awkward_resets_keep_their_digests(tmp_path):
+    # the resets preset has one reset per stream; here one stream takes
+    # two resets, another the same reset twice, a stream with no history
+    # yet takes one that is skipped, and the resets span two filesystems
+    spec = ScenarioSpec(
+        seed=31, duration_s=100 * W, node_count=4,
+        filesystems=("fs2", "fs3"),
+        templates=(JobTemplate("wr", "writer.exe", "climate",
+                               "streaming-write", count=4, nodes=1,
+                               runtime_bins=(60, 90)),),
+        resets=(("n0000", "fs2", 60 * W), ("n0003", "fs3", 40 * W),
+                ("n0001", "fs2", 10 * W), ("n0000", "fs2", 30 * W),
+                ("n0003", "fs3", 40 * W)))
+    ledger = generate(spec, tmp_path)
+    assert ledger.resets_applied == [
+        ["n0000", "fs2", 30 * W], ["n0003", "fs3", 40 * W],
+        ["n0003", "fs3", 40 * W], ["n0000", "fs2", 60 * W]]
+    assert ledger.resets_skipped == [["n0001", "fs2", 10 * W]]
+    assert _digests(tmp_path) == {
+        "counters.csv":
+            "32b93dc57a12731a4ee8e07ce0af07fd7338cf67bf953fc6ce41b038f6cc0bc5",
+        "jobs.csv":
+            "932219647afbeb25c70e678248895115cb0cf629d0de217ac26fe855c80e976e",
+        "ledger.json":
+            "6f95a1ba3de16ccab85f940968310a49b5db0b1e714ca250fb789dcc4e39e5aa",
+    }
+
+
+@pytest.mark.parametrize("resets", [
+    (), (("n0061", "fs2", 400 * W), ("n0061", "fs2", 500 * W))],
+    ids=["no resets", "two resets on one stream"])
+def test_generate_peaks_below_two_snapshot_arrays(tmp_path, resets):
+    # numpy reports its array allocations to tracemalloc. generate books
+    # the feed on one array of snapshots and sums and rebases it in place;
+    # beyond it the peak holds the CSV writer's key columns and one chunk
+    # of text, about 0.4 of it here. A second node x bin array, such as
+    # per-node deltas or cumulative sums kept apart from the snapshots,
+    # takes the peak past 2.
+    spec = ScenarioSpec(
+        seed=3, duration_s=3 * 86400, node_count=200, filesystems=("fs2",),
+        templates=(JobTemplate("wr", "writer.exe", "climate",
+                               "streaming-write", count=20, nodes=(1, 8),
+                               runtime_bins=(100, 400)),),
+        resets=resets)
+    snapshots = (spec.n_bins + 1) * spec.node_count * N_COUNTERS * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ledger = generate(spec, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert ledger.resets_applied == list(map(list, resets))
+    assert peak < 2 * snapshots, peak / snapshots
