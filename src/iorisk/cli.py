@@ -24,6 +24,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # an explicit value wins
 
 from . import store  # noqa: E402  (numpy loads after the default is set)
+from ._kernels import groups
 from .analytics import build_scatter, detect_slowdown, summarize_jobs
 from .attribute import attribute_usage, fs_bin_totals
 from .config import FIELDS, Config, add_config_flags, resolve_config
@@ -191,10 +192,8 @@ def _report(args, cfg: Config, out: Path, jobs, job_usage, jm, fm,
 
     if probe is not None:
         rows = []
-        for fs_i, fs_id in enumerate(fm.filesystems):
-            sel = fm.fs_idx == fs_i
-            if not sel.any():
-                continue
+        for fs_i, sel in groups(fm.fs_idx):
+            fs_id = fm.filesystems[fs_i]
             risk = (binned_series_instants(fm.bin_start[sel], bin_width),
                     fm.risk_oss[sel] + fm.risk_mds[sel])
             try:

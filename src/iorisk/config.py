@@ -86,8 +86,8 @@ _OPS = {">": operator.gt, ">=": operator.ge}
 
 def check(name: str, value, where: str = "config") -> None:
     """Raise ValueError unless value is of Config field name's kind (a
-    float one finite) and obeys its rule; None passes where the default is
-    None."""
+    float one finite, an int one inside int64) and obeys its rule; None
+    passes where the default is None."""
     f = FIELDS[name]
     if value is None and f.default is None:
         return
@@ -96,6 +96,8 @@ def check(name: str, value, where: str = "config") -> None:
             or isinstance(value, float) and not math.isfinite(value)):
         raise ValueError(f"{where}: {name} must be of kind {f.type}, "
                          f"got {value!r}")
+    if f.type == "int" and not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{where}: {name} must fit int64, got {value!r}")
     rule, choices = f.metadata["rule"], f.metadata["choices"]
     if choices is not None and value not in choices:
         raise ValueError(f"{where}: {name} must be one of "

@@ -1,7 +1,10 @@
 """Risk and I/O-quality metrics per job-bin, aggregated per filesystem-bin.
 
-The risk of one counter x against its filesystem baseline is
-(x - alpha*avg) / (alpha*avg); negative values are ignored when summing.
+The baselines are one table with a row per filesystem of the fs registry
+(FsBaselines), computed from the fs bin totals; the job metrics index it
+by the job usage's fs codes. The risk of one counter x against its
+filesystem baseline is (x - alpha*avg) / (alpha*avg); negative values
+are ignored when summing.
 MDS counters whose scaled average sits below a small threshold instead
 measure against the beta-scaled average of all metadata operations.
 Quality is operations per MiB moved: 1.0 means 1 MiB mean transfers,
@@ -26,66 +29,47 @@ FS_SUBJECT = "__fs__"
 
 
 @dataclass(frozen=True, eq=False)
-class FsBaseline:
-    """Mean per-bin fs-wide deltas over a time window."""
+class FsBaselines:
+    """Mean per-bin fs-wide deltas, one row per filesystem of the fs
+    registry, in its order."""
 
-    fs_id: str
-    avg: np.ndarray  # (21,) float64, counter column order
-    md_total_avg: float
-    window: tuple[int, int]  # [first_bin, last_bin] used, inclusive
-    n_bins: int
+    filesystems: tuple[str, ...]
+    avg: np.ndarray           # (F, 21) float64, counter column order
+    md_total_avg: np.ndarray  # (F,) float64, over the MDS counters
+    n_bins: np.ndarray        # (F,) float64 bin slots averaged; 0: no rows
 
-
-def _window_slots(first_bin: int, last_bin: int, w: int) -> int:
-    return int((last_bin - first_bin) // w + 1)
-
-
-def compute_baseline(totals: UsageTable, fs_id: str,
-                     baseline_days: float | None = None) -> FsBaseline:
-    """Average the fs-wide per-bin deltas of one filesystem.
-
-    Bins inside the window with no activity count as zeros: the divisor is
-    the number of bin slots spanned, not the number of rows. The window is
-    the full extent of the filesystem's data, or the trailing
-    baseline_days of it.
-    """
-    w = totals.bin_width
-    try:
-        fs = totals.names["fs"].index(fs_id)
-    except ValueError:
-        raise ValueError(f"no usage rows for filesystem {fs_id!r}") from None
-    mask = totals.codes["fs"] == fs
-    if not mask.any():
-        raise ValueError(f"no usage rows for filesystem {fs_id!r}")
-    bins = totals.bin_start[mask]
-    deltas = totals.deltas[mask]
-
-    last = int(bins.max())
-    if baseline_days is not None:
-        check("baseline_days", baseline_days, "compute_baseline")
-        n_slots = max(1, int(round(baseline_days * 86400 / w)))
-        first = last - (n_slots - 1) * w
-    else:
-        first = int(bins.min())
-
-    inside = bins >= first
-    n_slots = _window_slots(first, last, w)
-    avg = deltas[inside].sum(axis=0, dtype=np.float64) / n_slots
-    md_total_avg = float(
-        deltas[inside, MDS_SLICE].sum(dtype=np.float64) / n_slots)
-    return FsBaseline(fs_id=fs_id, avg=avg, md_total_avg=md_total_avg,
-                      window=(first, last), n_bins=n_slots)
+    def __len__(self) -> int:
+        """The number of filesystems that have a baseline."""
+        return int(np.count_nonzero(self.n_bins))
 
 
 def compute_baselines(totals: UsageTable,
-                      baseline_days: float | None = None
-                      ) -> dict[str, FsBaseline]:
-    out = {}
-    for i, fs in enumerate(totals.names["fs"]):
-        if (totals.codes["fs"] == i).any():
-            out[fs] = compute_baseline(totals, fs,
-                                       baseline_days=baseline_days)
-    return out
+                      baseline_days: float | None = None) -> FsBaselines:
+    """Average each filesystem's fs-wide per-bin deltas, in one pass over
+    the fs totals grouped by fs code.
+
+    Bins inside the window with no activity count as zeros: the divisor is
+    the number of bin slots spanned, not the number of rows, and is held
+    as a float, as a trailing window of many days can span more slots
+    than an int64 counts. The window is the full extent of the
+    filesystem's data, or the trailing baseline_days of it.
+    """
+    if baseline_days is not None:
+        check("baseline_days", baseline_days, "compute_baselines")
+    w, n_fs = totals.bin_width, len(totals.names["fs"])
+    avg, md_total_avg = np.zeros((n_fs, N_COUNTERS)), np.zeros(n_fs)
+    n_bins = np.zeros(n_fs)
+    for fs, rows in _kernels.groups(totals.codes["fs"]):
+        bins, deltas = totals.bin_start[rows], totals.deltas[rows]
+        last = int(bins.max())
+        first = int(bins.min()) if baseline_days is None else \
+            last - (max(1, round(baseline_days * 86400 / w)) - 1) * w
+        inside = bins >= first
+        n_bins[fs] = n_slots = (last - first) // w + 1
+        avg[fs] = deltas[inside].sum(axis=0, dtype=np.float64) / n_slots
+        md_total_avg[fs] = (
+            deltas[inside, MDS_SLICE].sum(dtype=np.float64) / n_slots)
+    return FsBaselines(totals.names["fs"], avg, md_total_avg, n_bins)
 
 
 def _quality_arrays(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,19 +83,6 @@ def _quality_arrays(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q_write = np.where(write_kb > 0, write_ops * 1024.0 / write_kb,
                            write_ops * 1024.0)
     return q_read, q_write
-
-
-def _baseline_matrix(filesystems, baselines):
-    avg = np.zeros((len(filesystems), N_COUNTERS), dtype=np.float64)
-    md_total = np.zeros(len(filesystems), dtype=np.float64)
-    present = np.zeros(len(filesystems), dtype=bool)
-    for i, fs in enumerate(filesystems):
-        b = baselines.get(fs)
-        if b is not None:
-            avg[i] = b.avg
-            md_total[i] = b.md_total_avg
-            present[i] = True
-    return avg, md_total, present
 
 
 @dataclass
@@ -135,38 +106,41 @@ class JobMetrics:
         return len(self.bin_start)
 
 
-def compute_job_metrics(job_usage: UsageTable,
-                        baselines: dict[str, FsBaseline],
+def compute_job_metrics(job_usage: UsageTable, baselines: FsBaselines,
                         params: Config = Config()) -> JobMetrics:
     """Evaluate risk and quality for every job-bin row under the risk
-    rule's parameters: params' alpha, beta and md_small_avg_threshold."""
+    rule's parameters: params' alpha, beta and md_small_avg_threshold.
+    baselines must be aligned with the job usage's fs registry."""
     for name in ("alpha", "beta", "md_small_avg_threshold"):
         check(name, getattr(params, name), "compute_job_metrics")
     job_idx, fs_idx = job_usage.codes["job_id"], job_usage.codes["fs"]
     job_ids, filesystems = job_usage.names["job_id"], job_usage.names["fs"]
-    avg, md_total, present = _baseline_matrix(filesystems, baselines)
-    missing = [filesystems[i] for i in np.flatnonzero(np.bincount(fs_idx))
-               if not present[i]]
+    if baselines.filesystems != filesystems:
+        raise ValueError(f"baselines are for filesystems "
+                         f"{list(baselines.filesystems)}, the job usage "
+                         f"for {list(filesystems)}")
+    missing = [filesystems[i] for i in np.flatnonzero(
+        (baselines.n_bins == 0)
+        & (np.bincount(fs_idx, minlength=len(filesystems)) > 0))]
     if missing:
         raise ValueError(f"no baseline for filesystems {missing}")
 
     # the clamped per-counter risk, summed over each server class
-    contrib = _kernels.risk_contribs(job_usage.deltas.astype(np.float64),
-                                     fs_idx, avg, md_total,
-                                     params.alpha, params.beta,
-                                     params.md_small_avg_threshold)
+    contrib = _kernels.risk_contribs(
+        job_usage.deltas.astype(np.float64), fs_idx, baselines.avg,
+        baselines.md_total_avg, params.alpha, params.beta,
+        params.md_small_avg_threshold)
     risk_oss = contrib[:, OSS_SLICE].sum(axis=1)
     risk_mds = contrib[:, MDS_SLICE].sum(axis=1)
     del contrib
-    for i, fs in enumerate(filesystems):
-        if not present[i] or md_total[i] > 0:
-            continue
-        rows = fs_idx == i
-        if rows.any() and job_usage.deltas[rows][:, MDS_SLICE].any():
-            log.warning(
-                "degenerate baseline for %s: zero metadata average with "
-                "nonzero metadata activity; beta-path denominator floored "
-                "at %g", fs, params.md_small_avg_threshold)
+    mds_active = np.bincount(
+        fs_idx[job_usage.deltas[:, MDS_SLICE].any(axis=1)],
+        minlength=len(filesystems)) > 0
+    for i in np.flatnonzero(mds_active & ~(baselines.md_total_avg > 0)):
+        log.warning(
+            "degenerate baseline for %s: zero metadata average with "
+            "nonzero metadata activity; beta-path denominator floored "
+            "at %g", filesystems[i], params.md_small_avg_threshold)
 
     q_read, q_write = _quality_arrays(job_usage.deltas)
     io_cols = (READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)

@@ -153,17 +153,17 @@ def emit_timeseries(fs_metrics: FsMetrics, job_metrics: JobMetrics,
     Each file holds, per bin: the fs total row, one row per top-k job
     (ranked by time-integrated total risk over the day) and an __other__
     remainder row, so components always sum to the fs total. Days inside a
-    filesystem's data span with no bins produce a header-only file.
+    filesystem's data span with no bins produce a header-only file. Days
+    start day_offset seconds after UTC midnight, taken modulo a day.
     """
+    day_offset %= SECONDS_PER_DAY
     out_dir = Path(out_dir)
     jm = job_metrics
     fm = fs_metrics
     rank = id_rank(jm.job_ids)
     written = []
-    for fs_i, fs_id in enumerate(fm.filesystems):
-        fs_rows = np.flatnonzero(fm.fs_idx == fs_i)
-        if fs_rows.size == 0:
-            continue
+    for fs_i, fs_rows in _kernels.groups(fm.fs_idx):
+        fs_id = fm.filesystems[fs_i]
         fs_dir = out_dir / "timeseries" / fs_id
         fs_dir.mkdir(parents=True, exist_ok=True)
         job_rows = np.flatnonzero(jm.fs_idx == fs_i)
@@ -288,12 +288,18 @@ def correlate_series(a, b, bin_width: int,
     Both series are resampled to the common bin grid by per-bin mean
     (timestamps are sample instants; for pre-binned series pass
     binned_series_instants). A value of series a at bin t is paired with
-    series b at t + lag bins. The correlation is None when either side
-    has zero variance (undefined).
+    series b at t + lag bins, so a lag past the series' span pairs none.
+    The correlation is None when either side has zero variance
+    (undefined).
     """
     a_bins, a_vals = resample_to_bins(a[0], a[1], bin_width)
     b_bins, b_vals = resample_to_bins(b[0], b[1], bin_width)
-    shifted = b_bins - lag * bin_width
+    # bins pair only at a shift of some b bin less some a bin; past that
+    # range none do, and b_bins - shift might not fit int64
+    shift = int(lag) * bin_width
+    paired = a_bins.size and b_bins.size and int(
+        b_bins[0] - a_bins[-1]) <= shift <= int(b_bins[-1] - a_bins[0])
+    shifted = b_bins - shift if paired else b_bins[:0]
     common, ia, ib = np.intersect1d(a_bins, shifted, return_indices=True)
     if common.size < 3:
         raise ValueError(

@@ -31,6 +31,11 @@ PATTERNS = ("streaming-write", "small-read", "metadata-storm", "task-farm",
 # 2020-01-01 00:00:00 UTC; divisible by 360 and a UTC midnight
 DEFAULT_START_TS = 1_577_836_800
 
+# no pattern books more counts of one counter on one node in one bin, per
+# unit of intensity above 1 (the most is streaming-write's write_kb: 1024
+# per op, up to 1,199 ops)
+PEAK_COUNT = 2 ** 21
+
 _COL = {name: i for i, name in enumerate(COUNTER_NAMES)}
 
 
@@ -180,6 +185,18 @@ class ScenarioSpec:
                 raise ScenarioError(
                     f"reset offset {offset_s} must be a bin-aligned snapshot "
                     f"inside the scenario")
+        # episodes multiply a node's peak; the feed's int64 counters must
+        # hold every node's peak in every bin summed
+        total = (self.node_count * self.n_bins * PEAK_COUNT
+                 * max(max(1.0, t.intensity) for t in self.templates)
+                 * math.prod(max(1.0, ep.load_multiplier)
+                             for ep in self.episodes))
+        if not total < 2 ** 63:
+            raise ScenarioError(
+                f"intensity and load multipliers too large: a counter could "
+                f"total node_count x bins x {PEAK_COUNT} x max(1, "
+                f"intensity) x the multipliers above 1 = {total:.3g}, past "
+                f"int64")
 
     @property
     def n_bins(self) -> int:

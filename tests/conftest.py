@@ -8,7 +8,6 @@ import pytest
 from iorisk import _kernels
 from iorisk.config import Config
 from iorisk.ingest import COUNTER_HEADER, CounterFeed, parse_counter_feed
-from iorisk.metrics import _baseline_matrix
 from iorisk.ops import COUNTER_NAMES, N_COUNTERS
 from scalar_analytics import JobRecord
 
@@ -43,10 +42,10 @@ def simple_job(job_id="j1", node="n1", start=0, end=720, command="cmd",
 def risk_contribs(job_usage, baselines, params=Config()) -> np.ndarray:
     """The (m, 21) clamped per-counter risk that compute_job_metrics sums
     into risk_oss and risk_mds, from _kernels.risk_contribs."""
-    avg, md_total, _ = _baseline_matrix(job_usage.names["fs"], baselines)
     return _kernels.risk_contribs(
-        job_usage.deltas.astype(np.float64), job_usage.codes["fs"], avg,
-        md_total, params.alpha, params.beta, params.md_small_avg_threshold)
+        job_usage.deltas.astype(np.float64), job_usage.codes["fs"],
+        baselines.avg, baselines.md_total_avg, params.alpha, params.beta,
+        params.md_small_avg_threshold)
 
 
 def usage_columns(usage) -> dict[str, np.ndarray]:

@@ -6,7 +6,8 @@ The package computes risk and quality for whole columnar tables
 job-bin record and a list of such records, so the rule tests can be
 written one bin at a time. ``job_bin_risk`` runs the package's own
 ``compute_job_metrics`` on a one-row table; ``fs_bin_aggregate`` is an
-independent per-point summation.
+independent per-point summation, and ``fs_baselines`` states
+``compute_baselines`` one filesystem and one row at a time.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ import numpy as np
 
 from iorisk.config import Config
 from iorisk.ingest import UsageTable
-from iorisk.metrics import (FS_SUBJECT, FsBaseline,
+from iorisk.metrics import (FS_SUBJECT, FsBaselines,
                             _quality_arrays, compute_job_metrics)
-from iorisk.ops import COUNTER_NAMES, MDS_COUNTERS, OSS_COUNTERS
+from iorisk.ops import (COUNTER_NAMES, MDS_COUNTERS, MDS_SLICE,
+                        N_COUNTERS, OSS_COUNTERS)
 
 from conftest import risk_contribs
 
@@ -64,25 +66,65 @@ def op_risk(x: float, avg: float, alpha: float = Config.alpha) -> float:
     return (x - scaled) / scaled
 
 
-def job_bin_risk(usage: JobBinUsage, baseline: FsBaseline,
+def one_baseline(fs_id: str, avg, md_total_avg: float) -> FsBaselines:
+    """The baselines of a registry of one filesystem, over one bin."""
+    return FsBaselines((fs_id,), np.asarray(avg, np.float64)[None, :],
+                       np.asarray([md_total_avg], np.float64), np.ones(1))
+
+
+def job_bin_risk(usage: JobBinUsage, baselines: FsBaselines,
                  params: Config = Config()) -> RiskPoint:
-    """Risk contributions of a single job-bin against its fs baseline."""
-    if baseline.fs_id != usage.fs_id:
-        raise ValueError(f"baseline is for {baseline.fs_id!r}, "
+    """Risk contributions of a single job-bin against its filesystem's
+    row of baselines."""
+    if usage.fs_id not in baselines.filesystems:
+        raise ValueError(f"baselines are for {baselines.filesystems}, "
                          f"usage is for {usage.fs_id!r}")
+    fs = baselines.filesystems.index(usage.fs_id)
     table = UsageTable({"job_id": np.zeros(1, np.int32),
-                        "fs": np.zeros(1, np.int32)},
-                       {"job_id": (usage.job_id,), "fs": (usage.fs_id,)},
+                        "fs": np.full(1, fs, np.int32)},
+                       {"job_id": (usage.job_id,),
+                        "fs": baselines.filesystems},
                        np.asarray([usage.bin_start], np.int64),
                        usage.deltas[None, :], 360)
-    jm = compute_job_metrics(table, {usage.fs_id: baseline}, params)
-    contrib = risk_contribs(table, {usage.fs_id: baseline}, params)
+    jm = compute_job_metrics(table, baselines, params)
+    contrib = risk_contribs(table, baselines, params)
     return RiskPoint(subject=usage.job_id, fs_id=usage.fs_id,
                      bin_start=usage.bin_start,
                      risk_oss=float(jm.risk_oss[0]),
                      risk_mds=float(jm.risk_mds[0]),
                      per_op_risk={op: float(contrib[0, col])
                                   for col, op in enumerate(COUNTER_NAMES)})
+
+
+def fs_baselines(totals: UsageTable, baseline_days: float | None = None
+                 ) -> list[tuple[list[float], float, int]]:
+    """Per filesystem of the registry, in its order, (avg, md_total_avg,
+    n_bins): the window is the span of the filesystem's bins, or its last
+    max(1, round(baseline_days days / bin width)) bin slots; each
+    counter's deltas inside it are summed exactly, as Python ints, and
+    divided by the number of slots, empty ones included. A filesystem
+    with no rows gets zeros."""
+    w = totals.bin_width
+    out = []
+    for fs in range(len(totals.names["fs"])):
+        rows = [(int(b), [int(v) for v in d]) for code, b, d in
+                zip(totals.codes["fs"], totals.bin_start, totals.deltas)
+                if code == fs]
+        if not rows:
+            out.append(([0.0] * N_COUNTERS, 0.0, 0))
+            continue
+        last = max(b for b, _ in rows)
+        if baseline_days is None:
+            n_slots = (last - min(b for b, _ in rows)) // w + 1
+        else:
+            n_slots = max(1, round(baseline_days * 86400 / w))
+        sums = [0] * N_COUNTERS
+        for b, d in rows:
+            if b > last - n_slots * w:
+                sums = [s + v for s, v in zip(sums, d)]
+        out.append(([s / n_slots for s in sums],
+                    sum(sums[MDS_SLICE]) / n_slots, n_slots))
+    return out
 
 
 def job_bin_quality(usage: JobBinUsage) -> QualityPoint:

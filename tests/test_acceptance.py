@@ -21,8 +21,8 @@ from iorisk.cli import run
 from iorisk.config import Config
 from iorisk.ingest import (deltify_and_bin, read_counter_file,
                            read_job_file)
-from iorisk.metrics import (FsBaseline, compute_baselines,
-                            compute_fs_metrics, compute_job_metrics)
+from iorisk.metrics import (compute_baselines, compute_fs_metrics,
+                            compute_job_metrics)
 from iorisk.ops import (COUNTER_NAMES, N_COUNTERS, READ_KB, READ_OPS,
                         WRITE_KB, WRITE_OPS)
 from iorisk.report import (BREAKDOWN_LABELS, build_breakdown, build_heatmap,
@@ -32,7 +32,7 @@ from iorisk.simgen import generate, preset_scenario
 from conftest import feed_from_rows, risk_contribs, simple_job, values_row
 from scalar_analytics import (as_table, node_bin_index, volume_bin_exp,
                               volume_bin_label)
-from scalar_metrics import JobBinUsage, job_bin_risk
+from scalar_metrics import JobBinUsage, job_bin_risk, one_baseline
 
 
 def _report(n: int, desc: str, fn) -> None:
@@ -77,13 +77,13 @@ def test_criterion_1_metric_oracle_equivalence(metric_run):
         ju = metric_run["attribution"].job_usage
         checked = 0
         for i in range(len(ju)):
-            fs_id = ju.names["fs"][ju.codes["fs"][i]]
-            b = baselines[fs_id]
+            fs = ju.codes["fs"][i]
             deltas = {name: int(ju.deltas[i, c])
                       for c, name in enumerate(COUNTER_NAMES)}
-            avg = {name: float(b.avg[c])
+            avg = {name: float(baselines.avg[fs, c])
                    for c, name in enumerate(COUNTER_NAMES)}
-            want = oracle_contributions(deltas, avg, b.md_total_avg,
+            want = oracle_contributions(deltas, avg,
+                                        float(baselines.md_total_avg[fs]),
                                         alpha=2.0, beta=0.25, threshold=1.0)
             want_oss = sum(want[n] for n in COUNTER_NAMES[:5])
             want_mds = sum(want[n] for n in COUNTER_NAMES[5:])
@@ -139,8 +139,7 @@ def test_criterion_3_clamp_and_decomposition(metric_run):
         # beta-path fixture: mkdir 500 against avg 0.1, md_total_avg 100
         avg = np.zeros(N_COUNTERS)
         avg[COUNTER_NAMES.index("mkdir")] = 0.1
-        baseline = FsBaseline("fsx", avg, md_total_avg=100.0,
-                              window=(0, 0), n_bins=1)
+        baseline = one_baseline("fsx", avg, md_total_avg=100.0)
         usage = JobBinUsage("j", "fsx", 0, np.asarray(
             values_row(mkdir=500), dtype=np.int64))
         point = job_bin_risk(usage, baseline)

@@ -55,7 +55,11 @@ def test_missing_inputs_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [("--alpha", "-1"), ("--alpha", "inf"),
-                                  ("--baseline-days", "inf")])
+                                  ("--baseline-days", "inf"),
+                                  ("--bin-width", str(10 ** 19)),
+                                  ("--day-offset", str(10 ** 20)),
+                                  ("--day-offset", str(-2 ** 63 - 1)),
+                                  ("--top-k", str(10 ** 19))])
 def test_bad_config_value_exits_nonzero(demo_feeds, tmp_path, capsys, flag):
     rc = _run_all(demo_feeds, tmp_path / "out", flag)
     assert rc == 1
@@ -168,6 +172,34 @@ def test_report_with_probe_and_lag(demo_feeds, tmp_path):
         assert int(fields[4]) >= 3
 
 
+@pytest.mark.parametrize("lag", [str(10 ** 16), str(10 ** 17),
+                                 str(-10 ** 17), str(10 ** 30)])
+def test_a_lag_past_the_series_skips_the_correlation(demo_feeds, tmp_path,
+                                                    capsys, lag):
+    out = tmp_path / "out"
+    assert _run_all(demo_feeds, out, ("--probe",
+                                      str(demo_feeds / "probe.csv"),
+                                      "--lag", lag)) == 0
+    err = capsys.readouterr().err
+    for fs in ("fs2", "fs3"):
+        assert (f"correlation skipped for {fs}: need >= 3 overlapping "
+                f"bins, got 0") in err
+    assert (out / "correlation.csv").read_text() == \
+        "series_a,series_b,lag_bins,pearson_r,n_bins\n"
+
+
+def test_a_day_offset_is_taken_modulo_a_day(demo_feeds, tmp_path):
+    # near -2**63: it fits int64, but a bin less it does not
+    offsets = {"near": 3600, "far": 3600 - 86400 * 106751991167300}
+    for name, offset in offsets.items():
+        assert _run_all(demo_feeds, tmp_path / name,
+                        (f"--day-offset={offset}",)) == 0
+    near, far = (_tree_bytes(tmp_path / name / "timeseries")
+                 for name in offsets)
+    assert len(near) > 1
+    assert far == near
+
+
 def test_simulate_subcommand_writes_scenario_outputs(tmp_path):
     out = tmp_path / "sim"
     assert run(["simulate", "--preset", "resets", "--out", str(out)]) == 0
@@ -235,12 +267,18 @@ def _scenario_text(template=(), **changes) -> bytes:
     _scenario_text({"cores_per_node": 0}),
     _scenario_text({"nodes": 7}),
     _scenario_text(resets=[["n9", "fs2", 18000]]),
-    _scenario_text(start_ts=-100000)],
+    _scenario_text(start_ts=-100000),
+    _scenario_text({"intensity": 1e17}),
+    _scenario_text({"intensity": 3e13}),
+    _scenario_text(episodes=[{"start_s": 0, "end_s": 360,
+                              "load_multiplier": 1e15}])],
     ids=["not JSON", "an unknown key", "not UTF-8", "a string seed",
          "a negative seed", "a NaN intensity", "an infinite multiplier",
          "a zero probe cadence", "zero nodes", "runtime_bins low above high",
          "zero cores per node", "more nodes than node_count",
-         "a reset on no node", "a negative start_ts"])
+         "a reset on no node", "a negative start_ts",
+         "an intensity of 1e17", "an intensity of 3e13",
+         "a load multiplier of 1e15"])
 def test_a_bad_scenario_file_exits_before_writing(tmp_path, capsys, text):
     scenario = tmp_path / "scenario.json"
     scenario.write_bytes(text)
@@ -816,7 +854,9 @@ def _meta_with(**values) -> str:
 @pytest.mark.parametrize("meta", [
     '{"bin_width_s": 360}\n', "[]\n",
     pytest.param(_meta_with(bin_width_s="360"), id="bin_width_s-a-string"),
-    pytest.param(_meta_with(alpha=-1), id="alpha-below-its-bound")])
+    pytest.param(_meta_with(alpha=-1), id="alpha-below-its-bound"),
+    pytest.param(_meta_with(day_offset_s=10 ** 20),
+                 id="day_offset_s-past-int64")])
 def test_store_without_the_full_config_exits(demo_feeds, tmp_path, capsys,
                                              meta):
     out = tmp_path / "out"

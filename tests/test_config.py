@@ -138,6 +138,23 @@ def test_validation_checks_each_field_kind():
     Config(alpha=3).validate()  # an int is a float here
 
 
+def test_an_int_field_outside_int64_is_rejected(tmp_path):
+    for name, value in (("bin_width_s", 10 ** 19), ("top_k", 2 ** 63),
+                        ("day_offset_s", 10 ** 20),
+                        ("day_offset_s", -2 ** 63 - 1)):
+        with pytest.raises(ValueError, match=f"config: {name} must fit "
+                                             f"int64, got {value}"):
+            Config(**{name: value}).validate()
+    Config(day_offset_s=-2 ** 63, top_k=2 ** 63 - 1).validate()
+    path = tmp_path / "iorisk.conf"
+    path.write_text("bin_width_s = 10000000000000000000\n")
+    with pytest.raises(ValueError, match="bin_width_s must fit int64"):
+        resolve_config(path)
+    stored = asdict(Config(top_k=10 ** 19))
+    with pytest.raises(ValueError, match="top_k must fit int64"):
+        resolve_config(None, {}, stored, "report")
+
+
 def test_library_guards_state_the_schema_rule():
     from iorisk.analytics import detect_slowdown
     from iorisk.ingest import UsageTable

@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import feed_from_rows, risk_contribs, simple_job, values_row
 from iorisk.attribute import attribute_usage, fs_bin_totals
-from iorisk.ingest import deltify_and_bin
+from iorisk.ingest import UsageTable, deltify_and_bin
 from iorisk.config import Config
-from iorisk.metrics import (FS_SUBJECT, FsBaseline, compute_baseline,
-                            compute_baselines, compute_fs_metrics,
-                            compute_job_metrics)
+from iorisk.metrics import (FS_SUBJECT, FsBaselines, compute_baselines,
+                            compute_fs_metrics, compute_job_metrics)
 from scalar_analytics import as_table
-from scalar_metrics import (JobBinUsage, fs_bin_aggregate, job_bin_quality,
-                            job_bin_risk, op_risk)
+from scalar_metrics import (JobBinUsage, fs_baselines, fs_bin_aggregate,
+                            job_bin_quality, job_bin_risk, one_baseline,
+                            op_risk)
 from iorisk.ops import (COUNTER_NAMES, MDS_COUNTERS, N_COUNTERS,
                         OSS_COUNTERS, READ_OPS)
 
@@ -57,13 +59,11 @@ def oracle_quality(read_kb, read_ops, write_kb, write_ops):
     return q_read, q_write
 
 
-def make_baseline(fs_id="fs2", **avgs) -> FsBaseline:
+def make_baseline(fs_id="fs2", **avgs):
     avg = np.zeros(N_COUNTERS)
     for name, v in avgs.items():
         avg[COUNTER_NAMES.index(name)] = v
-    md_total = float(sum(avg[5:]))
-    return FsBaseline(fs_id=fs_id, avg=avg, md_total_avg=md_total,
-                      window=(0, 0), n_bins=1)
+    return one_baseline(fs_id, avg, float(sum(avg[5:])))
 
 
 def jb_usage(fs_id="fs2", bin_start=0, job_id="j1", **deltas) -> JobBinUsage:
@@ -71,7 +71,7 @@ def jb_usage(fs_id="fs2", bin_start=0, job_id="j1", **deltas) -> JobBinUsage:
                        np.asarray(values_row(**deltas), dtype=np.int64))
 
 
-# --- compute_baseline -------------------------------------------------------
+# --- compute_baselines ------------------------------------------------------
 
 
 def usage_for_baseline(rows):
@@ -83,9 +83,10 @@ def test_baseline_single_bin():
     totals = usage_for_baseline([
         [400, "n1", "fs2"] + values_row(read_ops=0),
         [700, "n1", "fs2"] + values_row(read_ops=100)])
-    b = compute_baseline(totals, "fs2")
-    assert b.avg[READ_OPS] == 100.0
-    assert b.n_bins == 1
+    b = compute_baselines(totals)
+    assert b.filesystems == ("fs2",)
+    assert b.avg[0, READ_OPS] == 100.0
+    assert b.n_bins[0] == 1
 
 
 def test_baseline_two_bins_arithmetic_mean():
@@ -93,8 +94,8 @@ def test_baseline_two_bins_arithmetic_mean():
         [400, "n1", "fs2"] + values_row(read_ops=0),
         [700, "n1", "fs2"] + values_row(read_ops=100),
         [1060, "n1", "fs2"] + values_row(read_ops=400)])
-    b = compute_baseline(totals, "fs2")
-    assert b.avg[READ_OPS] == 200.0
+    b = compute_baselines(totals)
+    assert b.avg[0, READ_OPS] == 200.0
 
 
 def test_baseline_counts_empty_bins_as_zeros():
@@ -103,18 +104,59 @@ def test_baseline_counts_empty_bins_as_zeros():
         [400, "n1", "fs2"] + values_row(mkdir=0),
         [700, "n1", "fs2"] + values_row(mkdir=100),
         [2100, "n1", "fs2"] + values_row(mkdir=150)])
-    b = compute_baseline(totals, "fs2")
-    assert b.n_bins == 5
-    assert b.avg[COUNTER_NAMES.index("mkdir")] == pytest.approx(150 / 5)
-    assert b.md_total_avg == pytest.approx(150 / 5)
+    b = compute_baselines(totals)
+    assert b.n_bins[0] == 5
+    assert b.avg[0, COUNTER_NAMES.index("mkdir")] == pytest.approx(150 / 5)
+    assert b.md_total_avg[0] == pytest.approx(150 / 5)
 
 
-def test_baseline_window_and_errors():
-    totals = usage_for_baseline([
-        [400, "n1", "fs2"] + values_row(read_ops=0),
-        [700, "n1", "fs2"] + values_row(read_ops=100)])
-    with pytest.raises(ValueError):
-        compute_baseline(totals, "fs9")
+@st.composite
+def fs_totals(draw):
+    """fs totals over up to 4 filesystems, some with no rows, in shuffled
+    row order, and None or a trailing window from under one bin to many
+    times the data's span. Each delta stays below 2**40 and a table holds
+    at most 60 rows, so every float sum of them is exact."""
+    w = draw(st.sampled_from([60, 360, 3600]))
+    n_fs = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.tuples(st.integers(0, n_fs - 1),
+                                    st.integers(0, 40)),
+                          unique=True, max_size=60))
+    order = draw(st.permutations(range(len(cells))))
+    cells = [cells[i] for i in order]
+    deltas = draw(st.lists(st.lists(st.integers(0, 2 ** 40 - 1),
+                                    min_size=N_COUNTERS,
+                                    max_size=N_COUNTERS),
+                           min_size=len(cells), max_size=len(cells)))
+    totals = UsageTable(
+        {"fs": np.asarray([fs for fs, _ in cells], np.int32)},
+        {"fs": tuple(f"fs{i}" for i in range(n_fs))},
+        np.asarray([W * 5000 + w * k for _, k in cells], np.int64),
+        np.asarray(deltas, np.int64).reshape(-1, N_COUNTERS), w)
+    days = draw(st.none() | st.floats(1e-4, 10.0))
+    return totals, days
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fs_totals())
+def test_baselines_match_scalar_oracle_bit_for_bit(case):
+    totals, days = case
+    b = compute_baselines(totals, baseline_days=days)
+    want = fs_baselines(totals, days)
+    assert b.filesystems == totals.names["fs"]
+    assert b.avg.tolist() == [avg for avg, _, _ in want]
+    assert b.md_total_avg.tolist() == [md for _, md, _ in want]
+    assert b.n_bins.tolist() == [n for _, _, n in want]
+    assert len(b) == sum(n > 0 for _, _, n in want)
+
+
+def test_job_metrics_reject_baselines_of_other_filesystems(rng):
+    _, attribution, baselines, _ = _pipeline_metrics(rng)
+    assert attribution.job_usage.names["fs"] == ("fs2",)
+    for filesystems in ((), ("fs3",), ("fs2", "fs3"), ("fs3", "fs2")):
+        other = dataclasses.replace(baselines, filesystems=filesystems)
+        with pytest.raises(ValueError, match="baselines are for "
+                                             "filesystems"):
+            compute_job_metrics(attribution.job_usage, other)
 
 
 def test_baseline_trailing_days():
@@ -126,11 +168,11 @@ def test_baseline_trailing_days():
         cum += 10 if k < 240 else 30
         rows.append([t, "n1", "fs2"] + values_row(read_ops=cum))
     totals = usage_for_baseline([[360, "n1", "fs2"] + values_row()] + rows)
-    full = compute_baseline(totals, "fs2")
-    assert full.avg[READ_OPS] == pytest.approx(20.0)
-    trailing = compute_baseline(totals, "fs2", baseline_days=1)
-    assert trailing.avg[READ_OPS] == pytest.approx(30.0)
-    assert trailing.n_bins == 240
+    full = compute_baselines(totals)
+    assert full.avg[0, READ_OPS] == pytest.approx(20.0)
+    trailing = compute_baselines(totals, baseline_days=1)
+    assert trailing.avg[0, READ_OPS] == pytest.approx(30.0)
+    assert trailing.n_bins[0] == 240
 
 
 def test_baseline_30day_fixture_matches_accumulation_oracle(rng):
@@ -147,11 +189,11 @@ def test_baseline_30day_fixture_matches_accumulation_oracle(rng):
         cum = cum + d
         rows.append([t, "n1", "fs2"] + cum.tolist())
     totals = usage_for_baseline(rows)
-    b = compute_baseline(totals, "fs2")
+    b = compute_baselines(totals)
     stacked = np.stack(per_bin)
     want = stacked.sum(axis=0) / n_bins  # includes zero bins implicitly
-    np.testing.assert_allclose(b.avg, want, rtol=0, atol=1e-9)
-    assert b.md_total_avg == pytest.approx(
+    np.testing.assert_allclose(b.avg[0], want, rtol=0, atol=1e-9)
+    assert b.md_total_avg[0] == pytest.approx(
         stacked[:, 5:].sum() / n_bins, abs=1e-9)
 
 
@@ -188,8 +230,7 @@ def test_mkdir_storm_beta_path_hand_value():
     # denominator 0.25 * 100 = 25 -> (500 - 25) / 25 = 19.0
     avg = np.zeros(N_COUNTERS)
     avg[COUNTER_NAMES.index("mkdir")] = 0.1
-    baseline = FsBaseline("fs2", avg, md_total_avg=100.0, window=(0, 0),
-                          n_bins=1)
+    baseline = one_baseline("fs2", avg, md_total_avg=100.0)
     point = job_bin_risk(jb_usage(mkdir=500), baseline)
     assert point.per_op_risk["mkdir"] == 19.0
     assert point.risk_mds == 19.0
@@ -211,13 +252,32 @@ def test_oss_zero_baseline_contributes_zero():
 
 
 def test_degenerate_md_total_uses_threshold_floor(caplog):
-    baseline = FsBaseline("fs2", np.zeros(N_COUNTERS), md_total_avg=0.0,
-                          window=(0, 0), n_bins=1)
+    baseline = one_baseline("fs2", np.zeros(N_COUNTERS), md_total_avg=0.0)
     with caplog.at_level(logging.WARNING, logger="iorisk.metrics"):
         point = job_bin_risk(jb_usage(mkdir=5), baseline,
                              Config(md_small_avg_threshold=1.0))
     assert point.per_op_risk["mkdir"] == 4.0  # (5 - 1) / 1
     assert any("degenerate" in r.message for r in caplog.records)
+
+
+def test_degenerate_baselines_warn_once_each_in_fs_order(caplog):
+    # fs1 and fs3 have zero metadata averages and metadata activity; fs0
+    # has no activity, fs2 a metadata average, fs4 no rows
+    avg = np.zeros((5, N_COUNTERS))
+    avg[2, COUNTER_NAMES.index("open")] = 5.0
+    baselines = FsBaselines(tuple(f"fs{i}" for i in range(5)), avg,
+                            avg[:, 5:].sum(axis=1), np.ones(5))
+    fs = np.asarray([3, 0, 1, 2, 3, 1], np.int32)
+    deltas = np.zeros((len(fs), N_COUNTERS), np.int64)
+    deltas[[0, 2, 3], COUNTER_NAMES.index("mkdir")] = 7
+    deltas[1, READ_OPS] = 9
+    usage = UsageTable({"job_id": np.zeros(len(fs), np.int32), "fs": fs},
+                       {"job_id": ("j1",), "fs": baselines.filesystems},
+                       np.arange(len(fs), dtype=np.int64) * W, deltas, W)
+    with caplog.at_level(logging.WARNING, logger="iorisk.metrics"):
+        compute_job_metrics(usage, baselines)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        "degenerate baseline for fs1", "degenerate baseline for fs3"]
 
 
 def test_fs_mismatch_rejected():
@@ -248,7 +308,7 @@ def test_random_job_bins_match_brute_force_oracle(rng):
         deltas = {name: int(rng.integers(0, 500))
                   for name in COUNTER_NAMES}
         point = job_bin_risk(jb_usage(**deltas), baseline, params)
-        want = oracle_contributions(deltas, avgs, baseline.md_total_avg)
+        want = oracle_contributions(deltas, avgs, baseline.md_total_avg[0])
         for op in COUNTER_NAMES:
             assert point.per_op_risk[op] == pytest.approx(
                 want[op], abs=1e-9), op
@@ -422,15 +482,18 @@ def test_beta_path_selection_is_deterministic_function_of_baseline():
     # mkdir: 2*0.4 = 0.8 < 1.0 -> beta path; open: 20 >= 1.0 -> alpha path
     for x in (0, 1, 10, 1000):
         p = job_bin_risk(jb_usage(mkdir=x), baseline, params)
-        beta_denom = 0.25 * baseline.md_total_avg
+        beta_denom = 0.25 * baseline.md_total_avg[0]
         want = max(0.0, (x - beta_denom) / beta_denom)
         assert p.per_op_risk["mkdir"] == pytest.approx(want, abs=1e-9)
 
 
 def test_compute_job_metrics_requires_baselines(rng):
     _, attribution, baselines, _ = _pipeline_metrics(rng)
-    with pytest.raises(ValueError):
-        compute_job_metrics(attribution.job_usage, {})
+    none = dataclasses.replace(baselines,
+                               n_bins=np.zeros_like(baselines.n_bins))
+    with pytest.raises(ValueError,
+                       match=r"no baseline for filesystems \['fs2'\]"):
+        compute_job_metrics(attribution.job_usage, none)
 
 
 def test_quality_agg_mean_option(rng):

@@ -243,6 +243,15 @@ def test_correlation_with_lag():
     assert n == 29
 
 
+def test_a_lag_past_the_span_pairs_no_bins():
+    ts = np.arange(1, 30) * W
+    x = np.sin(np.arange(29) * 0.7) + 2
+    assert correlate_series((ts, x), (ts, x), W, lag=26)[1] == 3
+    for lag in (29, -29, 10 ** 16, 10 ** 17, -10 ** 17, 2 ** 63, -2 ** 70):
+        with pytest.raises(ValueError, match="got 0"):
+            correlate_series((ts, x), (ts, x), W, lag=lag)
+
+
 # --- time-series emission ---------------------------------------------------
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.ingest import (deltify_and_bin, read_counter_file,
                            read_job_file)
 from iorisk.ops import MDS_SLICE, N_COUNTERS, OSS_SLICE
-from iorisk.simgen import (ContentionEpisode, JobTemplate, ScenarioError,
-                           ScenarioSpec, generate, preset_scenario,
+from iorisk.simgen import (PATTERNS, PEAK_COUNT, ContentionEpisode,
+                           JobTemplate, ScenarioError, ScenarioSpec,
+                           _pattern_deltas, generate, preset_scenario,
                            spec_from_json, spec_to_json)
 
 W = 360
@@ -319,6 +322,17 @@ BAD_SCENARIOS = {
     "a reset off the grid": (lambda doc: json.dumps(
         {**doc, "resets": [["n0000", "fs2", W + 1]]}).encode(),
         "reset offset 361 must be a bin-aligned snapshot"),
+    # counts past int64: wrapped, or cast from a float past it
+    "an intensity of 1e17": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "intensity": 1e17})).encode(),
+        "intensity and load multipliers too large"),
+    "an intensity of 3e13": (lambda doc: json.dumps(_with_template(
+        doc, {**doc["templates"][0], "intensity": 3e13})).encode(),
+        "intensity and load multipliers too large"),
+    "an episode's load_multiplier 1e15": (lambda doc: json.dumps(
+        {**doc, "episodes": [{"start_s": 0, "end_s": W,
+                              "load_multiplier": 1e15}]}).encode(),
+        "intensity and load multipliers too large"),
 }
 
 
@@ -333,6 +347,45 @@ def test_a_bad_scenario_file_raises_naming_the_file(tmp_path, case):
         spec_from_json(path)
     assert str(exc.value).startswith(f"scenario {path}: "), exc.value
     assert message in str(exc.value), exc.value
+
+
+def test_no_pattern_books_more_than_the_peak_count():
+    rng = np.random.default_rng(5)
+    for pattern in PATTERNS:
+        for nodes in (1, 3, 8):
+            for intensity in (1e-3, 1.0, 7.5, 1e6):
+                deltas = _pattern_deltas(rng, pattern, 300, nodes, intensity)
+                # the most a node's share takes: the first take remainders
+                assert (-(-deltas // nodes)).max() \
+                    <= PEAK_COUNT * max(1.0, intensity), (pattern, nodes)
+
+
+def test_a_scenario_just_under_the_count_bound_is_exact(tmp_path):
+    # tiny_spec's 8 nodes x 40 bins, an episode doubling every bin
+    bound = 2 ** 63 / (8 * 40 * PEAK_COUNT * 2)
+    episodes = (ContentionEpisode(0, 40 * W, load_multiplier=2.0),)
+    templates = tiny_spec().templates
+
+    def spec(intensity):
+        return tiny_spec(episodes=episodes, templates=(dataclasses.replace(
+            templates[0], intensity=intensity), *templates[1:]))
+
+    with pytest.raises(ScenarioError, match="too large"):
+        spec(1.01 * bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ledger = generate(spec(0.99 * bound), tmp_path)
+    feed, _, _, attribution = pipeline_recover(tmp_path)
+    assert feed.values.min() >= 0
+    # far past float64's exact integers: every sum below is int64's
+    assert max(max(v) for v in ledger.feed_totals.values()) > 2 ** 57
+    totals = fs_bin_totals(attribution)
+    for fs_i, fs in enumerate(totals.names["fs"]):
+        got = totals.deltas[totals.codes["fs"] == fs_i].sum(axis=0)
+        assert got.tolist() == ledger.feed_totals[fs]
+        assert ledger.feed_totals[fs] == [
+            sum(ledger.job_totals[j][c] for j in ledger.job_fs
+                if ledger.job_fs[j] == fs) for c in range(N_COUNTERS)]
 
 
 def test_a_scenario_file_takes_the_defaults_for_absent_keys(tmp_path):

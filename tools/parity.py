@@ -5,12 +5,15 @@ Usage: python tools/parity.py SRC_DIR [--work DIR]
 Runs the command line of the iorisk package under SRC_DIR (the directory
 holding ``iorisk/``) on fixed inputs: the six simgen presets, the
 ``offgrid-busy`` benchmark workload as ``perfbench/workloads.py`` builds it,
-and five hand-written feeds (keys holding a lone carriage return; two
+five hand-written feeds (keys holding a lone carriage return; two
 jobs whose integrated risk ties; the demo counters with no jobs, and with
 two jobs in conflict; the perf counters with their last row moved to the
 front, so a stream goes back in time and ingest reads the file again
-whole). Each input goes through ``all --svg --probe``
-and through the staged ``ingest``/``analyze``/``report --svg --probe``.
+whole), and the demo feeds again as ``windowed``. Each input goes through
+``all --svg --probe`` and through the staged
+``ingest``/``analyze``/``report --svg --probe``. ``windowed`` also takes
+analyze-stage flags (a trailing baseline window, mean quality): ``all``
+and ``analyze`` get them, and ``report`` takes them from the store.
 Every simgen output, every file under each ``--out`` and each command's
 exit code and output are then listed as ``sha256  path``, one line each,
 sorted by path. Two source trees give the same artifacts when their
@@ -42,6 +45,9 @@ OFFGRID = "offgrid-busy"
 OFFGRID_SEED = 11
 # extra flags per input, as the report oracle test runs them
 FLAGS = {"resets": ("--day-offset", "3600"), "tied": ("--top-k", "1")}
+# extra analyze-stage flags per input
+ANALYZE_FLAGS = {"windowed": ("--baseline-days", "0.3",
+                              "--quality-agg", "mean")}
 COUNTER_HEADER = ("ts,node,fs,read_kb,read_ops,write_kb,write_ops,other,"
                   "open,close,mknod,link,unlink,mkdir,rmdir,ren,getattr,"
                   "setattr,getxattr,setxattr,statfs,sync,sdr,cdr")
@@ -92,6 +98,13 @@ def conflict_feeds(root: Path) -> None:
     (root / "jobs.csv").write_text(
         JOB_HEADER + "j1,p,cmd,n0000,1577836800,1577840400,24\n"
         "j2,p,cmd,n0000,1577838000,1577842000,24\n")
+
+
+def windowed_feeds(root: Path) -> None:
+    """The demo counters and jobs, for a run with analyze-stage flags."""
+    demo = root.parents[1] / "demo" / "feeds"
+    for name in ("counters.csv", "jobs.csv"):
+        shutil.copy(demo / name, root)
 
 
 def back_in_time_feeds(root: Path) -> None:
@@ -147,10 +160,12 @@ def run_case(run: Runner, name: str) -> None:
     inputs = ("--counters", f"{feeds}/counters.csv",
               "--jobs", f"{feeds}/jobs.csv")
     report = ("--svg", "--probe", probe, *FLAGS.get(name, ()))
-    run(f"{name}-all", "all", *inputs, "--out", f"{name}/all", *report)
+    analyze = ANALYZE_FLAGS.get(name, ())
+    run(f"{name}-all", "all", *inputs, "--out", f"{name}/all", *analyze,
+        *report)
     staged = ("--out", f"{name}/staged")
     run(f"{name}-ingest", "ingest", *inputs, *staged)
-    run(f"{name}-analyze", "analyze", *staged)
+    run(f"{name}-analyze", "analyze", *staged, *analyze)
     run(f"{name}-report", "report", *staged, *report)
 
 
@@ -181,7 +196,8 @@ def main(argv=None) -> int:
         build_offgrid(src, work)
         written = {"lone-cr": lone_cr_feeds, "tied": tied_feeds,
                    "no-jobs": no_jobs_feeds, "conflict": conflict_feeds,
-                   "back-in-time": back_in_time_feeds}
+                   "back-in-time": back_in_time_feeds,
+                   "windowed": windowed_feeds}
         for name, write in written.items():
             (work / name / "feeds").mkdir(parents=True)
             write(work / name / "feeds")
