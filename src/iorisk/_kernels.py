@@ -25,6 +25,8 @@ bins.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ops import N_COUNTERS, N_OSS
@@ -40,27 +42,35 @@ def bins_spanned(t0, t1, w):
     return (t1 - 1) // w - t0 // w + 1
 
 
-def apportion(deltas, overlap, span):
+def apportion(deltas, overlap, span, out=None):
     """Split each row of deltas (n, 21) between K claimants.
 
     overlap is (n, K) and span is (n,); returns shares of shape (n, K, 21)
     under the apportioning rule of this module, summing to deltas along
-    axis 1. With K = 1 the result is a view of deltas.
+    axis 1. out, if given, is the (n, K, 21) int64 array the shares go
+    to, and deltas may be out[:, -1]; without it, with K = 1 the result
+    is a view of deltas.
     """
     n, k_count = overlap.shape
     if k_count == 1:
-        return deltas[:, None, :]
+        if out is None:
+            return deltas[:, None, :]
+        out[:, 0] = deltas
+        return out
+    shares = (np.empty((n, k_count, deltas.shape[1]), dtype=np.int64)
+              if out is None else out)
     d = deltas.astype(np.float64)
     span = span.astype(np.float64)[:, None]
-    shares = np.empty((n, k_count, deltas.shape[1]), dtype=np.int64)
     # the last claimant's rounded share plus the residue is deltas less
     # the other shares, so only the others are rounded
     last = shares[:, -1]
     last[:] = deltas
+    share = np.empty_like(d)
     for k in range(k_count - 1):
         # non-negative operands, so rint's ties-to-even is the rule's rounding
-        shares[:, k] = np.rint(d * overlap[:, k, None].astype(np.float64)
-                               / span)
+        np.multiply(d, overlap[:, k, None], out=share)
+        share /= span
+        shares[:, k] = np.rint(share, out=share)
         last -= shares[:, k]
     # the others are rounded from non-negative operands, so a carry starts
     # only at a negative last share
@@ -78,14 +88,49 @@ def sort_groups(*keys):
     The sort is stable, so rows that share every key keep their input
     order; starts holds the position in order of each group's first row.
     Zero rows give empty order and starts.
+
+    Two or more integer keys are sorted as one int64 column that packs
+    them (see _packed) where it can: a stable argsort of it is the same
+    order as np.lexsort's. On 20,000 rows of (job, fs, bin) keys it took
+    half the time, and a sixth on eight such runs, each sorted, one after
+    another (2-core x86 machine).
     """
-    order = np.lexsort(keys[::-1])
-    sorted_keys = [key[order] for key in keys]
+    packed = _packed(keys) if len(keys) > 1 else None
+    if packed is None:
+        order = np.lexsort(keys[::-1])
+    else:
+        order = np.argsort(packed, kind="stable")
+        keys = (packed,)
     first = np.zeros(len(order), dtype=bool)
     first[:1] = True
-    for key in sorted_keys:
+    for key in keys:  # one sorted copy of a key at a time
+        key = key[order]
         first[1:] |= key[1:] != key[:-1]
+        del key
     return order, np.flatnonzero(first)
+
+
+def _packed(keys):
+    """Signed integer key columns as one int64 column that sorts as they
+    do, the first major, or None where a column is of another kind, there
+    are no rows, or the columns' ranges multiply past int64."""
+    if not len(keys[0]) or any(key.dtype.kind != "i" for key in keys):
+        return None
+    lows = [int(key.min()) for key in keys]
+    spans = [int(key.max()) - low + 1 for key, low in zip(keys, lows)]
+    if math.prod(spans) > 2 ** 63:  # the largest packed value is prod - 1
+        return None
+    packed = np.zeros(len(keys[0]), np.int64)
+    for key, low, span in zip(keys, lows, spans):
+        packed *= span
+        # in the order that keeps every partial sum inside int64
+        if low > 0:
+            packed -= low
+            packed += key
+        else:
+            packed += key
+            packed -= low
+    return packed
 
 
 def groups(key):
@@ -96,51 +141,80 @@ def groups(key):
         yield key[rows[0]], rows
 
 
-def group_sum(keys, values):
+def group_sum(keys, values, sizes=None):
     """Sum the rows of values that share every key -> (keys, sums).
 
     Groups come in key order (see sort_groups). The returned key columns
     keep their dtypes, so zero rows give typed empty columns and an empty
     (0, ...) sum.
 
-    values is an array, or a non-empty list of arrays whose rows, in list
-    order, are the rows. An array's rows are summed where they lie (see
-    _segment_sums). The list is emptied front to back as each array is
-    added into the sums, so that the arrays and the sums are never all
-    resident at once, as they are when the arrays are first concatenated.
+    values is an array, whose rows are summed where they lie (see
+    _segment_sums), or arrays whose rows, in turn, are the rows: a
+    non-empty list, or an iterator that yields arrays of sizes[i] rows
+    each. In that form the arrays are added into sums of the result's
+    exact size one at a time, and each is dropped once it is in, so that
+    the arrays are never all resident beside the sums, as they are when
+    first concatenated. group_sum then takes both lists over: it empties
+    keys once the rows are sorted, and the list of arrays front to back.
+    Beyond the sums and the returned keys, the merge holds a group index
+    and a flag per row.
     """
     order, starts = sort_groups(*keys)
     first = order[starts]
-    keys = [key[first] for key in keys]
-    if not isinstance(values, list):
-        return keys, _segment_sums(values, order, starts)
-    is_first = np.zeros(len(order), dtype=bool)
-    is_first[starts] = True
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(is_first) - 1
-    opens = np.zeros(len(order), dtype=bool)
-    opens[first] = True  # the rows that open their groups, in input order
+    grouped = [key[first] for key in keys]
+    if isinstance(values, np.ndarray):
+        return grouped, _segment_sums(values, order, starts)
+    keys.clear()  # the caller's key columns, freed once sorted
+    keys = grouped
+    if sizes is None:
+        sizes = [len(v) for v in values]
+        values = _drained(values)
+    n = len(order)
     # a group's rows come in input order, so two rows of one array in one
     # group are neighbours; such an array needs np.add.at, over three times
     # slower than the plain scatter an array of distinct groups takes
-    owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
-    owner = owner[order]
-    repeats = np.zeros(len(values), dtype=bool)
-    repeats[owner[1:][~is_first[1:] & (owner[1:] == owner[:-1])]] = True
-    sums = np.zeros((len(starts),) + values[0].shape[1:], values[0].dtype)
-    values.reverse()
-    lo = 0
-    for repeat in repeats:
-        part = values.pop()
-        rows, seen = group[lo:lo + len(part)], ~opens[lo:lo + len(part)]
+    later = np.ones(n, dtype=bool)
+    later[starts] = False
+    later = np.flatnonzero(later)
+    ends = np.cumsum(sizes)
+    owner = np.searchsorted(ends, order[later], side="right")
+    repeats = np.zeros(len(sizes), dtype=bool)
+    repeats[owner[owner == np.searchsorted(ends, order[later - 1],
+                                           side="right")]] = True
+    del later, owner
+    # each row's group, by input position
+    rank = np.zeros(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
+    rank[starts[1:]] = 1
+    np.cumsum(rank, out=rank)
+    group = np.empty_like(rank)
+    group[order] = rank
+    del order, rank
+    opens = np.zeros(n, dtype=bool)
+    opens[first] = True  # the rows that open their groups, in input order
+    del first
+    sums, lo = None, 0
+    for size, repeat in zip(sizes, repeats):
+        part = next(values)
+        if sums is None:  # the first array types the sums
+            sums = np.zeros((len(starts),) + part.shape[1:], part.dtype)
+        rows = group[lo:lo + size]
         if repeat:
             np.add.at(sums, rows, part)
         else:  # the groups begun before get their sums so far added back
+            seen = ~opens[lo:lo + size]
             before = sums[rows[seen]]
             sums[rows] = part
             sums[rows[seen]] += before
-        lo += len(part)
+        del part
+        lo += size
     return keys, sums
+
+
+def _drained(values):
+    """The list's arrays front to back, each taken out as it is given."""
+    values.reverse()
+    while values:
+        yield values.pop()
 
 
 # groups of at most this many rows are summed a row rank at a time, larger
@@ -248,6 +322,15 @@ def claim_ranges(node_idx, bin_start, bin_width, node_ptr, job_start,
     return j0, j1
 
 
+def claim_keys(rows, fs_idx, bin_start, bin_width, j0, j1, job_start,
+               job_end, job_of):
+    """The (job, fs, bin_start) keys of the claimant rows that
+    attribute_shares gives for the same rows, in its order, without their
+    shares."""
+    return _claimant_rows(rows, fs_idx, bin_start, None, bin_width, j0, j1,
+                          job_start, job_end, job_of)
+
+
 def attribute_shares(rows, fs_idx, bin_start, deltas, bin_width, j0, j1,
                      job_start, job_end, job_of):
     """The node-bin rows picked by rows -> per-claimant share rows.
@@ -258,20 +341,19 @@ def attribute_shares(rows, fs_idx, bin_start, deltas, bin_width, j0, j1,
     with the bin width as the span. Returns (job, fs, bin_start, deltas),
     one row per claimant, in no particular order.
     """
+    return _claimant_rows(rows, fs_idx, bin_start, deltas, bin_width, j0,
+                          j1, job_start, job_end, job_of)
+
+
+def _claimant_rows(rows, fs_idx, bin_start, deltas, bin_width, j0, j1,
+                   job_start, job_end, job_of):
+    """attribute_shares, or claim_keys where deltas is None. The claimants
+    of each group of rows with as many are found first, so the shares go
+    straight into one table of their exact size."""
     w = bin_width
-    parts = [(np.empty(0, np.int32), np.empty(0, np.int32),
-              np.empty(0, np.int64), np.empty((0, N_COUNTERS), np.int64))]
-
-    def emit(rows, overlap, claim):
-        if len(rows) == 0:
-            return
-        k_count = claim.shape[1]
-        shares = apportion(np.take(deltas, rows, axis=0), overlap,
-                           np.full(len(rows), w))
-        parts.append((claim.ravel(), np.repeat(fs_idx[rows], k_count),
-                      np.repeat(bin_start[rows], k_count),
-                      shares.reshape(-1, N_COUNTERS)))
-
+    # (rows, overlap, claim) per group; the first types an empty table
+    claims = [(rows[:0], np.empty((0, 1), np.int64),
+               np.empty((0, 1), np.int32))]
     for n_j, at in groups(j1[rows] - j0[rows]):
         picked = rows[at]
         jobs = j0[picked, None] + np.arange(n_j)
@@ -281,11 +363,31 @@ def attribute_shares(rows, fs_idx, bin_start, deltas, bin_width, j0, j1,
         claim = job_of[jobs].astype(np.int32)
         free = w - overlap.sum(axis=1)
         part = free > 0
-        emit(picked[~part], overlap[~part], claim[~part])
-        emit(picked[part], np.column_stack((overlap[part], free[part])),
-             np.column_stack((claim[part], np.full(part.sum(), -1, np.int32))))
-    job, fs, bins, shares = (np.concatenate(p) for p in zip(*parts))
-    return job.astype(np.int32), fs.astype(np.int32), bins, shares
+        for group in ((picked[~part], overlap[~part], claim[~part]),
+                      (picked[part],
+                       np.column_stack((overlap[part], free[part])),
+                       np.column_stack((claim[part],
+                                        np.full(part.sum(), -1, np.int32))))):
+            if len(group[0]):
+                claims.append(group)
+    job = np.concatenate([claim.ravel() for _, _, claim in claims])
+    fs, bins = (np.concatenate([np.repeat(col[picked], claim.shape[1])
+                                for picked, _, claim in claims])
+                for col in (fs_idx, bin_start))
+    keys = job, fs.astype(np.int32, copy=False), bins
+    if deltas is None:
+        return keys
+    shares = np.empty((len(job), N_COUNTERS), np.int64)
+    lo = 0
+    for picked, overlap, claim in claims:
+        out = shares[lo:lo + claim.size].reshape(*claim.shape, N_COUNTERS)
+        # each row's deltas go where its last claimant's share goes;
+        # mode="clip": with the default mode, take buffers its output
+        apportion(np.take(deltas, picked, axis=0, mode="clip",
+                          out=out[:, -1]),
+                  overlap, np.full(len(picked), w), out=out)
+        lo += claim.size
+    return (*keys, shares)
 
 
 def risk_contribs(deltas, fs_idx, avg, md_total, alpha, beta, threshold):

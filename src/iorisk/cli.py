@@ -92,11 +92,11 @@ def _metrics(totals, job_usage, cfg: Config):
     return baselines, jm, compute_fs_metrics(jm, cfg.quality_agg)
 
 
-def _analyze(cfg: Config, out: Path, usage, jobs):
-    """Attribute node usage to jobs and write the analysis artifacts and
-    the fs bin totals report reads; returns the job usage and its job and
-    fs metrics."""
-    attribution = attribute_usage(usage, jobs)
+def _analyze(cfg: Config, out: Path, attribution):
+    """Write the analysis artifacts of node usage's attribution to jobs
+    and the fs bin totals report reads; returns the job usage and its job
+    and fs metrics. The callers drop node usage, the largest table, once
+    it is attributed, so the metrics' temporaries do not come on top."""
     totals = fs_bin_totals(attribution)
     baselines, jm, fm = _metrics(totals, attribution.job_usage, cfg)
     store.write_job_usage(out, attribution.job_usage)
@@ -120,7 +120,9 @@ def cmd_analyze(args, cfg: Config) -> int:
     jobs = store.read_jobs(out)
     _clear_report_artifacts(out)
     store.write_config(out, cfg)
-    _analyze(cfg, out, usage, jobs)
+    attribution = attribute_usage(usage, jobs)
+    del usage
+    _analyze(cfg, out, attribution)
     return 0
 
 
@@ -232,7 +234,9 @@ def cmd_all(args, cfg: Config) -> int:
     probe = read_probe_file(args.probe) if args.probe else None
     aliases = _read_aliases(args.alias)
     usage, jobs = _ingest(args, cfg, out)
-    job_usage, jm, fm = _analyze(cfg, out, usage, jobs)
+    attribution = attribute_usage(usage, jobs)
+    del usage
+    job_usage, jm, fm = _analyze(cfg, out, attribution)
     _report(args, cfg, out, jobs, job_usage, jm, fm, probe, aliases)
     return 0
 

@@ -27,7 +27,8 @@ STAGES = ("ingest", "analyze", "report")
 
 
 def _param(default, flag, stage, help, rule=None, choices=None):
-    """A Config field; rule is "<op> <bound>" with op one of > and >=."""
+    """A Config field; rule is one or more "<op> <bound>" joined by
+    " and ", with op one of >, >= and <=."""
     return field(default=default, metadata={
         "flag": flag, "stage": stage, "help": help, "rule": rule,
         "choices": choices})
@@ -54,7 +55,9 @@ class Config:
         "scaled-average floor that triggers the beta path", ">= 0")
     baseline_days: float | None = _param(
         None, "--baseline-days", "analyze",
-        "trailing baseline window in days; unset means all data", "> 0")
+        "trailing baseline window in days; unset means all data",
+        # its seconds fit int64, as the timestamps do
+        f"> 0 and <= {(2 ** 63 - 1) // 86400}")
     quality_agg: str = _param(
         "sum", "--quality-agg", "analyze", "fs-level quality aggregation",
         choices=("sum", "mean"))
@@ -81,7 +84,7 @@ class Config:
 FIELDS = {f.name: f for f in fields(Config)}
 _KINDS = {"int": (int,), "float": (int, float), "float | None": (int, float),
           "bool": (bool,), "str": (str,)}
-_OPS = {">": operator.gt, ">=": operator.ge}
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def check(name: str, value, where: str = "config") -> None:
@@ -102,11 +105,10 @@ def check(name: str, value, where: str = "config") -> None:
     if choices is not None and value not in choices:
         raise ValueError(f"{where}: {name} must be one of "
                          f"{', '.join(choices)}, got {value!r}")
-    if rule is not None:
-        op, bound = rule.split()
-        if not _OPS[op](value, float(bound)):
-            raise ValueError(f"{where}: {name} must be {rule}, "
-                             f"got {value!r}")
+    if rule is not None and not all(
+            _OPS[op](value, float(bound))
+            for op, bound in map(str.split, rule.split(" and "))):
+        raise ValueError(f"{where}: {name} must be {rule}, got {value!r}")
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -84,6 +84,15 @@ _PARSE_CHUNK = 16384
 # of 8). Forking costs 10 to 20% more CPU time at every size, all of it
 # wall time when the two processes share one core
 _SEGMENT_BYTES = 6 << 20
+# rows per binned part that the final merge takes, each in a memory map of
+# its own and unmapped once it is summed in. A part is sorted by key and
+# the parts go in order of their last keys, so the table is written front
+# to back; a piece of a chunk in collector order spans every stream, and
+# on a dense feed of 300 nodes (18.9 MB of node usage) merging whole
+# pieces peaked 11 MB higher, as the first ones wrote all over the table
+_MERGE_ROWS = _PARSE_CHUNK // 8
+# bytes of a huge page on x86-64 Linux (see _mapped)
+_HUGE_PAGE = 2 << 20
 # rows per block of write_csv: a block's temporaries, a text object per
 # field and their join, take about four times a parsed row's memory, and
 # at a whole chunk they outgrew the heap that streaming ingest leaves, so
@@ -834,8 +843,13 @@ class _SegmentBinner:
     stitched on after the segments before it (see _stitch): a parsed chunk
     of the rows added here, or a later range of the feed, binned by a
     binner of its own (see join). So memory beyond the rows given is a
-    piece's temporaries, the carry and the binned rows. The workspaces
-    and the binned rows are memory maps (see _mapped).
+    piece's temporaries, the carry and the binned rows, and a piece holds
+    about _PARSE_CHUNK binned rows however many bins its pairs span. The
+    workspaces and the binned rows are memory maps (see _mapped). The
+    final merge unmaps each part of the binned rows once it is summed
+    into the table, and writes the table front to back (see table), so
+    what it holds, the parts still to come and the table's pages written
+    so far, stays about one table.
     """
 
     def __init__(self, bin_width, max_gap_bins, pre_differenced):
@@ -847,13 +861,12 @@ class _SegmentBinner:
         # each stream's first snapshot, which a binner of the rows before
         # it pairs with its own carry (see _stitch)
         self.heads = _no_snapshots()
-        # the binned rows: each part's (stream, bin, deltas), copied into
-        # slabs filled in turn, each twice the size of the one before, so
-        # no binned row moves again; parts holds the copies, as views. The
-        # first part types an empty table.
+        # the binned rows: (stream, bin, deltas) parts of at most
+        # _MERGE_ROWS rows, each copied into a memory map of its own, which
+        # is unmapped once table() sums it in. The first part types an
+        # empty table.
         self.parts = [(np.empty(0, np.int64), np.empty(0, np.int64),
                        np.empty((0, N_COUNTERS), np.int64))]
-        self._slab, self._filled = _map_slab(2 * _PARSE_CHUNK), 0
         self.samples = self.gap_pairs = self.reset_pairs = 0
         self._gathered = np.empty((0, N_COUNTERS), np.int64)
         self._differenced = np.empty((0, N_COUNTERS), np.int64)
@@ -911,24 +924,27 @@ class _SegmentBinner:
 
     def _keep(self, parts):
         for part in parts:
-            n, room = len(part[0]), len(self._slab[0])
-            if self._filled + n > room:
-                self._slab, self._filled = _map_slab(max(n, 2 * room)), 0
-            lo, self._filled = self._filled, self._filled + n
-            kept = tuple(col[lo:self._filled] for col in self._slab)
-            for dst, src in zip(kept, part):
-                dst[...] = src
-            self.parts.append(kept)
+            for lo in range(0, len(part[0]), _MERGE_ROWS):
+                n = min(len(part[0]) - lo, _MERGE_ROWS)
+                table = _mapped((2 + N_COUNTERS) * n)
+                kept = (table[:n], table[n:2 * n],
+                        table[2 * n:].reshape(n, N_COUNTERS))
+                for dst, src in zip(kept, part):
+                    dst[...] = src[lo:lo + n]
+                self.parts.append(kept)
 
     def bin_segment(self, stream, ts, values):
         """(heads, carry, parts): each stream's first and last snapshot (a
         tie in feed order) and the binned parts of rows (stream, ts,
         values), in any order, from an empty carry. The rows are sorted by
-        (stream, ts) and binned in pieces of about _PARSE_CHUNK rows that
-        never split a stream, each gathered and differenced in the same two
-        workspaces, which grow only when a piece outgrows them; the parts
-        share no memory with the rows. With pre_differenced the rows form
-        no pairs, so there are no snapshots to stitch."""
+        (stream, ts) and binned in pieces that never split a stream, each
+        of about _PARSE_CHUNK binned rows: a row weighs as many as the bins
+        its pair with the row before meets, so a piece of pairs that span
+        several bins holds fewer rows. Each piece is gathered and
+        differenced in the same two workspaces, which grow only when a
+        piece outgrows them; the parts share no memory with the rows. With
+        pre_differenced the rows form no pairs, so there are no snapshots
+        to stitch and every row weighs one."""
         if not len(ts):
             return _no_snapshots(), _no_snapshots(), []
         order = np.lexsort((ts, stream))
@@ -940,7 +956,7 @@ class _SegmentBinner:
         else:
             heads, carry = (_Carry(stream[at], ts[at], values[order[at]])
                             for at in (first, last))
-        pieces = list(key_ranges(stream))
+        pieces = list(key_ranges(stream, self._weights(stream, ts)))
         self._reserve(max(hi - lo for lo, hi in pieces))
         parts = []
         for lo, hi in pieces:
@@ -955,21 +971,50 @@ class _SegmentBinner:
             parts.append(part)
         return heads, carry, parts
 
+    def _weights(self, stream, ts):
+        """The most binned rows each of the rows, sorted by (stream, ts),
+        gives: the bins that its pair with the row before meets, or one for
+        a stream's first row, a pair that spans no time or more than
+        max_gap_s, and a pre-differenced row."""
+        weight = np.ones(len(ts), np.int64)
+        if not self.pre_differenced:
+            t0, t1 = ts[:-1], ts[1:]
+            met = _kernels.bins_spanned(t0, t1, self.bin_width)
+            met[(stream[1:] != stream[:-1]) | (t1 - t0 > self.max_gap_s)] = 1
+            np.maximum(met, 1, out=weight[1:])  # no time spanned: 0 or 1
+        return weight
+
     def table(self, nodes, filesystems) -> UsageTable:
         """The binned rows summed per (node, fs, bin) into a UsageTable
-        whose codes index nodes and filesystems; each segment's rows are
-        freed as they are added in."""
-        self._gathered = self._differenced = self._slab = None
-        streams, bins, deltas = (list(col) for col in zip(*self.parts))
-        self.parts = []
-        keys = [np.concatenate(streams), np.concatenate(bins)]
-        del streams, bins  # views that would hold every slab to the end
-        (streams, bins), deltas = _kernels.group_sum(keys, deltas)
+        whose codes index nodes and filesystems. Each part is summed into
+        the table where its rows go and then unmapped, so the parts and
+        the table are never both held in full."""
+        self._gathered = self._differenced = None
+        (streams, bins), deltas = _kernels.group_sum(*self._merged_parts())
+        # rows are grouped by stream, so each stream's first row in the
+        # table is where its codes first appear
+        first = np.flatnonzero(np.diff(streams, prepend=-1))
+        rows = np.diff(first, append=len(streams))
+        streams = streams[first]
         node_idx, nodes = _recode(streams >> 32, nodes)
         fs_idx, filesystems = _recode(streams & 0xFFFFFFFF, filesystems)
+        node_idx, fs_idx = np.repeat(node_idx, rows), np.repeat(fs_idx, rows)
         return UsageTable({"node": node_idx, "fs": fs_idx},
                           {"node": nodes, "fs": filesystems}, bins, deltas,
                           self.bin_width, self.counts())
+
+    def _merged_parts(self):
+        """group_sum's arguments that sum the kept parts, taken out of the
+        binner: their key columns joined, so that group_sum frees them once
+        sorted, and their deltas as a list. The parts go in order of their
+        last keys, so the table is written front to back (see _keep)."""
+        typed, *parts = self.parts
+        self.parts = []
+        parts.sort(key=lambda part: (part[0][-1], part[1][-1]))
+        streams, bins, deltas = (list(col) for col in zip(typed, *parts))
+        del typed, parts
+        # the views of the key columns would hold each part's map to the end
+        return [np.concatenate(streams), np.concatenate(bins)], deltas
 
     def _reserve(self, rows):
         if len(self._gathered) < rows:
@@ -986,33 +1031,37 @@ def _mapped(n):
     to the next and is allocated after the first splits the space that
     each chunk's parse frees and the next reuses: the allocator then gave
     it back and faulted it in afresh every chunk, and ingest took 2.7
-    times the minor page faults. The map asks for huge pages, as numpy
-    does for its own large arrays."""
-    buf = mmap.mmap(-1, 8 * max(n, 1),
-                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
+    times the minor page faults. A map of a huge page (2 MB) or more asks
+    for huge pages, as numpy does for its own large arrays; a smaller one,
+    such as a binned part, has its pages put in at once (MAP_POPULATE),
+    which took half the time of a fault per page for a part of 2,048
+    rows written in full, and more than lazy huge pages from 3 MB on."""
+    size = 8 * max(n, 1)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    if size < _HUGE_PAGE:
+        flags |= getattr(mmap, "MAP_POPULATE", 0)
+    buf = mmap.mmap(-1, size, flags=flags)
+    if size >= _HUGE_PAGE and hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, np.int64)[:n]
 
 
-def _map_slab(rows):
-    """Empty (stream, bin, deltas) columns for rows binned rows, in one
-    memory map (see _mapped)."""
-    table = _mapped((2 + N_COUNTERS) * rows)
-    return (table[:rows], table[rows:2 * rows],
-            table[2 * rows:].reshape(rows, N_COUNTERS))
-
-
-def key_ranges(key):
+def key_ranges(key, weight=None):
     """(lo, hi) ranges over rows sorted by key (a stream code, a bin), of
-    at most _PARSE_CHUNK rows and cut where the key changes; a key held by
-    more rows than that is a range of its own."""
+    at most _PARSE_CHUNK rows, or of rows whose weights sum to at most
+    that, and cut where the key changes; a key that outweighs that is a
+    range of its own."""
+    if not len(key):
+        return
     ends = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, len(key))
-    lo = 0
+    # the weight of the rows before each key's end
+    load = ends if weight is None else np.cumsum(weight)[ends - 1]
+    lo, at = 0, 0
     while lo < len(key):
-        fits = np.searchsorted(ends, lo + _PARSE_CHUNK, side="right") - 1
-        first = np.searchsorted(ends, lo, side="right")
-        hi = int(ends[max(fits, first)])
+        before = load[at - 1] if at else 0
+        fits = np.searchsorted(load, before + _PARSE_CHUNK, side="right") - 1
+        at = max(fits, at) + 1
+        hi = int(ends[at - 1])
         yield lo, hi
         lo = hi
 

@@ -6,10 +6,12 @@ import dataclasses
 import filecmp
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import pytest
 
+from iorisk import cli, store
 from iorisk.cli import build_parser, run
 from iorisk.config import FIELDS, load_config_file
 from iorisk.simgen import generate, preset_scenario
@@ -56,15 +58,52 @@ def test_missing_inputs_exit_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", [("--alpha", "-1"), ("--alpha", "inf"),
                                   ("--baseline-days", "inf"),
+                                  ("--baseline-days", "1e305"),
                                   ("--bin-width", str(10 ** 19)),
                                   ("--day-offset", str(10 ** 20)),
                                   ("--day-offset", str(-2 ** 63 - 1)),
                                   ("--top-k", str(10 ** 19))])
 def test_bad_config_value_exits_nonzero(demo_feeds, tmp_path, capsys, flag):
+    # a baseline window of 1e305 days is finite, but its seconds are not
     rc = _run_all(demo_feeds, tmp_path / "out", flag)
     assert rc == 1
-    assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("iorisk: ")
+    assert flag[0][2:].replace("-", "_") in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["all", "analyze"])
+def test_node_usage_is_freed_before_the_job_metrics(demo_feeds, tmp_path,
+                                                    monkeypatch, command):
+    # node usage is the largest table; once attributed it is dropped, so
+    # the job metrics' temporaries do not come on top of it
+    out = tmp_path / "out"
+    if command == "analyze":
+        assert _run_all(demo_feeds, out) == 0
+    made, dead = [], []
+
+    def keep_ref(read):
+        def read_and_ref(*args, **kwargs):
+            usage = read(*args, **kwargs)
+            made.append(weakref.ref(usage.deltas))
+            return usage
+        return read_and_ref
+
+    def check_refs(*args, **kwargs):
+        dead.append([ref() is None for ref in made])
+        return compute_job_metrics(*args, **kwargs)
+
+    compute_job_metrics = cli.compute_job_metrics
+    monkeypatch.setattr(cli, "deltify_and_bin", keep_ref(cli.deltify_and_bin))
+    monkeypatch.setattr(store, "read_node_usage",
+                        keep_ref(store.read_node_usage))
+    monkeypatch.setattr(cli, "compute_job_metrics", check_refs)
+    if command == "all":
+        assert _run_all(demo_feeds, out) == 0
+    else:
+        assert run(["analyze", "--out", str(out)]) == 0
+    assert dead == [[True]]
 
 
 def test_all_produces_artifact_set(demo_feeds, tmp_path):

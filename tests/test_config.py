@@ -155,6 +155,15 @@ def test_an_int_field_outside_int64_is_rejected(tmp_path):
         resolve_config(None, {}, stored, "report")
 
 
+def test_a_baseline_window_longer_than_int64_seconds_is_rejected():
+    days = (2 ** 63 - 1) // 86400
+    Config(baseline_days=days).validate()
+    for value in (days + 1, 1e305):
+        with pytest.raises(ValueError, match=f"baseline_days must be > 0 "
+                                             f"and <= {days}, got"):
+            Config(baseline_days=value).validate()
+
+
 def test_library_guards_state_the_schema_rule():
     from iorisk.analytics import detect_slowdown
     from iorisk.ingest import UsageTable

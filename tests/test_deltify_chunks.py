@@ -24,6 +24,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -383,7 +384,8 @@ def _check_streaming_memory(tmp_path, monkeypatch):
     # returned. Beyond that table, streaming ingest holds one chunk at a
     # time (its lines, its parsed table and the columns it is copied
     # into), the carry, and at the end the sort of the binned rows' keys:
-    # 3.5 tables here.
+    # 0.9 tables here, and 3.5 when the merge kept the key columns and
+    # each row's part beside the table.
     # None of that grows with the snapshots: four times as many in the
     # same bins leave the peak where it was. Parsing the whole feed first
     # holds its counter matrix, 33 tables at the 90 s cadence.
@@ -409,6 +411,64 @@ def _check_streaming_memory(tmp_path, monkeypatch):
     assert len(rows_out) == 1  # the same bins
     assert beyond[360] < 6 * table, beyond[360] / table
     assert beyond[90] < beyond[360] + table, (beyond[90] - beyond[360]) / table
+
+
+def _tally_maps(monkeypatch):
+    """{"live": bytes, "peak": bytes} of the memory maps that ingest's
+    _mapped makes from here on: a map counts until the last view of it is
+    freed."""
+    tally = {"live": 0, "peak": 0}
+    mapped = ingest._mapped
+
+    def freed(size):
+        tally["live"] -= size
+
+    def counting(n):
+        array = mapped(n)
+        size = 8 * max(n, 1)
+        tally["live"] += size
+        tally["peak"] = max(tally["peak"], tally["live"])
+        # every view of the map is a view of array.base
+        weakref.finalize(array.base, freed, size)
+        return array
+
+    monkeypatch.setattr(ingest, "_mapped", counting)
+    return tally
+
+
+@pytest.mark.parametrize("cadence, hours", [(360, 30), (1000, 120)])
+def test_binning_peak_with_its_maps_is_one_table_and_a_few_chunk_tables(
+        tmp_path, monkeypatch, cadence, hours):
+    # tracemalloc sees numpy's heap arrays but not the memory maps that
+    # hold the binned parts and the workspaces, so the maps are tallied
+    # apart; the sum of the two peaks bounds the peak of the two together.
+    # Beyond the table returned, the binner holds the binned parts (about
+    # one table), a chunk's lines, columns and pieces, and in the final
+    # merge a group index, a flag and the grouped stream codes per row:
+    # 3.1 chunk tables here on the grid and 6.4 off it. At the off-grid
+    # cadence each pair meets three or four bins. When pieces were cut at
+    # a chunk of snapshots, they held four chunk tables of binned rows
+    # there, and the parts shared slabs that doubled in size: the same
+    # feeds read 9.7 and 37 chunk tables.
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
+    monkeypatch.setattr(ingest, "_MERGE_ROWS", 1024 // 8)
+    table = ingest._PARSE_CHUNK * (3 * 8 + 8 * N_COUNTERS)
+    path = tmp_path / "counters.csv"
+    samples = _collector_feed(path, cadence, hours=hours)
+    assert samples >= 8 * ingest._PARSE_CHUNK
+    tally = _tally_maps(monkeypatch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        usage = deltify_and_bin(path)
+        traced = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in usage_columns(usage).values())
+    assert len(usage) >= 8 * ingest._PARSE_CHUNK
+    beyond = traced + tally["peak"] - returned
+    assert beyond < returned + 8 * table, (beyond - returned) / table
 
 
 # --- ranges: a counter file cut at line ends and binned side by side -----

@@ -211,12 +211,13 @@ def test_group_sum_matches_dict_oracle(case):
             want = want + values[row]
         np.testing.assert_array_equal(sums[group], want)
 
-    # the same rows as a list of arrays, which group_sum empties; one row
-    # an array never repeats a group within an array
+    # the same rows as a list of arrays, which group_sum empties, as it
+    # does the list of key columns; one row an array never repeats a group
+    # within an array
     for n_parts in (1, 2, 5, max(len(values), 1)):
-        parts = np.array_split(values, n_parts)
-        part_keys, part_sums = _kernels.group_sum(keys, parts)
-        assert parts == []
+        parts, key_list = np.array_split(values, n_parts), list(keys)
+        part_keys, part_sums = _kernels.group_sum(key_list, parts)
+        assert parts == [] and key_list == []
         assert [k.tolist() for k in part_keys] \
             == [k.tolist() for k in got_keys]
         assert (part_sums.dtype, part_sums.shape) == (sums.dtype, sums.shape)
@@ -252,6 +253,31 @@ def test_group_sum_segments_match_dict_oracle_and_reduceat(size, spread,
     want = (np.add.reduceat(values[order], starts, axis=0) if n
             else values[:0])
     assert sums.tobytes() == want.tobytes()
+
+
+def test_sort_groups_orders_as_lexsort_at_the_edges_of_int64():
+    # integer keys whose ranges multiply to at most 2**63 are packed into
+    # one int64 column, every partial sum inside int64; wider ones, and
+    # keys of another kind, are sorted by np.lexsort
+    big = 2 ** 62
+    cases = [
+        # spans 2 and 2**62: packed, one low positive and one negative
+        [np.array([big + 1, big, big + 1, big, big]),
+         np.array([-big // 2, big // 2 - 1, -big // 2, 0, big // 2 - 1])],
+        [np.array([-big, -big + 1, -big, -big + 1]),
+         np.array([2 ** 63 - 1, 2 ** 63 - 2, 2 ** 63 - 2, 2 ** 63 - 1])],
+        # spans past 2**63 together
+        [np.array([0, big, 0, big]), np.array([big, 0, 0, big])],
+        [np.array([2, 1, 2], np.uint32), np.array([0, 1, 0])],
+        [np.array([2.0, 1.0, 2.0]), np.array([0, 1, 0])],
+    ]
+    for keys in cases:
+        order, starts = _kernels.sort_groups(*keys)
+        want = np.lexsort(keys[::-1])
+        assert order.tolist() == want.tolist()
+        sorted_keys = list(zip(*(key[want].tolist() for key in keys)))
+        assert starts.tolist() == [i for i in range(len(want)) if not i or
+                                   sorted_keys[i] != sorted_keys[i - 1]]
 
 
 def test_group_sum_of_one_long_group_is_one_reduceat():

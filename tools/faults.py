@@ -6,10 +6,11 @@ Usage: python tools/faults.py SRC_DIR [--work DIR] [--seed N]
 Simulates simgen's ``perf`` preset with the iorisk package under SRC_DIR
 (the directory holding ``iorisk/``), then runs ``ingest``, ``analyze``,
 ``report --svg --probe`` and ``all --svg --probe`` on it (the probe is the
-``demo`` preset's, as ``tools/parity.py`` takes it), and ``all --svg
---probe`` once more on the ``offgrid-busy`` benchmark feeds, built as
-``tools/parity.py`` builds them: five times the job density, where
-attribution weighs most. Each command runs in a fresh interpreter, and
+``demo`` preset's, as ``tools/parity.py`` takes it), then ``ingest``,
+``analyze`` and ``all --svg --probe`` once more on the ``offgrid-busy``
+benchmark feeds, built as ``tools/parity.py`` builds them: five times the
+job density, where attribution weighs most, and snapshots off the bin
+grid, where binning does. Each command runs in a fresh interpreter, and
 per command it prints the wall time and what
 ``getrusage(RUSAGE_CHILDREN)`` reports: the CPU seconds (user + system)
 of the command and of the workers it forked and reaped, so that forking
@@ -94,15 +95,18 @@ def main(argv=None) -> int:
     work = (args.work or Path(tempfile.mkdtemp(prefix="faults-"))).resolve()
     work.mkdir(parents=True, exist_ok=True)
     feeds = ("--counters", "feeds/counters.csv", "--jobs", "feeds/jobs.csv")
+    offgrid = ("--counters", f"{OFFGRID}/feeds/counters.csv",
+               "--jobs", f"{OFFGRID}/feeds/jobs.csv")
     report = ("--svg", "--probe", "demo/probe.csv")
     commands = {"ingest": ("ingest", *feeds, "--out", "staged"),
                 "analyze": ("analyze", "--out", "staged"),
                 "report": ("report", "--out", "staged", *report),
                 "all": ("all", *feeds, "--out", "all", *report),
-                f"all {OFFGRID}": (
-                    "all", "--counters", f"{OFFGRID}/feeds/counters.csv",
-                    "--jobs", f"{OFFGRID}/feeds/jobs.csv",
-                    "--out", f"{OFFGRID}/all", *report)}
+                f"ingest {OFFGRID}": ("ingest", *offgrid, "--out",
+                                      f"{OFFGRID}/staged"),
+                f"analyze {OFFGRID}": ("analyze", "--out", f"{OFFGRID}/staged"),
+                f"all {OFFGRID}": ("all", *offgrid, "--out", f"{OFFGRID}/all",
+                                   *report)}
     try:
         measure(src, work, "simulate", "--preset", "perf", "--seed",
                 args.seed, "--out", "feeds")
@@ -110,11 +114,11 @@ def main(argv=None) -> int:
         build_offgrid(src, work)
         print(f"parallel headroom {headroom():.2f} (two CPU-bound "
               f"processes against one; 1.0: a second CPU is free)")
-        print(f"{'command':<16} {'wall_s':>7} {'cpu_s':>7} {'minflt':>8} "
+        print(f"{'command':<20} {'wall_s':>7} {'cpu_s':>7} {'minflt':>8} "
               f"{'maxrss_mb':>9}")
         for name, cmd in commands.items():
             wall, cpu, minflt, maxrss = measure(src, work, *cmd)
-            print(f"{name:<16} {wall:7.3f} {cpu:7.3f} {minflt:8d} "
+            print(f"{name:<20} {wall:7.3f} {cpu:7.3f} {minflt:8d} "
                   f"{maxrss / 1024:9.1f}")
     finally:
         if args.work is None:
