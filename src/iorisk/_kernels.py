@@ -17,7 +17,8 @@ the rule; the kernels group their rows by K and call it once per group.
 
 Grouping rule. Every binned table is built by sorting rows on key columns
 and summing the rows that share every key. ``sort_groups`` is the only
-implementation of that sort and ``group_sum`` the only one of the sum.
+implementation of that sort and ``group_sum`` the only one of the sum;
+``merge_sums`` adds one such table into another.
 
 Bin rule. A bin labelled b covers (b, b+w]: a time t falls in the bin it
 closes, ``closing_bin``, and an interval (t0, t1] meets ``bins_spanned``
@@ -110,14 +111,20 @@ def sort_groups(*keys):
     return order, np.flatnonzero(first)
 
 
-def _packed(keys):
+def _packed(keys, *more):
     """Signed integer key columns as one int64 column that sorts as they
     do, the first major, or None where a column is of another kind, there
-    are no rows, or the columns' ranges multiply past int64."""
-    if not len(keys[0]) or any(key.dtype.kind != "i" for key in keys):
+    are no rows, or the columns' ranges multiply past int64. more, other
+    tables' key columns of the same kinds, widen the ranges, so that their
+    own packing with the same more compares with this one."""
+    tables = (keys, *more)
+    if not any(len(t[0]) for t in tables) or any(
+            key.dtype.kind != "i" for t in tables for key in t):
         return None
-    lows = [int(key.min()) for key in keys]
-    spans = [int(key.max()) - low + 1 for key, low in zip(keys, lows)]
+    lows = [min(int(t[i].min()) for t in tables if len(t[i]))
+            for i in range(len(keys))]
+    spans = [max(int(t[i].max()) for t in tables if len(t[i])) - low + 1
+             for i, low in enumerate(lows)]
     if math.prod(spans) > 2 ** 63:  # the largest packed value is prod - 1
         return None
     packed = np.zeros(len(keys[0]), np.int64)
@@ -210,6 +217,57 @@ def group_sum(keys, values, sizes=None):
     return keys, sums
 
 
+def merge_sums(keys, sums, more_keys, more_sums):
+    """Add a table of sums into another in place: each table's rows have
+    distinct keys, in key order, as group_sum returns them. A row of
+    more_sums is added to the row of sums with its keys, or goes, with its
+    keys, where its keys sort, so the table stays in key order.
+
+    keys, a list of key columns, and sums grow in place (ndarray.resize),
+    so they must own their memory and have no views; a later row moves up
+    past the rows put in before it, a piece of at most len(more_sums) rows
+    at a time. Beyond the two tables, the merge holds each row's keys
+    packed (see _packed) and a few columns over the rows of more_sums.
+    """
+    ours, theirs = (_packed(keys, more_keys), _packed(more_keys, keys))
+    if ours is None:  # no rows, or past int64: records compare alike
+        ours, theirs = _records(keys), _records(more_keys)
+    at = np.searchsorted(ours, theirs)
+    held = at < len(ours)
+    held[held] = ours[at[held]] == theirs[held]
+    del ours, theirs
+    sums[at[held]] += more_sums[held]
+    new = np.flatnonzero(~held)
+    if not len(new):
+        return
+    to = at[new] + np.arange(len(new))  # where the new rows go
+    n, step = len(sums), len(more_sums)
+    cols = [*keys, sums]
+    for col in cols:
+        col.resize((n + len(new),) + col.shape[1:], refcheck=False)
+    # each place from the first new row's on takes the row that was
+    # before it by the new rows before it, the last places first, so no
+    # row is read after its place is taken; the new rows' places take
+    # some row, then their own
+    for hi in range(n + len(new), to[0], -step):
+        places = np.arange(max(hi - step, to[0]), hi)
+        rows = places - np.searchsorted(to, places)
+        for col in cols:
+            col[places[0]:hi] = np.take(col, rows, axis=0)
+    for col, more in zip(cols, (*more_keys, more_sums)):
+        col[to] = more[new]
+
+
+def _records(keys):
+    """The key columns as one record column, which sorts and searches as
+    the columns do, the first major."""
+    records = np.empty(len(keys[0]), [(f"k{i}", key.dtype)
+                                      for i, key in enumerate(keys)])
+    for i, key in enumerate(keys):
+        records[f"k{i}"] = key
+    return records
+
+
 def _drained(values):
     """The list's arrays front to back, each taken out as it is given."""
     values.reverse()
@@ -235,11 +293,21 @@ def _segment_sums(values, order, starts):
     sums = np.take(values, order[starts], axis=0)
     short = sizes <= _SHORT_GROUP
     grown = np.flatnonzero(short)
+    # the j-th rows are taken and added an eighth of the rows at a time,
+    # so the rows taken stay a fraction of values
+    piece = max(1, len(order) // 8)
     for j in range(1, _SHORT_GROUP):
         grown = grown[sizes[grown] > j]
         if not len(grown):
             break
-        sums[grown] += np.take(values, order[starts[grown] + j], axis=0)
+        for lo in range(0, len(grown), piece):
+            at = grown[lo:lo + piece]
+            rows = np.take(values, order[starts[at] + j], axis=0)
+            if at[-1] - at[0] == len(at) - 1:  # in place, not via a copy
+                sums[at[0]:at[-1] + 1] += rows
+            else:
+                sums[at] += rows
+            del rows
     long = np.flatnonzero(~short)
     if len(long):
         lens = sizes[long]
@@ -322,40 +390,23 @@ def claim_ranges(node_idx, bin_start, bin_width, node_ptr, job_start,
     return j0, j1
 
 
-def claim_keys(rows, fs_idx, bin_start, bin_width, j0, j1, job_start,
-               job_end, job_of):
-    """The (job, fs, bin_start) keys of the claimant rows that
-    attribute_shares gives for the same rows, in its order, without their
-    shares."""
-    return _claimant_rows(rows, fs_idx, bin_start, None, bin_width, j0, j1,
-                          job_start, job_end, job_of)
-
-
-def attribute_shares(rows, fs_idx, bin_start, deltas, bin_width, j0, j1,
+def attribute_shares(fs_idx, bin_start, deltas, bin_width, j0, j1,
                      job_start, job_end, job_of):
-    """The node-bin rows picked by rows -> per-claimant share rows.
+    """Node-bin rows -> per-claimant share rows.
 
     A row's claimants are the jobs j0 .. j1 - 1 of claim_ranges, in start
     order, followed by the unattributed remainder (job -1) when the jobs
     leave part of the bin uncovered. Shares follow the apportioning rule
     with the bin width as the span. Returns (job, fs, bin_start, deltas),
-    one row per claimant, in no particular order.
+    one row per claimant, in no particular order. The claimants of each
+    group of rows with as many are found first, so the shares go straight
+    into one table of their exact size.
     """
-    return _claimant_rows(rows, fs_idx, bin_start, deltas, bin_width, j0,
-                          j1, job_start, job_end, job_of)
-
-
-def _claimant_rows(rows, fs_idx, bin_start, deltas, bin_width, j0, j1,
-                   job_start, job_end, job_of):
-    """attribute_shares, or claim_keys where deltas is None. The claimants
-    of each group of rows with as many are found first, so the shares go
-    straight into one table of their exact size."""
     w = bin_width
     # (rows, overlap, claim) per group; the first types an empty table
-    claims = [(rows[:0], np.empty((0, 1), np.int64),
+    claims = [(np.empty(0, np.int64), np.empty((0, 1), np.int64),
                np.empty((0, 1), np.int32))]
-    for n_j, at in groups(j1[rows] - j0[rows]):
-        picked = rows[at]
+    for n_j, picked in groups(j1 - j0):
         jobs = j0[picked, None] + np.arange(n_j)
         b = bin_start[picked, None]
         overlap = (np.minimum(job_end[jobs], b + w)
@@ -374,9 +425,6 @@ def _claimant_rows(rows, fs_idx, bin_start, deltas, bin_width, j0, j1,
     fs, bins = (np.concatenate([np.repeat(col[picked], claim.shape[1])
                                 for picked, _, claim in claims])
                 for col in (fs_idx, bin_start))
-    keys = job, fs.astype(np.int32, copy=False), bins
-    if deltas is None:
-        return keys
     shares = np.empty((len(job), N_COUNTERS), np.int64)
     lo = 0
     for picked, overlap, claim in claims:
@@ -387,7 +435,7 @@ def _claimant_rows(rows, fs_idx, bin_start, deltas, bin_width, j0, j1,
                           out=out[:, -1]),
                   overlap, np.full(len(picked), w), out=out)
         lo += claim.size
-    return (*keys, shares)
+    return job, fs.astype(np.int32, copy=False), bins, shares
 
 
 def risk_contribs(deltas, fs_idx, avg, md_total, alpha, beta, threshold):

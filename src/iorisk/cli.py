@@ -13,6 +13,7 @@ config.py).
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -65,10 +66,10 @@ def cmd_simulate(args) -> int:
 
 def _ingest(args, cfg: Config, out: Path):
     """Bin the counter feed as it is read, parse the job feed, remove what
-    analyze and report derived from an earlier store, write the store (the
-    config, the node usage, the jobs) and print a summary line; returns
-    the node usage and the jobs. A bad feed or a job conflict fails
-    before anything is removed or created."""
+    analyze and report derived from an earlier store and write the store's
+    config and jobs; returns the node usage, whose blocks go to the store
+    as they are taken (see store.write_node_usage), and the jobs. A bad
+    feed or a job conflict fails before anything is removed or created."""
     usage = deltify_and_bin(args.counters, cfg.bin_width_s,
                             max_gap_bins=cfg.max_gap_bins,
                             pre_differenced=cfg.pre_differenced)
@@ -76,13 +77,18 @@ def _ingest(args, cfg: Config, out: Path):
     _clear_derived(out)
     store.store_dir(out).mkdir(parents=True, exist_ok=True)
     store.write_config(out, cfg)
-    store.write_node_usage(out, usage)
+    usage = store.write_node_usage(out, usage)
     store.write_jobs(out, jobs)
+    return usage, jobs
+
+
+def _print_ingested(usage, jobs) -> None:
+    """The summary line of ingest, once the node usage's blocks are all
+    taken."""
     counts = usage.counts
-    print(f"ingested {counts.samples} samples -> {len(usage)} node-bin "
+    print(f"ingested {counts.samples} samples -> {usage.rows} node-bin "
           f"rows, {len(jobs)} jobs; dropped {counts.gap_pairs} pairs over "
           f"the gap limit, saw {counts.reset_pairs} counter resets")
-    return usage, jobs
 
 
 def _metrics(totals, job_usage, cfg: Config):
@@ -95,8 +101,7 @@ def _metrics(totals, job_usage, cfg: Config):
 def _analyze(cfg: Config, out: Path, attribution):
     """Write the analysis artifacts of node usage's attribution to jobs
     and the fs bin totals report reads; returns the job usage and its job
-    and fs metrics. The callers drop node usage, the largest table, once
-    it is attributed, so the metrics' temporaries do not come on top."""
+    and fs metrics."""
     totals = fs_bin_totals(attribution)
     baselines, jm, fm = _metrics(totals, attribution.job_usage, cfg)
     store.write_job_usage(out, attribution.job_usage)
@@ -110,18 +115,23 @@ def _analyze(cfg: Config, out: Path, attribution):
 
 
 def cmd_ingest(args, cfg: Config) -> int:
-    _ingest(args, cfg, Path(args.out))
+    usage, jobs = _ingest(args, cfg, Path(args.out))
+    # each block is written as it is taken, and dropped
+    collections.deque(usage, maxlen=0)
+    _print_ingested(usage, jobs)
     return 0
 
 
 def cmd_analyze(args, cfg: Config) -> int:
+    """Attribute the stored node usage, read a block at a time, then clear
+    what a report wrote and write the analysis: a bad store row fails
+    before anything is removed or written."""
     out = Path(args.out)
     usage = store.read_node_usage(out, cfg.bin_width_s)
     jobs = store.read_jobs(out)
+    attribution = attribute_usage(usage, jobs)
     _clear_report_artifacts(out)
     store.write_config(out, cfg)
-    attribution = attribute_usage(usage, jobs)
-    del usage
     _analyze(cfg, out, attribution)
     return 0
 
@@ -229,13 +239,14 @@ def cmd_report(args, cfg: Config) -> int:
 def cmd_all(args, cfg: Config) -> int:
     """ingest, analyze and report in one pass: the stages' calls in
     order, each layer handing its tables to the next, so the store is
-    written, never read back."""
+    written, never read back. Each block of node usage is written to the
+    store and then attributed."""
     out = Path(args.out)
     probe = read_probe_file(args.probe) if args.probe else None
     aliases = _read_aliases(args.alias)
     usage, jobs = _ingest(args, cfg, out)
     attribution = attribute_usage(usage, jobs)
-    del usage
+    _print_ingested(usage, jobs)
     job_usage, jm, fm = _analyze(cfg, out, attribution)
     _report(args, cfg, out, jobs, job_usage, jm, fm, probe, aliases)
     return 0

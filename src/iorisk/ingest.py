@@ -17,6 +17,7 @@ import math
 import mmap
 import os
 import pickle
+import re
 import types
 from dataclasses import dataclass
 
@@ -74,9 +75,14 @@ def _check_header(row, expected, what):
             f"expected exactly {','.join(expected)})", line_no=1)
 
 
-# rows per chunk of parsing and binning: the row budget of the temporaries
-# that ingest holds next to the binned rows
-_PARSE_CHUNK = 16384
+# rows per chunk of parsing and binning, and about the rows per block of
+# node usage (see NodeUsage): the row budget of the temporaries that ingest
+# and analyze hold. The heap keeps a chunk's freed temporaries, so they set
+# the floor of each stage's peak: with node usage in blocks, staged ingest
+# and analyze of a week of simgen's perf preset peaked at 56.9 and 51.0 MB
+# at 16,384 rows, and at 46.0 and 43.7 MB at 4,096 rows, which cost 5 to
+# 15% more wall time in more chunks and blocks (2-core x86 machine)
+_PARSE_CHUNK = 4096
 # the fewest bytes of counter file a range binned in a process of its own
 # holds (see _cuts): on a 2-core x86 machine with its second core free,
 # prefixes of simgen's perf feed took less wall time in two ranges than in
@@ -85,23 +91,26 @@ _PARSE_CHUNK = 16384
 # wall time when the two processes share one core
 _SEGMENT_BYTES = 6 << 20
 # rows per binned part that the final merge takes, each in a memory map of
-# its own and unmapped once it is summed in. A part is sorted by key and
-# the parts go in order of their last keys, so the table is written front
-# to back; a piece of a chunk in collector order spans every stream, and
-# on a dense feed of 300 nodes (18.9 MB of node usage) merging whole
-# pieces peaked 11 MB higher, as the first ones wrote all over the table
-_MERGE_ROWS = _PARSE_CHUNK // 8
+# its own and unmapped once its last stream is summed into a block. A part
+# is sorted by key; a piece of a chunk in collector order spans every
+# stream, so a whole piece would stay mapped until the last block. When
+# the merge built one table, of 4,096-row chunks, 512-row parts lifted
+# ingest's peak by 6.1 MB and 2,048-row parts by 4.3 MB (a week of
+# simgen's perf preset)
+_MERGE_ROWS = 2048
 # bytes of a huge page on x86-64 Linux (see _mapped)
 _HUGE_PAGE = 2 << 20
 # rows per block of write_csv: a block's temporaries, a text object per
 # field and their join, take about four times a parsed row's memory, and
 # at a whole chunk they outgrew the heap that streaming ingest leaves, so
 # that writing node usage faulted in 16 MB afresh
-_WRITE_CHUNK = _PARSE_CHUNK // 4
+_WRITE_CHUNK = 4096
 # ASCII characters numpy's C integer parser skips as space and int() rejects
 _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # int64's range as Python ints: no numpy lookup per field checked
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+# the characters that make csv.writer quote a field (see _quoted)
+_QUOTE_CHARS = re.compile('[,"\r\n]')
 # ints in [0, _SMALL_INT) are written from a text table per separator
 _SMALL_INT = 4096
 _SMALL_INT_TEXTS = {sep: np.array([f"{sep}{i}" for i in range(_SMALL_INT)],
@@ -219,35 +228,34 @@ class _Unsplittable(Exception):
     is malformed, whose line the range cannot number."""
 
 
-def _read_keyed_table(stream, schema, registries, what, check=None,
-                      capacity=0, keep=True, split=False):
-    """Parse the rows of a CSV table of integers keyed by strings.
+def _keyed_chunks(stream, schema, registries, what, split=False,
+                  place=None):
+    """Parse the rows of a CSV table of integers keyed by strings, a chunk
+    of up to _PARSE_CHUNK records at a time.
 
     The last N_COUNTERS columns are counters; registries maps each key
-    column to the dict that codes it, extended in place. Returns {column:
-    array}: int32 codes for keys, int64 for the other leading columns and
-    (n, 21) int64 "counters". Each chunk of lines goes through numpy's C
-    reader, or through csv.reader where the two could read it differently.
-    check(chunk, first_line) runs on each chunk before the next is read;
-    line numbers count records, the first after the header being 2.
-
-    The columns are allocated once, for capacity records (a bound such as
-    _line_count gives, or 0 for a stream of unknown length), and each
-    chunk is copied into them as it is read; they double in capacity when
-    a chunk would overflow them. The arrays returned are views of the
-    parsed length. With keep=False each chunk is copied over the one
-    before it instead, so the columns stay one chunk long: check sees
-    every chunk, and the arrays returned are the last one's. With split,
-    the stream is a range of a file cut at line ends, and a chunk that
-    needs csv.reader raises _Unsplittable.
+    column to the dict that codes it, extended in place. Yields each
+    chunk's {column: array} and the line number of its first record (the
+    first after the header is 2): int32 codes for keys, int64 for the
+    other leading columns and (n, 21) int64 "counters". place(n), given,
+    returns the {column: array} of n rows that a chunk is copied into;
+    by default they are columns that the next chunk is read into, so a
+    caller copies what it keeps. Each chunk of lines goes through numpy's
+    C reader, or through csv.reader where the two could read it
+    differently. With split, the stream is a range of a file cut at line
+    ends, and a chunk that needs csv.reader raises _Unsplittable.
     """
-    dtype = np.dtype([(name, "O" if name in registries else "i8")
-                      for name in schema[:-N_COUNTERS]]
-                     + [("counters", "i8", (N_COUNTERS,))])
-    cols = {name: np.empty((capacity,) + dtype[name].shape,
-                           np.int32 if name in registries else np.int64)
-            for name in dtype.names}
-    n, first_line = 0, 2
+    dtype = _keyed_dtype(schema, registries)
+    if place is None:
+        cols = _keyed_columns(dtype, registries, 0)
+
+        def place(n):
+            nonlocal cols
+            if n > len(cols["counters"]):
+                cols = _keyed_columns(dtype, registries, n)
+            return {name: col[:n] for name, col in cols.items()}
+
+    first_line = 2
     while lines := list(itertools.islice(stream, _PARSE_CHUNK)):
         table = _load_chunk(lines, dtype)
         if table is None and split:
@@ -255,23 +263,59 @@ def _read_keyed_table(stream, schema, registries, what, check=None,
         if table is None:  # a quoted newline may pull in further lines
             table = _read_records(itertools.chain(lines, stream), schema,
                                   dtype, first_line, what)
-        lo = n if keep else 0
-        n = lo + len(table)
-        if n > capacity:
-            capacity = max(n, 2 * capacity)
-            grown = {name: np.empty((capacity,) + col.shape[1:], col.dtype)
-                     for name, col in cols.items()}
-            for name, col in cols.items():
-                grown[name][:lo] = col[:lo]
-            cols = grown
-        for name, col in cols.items():
-            col[lo:n] = (_codes(table[name], registries[name])
-                         if name in registries else table[name])
+        chunk = place(len(table))
+        for name, col in chunk.items():
+            col[...] = (_codes(table[name], registries[name])
+                        if name in registries else table[name])
         del table  # the next chunk's table takes its memory
+        yield chunk, first_line
+        first_line += len(chunk["counters"])
+
+
+def _keyed_dtype(schema, registries):
+    """The record dtype a chunk of a keyed table is parsed into."""
+    return np.dtype([(name, "O" if name in registries else "i8")
+                     for name in schema[:-N_COUNTERS]]
+                    + [("counters", "i8", (N_COUNTERS,))])
+
+
+def _keyed_columns(dtype, registries, capacity):
+    """Empty columns of a keyed table for capacity rows (see
+    _keyed_chunks)."""
+    return {name: np.empty((capacity,) + dtype[name].shape,
+                           np.int32 if name in registries else np.int64)
+            for name in dtype.names}
+
+
+def _read_keyed_table(stream, schema, registries, what, check=None,
+                      capacity=0):
+    """The whole of a keyed table (see _keyed_chunks) as {column: array}.
+    check(chunk, first_line) runs on each chunk before the next is read.
+
+    The columns are allocated once, for capacity records (a bound such as
+    _line_count gives, or 0 for a stream of unknown length), and each
+    chunk is parsed into them; they double in capacity when a chunk would
+    overflow them. The arrays returned are views of the parsed length.
+    """
+    dtype = _keyed_dtype(schema, registries)
+    cols = _keyed_columns(dtype, registries, capacity)
+    n = 0
+
+    def place(rows):
+        nonlocal cols
+        if n + rows > len(cols["counters"]):
+            grown = _keyed_columns(dtype, registries,
+                                   max(n + rows, 2 * len(cols["counters"])))
+            for name, col in cols.items():
+                grown[name][:n] = col[:n]
+            cols = grown
+        return {name: col[n:n + rows] for name, col in cols.items()}
+
+    for chunk, first_line in _keyed_chunks(stream, schema, registries, what,
+                                           place=place):
         if check is not None:
-            check({name: col[lo:n] for name, col in cols.items()},
-                  first_line)
-        first_line += n - lo
+            check(chunk, first_line)
+        n += len(chunk["counters"])
     return {name: col[:n] for name, col in cols.items()}
 
 
@@ -305,7 +349,7 @@ def parse_counter_feed(stream, capacity: int = 0, sink=None,
     node_idx, fs_idx, values) and is not kept: the next chunk is read into
     the same columns, so sink must copy what it keeps. The CounterFeed
     returned then has no rows, only the registries that sink's codes
-    index. split is _read_keyed_table's.
+    index. split is _keyed_chunks'.
     """
     stream = iter(stream)
     _check_header(next(csv.reader(stream), None), COUNTER_HEADER,
@@ -317,18 +361,18 @@ def _counter_rows(stream, capacity=0, sink=None, split=False) -> CounterFeed:
     """parse_counter_feed of the lines after the header."""
     nodes: dict[str, int] = {}
     filesystems: dict[str, int] = {}
-
-    def check(chunk, first_line):
-        _check_counter_chunk(chunk, first_line)
-        if sink is not None:
+    registries = {"node": nodes, "fs": filesystems}
+    if sink is None:
+        cols = _read_keyed_table(stream, COUNTER_HEADER, registries,
+                                 "counter feed", _check_counter_chunk,
+                                 capacity)
+    else:
+        for chunk, first_line in _keyed_chunks(
+                stream, COUNTER_HEADER, registries, "counter feed", split):
+            _check_counter_chunk(chunk, first_line)
             sink(chunk["ts"], chunk["node"], chunk["fs"], chunk["counters"])
-
-    cols = _read_keyed_table(stream, COUNTER_HEADER,
-                             {"node": nodes, "fs": filesystems},
-                             "counter feed", check, capacity,
-                             keep=sink is None, split=split)
-    if sink is not None:  # no views that hold the chunk's columns
-        cols = {name: col[:0].copy() for name, col in cols.items()}
+        cols = _keyed_columns(_keyed_dtype(COUNTER_HEADER, registries),
+                              registries, 0)
     return CounterFeed(cols["ts"], cols["node"], cols["fs"],
                        cols["counters"], tuple(nodes), tuple(filesystems))
 
@@ -338,12 +382,19 @@ def _quoted(texts, alone: bool) -> list[str]:
     "\r\n" terminator, so a lone "\r" is quoted too: csv.reader ends a
     record at an unquoted "\r". A field alone in its row is quoted when
     empty."""
+    texts = list(texts)
+    # csv.writer writes a text with no delimiter, quote or line break as
+    # it is; the others, and empty ones, go through it
+    odd = [i for i, text in enumerate(texts)
+           if not text or _QUOTE_CHARS.search(text)]
     lines: list[str] = []  # csv.writer writes each row with one call
     writer = csv.writer(types.SimpleNamespace(write=lines.append),
                         lineterminator="\r\n")
-    writer.writerows(((text,) if alone else (text, "")) for text in texts)
+    writer.writerows(((texts[i],) if alone else (texts[i], "")) for i in odd)
     cut = 2 if alone else 3  # the terminator, and the empty field's ","
-    return [line[:-cut] for line in lines]
+    for i, line in zip(odd, lines):
+        texts[i] = line[:-cut]
+    return texts
 
 
 def _int_texts(values, sep: str) -> np.ndarray:
@@ -355,13 +406,17 @@ def _int_texts(values, sep: str) -> np.ndarray:
     return texts
 
 
-def _block_texts(block, sep: str, alone: bool):
+def _block_texts(block, sep: str, alone: bool, known: list):
     """(lo, hi) -> the (hi - lo, width) texts of the block's rows lo:hi,
-    each led by sep."""
+    each led by sep. known holds the names of the key column written
+    before in the block's place and their texts, or nothing: the texts
+    of the same names object are reused."""
     if isinstance(block, tuple):
         codes, names = block
-        table = np.array([sep + q for q in _quoted(names, alone)],
-                         dtype=object)
+        if not known or known[0] is not names:
+            known[:] = names, np.array(
+                [sep + q for q in _quoted(names, alone)], dtype=object)
+        table = known[1]
         return lambda lo, hi: table[codes[lo:hi, None]]
     if block.dtype.kind in "iu":
         return lambda lo, hi: _int_texts(block[lo:hi], sep)
@@ -392,15 +447,36 @@ def repeated_ints(values) -> tuple[np.ndarray, list[str]]:
 
 
 def write_csv(out, header, columns) -> None:
-    """Write a CSV table to a path or a stream, whole columns at a time.
+    """Write a CSV table to a path or a stream, whole columns at a time
+    (see csv_writer)."""
+    with csv_writer(out, header) as write:
+        write(columns)
+
+
+@contextlib.contextmanager
+def csv_writer(out, header):
+    """Write a CSV table to a path or a stream: yields write(columns),
+    which appends the rows of columns, and ends the table on exit.
 
     A column is an int array, a float array (a 2-D array is one column
     per array column) or a key column (codes, names): int codes into a
     sequence of texts. The header and the key texts are quoted as
-    _quoted says, each distinct text once; ints are written as str
+    _quoted says, each distinct text once, and once for the writes that
+    give a key column the same names object; ints are written as str
     writes them, floats as repr does. Rows go out _WRITE_CHUNK at a time,
     each chunk as one joined string.
     """
+    alone, known = len(header) == 1, {}
+    with (contextlib.nullcontext(out) if hasattr(out, "write")
+          else open(out, "w", newline="")) as f:
+        f.write(",".join(_quoted(header, alone)))
+        yield lambda columns: _write_rows(f, len(header), alone, columns,
+                                          known)
+        f.write("\n")
+
+
+def _write_rows(f, width, alone, columns, known) -> None:
+    """csv_writer's write, for a table of width fields."""
     blocks = []  # key columns and 2-D arrays, in column order
     for column in columns:
         if isinstance(column, tuple):
@@ -413,21 +489,18 @@ def write_csv(out, header, columns) -> None:
     lengths = {len(b[0] if isinstance(b, tuple) else b) for b in blocks}
     if len(lengths) != 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
-    n, alone = lengths.pop(), len(header) == 1
+    n = lengths.pop()
     # each row is "\n" + its first field, then "," + each later field
-    texts = [_block_texts(b, "," if i else "\n", alone)
+    texts = [_block_texts(b, "," if i else "\n", alone,
+                          known.setdefault(i, []))
              for i, b in enumerate(blocks)]
     stops = np.cumsum(widths).tolist()
-    with (contextlib.nullcontext(out) if hasattr(out, "write")
-          else open(out, "w", newline="")) as f:
-        f.write(",".join(_quoted(header, alone)))
-        for lo in range(0, n, _WRITE_CHUNK):
-            hi = min(lo + _WRITE_CHUNK, n)
-            cells = np.empty((hi - lo, len(header)), dtype=object)
-            for block_texts, width, stop in zip(texts, widths, stops):
-                cells[:, stop - width:stop] = block_texts(lo, hi)
-            f.write("".join(cells.ravel().tolist()))
-        f.write("\n")
+    for lo in range(0, n, _WRITE_CHUNK):
+        hi = min(lo + _WRITE_CHUNK, n)
+        cells = np.empty((hi - lo, width), dtype=object)
+        for block_texts, block_width, stop in zip(texts, widths, stops):
+            cells[:, stop - block_width:stop] = block_texts(lo, hi)
+        f.write("".join(cells.ravel().tolist()))
 
 
 def write_counter_csv(feed: CounterFeed, out) -> None:
@@ -614,16 +687,51 @@ class UsageTable:
     bin_start: np.ndarray  # int64 (m,)
     deltas: np.ndarray     # int64 (m, 21)
     bin_width: int = Config.bin_width_s
-    counts: BinCounts | None = None  # deltify_and_bin's, on node usage
 
     def __len__(self) -> int:
         return len(self.bin_start)
 
 
+class NodeUsage:
+    """Node usage as a stream of blocks, taken once by iterating it: each
+    block a UsageTable keyed by ("node", "fs") that holds whole (node, fs)
+    streams, about _PARSE_CHUNK rows unless one stream holds more, and
+    the blocks in stream order, so that joined they are the one table of
+    every row. A block's codes index its names, which each later block's
+    names extend. No stage holds every block at once: binning yields them
+    from its parts, the store writes and reads them one at a time, and
+    attribution takes them one at a time.
+
+    counts is deltify_and_bin's, and None for node usage read from the
+    store. rows and names are those of the blocks taken so far: once the
+    blocks are all taken, the table's row count and registries.
+    """
+
+    def __init__(self, blocks, bin_width: int,
+                 counts: BinCounts | None = None):
+        self._blocks = blocks
+        self.bin_width = bin_width
+        self.counts = counts
+        self.rows = 0
+        self.names: dict[str, tuple[str, ...]] = {"node": (), "fs": ()}
+
+    def __iter__(self):
+        blocks, self._blocks = self._blocks, None
+        if blocks is None:
+            raise RuntimeError("node usage blocks are taken once")
+        # map holds no block once it has given it
+        return map(self._taken, blocks)
+
+    def _taken(self, block: UsageTable) -> UsageTable:
+        self.rows += len(block)
+        self.names = block.names
+        return block
+
+
 def deltify_and_bin(feed: CounterFeed | str | os.PathLike,
                     bin_width: int = Config.bin_width_s, *,
                     max_gap_bins: int | None = Config.max_gap_bins,
-                    pre_differenced: bool = False) -> UsageTable:
+                    pre_differenced: bool = False) -> NodeUsage:
     """Convert cumulative snapshots to per-bin deltas.
 
     feed is a CounterFeed or the path of a counters.csv file. A sample at
@@ -633,8 +741,10 @@ def deltify_and_bin(feed: CounterFeed | str | os.PathLike,
     sum). Counter decreases are treated as resets (the new value is the
     delta since the restart). Gaps longer than max_gap_bins bins are
     dropped. Input order does not matter; rows are sorted internally.
-    The table lists only the nodes and filesystems that have rows, in order
-    of first appearance in its rows, as the store reads them back.
+    The snapshots are binned here; the binned rows are summed into blocks
+    as the blocks are taken (see _SegmentBinner.usage). Every block's
+    registries list the nodes and filesystems that have rows, in order of
+    first appearance in the joined blocks, as the store reads them back.
 
     With pre_differenced=True each row's values are taken directly as the
     delta for the bin its timestamp closes.
@@ -657,10 +767,10 @@ def deltify_and_bin(feed: CounterFeed | str | os.PathLike,
         feed = read_counter_file(feed)
     binner = _SegmentBinner(*options)
     binner.add(feed.ts, feed.node_idx, feed.fs_idx, feed.values)
-    return binner.table(feed.nodes, feed.filesystems)
+    return binner.usage(feed.nodes, feed.filesystems)
 
 
-def _bin_file(path, options) -> UsageTable:
+def _bin_file(path, options) -> NodeUsage:
     """The counter file at path binned as it is read: in byte ranges on
     several CPUs where _cuts makes more than one, else, or where a range
     cannot be read on its own, as one range."""
@@ -691,14 +801,14 @@ def _cuts(path) -> list[int]:
     return cuts + [size]
 
 
-def _bin_ranges(path, cuts, options) -> UsageTable:
+def _bin_ranges(path, cuts, options) -> NodeUsage:
     """The counter file at path binned in the byte ranges between cuts:
     the first here, through parse_counter_feed, each later one in a forked
     process (see _send_range) from an empty carry. Each later range is
-    then joined in order (see _SegmentBinner.join), so the table is the
-    one sequential read gives. With cuts [0, size] the file is one range,
-    read sequentially in this process, and a malformed row raises its
-    FeedFormatError, which names the line.
+    then joined in order (see _SegmentBinner.join), so the node usage is
+    the one sequential read gives. With cuts [0, size] the file is one
+    range, read sequentially in this process, and a malformed row raises
+    its FeedFormatError, which names the line.
 
     Raises _BackInTime when a stream goes back in time within a range or
     across a cut, and, with more than one range, _Unsplittable when a
@@ -732,7 +842,7 @@ def _bin_ranges(path, cuts, options) -> UsageTable:
                 binner.join(segment, parts, nodes, filesystems)
         except ChildProcessError:  # the worker failed or was killed
             raise _Unsplittable from None
-        return binner.table(tuple(nodes), tuple(filesystems))
+        return binner.usage(tuple(nodes), tuple(filesystems))
 
 
 class _ByteRange(io.RawIOBase):
@@ -837,7 +947,7 @@ def _no_snapshots() -> _Carry:
 
 class _SegmentBinner:
     """Bins a counter feed one segment of rows at a time and sums the
-    binned rows per (node, fs, bin) once, at the end.
+    binned rows per (node, fs, bin) once, at the end, a block at a time.
 
     Each segment is binned from an empty carry (see bin_segment) and
     stitched on after the segments before it (see _stitch): a parsed chunk
@@ -846,10 +956,9 @@ class _SegmentBinner:
     piece's temporaries, the carry and the binned rows, and a piece holds
     about _PARSE_CHUNK binned rows however many bins its pairs span. The
     workspaces and the binned rows are memory maps (see _mapped). The
-    final merge unmaps each part of the binned rows once it is summed
-    into the table, and writes the table front to back (see table), so
-    what it holds, the parts still to come and the table's pages written
-    so far, stays about one table.
+    final merge sums the parts' rows into blocks of whole streams, in
+    stream order, and unmaps each part once its last stream is out (see
+    usage), so what it holds is the parts still to come and one block.
     """
 
     def __init__(self, bin_width, max_gap_bins, pre_differenced):
@@ -861,12 +970,10 @@ class _SegmentBinner:
         # each stream's first snapshot, which a binner of the rows before
         # it pairs with its own carry (see _stitch)
         self.heads = _no_snapshots()
-        # the binned rows: (stream, bin, deltas) parts of at most
-        # _MERGE_ROWS rows, each copied into a memory map of its own, which
-        # is unmapped once table() sums it in. The first part types an
-        # empty table.
-        self.parts = [(np.empty(0, np.int64), np.empty(0, np.int64),
-                       np.empty((0, N_COUNTERS), np.int64))]
+        # the binned rows: (stream, bin, deltas) parts of 1 to _MERGE_ROWS
+        # rows sorted by (stream, bin), each copied into a memory map of
+        # its own, which is unmapped once usage() has summed its rows in
+        self.parts = []
         self.samples = self.gap_pairs = self.reset_pairs = 0
         self._gathered = np.empty((0, N_COUNTERS), np.int64)
         self._differenced = np.empty((0, N_COUNTERS), np.int64)
@@ -894,10 +1001,16 @@ class _SegmentBinner:
         def recode(stream):
             return node_code[stream >> 32] | fs_code[stream & 0xFFFFFFFF]
 
+        def resorted(stream, bins, deltas):
+            # a part is sorted by (stream, bin), and the recoded streams
+            # may sort in another order; each stream keeps its bin order
+            stream = recode(stream)
+            order = np.argsort(stream, kind="stable")
+            return stream[order], bins[order], deltas[order]
+
         heads, carry = (_Carry(recode(s.stream), s.ts, s.values)
                         for s in (segment.heads, segment.carry))
-        self._stitch(heads, carry, ((recode(stream), bins, deltas)
-                                    for stream, bins, deltas in parts))
+        self._stitch(heads, carry, (resorted(*part) for part in parts))
         self.samples += segment.counts.samples
         self.gap_pairs += segment.counts.gap_pairs
         self.reset_pairs += segment.counts.reset_pairs
@@ -984,37 +1097,17 @@ class _SegmentBinner:
             np.maximum(met, 1, out=weight[1:])  # no time spanned: 0 or 1
         return weight
 
-    def table(self, nodes, filesystems) -> UsageTable:
-        """The binned rows summed per (node, fs, bin) into a UsageTable
-        whose codes index nodes and filesystems. Each part is summed into
-        the table where its rows go and then unmapped, so the parts and
-        the table are never both held in full."""
+    def usage(self, nodes, filesystems) -> NodeUsage:
+        """The binned rows summed per (node, fs, bin), as NodeUsage whose
+        codes index nodes and filesystems. The parts are taken out of the
+        binner and summed a block at a time as the blocks are taken: a
+        block's streams are found in every part, by search, since a part
+        is sorted, and a part is unmapped once its last stream is out."""
         self._gathered = self._differenced = None
-        (streams, bins), deltas = _kernels.group_sum(*self._merged_parts())
-        # rows are grouped by stream, so each stream's first row in the
-        # table is where its codes first appear
-        first = np.flatnonzero(np.diff(streams, prepend=-1))
-        rows = np.diff(first, append=len(streams))
-        streams = streams[first]
-        node_idx, nodes = _recode(streams >> 32, nodes)
-        fs_idx, filesystems = _recode(streams & 0xFFFFFFFF, filesystems)
-        node_idx, fs_idx = np.repeat(node_idx, rows), np.repeat(fs_idx, rows)
-        return UsageTable({"node": node_idx, "fs": fs_idx},
-                          {"node": nodes, "fs": filesystems}, bins, deltas,
-                          self.bin_width, self.counts())
-
-    def _merged_parts(self):
-        """group_sum's arguments that sum the kept parts, taken out of the
-        binner: their key columns joined, so that group_sum frees them once
-        sorted, and their deltas as a list. The parts go in order of their
-        last keys, so the table is written front to back (see _keep)."""
-        typed, *parts = self.parts
-        self.parts = []
-        parts.sort(key=lambda part: (part[0][-1], part[1][-1]))
-        streams, bins, deltas = (list(col) for col in zip(typed, *parts))
-        del typed, parts
-        # the views of the key columns would hold each part's map to the end
-        return [np.concatenate(streams), np.concatenate(bins)], deltas
+        parts, self.parts = self.parts, []
+        return NodeUsage(_summed_blocks(parts, nodes, filesystems,
+                                        self.bin_width),
+                         self.bin_width, self.counts())
 
     def _reserve(self, rows):
         if len(self._gathered) < rows:
@@ -1023,6 +1116,52 @@ class _SegmentBinner:
                 size, N_COUNTERS)
             self._differenced = _mapped((size - 1) * N_COUNTERS).reshape(
                 size - 1, N_COUNTERS)
+
+
+def _summed_blocks(parts, nodes, filesystems, bin_width):
+    """The blocks of _SegmentBinner.usage: parts are its binned parts,
+    which this takes over."""
+    # every stream with rows, in order, and its rows over the parts: the
+    # parts' rows of a stream sum to at most as many table rows
+    distinct = [np.unique(part[0], return_counts=True) for part in parts]
+    streams, at = np.unique(np.concatenate(
+        [np.empty(0, np.int64)] + [s for s, _ in distinct]),
+        return_inverse=True)
+    weight = np.zeros(len(streams), np.int64)
+    np.add.at(weight, at, np.concatenate(
+        [np.empty(0, np.int64)] + [n for _, n in distinct]))
+    del distinct, at
+    # the rows are grouped by stream, so each stream's first row is where
+    # its codes first appear
+    node_idx, nodes = _recode(streams >> 32, nodes)
+    fs_idx, filesystems = _recode(streams & 0xFFFFFFFF, filesystems)
+    names = {"node": nodes, "fs": filesystems}
+    ranges = list(key_ranges(streams, weight))
+    if not ranges:  # no rows
+        return
+    # where each block's streams start in each part, and the last block
+    # that takes rows from each part
+    starts = np.append(streams[[lo for lo, _ in ranges]], streams[-1:] + 1)
+    cuts = np.array([np.searchsorted(part[0], starts) for part in parts])
+    takes = cuts[:, 1:] > cuts[:, :-1]
+    last = len(ranges) - 1 - np.argmax(takes[:, ::-1], axis=1)
+
+    def block(b):
+        # the block's rows in every part that has some, joined: a part
+        # whose last rows they are is dropped, and its map goes with them
+        pieces = [[col[cuts[p, b]:cuts[p, b + 1]] for col in parts[p]]
+                  for p in np.flatnonzero(takes[:, b])]
+        for p in np.flatnonzero(last == b):
+            parts[p] = None
+        stream, bins, deltas = map(np.concatenate, zip(*pieces))
+        del pieces
+        (stream, bins), sums = _kernels.group_sum([stream, bins], deltas)
+        row = np.searchsorted(streams, stream)
+        return UsageTable({"node": node_idx[row], "fs": fs_idx[row]}, names,
+                          bins, sums, bin_width)
+
+    for b in range(len(ranges)):
+        yield block(b)  # held by no name here once given
 
 
 def _mapped(n):
@@ -1047,7 +1186,7 @@ def _mapped(n):
 
 
 def key_ranges(key, weight=None):
-    """(lo, hi) ranges over rows sorted by key (a stream code, a bin), of
+    """(lo, hi) ranges over rows sorted by key (a stream code), of
     at most _PARSE_CHUNK rows, or of rows whose weights sum to at most
     that, and cut where the key changes; a key that outweighs that is a
     range of its own."""

@@ -8,10 +8,11 @@ full Config the last stage ran with, which a later stage inherits.
 
 The three usage files and analyze's unattributed.csv are UsageTables in
 one layout: the key columns (node,fs; job_id,fs; fs; fs), then bin_start,
-then the 21 counters. write_usage and read_usage are its one writer and
-reader. Everything is auditable CSV/JSON with deterministic ordering; no
-database. `all` writes the same files but never reads them back: they
-serve audits and staged reruns.
+then the 21 counters. _written is its one writer, and _keyed_chunks
+(ingest) its one parser. Node usage is written and read a block at a time
+(see NodeUsage), the other tables whole. Everything is auditable CSV/JSON
+with deterministic ordering; no database. `all` writes the same files but
+never reads them back: they serve audits and staged reruns.
 """
 from __future__ import annotations
 
@@ -20,10 +21,13 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .config import FIELDS, Config, check
-from .ingest import (JobTable, UsageTable, _check_header, _line_count,
-                     _read_keyed_table, parse_job_feed, repeated_ints,
-                     write_csv, write_jobs_csv)
+from .ingest import (JobTable, NodeUsage, UsageTable, _check_header,
+                     _keyed_chunks, _line_count, _read_keyed_table,
+                     csv_writer, parse_job_feed, repeated_ints,
+                     write_jobs_csv)
 from .ops import COUNTER_NAMES
 
 NODE_USAGE_NAME = "node_usage.csv"
@@ -87,9 +91,22 @@ def read_config(out_dir) -> dict:
 
 
 def write_usage(path, usage: UsageTable) -> None:
-    write_csv(path, usage_header(*usage.codes),
-              [*zip(usage.codes.values(), usage.names.values()),
-               repeated_ints(usage.bin_start), usage.deltas])
+    for _ in _written(open(path, "w", newline=""), tuple(usage.codes),
+                      [usage]):
+        pass
+
+
+def _written(f, keys, tables):
+    """The tables, each written to the usage file f, keyed by keys, before
+    it is given: the file ends and is closed once the last is."""
+    def write_table(table):
+        write([*zip(table.codes.values(), table.names.values()),
+               repeated_ints(table.bin_start), table.deltas])
+        return table
+
+    with f, csv_writer(f, usage_header(*keys)) as write:
+        # map holds no table once it has given it
+        yield from map(write_table, tables)
 
 
 def read_usage(path, keys, bin_width_s: int, known=None) -> UsageTable:
@@ -109,23 +126,80 @@ def read_usage(path, keys, bin_width_s: int, known=None) -> UsageTable:
                     f"{list(registries[key])[len(names)]!r} not in "
                     f"{source}; rerun the analyze stage")
 
-    header = usage_header(*keys)
-    with open(path, newline="", errors="surrogateescape") as f:
-        _check_header(next(csv.reader(f), None), header, f"store {path}")
-        cols = _read_keyed_table(f, header, registries, f"store {path}",
-                                 check_known, _line_count(path))
+    with _opened(path, keys) as f:
+        cols = _read_keyed_table(f, usage_header(*keys), registries,
+                                 f"store {path}", check_known,
+                                 _line_count(path))
     return UsageTable({key: cols[key] for key in keys},
                       {key: tuple(registries[key]) for key in keys},
                       cols["bin_start"], cols["counters"], bin_width_s)
 
 
-def write_node_usage(out_dir, usage: UsageTable) -> None:
-    write_usage(store_dir(out_dir) / NODE_USAGE_NAME, usage)
+def _opened(path, keys):
+    """The usage file at path, keyed by keys, open past its header, which
+    is checked."""
+    f = open(path, newline="", errors="surrogateescape")
+    try:
+        _check_header(next(csv.reader(f), None), usage_header(*keys),
+                      f"store {path}")
+    except BaseException:
+        f.close()
+        raise
+    return f
 
 
-def read_node_usage(out_dir, bin_width_s: int) -> UsageTable:
-    return read_usage(_stored(out_dir, NODE_USAGE_NAME), ("node", "fs"),
-                      bin_width_s)
+def write_node_usage(out_dir, usage: NodeUsage) -> NodeUsage:
+    """The node usage whose blocks each go to node_usage.csv as they are
+    taken, before they are given; the file ends with the last. The file
+    is created here, so a store that cannot take it fails at once."""
+    f = open(store_dir(out_dir) / NODE_USAGE_NAME, "w", newline="")
+    return NodeUsage(_written(f, ("node", "fs"), usage), usage.bin_width,
+                     usage.counts)
+
+
+def read_node_usage(out_dir, bin_width_s: int) -> NodeUsage:
+    """The node usage of node_usage.csv, read a block at a time as the
+    blocks are taken: each chunk of the parser's, less its last stream's
+    rows, which the next chunk may go on with and which go to the next
+    block. The file's presence and header are checked here, its rows as
+    they are read."""
+    path = _stored(out_dir, NODE_USAGE_NAME)
+    return NodeUsage(_node_blocks(_opened(path, ("node", "fs")), path,
+                                  bin_width_s), bin_width_s)
+
+
+def _node_blocks(f, path, bin_width_s):
+    registries = {"node": {}, "fs": {}}
+    held = None  # the rows read of the last stream so far
+    with f:
+        for chunk, _ in _keyed_chunks(f, NODE_USAGE_HEADER, registries,
+                                      f"store {path}"):
+            node, fs = chunk["node"], chunk["fs"]
+            other = np.flatnonzero((node != node[-1]) | (fs != fs[-1]))
+            cut = other[-1] + 1 if len(other) else 0
+            # the rows before the chunk's last stream end a block: some of
+            # the chunk's, or the held rows of another stream
+            if cut or held is not None and (
+                    held["node"][0] != node[0] or held["fs"][0] != fs[0]):
+                yield _node_table(_joined(held, chunk, 0, cut), registries,
+                                  bin_width_s)
+                held = None
+            held = _joined(held, chunk, cut, None)
+        if held is not None:
+            yield _node_table(held, registries, bin_width_s)
+
+
+def _joined(held, chunk, lo, hi):
+    """The rows lo:hi of a parsed chunk after the rows held, copied."""
+    return {name: col[lo:hi].copy() if held is None
+            else np.concatenate((held[name], col[lo:hi]))
+            for name, col in chunk.items()}
+
+
+def _node_table(rows, registries, bin_width_s) -> UsageTable:
+    return UsageTable({"node": rows["node"], "fs": rows["fs"]},
+                      {key: tuple(names) for key, names in registries.items()},
+                      rows["bin_start"], rows["counters"], bin_width_s)
 
 
 def write_fs_usage(out_dir, totals: UsageTable) -> None:

@@ -5,9 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from iorisk import _kernels
+from iorisk import _kernels, ingest
 from iorisk.config import Config
-from iorisk.ingest import COUNTER_HEADER, CounterFeed, parse_counter_feed
+from iorisk.ingest import (COUNTER_HEADER, CounterFeed, NodeUsage,
+                           UsageTable, deltify_and_bin, parse_counter_feed)
 from iorisk.ops import COUNTER_NAMES, N_COUNTERS
 from scalar_analytics import JobRecord
 
@@ -46,6 +47,39 @@ def risk_contribs(job_usage, baselines, params=Config()) -> np.ndarray:
         job_usage.deltas.astype(np.float64), job_usage.codes["fs"],
         baselines.avg, baselines.md_total_avg, params.alpha, params.beta,
         params.md_small_avg_threshold)
+
+
+def whole(usage: NodeUsage) -> UsageTable:
+    """The blocks of node usage joined into the one table of every row.
+    Every block's codes index the last block's names, which extend
+    theirs."""
+    blocks = list(usage)
+    return UsageTable(
+        {key: np.concatenate([np.empty(0, np.int32)]
+                             + [b.codes[key] for b in blocks])
+         for key in ("node", "fs")}, usage.names,
+        np.concatenate([np.empty(0, np.int64)]
+                       + [b.bin_start for b in blocks]),
+        np.concatenate([np.empty((0, N_COUNTERS), np.int64)]
+                       + [b.deltas for b in blocks]), usage.bin_width)
+
+
+def binned(*args, **kwargs) -> UsageTable:
+    """deltify_and_bin's node usage as one table."""
+    return whole(deltify_and_bin(*args, **kwargs))
+
+
+def blocks_of(table: UsageTable) -> NodeUsage:
+    """A node-usage table, its rows grouped by (node, fs) stream, as
+    NodeUsage: blocks of whole streams of about ingest._PARSE_CHUNK rows,
+    as the block sources cut them, each a view of the table's rows."""
+    stream = (table.codes["node"].astype(np.int64) << 32) | table.codes["fs"]
+    return NodeUsage((UsageTable({key: col[lo:hi] for key, col
+                                  in table.codes.items()}, table.names,
+                                 table.bin_start[lo:hi],
+                                 table.deltas[lo:hi], table.bin_width)
+                      for lo, hi in list(ingest.key_ranges(stream))),
+                     table.bin_width)
 
 
 def usage_columns(usage) -> dict[str, np.ndarray]:

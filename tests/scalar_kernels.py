@@ -303,17 +303,17 @@ def attribute_rows_ref(node_idx, fs_idx, bin_start, deltas, bin_width,
     return out_job[:n], out_fs[:n], out_bin[:n], out_deltas[:n]
 
 
-def attribute_shares_ref(rows, fs_idx, bin_start, deltas, bin_width, j0,
-                         j1, job_start, job_end, job_of):
-    """_kernels.attribute_shares through the loop above: each picked row
-    is a node of its own, holding copies of its claiming jobs j0 .. j1-1."""
-    count = j1[rows] - j0[rows]
+def attribute_shares_ref(fs_idx, bin_start, deltas, bin_width, j0, j1,
+                         job_start, job_end, job_of):
+    """_kernels.attribute_shares through the loop above: each row is a
+    node of its own, holding copies of its claiming jobs j0 .. j1-1."""
+    count = j1 - j0
     node_ptr = np.concatenate(([0], np.cumsum(count)))
-    jobs = np.repeat(j0[rows] - node_ptr[:-1], count) + np.arange(
+    jobs = np.repeat(j0 - node_ptr[:-1], count) + np.arange(
         node_ptr[-1], dtype=np.int64)
     return attribute_rows_ref(
-        np.arange(len(rows)), fs_idx[rows], bin_start[rows], deltas[rows],
-        bin_width, node_ptr, job_start[jobs], job_end[jobs], job_of[jobs])
+        np.arange(len(bin_start)), fs_idx, bin_start, deltas, bin_width,
+        node_ptr, job_start[jobs], job_end[jobs], job_of[jobs])
 
 
 def risk_contribs_ref(deltas, fs_idx, avg, md_total, alpha, beta,

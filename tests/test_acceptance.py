@@ -19,8 +19,7 @@ from iorisk.analytics import (build_scatter, detect_slowdown, job_measures,
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.cli import run
 from iorisk.config import Config
-from iorisk.ingest import (deltify_and_bin, read_counter_file,
-                           read_job_file)
+from iorisk.ingest import read_counter_file, read_job_file
 from iorisk.metrics import (compute_baselines, compute_fs_metrics,
                             compute_job_metrics)
 from iorisk.ops import (COUNTER_NAMES, N_COUNTERS, READ_KB, READ_OPS,
@@ -29,7 +28,8 @@ from iorisk.report import (BREAKDOWN_LABELS, build_breakdown, build_heatmap,
                            correlate_series)
 from iorisk.simgen import generate, preset_scenario
 
-from conftest import feed_from_rows, risk_contribs, simple_job, values_row
+from conftest import (binned, blocks_of, feed_from_rows, risk_contribs,
+                      simple_job, values_row)
 from scalar_analytics import (as_table, node_bin_index, volume_bin_exp,
                               volume_bin_label)
 from scalar_metrics import JobBinUsage, job_bin_risk, one_baseline
@@ -52,8 +52,8 @@ def metric_run(tmp_path_factory):
     ledger = generate(spec, out)
     feed = read_counter_file(out / "counters.csv")
     jobs = read_job_file(out / "jobs.csv")
-    usage = deltify_and_bin(feed, spec.bin_width_s)
-    attribution = attribute_usage(usage, jobs)
+    usage = binned(feed, spec.bin_width_s)
+    attribution = attribute_usage(blocks_of(usage), jobs)
     totals = fs_bin_totals(attribution)
     baselines = compute_baselines(totals)
     jm = compute_job_metrics(attribution.job_usage, baselines)
@@ -160,8 +160,8 @@ def test_criterion_4_quality_identity():
                                                 write_kb=4096)]
         jobs = [simple_job("mib", "n1", 360, 720),
                 simple_job("kib", "n2", 360, 720)]
-        usage = deltify_and_bin(feed_from_rows(rows), 360)
-        attribution = attribute_usage(usage, as_table(jobs))
+        usage = binned(feed_from_rows(rows), 360)
+        attribution = attribute_usage(blocks_of(usage), as_table(jobs))
         jm = compute_job_metrics(attribution.job_usage,
                                  compute_baselines(fs_bin_totals(attribution)))
         quality = {jm.job_ids[jm.job_idx[i]]: jm.write_kb_ops[i]
@@ -276,8 +276,8 @@ def test_criterion_8_correlation_sanity(tmp_path_factory):
         generate(spec, out)
         feed = read_counter_file(out / "counters.csv")
         jobs = read_job_file(out / "jobs.csv")
-        usage = deltify_and_bin(feed, spec.bin_width_s)
-        attribution = attribute_usage(usage, jobs)
+        usage = binned(feed, spec.bin_width_s)
+        attribution = attribute_usage(blocks_of(usage), jobs)
         jm = compute_job_metrics(attribution.job_usage,
                                  compute_baselines(fs_bin_totals(attribution)))
         fm = compute_fs_metrics(jm)

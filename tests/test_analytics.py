@@ -3,13 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import feed_from_rows, simple_job, values_row
+from conftest import binned, blocks_of, feed_from_rows, simple_job, values_row
 import scalar_analytics
 from iorisk.analytics import (build_scatter, detect_slowdown, job_measures,
                               summarize_jobs)
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.config import Config
-from iorisk.ingest import deltify_and_bin
 from iorisk.metrics import (JobMetrics, compute_baselines,
                             compute_job_metrics)
 from iorisk.ops import READ_KB, READ_OPS
@@ -120,8 +119,8 @@ def test_slowdown_parameter_validation():
 
 
 def _metrics_for(jobs, rows, params=Config()):
-    usage = deltify_and_bin(feed_from_rows(rows), W)
-    attribution = attribute_usage(usage, as_table(jobs))
+    usage = binned(feed_from_rows(rows), W)
+    attribution = attribute_usage(blocks_of(usage), as_table(jobs))
     baselines = compute_baselines(fs_bin_totals(attribution))
     jm = compute_job_metrics(attribution.job_usage, baselines, params)
     return jm
@@ -238,9 +237,9 @@ def test_scatter_quality_excludes_idle_bins(rng):
 def test_core_h_arithmetic():
     job = simple_job("j1", "n1", start=0, end=12 * 3600, cores=24)
     rows = [[W, "n1", "fs2"] + values_row()]
-    usage = deltify_and_bin(feed_from_rows(rows), W)
+    usage = binned(feed_from_rows(rows), W)
     table = as_table([job])
-    res = attribute_usage(usage, table)
+    res = attribute_usage(blocks_of(usage), table)
     assert summarize_jobs(table, res.job_usage).tolist() == [[0, 0, 0, 0]]
     assert table.core_s.tolist() == [288 * 3600]
 
@@ -249,9 +248,10 @@ def test_read_gib_unit_identity():
     rows = [[W, "n1", "fs2"] + values_row(),
             [2 * W, "n1", "fs2"] + values_row(read_kb=2 ** 20)]
     job = simple_job("j1", "n1", start=W, end=2 * W)
-    usage = deltify_and_bin(feed_from_rows(rows), W)
+    usage = binned(feed_from_rows(rows), W)
     table = as_table([job])
-    totals = summarize_jobs(table, attribute_usage(usage, table).job_usage)
+    totals = summarize_jobs(
+        table, attribute_usage(blocks_of(usage), table).job_usage)
     # read_gib, write_gib, mean_read_ops_s, mean_write_ops_s
     assert job_measures(table, totals).tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
@@ -273,9 +273,9 @@ def test_job_read_totals_plus_unattributed_equal_fs_total(rng):
             t += W
             cum = cum + rng.integers(0, 400, size=21)
             rows.append([t, node, "fs2"] + cum.tolist())
-    usage = deltify_and_bin(feed_from_rows(rows), W)
+    usage = binned(feed_from_rows(rows), W)
     table = as_table(jobs)
-    res = attribute_usage(usage, table)
+    res = attribute_usage(blocks_of(usage), table)
     totals = summarize_jobs(table, res.job_usage)
     job_read_kb = int(totals[:, 0].sum())
     unattributed_read_kb = int(res.unattributed.deltas[:, READ_KB].sum())
@@ -297,9 +297,9 @@ def test_summaries_conserve_attribution_totals(rng):
             t += W
             cum = cum + rng.integers(0, 500, size=21)
             rows.append([t, node, "fs2"] + cum.tolist())
-    usage = deltify_and_bin(feed_from_rows(rows), W)
+    usage = binned(feed_from_rows(rows), W)
     table = as_table(jobs)
-    res = attribute_usage(usage, table)
+    res = attribute_usage(blocks_of(usage), table)
     totals = summarize_jobs(table, res.job_usage)
     measures = job_measures(table, totals)
     total_read_kb = measures[:, 0].sum() * 2 ** 20

@@ -6,17 +6,20 @@ import dataclasses
 import filecmp
 import json
 import shutil
+import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from iorisk import cli, store
+from iorisk import cli, ingest, store
 from iorisk.cli import build_parser, run
 from iorisk.config import FIELDS, load_config_file
+from iorisk.ops import N_COUNTERS
 from iorisk.simgen import generate, preset_scenario
 
-from conftest import usage_columns
+from conftest import blocks_of, usage_columns, whole
 
 ARTIFACTS = ("risk_timeseries.csv", "unattributed.csv", "job_summary.csv",
              "scatter.csv", "slowdown.csv", "breakdown.csv",
@@ -73,37 +76,116 @@ def test_bad_config_value_exits_nonzero(demo_feeds, tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["all", "analyze"])
+@pytest.mark.parametrize("budget", [64, ingest._PARSE_CHUNK])
+@pytest.mark.parametrize("command", ["ingest", "all", "analyze"])
 def test_node_usage_is_freed_before_the_job_metrics(demo_feeds, tmp_path,
-                                                    monkeypatch, command):
-    # node usage is the largest table; once attributed it is dropped, so
-    # the job metrics' temporaries do not come on top of it
+                                                    monkeypatch, command,
+                                                    budget):
+    # node usage, the largest table, comes a block at a time, and no stage
+    # holds it whole: when a block is taken every block before it is
+    # freed, no block holds every row, and none is left by the job metrics
     out = tmp_path / "out"
     if command == "analyze":
         assert _run_all(demo_feeds, out) == 0
-    made, dead = [], []
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", budget)
+    made, alive, dead = [], [], []
+    taken = ingest.NodeUsage._taken
 
-    def keep_ref(read):
-        def read_and_ref(*args, **kwargs):
-            usage = read(*args, **kwargs)
-            made.append(weakref.ref(usage.deltas))
-            return usage
-        return read_and_ref
+    def track(self, block):
+        # the store's writer passes on the binner's blocks: a block is
+        # taken once from each
+        held = [ref() for ref in made if ref() is not None]
+        alive.append(sum(deltas is not block.deltas for deltas in held))
+        if not any(deltas is block.deltas for deltas in held):
+            made.append(weakref.ref(block.deltas))
+        return taken(self, block)
 
     def check_refs(*args, **kwargs):
         dead.append([ref() is None for ref in made])
         return compute_job_metrics(*args, **kwargs)
 
     compute_job_metrics = cli.compute_job_metrics
-    monkeypatch.setattr(cli, "deltify_and_bin", keep_ref(cli.deltify_and_bin))
-    monkeypatch.setattr(store, "read_node_usage",
-                        keep_ref(store.read_node_usage))
+    monkeypatch.setattr(ingest.NodeUsage, "_taken", track)
     monkeypatch.setattr(cli, "compute_job_metrics", check_refs)
-    if command == "all":
-        assert _run_all(demo_feeds, out) == 0
-    else:
+    if command == "analyze":
         assert run(["analyze", "--out", str(out)]) == 0
-    assert dead == [[True]]
+    else:
+        assert run([command, "--counters", str(demo_feeds / "counters.csv"),
+                    "--jobs", str(demo_feeds / "jobs.csv"),
+                    "--out", str(out)]) == 0
+    rows = len(store.read_usage(store.store_dir(out) / store.NODE_USAGE_NAME,
+                                ("node", "fs"), 360))
+    assert len(made) > 1 if budget < rows else len(made) >= 1
+    assert alive == [0] * len(alive)
+    assert all(ref() is None for ref in made)
+    assert dead == ([] if command == "ingest" else [[True] * len(made)])
+
+
+def _window_feeds(root: Path, n_bins: int, n_nodes: int = 128) -> None:
+    """On-grid snapshots of n_nodes nodes over n_bins bins of 360 s, each
+    node's counters moving in about half the bins, and two jobs of 64
+    nodes each in the first 40 bins: longer windows add node usage and
+    fs bins, not job usage."""
+    rng = np.random.default_rng(n_bins)
+    steps = rng.integers(0, 1000, (n_nodes, n_bins, N_COUNTERS))
+    steps *= rng.random((n_nodes, n_bins, 1)) < 0.5
+    cum = np.cumsum(steps, axis=1)
+    root.mkdir()
+    with open(root / "counters.csv", "w") as f:
+        f.write(",".join(ingest.COUNTER_HEADER) + "\n")
+        for b in range(n_bins):
+            f.writelines(f"{360 * (b + 1)},n{n},fs1,"
+                         + ",".join(map(str, cum[n, b].tolist())) + "\n"
+                         for n in range(n_nodes))
+    half = n_nodes // 2
+    (root / "jobs.csv").write_text(
+        ",".join(ingest.JOB_HEADER) + "\n"
+        + "".join(f"j{k},p,cmd,{';'.join(f'n{n}' for n in nodes)},"
+                  f"{180 + 3600 * k},{180 + 3600 * k + 7200},24\n"
+                  for k, nodes in enumerate((range(half),
+                                             range(half, n_nodes)))))
+
+
+def test_staged_peaks_do_not_grow_with_the_window(tmp_path, monkeypatch):
+    # The same nodes over four times as many bins: node usage grows from 8
+    # to 32 block tables, and the job usage stays as it is. Neither staged
+    # ingest nor analyze holds the node usage whole, so their traced peaks
+    # grow by less than two block tables: here 0.7 or less and 0.8. What
+    # grows is per fs bin (the fs bin totals, the unattributed ledger and
+    # the fs risk series, 0.4 tables each) or per binned part (a few
+    # Python objects). The CSV writer's texts, a fixed allowance of
+    # _WRITE_CHUNK rows, are kept below the fs tables' rows, so that they
+    # do not grow with them. The binned parts themselves live in memory
+    # maps, which tracemalloc does not see: test_deltify_chunks bounds
+    # them. When ingest built one node-usage table and analyze read one,
+    # the peaks grew by 27 and 26 tables.
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", 128)
+    table = ingest._PARSE_CHUNK * (3 * 8 + 8 * N_COUNTERS)
+    peaks, rows = {}, {}
+    for n_bins in (128, 512):
+        feeds, out = tmp_path / f"feeds{n_bins}", tmp_path / f"out{n_bins}"
+        _window_feeds(feeds, n_bins)
+        ingest_args = ["ingest", "--counters", str(feeds / "counters.csv"),
+                       "--jobs", str(feeds / "jobs.csv")]
+        for stage, args in (("ingest", ingest_args),
+                            ("analyze", ["analyze"])):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert run([*args, "--out", str(out)]) == 0
+                peaks[stage, n_bins] = (tracemalloc.get_traced_memory()[1]
+                                        - before)
+            finally:
+                tracemalloc.stop()
+        rows[n_bins] = len(store.read_usage(
+            store.store_dir(out) / store.NODE_USAGE_NAME, ("node", "fs"), 360))
+    assert rows[128] > 7 * ingest._PARSE_CHUNK
+    assert rows[512] > 4 * rows[128] - ingest._PARSE_CHUNK
+    for stage in ("ingest", "analyze"):
+        growth = peaks[stage, 512] - peaks[stage, 128]
+        assert growth < 2 * table, (stage, growth / table)
 
 
 def test_all_produces_artifact_set(demo_feeds, tmp_path):
@@ -459,7 +541,8 @@ def test_staged_equals_all_when_store_order_differs_from_feed(
     analyzed = []
     attribute = cli.attribute_usage
     monkeypatch.setattr(cli, "attribute_usage", lambda usage, jobs: (
-        analyzed.append(usage) or attribute(usage, jobs)))
+        analyzed.append(whole(usage))
+        or attribute(blocks_of(analyzed[-1]), jobs)))
     oneshot = tmp_path / "oneshot"
     assert _run_all(feeds, oneshot) == 0
     staged = tmp_path / "staged"
@@ -474,8 +557,9 @@ def test_staged_equals_all_when_store_order_differs_from_feed(
     assert usage.names["fs"] == ("fs3", "fs2")
     again = tmp_path / "again"
     store.store_dir(again).mkdir(parents=True)
-    store.write_node_usage(again, usage)
-    back = store.read_node_usage(again, usage.bin_width)
+    for _ in store.write_node_usage(again, blocks_of(usage)):
+        pass
+    back = whole(store.read_node_usage(again, usage.bin_width))
     assert (back.names, back.bin_width) == (usage.names, usage.bin_width)
     want = usage_columns(usage)
     for name, a in usage_columns(back).items():

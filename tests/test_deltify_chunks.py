@@ -34,11 +34,12 @@ from hypothesis import given, settings, strategies as st
 
 from iorisk import ingest
 from iorisk.cli import run
-from iorisk.ingest import COUNTER_HEADER, CounterFeed, deltify_and_bin
+from iorisk.ingest import (COUNTER_HEADER, CounterFeed, NodeUsage,
+                           deltify_and_bin)
 from iorisk.ops import N_COUNTERS
 
 import scalar_deltify as ref
-from conftest import usage_columns
+from conftest import usage_columns, whole
 import scalar_kernels
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -88,7 +89,26 @@ def feeds(draw):
     return feed, w, options
 
 
+def _joined(usage):
+    """The blocks of node usage joined, once each is checked to hold
+    whole streams, and at most _PARSE_CHUNK rows unless it holds one."""
+    seen = set()
+
+    def checked(block):
+        streams = set(zip(block.codes["node"].tolist(),
+                          block.codes["fs"].tolist()))
+        assert not streams & seen
+        assert len(block) <= ingest._PARSE_CHUNK or len(streams) == 1
+        seen.update(streams)
+        return block
+
+    return whole(NodeUsage(map(checked, usage), usage.bin_width))
+
+
 def _same_table(got, want):
+    """Two tables, or node usage's blocks joined, are the same."""
+    got, want = (_joined(t) if isinstance(t, NodeUsage) else t
+                 for t in (got, want))
     assert (got.names, got.bin_width) == (want.names, want.bin_width)
     wanted = usage_columns(want)
     for name, x in usage_columns(got).items():
@@ -133,11 +153,12 @@ def test_memory_beyond_the_feed_is_a_fraction_of_the_counter_matrix(
         monkeypatch):
     # An in-memory feed, as a file read again whole, is one segment.
     # numpy reports its array allocations to tracemalloc. The peak counts
-    # the sort order, one piece's temporaries, the carry and the returned
-    # table, about 0.3 of the counter matrix: the workspaces and the
-    # binned rows live in memory maps of their own, which tracemalloc does
-    # not see. The whole-feed oracle peaks at 3.3 times the counter matrix
-    # on this feed.
+    # the sort order, one piece's temporaries, the carry and one block of
+    # the node usage, taken and dropped: the workspaces and the binned
+    # rows live in memory maps of their own, which tracemalloc does not
+    # see. When the table was returned whole the peak was about 0.3 of the
+    # counter matrix. The whole-feed oracle peaks at 3.3 times the counter
+    # matrix on this feed.
     feed = _sparse_feed()
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
     assert len(feed) >= 8 * ingest._PARSE_CHUNK
@@ -145,11 +166,11 @@ def test_memory_beyond_the_feed_is_a_fraction_of_the_counter_matrix(
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        usage = deltify_and_bin(feed)
+        rows = _taken(deltify_and_bin(feed))[0]
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert len(usage)
+    assert rows
     assert peak < 0.5 * feed.values.nbytes, peak / feed.values.nbytes
 
 
@@ -169,12 +190,13 @@ def test_deltas_share_no_memory_with_the_feed_or_the_workspaces(
 
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", 64)
     monkeypatch.setattr(ingest, "_bin_chunk", spy)
-    usage = deltify_and_bin(feed, pre_differenced=pre_differenced)
+    usage = list(deltify_and_bin(feed, pre_differenced=pre_differenced))
     assert len(usage) and len(workspaces) >= 2 * 6
     # one gather buffer and one difference buffer for all the chunks
     assert len({id(w) for w in workspaces}) == 2
     for buffer in [feed.values] + workspaces:
-        assert not np.shares_memory(usage.deltas, buffer)
+        for block in usage:
+            assert not np.shares_memory(block.deltas, buffer)
 
 
 # --- streaming: a counter file binned one parsed chunk at a time ---------
@@ -266,13 +288,13 @@ def _scalar_counts(feed, w, max_gap_bins, pre_differenced):
 
 
 def _streamed(path, w, options, chunk):
-    """deltify_and_bin of a counter file at a chunk budget, and whether it
-    read the file again whole."""
+    """deltify_and_bin of a counter file at a chunk budget: its blocks
+    joined, its counts, and whether it read the file again whole."""
     with mock.patch.object(ingest, "_PARSE_CHUNK", chunk), \
             mock.patch.object(ingest, "read_counter_file",
                               wraps=ingest.read_counter_file) as reread:
         usage = deltify_and_bin(path, w, **options)
-    return usage, reread.called
+        return _joined(usage), usage.counts, reread.called
 
 
 @PROPERTY
@@ -286,9 +308,9 @@ def test_streamed_file_matches_whole_feed_oracle(case):
         want = ref.deltify_and_bin(feed, w, **options)
         counts = ingest.BinCounts(*_scalar_counts(feed, w, **options))
         for chunk in BUDGETS:
-            usage, reread = _streamed(path, w, options, chunk)
+            usage, got_counts, reread = _streamed(path, w, options, chunk)
             _same_table(usage, want)
-            assert usage.counts == counts
+            assert got_counts == counts
             assert reread == (not options["pre_differenced"]
                               and _goes_back_in_time(rows, chunk))
 
@@ -304,7 +326,7 @@ def test_a_stream_back_in_time_across_chunks_reads_the_file_again(tmp_path):
     _write_rows(path, rows)
     want = ref.deltify_and_bin(ingest.read_counter_file(path), 360)
     for chunk, reread_expected in ((1, True), (2, True), (4, False)):
-        usage, reread = _streamed(path, 360, {}, chunk)
+        usage, _, reread = _streamed(path, 360, {}, chunk)
         assert reread == reread_expected
         _same_table(usage, want)
 
@@ -326,10 +348,10 @@ def test_gap_and_reset_straddling_chunks_are_counted_once(tmp_path, chunk):
     _write_rows(path, _straddling_feed())
     want = ref.deltify_and_bin(ingest.read_counter_file(path), 360,
                                max_gap_bins=3)
-    usage, reread = _streamed(path, 360, {"max_gap_bins": 3}, chunk)
+    usage, counts, reread = _streamed(path, 360, {"max_gap_bins": 3}, chunk)
     assert not reread
     _same_table(usage, want)
-    assert usage.counts == ingest.BinCounts(samples=14, gap_pairs=1,
+    assert counts == ingest.BinCounts(samples=14, gap_pairs=1,
                                             reset_pairs=1)
 
 
@@ -377,15 +399,25 @@ def test_streaming_memory_in_ranges_is_a_few_chunk_tables(tmp_path,
     _check_streaming_memory(tmp_path, monkeypatch)
 
 
+def _taken(usage):
+    """(rows, bytes) of node usage's blocks, taken one at a time."""
+    rows = nbytes = 0
+    for block in usage:
+        rows += len(block)
+        nbytes += sum(a.nbytes for a in usage_columns(block).values())
+    return rows, nbytes
+
+
 def _check_streaming_memory(tmp_path, monkeypatch):
     # numpy reports its array allocations to tracemalloc; the binning
     # workspaces and the binned rows live in memory maps of their own,
-    # which it does not see, until the rows are summed into the table
-    # returned. Beyond that table, streaming ingest holds one chunk at a
-    # time (its lines, its parsed table and the columns it is copied
-    # into), the carry, and at the end the sort of the binned rows' keys:
-    # 0.9 tables here, and 3.5 when the merge kept the key columns and
-    # each row's part beside the table.
+    # which it does not see, and the rows are summed into one block at a
+    # time, each dropped once taken. Streaming ingest holds one chunk at a
+    # time (its lines, its parsed table, the columns it is copied into and
+    # a piece's binned rows) and the carry, 5.7 tables here, and in the
+    # final merge a block and its sort, 2.9. When the merge returned one
+    # table, the peak beyond that table read 0.9 tables here, and 3.5 when
+    # the merge kept the key columns and each row's part beside the table.
     # None of that grows with the snapshots: four times as many in the
     # same bins leave the peak where it was. Parsing the whole feed first
     # holds its counter matrix, 33 tables at the 90 s cadence.
@@ -401,13 +433,12 @@ def _check_streaming_memory(tmp_path, monkeypatch):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             usage = deltify_and_bin(path)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            rows, _ = _taken(usage)
+            beyond[cadence] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert usage.counts.samples == samples
-        rows_out.add(len(usage))
-        beyond[cadence] = peak - sum(
-            a.nbytes for a in usage_columns(usage).values())
+        rows_out.add(rows)
     assert len(rows_out) == 1  # the same bins
     assert beyond[360] < 6 * table, beyond[360] / table
     assert beyond[90] < beyond[360] + table, (beyond[90] - beyond[360]) / table
@@ -442,14 +473,18 @@ def test_binning_peak_with_its_maps_is_one_table_and_a_few_chunk_tables(
     # tracemalloc sees numpy's heap arrays but not the memory maps that
     # hold the binned parts and the workspaces, so the maps are tallied
     # apart; the sum of the two peaks bounds the peak of the two together.
-    # Beyond the table returned, the binner holds the binned parts (about
-    # one table), a chunk's lines, columns and pieces, and in the final
-    # merge a group index, a flag and the grouped stream codes per row:
-    # 3.1 chunk tables here on the grid and 6.4 off it. At the off-grid
-    # cadence each pair meets three or four bins. When pieces were cut at
-    # a chunk of snapshots, they held four chunk tables of binned rows
-    # there, and the parts shared slabs that doubled in size: the same
-    # feeds read 9.7 and 37 chunk tables.
+    # The node usage's blocks are taken one at a time and dropped, so no
+    # table is held: the binner holds the binned parts (about one table),
+    # a chunk's lines, columns and pieces, and in the final merge one
+    # block and its sort. Beyond one table, that reads 7.9 chunk tables
+    # here on the grid and 10.0 off it, where each pair meets three or
+    # four bins and a chunk's pieces are the peak. When the merge returned
+    # a table, the same sum read two tables and 3.1 and 6.4 chunk tables,
+    # against a bound of two tables and 8 chunk tables, and the feeds
+    # here are 9 and 36 chunk tables of node usage. When pieces were cut
+    # at a chunk of snapshots, they held four chunk tables of binned rows
+    # off the grid, and the parts shared slabs that doubled in size: the
+    # same feeds read 9.7 and 37 chunk tables beyond two tables.
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
     monkeypatch.setattr(ingest, "_MERGE_ROWS", 1024 // 8)
     table = ingest._PARSE_CHUNK * (3 * 8 + 8 * N_COUNTERS)
@@ -461,14 +496,13 @@ def test_binning_peak_with_its_maps_is_one_table_and_a_few_chunk_tables(
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        usage = deltify_and_bin(path)
+        rows, nbytes = _taken(deltify_and_bin(path))
         traced = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in usage_columns(usage).values())
-    assert len(usage) >= 8 * ingest._PARSE_CHUNK
-    beyond = traced + tally["peak"] - returned
-    assert beyond < returned + 8 * table, (beyond - returned) / table
+    assert rows >= 8 * ingest._PARSE_CHUNK
+    beyond = traced + tally["peak"] - nbytes
+    assert beyond < 12 * table, beyond / table
 
 
 # --- ranges: a counter file cut at line ends and binned side by side -----
@@ -491,8 +525,7 @@ def _in_ranges(path, w, options, chunk, cpus):
     it is, and the row indices the ranges start at."""
     with mock.patch.object(ingest, "_SEGMENT_BYTES", 1), \
             mock.patch.object(ingest, "_usable_cpus", lambda: cpus):
-        usage, reread = _streamed(path, w, options, chunk)
-        return usage, reread, _row_cuts(path)
+        return (*_streamed(path, w, options, chunk), _row_cuts(path))
 
 
 def _cut_before(path, rows_at):
@@ -520,14 +553,14 @@ def test_file_in_ranges_matches_one_read_and_oracle(case):
         want = ref.deltify_and_bin(feed, w, **options)
         counts = ingest.BinCounts(*_scalar_counts(feed, w, **options))
         for chunk in (1, 2, ingest._PARSE_CHUNK):
-            one, _ = _streamed(path, w, options, chunk)
+            one, one_counts, _ = _streamed(path, w, options, chunk)
             for cpus in (1, 2, 3, 4):
-                usage, reread, cuts = _in_ranges(path, w, options, chunk,
-                                                 cpus)
+                usage, got_counts, reread, cuts = _in_ranges(
+                    path, w, options, chunk, cpus)
                 assert len(cuts) <= cpus
                 _same_table(usage, one)
                 _same_table(usage, want)
-                assert usage.counts == one.counts == counts
+                assert got_counts == one_counts == counts
                 assert reread == (not options["pre_differenced"]
                                   and _goes_back_in_time(rows, chunk, cuts))
     _no_worker_left()
@@ -594,10 +627,11 @@ def test_every_cut_gives_the_one_read_table(tmp_path, pre_differenced):
     splits += [[i, i + 7] for i in range(1, len(rows) - 7, 3)]
     for rows_at in splits:
         with _cut_before(path, rows_at):
-            usage, reread = _streamed(path, 360, options, ingest._PARSE_CHUNK)
+            usage, got_counts, reread = _streamed(path, 360, options,
+                                                  ingest._PARSE_CHUNK)
         assert not reread, rows_at
         _same_table(usage, want)
-        assert usage.counts == counts, rows_at
+        assert got_counts == counts, rows_at
     _no_worker_left()
 
 
@@ -614,7 +648,7 @@ def test_a_stream_back_in_time_across_a_cut_reads_the_file_again(tmp_path):
     for rows_at, reread_expected in (([1], False), ([2], True), ([3], True),
                                      ([1, 3], True), ([1, 2], True)):
         with _cut_before(path, rows_at):
-            usage, reread = _streamed(path, 360, {}, ingest._PARSE_CHUNK)
+            usage, _, reread = _streamed(path, 360, {}, ingest._PARSE_CHUNK)
         assert reread == reread_expected, rows_at
         _same_table(usage, want)
         _no_worker_left()
@@ -664,7 +698,7 @@ def test_a_quoted_line_break_across_a_cut_gives_the_one_read_table(tmp_path):
     _write_rows(path, rows)
     text = path.read_bytes()
     inside = [i + 3 for i in range(len(text)) if text.startswith(b'"a\n', i)]
-    want = deltify_and_bin(path)
+    want = _joined(deltify_and_bin(path))
     assert set(want.names["node"]) == {"a\nb", "n1"}
     ends = [i + 1 for i in range(len(text)) if text[i:i + 1] == b"\n"]
     for cuts in ([0, inside[2], len(text)],

@@ -5,8 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from conftest import (assert_same_jobs, counter_csv, feed_from_rows,
-                      values_row)
+from conftest import (assert_same_jobs, binned, counter_csv,
+                      feed_from_rows, values_row)
 from iorisk.ingest import (COUNTER_HEADER, AttributionConflictError,
                            CounterFeed, FeedFormatError, deltify_and_bin,
                            parse_counter_feed, parse_job_feed,
@@ -220,7 +220,7 @@ def test_delta_within_one_bin():
     feed = feed_from_rows([
         [100, "n1", "fs2"] + values_row(read_ops=1000),
         [300, "n1", "fs2"] + values_row(read_ops=1500)])
-    usage = deltify_and_bin(feed, 360)
+    usage = binned(feed, 360)
     assert len(usage) == 1
     assert by_bin(usage, READ_OPS) == {0: 500}
     assert usage.deltas[0].sum() == 500
@@ -230,7 +230,7 @@ def test_counter_reset_yields_new_value_as_delta():
     feed = feed_from_rows([
         [100, "n1", "fs2"] + values_row(read_ops=1500),
         [300, "n1", "fs2"] + values_row(read_ops=100)])
-    usage = deltify_and_bin(feed, 360)
+    usage = binned(feed, 360)
     assert len(usage) == 1
     assert usage.deltas[0, READ_OPS] == 100
 
@@ -240,7 +240,7 @@ def test_spanning_delta_apportioned_proportionally():
     feed = feed_from_rows([
         [100, "n1", "fs2"] + values_row(write_ops=0),
         [500, "n1", "fs2"] + values_row(write_ops=400)])
-    usage = deltify_and_bin(feed, 360)
+    usage = binned(feed, 360)
     assert by_bin(usage, WRITE_OPS) == {0: 260, 360: 140}
 
 
@@ -249,7 +249,7 @@ def test_boundary_snapshot_closes_earlier_bin():
     feed = feed_from_rows([
         [360, "n1", "fs2"] + values_row(read_ops=0),
         [720, "n1", "fs2"] + values_row(read_ops=50)])
-    usage = deltify_and_bin(feed, 360)
+    usage = binned(feed, 360)
     assert len(usage) == 1
     assert by_bin(usage, READ_OPS) == {360: 50}
 
@@ -258,9 +258,9 @@ def test_long_gap_drops_interval():
     feed = feed_from_rows([
         [100, "n1", "fs2"] + values_row(read_ops=0),
         [100 + 4 * 360, "n1", "fs2"] + values_row(read_ops=999)])
-    usage = deltify_and_bin(feed, 360, max_gap_bins=3)
+    usage = binned(feed, 360, max_gap_bins=3)
     assert len(usage) == 0
-    usage = deltify_and_bin(feed, 360, max_gap_bins=4)
+    usage = binned(feed, 360, max_gap_bins=4)
     assert usage.deltas[:, READ_OPS].sum() == 999
 
 
@@ -271,7 +271,7 @@ def test_unsorted_interleaved_input_is_sorted_internally():
         [700, "n1", "fs2"] + values_row(read_ops=40),
         [400, "n2", "fs2"] + values_row(read_ops=30),
     ]
-    usage = deltify_and_bin(feed_from_rows(rows), 360)
+    usage = binned(feed_from_rows(rows), 360)
     got = {(usage.names["node"][n], b): d for n, b, d in zip(
         usage.codes["node"], usage.bin_start.tolist(),
         usage.deltas[:, READ_OPS].tolist())}
@@ -289,7 +289,7 @@ def test_conservation_on_random_monotone_walk(rng):
             t += int(rng.integers(1, 800))
             cum = cum + rng.integers(0, 500, size=21)
             rows.append([t, "n1", "fs2"] + cum.tolist())
-        usage = deltify_and_bin(feed_from_rows(
+        usage = binned(feed_from_rows(
             [[1, "n1", "fs2"] + first.tolist()] + rows), 360,
             max_gap_bins=None)
         np.testing.assert_array_equal(usage.deltas.sum(axis=0), cum - first)
@@ -304,7 +304,7 @@ def test_apportioned_shares_never_negative(rng):
         feed = feed_from_rows([
             [t0, "n1", "fs2"] + values_row(mkdir=0),
             [t1, "n1", "fs2"] + values_row(mkdir=delta)])
-        usage = deltify_and_bin(feed, 360, max_gap_bins=None)
+        usage = binned(feed, 360, max_gap_bins=None)
         shares = usage.deltas[:, COUNTER_NAMES.index("mkdir")].tolist()
         assert all(s >= 0 for s in shares)
         assert sum(shares) == delta
@@ -314,7 +314,7 @@ def test_duplicate_timestamp_pair_assigned_to_closing_bin():
     feed = feed_from_rows([
         [400, "n1", "fs2"] + values_row(read_ops=100),
         [400, "n1", "fs2"] + values_row(read_ops=130)])
-    usage = deltify_and_bin(feed, 360)
+    usage = binned(feed, 360)
     assert len(usage) == 1
     assert by_bin(usage, READ_OPS) == {360: 30}
 
@@ -323,7 +323,7 @@ def test_pre_differenced_passthrough():
     feed = feed_from_rows([
         [300, "n1", "fs2"] + values_row(read_ops=100),
         [660, "n1", "fs2"] + values_row(read_ops=40)])
-    usage = deltify_and_bin(feed, 360, pre_differenced=True)
+    usage = binned(feed, 360, pre_differenced=True)
     assert by_bin(usage, READ_OPS) == {0: 100, 360: 40}
 
 

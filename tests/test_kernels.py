@@ -154,9 +154,8 @@ def test_attribute_shares_matches_scalar_reference(case):
     j0, j1 = _kernels.claim_ranges(node_idx, bin_start, w, node_ptr,
                                    starts, ends)
     want = ref.attribute_rows_ref(*case)
-    got = _kernels.attribute_shares(np.arange(len(bin_start)), fs_idx,
-                                    bin_start, deltas, w, j0, j1, starts,
-                                    ends, job_of)
+    got = _kernels.attribute_shares(fs_idx, bin_start, deltas, w, j0, j1,
+                                    starts, ends, job_of)
     _assert_same_rows(got, want)
     assert (got[3] >= 0).all()
     assert got[3].sum() == deltas.sum()
@@ -164,8 +163,9 @@ def test_attribute_shares_matches_scalar_reference(case):
     rows = np.random.default_rng(len(bin_start)).permutation(
         len(bin_start))[:len(bin_start) // 2]
     _assert_same_rows(
-        _kernels.attribute_shares(rows, fs_idx, bin_start, deltas, w, j0,
-                                  j1, starts, ends, job_of),
+        _kernels.attribute_shares(fs_idx[rows], bin_start[rows],
+                                  deltas[rows], w, j0[rows], j1[rows],
+                                  starts, ends, job_of),
         ref.attribute_rows_ref(node_idx[rows], fs_idx[rows], bin_start[rows],
                                deltas[rows], w, node_ptr, starts, ends,
                                job_of))
@@ -222,6 +222,48 @@ def test_group_sum_matches_dict_oracle(case):
             == [k.tolist() for k in got_keys]
         assert (part_sums.dtype, part_sums.shape) == (sums.dtype, sums.shape)
         np.testing.assert_array_equal(part_sums, sums)
+
+
+@st.composite
+def merge_cases(draw):
+    """Two tables of (job, fs, bin) sums with distinct keys in key order,
+    keys that they share and keys of their own, from no rows to a few
+    dozen; bins near the int64 limits, whose ranges do not pack into one
+    int64 column, or on a grid."""
+    far = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tables = []
+    for _ in range(2):
+        n = draw(st.integers(0, 30))
+        job = rng.integers(-1, 4, n).astype(np.int32)
+        fs = rng.integers(0, 2, n).astype(np.int32)
+        bins = (rng.choice([-2 ** 62, 0, 2 ** 62], n) if far
+                else rng.integers(0, 6, n) * 360)
+        (job, fs, bins), sums = _kernels.group_sum(
+            [job, fs, bins], rng.integers(-9, 9, (n, N_COUNTERS)))
+        tables.append(([job, fs, bins], sums))
+    return tables
+
+
+@PROPERTY
+@example([([np.empty(0, np.int32), np.empty(0, np.int32),
+            np.empty(0, np.int64)], np.empty((0, N_COUNTERS), np.int64))] * 2)
+@given(merge_cases())
+def test_merge_sums_matches_dict_oracle(case):
+    # the table merged into grows in place: its arrays stay the same
+    # objects, and the merged table is the two tables' rows summed by key
+    (keys, sums), (more_keys, more_sums) = case
+    want = {}
+    for cols, rows in ((keys, sums), (more_keys, more_sums)):
+        for key, row in zip(zip(*(c.tolist() for c in cols)), rows.tolist()):
+            want[key] = [a + b for a, b in
+                         zip(want.get(key, [0] * N_COUNTERS), row)]
+    arrays = [*keys, sums]
+    _kernels.merge_sums(keys, sums, more_keys, more_sums)
+    assert all(a is b for a, b in zip(arrays, [*keys, sums]))
+    assert [k.dtype for k in keys] == [np.int32, np.int32, np.int64]
+    assert list(zip(*(k.tolist() for k in keys))) == sorted(want)
+    assert sums.tolist() == [want[key] for key in sorted(want)]
 
 
 @PROPERTY
@@ -309,9 +351,9 @@ def test_risk_contribs_matches_scalar_reference(rng):
 def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
     # one off-grid feed through the public pipeline, once per kernel set
     from iorisk.attribute import attribute_usage, fs_bin_totals
-    from iorisk.ingest import deltify_and_bin
     from iorisk.metrics import compute_baselines, compute_job_metrics
-    from conftest import feed_from_rows, risk_contribs, simple_job
+    from conftest import (binned, blocks_of, feed_from_rows, risk_contribs,
+                          simple_job)
     from scalar_analytics import as_table
 
     rows = []
@@ -330,8 +372,8 @@ def test_pipeline_matches_scalar_kernels(monkeypatch, rng):
     rows.reverse()  # unsorted feed order
 
     def run_pipeline():
-        usage = deltify_and_bin(feed_from_rows(rows), 360)
-        attribution = attribute_usage(usage, as_table(jobs))
+        usage = binned(feed_from_rows(rows), 360)
+        attribution = attribute_usage(blocks_of(usage), as_table(jobs))
         baselines = compute_baselines(fs_bin_totals(attribution))
         jm = compute_job_metrics(attribution.job_usage, baselines)
         return usage, attribution, jm, risk_contribs(attribution.job_usage,

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import feed_from_rows, risk_contribs, simple_job, values_row
+from conftest import (binned, blocks_of, feed_from_rows, risk_contribs,
+                      simple_job, values_row)
 from iorisk.attribute import attribute_usage, fs_bin_totals
-from iorisk.ingest import UsageTable, deltify_and_bin
+from iorisk.ingest import UsageTable
 from iorisk.config import Config
 from iorisk.metrics import (FS_SUBJECT, FsBaselines, compute_baselines,
                             compute_fs_metrics, compute_job_metrics)
@@ -75,8 +76,8 @@ def jb_usage(fs_id="fs2", bin_start=0, job_id="j1", **deltas) -> JobBinUsage:
 
 
 def usage_for_baseline(rows):
-    usage = deltify_and_bin(feed_from_rows(rows), W, max_gap_bins=None)
-    return fs_bin_totals(attribute_usage(usage, as_table([])))
+    usage = binned(feed_from_rows(rows), W, max_gap_bins=None)
+    return fs_bin_totals(attribute_usage(blocks_of(usage), as_table([])))
 
 
 def test_baseline_single_bin():
@@ -418,8 +419,8 @@ def _pipeline_metrics(rng, n_jobs=10, n_bins=8, params=Config()):
             t += W
             cum = cum + rng.integers(0, 120, size=21)
             rows.append([t, node, "fs2"] + cum.tolist())
-    usage = deltify_and_bin(feed_from_rows(rows), W)
-    attribution = attribute_usage(usage, as_table(jobs))
+    usage = binned(feed_from_rows(rows), W)
+    attribution = attribute_usage(blocks_of(usage), as_table(jobs))
     baselines = compute_baselines(fs_bin_totals(attribution))
     jm = compute_job_metrics(attribution.job_usage, baselines, params)
     return usage, attribution, baselines, jm

@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import feed_from_rows, simple_job, values_row
+from conftest import binned, blocks_of, feed_from_rows, simple_job, values_row
 from iorisk.analytics import job_measures
 from iorisk.attribute import attribute_usage, fs_bin_totals
 from iorisk.config import Config
-from iorisk.ingest import deltify_and_bin
 from iorisk.metrics import (compute_baselines,
                             compute_fs_metrics, compute_job_metrics)
 from iorisk.report import (BREAKDOWN_LABELS, MEASURES, bin_exp,
@@ -269,8 +268,8 @@ def _full_metrics(rng, n_jobs=5, n_bins=12):
             t += W
             cum = cum + rng.integers(0, 200, size=21)
             rows.append([t, node, "fs2"] + cum.tolist())
-    usage = deltify_and_bin(feed_from_rows(rows), W)
-    attribution = attribute_usage(usage, as_table(jobs))
+    usage = binned(feed_from_rows(rows), W)
+    attribution = attribute_usage(blocks_of(usage), as_table(jobs))
     baselines = compute_baselines(fs_bin_totals(attribution))
     jm = compute_job_metrics(attribution.job_usage, baselines, Config())
     fm = compute_fs_metrics(jm)
@@ -322,9 +321,9 @@ def test_empty_day_produces_header_only_file(rng, tmp_path):
             t = day * 86400 + (k + 2) * W
             cum += 100
             rows.append([t, "n1", "fs2"] + values_row(read_ops=cum))
-    usage = deltify_and_bin(feed_from_rows(rows), W)
+    usage = binned(feed_from_rows(rows), W)
     job = simple_job("j1", "n1", start=W, end=3 * 86400)
-    attribution = attribute_usage(usage, as_table([job]))
+    attribution = attribute_usage(blocks_of(usage), as_table([job]))
     baselines = compute_baselines(fs_bin_totals(attribution))
     jm = compute_job_metrics(attribution.job_usage, baselines, Config())
     fm = compute_fs_metrics(jm)

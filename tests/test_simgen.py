@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from iorisk.attribute import attribute_usage, fs_bin_totals
-from iorisk.ingest import (deltify_and_bin, read_counter_file,
-                           read_job_file)
+from iorisk.ingest import read_counter_file, read_job_file
+
+from conftest import binned, blocks_of
 from iorisk.ops import MDS_SLICE, N_COUNTERS, OSS_SLICE
 from iorisk.simgen import (PATTERNS, PEAK_COUNT, ContentionEpisode,
                            JobTemplate, ScenarioError, ScenarioSpec,
@@ -38,8 +39,8 @@ def tiny_spec(**overrides) -> ScenarioSpec:
 def pipeline_recover(out_dir):
     feed = read_counter_file(out_dir / "counters.csv")
     jobs = read_job_file(out_dir / "jobs.csv")
-    usage = deltify_and_bin(feed, W)
-    return feed, jobs, usage, attribute_usage(usage, jobs)
+    usage = binned(feed, W)
+    return feed, jobs, usage, attribute_usage(blocks_of(usage), jobs)
 
 
 def test_same_seed_byte_identical(tmp_path):

@@ -14,7 +14,7 @@ from iorisk.ingest import UsageTable
 from iorisk.ops import N_COUNTERS
 
 import scalar_store as ref
-from conftest import usage_columns
+from conftest import blocks_of, usage_columns, whole
 from scalar_analytics import as_table
 
 # plain, comma, quote, newline and non-ASCII keys
@@ -63,15 +63,22 @@ def _odd_tables(m):
                             BIN_WIDTH) for key in ("node", "job_id"))
 
 
+def _write_node_usage(out_dir, table) -> None:
+    """Write a node-usage table to the store a block at a time."""
+    for _ in store.write_node_usage(out_dir, blocks_of(table)):
+        pass
+
+
 @pytest.mark.parametrize("m, chunk", [(0, 1024), (1, 1024), (23, 2),
                                       (23, 1024)])
 def test_writers_match_row_by_row_oracle(tmp_path, monkeypatch, m, chunk):
+    # with chunks of 2 rows, node usage goes out in blocks of 1 or 2 rows
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
     monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
     usage, job_usage = _odd_tables(m)
     files = {}
     for name, write_node, write_job in (
-            ("bulk", store.write_node_usage, store.write_job_usage),
+            ("bulk", _write_node_usage, store.write_job_usage),
             ("oracle", ref.write_node_usage, ref.write_job_usage)):
         store.store_dir(tmp_path / name).mkdir(parents=True)
         write_node(tmp_path / name, usage)
@@ -122,7 +129,7 @@ def _table(name):
         return _job_usage(), {"job_id": (JOB_IDS, store.JOBS_NAME),
                               "fs": (FILESYSTEMS, store.FS_USAGE_NAME)}
     kind, case = name.split("-", 1)
-    attribution = attribute_usage(USAGES[case](), as_table([]))
+    attribution = attribute_usage(blocks_of(USAGES[case]()), as_table([]))
     if kind == "fs":
         return fs_bin_totals(attribution), None
     return attribution.unattributed, None
@@ -145,6 +152,68 @@ def test_usage_tables_round_trip(tmp_path, monkeypatch, chunk, table):
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
+def _streams(m, n_nodes, n_fs):
+    """A node-usage table of m rows over n_nodes x n_fs streams of
+    uneven lengths, grouped by stream, as ingest stores it."""
+    rng = np.random.default_rng(m)
+    stream = np.sort(rng.integers(0, n_nodes * n_fs, m))
+    deltas = rng.integers(0, 2 ** 40, (m, N_COUNTERS))
+    return UsageTable({"node": (stream // n_fs).astype(np.int32),
+                       "fs": (stream % n_fs).astype(np.int32)},
+                      {"node": NODES[:n_nodes], "fs": FILESYSTEMS[:n_fs]},
+                      np.arange(m, dtype=np.int64) * BIN_WIDTH, deltas,
+                      BIN_WIDTH)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+@pytest.mark.parametrize("m", [0, 1, 5, 40])
+def test_node_usage_round_trips_a_block_at_a_time(out, monkeypatch, chunk,
+                                                  m):
+    # the reader cuts each parsed chunk at its last stream, whose rows go
+    # to the next block: every block holds whole streams, and the blocks
+    # joined are the table written
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
+    usage = _streams(m, 3, 2)
+    _write_node_usage(out, usage)
+    back = store.read_node_usage(out, BIN_WIDTH)
+    assert back.counts is None
+    blocks = [(b.codes["node"].copy(), b.codes["fs"].copy(), len(b))
+              for b in back]
+    assert back.rows == m
+    streams = [set(zip(node.tolist(), fs.tolist()))
+               for node, fs, _ in blocks]
+    assert all(not a & b for i, a in enumerate(streams)
+               for b in streams[i + 1:])
+    # one block per chunk, and the last chunk's last stream one more; a
+    # block is a chunk's rows and the rows of a stream it goes on with
+    assert all(n for _, _, n in blocks)
+    assert len(blocks) <= -(-m // chunk) + 1
+    stream = usage.codes["node"] * 2 + usage.codes["fs"]
+    longest = max(np.unique(stream, return_counts=True)[1], default=0)
+    assert all(n <= chunk + longest for _, _, n in blocks)
+    _write_node_usage(out, usage)
+    again = whole(store.read_node_usage(out, BIN_WIDTH))
+    # the reader names the nodes and filesystems that have rows
+    assert again.names["node"] == tuple(
+        usage.names["node"][i] for i in dict.fromkeys(
+            usage.codes["node"].tolist()))
+    want = {name: col for name, col in usage_columns(usage).items()}
+    got = usage_columns(again)
+    for name in ("bin_start", "deltas"):
+        assert np.array_equal(got[name], want[name]), name
+    for key in ("node", "fs"):
+        assert [again.names[key][i] for i in got[key].tolist()] == [
+            usage.names[key][i] for i in want[key].tolist()]
+
+
+def test_node_usage_blocks_are_taken_once(out):
+    _write_node_usage(out, _streams(5, 2, 1))
+    usage = store.read_node_usage(out, BIN_WIDTH)
+    assert len(whole(usage)) == 5
+    with pytest.raises(RuntimeError, match="taken once"):
+        list(usage)
+
+
 def _rewrite_line(path, line_no, edit):
     lines = path.read_text().split("\n")
     lines[line_no - 1] = edit(lines[line_no - 1])
@@ -152,12 +221,13 @@ def _rewrite_line(path, line_no, edit):
 
 
 def test_short_store_row_names_file_and_line(out):
-    store.write_node_usage(out, _usage(m=3))
+    _write_node_usage(out, _usage(m=3))
     path = store.store_dir(out) / store.NODE_USAGE_NAME
     _rewrite_line(path, 3, lambda s: s.rsplit(",", 1)[0])
+    usage = store.read_node_usage(out, BIN_WIDTH)
     with pytest.raises(ValueError, match=re.escape(
             f"store {path}: expected 24 fields, got 23 (line 3)")):
-        store.read_node_usage(out, BIN_WIDTH)
+        whole(usage)
 
 
 def test_non_integer_store_field_names_file_line_and_field(out):

@@ -7,7 +7,8 @@ Simulates simgen's ``perf`` preset with the iorisk package under SRC_DIR
 (the directory holding ``iorisk/``), then runs ``ingest``, ``analyze``,
 ``report --svg --probe`` and ``all --svg --probe`` on it (the probe is the
 ``demo`` preset's, as ``tools/parity.py`` takes it), then ``ingest``,
-``analyze`` and ``all --svg --probe`` once more on the ``offgrid-busy``
+``analyze``, ``report --svg --probe`` and ``all --svg --probe`` once
+more on the ``offgrid-busy``
 benchmark feeds, built as ``tools/parity.py`` builds them: five times the
 job density, where attribution weighs most, and snapshots off the bin
 grid, where binning does. Each command runs in a fresh interpreter, and
@@ -15,8 +16,10 @@ per command it prints the wall time and what
 ``getrusage(RUSAGE_CHILDREN)`` reports: the CPU seconds (user + system)
 of the command and of the workers it forked and reaped, so that forking
 shows, and the command's ``ru_minflt`` and ``ru_maxrss`` (the largest
-of the processes, not their sum). Interpreter start-up and imports are
-included. Before the table it prints the parallel headroom: how long
+of the processes, not their sum). Beside ``ru_maxrss`` it prints the
+command's own VmHWM, its peak RSS without its workers', which is what
+the benchmark's ``peak_rss_mb`` reads. Interpreter start-up and imports
+are included. Before the table it prints the parallel headroom: how long
 two CPU-bound processes take side by side against one alone, 1.0 where
 a second CPU is free and 2.0 where the two share one, so that each
 timing says whether work forked beside the parent could pay off. Run it
@@ -37,6 +40,16 @@ from pathlib import Path
 
 from parity import OFFGRID, build_offgrid
 
+# runs the iorisk command line on its arguments, then writes the peak RSS
+# of this process alone, its VmHWM in kB, as the last line of stderr
+COMMAND = ("import sys\n"
+           "from iorisk.cli import run\n"
+           "code = run(sys.argv[1:])\n"
+           "with open('/proc/self/status') as f:\n"
+           "    hwm = [line.split()[1] for line in f\n"
+           "           if line.startswith('VmHWM:')]\n"
+           "print(hwm[0], file=sys.stderr)\n"
+           "sys.exit(code)\n")
 # a CPU-bound loop of about 0.3 s, which prints its own duration
 SPIN = ("import time\n"
         "t = time.perf_counter()\n"
@@ -59,10 +72,11 @@ def headroom() -> float:
 
 
 def measure(src: Path, work: Path,
-            *args: str) -> tuple[float, float, int, int]:
-    """(wall s, CPU s, minor faults, peak RSS kB) of one command in a
-    fresh interpreter, run by a helper process so that the rusage of its
-    children is that command's and its workers' alone."""
+            *args: str) -> tuple[float, float, int, int, int]:
+    """(wall s, CPU s, minor faults, peak RSS kB of the largest process,
+    VmHWM kB of the command's own) of one command in a fresh interpreter,
+    run by a helper process so that the rusage of its children is that
+    command's and its workers' alone."""
     code = ("import resource, subprocess, sys, time\n"
             "t = time.perf_counter()\n"
             "subprocess.run(sys.argv[1:], check=True,\n"
@@ -73,11 +87,12 @@ def measure(src: Path, work: Path,
             "      r.ru_maxrss)\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("IORISK_CONFIG", None)
-    wall, cpu, minflt, maxrss = subprocess.run(
-        [sys.executable, "-c", code, sys.executable, "-m", "iorisk", *args],
-        cwd=work, env=env, check=True, capture_output=True, text=True,
-    ).stdout.split()
-    return float(wall), float(cpu), int(minflt), int(maxrss)
+    done = subprocess.run(
+        [sys.executable, "-c", code, sys.executable, "-c", COMMAND, *args],
+        cwd=work, env=env, check=True, capture_output=True, text=True)
+    wall, cpu, minflt, maxrss = done.stdout.split()
+    hwm = done.stderr.splitlines()[-1]
+    return float(wall), float(cpu), int(minflt), int(maxrss), int(hwm)
 
 
 def main(argv=None) -> int:
@@ -105,6 +120,8 @@ def main(argv=None) -> int:
                 f"ingest {OFFGRID}": ("ingest", *offgrid, "--out",
                                       f"{OFFGRID}/staged"),
                 f"analyze {OFFGRID}": ("analyze", "--out", f"{OFFGRID}/staged"),
+                f"report {OFFGRID}": ("report", "--out", f"{OFFGRID}/staged",
+                                      *report),
                 f"all {OFFGRID}": ("all", *offgrid, "--out", f"{OFFGRID}/all",
                                    *report)}
     try:
@@ -115,11 +132,11 @@ def main(argv=None) -> int:
         print(f"parallel headroom {headroom():.2f} (two CPU-bound "
               f"processes against one; 1.0: a second CPU is free)")
         print(f"{'command':<20} {'wall_s':>7} {'cpu_s':>7} {'minflt':>8} "
-              f"{'maxrss_mb':>9}")
+              f"{'maxrss_mb':>9} {'vmhwm_mb':>9}")
         for name, cmd in commands.items():
-            wall, cpu, minflt, maxrss = measure(src, work, *cmd)
+            wall, cpu, minflt, maxrss, hwm = measure(src, work, *cmd)
             print(f"{name:<20} {wall:7.3f} {cpu:7.3f} {minflt:8d} "
-                  f"{maxrss / 1024:9.1f}")
+                  f"{maxrss / 1024:9.1f} {hwm / 1024:9.1f}")
     finally:
         if args.work is None:
             shutil.rmtree(work)
