@@ -446,7 +446,8 @@ def risk_contribs(deltas, fs_idx, avg, md_total, alpha, beta, threshold):
     path (x - beta*md_total) / (beta*md_total) with the denominator floored
     at the threshold when md_total is zero. All contributions clamp at zero.
     The steps run in place: beyond deltas, the result and the denominators
-    are the only (n, 21) arrays held.
+    are the only (n, 21) arrays held. compute_job_metrics hands it one
+    slice of rows at a time, so n is at most ingest._PARSE_CHUNK there.
     """
     denom = avg[fs_idx]
     denom *= alpha

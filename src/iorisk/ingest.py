@@ -75,13 +75,14 @@ def _check_header(row, expected, what):
             f"expected exactly {','.join(expected)})", line_no=1)
 
 
-# rows per chunk of parsing and binning, and about the rows per block of
-# node usage (see NodeUsage): the row budget of the temporaries that ingest
-# and analyze hold. The heap keeps a chunk's freed temporaries, so they set
-# the floor of each stage's peak: with node usage in blocks, staged ingest
-# and analyze of a week of simgen's perf preset peaked at 56.9 and 51.0 MB
-# at 16,384 rows, and at 46.0 and 43.7 MB at 4,096 rows, which cost 5 to
-# 15% more wall time in more chunks and blocks (2-core x86 machine)
+# rows per chunk of parsing and binning, about the rows per block of node
+# usage (see NodeUsage) and the rows per slice of the job metrics: the row
+# budget of the temporaries that ingest and analyze hold. The heap keeps a
+# chunk's freed temporaries, so they set the floor of each stage's peak:
+# with node usage in blocks, staged ingest and analyze of a week of
+# simgen's perf preset peaked at 56.9 and 51.0 MB at 16,384 rows, and at
+# 46.0 and 43.7 MB at 4,096 rows, which cost 5 to 15% more wall time in
+# more chunks and blocks (2-core x86 machine)
 _PARSE_CHUNK = 4096
 # the fewest bytes of counter file a range binned in a process of its own
 # holds (see _cuts): on a 2-core x86 machine with its second core free,
@@ -101,10 +102,11 @@ _MERGE_ROWS = 2048
 # bytes of a huge page on x86-64 Linux (see _mapped)
 _HUGE_PAGE = 2 << 20
 # rows per block of write_csv: a block's temporaries, a text object per
-# field and their join, take about four times a parsed row's memory, and
-# at a whole chunk they outgrew the heap that streaming ingest leaves, so
-# that writing node usage faulted in 16 MB afresh
-_WRITE_CHUNK = 4096
+# field and their join, take up to 3 KB a row of 24 large ints. At a
+# whole chunk they outgrew the heap that streaming ingest leaves, so that
+# writing node usage faulted in 16 MB afresh; at 4,096 rows such a table
+# peaked 11.8 MB above its columns, at 1,024 rows 3.0 MB
+_WRITE_CHUNK = 1024
 # ASCII characters numpy's C integer parser skips as space and int() rejects
 _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # int64's range as Python ints: no numpy lookup per field checked
@@ -955,8 +957,10 @@ class _SegmentBinner:
     binner of its own (see join). So memory beyond the rows given is a
     piece's temporaries, the carry and the binned rows, and a piece holds
     about _PARSE_CHUNK binned rows however many bins its pairs span. The
-    workspaces and the binned rows are memory maps (see _mapped). The
-    final merge sums the parts' rows into blocks of whole streams, in
+    workspaces and the binned rows are memory maps (see _mapped). A part
+    keeps its deltas as uint32 where all of them fit, 100 bytes a row
+    against 184 in int64 (see _keep). The final merge widens them to
+    int64 and sums the parts' rows into blocks of whole streams, in
     stream order, and unmaps each part once its last stream is out (see
     usage), so what it holds is the parts still to come and one block.
     """
@@ -972,7 +976,8 @@ class _SegmentBinner:
         self.heads = _no_snapshots()
         # the binned rows: (stream, bin, deltas) parts of 1 to _MERGE_ROWS
         # rows sorted by (stream, bin), each copied into a memory map of
-        # its own, which is unmapped once usage() has summed its rows in
+        # its own, which is unmapped once usage() has summed its rows in;
+        # the deltas are uint32 where they fit, int64 otherwise
         self.parts = []
         self.samples = self.gap_pairs = self.reset_pairs = 0
         self._gathered = np.empty((0, N_COUNTERS), np.int64)
@@ -1039,9 +1044,18 @@ class _SegmentBinner:
         for part in parts:
             for lo in range(0, len(part[0]), _MERGE_ROWS):
                 n = min(len(part[0]) - lo, _MERGE_ROWS)
-                table = _mapped((2 + N_COUNTERS) * n)
+                # deltas that fit uint32 are kept in half the bytes; the
+                # final merge widens them to int64 as it joins a block
+                deltas = part[2][lo:lo + n]
+                narrow = (deltas.min(initial=0) >= 0
+                          and deltas.max(initial=0) <= 0xFFFFFFFF)
+                words = n * N_COUNTERS
+                table = _mapped(2 * n + ((words + 1) // 2 if narrow
+                                         else words))
+                cells = (table[2 * n:].view(np.uint32)[:words] if narrow
+                         else table[2 * n:])
                 kept = (table[:n], table[n:2 * n],
-                        table[2 * n:].reshape(n, N_COUNTERS))
+                        cells.reshape(n, N_COUNTERS))
                 for dst, src in zip(kept, part):
                     dst[...] = src[lo:lo + n]
                 self.parts.append(kept)
@@ -1153,7 +1167,8 @@ def _summed_blocks(parts, nodes, filesystems, bin_width):
                   for p in np.flatnonzero(takes[:, b])]
         for p in np.flatnonzero(last == b):
             parts[p] = None
-        stream, bins, deltas = map(np.concatenate, zip(*pieces))
+        stream, bins, deltas = (np.concatenate(column, dtype=np.int64)
+                                for column in zip(*pieces))
         del pieces
         (stream, bins), sums = _kernels.group_sum([stream, bins], deltas)
         row = np.searchsorted(streams, stream)

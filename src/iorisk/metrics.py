@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, ingest
 from .config import Config, check
 from .ingest import UsageTable
 from .ops import (MDS_SLICE, N_COUNTERS, OSS_SLICE, READ_KB, READ_OPS,
@@ -110,7 +110,12 @@ def compute_job_metrics(job_usage: UsageTable, baselines: FsBaselines,
                         params: Config = Config()) -> JobMetrics:
     """Evaluate risk and quality for every job-bin row under the risk
     rule's parameters: params' alpha, beta and md_small_avg_threshold.
-    baselines must be aligned with the job usage's fs registry."""
+    baselines must be aligned with the job usage's fs registry.
+
+    The rows are evaluated one slice of ingest._PARSE_CHUNK at a time
+    into results allocated once, so beyond the usage and the results the
+    temporaries are one slice's (rows, 21) float64 tables. A degenerate
+    baseline is logged once per filesystem, after the last slice."""
     for name in ("alpha", "beta", "md_small_avg_threshold"):
         check(name, getattr(params, name), "compute_job_metrics")
     job_idx, fs_idx = job_usage.codes["job_id"], job_usage.codes["fs"]
@@ -125,26 +130,31 @@ def compute_job_metrics(job_usage: UsageTable, baselines: FsBaselines,
     if missing:
         raise ValueError(f"no baseline for filesystems {missing}")
 
-    # the clamped per-counter risk, summed over each server class
-    contrib = _kernels.risk_contribs(
-        job_usage.deltas.astype(np.float64), fs_idx, baselines.avg,
-        baselines.md_total_avg, params.alpha, params.beta,
-        params.md_small_avg_threshold)
-    risk_oss = contrib[:, OSS_SLICE].sum(axis=1)
-    risk_mds = contrib[:, MDS_SLICE].sum(axis=1)
-    del contrib
-    mds_active = np.bincount(
-        fs_idx[job_usage.deltas[:, MDS_SLICE].any(axis=1)],
-        minlength=len(filesystems)) > 0
+    m = len(job_usage)
+    risk_oss, risk_mds, q_read, q_write = (np.empty(m) for _ in range(4))
+    has_io = np.empty(m, dtype=bool)
+    mds_active = np.zeros(len(filesystems), dtype=bool)
+    io_cols = (READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)
+    for lo in range(0, m, ingest._PARSE_CHUNK):
+        rows = slice(lo, lo + ingest._PARSE_CHUNK)
+        deltas, fs = job_usage.deltas[rows], fs_idx[rows]
+        # the clamped per-counter risk, summed over each server class
+        contrib = _kernels.risk_contribs(
+            deltas.astype(np.float64), fs, baselines.avg,
+            baselines.md_total_avg, params.alpha, params.beta,
+            params.md_small_avg_threshold)
+        contrib[:, OSS_SLICE].sum(axis=1, out=risk_oss[rows])
+        contrib[:, MDS_SLICE].sum(axis=1, out=risk_mds[rows])
+        del contrib
+        mds_active[fs[deltas[:, MDS_SLICE].any(axis=1)]] = True
+        q_read[rows], q_write[rows] = _quality_arrays(deltas)
+        (deltas[:, io_cols] > 0).any(axis=1, out=has_io[rows])
     for i in np.flatnonzero(mds_active & ~(baselines.md_total_avg > 0)):
         log.warning(
             "degenerate baseline for %s: zero metadata average with "
             "nonzero metadata activity; beta-path denominator floored "
             "at %g", filesystems[i], params.md_small_avg_threshold)
 
-    q_read, q_write = _quality_arrays(job_usage.deltas)
-    io_cols = (READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)
-    has_io = (job_usage.deltas[:, io_cols] > 0).any(axis=1)
     return JobMetrics(job_idx=job_idx,
                       fs_idx=fs_idx,
                       bin_start=job_usage.bin_start,

@@ -91,7 +91,8 @@ def feeds(draw):
 
 def _joined(usage):
     """The blocks of node usage joined, once each is checked to hold
-    whole streams, and at most _PARSE_CHUNK rows unless it holds one."""
+    whole streams, and at most _PARSE_CHUNK rows unless it holds one, in
+    int64 deltas."""
     seen = set()
 
     def checked(block):
@@ -99,6 +100,7 @@ def _joined(usage):
                           block.codes["fs"].tolist()))
         assert not streams & seen
         assert len(block) <= ingest._PARSE_CHUNK or len(streams) == 1
+        assert block.deltas.dtype == np.int64
         seen.update(streams)
         return block
 
@@ -474,11 +476,12 @@ def test_binning_peak_with_its_maps_is_one_table_and_a_few_chunk_tables(
     # hold the binned parts and the workspaces, so the maps are tallied
     # apart; the sum of the two peaks bounds the peak of the two together.
     # The node usage's blocks are taken one at a time and dropped, so no
-    # table is held: the binner holds the binned parts (about one table),
-    # a chunk's lines, columns and pieces, and in the final merge one
-    # block and its sort. Beyond one table, that reads 7.9 chunk tables
-    # here on the grid and 10.0 off it, where each pair meets three or
-    # four bins and a chunk's pieces are the peak. When the merge returned
+    # table is held: the binner holds the binned parts (about half a
+    # table, in uint32 deltas), a chunk's lines, columns and pieces, and
+    # in the final merge one block and its sort. Beyond one table, that
+    # reads 3.8 chunk tables here on the grid and -6.7 off it, where each
+    # pair meets three or four bins and a chunk's pieces are the peak;
+    # with parts of int64 deltas, 7.9 and 10.0. When the merge returned
     # a table, the same sum read two tables and 3.1 and 6.4 chunk tables,
     # against a bound of two tables and 8 chunk tables, and the feeds
     # here are 9 and 36 chunk tables of node usage. When pieces were cut
@@ -496,13 +499,21 @@ def test_binning_peak_with_its_maps_is_one_table_and_a_few_chunk_tables(
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        rows, nbytes = _taken(deltify_and_bin(path))
+        usage = deltify_and_bin(path)
+        # the workspaces are dropped: what is mapped is the binned parts,
+        # all of them, before the merge unmaps any
+        parts = tally["live"]
+        rows, nbytes = _taken(usage)
         traced = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert rows >= 8 * ingest._PARSE_CHUNK
     beyond = traced + tally["peak"] - nbytes
     assert beyond < 12 * table, beyond / table
+    # nbytes is the int64 bytes of the binned rows too, 184 a row: parts
+    # of uint32 deltas take 100 a row, and a (stream, bin) binned in two
+    # pieces is a row of each
+    assert parts < 0.6 * nbytes, parts / nbytes
 
 
 # --- ranges: a counter file cut at line ends and binned side by side -----
@@ -652,6 +663,71 @@ def test_a_stream_back_in_time_across_a_cut_reads_the_file_again(tmp_path):
         assert reread == reread_expected, rows_at
         _same_table(usage, want)
         _no_worker_left()
+
+
+EDGE = 2 ** 32
+
+
+def _uint32_edge_feed(pre_differenced):
+    """Rows whose deltas sit at uint32's edge, on a 360 s grid: on n1, a
+    delta of 2**32 - 1 and one of 2**32 in one bin, a jump to 2**40, a
+    reset to 2**35 and a pair of 3 * 2**32 over three bins; on n3, two
+    deltas of 2**32 - 1 into one bin, whose rows sum past 2**32 once
+    joined, though each fits uint32 (pre-differenced, the rows are those
+    deltas). n2 beside them moves by ones."""
+    def row(t, node, *values):
+        return (t, node, "fs1", [*values] + [0] * (N_COUNTERS - len(values)))
+
+    return [row(360, "n1"), row(360, "n2"), row(720, "n3"),
+            row(720, "n1", EDGE - 1, EDGE), row(720, "n2", 1),
+            row(800, "n3", 0, 0, EDGE - 1),
+            row(900, "n3", 0, 0, (1 + (not pre_differenced)) * (EDGE - 1)),
+            row(1080, "n2", 2), row(1080, "n1", EDGE - 1, EDGE, 0, 2 ** 40),
+            row(1440, "n1", EDGE - 1, EDGE, 0, 2 ** 35),
+            row(2520, "n1", 4 * EDGE - 1, EDGE, 0, 2 ** 35),
+            row(2520, "n2", 3)]
+
+
+@pytest.mark.parametrize("pre_differenced", [False, True])
+def test_deltas_at_the_uint32_edge_are_exact(tmp_path, pre_differenced):
+    # a part keeps its deltas as uint32 when they all fit and as int64
+    # otherwise; the merge sums them in int64, in one read and in two
+    # byte ranges, whose worker pickles its parts
+    rows = _uint32_edge_feed(pre_differenced)
+    path = tmp_path / "counters.csv"
+    _write_rows(path, rows)
+    options = {"max_gap_bins": None, "pre_differenced": pre_differenced}
+    feed = ingest.read_counter_file(path)
+    want = ref.deltify_and_bin(feed, 360, **options)
+    for value in (EDGE - 1, EDGE, 2 * EDGE - 2, 2 ** 35):
+        assert (want.deltas == value).any(), value
+    assert want.deltas.dtype == np.int64
+    for chunk in BUDGETS:
+        usage, _, reread = _streamed(path, 360, options, chunk)
+        assert not reread
+        _same_table(usage, want)
+        for rows_at in ([4], [6], [9]):
+            with _cut_before(path, rows_at):
+                usage, _, reread = _streamed(path, 360, options, chunk)
+            assert not reread
+            _same_table(usage, want)
+    _no_worker_left()
+
+
+def test_parts_are_uint32_only_where_every_delta_fits(monkeypatch):
+    # one part a stream: n0's deltas fit uint32, n1's reach 2**32
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1)
+    values = np.zeros((4, N_COUNTERS), np.int64)
+    values[:2, 0] = [EDGE - 1, 7]
+    values[2:, 0] = [EDGE, 7]
+    binner = ingest._SegmentBinner(360, None, True)
+    binner.add(np.array([360, 720, 360, 720]), np.array([0, 0, 1, 1]),
+               np.zeros(4, np.int32), values)
+    assert [part[2].dtype for part in binner.parts] \
+        == [np.dtype(np.uint32), np.dtype(np.int64)]
+    usage = _joined(binner.usage(("n0", "n1"), ("fs0",)))
+    assert usage.deltas.dtype == np.int64
+    assert np.array_equal(usage.deltas, values)
 
 
 def _error_of(path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (binned, blocks_of, feed_from_rows, risk_contribs,
                       simple_job, values_row)
 from iorisk.attribute import attribute_usage, fs_bin_totals
+from iorisk import ingest
 from iorisk.ingest import UsageTable
 from iorisk.config import Config
 from iorisk.metrics import (FS_SUBJECT, FsBaselines, compute_baselines,
@@ -18,8 +20,9 @@ from scalar_analytics import as_table
 from scalar_metrics import (JobBinUsage, fs_baselines, fs_bin_aggregate,
                             job_bin_quality, job_bin_risk, one_baseline,
                             op_risk)
-from iorisk.ops import (COUNTER_NAMES, MDS_COUNTERS, N_COUNTERS,
-                        OSS_COUNTERS, READ_OPS)
+from iorisk.ops import (COUNTER_NAMES, MDS_COUNTERS, MDS_SLICE,
+                        N_COUNTERS, OSS_COUNTERS, READ_KB, READ_OPS,
+                        WRITE_KB, WRITE_OPS)
 
 W = 360
 
@@ -279,6 +282,95 @@ def test_degenerate_baselines_warn_once_each_in_fs_order(caplog):
         compute_job_metrics(usage, baselines)
     assert [r.getMessage().split(":")[0] for r in caplog.records] == [
         "degenerate baseline for fs1", "degenerate baseline for fs3"]
+
+
+def _job_usage(rng, m, n_fs=4):
+    """m job-bin rows over n_fs filesystems, a third of their deltas
+    zero."""
+    deltas = rng.integers(0, 500, (m, N_COUNTERS))
+    deltas *= rng.random((m, N_COUNTERS)) < 0.6
+    return UsageTable({"job_id": rng.integers(0, 5, m).astype(np.int32),
+                       "fs": rng.integers(0, n_fs, m).astype(np.int32)},
+                      {"job_id": tuple(f"j{i}" for i in range(5)),
+                       "fs": tuple(f"fs{i}" for i in range(n_fs))},
+                      rng.integers(0, 100, m) * W, deltas, W)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, ingest._PARSE_CHUNK])
+def test_job_metrics_in_slices_match_the_one_row_oracle(caplog, monkeypatch,
+                                                        budget):
+    # compute_job_metrics works one slice of _PARSE_CHUNK rows at a time;
+    # at every budget each row's metrics are the bytes that the metrics
+    # of its row alone take, and a degenerate baseline warns once however
+    # many slices hold its filesystem's metadata activity: fs1 and fs3
+    # have zero metadata averages and activity, fs0 a zero average and no
+    # metadata activity
+    rng = np.random.default_rng(11)
+    usage = _job_usage(rng, 40)
+    fs = usage.codes["fs"]
+    usage.deltas[fs == 0, MDS_SLICE] = 0
+    avg = rng.uniform(0, 30, (4, N_COUNTERS))
+    avg[[0, 1, 3], MDS_SLICE] = 0.0
+    baselines = FsBaselines(usage.names["fs"], avg,
+                            avg[:, MDS_SLICE].sum(axis=1), np.ones(4))
+    for f in (1, 3):  # in more than one slice of three rows
+        assert usage.deltas[fs == f, MDS_SLICE].any(axis=1).sum() > 3
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", budget)
+    points = [job_bin_risk(JobBinUsage(usage.names["job_id"][j],
+                                       usage.names["fs"][f], int(b), d),
+                           baselines)
+              for j, f, b, d in zip(usage.codes["job_id"], fs,
+                                    usage.bin_start, usage.deltas)]
+    quality = [job_bin_quality(JobBinUsage("j", "fs", 0, d))
+               for d in usage.deltas]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="iorisk.metrics"):
+        jm = compute_job_metrics(usage, baselines)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        "degenerate baseline for fs1", "degenerate baseline for fs3"]
+    io = usage.deltas[:, (READ_KB, READ_OPS, WRITE_KB, WRITE_OPS)] > 0
+    for got, want in ((jm.risk_oss, [p.risk_oss for p in points]),
+                      (jm.risk_mds, [p.risk_mds for p in points]),
+                      (jm.read_kb_ops, [q.read_kb_ops for q in quality]),
+                      (jm.write_kb_ops, [q.write_kb_ops for q in quality]),
+                      (jm.has_io, io.any(axis=1))):
+        want = np.asarray(want)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert (jm.job_idx, jm.fs_idx, jm.bin_start) \
+        == (usage.codes["job_id"], fs, usage.bin_start)
+
+
+def test_job_metrics_memory_beyond_input_and_output_does_not_grow(
+        monkeypatch):
+    # numpy reports its array allocations to tracemalloc. Beyond the
+    # usage and the metrics it returns, compute_job_metrics holds one
+    # slice's temporaries, (rows, 21) float64 tables, 3.2 slice tables
+    # here at either size; over the whole table they were three such
+    # tables of m rows, which grew with m
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
+    table = ingest._PARSE_CHUNK * (3 * 8 + 8 * N_COUNTERS)
+    rest = {}
+    for m in (8 * ingest._PARSE_CHUNK, 32 * ingest._PARSE_CHUNK):
+        rng = np.random.default_rng(m)
+        usage = _job_usage(rng, m)
+        avg = rng.uniform(0, 30, (4, N_COUNTERS))
+        baselines = FsBaselines(usage.names["fs"], avg,
+                                avg[:, MDS_SLICE].sum(axis=1), np.ones(4))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            jm = compute_job_metrics(usage, baselines)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        out = sum(a.nbytes for a in (jm.risk_oss, jm.risk_mds,
+                                     jm.read_kb_ops, jm.write_kb_ops,
+                                     jm.has_io))
+        rest[m] = peak - out
+    small, large = rest.values()
+    assert large - small < table, (small / table, large / table)
 
 
 def test_fs_mismatch_rejected():
