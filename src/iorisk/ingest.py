@@ -386,7 +386,11 @@ def _quoted(texts, alone: bool) -> list[str]:
     empty."""
     texts = list(texts)
     # csv.writer writes a text with no delimiter, quote or line break as
-    # it is; the others, and empty ones, go through it
+    # it is; the others, and empty ones, go through it. The joined texts
+    # hold such a character where some text does, so one search clears
+    # them all
+    if all(texts) and not _QUOTE_CHARS.search("".join(texts)):
+        return texts
     odd = [i for i, text in enumerate(texts)
            if not text or _QUOTE_CHARS.search(text)]
     lines: list[str] = []  # csv.writer writes each row with one call
@@ -892,7 +896,8 @@ class _Segment:
 
 def _send_range(out, path, lo, hi, options):
     """Bin bytes lo:hi of the counter file from an empty carry and pickle
-    to out _BackInTime, or a _Segment and then its parts, one at a time.
+    to out _BackInTime, or a _Segment and then its parts, one at a time,
+    as they are kept (see _SegmentBinner._keep).
     Any other failure raises, and the worker sends nothing more (see
     _fork.Child.load)."""
     binner = _SegmentBinner(*options)
@@ -958,11 +963,14 @@ class _SegmentBinner:
     piece's temporaries, the carry and the binned rows, and a piece holds
     about _PARSE_CHUNK binned rows however many bins its pairs span. The
     workspaces and the binned rows are memory maps (see _mapped). A part
-    keeps its deltas as uint32 where all of them fit, 100 bytes a row
-    against 184 in int64 (see _keep). The final merge widens them to
-    int64 and sums the parts' rows into blocks of whole streams, in
-    stream order, and unmaps each part once its last stream is out (see
-    usage), so what it holds is the parts still to come and one block.
+    keeps only its counter columns that are not all zero, as uint32 where
+    all their deltas fit, and int64 otherwise (see _keep): 54 and 55
+    bytes a row on the benchmark's feeds, whose parts keep 9 or 10 of
+    the 21 columns, against 184 for 21 int64 deltas.
+    The final merge puts each part's columns back into int64 blocks, sums
+    the parts' rows into blocks of whole streams, in stream order, and
+    unmaps each part once its last stream is out (see usage), so what it
+    holds is the parts still to come and one block.
     """
 
     def __init__(self, bin_width, max_gap_bins, pre_differenced):
@@ -974,10 +982,10 @@ class _SegmentBinner:
         # each stream's first snapshot, which a binner of the rows before
         # it pairs with its own carry (see _stitch)
         self.heads = _no_snapshots()
-        # the binned rows: (stream, bin, deltas) parts of 1 to _MERGE_ROWS
-        # rows sorted by (stream, bin), each copied into a memory map of
-        # its own, which is unmapped once usage() has summed its rows in;
-        # the deltas are uint32 where they fit, int64 otherwise
+        # the binned rows: (stream, bin, cols, cells) parts of 1 to
+        # _MERGE_ROWS rows sorted by (stream, bin), each copied into a
+        # memory map of its own, which is unmapped once usage() has summed
+        # its rows in (see _keep)
         self.parts = []
         self.samples = self.gap_pairs = self.reset_pairs = 0
         self._gathered = np.empty((0, N_COUNTERS), np.int64)
@@ -1006,12 +1014,13 @@ class _SegmentBinner:
         def recode(stream):
             return node_code[stream >> 32] | fs_code[stream & 0xFFFFFFFF]
 
-        def resorted(stream, bins, deltas):
+        def resorted(stream, bins, cols, cells):
             # a part is sorted by (stream, bin), and the recoded streams
-            # may sort in another order; each stream keeps its bin order
+            # may sort in another order; each stream keeps its bin order,
+            # and the part its columns
             stream = recode(stream)
             order = np.argsort(stream, kind="stable")
-            return stream[order], bins[order], deltas[order]
+            return stream[order], bins[order], cols, cells[order]
 
         heads, carry = (_Carry(recode(s.stream), s.ts, s.values)
                         for s in (segment.heads, segment.carry))
@@ -1041,24 +1050,30 @@ class _SegmentBinner:
         self._keep(parts)
 
     def _keep(self, parts):
-        for part in parts:
-            for lo in range(0, len(part[0]), _MERGE_ROWS):
-                n = min(len(part[0]) - lo, _MERGE_ROWS)
-                # deltas that fit uint32 are kept in half the bytes; the
-                # final merge widens them to int64 as it joins a block
-                deltas = part[2][lo:lo + n]
-                narrow = (deltas.min(initial=0) >= 0
-                          and deltas.max(initial=0) <= 0xFFFFFFFF)
-                words = n * N_COUNTERS
+        """Copy binned parts into memory maps of their own, of up to
+        _MERGE_ROWS rows each. A part is (stream, bins, cols, cells): each
+        row's deltas are its cells in the counter columns cols and zero in
+        the others. A kept part holds only the columns in which some row
+        of it is not zero, as uint32 where every kept delta fits and as
+        int64 otherwise: 16 + 4k bytes a row of k columns, or 16 + 8k,
+        against 184 for the 21 int64 deltas."""
+        for stream, bins, cols, cells in parts:
+            for lo in range(0, len(stream), _MERGE_ROWS):
+                n = min(len(stream) - lo, _MERGE_ROWS)
+                piece = cells[lo:lo + n]
+                used = piece.any(axis=0)
+                narrow = (piece.min(initial=0) >= 0
+                          and piece.max(initial=0) <= 0xFFFFFFFF)
+                words = n * np.count_nonzero(used)
                 table = _mapped(2 * n + ((words + 1) // 2 if narrow
                                          else words))
-                cells = (table[2 * n:].view(np.uint32)[:words] if narrow
-                         else table[2 * n:])
-                kept = (table[:n], table[n:2 * n],
-                        cells.reshape(n, N_COUNTERS))
-                for dst, src in zip(kept, part):
-                    dst[...] = src[lo:lo + n]
-                self.parts.append(kept)
+                kept = (table[2 * n:].view(np.uint32)[:words] if narrow
+                        else table[2 * n:]).reshape(n, -1)
+                np.compress(used, piece, axis=1, out=kept)
+                table[:n] = stream[lo:lo + n]
+                table[n:2 * n] = bins[lo:lo + n]
+                self.parts.append((table[:n], table[n:2 * n], cols[used],
+                                   kept))
 
     def bin_segment(self, stream, ts, values):
         """(heads, carry, parts): each stream's first and last snapshot (a
@@ -1134,7 +1149,9 @@ class _SegmentBinner:
 
 def _summed_blocks(parts, nodes, filesystems, bin_width):
     """The blocks of _SegmentBinner.usage: parts are its binned parts,
-    which this takes over."""
+    which this takes over. A block's deltas are int64, each part's cells
+    put into their counter columns (see _SegmentBinner._keep), so
+    group_sum sums them in int64."""
     # every stream with rows, in order, and its rows over the parts: the
     # parts' rows of a stream sum to at most as many table rows
     distinct = [np.unique(part[0], return_counts=True) for part in parts]
@@ -1161,14 +1178,21 @@ def _summed_blocks(parts, nodes, filesystems, bin_width):
     last = len(ranges) - 1 - np.argmax(takes[:, ::-1], axis=1)
 
     def block(b):
-        # the block's rows in every part that has some, joined: a part
-        # whose last rows they are is dropped, and its map goes with them
-        pieces = [[col[cuts[p, b]:cuts[p, b + 1]] for col in parts[p]]
+        # the block's rows in every part that has some, each part's cells
+        # put into their columns of a zeroed int64 block: a part whose
+        # last rows they are is dropped, and its map goes with them
+        pieces = [(parts[p], cuts[p, b], cuts[p, b + 1])
                   for p in np.flatnonzero(takes[:, b])]
         for p in np.flatnonzero(last == b):
             parts[p] = None
-        stream, bins, deltas = (np.concatenate(column, dtype=np.int64)
-                                for column in zip(*pieces))
+        stream, bins = (np.concatenate([part[i][lo:hi]
+                                        for part, lo, hi in pieces])
+                        for i in (0, 1))
+        deltas = np.zeros((len(stream), N_COUNTERS), np.int64)
+        at = 0
+        for (_, _, cols, cells), lo, hi in pieces:
+            deltas[at:at + hi - lo, cols] = cells[lo:hi]
+            at += hi - lo
         del pieces
         (stream, bins), sums = _kernels.group_sum([stream, bins], deltas)
         row = np.searchsorted(streams, stream)
@@ -1223,10 +1247,11 @@ def key_ranges(key, weight=None):
 def _bin_chunk(stream, ts, values, bin_width, max_gap_s, pre_differenced,
                differenced):
     """Binned deltas of whole streams sorted by (stream, ts): ((stream,
-    bin, deltas), gap_pairs, reset_pairs), the rows with all-zero ones
-    dropped and duplicate (stream, bin) rows summed, sorted by (stream,
-    bin), and deltify_pairs' counts. The rows share no memory with values
-    or with differenced, deltify_pairs' workspace."""
+    bin, cols, deltas), gap_pairs, reset_pairs), the rows with all-zero
+    deltas dropped and duplicate (stream, bin) rows summed, sorted by
+    (stream, bin), as a part of every counter column (see
+    _SegmentBinner._keep), and deltify_pairs' counts. The rows share no
+    memory with values or with differenced, deltify_pairs' workspace."""
     gap_pairs = reset_pairs = 0
     if pre_differenced:
         s_codes, deltas = stream, values
@@ -1242,7 +1267,8 @@ def _bin_chunk(stream, ts, values, bin_width, max_gap_s, pre_differenced,
     if not keep.all():
         s_codes, bins, deltas = s_codes[keep], bins[keep], deltas[keep]
     (s_codes, bins), deltas = _kernels.group_sum([s_codes, bins], deltas)
-    return (s_codes, bins, deltas), gap_pairs, reset_pairs
+    part = (s_codes, bins, np.arange(N_COUNTERS), deltas)
+    return part, gap_pairs, reset_pairs
 
 
 def _recode(codes, names):

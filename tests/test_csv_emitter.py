@@ -93,6 +93,21 @@ def test_a_lone_field_is_written_as_csv_writer_writes_it(text):
             == "".join(_csv_lines([[text], [text], [text]])))
 
 
+@pytest.mark.parametrize("alone", [False, True])
+def test_quoted_texts_are_the_fields_csv_writer_writes(alone):
+    # texts of digits only are cleared by one search of their join; a
+    # comma, a quote, a lone "\r" or an empty text among them sends them
+    # through csv.writer
+    digits = ["0", "360", "1577836800"]
+    awkward = [",", 'a"b', "a\rb", ""]
+    for texts in ([digits] + [digits + [text] for text in awkward]
+                  + [[text] for text in awkward]):
+        row = (lambda text: [text]) if alone else (lambda text: [text, ""])
+        want = [next(_csv_lines([row(text)]))[:-1 if alone else -2]
+                for text in texts]
+        assert ingest._quoted(texts, alone) == want, texts
+
+
 def test_path_and_stream_get_the_same_bytes(tmp_path):
     header = ["k", "v"]
     columns = [(np.array([0, 1], dtype=np.int32), ["a\rb", "œ"]),

@@ -36,7 +36,7 @@ from iorisk import ingest
 from iorisk.cli import run
 from iorisk.ingest import (COUNTER_HEADER, CounterFeed, NodeUsage,
                            deltify_and_bin)
-from iorisk.ops import N_COUNTERS
+from iorisk.ops import COUNTER_NAMES, N_COUNTERS
 
 import scalar_deltify as ref
 from conftest import usage_columns, whole
@@ -370,14 +370,16 @@ def test_summary_line_reports_gaps_and_resets(tmp_path, capsys, command):
         in capsys.readouterr().out
 
 
-def _collector_feed(path, cadence, n_streams=32, hours=30):
+def _collector_feed(path, cadence, n_streams=32, hours=30,
+                    moving=N_COUNTERS):
     """A counters.csv in collector order, by time: n_streams nodes whose
-    counters move in every interval of cadence seconds, so that every
-    cadence fills the same 360 s bins."""
+    first moving counters move in every interval of cadence seconds, so
+    that every cadence fills the same 360 s bins; the others stay 0."""
     n = hours * 3600 // cadence + 1
     rng = np.random.default_rng(5)
     cum = np.cumsum(rng.integers(1, 1000, size=(n, n_streams, N_COUNTERS)),
                     axis=0)
+    cum[:, :, moving:] = 0
     node = np.tile(np.arange(n_streams, dtype=np.int32), n)
     ingest.write_counter_csv(CounterFeed(
         np.repeat(360 + cadence * np.arange(n), n_streams), node,
@@ -514,6 +516,29 @@ def test_binning_peak_with_its_maps_is_one_table_and_a_few_chunk_tables(
     # of uint32 deltas take 100 a row, and a (stream, bin) binned in two
     # pieces is a row of each
     assert parts < 0.6 * nbytes, parts / nbytes
+
+
+@pytest.mark.parametrize("moving", [1, 3, 8])
+def test_parts_keep_only_the_counters_that_move(tmp_path, monkeypatch,
+                                                moving):
+    # a part keeps the stream and bin columns and, of the deltas, only
+    # the moving columns as uint32: 16 + 4 * moving bytes a row against
+    # the 184 of a row of node usage. The parts hold a little more than
+    # that: a (stream, bin) binned in two pieces is a row of each. Read
+    # once deltify_and_bin returns, before the merge unmaps any part,
+    # that is 1.02 times the share at each count here, and 5.1, 3.6 and
+    # 2.1 times with all 21 columns kept
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1024)
+    monkeypatch.setattr(ingest, "_MERGE_ROWS", 1024 // 8)
+    path = tmp_path / "counters.csv"
+    _collector_feed(path, 1000, hours=120, moving=moving)
+    tally = _tally_maps(monkeypatch)
+    usage = deltify_and_bin(path)
+    parts = tally["live"]
+    rows, nbytes = _taken(usage)
+    assert rows >= 8 * ingest._PARSE_CHUNK
+    share = (16 + 4 * moving) / 184
+    assert parts < 1.15 * share * nbytes, parts / nbytes / share
 
 
 # --- ranges: a counter file cut at line ends and binned side by side -----
@@ -715,19 +740,79 @@ def test_deltas_at_the_uint32_edge_are_exact(tmp_path, pre_differenced):
 
 
 def test_parts_are_uint32_only_where_every_delta_fits(monkeypatch):
-    # one part a stream: n0's deltas fit uint32, n1's reach 2**32
+    # one part a stream, each holding only the counter columns its rows
+    # move: n0's deltas fit uint32, one of n1's reaches 2**32
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1)
     values = np.zeros((4, N_COUNTERS), np.int64)
     values[:2, 0] = [EDGE - 1, 7]
-    values[2:, 0] = [EDGE, 7]
+    values[1, 9] = 3
+    values[2:, 4] = [EDGE, 7]
     binner = ingest._SegmentBinner(360, None, True)
     binner.add(np.array([360, 720, 360, 720]), np.array([0, 0, 1, 1]),
                np.zeros(4, np.int32), values)
-    assert [part[2].dtype for part in binner.parts] \
-        == [np.dtype(np.uint32), np.dtype(np.int64)]
+    assert [(cols.tolist(), cells.dtype) for _, _, cols, cells
+            in binner.parts] == [([0, 9], np.dtype(np.uint32)),
+                                 ([4], np.dtype(np.int64))]
+    assert binner.parts[0][3].tolist() == [[EDGE - 1, 0], [7, 3]]
+    assert binner.parts[1][3].tolist() == [[EDGE], [7]]
     usage = _joined(binner.usage(("n0", "n1"), ("fs0",)))
     assert usage.deltas.dtype == np.int64
     assert np.array_equal(usage.deltas, values)
+
+
+def _compact_feed():
+    """Cumulative rows off a 360 s grid whose parts keep few columns: n1
+    moves read_kb and read_ops, then from 1000 s write_kb and write_ops
+    too, so its rows on either side of a cut there keep other columns
+    and its 360 s bin sums a row of each, then resets read_kb at 1500 s;
+    n2 moves sdr once, in one bin and one row; n3 moves getattr by ones
+    and, once, unlink past 2**32."""
+    def row(t, node, **counters):
+        return (t, node, "fs1", [counters.get(name, 0)
+                                 for name in COUNTER_NAMES])
+
+    return [row(100, "n1", read_kb=10, read_ops=20), row(200, "n2"),
+            row(300, "n3", getattr=1),
+            row(500, "n1", read_kb=1000, read_ops=3000), row(650, "n2"),
+            row(700, "n1", read_kb=5000, read_ops=6000),
+            row(900, "n3", getattr=2, unlink=2 * EDGE + 5),
+            row(1000, "n1", read_kb=5000, read_ops=6000, write_kb=70,
+                write_ops=80),
+            row(1100, "n2"), row(1300, "n2", sdr=7),
+            row(1400, "n3", getattr=3, unlink=2 * EDGE + 5),
+            row(1500, "n1", read_kb=3, read_ops=6000, write_kb=900,
+                write_ops=800),
+            row(2200, "n1", read_kb=50, read_ops=6000, write_kb=900,
+                write_ops=800)]
+
+
+@pytest.mark.parametrize("pre_differenced", [False, True])
+def test_parts_of_few_columns_are_exact(tmp_path, pre_differenced):
+    # at every budget, in one read and in two and three byte ranges, whose
+    # workers pickle their parts as they keep them
+    rows = _compact_feed()
+    path = tmp_path / "counters.csv"
+    _write_rows(path, rows)
+    options = {"max_gap_bins": None, "pre_differenced": pre_differenced}
+    feed = ingest.read_counter_file(path)
+    want = ref.deltify_and_bin(feed, 360, **options)
+    assert (want.deltas[:, COUNTER_NAMES.index("unlink")] > EDGE).any()
+    assert np.count_nonzero(want.deltas[:, COUNTER_NAMES.index("sdr")]) == 1
+    if not pre_differenced:
+        assert ingest.BinCounts(*_scalar_counts(feed, 360, **options)) \
+            == ingest.BinCounts(len(rows), 0, 1)
+    splits = [[i] for i in range(1, len(rows))]
+    splits += [[i, i + 4] for i in range(1, len(rows) - 4, 2)]
+    for chunk in BUDGETS:
+        usage, _, reread = _streamed(path, 360, options, chunk)
+        assert not reread
+        _same_table(usage, want)
+        for rows_at in splits:
+            with _cut_before(path, rows_at):
+                usage, _, reread = _streamed(path, 360, options, chunk)
+            assert not reread, rows_at
+            _same_table(usage, want)
+    _no_worker_left()
 
 
 def _error_of(path):

@@ -1,10 +1,13 @@
 """Wall time, CPU time, minor page faults and peak RSS of each iorisk
 command.
 
-Usage: python tools/faults.py SRC_DIR [--work DIR] [--seed N]
+Usage: python tools/faults.py SRC_DIR [--work DIR] [--seed N] [--days N]
 
 Simulates simgen's ``perf`` preset with the iorisk package under SRC_DIR
-(the directory holding ``iorisk/``), then runs ``ingest``, ``analyze``,
+(the directory holding ``iorisk/``), over ``--days`` days (7, the
+preset's own window, by default) with each template's job count scaled
+by days / 7, so that the jobs keep their density as the window grows,
+then runs ``ingest``, ``analyze``,
 ``report --svg --probe`` and ``all --svg --probe`` on it (the probe is the
 ``demo`` preset's, as ``tools/parity.py`` takes it), then ``ingest``,
 ``analyze``, ``report --svg --probe`` and ``all --svg --probe`` once
@@ -27,10 +30,15 @@ on two trees to compare their memory churn:
 
     python tools/faults.py /path/to/old/src
     python tools/faults.py src
+
+and at several windows to see what grows with the window:
+
+    python tools/faults.py src --days 28
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -71,6 +79,19 @@ def headroom() -> float:
             / min(spin(1) for _ in range(3)))
 
 
+def perf_scenario(src: Path, days: int, path: Path) -> None:
+    """Write src's simgen ``perf`` preset over days days, each template's
+    count scaled by days / 7, as a scenario file."""
+    sys.path.insert(0, str(src))
+    from iorisk import simgen
+
+    spec = simgen.preset_scenario("perf")
+    templates = tuple(dataclasses.replace(t, count=round(t.count * days / 7))
+                      for t in spec.templates)
+    simgen.spec_to_json(dataclasses.replace(
+        spec, duration_s=days * 86400, templates=templates), path)
+
+
 def measure(src: Path, work: Path,
             *args: str) -> tuple[float, float, int, int, int]:
     """(wall s, CPU s, minor faults, peak RSS kB of the largest process,
@@ -103,7 +124,11 @@ def main(argv=None) -> int:
                         help="empty or new directory for the runs (default "
                              "a temporary one, removed afterwards)")
     parser.add_argument("--seed", default="7", help="simgen seed")
+    parser.add_argument("--days", type=int, default=7,
+                        help="days the perf preset spans (default 7)")
     args = parser.parse_args(argv)
+    if args.days < 1:
+        parser.error("--days must be at least 1")
     src = args.src.resolve()
     if not (src / "iorisk" / "__init__.py").exists():
         parser.error(f"{src} holds no iorisk package")
@@ -125,12 +150,14 @@ def main(argv=None) -> int:
                 f"all {OFFGRID}": ("all", *offgrid, "--out", f"{OFFGRID}/all",
                                    *report)}
     try:
-        measure(src, work, "simulate", "--preset", "perf", "--seed",
+        perf_scenario(src, args.days, work / "perf.json")
+        measure(src, work, "simulate", "--scenario", "perf.json", "--seed",
                 args.seed, "--out", "feeds")
         measure(src, work, "simulate", "--preset", "demo", "--out", "demo")
         build_offgrid(src, work)
-        print(f"parallel headroom {headroom():.2f} (two CPU-bound "
-              f"processes against one; 1.0: a second CPU is free)")
+        print(f"perf preset over {args.days} days; parallel headroom "
+              f"{headroom():.2f} (two CPU-bound processes against one; "
+              f"1.0: a second CPU is free)")
         print(f"{'command':<20} {'wall_s':>7} {'cpu_s':>7} {'minflt':>8} "
               f"{'maxrss_mb':>9} {'vmhwm_mb':>9}")
         for name, cmd in commands.items():
