@@ -1061,15 +1061,17 @@ class _SegmentBinner:
             for lo in range(0, len(stream), _MERGE_ROWS):
                 n = min(len(stream) - lo, _MERGE_ROWS)
                 piece = cells[lo:lo + n]
-                used = piece.any(axis=0)
-                narrow = (piece.min(initial=0) >= 0
-                          and piece.max(initial=0) <= 0xFFFFFFFF)
-                words = n * np.count_nonzero(used)
+                # a column's bitwise or is 0 where all its deltas are, and
+                # lies in [0, 2**32) where all of them do
+                ors = np.bitwise_or.reduce(piece, axis=0)
+                used = np.flatnonzero(ors)
+                narrow = ors.min() >= 0 and ors.max() <= 0xFFFFFFFF
+                words = n * len(used)
                 table = _mapped(2 * n + ((words + 1) // 2 if narrow
                                          else words))
                 kept = (table[2 * n:].view(np.uint32)[:words] if narrow
-                        else table[2 * n:]).reshape(n, -1)
-                np.compress(used, piece, axis=1, out=kept)
+                        else table[2 * n:]).reshape(n, len(used))
+                np.take(piece, used, axis=1, out=kept, mode="clip")
                 table[:n] = stream[lo:lo + n]
                 table[n:2 * n] = bins[lo:lo + n]
                 self.parts.append((table[:n], table[n:2 * n], cols[used],

@@ -741,21 +741,25 @@ def test_deltas_at_the_uint32_edge_are_exact(tmp_path, pre_differenced):
 
 def test_parts_are_uint32_only_where_every_delta_fits(monkeypatch):
     # one part a stream, each holding only the counter columns its rows
-    # move: n0's deltas fit uint32, one of n1's reaches 2**32
+    # move: n0's deltas fit uint32, one of n1's reaches 2**32 and one of
+    # n2's, in a feed given in memory, is negative
     monkeypatch.setattr(ingest, "_PARSE_CHUNK", 1)
-    values = np.zeros((4, N_COUNTERS), np.int64)
+    values = np.zeros((6, N_COUNTERS), np.int64)
     values[:2, 0] = [EDGE - 1, 7]
     values[1, 9] = 3
-    values[2:, 4] = [EDGE, 7]
+    values[2:4, 4] = [EDGE, 7]
+    values[4:, 20] = [-3, 5]
     binner = ingest._SegmentBinner(360, None, True)
-    binner.add(np.array([360, 720, 360, 720]), np.array([0, 0, 1, 1]),
-               np.zeros(4, np.int32), values)
+    binner.add(np.tile([360, 720], 3), np.repeat([0, 1, 2], 2),
+               np.zeros(6, np.int32), values)
     assert [(cols.tolist(), cells.dtype) for _, _, cols, cells
             in binner.parts] == [([0, 9], np.dtype(np.uint32)),
-                                 ([4], np.dtype(np.int64))]
+                                 ([4], np.dtype(np.int64)),
+                                 ([20], np.dtype(np.int64))]
     assert binner.parts[0][3].tolist() == [[EDGE - 1, 0], [7, 3]]
     assert binner.parts[1][3].tolist() == [[EDGE], [7]]
-    usage = _joined(binner.usage(("n0", "n1"), ("fs0",)))
+    assert binner.parts[2][3].tolist() == [[-3], [5]]
+    usage = _joined(binner.usage(("n0", "n1", "n2"), ("fs0",)))
     assert usage.deltas.dtype == np.int64
     assert np.array_equal(usage.deltas, values)
 
