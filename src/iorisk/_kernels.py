@@ -17,8 +17,9 @@ the rule; the kernels group their rows by K and call it once per group.
 
 Grouping rule. Every binned table is built by sorting rows on key columns
 and summing the rows that share every key. ``sort_groups`` is the only
-implementation of that sort and ``group_sum`` the only one of the sum;
-``merge_sums`` adds one such table into another.
+implementation of that sort and ``group_sum``, which sums the rows of one
+array, the only one of the sum. A table summed in pieces grows by
+``merge_sums``, which adds one such table into another in place.
 
 Bin rule. A bin labelled b covers (b, b+w]: a time t falls in the bin it
 closes, ``closing_bin``, and an interval (t0, t1] meets ``bins_spanned``
@@ -148,73 +149,18 @@ def groups(key):
         yield key[rows[0]], rows
 
 
-def group_sum(keys, values, sizes=None):
+def group_sum(keys, values):
     """Sum the rows of values that share every key -> (keys, sums).
 
-    Groups come in key order (see sort_groups). The returned key columns
+    Groups come in key order (see sort_groups), and each group's rows are
+    summed where they lie (see _segment_sums). The returned key columns
     keep their dtypes, so zero rows give typed empty columns and an empty
     (0, ...) sum.
-
-    values is an array, whose rows are summed where they lie (see
-    _segment_sums), or arrays whose rows, in turn, are the rows: a
-    non-empty list, or an iterator that yields arrays of sizes[i] rows
-    each. In that form the arrays are added into sums of the result's
-    exact size one at a time, and each is dropped once it is in, so that
-    the arrays are never all resident beside the sums, as they are when
-    first concatenated. group_sum then takes both lists over: it empties
-    keys once the rows are sorted, and the list of arrays front to back.
-    Beyond the sums and the returned keys, the merge holds a group index
-    and a flag per row.
     """
     order, starts = sort_groups(*keys)
     first = order[starts]
-    grouped = [key[first] for key in keys]
-    if isinstance(values, np.ndarray):
-        return grouped, _segment_sums(values, order, starts)
-    keys.clear()  # the caller's key columns, freed once sorted
-    keys = grouped
-    if sizes is None:
-        sizes = [len(v) for v in values]
-        values = _drained(values)
-    n = len(order)
-    # a group's rows come in input order, so two rows of one array in one
-    # group are neighbours; such an array needs np.add.at, over three times
-    # slower than the plain scatter an array of distinct groups takes
-    later = np.ones(n, dtype=bool)
-    later[starts] = False
-    later = np.flatnonzero(later)
-    ends = np.cumsum(sizes)
-    owner = np.searchsorted(ends, order[later], side="right")
-    repeats = np.zeros(len(sizes), dtype=bool)
-    repeats[owner[owner == np.searchsorted(ends, order[later - 1],
-                                           side="right")]] = True
-    del later, owner
-    # each row's group, by input position
-    rank = np.zeros(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
-    rank[starts[1:]] = 1
-    np.cumsum(rank, out=rank)
-    group = np.empty_like(rank)
-    group[order] = rank
-    del order, rank
-    opens = np.zeros(n, dtype=bool)
-    opens[first] = True  # the rows that open their groups, in input order
-    del first
-    sums, lo = None, 0
-    for size, repeat in zip(sizes, repeats):
-        part = next(values)
-        if sums is None:  # the first array types the sums
-            sums = np.zeros((len(starts),) + part.shape[1:], part.dtype)
-        rows = group[lo:lo + size]
-        if repeat:
-            np.add.at(sums, rows, part)
-        else:  # the groups begun before get their sums so far added back
-            seen = ~opens[lo:lo + size]
-            before = sums[rows[seen]]
-            sums[rows] = part
-            sums[rows[seen]] += before
-        del part
-        lo += size
-    return keys, sums
+    return ([key[first] for key in keys],
+            _segment_sums(values, order, starts))
 
 
 def merge_sums(keys, sums, more_keys, more_sums):
@@ -266,13 +212,6 @@ def _records(keys):
     for i, key in enumerate(keys):
         records[f"k{i}"] = key
     return records
-
-
-def _drained(values):
-    """The list's arrays front to back, each taken out as it is given."""
-    values.reverse()
-    while values:
-        yield values.pop()
 
 
 # groups of at most this many rows are summed a row rank at a time, larger

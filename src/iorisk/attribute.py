@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, ingest
 from .ingest import JobTable, NodeUsage, UsageTable
 from .ops import N_COUNTERS
 
@@ -25,13 +25,22 @@ class AttributionResult:
 def fs_bin_totals(attribution: AttributionResult) -> UsageTable:
     """Fs-wide per-bin totals of the node usage an attribution split: its
     job usage plus its unattributed ledger, whose shares sum to each
-    node-bin row's deltas exactly (the apportioning rule in _kernels)."""
-    ju, free = attribution.job_usage, attribution.unattributed
-    (fs, bins), deltas = _kernels.group_sum(
-        [np.concatenate((ju.codes["fs"], free.codes["fs"])),
-         np.concatenate((ju.bin_start, free.bin_start))],
-        [ju.deltas, free.deltas])
-    return UsageTable({"fs": fs}, free.names, bins, deltas, free.bin_width)
+    node-bin row's deltas exactly (the apportioning rule in _kernels).
+
+    Each table is summed per (fs, bin) a slice of ingest._PARSE_CHUNK rows
+    at a time, and each slice's sums are merged into the totals in place,
+    as attribute_usage builds the job usage."""
+    keys = [np.empty(0, np.int32), np.empty(0, np.int64)]
+    deltas = np.empty((0, N_COUNTERS), np.int64)
+    for table in (attribution.job_usage, attribution.unattributed):
+        for lo in range(0, len(table), ingest._PARSE_CHUNK):
+            rows = slice(lo, lo + ingest._PARSE_CHUNK)
+            _kernels.merge_sums(keys, deltas, *_kernels.group_sum(
+                [table.codes["fs"][rows], table.bin_start[rows]],
+                table.deltas[rows]))
+    free = attribution.unattributed
+    return UsageTable({"fs": keys[0]}, free.names, keys[1], deltas,
+                      free.bin_width)
 
 
 def attribute_usage(node_usage: NodeUsage, jobs: JobTable

@@ -236,10 +236,12 @@ def _keyed_chunks(stream, schema, registries, what, split=False,
     of up to _PARSE_CHUNK records at a time.
 
     The last N_COUNTERS columns are counters; registries maps each key
-    column to the dict that codes it, extended in place. Yields each
-    chunk's {column: array} and the line number of its first record (the
-    first after the header is 2): int32 codes for keys, int64 for the
-    other leading columns and (n, 21) int64 "counters". place(n), given,
+    column to the dict that codes it, extended in place. Every such table
+    has an "fs" key column, and the names a chunk adds to it are checked
+    (see _check_fs_names). Yields each chunk's {column: array} and the
+    line number of its first record (the first after the header is 2):
+    int32 codes for keys, int64 for the other leading columns and (n, 21)
+    int64 "counters". place(n), given,
     returns the {column: array} of n rows that a chunk is copied into;
     by default they are columns that the next chunk is read into, so a
     caller copies what it keeps. Each chunk of lines goes through numpy's
@@ -266,12 +268,28 @@ def _keyed_chunks(stream, schema, registries, what, split=False,
             table = _read_records(itertools.chain(lines, stream), schema,
                                   dtype, first_line, what)
         chunk = place(len(table))
+        known = len(registries["fs"])
         for name, col in chunk.items():
             col[...] = (_codes(table[name], registries[name])
                         if name in registries else table[name])
+        _check_fs_names(registries["fs"], known, chunk["fs"], what,
+                        first_line)
         del table  # the next chunk's table takes its memory
         yield chunk, first_line
         first_line += len(chunk["counters"])
+
+
+def _check_fs_names(registry, known, codes, what, first_line):
+    """FeedFormatError at the first row of each filesystem name that joined
+    registry from code known on and is not one path component: empty,
+    "." or "..", or holding "/" or NUL. The report writes a directory
+    under --out named after each filesystem."""
+    for code, fs in enumerate(itertools.islice(registry, known, None), known):
+        if fs in ("", ".", "..") or "/" in fs or "\0" in fs:
+            raise FeedFormatError(
+                f"{what}: filesystem name {fs!r} is not a directory name",
+                line_no=first_line + int(np.argmax(codes == code)),
+                feed_field="fs")
 
 
 def _keyed_dtype(schema, registries):
@@ -1157,13 +1175,10 @@ def _summed_blocks(parts, nodes, filesystems, bin_width):
     # every stream with rows, in order, and its rows over the parts: the
     # parts' rows of a stream sum to at most as many table rows
     distinct = [np.unique(part[0], return_counts=True) for part in parts]
-    streams, at = np.unique(np.concatenate(
-        [np.empty(0, np.int64)] + [s for s, _ in distinct]),
-        return_inverse=True)
-    weight = np.zeros(len(streams), np.int64)
-    np.add.at(weight, at, np.concatenate(
-        [np.empty(0, np.int64)] + [n for _, n in distinct]))
-    del distinct, at
+    (streams,), weight = _kernels.group_sum(
+        [np.concatenate([np.empty(0, np.int64)] + [s for s, _ in distinct])],
+        np.concatenate([np.empty(0, np.int64)] + [n for _, n in distinct]))
+    del distinct
     # the rows are grouped by stream, so each stream's first row is where
     # its codes first appear
     node_idx, nodes = _recode(streams >> 32, nodes)

@@ -4,8 +4,11 @@ This is the ``csv.reader`` parser the package shipped before counter
 feeds went through numpy's C reader: one Python list per row, keys coded
 as rows arrive, integers converted in chunks of ``_PARSE_CHUNK`` rows and
 faults located by a scalar ``int()`` rescan. It is kept unchanged but for
-one rule: the rescan names a value outside int64 as a feed error, where
-the old parser let numpy's bare ``OverflowError`` through.
+two rules: the rescan names a value outside int64 as a feed error, where
+the old parser let numpy's bare ``OverflowError`` through, and a
+filesystem name that is not one path component (empty, ``.``, ``..``, or
+holding ``/`` or NUL) is a feed error at its first row, once the chunk's
+integers convert.
 The chunked parser in ``iorisk.ingest`` must return an equal
 ``CounterFeed`` or raise the same error for every input.
 """
@@ -45,6 +48,11 @@ def _convert_chunk(rows, first_line):
                         f"counter feed: value out of int64 range {r[j]!r}",
                         line_no=first_line + i, feed_field=name)
         raise
+    for i, r in enumerate(rows):
+        if r[2] in ("", ".", "..") or "/" in r[2] or "\0" in r[2]:
+            raise FeedFormatError(
+                f"counter feed: filesystem name {r[2]!r} is not a "
+                f"directory name", line_no=first_line + i, feed_field="fs")
     bad = np.flatnonzero(ts <= 0)
     if bad.size:
         i = int(bad[0])

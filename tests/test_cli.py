@@ -884,6 +884,77 @@ def test_job_conflict_exits_before_writing(demo_feeds, tmp_path, capsys,
     assert not out.exists()
 
 
+# filesystem names that are not one path component: the report writes a
+# directory under --out named after each filesystem
+BAD_FS_NAMES = ["", ".", "..", "../../escaped", "sub/fs", "fs\0"]
+
+
+def _counters_with_fs(demo_feeds, feeds: Path, fs: str, line: int) -> None:
+    """The demo counters, the fs field of line set to fs, and the demo
+    jobs."""
+    lines = (demo_feeds / "counters.csv").read_text().splitlines(True)
+    fields = lines[line - 1].split(",")
+    fields[2] = fs
+    lines[line - 1] = ",".join(fields)
+    feeds.mkdir()
+    (feeds / "counters.csv").write_text("".join(lines))
+    shutil.copy(demo_feeds / "jobs.csv", feeds)
+
+
+@pytest.mark.parametrize("fs", BAD_FS_NAMES)
+@pytest.mark.parametrize("command", ["ingest", "all"])
+def test_a_filesystem_name_that_is_no_directory_exits_before_writing(
+        demo_feeds, tmp_path, capsys, command, fs):
+    feeds = tmp_path / "feeds"
+    _counters_with_fs(demo_feeds, feeds, fs, 3)
+    out = tmp_path / "out" / "run"
+    rc = run([command, "--counters", str(feeds / "counters.csv"),
+              "--jobs", str(feeds / "jobs.csv"), "--out", str(out)])
+    assert rc == 1
+    assert (f"counter feed: filesystem name {fs!r} is not a directory name "
+            f"(line 3, field 'fs')" in capsys.readouterr().err)
+    # nothing is written, under --out or beside it
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*")) == [
+        "feeds", "feeds/counters.csv", "feeds/jobs.csv"]
+
+
+def test_a_filesystem_name_a_byte_range_rejects_is_numbered_in_one_read(
+        demo_feeds, tmp_path, capsys):
+    # the name lies in the second of two byte ranges: its worker fails,
+    # and the file is read again as one range, which numbers the line
+    from unittest import mock
+
+    feeds = tmp_path / "feeds"
+    line = len((demo_feeds / "counters.csv").read_text().splitlines()) - 2
+    _counters_with_fs(demo_feeds, feeds, "..", line)
+    with mock.patch.object(ingest, "_SEGMENT_BYTES", 1), \
+            mock.patch.object(ingest, "_usable_cpus", lambda: 2), \
+            mock.patch.object(ingest, "_bin_ranges",
+                              wraps=ingest._bin_ranges) as ranges:
+        assert _run_all(feeds, tmp_path / "out") == 1
+    assert [len(c.args[1]) for c in ranges.call_args_list] == [3, 2]
+    assert (f"counter feed: filesystem name '..' is not a directory name "
+            f"(line {line}, field 'fs')" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fs", ["", "..", "../../escaped"])
+def test_a_stored_filesystem_name_that_is_no_directory_is_named(
+        demo_feeds, tmp_path, capsys, fs):
+    out = tmp_path / "out"
+    _ingest_and_analyze(demo_feeds, out)
+    path = out / "store" / "fs_usage.csv"
+    header, first, *rest = path.read_text().splitlines(True)
+    path.write_text("".join([header, fs + first[first.index(","):], *rest]))
+    capsys.readouterr()
+    before = _tree_bytes(tmp_path)
+    assert run(["report", "--out", str(out)]) == 1
+    assert (f"store {path}: filesystem name {fs!r} is not a directory name "
+            f"(line 2, field 'fs')" in capsys.readouterr().err)
+    assert _tree_bytes(tmp_path) == before
+
+
 def test_keys_with_a_lone_carriage_return_survive_the_store(tmp_path):
     from iorisk.ingest import COUNTER_HEADER
     rows = [",".join(COUNTER_HEADER)]

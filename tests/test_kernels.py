@@ -211,18 +211,6 @@ def test_group_sum_matches_dict_oracle(case):
             want = want + values[row]
         np.testing.assert_array_equal(sums[group], want)
 
-    # the same rows as a list of arrays, which group_sum empties, as it
-    # does the list of key columns; one row an array never repeats a group
-    # within an array
-    for n_parts in (1, 2, 5, max(len(values), 1)):
-        parts, key_list = np.array_split(values, n_parts), list(keys)
-        part_keys, part_sums = _kernels.group_sum(key_list, parts)
-        assert parts == [] and key_list == []
-        assert [k.tolist() for k in part_keys] \
-            == [k.tolist() for k in got_keys]
-        assert (part_sums.dtype, part_sums.shape) == (sums.dtype, sums.shape)
-        np.testing.assert_array_equal(part_sums, sums)
-
 
 @st.composite
 def merge_cases(draw):

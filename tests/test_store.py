@@ -48,7 +48,8 @@ def _job_usage(m=11) -> UsageTable:
 # keys csv.writer must quote or keep as they are: comma, doubled quote,
 # newline, empty, non-ASCII, leading and trailing spaces
 ODD_KEYS = ("k,1", 'k"2', 'k""3', "k\n4", "", "kœ5", " k6 ", "k\r\n7", "k8")
-ODD_FS = ("fs,2", " fs3", "")
+# "..fs4" is one path component, so a filesystem name (an empty one is not)
+ODD_FS = ("fs,2", " fs3", "..fs4")
 
 
 def _odd_tables(m):

@@ -16,8 +16,9 @@ analyze-stage flags (a trailing baseline window, mean quality): ``all``
 and ``analyze`` get them, and ``report`` takes them from the store.
 Every simgen output, every file under each ``--out`` and each command's
 exit code and output are then listed as ``sha256  path``, one line each,
-sorted by path. Two source trees give the same artifacts when their
-listings are identical:
+sorted by path; a character of a path that does not print, such as a
+carriage return, lists as its Python escape (``\\r``). Two source trees
+give the same artifacts when their listings are identical:
 
     python tools/parity.py /path/to/old/src > old.txt
     python tools/parity.py src > new.txt
@@ -171,8 +172,15 @@ def run_case(run: Runner, name: str) -> None:
 
 def listing(work: Path) -> list[str]:
     return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  "
-            f"{p.relative_to(work).as_posix()}"
+            f"{_escaped(p.relative_to(work).as_posix())}"
             for p in sorted(work.rglob("*")) if p.is_file()]
+
+
+def _escaped(path: str) -> str:
+    """path with each character that does not print, a line break among
+    them, as its Python escape, so that each path lists on one line."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape")
+                   .decode() for c in path)
 
 
 def main(argv=None) -> int:
